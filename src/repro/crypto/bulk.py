@@ -43,23 +43,23 @@ thread count, enforced by the differential battery and golden fixtures.
 Byte-identity contract
 ----------------------
 Every ciphertext produced here equals :func:`repro.crypto.cipher.encrypt`
-over the same ``(key, nonce, plaintext)`` bit for bit — same subkey
-derivation (the shared ``_subkeys`` cache), same HMAC-counter keystream,
-same truncated tag.  ``tests/test_crypto_bulk.py`` pins this per
-primitive, and the flat-kernel differential battery pins it end to end
-(``bulk=True`` payloads must match the object kernel's golden bytes).
+over the same ``(key, nonce, plaintext)`` bit for bit — same pre-keyed
+HMAC states (:func:`repro.crypto.cipher.key_states`, the one HMAC kernel),
+same HMAC-counter keystream, same truncated tag.
+``tests/test_crypto_bulk.py`` pins this per primitive, and the flat-kernel
+differential battery pins it end to end (``bulk=True`` payloads must match
+the object kernel's golden bytes).
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.crypto.cipher import _subkeys
+from repro.crypto.cipher import hmac_digest, key_states
 from repro.crypto.material import KEY_SIZE
 from repro.crypto.wrap import EncryptedKey, PlannedEncryptedKey
 from repro.obs import metrics as obs_metrics
@@ -267,7 +267,6 @@ def _wrap_chunk(
     digest calls release the GIL, which is where the parallelism comes
     from.  Returns the number of rows written.
     """
-    sha256 = hashlib.sha256
     rows_flat: List[int] = []
     for __, rows in groups:
         rows_flat.extend(rows)
@@ -278,31 +277,28 @@ def _wrap_chunk(
     for secret, rows in groups:
         if type(secret) is not bytes:
             secret = bytes(secret)  # memoryview (arena) -> hashable key
-        enc_key, mac_key = _subkeys(secret)
-        ks_template = hmac.new(enc_key, b"", sha256)
+        enc_state, mac_state = key_states(secret)
         for i in rows:
-            block = ks_template.copy()
-            block.update(nonces[i])
-            block.update(_ZERO8)
             base = position * KEY_SIZE
-            keystream[base : base + KEY_SIZE] = block.digest()
+            keystream[base : base + KEY_SIZE] = hmac_digest(
+                enc_state, nonces[i] + _ZERO8
+            )
             position += 1
-        tag_groups.append((hmac.new(mac_key, b"", sha256), rows))
+        tag_groups.append((mac_state, rows))
 
     plain = b"".join(payload_secrets[i] for i in rows_flat)
     ciphertexts = _xor_blocks(plain, bytes(keystream))
 
     position = 0
-    for tag_template, rows in tag_groups:
+    for mac_state, rows in tag_groups:
         for i in rows:
             base = position * KEY_SIZE
             row = ciphertexts[base : base + KEY_SIZE]
-            tag = tag_template.copy()
-            tag.update(nonces[i])
-            tag.update(row)
             slot = i * WRAP_SIZE
             out[slot : slot + KEY_SIZE] = row
-            out[slot + KEY_SIZE : slot + WRAP_SIZE] = tag.digest()[:_TAG_SIZE]
+            out[slot + KEY_SIZE : slot + WRAP_SIZE] = hmac_digest(
+                mac_state, nonces[i] + row
+            )[:_TAG_SIZE]
             position += 1
     return m
 
@@ -341,9 +337,9 @@ def encrypt_wrap_rows(
     Row ``i`` is ``ciphertext || tag`` for wrap ``i`` — byte-identical to
     ``encrypt(wrapping_secrets[i], nonce_i, payload_secrets[i])``.  The
     planner groups rows by wrapping key so each distinct key pays its
-    subkey derivation and HMAC key-padding once (``hmac`` templates are
-    ``.copy()``-ed per row); each chunk's keystream/plaintext XOR runs
-    once over its packed rows.  Output row order is input order
+    subkey derivation and HMAC key-padding once (the pre-keyed SHA-256
+    states are ``.copy()``-ed per row); each chunk's keystream/plaintext
+    XOR runs once over its packed rows.  Output row order is input order
     regardless of grouping or chunking, so callers' wire order is
     untouched.
 

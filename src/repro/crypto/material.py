@@ -55,7 +55,10 @@ class KeyMaterial:
         construction sits on the batch-rekeying hot path — one marked node,
         one new ``KeyMaterial``.  Bypassing the frozen-dataclass ``__init__``
         roughly halves construction cost.  Anything carrying external bytes
-        (unwrap, deserialization) must keep using the validating constructor.
+        must be validated first: deserialization uses the validating
+        constructor, and :func:`repro.crypto.wrap.unwrap_key` (once per key
+        learned by every receiver) makes the same checks itself before
+        calling this.
         """
         material = object.__new__(cls)
         material.__dict__.update(key_id=key_id, version=version, secret=secret)

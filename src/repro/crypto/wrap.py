@@ -282,18 +282,27 @@ def unwrap_key(wrapping: KeyMaterial, encrypted: EncryptedKey) -> KeyMaterial:
     repro.crypto.AuthenticationError
         If the ciphertext fails authentication (forged or corrupted).
     """
-    if wrapping.handle != encrypted.wrapping_handle:
+    if (
+        wrapping.key_id != encrypted.wrapping_id
+        or wrapping.version != encrypted.wrapping_version
+    ):
         raise ValueError(
             f"wrapping key mismatch: have {wrapping.handle}, "
             f"need {encrypted.wrapping_handle}"
         )
-    nonce = _nonce(wrapping, encrypted.payload_id, encrypted.payload_version)
+    payload_id = encrypted.payload_id
+    payload_version = encrypted.payload_version
+    nonce = _nonce(wrapping, payload_id, payload_version)
     secret = decrypt(wrapping.secret, nonce, encrypted.ciphertext)
-    return KeyMaterial(
-        key_id=encrypted.payload_id,
-        version=encrypted.payload_version,
-        secret=secret,
-    )
+    # The record came off the wire: the checks of KeyMaterial.__post_init__
+    # apply (decrypt always returns bytes), spelled out here because this
+    # runs once per key learned by every receiver and the frozen-dataclass
+    # constructor costs more than the rest of the function.
+    if len(secret) != KEY_SIZE:
+        raise ValueError(f"secret must be {KEY_SIZE} bytes, got {len(secret)}")
+    if payload_version < 0:
+        raise ValueError("version must be non-negative")
+    return KeyMaterial._trusted(payload_id, payload_version, secret)
 
 
 class WrapIndex:
@@ -305,13 +314,19 @@ class WrapIndex:
     in O(H · b) dict lookups — ``b`` being the per-key bucket size, bounded
     by the tree degree — instead of scanning the whole message.  Positions
     are kept so results can be returned in exact message order.
+
+    ``buckets`` is the ``wrapping_id -> [(position, key)]`` map itself,
+    read-only to callers: the per-receiver loops (:meth:`closure`,
+    :meth:`repro.members.member.Member.absorb`) test membership in it and
+    iterate its lists directly, so a key id nothing is wrapped under costs
+    them one dict probe and no call.
     """
 
     def __init__(self, keys: Sequence[EncryptedKey]) -> None:
         buckets: Dict[str, List[Tuple[int, EncryptedKey]]] = {}
         for position, ek in enumerate(keys):
             buckets.setdefault(ek.wrapping_id, []).append((position, ek))
-        self._buckets = buckets
+        self.buckets = buckets
         self.size = len(keys)
 
     @classmethod
@@ -327,7 +342,7 @@ class WrapIndex:
         ``WrapIndex(list(chain(*fragments)))``.
         """
         index = cls(())
-        buckets = index._buckets
+        buckets = index.buckets
         position = 0
         for fragment in fragments:
             for ek in fragment:
@@ -340,7 +355,7 @@ class WrapIndex:
 
     def wraps_under(self, key_id: str) -> Sequence[Tuple[int, EncryptedKey]]:
         """All ``(position, key)`` wraps encrypted under ``key_id``."""
-        return self._buckets.get(key_id, self._EMPTY)
+        return self.buckets.get(key_id, self._EMPTY)
 
     def direct_matches(
         self, held: Dict[str, int]
@@ -354,7 +369,7 @@ class WrapIndex:
         matches: List[Tuple[int, EncryptedKey]] = []
         examined = 0
         for key_id, version in held.items():
-            bucket = self._buckets.get(key_id, self._EMPTY)
+            bucket = self.buckets.get(key_id, self._EMPTY)
             examined += len(bucket)
             for position, ek in bucket:
                 if ek.wrapping_version == version:
@@ -378,26 +393,33 @@ class WrapIndex:
         actually examined — O(tree depth) per receiver — not to the
         message size.
         """
+        buckets = self.buckets
         best = dict(versions)  # newest version known per id: novelty test
-        frontier: List[Tuple[str, int]] = list(versions.items())
-        openable = set(frontier)
+        # Only handles something is wrapped under can open anything.  A
+        # handle enters the frontier at most once: a learned one must beat
+        # ``best`` to get in, and ``best`` only grows.
+        frontier: List[Tuple[str, int]] = [
+            handle for handle in versions.items() if handle[0] in buckets
+        ]
         out: List[Tuple[int, EncryptedKey]] = []
         examined = 0
         while frontier:
             key_id, version = frontier.pop()
-            for position, ek in self._buckets.get(key_id, self._EMPTY):
-                examined += 1
+            bucket = buckets[key_id]
+            examined += len(bucket)
+            for entry in bucket:
+                ek = entry[1]
                 if ek.wrapping_version != version:
                     continue
-                if best.get(ek.payload_id, -1) >= ek.payload_version:
+                payload_id = ek.payload_id
+                payload_version = ek.payload_version
+                if best.get(payload_id, -1) >= payload_version:
                     continue
-                best[ek.payload_id] = ek.payload_version
-                out.append((position, ek))
+                best[payload_id] = payload_version
+                out.append(entry)
                 # The learned payload may unlock further wraps.
-                handle = ek.payload_handle
-                if handle not in openable:
-                    openable.add(handle)
-                    frontier.append(handle)
+                if payload_id in buckets:
+                    frontier.append((payload_id, payload_version))
         if examined:
             perf_count("wrapindex.examined", examined)
         out.sort()

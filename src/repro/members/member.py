@@ -124,30 +124,35 @@ class Member:
                 if isinstance(encrypted_keys, (list, tuple))
                 else list(encrypted_keys)
             )
+        keys = self._keys
+        buckets = index.buckets
         learned: List[KeyMaterial] = []
         examined = 0
-        frontier = list(self._keys)
+        # Only held keys that something in this payload is wrapped under.
+        frontier = [key_id for key_id in keys if key_id in buckets]
         while frontier:
             key_id = frontier.pop()
-            wrapping = self._keys.get(key_id)
-            if wrapping is None:
-                continue
-            for _, ek in index.wraps_under(key_id):
-                examined += 1
-                if ek.wrapping_version != wrapping.version:
+            wrapping = keys[key_id]
+            wrapping_version = wrapping.version
+            bucket = buckets[key_id]
+            examined += len(bucket)
+            for _, ek in bucket:
+                if ek.wrapping_version != wrapping_version:
                     continue
-                current = self._keys.get(ek.payload_id)
+                current = keys.get(ek.payload_id)
                 if current is not None and current.version >= ek.payload_version:
                     continue
                 try:
                     payload = unwrap_key(wrapping, ek)
                 except (AuthenticationError, ValueError):
                     continue
-                self._keys[payload.key_id] = payload
+                payload_id = payload.key_id
+                keys[payload_id] = payload
                 learned.append(payload)
                 # The learned key may itself wrap further keys — and may
                 # upgrade a version we already tried under — so requeue it.
-                frontier.append(payload.key_id)
+                if payload_id in buckets:
+                    frontier.append(payload_id)
         if examined:
             perf_count("member.wraps_examined", examined)
         if learned:

@@ -69,8 +69,9 @@ def order_breadth_first(
 
     Keys near the key-tree root are needed by the most receivers; packing
     them together front-loads the replicated, most valuable packets.
+    Every index must have an entry in ``audiences``.
     """
-    return sorted(indices, key=lambda i: (-len(audiences.get(i, set())), i))
+    return sorted(indices, key=lambda i: (-len(audiences[i]), i))
 
 
 def order_depth_first(indices: Sequence[int]) -> List[int]:

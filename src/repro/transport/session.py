@@ -9,6 +9,24 @@ from repro.crypto.wrap import EncryptedKey
 from repro.keytree.lkh import RekeyMessage
 
 
+def audiences_of(interest: Dict[str, Set[int]]) -> Dict[int, Set[str]]:
+    """Invert ``receiver -> wanted key indices`` into ``index -> audience``.
+
+    Only keys somebody wants appear.  This is the one audience builder:
+    a task's :meth:`TransportTask.audiences` and every WKA-BKR round (over
+    the interest still outstanding) go through it.
+    """
+    audiences: Dict[int, Set[str]] = {}
+    for rid, wanted in interest.items():
+        for index in wanted:
+            audience = audiences.get(index)
+            if audience is None:
+                audiences[index] = {rid}
+            else:
+                audience.add(rid)
+    return audiences
+
+
 @dataclass
 class TransportTask:
     """One rekey delivery job.
@@ -33,11 +51,7 @@ class TransportTask:
 
     def audiences(self) -> Dict[int, Set[str]]:
         """index -> audience, for every key with a non-empty audience."""
-        result: Dict[int, Set[str]] = {}
-        for rid, wanted in self.interest.items():
-            for index in wanted:
-                result.setdefault(index, set()).add(rid)
-        return result
+        return audiences_of(self.interest)
 
 
 @dataclass

@@ -34,6 +34,7 @@ from repro.transport.session import (
     TransportExhausted,
     TransportResult,
     TransportTask,
+    audiences_of,
 )
 
 
@@ -110,15 +111,15 @@ class WkaBkrProtocol:
 
     def _build_round_packets(
         self,
-        outstanding: Dict[str, Set[int]],
+        audiences: Dict[int, Set[str]],
         channel: MulticastChannel,
         start_seqno: int,
     ) -> List[KeyPacket]:
-        """Weight, replicate, order and pack the still-needed keys."""
-        audiences: Dict[int, Set[str]] = {}
-        for rid, wanted in outstanding.items():
-            for index in wanted:
-                audiences.setdefault(index, set()).add(rid)
+        """Weight, replicate, order and pack the still-needed keys.
+
+        ``audiences`` is the round's ``key index -> receivers still
+        needing it`` map (:func:`~repro.transport.session.audiences_of`).
+        """
         if not audiences:
             return []
         weights = {
@@ -170,22 +171,28 @@ class WkaBkrProtocol:
             with obs_tracing.span(
                 "transport.round", protocol="wka-bkr", round=round_index
             ) as round_span:
-                packets = self._build_round_packets(outstanding, channel, seqno)
+                # Built once per round and kept in step with
+                # ``outstanding`` below, so a packet's audience is the
+                # union over its keys of who *still* needs each one — a
+                # receiver that already got a replicated key from an
+                # earlier packet of this round is not drawn for again.
+                audiences = audiences_of(outstanding)
+                packets = self._build_round_packets(audiences, channel, seqno)
                 seqno += len(packets)
                 keys_this_round = 0
                 for packet in packets:
                     keys_this_round += packet.key_count
-                    audience = {
-                        rid
-                        for rid, wanted in outstanding.items()
-                        if wanted.intersection(packet.key_indices)
-                    }
+                    carried = set(packet.key_indices)
+                    audience = set().union(*[audiences[i] for i in carried])
                     if not audience:
                         continue
                     report = channel.multicast(packet, audience=audience)
                     for rid in report.delivered_to:
-                        outstanding[rid] -= set(packet.key_indices)
-                        if not outstanding[rid]:
+                        wanted = outstanding[rid]
+                        for index in wanted & carried:
+                            audiences[index].discard(rid)
+                            wanted.discard(index)
+                        if not wanted:
                             del outstanding[rid]
                             result.completed[rid] = result.elapsed
                 round_span.set("packets", len(packets))

@@ -1,6 +1,11 @@
 """Unit tests for the authenticated keystream cipher."""
 
+import hashlib
+import hmac
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.cipher import AuthenticationError, decrypt, encrypt
 
@@ -74,3 +79,65 @@ class TestValidation:
     def test_decrypt_rejects_short_key(self):
         with pytest.raises(ValueError):
             decrypt(b"tiny", NONCE, b"x" * 32)
+
+
+def reference_encrypt(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
+    """The construction written straight from ``hmac.new`` and a per-byte
+    XOR — what :func:`encrypt` must equal byte for byte."""
+    enc_key = hmac.new(key, b"repro-enc", hashlib.sha256).digest()
+    mac_key = hmac.new(key, b"repro-mac", hashlib.sha256).digest()
+    stream = bytearray()
+    counter = 0
+    while len(stream) < len(plaintext):
+        block = nonce + counter.to_bytes(8, "big")
+        stream.extend(hmac.new(enc_key, block, hashlib.sha256).digest())
+        counter += 1
+    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+    tag = hmac.new(mac_key, nonce + ciphertext, hashlib.sha256).digest()[:16]
+    return ciphertext + tag
+
+
+# Lengths 0-100 cover the single-block path (<= 32 bytes, exactly 32 being
+# one wrapped key) and the multi-block path; keys longer than SHA-256's
+# 64-byte block exercise HMAC's hash-the-key rule.
+KEYS = st.binary(min_size=16, max_size=80)
+NONCES = st.binary(max_size=48)
+PLAINTEXTS = st.binary(max_size=100)
+
+
+class TestReferenceOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(key=KEYS, nonce=NONCES, plaintext=PLAINTEXTS)
+    def test_encrypt_equals_hmac_reference(self, key, nonce, plaintext):
+        blob = encrypt(key, nonce, plaintext)
+        assert blob == reference_encrypt(key, nonce, plaintext)
+        assert decrypt(key, nonce, blob) == plaintext
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 64, 65, 100])
+    def test_block_boundaries(self, length):
+        plaintext = bytes(range(length))
+        blob = encrypt(KEY, NONCE, plaintext)
+        assert blob == reference_encrypt(KEY, NONCE, plaintext)
+        assert decrypt(KEY, NONCE, blob) == plaintext
+
+
+@pytest.mark.parametrize("length", [32, 75], ids=["one-block", "multi-block"])
+class TestRejectionOnBothPaths:
+    def test_wrong_key(self, length):
+        blob = encrypt(KEY, NONCE, bytes(length))
+        with pytest.raises(AuthenticationError):
+            decrypt(KEY2, NONCE, blob)
+
+    def test_every_flipped_bit(self, length):
+        blob = encrypt(KEY, NONCE, bytes(length))
+        for position in range(len(blob)):
+            tampered = bytearray(blob)
+            tampered[position] ^= 0x80
+            with pytest.raises(AuthenticationError):
+                decrypt(KEY, NONCE, bytes(tampered))
+
+    def test_truncated(self, length):
+        blob = encrypt(KEY, NONCE, bytes(length))
+        for cut in (1, 16, 17, len(blob) - 3):
+            with pytest.raises(AuthenticationError):
+                decrypt(KEY, NONCE, blob[:-cut])

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.crypto.cipher import AuthenticationError
+import repro.crypto.wrap as wrap_module
+from repro.crypto.cipher import AuthenticationError, encrypt
 from repro.crypto.material import KeyGenerator
 from repro.crypto.wrap import EncryptedKey, unwrap_key, wrap_key
 
@@ -65,3 +66,52 @@ class TestWrapUnwrap:
             wrap_key(wrapping, payload).ciphertext
             != wrap_key(wrapping, newer).ciphertext
         )
+
+
+def forged_record(wrapping, payload_id, payload_version, secret):
+    """A wire record that authenticates under ``wrapping`` but carries
+    what no honest server emits (as a decoder could hand to a receiver)."""
+    nonce = (
+        f"{wrapping.key_id}#{wrapping.version}->{payload_id}#{payload_version}"
+    ).encode("utf-8")
+    return EncryptedKey(
+        wrapping_id=wrapping.key_id,
+        wrapping_version=wrapping.version,
+        payload_id=payload_id,
+        payload_version=payload_version,
+        ciphertext=encrypt(wrapping.secret, nonce, secret),
+    )
+
+
+class TestUnwrapValidatesTheDecodedRecord:
+    def test_authentic_record_unwraps(self, keys):
+        wrapping, payload = keys
+        record = forged_record(wrapping, "payload", 0, payload.secret)
+        assert unwrap_key(wrapping, record) == payload
+
+    def test_negative_payload_version_raises_value_error(self, keys):
+        wrapping, payload = keys
+        record = forged_record(wrapping, "payload", -1, payload.secret)
+        with pytest.raises(ValueError, match="non-negative"):
+            unwrap_key(wrapping, record)
+
+    @pytest.mark.parametrize("length", [0, 16, 31, 33, 64])
+    def test_wrong_size_payload_raises_value_error(self, keys, length):
+        wrapping, __ = keys
+        record = forged_record(wrapping, "payload", 0, bytes(length))
+        with pytest.raises(ValueError, match="32 bytes"):
+            unwrap_key(wrapping, record)
+
+    def test_handle_mismatch_raises_before_any_crypto(self, keys, monkeypatch):
+        wrapping, payload = keys
+        ek = wrap_key(wrapping, payload)
+
+        def no_crypto(*args):
+            raise AssertionError("decrypt ran before the handle check")
+
+        monkeypatch.setattr(wrap_module, "decrypt", no_crypto)
+        other = KeyGenerator(10).generate("other")
+        with pytest.raises(ValueError, match="mismatch"):
+            unwrap_key(other, ek)
+        with pytest.raises(ValueError, match="mismatch"):
+            unwrap_key(KeyGenerator(9).rekey(wrapping), ek)

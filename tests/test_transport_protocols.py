@@ -4,11 +4,16 @@ import pytest
 
 from repro.crypto.material import KeyGenerator
 from repro.crypto.wrap import wrap_key
+from repro.faults.retry import RetryPolicy
 from repro.network.channel import MulticastChannel
 from repro.network.loss import BernoulliLoss
 from repro.transport.fec import ProactiveFecProtocol
 from repro.transport.multisend import MultiSendProtocol
-from repro.transport.session import TransportTask
+from repro.transport.session import (
+    TransportExhausted,
+    TransportResult,
+    TransportTask,
+)
 from repro.transport.wka_bkr import WkaBkrProtocol
 
 
@@ -150,6 +155,190 @@ class TestWkaBkr:
             for s in range(5)
         )
         assert wka < multi
+
+
+class PerPacketScanWkaBkr(WkaBkrProtocol):
+    """Oracle: the round loop as it was before the audience index.
+
+    Every packet's audience is recomputed by scanning every outstanding
+    receiver, and the round's ``key index -> audience`` map is built by
+    hand.  Slow, but obviously right; the production loop must make the
+    same multicasts to the same audiences.
+    """
+
+    def run(self, task, channel):
+        result = TransportResult()
+        outstanding = {
+            rid: set(wanted) for rid, wanted in task.interest.items() if wanted
+        }
+        round_cap = self.retry.max_rounds if self.retry is not None else self.max_rounds
+        seqno = 0
+        for round_index in range(round_cap):
+            outstanding = {
+                rid: wanted for rid, wanted in outstanding.items() if rid in channel
+            }
+            if not outstanding:
+                break
+            if self.retry is not None:
+                result.elapsed += self.retry.delay_before_round(round_index)
+            if round_index > 0:
+                result.late.update(outstanding)
+            audiences = {}
+            for rid, wanted in outstanding.items():
+                for index in wanted:
+                    audiences.setdefault(index, set()).add(rid)
+            packets = self._build_round_packets(audiences, channel, seqno)
+            seqno += len(packets)
+            keys_this_round = 0
+            for packet in packets:
+                keys_this_round += packet.key_count
+                audience = {
+                    rid
+                    for rid, wanted in outstanding.items()
+                    if wanted.intersection(packet.key_indices)
+                }
+                if not audience:
+                    continue
+                report = channel.multicast(packet, audience=audience)
+                for rid in report.delivered_to:
+                    outstanding[rid] -= set(packet.key_indices)
+                    if not outstanding[rid]:
+                        del outstanding[rid]
+                        result.completed[rid] = result.elapsed
+            result.merge_round(packets=len(packets), keys=keys_this_round)
+            if self.retry is not None and self.retry.should_abandon(round_index + 1):
+                result.abandoned.update(outstanding)
+                outstanding.clear()
+        if outstanding:
+            raise TransportExhausted("oracle exhausted", result, set(outstanding))
+        result.satisfied = True
+        return result
+
+
+class RecordingChannel(MulticastChannel):
+    """Logs every multicast's audience; can drop a receiver mid-delivery."""
+
+    def __init__(self, seed, unsubscribe_at=None):
+        super().__init__(seed=seed)
+        self.log = []
+        self.unsubscribe_at = dict(unsubscribe_at or {})
+
+    def multicast(self, packet, audience=None):
+        leaver = self.unsubscribe_at.get(len(self.log))
+        if leaver is not None:
+            self.unsubscribe(leaver)
+        self.log.append((packet.seqno, packet.key_indices, frozenset(audience)))
+        return super().multicast(packet, audience=audience)
+
+
+class TestWkaBkrAudienceIndexEquivalence:
+    """The audience-indexed round loop against the per-packet scan: the
+    same packets to the same audiences, hence the same per-receiver draws."""
+
+    RECEIVERS = 340
+
+    def lossy_task(self, seed):
+        import random
+
+        from repro.keytree.lkh import LkhRekeyer
+        from repro.keytree.tree import KeyTree
+        from repro.transport.session import build_task
+
+        tree = KeyTree(degree=4, keygen=KeyGenerator(seed))
+        rekeyer = LkhRekeyer(tree)
+        members = [f"m{i}" for i in range(self.RECEIVERS + 24)]
+        rekeyer.rekey_batch(joins=[(m, None) for m in members])
+        held = {
+            m: {n.key.key_id: n.key.version for n in tree.path_of(m)}
+            for m in members
+        }
+        rng = random.Random(seed)
+        victims = set(rng.sample(members, 24))
+        message = rekeyer.rekey_batch(departures=sorted(victims))
+        survivors = [m for m in members if m not in victims]
+        task = build_task(message, {m: held[m] for m in survivors})
+        # The paper's two-point population: 30% of receivers at 20% loss.
+        rates = {m: 0.20 if rng.random() < 0.3 else 0.02 for m in survivors}
+        return task, rates
+
+    def run_both(self, seed, rates_override=None, unsubscribe_at=None, **protocol):
+        outcomes = []
+        for cls in (PerPacketScanWkaBkr, WkaBkrProtocol):
+            task, rates = self.lossy_task(seed)
+            rates.update(rates_override or {})
+            channel = RecordingChannel(seed + 100, unsubscribe_at)
+            for rid, rate in rates.items():
+                channel.subscribe(rid, BernoulliLoss(rate))
+            result = cls(keys_per_packet=8, **protocol).run(task, channel)
+            outcomes.append((result, channel))
+        return outcomes
+
+    def assert_same(self, outcomes):
+        (expected, oracle_channel), (actual, channel) = outcomes
+        for name in (
+            "rounds", "packets_sent", "keys_sent", "per_round_packets",
+            "late", "abandoned", "completed", "elapsed", "satisfied",
+        ):
+            assert getattr(actual, name) == getattr(expected, name), name
+        assert channel.log == oracle_channel.log
+        assert channel.receptions == oracle_channel.receptions
+        assert channel.losses == oracle_channel.losses
+        assert channel.packets_sent == oracle_channel.packets_sent
+        # Not just equal totals: every receiver's RNG stream stopped at
+        # the same draw.
+        assert sorted(channel.subscribers()) == sorted(oracle_channel.subscribers())
+        for rid in channel.subscribers():
+            assert (
+                channel.stream_of(rid).getstate()
+                == oracle_channel.stream_of(rid).getstate()
+            ), rid
+
+    @pytest.mark.parametrize("packing", ["bfs", "dfs"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_two_point_loss_with_replicated_keys(self, seed, packing):
+        outcomes = self.run_both(seed, packing=packing)
+        result, channel = outcomes[1]
+        assert len(result.completed) >= 300
+        assert result.keys_sent > len({i for __, keys, __ in channel.log for i in keys})
+        assert result.late  # somebody needed a BKR round
+        # A key replicated within round 0 reaches fewer receivers the
+        # second time: those who got the first copy are not drawn again.
+        first_round = channel.log[: result.per_round_packets[0]]
+        root = max(
+            {i for __, keys, __ in first_round for i in keys},
+            key=lambda i: sum(keys.count(i) for __, keys, __ in first_round),
+        )
+        carrying = [aud for __, keys, aud in first_round if root in keys]
+        assert len(carrying) > 1 and len(carrying[-1]) < len(carrying[0])
+        self.assert_same(outcomes)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_receiver_unsubscribed_mid_delivery(self, seed):
+        task, __ = self.lossy_task(seed)
+        # The two receivers needing the most keys: still outstanding, and
+        # already drawn for, when they leave after one and three packets.
+        leavers = sorted(task.interest, key=lambda r: (-len(task.interest[r]), r))[:2]
+        outcomes = self.run_both(
+            seed, unsubscribe_at={1: leavers[0], 3: leavers[1]}
+        )
+        result, channel = outcomes[1]
+        assert all(rid in channel.log[0][2] for rid in leavers)
+        assert not set(leavers) & set(channel.subscribers())
+        assert not set(leavers) & set(result.completed)
+        self.assert_same(outcomes)
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_retry_policy_with_abandonment(self, seed):
+        task, __ = self.lossy_task(seed)
+        hopeless = sorted(task.interest)[:3]
+        policy = RetryPolicy(max_rounds=6, base_delay=0.5, abandon_after=3)
+        outcomes = self.run_both(
+            seed, rates_override={rid: 0.999 for rid in hopeless}, retry=policy
+        )
+        result, __ = outcomes[1]
+        assert set(hopeless) <= result.abandoned
+        assert result.elapsed == policy.total_delay(result.rounds)
+        self.assert_same(outcomes)
 
 
 class TestProactiveFec:
