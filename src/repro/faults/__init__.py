@@ -12,12 +12,14 @@ can be *proven* to degrade gracefully and recover:
   duplicate delivery, delivery-order perturbation, server crash points,
   churn storms) expressed in simulation time;
 * :mod:`repro.faults.channel` — :class:`FaultyChannel`, a drop-in
-  :class:`~repro.network.channel.MulticastChannel` that applies the active
-  schedule windows to every delivery draw without touching steady-state
+  :class:`~repro.network.channel.MulticastChannel` that resolves the open
+  schedule windows once per multicast and applies them to the delivery
+  draws of the receivers they cover, without touching steady-state
   semantics;
 * :mod:`repro.faults.retry` — :class:`RetryPolicy`: hard round caps,
   exponential inter-round backoff in simulated time, and per-receiver
-  abandonment thresholds for the NACK transports;
+  abandonment thresholds for the NACK transports (multi-send, which takes
+  no policy, degrades the same way at its own round cap);
 * :mod:`repro.faults.recovery` — the per-receiver epoch state machine
   (``IN_SYNC -> LAGGING -> OUT_OF_SYNC -> IN_SYNC``) and the measured
   unicast catch-up events that close the loop;

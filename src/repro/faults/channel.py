@@ -2,10 +2,12 @@
 
 :class:`FaultyChannel` is a drop-in
 :class:`~repro.network.channel.MulticastChannel`: the transports, the
-simulator and the conformance harness use it unchanged.  Every delivery
-draw first consults the attached :class:`~repro.faults.schedule.FaultSchedule`
-at the current simulation time (supplied by ``clock``, usually the event
-loop's ``now``):
+simulator and the conformance harness use it unchanged.  Every multicast
+first resolves which windows of the attached
+:class:`~repro.faults.schedule.FaultSchedule` are open at the current
+simulation time (supplied by ``clock``, usually the event loop's ``now``);
+each delivery draw then only asks the open ones whether they cover its
+receiver:
 
 * an active :class:`~repro.faults.schedule.Blackout` covering the receiver
   forces a loss;
@@ -27,11 +29,11 @@ fault injection never perturbs steady-state draws.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional, Set, Tuple, TypeVar
+from typing import Callable, Collection, Dict, List, Optional, Tuple, TypeVar
 
 from repro.network.channel import DeliveryReport, MulticastChannel
-from repro.network.loss import GilbertElliottLoss, LossProcess
-from repro.faults.schedule import FaultSchedule, LossBurst
+from repro.network.loss import GilbertElliottLoss
+from repro.faults.schedule import Blackout, FaultSchedule, LossBurst
 
 PacketT = TypeVar("PacketT")
 
@@ -74,9 +76,8 @@ class FaultyChannel(MulticastChannel[PacketT]):
     # ------------------------------------------------------------------
 
     def _burst_chain(
-        self, receiver_id: str, burst: LossBurst
+        self, receiver_id: str, index: int, burst: LossBurst
     ) -> Tuple[GilbertElliottLoss, random.Random]:
-        index = self.schedule.bursts.index(burst)
         key = (receiver_id, index)
         entry = self._burst_chains.get(key)
         if entry is None:
@@ -90,40 +91,14 @@ class FaultyChannel(MulticastChannel[PacketT]):
             self._burst_chains[key] = entry
         return entry
 
-    def _draw_lost(self, receiver_id: str, loss: LossProcess) -> bool:
-        """Fault-aware delivery draw.
-
-        During any fault window the receiver's steady-state process still
-        *advances* (a draw is taken and discarded) while the outcome comes
-        from the fault — so when the window closes, the steady-state draws
-        resume exactly where an un-faulted run would be, whatever kind of
-        loss process is subscribed.
-        """
-        now = self.clock()
-        if self.schedule.blacked_out(receiver_id, now):
-            stream = self._streams.get(receiver_id)
-            if stream is not None:
-                loss.lost(stream)  # advance, discard
-            self.blackout_losses += 1
-            return True
-        burst = self.schedule.burst_for(receiver_id, now)
-        if burst is not None:
-            stream = self._streams.get(receiver_id)
-            if stream is None:  # vanished mid-round
-                return True
-            loss.lost(stream)  # advance, discard
-            chain, chain_rng = self._burst_chain(receiver_id, burst)
-            lost = chain.lost(chain_rng)
-            if lost:
-                self.burst_losses += 1
-            return lost
-        return super()._draw_lost(receiver_id, loss)
-
     def multicast(
-        self, packet: PacketT, audience: Optional[Set[str]] = None
+        self, packet: PacketT, audience: Optional[Collection[str]] = None
     ) -> DeliveryReport[PacketT]:
+        # Simulated time cannot advance inside one multicast, so which
+        # windows are open is settled here, once, for every receiver.
         now = self.clock()
-        if self.schedule.jitter_active(now) and audience is not None and len(audience) > 1:
+        schedule = self.schedule
+        if schedule.jitter_active(now) and audience is not None and len(audience) > 1:
             # Re-materialize the audience in a shuffled order; outcomes are
             # unchanged (per-receiver streams), dependence on iteration
             # order would surface as non-determinism in seeded runs.
@@ -131,8 +106,18 @@ class FaultyChannel(MulticastChannel[PacketT]):
             self._fault_rng.shuffle(shuffled)
             audience = dict.fromkeys(shuffled).keys()  # ordered set view
             self.jittered_packets += 1
-        report = super().multicast(packet, audience=audience)
-        duplicate_probability = self.schedule.duplicate_probability(now)
+        # The draw loop is the parent's, windows or not: a covered
+        # receiver's own process still *advances* (its draw is taken, then
+        # overridden) — so when the window closes the steady-state draws
+        # resume exactly where an un-faulted run would be, whatever kind
+        # of loss process is subscribed.
+        report = self._draw(packet, audience)
+        blackouts = schedule.open_blackouts(now)
+        bursts = schedule.open_bursts(now)
+        if blackouts or bursts:
+            self._override_outcomes(report, blackouts, bursts)
+        self._count(report)
+        duplicate_probability = schedule.duplicate_probability(now)
         if duplicate_probability > 0.0:
             for __ in report.delivered_to:
                 if self._fault_rng.random() < duplicate_probability:
@@ -141,3 +126,34 @@ class FaultyChannel(MulticastChannel[PacketT]):
                     self.receptions += 1
                     self.duplicates_delivered += 1
         return report
+
+    def _override_outcomes(
+        self,
+        report: DeliveryReport[PacketT],
+        blackouts: List[Blackout],
+        bursts: List[Tuple[int, LossBurst]],
+    ) -> None:
+        """Replace the steady-state outcome of every receiver a loss window
+        covers: a blackout loses the packet, else the first covering burst
+        draws from the receiver's chain for it."""
+        delivered, lost = report.delivered_to, report.lost_at
+        for receiver_id in delivered | lost:
+            if any(blackout.covers(receiver_id) for blackout in blackouts):
+                self.blackout_losses += 1
+                is_lost = True
+            else:
+                for index, burst in bursts:
+                    if burst.covers(receiver_id):
+                        chain, chain_rng = self._burst_chain(receiver_id, index, burst)
+                        is_lost = chain.lost(chain_rng)
+                        if is_lost:
+                            self.burst_losses += 1
+                        break
+                else:
+                    continue
+            if is_lost:
+                delivered.discard(receiver_id)
+                lost.add(receiver_id)
+            else:
+                lost.discard(receiver_id)
+                delivered.add(receiver_id)

@@ -2,8 +2,8 @@
 
 A :class:`FaultSchedule` is a bag of fault windows and point events.  The
 window faults (:class:`LossBurst`, :class:`Blackout`,
-:class:`DuplicateDelivery`, :class:`DeliveryJitter`) are consulted by
-:class:`~repro.faults.channel.FaultyChannel` on every delivery draw; the
+:class:`DuplicateDelivery`, :class:`DeliveryJitter`) are resolved by
+:class:`~repro.faults.channel.FaultyChannel` once per multicast; the
 point events (:class:`ServerCrash`, :class:`ChurnStorm`) are consumed by
 the simulator, which crashes-and-restores the key server through the
 :mod:`repro.server.snapshot` machinery and injects membership storms into
@@ -156,20 +156,31 @@ class FaultSchedule:
         )
 
     # ------------------------------------------------------------------
-    # channel-side queries (one call per delivery draw — keep cheap)
+    # channel-side queries (asked once per multicast — simulated time
+    # cannot advance inside one; per receiver only ``covers`` remains)
     # ------------------------------------------------------------------
+
+    def open_bursts(self, now: float) -> List[Tuple[int, LossBurst]]:
+        """The loss bursts open at ``now``, each with its schedule index."""
+        return [
+            (index, burst)
+            for index, burst in enumerate(self.bursts)
+            if burst.active(now)
+        ]
+
+    def open_blackouts(self, now: float) -> List[Blackout]:
+        """The blackouts open at ``now``."""
+        return [blackout for blackout in self.blackouts if blackout.active(now)]
 
     def burst_for(self, receiver_id: str, now: float) -> Optional[LossBurst]:
         """The active loss burst covering this receiver, if any."""
-        for burst in self.bursts:
-            if burst.active(now) and burst.covers(receiver_id):
+        for __, burst in self.open_bursts(now):
+            if burst.covers(receiver_id):
                 return burst
         return None
 
     def blacked_out(self, receiver_id: str, now: float) -> bool:
-        return any(
-            b.active(now) and b.covers(receiver_id) for b in self.blackouts
-        )
+        return any(b.covers(receiver_id) for b in self.open_blackouts(now))
 
     def duplicate_probability(self, now: float) -> float:
         probability = 0.0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Generic, List, Optional, Set, TypeVar
+from typing import Collection, Dict, Generic, List, Optional, Set, TypeVar
 
 from repro.network.loss import LossProcess
 
@@ -97,15 +97,8 @@ class MulticastChannel(Generic[PacketT]):
     # delivery
     # ------------------------------------------------------------------
 
-    def _draw_lost(self, receiver_id: str, loss: LossProcess) -> bool:
-        """One delivered-or-lost draw (hook point for fault injection)."""
-        stream = self._streams.get(receiver_id)
-        if stream is None:  # receiver vanished mid-round; count as lost
-            return True
-        return loss.lost(stream)
-
     def multicast(
-        self, packet: PacketT, audience: Optional[Set[str]] = None
+        self, packet: PacketT, audience: Optional[Collection[str]] = None
     ) -> DeliveryReport[PacketT]:
         """Send one packet; draw an independent loss at every receiver.
 
@@ -119,26 +112,34 @@ class MulticastChannel(Generic[PacketT]):
             transport only cares who among the interested set got it —
             the sparseness property).
         """
-        self.packets_sent += 1
-        report: DeliveryReport[PacketT] = DeliveryReport(packet=packet)
-        targets = (
-            list(self._receivers.items())
-            if audience is None
-            else [
-                (rid, self._receivers[rid])
-                for rid in audience
-                if rid in self._receivers
-            ]
-        )
-        for receiver_id, loss in targets:
-            if receiver_id not in self._receivers:
-                # Unsubscribed while this very round was being delivered
-                # (e.g. a departure event fired between draws).
-                continue
-            if self._draw_lost(receiver_id, loss):
-                report.lost_at.add(receiver_id)
-                self.losses += 1
-            else:
-                report.delivered_to.add(receiver_id)
-                self.receptions += 1
+        report = self._draw(packet, audience)
+        self._count(report)
         return report
+
+    def _draw(
+        self, packet: PacketT, audience: Optional[Collection[str]]
+    ) -> DeliveryReport[PacketT]:
+        """One steady-state draw per subscribed receiver of the audience."""
+        receivers = self._receivers
+        streams = self._streams
+        delivered: Set[str] = set()
+        lost: Set[str] = set()
+        for receiver_id in list(receivers) if audience is None else audience:
+            # Looked up at its own turn: a receiver unsubscribed while this
+            # very packet was being delivered (a departure event fired
+            # between draws) is in neither outcome set.
+            loss = receivers.get(receiver_id)
+            if loss is None:
+                continue
+            stream = streams.get(receiver_id)
+            # No stream: vanished mid-round; count as lost.
+            if stream is None or loss.lost(stream):
+                lost.add(receiver_id)
+            else:
+                delivered.add(receiver_id)
+        return DeliveryReport(packet, delivered, lost)
+
+    def _count(self, report: DeliveryReport[PacketT]) -> None:
+        self.packets_sent += 1
+        self.receptions += len(report.delivered_to)
+        self.losses += len(report.lost_at)

@@ -10,7 +10,7 @@ canonical hierarchy an instrumented simulation produces is::
     │   ├── wrap              (wrapping refreshed keys under children)
     │   └── shard[j]          (per-shard fan-out, sharded server only)
     ├── transport             (reliable delivery)
-    │   └── transport.round   (one per WKA-BKR / FEC retry round)
+    │   └── transport.round   (one per transport round, any protocol)
     └── deliver               (receiver absorption + sync tracking)
 
 Every span carries **two clocks**: wall time (``time.perf_counter``) and,

@@ -59,23 +59,29 @@ def _unpack_str(data: bytes, offset: int) -> Tuple[str, int]:
     offset += 2
     if offset + length > len(data):
         raise CodecError("truncated string body")
-    return data[offset : offset + length].decode("utf-8"), offset + length
+    try:
+        return data[offset : offset + length].decode("utf-8"), offset + length
+    except UnicodeDecodeError as error:
+        raise CodecError(f"string is not utf-8: {error}") from None
 
 
 def encode_encrypted_key(key: EncryptedKey) -> bytes:
     """Serialize one encrypted key."""
     if len(key.ciphertext) > 0xFFFF:
         raise CodecError("ciphertext too long")
-    return b"".join(
-        (
-            _pack_str(key.wrapping_id),
-            struct.pack(">I", key.wrapping_version),
-            _pack_str(key.payload_id),
-            struct.pack(">I", key.payload_version),
-            struct.pack(">H", len(key.ciphertext)),
-            key.ciphertext,
+    try:
+        return b"".join(
+            (
+                _pack_str(key.wrapping_id),
+                struct.pack(">I", key.wrapping_version),
+                _pack_str(key.payload_id),
+                struct.pack(">I", key.payload_version),
+                struct.pack(">H", len(key.ciphertext)),
+                key.ciphertext,
+            )
         )
-    )
+    except struct.error as error:
+        raise CodecError(f"key version out of range: {error}") from None
 
 
 def decode_encrypted_key(data: bytes, offset: int = 0) -> Tuple[EncryptedKey, int]:
@@ -111,16 +117,23 @@ def decode_encrypted_key(data: bytes, offset: int = 0) -> Tuple[EncryptedKey, in
 
 def encode_rekey_message(message: RekeyMessage) -> bytes:
     """Serialize a whole rekey broadcast."""
-    parts: List[bytes] = [_MAGIC, _pack_str(message.group), struct.pack(">Q", message.epoch)]
+    try:
+        epoch = struct.pack(">Q", message.epoch)
+    except struct.error as error:
+        raise CodecError(f"epoch out of range: {error}") from None
+    parts: List[bytes] = [_MAGIC, _pack_str(message.group), epoch]
     for roster in (message.joined, message.departed):
         if len(roster) > 0xFFFF:
             raise CodecError("roster too long")
         parts.append(struct.pack(">H", len(roster)))
         parts.extend(_pack_str(member_id) for member_id in roster)
     parts.append(struct.pack(">I", len(message.advanced)))
-    for key_id, version in message.advanced:
-        parts.append(_pack_str(key_id))
-        parts.append(struct.pack(">I", version))
+    try:
+        for key_id, version in message.advanced:
+            parts.append(_pack_str(key_id))
+            parts.append(struct.pack(">I", version))
+    except struct.error as error:
+        raise CodecError(f"advanced version out of range: {error}") from None
     parts.append(struct.pack(">I", len(message.encrypted_keys)))
     parts.extend(encode_encrypted_key(key) for key in message.encrypted_keys)
     return b"".join(parts)

@@ -27,40 +27,30 @@ from typing import Dict, List, Optional, Set
 
 from repro.faults.retry import RetryPolicy
 from repro.network.channel import MulticastChannel
-from repro.obs import events as obs_events
-from repro.obs import metrics as obs_metrics
-from repro.obs import tracing as obs_tracing
 from repro.transport.packets import KeyPacket, pack_indices
 from repro.transport.session import (
-    TransportExhausted,
+    RoundState,
     TransportResult,
     TransportTask,
+    run_rounds,
 )
 
 
 @dataclass
-class _BlockState:
-    """Per-receiver progress on one FEC block."""
+class _Block:
+    """One FEC block and the progress of every receiver tracking it."""
 
     payload_packets: List[KeyPacket]
-    parity_sent: int = 0
-    # receiver -> number of packets of this block received so far
-    received_count: Dict[str, int] = field(default_factory=dict)
-    # receiver -> payload key indices of this block still not directly seen
+    # receiver -> seqnos of the payload packets carrying keys it wants and
+    # has not directly received; its keys are everyone tracking the block
     direct_missing: Dict[str, Set[int]] = field(default_factory=dict)
+    # receiver -> packets of this block received so far, for the trackers
+    # still pending on it: direct_missing non-empty and count < k
+    received: Dict[str, int] = field(default_factory=dict)
 
     @property
     def k(self) -> int:
         return len(self.payload_packets)
-
-    def satisfied(self, receiver_id: str) -> bool:
-        missing = self.direct_missing.get(receiver_id)
-        if missing is not None and not missing:
-            return True
-        return self.received_count.get(receiver_id, 0) >= self.k
-
-    def pending_receivers(self) -> List[str]:
-        return [rid for rid in self.direct_missing if not self.satisfied(rid)]
 
 
 class ProactiveFecProtocol:
@@ -89,139 +79,121 @@ class ProactiveFecProtocol:
         self.retry = retry
 
     def run(self, task: TransportTask, channel: MulticastChannel) -> TransportResult:
-        """Deliver ``task`` over ``channel``; returns the cost accounting."""
-        result = TransportResult()
-        payload = pack_indices(range(len(task.keys)), self.keys_per_packet)
-        blocks: List[_BlockState] = []
-        for offset in range(0, len(payload), self.block_size):
-            block_id = len(blocks)
-            block_packets = [
-                KeyPacket(p.seqno, p.key_indices, block=block_id)
-                for p in payload[offset : offset + self.block_size]
-            ]
-            blocks.append(_BlockState(payload_packets=block_packets))
+        """Deliver ``task`` over ``channel``; returns the cost accounting.
 
+        Raises
+        ------
+        repro.transport.session.TransportExhausted
+            When the round cap is hit with receivers still unsatisfied and
+            no retry policy licenses abandoning them.
+        """
+        state = _FecState(self, task)
+        if not state.pending:
+            return TransportResult(satisfied=True)
+        return run_rounds(self.name, state, channel, self.retry, self.max_rounds)
+
+
+class _FecState(RoundState):
+    """Payload and proactive parity up front, then per block as much fresh
+    parity as its worst pending receiver is short of ``k``."""
+
+    # The payload is multicast (and priced) even if everyone interested
+    # left before the first round.
+    sends_idle_first_round = True
+
+    def __init__(self, protocol: ProactiveFecProtocol, task: TransportTask) -> None:
+        self.parity_keys = protocol.keys_per_packet
+        self.proactivity = protocol.proactivity
+        payload = pack_indices(range(len(task.keys)), protocol.keys_per_packet)
+        self.seqno = len(payload)
+        self.blocks: List[_Block] = []
+        packet_of_key: Dict[int, KeyPacket] = {}
+        for offset in range(0, len(payload), protocol.block_size):
+            block = _Block(
+                [
+                    KeyPacket(p.seqno, p.key_indices, block=len(self.blocks))
+                    for p in payload[offset : offset + protocol.block_size]
+                ]
+            )
+            self.blocks.append(block)
+            for packet in block.payload_packets:
+                for index in packet.key_indices:
+                    packet_of_key[index] = packet
         # Register interest: a receiver tracks each block containing any of
         # its keys, with the payload packets it would need directly.
+        #: receiver -> the blocks it tracks
+        self.tracking: Dict[str, List[_Block]] = {}
+        #: receiver -> how many of its blocks it is still pending on
+        self.pending: Dict[str, int] = {}
         for rid, wanted in task.interest.items():
-            if not wanted:
-                continue
-            for block in blocks:
-                in_block = {
-                    i
-                    for p in block.payload_packets
-                    for i in p.key_indices
-                    if i in wanted
-                }
-                if in_block:
-                    block.direct_missing[rid] = in_block
-                    block.received_count[rid] = 0
+            for index in wanted:
+                packet = packet_of_key[index]
+                block = self.blocks[packet.block]
+                missing = block.direct_missing.get(rid)
+                if missing is None:
+                    block.direct_missing[rid] = {packet.seqno}
+                    block.received[rid] = 0
+                    self.tracking.setdefault(rid, []).append(block)
+                else:
+                    missing.add(packet.seqno)
+            if wanted:
+                self.pending[rid] = len(self.tracking[rid])
 
-        interested_blocks = [b for b in blocks if b.direct_missing]
-        if not interested_blocks:
-            result.satisfied = True
-            return result
+    def addressed(self):
+        # A block's audience is everyone tracking it, satisfied or not.
+        return self.tracking
 
-        seqno = len(payload)
-        round_cap = self.retry.max_rounds if self.retry is not None else self.max_rounds
-        for round_index in range(round_cap):
-            # Receivers that left the channel (departed the group) stop
-            # counting toward any block's deficit.
-            for block in blocks:
-                for rid in [r for r in block.direct_missing if r not in channel]:
-                    del block.direct_missing[rid]
-                    block.received_count.pop(rid, None)
-            if self.retry is not None:
-                result.elapsed += self.retry.delay_before_round(round_index)
-            if round_index > 0:
-                for block in blocks:
-                    result.late.update(block.pending_receivers())
-            packets_this_round = 0
-            keys_this_round = 0
-            parity_this_round = 0
-            with obs_tracing.span(
-                "transport.round", protocol="proactive-fec", round=round_index
-            ) as round_span:
-                for block_id, block in enumerate(blocks):
-                    pending = block.pending_receivers()
-                    if round_index > 0 and not pending:
-                        continue
-                    if round_index == 0:
-                        sends: List[KeyPacket] = list(block.payload_packets)
-                        parity_count = (
-                            math.ceil((self.proactivity - 1.0) * block.k)
-                            if block.direct_missing
-                            else 0
-                        )
-                    else:
-                        sends = []
-                        parity_count = max(
-                            block.k - block.received_count.get(rid, 0) for rid in pending
-                        )
-                    for __ in range(parity_count):
-                        sends.append(
-                            KeyPacket(
-                                seqno=seqno, key_indices=(), block=block_id, is_parity=True
-                            )
-                        )
-                        seqno += 1
-                    audience = set(block.direct_missing)
-                    for packet in sends:
-                        packets_this_round += 1
-                        keys_this_round += (
-                            self.keys_per_packet if packet.is_parity else packet.key_count
-                        )
-                        if packet.is_parity:
-                            parity_this_round += 1
-                        report = channel.multicast(packet, audience=audience)
-                        for rid in report.delivered_to:
-                            block.received_count[rid] = block.received_count.get(rid, 0) + 1
-                            if not packet.is_parity:
-                                block.direct_missing[rid] -= set(packet.key_indices)
-                round_span.set("packets", packets_this_round)
-                round_span.set("parity", parity_this_round)
-            # Member-level completion: a receiver's new DEK becomes usable
-            # the round its interest is met across every block it tracks.
-            pending_now = {rid for b in blocks for rid in b.pending_receivers()}
-            for block in blocks:
-                for rid in block.direct_missing:
-                    if rid not in pending_now and rid not in result.completed:
-                        result.completed[rid] = result.elapsed
-            result.merge_round(
-                packets=packets_this_round,
-                keys=keys_this_round,
-                parity=parity_this_round,
-            )
-            obs_metrics.inc("transport.rounds")
-            if round_index > 0:
-                obs_metrics.inc("transport.retry_rounds")
-                obs_events.emit(
-                    "retry_round",
-                    round=round_index,
-                    packets=packets_this_round,
-                    keys_pending=sum(
-                        len(b.pending_receivers()) for b in blocks
-                    ),
+    def drop(self, receiver_id):
+        for block in self.tracking.pop(receiver_id):
+            del block.direct_missing[receiver_id]
+            block.received.pop(receiver_id, None)
+        self.pending.pop(receiver_id, None)
+
+    def packets(self, round_index):
+        for block_id, block in enumerate(self.blocks):
+            if round_index == 0:
+                sends = list(block.payload_packets)
+                parity_count = (
+                    math.ceil((self.proactivity - 1.0) * block.k)
+                    if block.direct_missing
+                    else 0
                 )
-            if self.retry is not None and self.retry.should_abandon(round_index + 1):
-                # Drop every still-pending receiver from every block: the
-                # retry policy hands them to the unicast recovery path.
-                for block in blocks:
-                    for rid in block.pending_receivers():
-                        result.abandoned.add(rid)
-                        del block.direct_missing[rid]
-                        block.received_count.pop(rid, None)
-            if all(not b.pending_receivers() for b in blocks):
-                result.satisfied = True
-                return result
-        pending = {rid for b in blocks for rid in b.pending_receivers()}
-        if pending:
-            result.satisfied = False
-            raise TransportExhausted(
-                f"proactive-fec exhausted {round_cap} rounds with "
-                f"{len(pending)} receivers unsatisfied",
-                result,
-                pending,
-            )
-        result.satisfied = True
-        return result
+            elif block.received:
+                # NACKs: the worst pending receiver sizes the block's
+                # retransmission.
+                sends = []
+                parity_count = block.k - min(block.received.values())
+            else:
+                continue
+            for __ in range(parity_count):
+                sends.append(
+                    KeyPacket(
+                        seqno=self.seqno, key_indices=(), block=block_id, is_parity=True
+                    )
+                )
+                self.seqno += 1
+            audience = block.direct_missing.keys()
+            for packet in sends:
+                yield packet, audience
+
+    def deliver(self, packet, receivers):
+        block = self.blocks[packet.block]
+        received, missing_of, k = block.received, block.direct_missing, block.k
+        satisfied = []
+        # Only receivers still pending on the block have progress to make.
+        for rid in received.keys() & receivers:
+            count = received[rid] = received[rid] + 1
+            missing = missing_of[rid]
+            if not packet.is_parity:
+                missing.discard(packet.seqno)
+            if count >= k or not missing:
+                del received[rid]
+                if self.pending[rid] > 1:
+                    self.pending[rid] -= 1
+                else:
+                    del self.pending[rid]
+                    satisfied.append(rid)
+        return satisfied
+
+    def keys_pending(self):
+        return sum(len(block.received) for block in self.blocks)

@@ -8,11 +8,16 @@ baseline WKA-BKR improves on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List
 
 from repro.network.channel import MulticastChannel
 from repro.transport.packets import KeyPacket, pack_indices
-from repro.transport.session import TransportResult, TransportTask
+from repro.transport.session import (
+    KeyInterestState,
+    TransportResult,
+    TransportTask,
+    run_rounds,
+)
 
 
 class MultiSendProtocol:
@@ -25,7 +30,9 @@ class MultiSendProtocol:
     replication:
         How many copies of each packet the first round sends.
     max_rounds:
-        Safety bound on NACK rounds.
+        Hard safety cap on NACK rounds; hitting it with receivers still
+        unsatisfied raises
+        :class:`~repro.transport.session.TransportExhausted`.
     """
 
     name = "multi-send"
@@ -43,52 +50,40 @@ class MultiSendProtocol:
         self.max_rounds = max_rounds
 
     def run(self, task: TransportTask, channel: MulticastChannel) -> TransportResult:
-        """Deliver ``task`` over ``channel``; returns the cost accounting."""
-        result = TransportResult()
-        packets = pack_indices(range(len(task.keys)), self.keys_per_packet)
-        outstanding: Dict[str, Set[int]] = {
-            rid: set(wanted) for rid, wanted in task.interest.items() if wanted
-        }
-        packet_of_key = {}
-        for packet in packets:
-            for index in packet.key_indices:
-                packet_of_key[index] = packet
+        """Deliver ``task`` over ``channel``; returns the cost accounting.
 
+        Raises
+        ------
+        repro.transport.session.TransportExhausted
+            When ``max_rounds`` is hit with receivers still unsatisfied.
+        """
+        state = _MultiSendState(self, task)
+        return run_rounds(self.name, state, channel, max_rounds=self.max_rounds)
+
+
+class _MultiSendState(KeyInterestState):
+    """Whole packets: all of them up front, then whichever are still needed."""
+
+    # The up-front payload goes out (and is priced) whoever listens.
+    sends_idle_first_round = True
+
+    def __init__(self, protocol: MultiSendProtocol, task: TransportTask) -> None:
+        super().__init__(task)
+        self.payload = pack_indices(range(len(task.keys)), protocol.keys_per_packet)
         # Round 1: every packet, replicated.
-        to_send: List[KeyPacket] = [p for p in packets for __ in range(self.replication)]
-        for round_index in range(self.max_rounds):
-            # Drop receivers that left the channel (departed the group).
-            outstanding = {
-                rid: wanted for rid, wanted in outstanding.items() if rid in channel
-            }
-            if round_index > 0 and not outstanding:
-                break
-            keys_this_round = 0
-            for packet in to_send:
-                audience = {
-                    rid
-                    for rid, wanted in outstanding.items()
-                    if wanted.intersection(packet.key_indices)
-                }
-                keys_this_round += packet.key_count
-                if not audience:
-                    continue
-                report = channel.multicast(packet, audience=audience)
-                for rid in report.delivered_to:
-                    outstanding[rid] -= set(packet.key_indices)
-                    if not outstanding[rid]:
-                        del outstanding[rid]
-                        result.completed[rid] = result.elapsed
-            result.merge_round(packets=len(to_send), keys=keys_this_round)
-            if not outstanding:
-                result.satisfied = True
-                return result
-            # NACK round: retransmit exactly the packets still needed.
-            needed_packets = {
-                packet_of_key[index].seqno
-                for wanted in outstanding.values()
-                for index in wanted
-            }
-            to_send = [p for p in packets if p.seqno in needed_packets]
-        result.satisfied = not outstanding
-        return result
+        self.to_send: List[KeyPacket] = [
+            p for p in self.payload for __ in range(protocol.replication)
+        ]
+
+    def plan(self, round_index, audiences):
+        return self.to_send
+
+    def packets(self, round_index):
+        yield from super().packets(round_index)
+        # NACKs arrive as the round closes: retransmit, whole, exactly the
+        # packets somebody still needs.  (Whoever departs before they go
+        # out leaves them priced but unaddressed.)
+        audiences = self.audiences
+        self.to_send = [
+            p for p in self.payload if any(audiences.get(i) for i in p.key_indices)
+        ]

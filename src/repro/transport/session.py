@@ -1,12 +1,26 @@
-"""Transport tasks and results shared by all rekey transport protocols."""
+"""Transport tasks, results and the one NACK-round engine every rekey
+transport protocol runs on.
+
+A protocol describes a delivery as a :class:`RoundState` — which packets
+with which audiences go out in round *r*, and what a delivery does to its
+pending state; :func:`run_rounds` owns everything else about a delivery:
+the round cap, receivers departing mid-delivery, retry backoff and
+abandonment, latency stamps, exhaustion and the observability records.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.crypto.wrap import EncryptedKey
+from repro.faults.retry import RetryPolicy
 from repro.keytree.lkh import RekeyMessage
+from repro.network.channel import MulticastChannel
+from repro.obs import events as obs_events
+from repro.obs import metrics as obs_metrics
+from repro.obs import tracing as obs_tracing
+from repro.transport.packets import KeyPacket
 
 
 def audiences_of(interest: Dict[str, Set[int]]) -> Dict[int, Set[str]]:
@@ -110,6 +124,190 @@ class TransportExhausted(RuntimeError):
         super().__init__(message)
         self.result = result
         self.pending = frozenset(pending)
+
+
+class RoundState:
+    """One delivery as its protocol sees it: the hooks :func:`run_rounds` drives.
+
+    A protocol answers two questions — which packets with which audiences
+    go out in round *r* (:meth:`packets`), and what a delivery does to its
+    pending state (:meth:`deliver`).  Everything else is the engine's.
+    """
+
+    #: Receivers not yet satisfied, by id: a dict or set the state keeps
+    #: live.  The engine only reads it (size, truth, iteration).
+    pending: Collection[str]
+    #: Key units a parity packet is priced at in ``keys_sent``.
+    parity_keys = 0
+    #: Whether round 0 goes on the wire with nobody pending: a protocol
+    #: whose first round is the whole payload sends (and prices) it
+    #: regardless; one that packs its rounds from interest has nothing to
+    #: send and no round to count.
+    sends_idle_first_round = False
+
+    def addressed(self) -> Iterable[str]:
+        """Receivers some packet may still be addressed to; the engine
+        drops those that left the channel before every round."""
+        return self.pending
+
+    def drop(self, receiver_id: str) -> None:
+        """Forget a receiver that departed mid-delivery."""
+        raise NotImplementedError
+
+    def packets(
+        self, round_index: int
+    ) -> Iterator[Tuple[KeyPacket, Optional[Collection[str]]]]:
+        """The round's ``(packet, audience)`` pairs, in sending order.
+
+        Consumed lazily — each multicast is :meth:`deliver`-ed before the
+        next pair is asked for — so an audience may depend on what earlier
+        packets of the round achieved.  An audience of ``None`` prices the
+        packet without a multicast: nobody is left to draw for.
+        """
+        raise NotImplementedError
+
+    def deliver(self, packet: KeyPacket, receivers: Set[str]) -> Iterable[str]:
+        """Apply one multicast's deliveries; returns the receivers it
+        satisfied (they leave ``pending``)."""
+        raise NotImplementedError
+
+    def keys_pending(self) -> int:
+        """Outstanding work, in the protocol's own unit (``retry_round``)."""
+        raise NotImplementedError
+
+
+class KeyInterestState(RoundState):
+    """Pending state as ``receiver -> key indices still wanted``.
+
+    Shared by the transports that resend keys themselves (WKA-BKR,
+    multi-send): a packet's audience is whoever still needs one of its
+    keys.  Subclasses say which packets a round sends (:meth:`plan`).
+    """
+
+    def __init__(self, task: TransportTask) -> None:
+        self.pending: Dict[str, Set[int]] = {
+            rid: set(wanted) for rid, wanted in task.interest.items() if wanted
+        }
+        self.audiences: Dict[int, Set[str]] = {}
+
+    def drop(self, receiver_id):
+        del self.pending[receiver_id]
+
+    def plan(
+        self, round_index: int, audiences: Dict[int, Set[str]]
+    ) -> List[KeyPacket]:
+        """The packets of this round, given who still needs which key."""
+        raise NotImplementedError
+
+    def packets(self, round_index):
+        # Built once per round and kept in step by ``deliver``, so a
+        # packet's audience is the union over its keys of who *still*
+        # needs each one — a receiver that already got a replicated key
+        # from an earlier packet of this round is not drawn for again.
+        audiences = self.audiences = audiences_of(self.pending)
+        for packet in self.plan(round_index, audiences):
+            audience = set().union(
+                *[audiences.get(index, ()) for index in packet.key_indices]
+            )
+            yield packet, audience or None
+
+    def deliver(self, packet, receivers):
+        carried = set(packet.key_indices)
+        pending, audiences = self.pending, self.audiences
+        satisfied = []
+        for rid in receivers:
+            wanted = pending[rid]
+            for index in wanted & carried:
+                audiences[index].discard(rid)
+                wanted.discard(index)
+            if not wanted:
+                del pending[rid]
+                satisfied.append(rid)
+        return satisfied
+
+    def keys_pending(self):
+        return sum(len(wanted) for wanted in self.pending.values())
+
+
+def run_rounds(
+    name: str,
+    state: RoundState,
+    channel: MulticastChannel,
+    retry: Optional[RetryPolicy] = None,
+    max_rounds: int = 50,
+) -> TransportResult:
+    """Drive one delivery to completion: the one NACK-round loop.
+
+    ``retry.max_rounds`` (else ``max_rounds``) caps the rounds; the
+    policy's backoff accumulates into ``TransportResult.elapsed`` and its
+    abandonment threshold moves everyone still pending into
+    ``TransportResult.abandoned``.  Hitting the cap with receivers still
+    pending raises :class:`TransportExhausted`.
+    """
+    result = TransportResult()
+    pending = state.pending
+    round_cap = retry.max_rounds if retry is not None else max_rounds
+    for round_index in range(round_cap):
+        # A receiver that left the channel mid-delivery (departed the
+        # group) stops being anyone's problem.
+        for rid in [r for r in state.addressed() if r not in channel]:
+            state.drop(rid)
+        if not pending and (round_index > 0 or not state.sends_idle_first_round):
+            break
+        if retry is not None:
+            result.elapsed += retry.delay_before_round(round_index)
+        if round_index > 0:
+            result.late.update(pending)
+        packets = keys = parity = 0
+        with obs_tracing.span(
+            "transport.round", protocol=name, round=round_index
+        ) as round_span:
+            for packet, audience in state.packets(round_index):
+                packets += 1
+                if packet.is_parity:
+                    parity += 1
+                    keys += state.parity_keys
+                else:
+                    keys += packet.key_count
+                if audience is None:
+                    continue
+                report = channel.multicast(packet, audience=audience)
+                # A receiver's new DEK is usable from the round that met
+                # its whole interest.
+                for rid in state.deliver(packet, report.delivered_to):
+                    result.completed[rid] = result.elapsed
+            round_span.set("packets", packets)
+            if parity:
+                round_span.set("parity", parity)
+            round_span.set("pending_after", len(pending))
+        result.merge_round(packets=packets, keys=keys, parity=parity)
+        obs_metrics.inc("transport.rounds")
+        if round_index > 0:
+            obs_metrics.inc("transport.retry_rounds")
+            obs_events.emit(
+                "retry_round",
+                round=round_index,
+                packets=packets,
+                keys_pending=state.keys_pending(),
+            )
+        if retry is not None and retry.should_abandon(round_index + 1):
+            # Everyone still pending has now been unsatisfied for
+            # abandon_after rounds (interest is fixed at task start), so
+            # nobody is left for another round: the unicast catch-up path
+            # owns them from here.
+            result.abandoned.update(pending)
+            break
+        if not pending:
+            break
+    else:
+        raise TransportExhausted(
+            f"{name} exhausted {round_cap} rounds with "
+            f"{len(pending)} receivers unsatisfied",
+            result,
+            set(pending),
+        )
+    result.satisfied = True
+    return result
 
 
 def build_task(

@@ -16,14 +16,11 @@ packets wholesale — exploiting the payload's sparseness.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.analysis.wka import expected_transmissions
 from repro.faults.retry import RetryPolicy
 from repro.network.channel import MulticastChannel
-from repro.obs import events as obs_events
-from repro.obs import metrics as obs_metrics
-from repro.obs import tracing as obs_tracing
 from repro.transport.packets import (
     KeyPacket,
     order_breadth_first,
@@ -31,10 +28,10 @@ from repro.transport.packets import (
     pack_indices,
 )
 from repro.transport.session import (
-    TransportExhausted,
+    KeyInterestState,
     TransportResult,
     TransportTask,
-    audiences_of,
+    run_rounds,
 )
 
 
@@ -89,7 +86,16 @@ class WkaBkrProtocol:
 
     # ------------------------------------------------------------------
 
-    def _weight(self, audience: Set[str], channel: MulticastChannel) -> int:
+    def _weight_rates(
+        self, receivers: Iterable[str], channel: MulticastChannel
+    ) -> Dict[str, float]:
+        """``receiver -> loss rate`` as WKA weighs it (clamped)."""
+        return {
+            rid: min(channel.loss_of(rid).mean_loss, self.MAX_WEIGHT_RATE)
+            for rid in receivers
+        }
+
+    def _weight(self, audience: Set[str], rates: Dict[str, float]) -> int:
         """WKA weight: the expected transmissions for this key, rounded.
 
         Nearest-integer replication tracks the [SZJ02] expected-bandwidth
@@ -100,12 +106,9 @@ class WkaBkrProtocol:
         """
         if not audience:
             return 0
-        rates = Counter(
-            min(channel.loss_of(rid).mean_loss, self.MAX_WEIGHT_RATE)
-            for rid in audience
-        )
-        total = sum(rates.values())
-        mixture = [(rate, count / total) for rate, count in rates.items()]
+        counts = Counter(rates[rid] for rid in audience)
+        total = sum(counts.values())
+        mixture = [(rate, count / total) for rate, count in counts.items()]
         expected = expected_transmissions(float(total), mixture)
         return max(1, round(expected))
 
@@ -114,16 +117,21 @@ class WkaBkrProtocol:
         audiences: Dict[int, Set[str]],
         channel: MulticastChannel,
         start_seqno: int,
+        rates: Optional[Dict[str, float]] = None,
     ) -> List[KeyPacket]:
         """Weight, replicate, order and pack the still-needed keys.
 
         ``audiences`` is the round's ``key index -> receivers still
-        needing it`` map (:func:`~repro.transport.session.audiences_of`).
+        needing it`` map (:func:`~repro.transport.session.audiences_of`);
+        ``rates`` the run's :meth:`_weight_rates`, looked up here instead
+        of asking the channel per (key, receiver).
         """
         if not audiences:
             return []
+        if rates is None:
+            rates = self._weight_rates(set().union(*audiences.values()), channel)
         weights = {
-            index: self._weight(audience, channel)
+            index: self._weight(audience, rates)
             for index, audience in audiences.items()
         }
         if self.packing == "bfs":
@@ -150,75 +158,30 @@ class WkaBkrProtocol:
             When the round cap is hit with receivers still unsatisfied and
             no retry policy licenses abandoning them.
         """
-        result = TransportResult()
-        outstanding: Dict[str, Set[int]] = {
-            rid: set(wanted) for rid, wanted in task.interest.items() if wanted
-        }
-        round_cap = self.retry.max_rounds if self.retry is not None else self.max_rounds
-        seqno = 0
-        for round_index in range(round_cap):
-            # A receiver that left the channel mid-delivery (departed the
-            # group) stops being anyone's problem.
-            outstanding = {
-                rid: wanted for rid, wanted in outstanding.items() if rid in channel
-            }
-            if not outstanding:
-                break
-            if self.retry is not None:
-                result.elapsed += self.retry.delay_before_round(round_index)
-            if round_index > 0:
-                result.late.update(outstanding)
-            with obs_tracing.span(
-                "transport.round", protocol="wka-bkr", round=round_index
-            ) as round_span:
-                # Built once per round and kept in step with
-                # ``outstanding`` below, so a packet's audience is the
-                # union over its keys of who *still* needs each one — a
-                # receiver that already got a replicated key from an
-                # earlier packet of this round is not drawn for again.
-                audiences = audiences_of(outstanding)
-                packets = self._build_round_packets(audiences, channel, seqno)
-                seqno += len(packets)
-                keys_this_round = 0
-                for packet in packets:
-                    keys_this_round += packet.key_count
-                    carried = set(packet.key_indices)
-                    audience = set().union(*[audiences[i] for i in carried])
-                    if not audience:
-                        continue
-                    report = channel.multicast(packet, audience=audience)
-                    for rid in report.delivered_to:
-                        wanted = outstanding[rid]
-                        for index in wanted & carried:
-                            audiences[index].discard(rid)
-                            wanted.discard(index)
-                        if not wanted:
-                            del outstanding[rid]
-                            result.completed[rid] = result.elapsed
-                round_span.set("packets", len(packets))
-                round_span.set("pending_after", len(outstanding))
-            result.merge_round(packets=len(packets), keys=keys_this_round)
-            obs_metrics.inc("transport.rounds")
-            if round_index > 0:
-                obs_metrics.inc("transport.retry_rounds")
-                obs_events.emit(
-                    "retry_round",
-                    round=round_index,
-                    packets=len(packets),
-                    keys_pending=sum(len(w) for w in outstanding.values()),
-                )
-            if self.retry is not None and self.retry.should_abandon(round_index + 1):
-                # Everyone still outstanding has now been unsatisfied for
-                # abandon_after rounds (interest is fixed at task start).
-                result.abandoned.update(outstanding)
-                outstanding.clear()
-        if outstanding:
-            result.satisfied = False
-            raise TransportExhausted(
-                f"wka-bkr exhausted {round_cap} rounds with "
-                f"{len(outstanding)} receivers unsatisfied",
-                result,
-                set(outstanding),
-            )
-        result.satisfied = True
-        return result
+        state = _WkaBkrState(self, task, channel)
+        return run_rounds(self.name, state, channel, self.retry, self.max_rounds)
+
+
+class _WkaBkrState(KeyInterestState):
+    """BKR: every round packs fresh packets of only the keys still needed,
+    re-weighted for the shrunken audiences."""
+
+    def __init__(
+        self, protocol: WkaBkrProtocol, task: TransportTask, channel: MulticastChannel
+    ) -> None:
+        super().__init__(task)
+        self.protocol = protocol
+        self.channel = channel
+        self.seqno = 0
+        # A receiver already gone from the channel is dropped before the
+        # first round weighs anything.
+        self.rates = protocol._weight_rates(
+            (rid for rid in self.pending if rid in channel), channel
+        )
+
+    def plan(self, round_index, audiences):
+        packets = self.protocol._build_round_packets(
+            audiences, self.channel, self.seqno, self.rates
+        )
+        self.seqno += len(packets)
+        return packets

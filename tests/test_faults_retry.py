@@ -5,9 +5,15 @@ import pytest
 from repro.crypto.material import KeyGenerator
 from repro.crypto.wrap import wrap_key
 from repro.faults.retry import RetryPolicy
+from repro.faults.schedule import Blackout, ChurnStorm, FaultSchedule
+from repro.members.population import LossPopulation
 from repro.network.channel import MulticastChannel
 from repro.network.loss import BernoulliLoss, GilbertElliottLoss
+from repro.obs import observe
+from repro.server.onetree import OneTreeServer
+from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
 from repro.transport.fec import ProactiveFecProtocol
+from repro.transport.multisend import MultiSendProtocol
 from repro.transport.session import TransportExhausted, TransportTask
 from repro.transport.wka_bkr import WkaBkrProtocol
 
@@ -126,3 +132,59 @@ class TestFecExhaustion:
         assert result.satisfied
         assert result.abandoned == {"doomed"}
         assert result.rounds == 2
+
+
+class TestMultiSendExhaustion:
+    """Multi-send degrades like the other two transports: typed exhaustion
+    at its round cap, which the simulator turns into unicast catch-up."""
+
+    def test_round_cap_raises_typed_exception(self):
+        always_lost = BernoulliLoss(0.999999999)
+        channel = _channel({"r0": BernoulliLoss(0.0), "r1": always_lost})
+        protocol = MultiSendProtocol(keys_per_packet=4, replication=1, max_rounds=5)
+        with pytest.raises(TransportExhausted) as excinfo:
+            protocol.run(_task(receivers=("r0", "r1")), channel)
+        exc = excinfo.value
+        assert exc.pending == frozenset({"r1"})
+        assert exc.result.rounds == 5
+        assert not exc.result.satisfied
+        assert exc.result.late == {"r1"}
+        assert exc.result.completed == {"r0": 0.0}
+
+    def test_blacked_out_receivers_are_abandoned_and_resynced(self):
+        """A Blackout over a rekey point (BernoulliLoss refuses rate 1.0)
+        used to end the run in a bare RuntimeError."""
+        horizon = 360.0
+        schedule = FaultSchedule.of(
+            [
+                ChurnStorm(at_time=0.0, joins=40),
+                Blackout(start=50.0, duration=30.0, fraction=0.3),
+            ]
+        )
+        config = SimulationConfig(
+            arrival_rate=0.05,
+            rekey_period=60.0,
+            horizon=horizon,
+            loss_population=LossPopulation.two_point(),
+            transport=MultiSendProtocol(keys_per_packet=8, max_rounds=4),
+            verify=True,
+            seed=3,
+            fault_schedule=schedule,
+            recovery_delay=30.0,
+        )
+        sim = GroupRekeyingSimulation(OneTreeServer(), config)
+        with observe() as session:
+            metrics = sim.run()
+        blacked_out = metrics.records[0]
+        assert blacked_out.abandoned > 0
+        assert blacked_out.transport_rounds == 4
+        assert sim.channel.blackout_losses > 0
+        # Everyone abandoned came back over unicast, and every later epoch
+        # (verify=True throughout) delivered to the whole group again.
+        assert len(metrics.recoveries) == metrics.abandoned_total
+        assert all(record.abandoned == 0 for record in metrics.records[1:])
+        assert metrics.verification_checks == len(metrics.records)
+        # ... and the delivery now shows up in traces like the others'.
+        rounds = [s for s in session.tracer.spans if s.name == "transport.round"]
+        assert {s.attributes["protocol"] for s in rounds} == {"multi-send"}
+        assert any(e["type"] == "retry_round" for e in session.events.records)

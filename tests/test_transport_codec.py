@@ -1,6 +1,10 @@
 """Unit tests for the wire codec."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.material import KeyGenerator
 from repro.crypto.wrap import wrap_key
@@ -110,3 +114,155 @@ class TestMessageCodec:
         size = wire_size(message)
         per_key = (size - wire_size(RekeyMessage(group="t/root", epoch=1))) / message.cost
         assert 60 <= per_key <= 120
+
+
+def _real_messages():
+    """Encoded rekey broadcasts from real trees: mixed churn, a join-only
+    batch refreshed one-way (``advanced`` entries, non-ASCII ids) and an
+    empty one."""
+    blobs = []
+    for seed, size in ((5, 24), (6, 70)):
+        tree = KeyTree(degree=3, keygen=KeyGenerator(seed))
+        rekeyer = LkhRekeyer(tree)
+        populate(rekeyer, size)
+        blobs.append(
+            encode_rekey_message(
+                rekeyer.rekey_batch(
+                    joins=[("zoë", None), ("late", None)], departures=["m1", "m7"]
+                )
+            )
+        )
+        blobs.append(
+            encode_rekey_message(
+                rekeyer.rekey_batch(joins=[("später", None)], join_refresh="owf")
+            )
+        )
+    blobs.append(encode_rekey_message(RekeyMessage(group="g", epoch=5)))
+    assert any(decode_rekey_message(blob).advanced for blob in blobs)
+    return blobs
+
+
+def _length_fields(blob):
+    """``(offset, size)`` of every length and count field of an encoded
+    message, walked straight from the format in the codec's docstring."""
+    fields = []
+    offset = 4
+
+    def take(size):
+        nonlocal offset
+        fields.append((offset, size))
+        value = int.from_bytes(blob[offset : offset + size], "big")
+        offset += size
+        return value
+
+    def skip_string():
+        nonlocal offset
+        length = take(2)
+        offset += length
+
+    skip_string()  # group
+    offset += 8  # epoch
+    for __ in range(2):  # joined, departed
+        for __ in range(take(2)):
+            skip_string()
+    for __ in range(take(4)):  # advanced
+        skip_string()
+        offset += 4
+    for __ in range(take(4)):  # key records
+        skip_string()
+        offset += 4
+        skip_string()
+        offset += 4
+        skip_string()  # the ciphertext is length-prefixed like a string
+    assert offset == len(blob)
+    return fields
+
+
+REAL_MESSAGES = _real_messages()
+
+
+def _rejected_or_canonical(blob):
+    """The one property: a mutated message is rejected with the codec's
+    own error, or it parses to a message that encodes back to exactly
+    those bytes.  Anything else raised here fails the test."""
+    try:
+        message = decode_rekey_message(blob)
+    except CodecError:
+        return "rejected"
+    assert encode_rekey_message(message) == blob
+    return "parsed"
+
+
+@st.composite
+def mutated_messages(draw):
+    blob = draw(st.sampled_from(REAL_MESSAGES))
+    kind = draw(st.sampled_from(["truncate", "flip", "rewrite"]))
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    mutated = bytearray(blob)
+    if kind == "flip":
+        mutated[draw(st.integers(0, len(blob) - 1))] ^= 1 << draw(st.integers(0, 7))
+    else:
+        offset, size = draw(st.sampled_from(_length_fields(blob)))
+        lie = draw(
+            st.one_of(
+                st.integers(0, 300),  # nearby: off-by-a-few lengths
+                st.integers(0, 256**size - 1),
+            )
+        )
+        mutated[offset : offset + size] = lie.to_bytes(size, "big")
+    return bytes(mutated)
+
+
+class TestMalformedInput:
+    """Reject, never mis-parse — and only ever with :class:`CodecError`."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(mutated_messages())
+    def test_mutations_are_rejected_or_canonical(self, blob):
+        _rejected_or_canonical(blob)
+
+    def test_every_truncation_is_rejected(self):
+        for blob in REAL_MESSAGES:
+            for cut in range(len(blob)):
+                assert _rejected_or_canonical(blob[:cut]) == "rejected", cut
+
+    def test_bit_flipped_id_is_rejected_not_leaked(self):
+        """An id byte with its top bit flipped is not UTF-8: that used to
+        escape as ``UnicodeDecodeError``."""
+        blob = bytearray(REAL_MESSAGES[0])
+        blob[4 + 2] ^= 0x80  # first byte of the group name
+        with pytest.raises(CodecError):
+            decode_rekey_message(bytes(blob))
+        first_key = decode_rekey_message(REAL_MESSAGES[0]).encrypted_keys[0]
+        key = bytearray(encode_encrypted_key(first_key))
+        key[2] ^= 0x80  # first byte of the wrapping id
+        with pytest.raises(CodecError):
+            decode_encrypted_key(bytes(key))
+
+    def test_flipped_bits_that_still_parse_are_seen(self):
+        """The property is not vacuous: a flipped ciphertext bit parses."""
+        blob = bytearray(REAL_MESSAGES[0])
+        blob[-1] ^= 1
+        assert _rejected_or_canonical(bytes(blob)) == "parsed"
+
+    @pytest.mark.parametrize("version", [2**32, 2**40, -1])
+    def test_unencodable_version_raises_codec_error(self, sample_key, version):
+        """These used to escape as ``struct.error``."""
+        for field in ("wrapping_version", "payload_version"):
+            with pytest.raises(CodecError):
+                encode_encrypted_key(dataclasses.replace(sample_key, **{field: version}))
+        message = RekeyMessage(
+            group="g", epoch=1,
+            encrypted_keys=[dataclasses.replace(sample_key, payload_version=version)],
+        )
+        with pytest.raises(CodecError):
+            encode_rekey_message(message)
+        with pytest.raises(CodecError):
+            encode_rekey_message(
+                RekeyMessage(group="g", epoch=1, advanced=[("k", version)])
+            )
+
+    def test_unencodable_epoch_raises_codec_error(self):
+        with pytest.raises(CodecError):
+            encode_rekey_message(RekeyMessage(group="g", epoch=2**64))

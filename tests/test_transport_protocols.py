@@ -1,5 +1,9 @@
 """Unit and behavioural tests for the three rekey transport protocols."""
 
+import math
+from dataclasses import dataclass, field
+from typing import Dict, List, Set
+
 import pytest
 
 from repro.crypto.material import KeyGenerator
@@ -9,6 +13,7 @@ from repro.network.channel import MulticastChannel
 from repro.network.loss import BernoulliLoss
 from repro.transport.fec import ProactiveFecProtocol
 from repro.transport.multisend import MultiSendProtocol
+from repro.transport.packets import KeyPacket, pack_indices
 from repro.transport.session import (
     TransportExhausted,
     TransportResult,
@@ -341,6 +346,386 @@ class TestWkaBkrAudienceIndexEquivalence:
         self.assert_same(outcomes)
 
 
+@dataclass
+class _ScannedBlock:
+    """Oracle block state: satisfaction recomputed by scanning."""
+
+    payload_packets: List[KeyPacket]
+    parity_sent: int = 0
+    # receiver -> number of packets of this block received so far
+    received_count: Dict[str, int] = field(default_factory=dict)
+    # receiver -> payload key indices of this block still not directly seen
+    direct_missing: Dict[str, Set[int]] = field(default_factory=dict)
+
+    @property
+    def k(self) -> int:
+        return len(self.payload_packets)
+
+    def satisfied(self, receiver_id: str) -> bool:
+        missing = self.direct_missing.get(receiver_id)
+        if missing is not None and not missing:
+            return True
+        return self.received_count.get(receiver_id, 0) >= self.k
+
+    def pending_receivers(self) -> List[str]:
+        return [rid for rid in self.direct_missing if not self.satisfied(rid)]
+
+
+class PerBlockScanFec(ProactiveFecProtocol):
+    """Oracle: the FEC round loop as it was before the round engine.
+
+    Interest is registered by scanning every block for every receiver,
+    and who is pending — for ``late``, the parity deficit, ``completed``,
+    abandonment and termination — is recomputed from every
+    ``direct_missing`` each time it is asked.  Slow, but obviously right.
+    One marked line differs from that loop: when the last pending
+    receivers had departed it went on to count (and back off for) a round
+    that sent nothing, which the engine's one idle rule ended.
+    """
+
+    def run(self, task, channel):
+        result = TransportResult()
+        payload = pack_indices(range(len(task.keys)), self.keys_per_packet)
+        blocks: List[_ScannedBlock] = []
+        for offset in range(0, len(payload), self.block_size):
+            block_id = len(blocks)
+            block_packets = [
+                KeyPacket(p.seqno, p.key_indices, block=block_id)
+                for p in payload[offset : offset + self.block_size]
+            ]
+            blocks.append(_ScannedBlock(payload_packets=block_packets))
+
+        for rid, wanted in task.interest.items():
+            if not wanted:
+                continue
+            for block in blocks:
+                in_block = {
+                    i
+                    for p in block.payload_packets
+                    for i in p.key_indices
+                    if i in wanted
+                }
+                if in_block:
+                    block.direct_missing[rid] = in_block
+                    block.received_count[rid] = 0
+
+        interested_blocks = [b for b in blocks if b.direct_missing]
+        if not interested_blocks:
+            result.satisfied = True
+            return result
+
+        seqno = len(payload)
+        round_cap = self.retry.max_rounds if self.retry is not None else self.max_rounds
+        for round_index in range(round_cap):
+            for block in blocks:
+                for rid in [r for r in block.direct_missing if r not in channel]:
+                    del block.direct_missing[rid]
+                    block.received_count.pop(rid, None)
+            if round_index > 0 and not any(b.pending_receivers() for b in blocks):
+                break  # fix: a round with nothing to send was still counted
+            if self.retry is not None:
+                result.elapsed += self.retry.delay_before_round(round_index)
+            if round_index > 0:
+                for block in blocks:
+                    result.late.update(block.pending_receivers())
+            packets_this_round = 0
+            keys_this_round = 0
+            parity_this_round = 0
+            for block_id, block in enumerate(blocks):
+                pending = block.pending_receivers()
+                if round_index > 0 and not pending:
+                    continue
+                if round_index == 0:
+                    sends: List[KeyPacket] = list(block.payload_packets)
+                    parity_count = (
+                        math.ceil((self.proactivity - 1.0) * block.k)
+                        if block.direct_missing
+                        else 0
+                    )
+                else:
+                    sends = []
+                    parity_count = max(
+                        block.k - block.received_count.get(rid, 0) for rid in pending
+                    )
+                for __ in range(parity_count):
+                    sends.append(
+                        KeyPacket(
+                            seqno=seqno, key_indices=(), block=block_id, is_parity=True
+                        )
+                    )
+                    seqno += 1
+                audience = set(block.direct_missing)
+                for packet in sends:
+                    packets_this_round += 1
+                    keys_this_round += (
+                        self.keys_per_packet if packet.is_parity else packet.key_count
+                    )
+                    if packet.is_parity:
+                        parity_this_round += 1
+                    report = channel.multicast(packet, audience=audience)
+                    for rid in report.delivered_to:
+                        block.received_count[rid] = block.received_count.get(rid, 0) + 1
+                        if not packet.is_parity:
+                            block.direct_missing[rid] -= set(packet.key_indices)
+            pending_now = {rid for b in blocks for rid in b.pending_receivers()}
+            for block in blocks:
+                for rid in block.direct_missing:
+                    if rid not in pending_now and rid not in result.completed:
+                        result.completed[rid] = result.elapsed
+            result.merge_round(
+                packets=packets_this_round,
+                keys=keys_this_round,
+                parity=parity_this_round,
+            )
+            if self.retry is not None and self.retry.should_abandon(round_index + 1):
+                for block in blocks:
+                    for rid in block.pending_receivers():
+                        result.abandoned.add(rid)
+                        del block.direct_missing[rid]
+                        block.received_count.pop(rid, None)
+            if all(not b.pending_receivers() for b in blocks):
+                result.satisfied = True
+                return result
+        pending = {rid for b in blocks for rid in b.pending_receivers()}
+        if pending:
+            raise TransportExhausted("oracle exhausted", result, pending)
+        result.satisfied = True
+        return result
+
+
+class PerPacketScanMultiSend(MultiSendProtocol):
+    """Oracle: the multi-send loop as it was before the round engine.
+
+    Every packet's audience is found by scanning every outstanding
+    receiver.  Two lines differ from that loop, both marked: it records
+    ``late`` and raises the typed exhaustion at the round cap — the two
+    things the engine fixed — so the comparison below covers them too.
+    """
+
+    def run(self, task, channel):
+        result = TransportResult()
+        packets = pack_indices(range(len(task.keys)), self.keys_per_packet)
+        outstanding = {
+            rid: set(wanted) for rid, wanted in task.interest.items() if wanted
+        }
+        packet_of_key = {}
+        for packet in packets:
+            for index in packet.key_indices:
+                packet_of_key[index] = packet
+
+        to_send = [p for p in packets for __ in range(self.replication)]
+        for round_index in range(self.max_rounds):
+            outstanding = {
+                rid: wanted for rid, wanted in outstanding.items() if rid in channel
+            }
+            if round_index > 0 and not outstanding:
+                break
+            if round_index > 0:
+                result.late.update(outstanding)  # fix: was never recorded
+            keys_this_round = 0
+            for packet in to_send:
+                audience = {
+                    rid
+                    for rid, wanted in outstanding.items()
+                    if wanted.intersection(packet.key_indices)
+                }
+                keys_this_round += packet.key_count
+                if not audience:
+                    continue
+                report = channel.multicast(packet, audience=audience)
+                for rid in report.delivered_to:
+                    outstanding[rid] -= set(packet.key_indices)
+                    if not outstanding[rid]:
+                        del outstanding[rid]
+                        result.completed[rid] = result.elapsed
+            result.merge_round(packets=len(to_send), keys=keys_this_round)
+            if not outstanding:
+                result.satisfied = True
+                return result
+            needed_packets = {
+                packet_of_key[index].seqno
+                for wanted in outstanding.values()
+                for index in wanted
+            }
+            to_send = [p for p in packets if p.seqno in needed_packets]
+        if outstanding:  # fix: was a silent ``satisfied=False``
+            raise TransportExhausted("oracle exhausted", result, set(outstanding))
+        result.satisfied = True
+        return result
+
+
+class PacketLog:
+    """Channel mixin: logs every multicast in full and can drop receivers
+    mid-delivery — ``unsubscribe_at`` maps a multicast's position in the
+    log to the ids leaving just before it (mix in ahead of any channel
+    class)."""
+
+    def start_log(self, unsubscribe_at=None):
+        self.log = []
+        self.unsubscribe_at = dict(unsubscribe_at or {})
+        return self
+
+    def multicast(self, packet, audience=None):
+        for leaver in self.unsubscribe_at.get(len(self.log), ()):
+            self.unsubscribe(leaver)
+        self.log.append(
+            (packet.seqno, packet.key_indices, packet.block, packet.is_parity,
+             frozenset(audience))
+        )
+        return super().multicast(packet, audience=audience)
+
+
+class PacketLogChannel(PacketLog, MulticastChannel):
+    pass
+
+
+RESULT_FIELDS = (
+    "rounds", "packets_sent", "keys_sent", "parity_packets", "per_round_packets",
+    "late", "abandoned", "completed", "elapsed", "satisfied",
+)
+
+
+def run_or_exhaust(protocol, task, channel):
+    """``(result, pending)`` of a run, exhausted or not."""
+    try:
+        return protocol.run(task, channel), frozenset()
+    except TransportExhausted as exhausted:
+        return exhausted.result, exhausted.pending
+
+
+def assert_same_result(expected, actual):
+    """Two ``(result, pending)`` outcomes agree field for field."""
+    (want, want_pending), (got, got_pending) = expected, actual
+    for name in RESULT_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+    assert got_pending == want_pending
+
+
+def assert_same_draws(oracle_channel, channel):
+    """Not just equal totals: every receiver's RNG stream stopped at the
+    same draw."""
+    for counter in ("packets_sent", "receptions", "losses"):
+        assert getattr(channel, counter) == getattr(oracle_channel, counter), counter
+    assert sorted(channel.subscribers()) == sorted(oracle_channel.subscribers())
+    for rid in channel.subscribers():
+        assert (
+            channel.stream_of(rid).getstate()
+            == oracle_channel.stream_of(rid).getstate()
+        ), rid
+
+
+def assert_same_delivery(expected, actual):
+    """Two ``(result, pending, channel)`` outcomes made the same multicasts
+    to the same audiences and left every receiver at the same draw."""
+    assert_same_result(expected[:2], actual[:2])
+    assert actual[2].log == expected[2].log
+    assert_same_draws(expected[2], actual[2])
+
+
+FEC = dict(keys_per_packet=4, block_size=3, proactivity=1.25)
+MULTI = dict(keys_per_packet=8, replication=1)
+
+
+@pytest.mark.parametrize(
+    "oracle, production, settings",
+    [
+        (PerBlockScanFec, ProactiveFecProtocol, FEC),
+        (PerPacketScanMultiSend, MultiSendProtocol, MULTI),
+    ],
+    ids=["proactive-fec", "multi-send"],
+)
+class TestRoundEngineEquivalence:
+    """FEC and multi-send on the round engine against their old loops,
+    over the WKA battery's seeded real rekey payloads."""
+
+    RECEIVERS = 340
+    lossy_task = TestWkaBkrAudienceIndexEquivalence.lossy_task
+
+    def run_both(
+        self, oracle, production, settings, seed,
+        rates_override=None, unsubscribe_at=None, **protocol,
+    ):
+        outcomes = []
+        for cls in (oracle, production):
+            task, rates = self.lossy_task(seed)
+            rates.update(rates_override or {})
+            channel = PacketLogChannel(seed + 100).start_log(unsubscribe_at)
+            for rid, rate in rates.items():
+                channel.subscribe(rid, BernoulliLoss(rate))
+            result, pending = run_or_exhaust(
+                cls(**settings, **protocol), task, channel
+            )
+            outcomes.append((result, pending, channel))
+        return outcomes
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_two_point_loss(self, oracle, production, settings, seed):
+        outcomes = self.run_both(oracle, production, settings, seed)
+        result, __, channel = outcomes[1]
+        assert result.satisfied and len(result.completed) >= 300
+        assert result.late  # somebody needed a NACK round
+        if production is ProactiveFecProtocol:
+            assert len({block for __, __, block, __, __ in channel.log}) >= 4
+            retransmitted = channel.log[result.per_round_packets[0] :]
+            assert retransmitted and all(parity for *__, parity, __ in retransmitted)
+        assert_same_delivery(*outcomes)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_receiver_unsubscribed_mid_delivery(
+        self, oracle, production, settings, seed
+    ):
+        task, __ = self.lossy_task(seed)
+        # The two receivers needing the most keys; at 99.9% loss they are
+        # still pending (and drawn for) when they leave, one inside the
+        # first round and one inside the third.  In between a score of
+        # others leave, most of them satisfied by then but still tracked.
+        leavers = sorted(task.interest, key=lambda r: (-len(task.interest[r]), r))[:2]
+        bystanders = [rid for rid in sorted(task.interest) if rid not in leavers][:20]
+        hopeless = {rid: 0.999 for rid in leavers}
+        dry_run = self.run_both(
+            oracle, production, settings, seed, rates_override=hopeless, max_rounds=2
+        )
+        first, second = dry_run[1][0].per_round_packets
+        outcomes = self.run_both(
+            oracle, production, settings, seed,
+            rates_override=hopeless,
+            unsubscribe_at={
+                2: leavers[:1], first + 1: bystanders, first + second + 1: leavers[1:],
+            },
+        )
+        result, __, channel = outcomes[1]
+        gone = set(leavers) | set(bystanders)
+        assert not gone & set(channel.subscribers())
+        assert not set(leavers) & set(result.completed)
+        assert set(bystanders) & set(result.completed)
+        assert leavers[1] in result.late and result.rounds >= 3
+        assert_same_delivery(*outcomes)
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_hopeless_receivers(self, oracle, production, settings, seed):
+        """FEC hands them to its retry policy's abandonment; multi-send
+        has no policy and must exhaust its round cap, typed."""
+        task, __ = self.lossy_task(seed)
+        hopeless = sorted(task.interest)[:3]
+        if production is ProactiveFecProtocol:
+            policy = RetryPolicy(max_rounds=6, base_delay=0.5, abandon_after=3)
+            bound = dict(retry=policy)
+        else:
+            bound = dict(max_rounds=4)
+        outcomes = self.run_both(
+            oracle, production, settings, seed,
+            rates_override={rid: 0.999 for rid in hopeless}, **bound,
+        )
+        result, pending, __ = outcomes[1]
+        if production is ProactiveFecProtocol:
+            assert set(hopeless) <= result.abandoned and result.satisfied
+            assert result.elapsed == policy.total_delay(result.rounds)
+        else:
+            assert set(hopeless) <= pending and not result.satisfied
+            assert result.rounds == 4 and set(hopeless) <= result.late
+        assert_same_delivery(*outcomes)
+
+
 class TestProactiveFec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -353,8 +738,9 @@ class TestProactiveFec:
         result = ProactiveFecProtocol(
             keys_per_packet=4, block_size=2, proactivity=1.5
         ).run(task, make_channel({"a": 0.0}))
-        assert result.parity_packets == 1  # ceil(0.5 * 2) per block, 1 block... 2 blocks? see below
-        # 8 keys / 4 per packet = 2 payload packets = 1 block of 2 -> 1 parity
+        # 8 keys / 4 per packet = 2 payload packets = 1 block of 2, which
+        # gets ceil(0.5 * 2) = 1 proactive parity packet.
+        assert result.parity_packets == 1
         assert result.satisfied
 
     def test_parity_recovers_block_without_direct_reception(self):
