@@ -421,7 +421,7 @@ class PackedEncryptedKey(EncryptedKey):
     """
 
     def __init__(self, pack: "PackedWraps", row: int) -> None:
-        # Same frozen-dataclass bypass as LazyEncryptedKey: one dict
+        # Bypass the frozen-dataclass __setattr__ wholesale: one dict
         # update is the entire per-view cost.
         self.__dict__.update(
             wrapping_id=pack.wrapping_ids[row],

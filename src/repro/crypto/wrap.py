@@ -80,44 +80,68 @@ class LazyEncryptedKey(EncryptedKey):
     """An :class:`EncryptedKey` whose ciphertext materializes on demand.
 
     Produced by :func:`wrap_key` in deferred mode.  Identity fields
-    (wrapping/payload handles) are set eagerly — they are what cost
-    metrics, indexing, and packet planning consume — while the HMAC work
-    of actual encryption happens only if something reads ``ciphertext``
-    (a member unwrap, the wire codec, equality against an eager key).
+    (wrapping/payload handles) — what cost metrics, indexing, and packet
+    planning consume — read straight from the two captured keys, while
+    the HMAC work of actual encryption happens only if something reads
+    ``ciphertext`` (a member unwrap, the wire codec, equality against an
+    eager key).
 
     Holding the key material inside the object is fine in this codebase:
     wraps are produced by the simulated key server, which holds every key
     anyway; nothing here crosses a trust boundary.
     """
 
+    # One GC-tracked object per wrap: three slots, and the instance dict
+    # the non-slotted base allows is never created.
+    __slots__ = ("_wrapping", "_payload", "_ciphertext")
+
     def __init__(self, wrapping: KeyMaterial, payload: KeyMaterial) -> None:
-        # Bypass the frozen-dataclass __setattr__ wholesale: wrap creation
-        # is the per-encrypted-key cost of every cost-only batch, and one
-        # dict update is several times cheaper than seven object.__setattr__
-        # calls.
-        self.__dict__.update(
-            wrapping_id=wrapping.key_id,
-            wrapping_version=wrapping.version,
-            payload_id=payload.key_id,
-            payload_version=payload.version,
-            _wrapping=wrapping,
-            _payload=payload,
-            _ciphertext=None,
-        )
+        # Wrap creation is the per-encrypted-key cost of every cost-only
+        # batch: three stores through the slot descriptors, past the
+        # frozen-dataclass __setattr__.
+        _set_wrapping(self, wrapping)
+        _set_payload(self, payload)
+        _set_ciphertext(self, None)
+
+    @property
+    def wrapping_id(self) -> str:  # type: ignore[override]
+        return self._wrapping.key_id
+
+    @property
+    def wrapping_version(self) -> int:  # type: ignore[override]
+        return self._wrapping.version
+
+    @property
+    def payload_id(self) -> str:  # type: ignore[override]
+        return self._payload.key_id
+
+    @property
+    def payload_version(self) -> int:  # type: ignore[override]
+        return self._payload.version
 
     @property
     def ciphertext(self) -> bytes:  # type: ignore[override]
         blob = self._ciphertext
         if blob is None:
-            nonce = _nonce(self._wrapping, self.payload_id, self.payload_version)
-            blob = encrypt(self._wrapping.secret, nonce, self._payload.secret)
-            object.__setattr__(self, "_ciphertext", blob)
+            payload = self._payload
+            nonce = _nonce(self._wrapping, payload.key_id, payload.version)
+            blob = encrypt(self._wrapping.secret, nonce, payload.secret)
+            _set_ciphertext(self, blob)
         return blob
 
     @property
     def materialized(self) -> bool:
         """Whether the ciphertext has been computed yet."""
         return self._ciphertext is not None
+
+    # Slots of a frozen class: the default unpickler would setattr them.
+    def __getstate__(self) -> tuple:
+        return (self._wrapping, self._payload, self._ciphertext)
+
+    def __setstate__(self, state: tuple) -> None:
+        _set_wrapping(self, state[0])
+        _set_payload(self, state[1])
+        _set_ciphertext(self, state[2])
 
     # The generated dataclass __eq__/__hash__ refuse mixed-class
     # comparison; delivery tests compare deferred wraps against eager
@@ -145,6 +169,11 @@ class LazyEncryptedKey(EncryptedKey):
         )
 
 
+_set_wrapping = LazyEncryptedKey._wrapping.__set__
+_set_payload = LazyEncryptedKey._payload.__set__
+_set_ciphertext = LazyEncryptedKey._ciphertext.__set__
+
+
 class PlannedEncryptedKey(EncryptedKey):
     """A cost-only :class:`EncryptedKey` carrying handles but no material.
 
@@ -163,7 +192,8 @@ class PlannedEncryptedKey(EncryptedKey):
         payload_id: str,
         payload_version: int,
     ) -> None:
-        # Same __dict__-update trick as LazyEncryptedKey: this is the
+        # Bypass the frozen-dataclass __setattr__ wholesale (one dict
+        # update, not four object.__setattr__ calls): this is the
         # per-wrap cost of handle-only shard fragments.
         self.__dict__.update(
             wrapping_id=wrapping_id,

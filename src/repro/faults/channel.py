@@ -75,6 +75,13 @@ class FaultyChannel(MulticastChannel[PacketT]):
 
     # ------------------------------------------------------------------
 
+    def unsubscribe(self, receiver_id: str) -> None:
+        """Also forget the receiver's burst chains: like its steady-state
+        stream, a re-subscribed id restarts them from the top."""
+        super().unsubscribe(receiver_id)
+        for index in range(len(self.schedule.bursts)):
+            self._burst_chains.pop((receiver_id, index), None)
+
     def _burst_chain(
         self, receiver_id: str, index: int, burst: LossBurst
     ) -> Tuple[GilbertElliottLoss, random.Random]:

@@ -72,6 +72,7 @@ from repro.crypto.cipher import encrypt
 from repro.crypto.material import KEY_SIZE, KeyGenerator, KeyMaterial
 from repro.crypto.wrap import EncryptedKey, LazyEncryptedKey, wrap_mode
 from repro.keytree.lkh import RekeyMessage
+from repro.keytree.tree import HEAP_SHED_FLOOR, HEAP_SHED_RATIO
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.perf.instrumentation import count as perf_count
@@ -102,16 +103,19 @@ def _gc_paused():
         gc.enable()
 
 
-class FlatLazyEncryptedKey(LazyEncryptedKey):
+class FlatLazyEncryptedKey(EncryptedKey):
     """A deferred wrap over raw secret bytes instead of KeyMaterial.
 
     The flat kernel's key material lives in a mutable bytearray, so the
     wrap must snapshot the secrets at wrap time (the object kernel gets
     this for free from immutable ``KeyMaterial``).  Ciphertext bytes are
     identical to :class:`~repro.crypto.wrap.LazyEncryptedKey` for the
-    same identities and secrets, and the inherited field-content
-    ``__eq__``/``__hash__`` compare across all :class:`EncryptedKey`
-    flavors.
+    same identities and secrets, and its field-content
+    ``__eq__``/``__hash__``, borrowed below, compare across all
+    :class:`EncryptedKey` flavors.  There are no key objects here to read
+    the identity fields through, so unlike that class this one keeps its
+    own seven fields in the instance dict (seven slot stores cost twice
+    the one dict update).
     """
 
     def __init__(
@@ -123,7 +127,7 @@ class FlatLazyEncryptedKey(LazyEncryptedKey):
         wrapping_secret: bytes,
         payload_secret: bytes,
     ) -> None:
-        # Same frozen-dataclass bypass as LazyEncryptedKey: one dict
+        # Bypass the frozen-dataclass __setattr__ wholesale: one dict
         # update is the entire per-wrap cost in deferred mode (assigning
         # self.__dict__ itself would route through the frozen __setattr__).
         self.__dict__.update(
@@ -151,6 +155,9 @@ class FlatLazyEncryptedKey(LazyEncryptedKey):
     @property
     def materialized(self) -> bool:
         return self._ciphertext is not None
+
+    __eq__ = LazyEncryptedKey.__eq__
+    __hash__ = LazyEncryptedKey.__hash__
 
 
 class FlatNodeView:
@@ -304,6 +311,7 @@ class FlatKeyTree:
         # pop time, consuming the same sequence draws the object tree would.
         self._open_internal: List[tuple] = [(0, self._next_seq(), ROOT, 0)]
         self._split_candidates: List[tuple] = []
+        self._heap_slack = HEAP_SHED_FLOOR
 
     def _next_seq(self) -> int:
         value = self._seq_value
@@ -533,6 +541,7 @@ class FlatKeyTree:
         idx = self._alloc(leaf_id, version, secret, member_id)
         self._attach_leaf(idx)
         self._member_leaf[member_id] = idx
+        self._trim_heaps()
         if count:
             perf_count("keytree.add_member")
         return idx
@@ -618,6 +627,25 @@ class FlatKeyTree:
                 self._open_internal,
                 (depth, self._next_seq(), idx, self._gen[idx]),
             )
+
+    def _trim_heaps(self) -> None:
+        if len(self._split_candidates) + len(self._open_internal) > (
+            HEAP_SHED_RATIO * (len(self._index) + self._heap_slack)
+        ):
+            self._shed_dead_candidates()
+
+    def _shed_dead_candidates(self) -> None:
+        """:meth:`KeyTree._shed_dead_candidates`, entry for entry: checked
+        after the same operations, same survivors, same ``heapify`` — so
+        the heap arrays (which the dumps list verbatim) stay equal across
+        kernels.  Dead here is a slot-generation mismatch."""
+        gens = self._gen
+        for heap in (self._open_internal, self._split_candidates):
+            # In place: the fused bulk-join loop holds the lists in locals.
+            heap[:] = [entry for entry in heap if gens[entry[2]] == entry[3]]
+            heapq.heapify(heap)
+        survived = len(self._open_internal) + len(self._split_candidates)
+        self._heap_slack = max(HEAP_SHED_FLOOR, survived - len(self._index))
 
     def _pop_open_internal(self) -> Optional[Tuple[int, int]]:
         """Shallowest live open internal slot as ``(slot, depth)``."""
@@ -713,6 +741,7 @@ class FlatKeyTree:
         while node != NIL:
             survivors.append(node)
             node = parents[node]
+        self._trim_heaps()
         if count:
             perf_count("keytree.remove_member")
         return survivors
@@ -1201,6 +1230,7 @@ class FlatRekeyer:
                     seq = tree._seq_value
                     kg_counter = keygen._counter
                 member_leaf[member_id] = leaf
+                tree._trim_heaps()
                 node = parents[leaf]
                 while node != NIL:
                     node_id = ids[node]

@@ -32,6 +32,19 @@ from repro.keytree.node import Node
 from repro.perf.instrumentation import count as perf_count
 
 
+#: The attachment heaps shed their dead entries (see
+#: :meth:`KeyTree._shed_dead_candidates`) once they hold more than
+#: ``HEAP_SHED_RATIO`` entries per live node, ``HEAP_SHED_FLOOR`` nodes
+#: being allowed for on top: on a tree that small a scan costs more than
+#: the entries it frees.  A dead entry pins its ``Node``, child list and
+#: key — four tracked objects the collector walks — so the ratio is kept
+#: tight: at 1.25 the scans are 4% of a cost-only epoch at N = 32768 (one
+#: an epoch on the 2.5k-member S-tree, one in fifty on the L-tree); at 1.5
+#: they are half that and the collector's heap is 14% larger.
+HEAP_SHED_RATIO = 1.25
+HEAP_SHED_FLOOR = 64
+
+
 class KeyTree:
     """A balanced d-ary logical key tree.
 
@@ -70,9 +83,12 @@ class KeyTree:
         # Lazily-validated heaps of candidate attachment points, keyed by
         # (depth, tiebreak).  Entries go stale when nodes fill up, are
         # spliced out, or change depth; they are re-checked (and re-keyed)
-        # at pop time.
+        # at pop time.  Entries of dead nodes are also shed in bulk once
+        # the heaps outgrow the live nodes (plus ``_heap_slack``, the live
+        # duplicates that were there to stay at the last shed).
         self._open_internal: List[tuple] = [(0, self._next_seq(), self.root)]
         self._split_candidates: List[tuple] = []
+        self._heap_slack = HEAP_SHED_FLOOR
 
     def _next_seq(self) -> int:
         """Monotonic tiebreak/id counter (plain int so snapshots can resume it)."""
@@ -168,6 +184,7 @@ class KeyTree:
         self._attach_leaf(leaf)
         self._nodes[leaf.node_id] = leaf
         self._member_leaf[member_id] = leaf
+        self._trim_heaps()
         perf_count("keytree.add_member")
         return leaf
 
@@ -209,6 +226,45 @@ class KeyTree:
             heapq.heappush(
                 self._open_internal, (node.depth, self._next_seq(), node)
             )
+
+    def _trim_heaps(self) -> None:
+        """After every add and remove: shed the heaps' dead entries once
+        they hold enough entries per live node that the scan pays."""
+        if len(self._split_candidates) + len(self._open_internal) > (
+            HEAP_SHED_RATIO * (len(self._nodes) + self._heap_slack)
+        ):
+            self._shed_dead_candidates()
+
+    def _shed_dead_candidates(self) -> None:
+        """Drop the heap entries of nodes no longer in the tree.
+
+        Popping a dead entry only skips it, consuming no counter draws,
+        and ``seq`` makes every entry's rank unique, so the pop order of
+        what remains — hence every attachment and every draw — is exactly
+        what it would have been.  Only *dead* entries go: a full internal
+        node or a stale-depth entry of a live node keeps its place,
+        because its older ``seq`` decides ties and re-keying it draws from
+        the counter that also names new internal nodes.
+
+        Without this a leaf that departs before it ever surfaces (steady
+        J = L churn: removals keep opening slots, so splits are rare)
+        pins its entry, its ``Node`` and its key for the life of the
+        tree.  With it the heaps stay within a fixed multiple of the live
+        nodes, after a mass departure as after a mass join.  Live entries
+        beyond one per node cannot be shed, so ``_heap_slack`` allows for
+        them: the next scan then needs a fixed fraction of this one's
+        survivors in new adds and removes (each pushes at most three
+        entries and frees at most two nodes) — amortised O(1) per
+        operation whatever the heaps hold.
+        """
+        alive = self._nodes.get
+        for heap in (self._open_internal, self._split_candidates):
+            heap[:] = [
+                entry for entry in heap if alive(entry[2].node_id) is entry[2]
+            ]
+            heapq.heapify(heap)
+        survived = len(self._open_internal) + len(self._split_candidates)
+        self._heap_slack = max(HEAP_SHED_FLOOR, survived - len(self._nodes))
 
     def _pop_open_internal(self) -> Optional[Node]:
         """Shallowest live internal node with spare capacity, if any."""
@@ -283,6 +339,7 @@ class KeyTree:
             self._note_candidates(parent)
             survivors = parent.path_to_root()
 
+        self._trim_heaps()
         perf_count("keytree.remove_member")
         return survivors
 

@@ -10,6 +10,9 @@ one receiver therefore never shifts another receiver's loss draws — a
 property the fault-injection harness (:mod:`repro.faults`) relies on to
 reproduce a fault scenario exactly while varying the receiver set.
 (Re-subscribing the same id restarts that id's stream from the top.)
+A stream is built at the receiver's first draw, not at ``subscribe``: a
+``random.Random`` is 2.5 KB and a sha512 seeding, which a receiver that
+is never drawn for (every member of a cost-only run) does not pay.
 """
 
 from __future__ import annotations
@@ -42,9 +45,10 @@ class MulticastChannel(Generic[PacketT]):
     Parameters
     ----------
     seed:
-        RNG seed; each receiver's per-id stream derives from it, so runs
-        are reproducible and per-receiver draws are independent of the
-        rest of the subscription set.
+        RNG seed; each receiver's per-id stream derives from it (on first
+        use), so runs are reproducible and per-receiver draws are
+        independent of the rest of the subscription set and of when the
+        stream was first asked for.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -60,8 +64,6 @@ class MulticastChannel(Generic[PacketT]):
         if receiver_id in self._receivers:
             raise ValueError(f"receiver {receiver_id!r} already subscribed")
         self._receivers[receiver_id] = loss
-        # str seeding hashes via sha512, stable across processes.
-        self._streams[receiver_id] = random.Random(f"{self.seed}/{receiver_id}")
 
     def unsubscribe(self, receiver_id: str) -> None:
         """Remove a receiver (e.g. on group departure)."""
@@ -88,10 +90,14 @@ class MulticastChannel(Generic[PacketT]):
 
     def stream_of(self, receiver_id: str) -> random.Random:
         """The per-receiver RNG stream loss draws come from."""
-        try:
-            return self._streams[receiver_id]
-        except KeyError:
-            raise KeyError(f"receiver {receiver_id!r} not subscribed") from None
+        if receiver_id not in self._receivers:
+            raise KeyError(f"receiver {receiver_id!r} not subscribed")
+        stream = self._streams.get(receiver_id)
+        if stream is None:
+            # str seeding hashes via sha512, stable across processes.
+            stream = random.Random(f"{self.seed}/{receiver_id}")
+            self._streams[receiver_id] = stream
+        return stream
 
     # ------------------------------------------------------------------
     # delivery
@@ -132,8 +138,9 @@ class MulticastChannel(Generic[PacketT]):
             if loss is None:
                 continue
             stream = streams.get(receiver_id)
-            # No stream: vanished mid-round; count as lost.
-            if stream is None or loss.lost(stream):
+            if stream is None:
+                stream = self.stream_of(receiver_id)
+            if loss.lost(stream):
                 lost.add(receiver_id)
             else:
                 delivered.add(receiver_id)

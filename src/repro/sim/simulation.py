@@ -29,6 +29,8 @@ from repro.obs.latency import LatencyTracker
 from repro.network.channel import MulticastChannel
 from repro.network.loss import BernoulliLoss
 from repro.server.base import BatchResult, GroupKeyServer
+from repro.server.losshomog import LossHomogenizedServer
+from repro.server.twopartition import TwoPartitionServer
 from repro.sim.engine import EventLoop
 from repro.sim.metrics import RekeyRecord, SimulationMetrics
 from repro.transport.session import TransportExhausted, TransportTask
@@ -136,6 +138,14 @@ class GroupRekeyingSimulation:
         self.server = server
         self.config = config if config is not None else SimulationConfig()
         self._join_attributes = join_attributes
+        # Which attributes the scheme takes is settled here, once: a
+        # crash-restore swaps ``self.server`` for one of the same scheme.
+        self._joins_take_class = (
+            isinstance(server, TwoPartitionServer) and server.mode == "pt"
+        )
+        self._joins_take_loss = (
+            isinstance(server, LossHomogenizedServer) and server.placement == "loss"
+        )
         self.loop = EventLoop()
         self.rng = random.Random(self.config.seed)
         if self.config.fault_schedule is not None:
@@ -150,6 +160,10 @@ class GroupRekeyingSimulation:
         self.members: Dict[str, Optional[Member]] = {}
         self.member_class: Dict[str, str] = {}
         self.member_loss: Dict[str, float] = {}
+        #: loss rate -> the one (stateless) process its members share
+        self._loss_processes: Dict[float, BernoulliLoss] = {}
+        # Bound once: every member's departure event holds this one method.
+        self._depart_event = self._depart
         self.departed: List[Member] = []
         self.metrics = SimulationMetrics()
         self._next_member = 0
@@ -175,15 +189,11 @@ class GroupRekeyingSimulation:
     # ------------------------------------------------------------------
 
     def _default_join_attributes(self, member_class: str, loss_rate: float) -> Dict:
-        from repro.server.losshomog import LossHomogenizedServer
-        from repro.server.twopartition import TwoPartitionServer
-
         attributes: Dict = {}
-        if isinstance(self.server, TwoPartitionServer) and self.server.mode == "pt":
+        if self._joins_take_class:
             attributes["member_class"] = member_class
-        if isinstance(self.server, LossHomogenizedServer):
-            if self.server.placement == "loss":
-                attributes["loss_rate"] = loss_rate
+        if self._joins_take_loss:
+            attributes["loss_rate"] = loss_rate
         return attributes
 
     def _admit_new_member(self) -> str:
@@ -209,8 +219,11 @@ class GroupRekeyingSimulation:
         self.members[member_id] = member
         self.member_class[member_id] = member_class
         self.member_loss[member_id] = loss_rate
-        self.channel.subscribe(member_id, BernoulliLoss(loss_rate))
-        self.loop.schedule(now + duration, lambda: self._depart(member_id))
+        loss = self._loss_processes.get(loss_rate)
+        if loss is None:
+            loss = self._loss_processes[loss_rate] = BernoulliLoss(loss_rate)
+        self.channel.subscribe(member_id, loss)
+        self.loop.schedule(now + duration, self._depart_event, member_id)
         return member_id
 
     def _arrive(self) -> None:
@@ -465,8 +478,7 @@ class GroupRekeyingSimulation:
             if self.sync_tracker is not None:
                 self.sync_tracker.mark_out_of_sync(member_id, epoch, now)
             self.loop.schedule(
-                now + self.config.recovery_delay,
-                lambda rid=member_id: self._catch_up(rid),
+                now + self.config.recovery_delay, self._catch_up, member_id
             )
 
     def _catch_up(self, member_id: str) -> None:
@@ -559,8 +571,7 @@ class GroupRekeyingSimulation:
             for storm in self.config.fault_schedule.storms:
                 if storm.at_time <= self.config.horizon:
                     self.loop.schedule(
-                        storm.at_time,
-                        lambda s=storm: self._churn_storm(s.joins, s.leaves),
+                        storm.at_time, self._churn_storm, storm.joins, storm.leaves
                     )
         self.loop.run_until(self.config.horizon)
         if self.latency is not None:

@@ -95,6 +95,37 @@ def test_burst_chains_are_per_receiver():
     assert channel.burst_losses > 0
 
 
+def test_unsubscribe_forgets_burst_chains():
+    """A departed receiver leaves no chain (and no 2.5 KB generator)
+    behind, and a re-subscribed id restarts its chains from the top, as
+    its steady-state stream does."""
+    schedule = FaultSchedule.of(
+        [
+            LossBurst(start=0.0, duration=100.0, p_good_to_bad=0.3,
+                      p_bad_to_good=0.3, good_loss=0.0, bad_loss=1.0),
+            LossBurst(start=50.0, duration=100.0, bad_loss=0.9),
+        ]
+    )
+
+    def session(channel, clock, packets=60):
+        channel.subscribe("a", BernoulliLoss(0.1))
+        seen = []
+        for i in range(packets):
+            clock.now = float(2 * i)  # crosses from the first burst into the second
+            seen.append("a" in channel.multicast(i).delivered_to)
+        return seen
+
+    clock = _Clock()
+    channel = FaultyChannel(schedule, clock=clock, seed=4)
+    channel.subscribe("stays", BernoulliLoss(0.1))
+    first = session(channel, clock)
+    assert {rid for rid, __ in channel._burst_chains} == {"a", "stays"}
+    channel.unsubscribe("a")
+    assert {rid for rid, __ in channel._burst_chains} == {"stays"}
+    assert session(channel, clock) == first
+    assert not all(first) and any(first)
+
+
 def test_duplicates_counted_and_probability_zero_outside_window():
     clock = _Clock(now=5.0)
     schedule = FaultSchedule.of(
@@ -153,20 +184,24 @@ class PerDrawFaultyChannel(FaultyChannel):
     window, whether this receiver is blacked out or in a burst — through
     the parent's old loop of one ``_draw_lost`` call per receiver.  Slow,
     but obviously right; the production channel must take the same draws
-    from the same streams.
+    from the same streams.  Streams are reached through ``stream_of``
+    only, so the oracle does not depend on when the channel builds them.
     """
+
+    def _stream(self, receiver_id):
+        return self.stream_of(receiver_id) if receiver_id in self else None
 
     def _draw_lost(self, receiver_id, loss):
         now = self.clock()
         if self.schedule.blacked_out(receiver_id, now):
-            stream = self._streams.get(receiver_id)
+            stream = self._stream(receiver_id)
             if stream is not None:
                 loss.lost(stream)  # advance, discard
             self.blackout_losses += 1
             return True
         burst = self.schedule.burst_for(receiver_id, now)
         if burst is not None:
-            stream = self._streams.get(receiver_id)
+            stream = self._stream(receiver_id)
             if stream is None:  # vanished mid-round
                 return True
             loss.lost(stream)  # advance, discard
@@ -176,7 +211,7 @@ class PerDrawFaultyChannel(FaultyChannel):
             if lost:
                 self.burst_losses += 1
             return lost
-        stream = self._streams.get(receiver_id)
+        stream = self._stream(receiver_id)
         if stream is None:  # receiver vanished mid-round; count as lost
             return True
         return loss.lost(stream)

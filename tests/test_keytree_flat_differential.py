@@ -14,6 +14,7 @@ the sharded variant is checked across all three executor backends.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -297,6 +298,47 @@ def test_pinned_seed_mixed_traces(seed, deferred):
                     context,
                 )
             pair.check_state(context)
+
+
+def test_heaps_shed_in_lock_step_under_steady_churn():
+    """Both kernels shed dead heap entries at the same operations — single
+    adds and removes and the fused bulk-join loop alike — so even the heap
+    *arrays*, which the dumps list verbatim, stay equal."""
+    rng = random.Random(31)
+    sheds = {KeyTree: 0, FlatKeyTree: 0}
+
+    def counting(cls):
+        shed = cls._shed_dead_candidates
+
+        def wrapper(tree):
+            sheds[cls] += 1
+            shed(tree)
+
+        return mock.patch.object(cls, "_shed_dead_candidates", wrapper)
+
+    with deferred_wraps(), counting(KeyTree), counting(FlatKeyTree):
+        pair = KernelPair(degree=4, seed=31)
+        present = [f"m{i}" for i in range(300)]
+        pair.batch([(member, None) for member in present])
+        counter = 300
+        for epoch in range(60):
+            rng.shuffle(present)
+            departures, present = present[:30], present[30:]
+            joins = [f"m{counter + i}" for i in range(30)]
+            counter += 30
+            present.extend(joins)
+            if epoch % 3:
+                pair.batch([(member, None) for member in joins], departures)
+            else:  # the single-operation paths
+                for victim in departures:
+                    assert_identical(pair.obj.leave(victim), pair.flat.leave(victim))
+                for member in joins:
+                    assert_identical(
+                        pair.obj.join(member)[1], pair.flat.join(member)[1]
+                    )
+            assert sheds[KeyTree] == sheds[FlatKeyTree]
+            pair.check_state(f"epoch {epoch}")
+        assert sheds[KeyTree] > 3
 
 
 def test_per_receiver_decrypt_counts_match():

@@ -1,10 +1,22 @@
 """Unit tests for the balanced d-ary key tree."""
 
 import math
+import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.material import KeyGenerator
+from repro.keytree.flat import FlatKeyTree
+from repro.keytree.serialize import (
+    TREE_KERNELS,
+    kernel_tree_to_dict,
+    make_kernel_rekeyer,
+    make_kernel_tree,
+)
 from repro.keytree.tree import KeyTree
 
 
@@ -177,3 +189,202 @@ class TestChurn:
                 tree.validate()
         tree.validate()
         assert tree.size == len(alive)
+
+
+# ----------------------------------------------------------------------
+# attachment heaps: shedding dead entries is unobservable, and bounded
+# ----------------------------------------------------------------------
+
+
+class HoardingKeyTree(KeyTree):
+    """Oracle: the tree as it was before it shed anything."""
+
+    def _shed_dead_candidates(self):
+        pass
+
+
+class HoardingFlatKeyTree(FlatKeyTree):
+    def _shed_dead_candidates(self):
+        pass
+
+
+HOARDERS = {"object": HoardingKeyTree, "flat": HoardingFlatKeyTree}
+
+
+@contextmanager
+def shed_floor(floor):
+    """Lower the size under which the heaps are left alone, so programs of
+    a few members shed again and again."""
+    with mock.patch("repro.keytree.tree.HEAP_SHED_FLOOR", floor), mock.patch(
+        "repro.keytree.flat.HEAP_SHED_FLOOR", floor
+    ):
+        yield
+
+
+def structure(tree):
+    """Node id -> (parent id, child ids in order), either kernel."""
+    return {
+        node.node_id: (
+            node.parent.node_id if node.parent is not None else None,
+            [child.node_id for child in node.children],
+        )
+        for node in tree.iter_nodes()
+    }
+
+
+def dump(tree):
+    """The kernel-neutral dump, heap entries in pop order.
+
+    A dump lists the heap *arrays*; the hoarder's, with its dead entries
+    filtered out, is laid out differently from one that was re-heapified
+    along the way.  ``seq`` is unique, so the sorted entries are exactly
+    what the heap will pop, in order — the part that is state.
+    """
+    data = kernel_tree_to_dict(tree)
+    data["open_internal"].sort()
+    data["split_candidates"].sort()
+    return data
+
+
+# One step of a churn program: (kind, a, b).
+#   join      a fresh members, one add_member each
+#   leave     up to a present members (sampled with salt b), one by one
+#   batch     one rekey_batch of a joins and the b oldest as departures
+#   rejoin    up to a departed ids (salt b) come back, one add_member each
+#   mass      a members join, then all of them leave again — the life of
+#             the S-partition
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("join"), st.integers(1, 8), st.just(0)),
+        st.tuples(st.just("leave"), st.integers(1, 6), st.integers(0, 10**6)),
+        st.tuples(st.just("batch"), st.integers(0, 8), st.integers(0, 6)),
+        st.tuples(st.just("rejoin"), st.integers(1, 4), st.integers(0, 10**6)),
+        st.tuples(st.just("mass"), st.integers(4, 40), st.just(0)),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+class ChurnTwins:
+    """The tree and its hoarding oracle, fed the same operations."""
+
+    def __init__(self, kernel, degree):
+        self.tree = make_kernel_tree(
+            kernel, degree=degree, keygen=KeyGenerator(3), name="t"
+        )
+        self.oracle = HOARDERS[kernel](
+            degree=degree, keygen=KeyGenerator(3), name="t"
+        )
+        self.rekeyers = [make_kernel_rekeyer(self.tree), make_kernel_rekeyer(self.oracle)]
+        self.present = []
+        self.departed = []
+        self.counter = 0
+
+    def fresh(self, count):
+        ids = [f"m{self.counter + i}" for i in range(count)]
+        self.counter += count
+        return ids
+
+    def add(self, ids):
+        for member in ids:
+            self.tree.add_member(member)
+            self.oracle.add_member(member)
+            self.present.append(member)
+            self.check()
+
+    def remove(self, ids):
+        for member in ids:
+            self.present.remove(member)
+            self.departed.append(member)
+            self.tree.remove_member(member)
+            self.oracle.remove_member(member)
+            self.check()
+
+    def pick(self, pool, count, salt):
+        rng = random.Random(salt)
+        return rng.sample(pool, min(count, len(pool)))
+
+    def run(self, kind, a, b):
+        if kind == "join":
+            self.add(self.fresh(a))
+        elif kind == "leave":
+            self.remove(self.pick(self.present, a, b))
+        elif kind == "rejoin":
+            back = self.pick(self.departed, a, b)
+            for member in back:
+                self.departed.remove(member)
+            self.add(back)
+        elif kind == "mass":
+            cohort = self.fresh(a)
+            self.add(cohort)
+            self.remove(cohort)
+        elif a or self.present[:b]:
+            joins = self.fresh(a)
+            departures = self.present[:b]
+            for rekeyer in self.rekeyers:
+                rekeyer.rekey_batch(
+                    joins=[(member, None) for member in joins],
+                    departures=departures,
+                )
+            self.present = self.present[b:] + joins
+            self.departed.extend(departures)
+            self.check()
+
+    def check(self):
+        assert self.tree._seq_value == self.oracle._seq_value
+        assert structure(self.tree) == structure(self.oracle)
+
+
+@pytest.mark.parametrize("kernel", TREE_KERNELS)
+@settings(max_examples=40, deadline=None)
+@given(program=steps, degree=st.integers(2, 4))
+def test_shedding_dead_heap_entries_is_unobservable(kernel, program, degree):
+    """Same counter, node ids, parent links and child order after every
+    operation, and the same dump at the end, as a tree that never drops a
+    heap entry."""
+    with shed_floor(4):
+        twins = ChurnTwins(kernel, degree)
+        for kind, a, b in program:
+            twins.run(kind, a, b)
+    twins.tree.validate()
+    assert dump(twins.tree) == dump(twins.oracle)
+
+
+def heap_entries(tree):
+    return len(tree._split_candidates) + len(tree._open_internal)
+
+
+@pytest.mark.parametrize("kernel", TREE_KERNELS)
+def test_heaps_stay_proportional_to_live_nodes_under_steady_churn(kernel):
+    """200 epochs of J = L churn at N = 500: removals keep opening slots,
+    so a departed leaf's split-candidate entry never surfaces to be
+    popped — the heaps must not keep one entry per member ever hosted."""
+    rng = random.Random(11)
+    tree = make_kernel_tree(kernel, degree=4, keygen=KeyGenerator(5), name="t")
+    hoarder = HOARDERS[kernel](degree=4, keygen=KeyGenerator(5), name="t")
+    rekeyers = [make_kernel_rekeyer(tree), make_kernel_rekeyer(hoarder)]
+    present = [f"m{i}" for i in range(500)]
+    for rekeyer in rekeyers:
+        rekeyer.rekey_batch(joins=[(member, None) for member in present])
+    counter = 500
+    worst = 0.0
+    for __ in range(200):
+        rng.shuffle(present)
+        departures, present = present[:40], present[40:]
+        joins = [f"m{counter + i}" for i in range(40)]
+        counter += 40
+        present.extend(joins)
+        for rekeyer in rekeyers:
+            rekeyer.rekey_batch(
+                joins=[(member, None) for member in joins], departures=departures
+            )
+        live_nodes = sum(1 for __ in tree.iter_nodes())
+        worst = max(worst, heap_entries(tree) / live_nodes)
+    assert worst <= 1.5
+    # The oracle shows what the bound is worth — one entry for every
+    # member the tree ever hosted — while every observable stayed put.
+    assert heap_entries(hoarder) > 8 * live_nodes
+    assert tree._seq_value == hoarder._seq_value
+    assert structure(tree) == structure(hoarder)
+    assert dump(tree) == dump(hoarder)

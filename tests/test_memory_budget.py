@@ -1,0 +1,260 @@
+"""What the steady-state rekey loop holds and allocates stays small.
+
+The collector's cost is the tracked heap it walks and the objects each
+epoch promotes into it (``docs/performance.md``, "Memory and the
+collector").  These tests pin the four mechanisms that keep both down:
+attachment heaps that shed dead entries, receiver RNG streams built at
+the first draw, events that carry their arguments, and one tracked
+object per deferred wrap.
+"""
+
+import gc
+import pickle
+import random
+import types
+from contextlib import contextmanager
+
+import repro.network.channel as channel_module
+from repro.crypto.material import KeyGenerator
+from repro.crypto.wrap import deferred_wraps, wrap_key
+from repro.faults.schedule import ChurnStorm, FaultSchedule
+from repro.members.durations import TwoClassDuration
+from repro.network.channel import MulticastChannel
+from repro.network.loss import BernoulliLoss
+from repro.server.twopartition import TwoPartitionServer
+from repro.sim.engine import EventLoop
+from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
+
+
+@contextmanager
+def counted_streams():
+    """Count the ``random.Random`` objects the channel module constructs."""
+    built = []
+
+    def counting(seed):
+        built.append(seed)
+        return random.Random(seed)
+
+    real = channel_module.random
+    channel_module.random = types.SimpleNamespace(Random=counting)
+    try:
+        yield built
+    finally:
+        channel_module.random = real
+
+
+# ----------------------------------------------------------------------
+# (a) the census of a cost-only run is bounded
+# ----------------------------------------------------------------------
+
+DURATIONS = TwoClassDuration(short_mean=180.0, long_mean=10_800.0, alpha=0.8)
+
+
+class SteadyCensus:
+    """Durations whose first ``size`` draws are a group that has been
+    running forever (class Cl with its stationary share, exponential
+    residual lifetimes), so the group is its steady-state size from the
+    first epoch; later draws are fresh joins."""
+
+    def __init__(self, size):
+        self.left = size
+        self.long_share = (1.0 - DURATIONS.alpha) * DURATIONS.long_mean / DURATIONS.mean
+
+    def sample_with_class(self, rng):
+        if self.left <= 0:
+            return DURATIONS.sample_with_class(rng)
+        self.left -= 1
+        if rng.random() < self.long_share:
+            return rng.expovariate(1.0 / DURATIONS.long_mean), "Cl"
+        return rng.expovariate(1.0 / DURATIONS.short_mean), "Cs"
+
+
+def test_cost_only_census_stays_within_budget():
+    size, period = 2000, 60.0
+
+    def census():
+        gc.collect()
+        return len(gc.get_objects())
+
+    baseline = census()  # whatever else this test process holds
+
+    with counted_streams() as built:
+        sim = GroupRekeyingSimulation(
+            TwoPartitionServer(mode="tt", s_period=300, degree=4),
+            SimulationConfig(
+                arrival_rate=size / DURATIONS.mean,
+                rekey_period=period,
+                horizon=10 * period,
+                duration_model=SteadyCensus(size),
+                seed=5,
+                fault_schedule=FaultSchedule.of([ChurnStorm(at_time=0.0, joins=size)]),
+                cost_only=True,
+                deferred_wrap=True,
+                verify=False,
+            ),
+        )
+        sim.run()
+        early = census()
+        peak = early
+        for epoch in range(11, 301):
+            sim.loop.run_until(period * epoch)
+            if epoch % 10 == 0:
+                peak = max(peak, census())
+    assert sim.metrics.records[-1].group_size > 0.9 * size
+    # A sawtooth (the heaps fill to their shed size, then drop), not a
+    # ramp: one entry — and its node, key and child list — per member
+    # ever hosted was 1.95x by epoch 300, 2.7x net of the baseline, and
+    # climbing.
+    assert peak <= 1.3 * early
+    assert peak - baseline <= 1.4 * (early - baseline)
+    # Nobody is drawn for in a cost-only run, so no stream is ever built.
+    assert built == []
+
+
+# ----------------------------------------------------------------------
+# (b) streams: built at the first draw, same states as built at subscribe
+# ----------------------------------------------------------------------
+
+
+class EagerStreamChannel(MulticastChannel):
+    """Oracle: every stream built at ``subscribe``, as it used to be."""
+
+    def subscribe(self, receiver_id, loss):
+        super().subscribe(receiver_id, loss)
+        self.stream_of(receiver_id)
+
+
+def test_one_stream_per_receiver_drawn_for():
+    with counted_streams() as built:
+        channel = MulticastChannel(seed=9)
+        for i in range(10):
+            channel.subscribe(f"r{i}", BernoulliLoss(0.3))
+        assert built == []
+        for packet in range(5):
+            channel.multicast(packet, audience=["r1", "r4", "r7"])
+        assert sorted(built) == ["9/r1", "9/r4", "9/r7"]
+        channel.multicast("all")
+        channel.multicast("again")
+        assert sorted(built) == sorted(f"9/r{i}" for i in range(10))
+
+
+def test_lazy_streams_end_in_the_states_of_eager_ones():
+    rng = random.Random(4)
+    lazy, eager = MulticastChannel(seed=3), EagerStreamChannel(seed=3)
+    ids = [f"r{i}" for i in range(12)]
+    subscribed = set()
+    for step in range(300):
+        rid = rng.choice(ids)
+        roll = rng.random()
+        if rid not in subscribed:
+            for channel in (lazy, eager):
+                channel.subscribe(rid, BernoulliLoss(0.4))
+            subscribed.add(rid)
+        elif roll < 0.2:
+            for channel in (lazy, eager):
+                channel.unsubscribe(rid)
+            subscribed.discard(rid)
+        else:
+            # Some receivers not subscribed, some never drawn for so far.
+            audience = None if roll > 0.9 else rng.sample(ids, 4)
+            reports = [
+                channel.multicast(step, audience=audience)
+                for channel in (lazy, eager)
+            ]
+            assert reports[0] == reports[1]
+    assert subscribed
+    for rid in sorted(subscribed):
+        assert lazy.stream_of(rid).getstate() == eager.stream_of(rid).getstate()
+    assert (lazy.receptions, lazy.losses) == (eager.receptions, eager.losses)
+
+
+# ----------------------------------------------------------------------
+# (c) a deferred wrap is one tracked object
+# ----------------------------------------------------------------------
+
+
+def test_deferred_wrap_is_one_tracked_object():
+    keygen = KeyGenerator(2)
+    wrapping = keygen.generate("kek")
+    payloads = [keygen.generate(f"k{i}") for i in range(1000)]
+    wraps = [None] * 1000
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        with deferred_wraps():
+            for i, payload in enumerate(payloads):
+                wraps[i] = wrap_key(wrapping, payload)
+        grown = len(gc.get_objects()) - before
+    finally:
+        if was_enabled:
+            gc.enable()
+    # The instance and nothing else: no instance dict (a handful of
+    # objects of slack for the context manager and the loop itself).
+    assert 1000 <= grown < 1010
+    assert not any(wrap.materialized for wrap in wraps)
+
+
+def test_deferred_wrap_still_matches_its_eager_twin():
+    keygen = KeyGenerator(2)
+    wrapping, payload = keygen.generate("kek"), keygen.generate("dek")
+    eager = wrap_key(wrapping, payload)
+    with deferred_wraps():
+        lazy = wrap_key(wrapping, payload)
+    assert not lazy.materialized
+    # Pickled before anything read the ciphertext: still deferred after.
+    thawed = pickle.loads(pickle.dumps(lazy))
+    assert type(thawed) is type(lazy) and not thawed.materialized
+    assert lazy == eager and eager == lazy
+    assert hash(lazy) == hash(eager)
+    assert lazy.materialized
+    assert thawed == eager and hash(thawed) == hash(eager)
+    assert pickle.loads(pickle.dumps(lazy)).materialized
+    assert (lazy.wrapping_handle, lazy.payload_handle) == (
+        eager.wrapping_handle,
+        eager.payload_handle,
+    )
+    assert repr(lazy).replace("LazyEncryptedKey", "EncryptedKey") == repr(eager)
+
+
+# ----------------------------------------------------------------------
+# (d) events carry their arguments
+# ----------------------------------------------------------------------
+
+
+def test_events_carry_arguments_in_insertion_order():
+    loop = EventLoop()
+    log = []
+
+    def note(*args):
+        log.append(args)
+
+    loop.schedule(2.0, note, "b", 1)
+    loop.schedule(1.0, note, "a")
+    loop.schedule(2.0, note, "b", 2)
+    loop.schedule(2.0, lambda: log.append("closure"))
+    loop.schedule_in(2.0, note, "b", 3)
+    loop.schedule(3.0, note)
+    assert loop.run_until(10.0) == 6
+    assert log == [("a",), ("b", 1), ("b", 2), "closure", ("b", 3), ()]
+
+
+def test_member_events_share_one_bound_method():
+    sim = GroupRekeyingSimulation(
+        TwoPartitionServer(mode="tt", s_period=300, degree=4),
+        SimulationConfig(
+            horizon=0.0,
+            fault_schedule=FaultSchedule.of([ChurnStorm(at_time=0.0, joins=50)]),
+            cost_only=True,
+            verify=False,
+        ),
+    )
+    sim.run()
+    departures = [
+        event for event in sim.loop._heap if event[3] and event[3][0] in sim.members
+    ]
+    assert len(departures) == 50
+    assert len({id(event[2]) for event in departures}) == 1
+    # ... and one loss process per loss rate, not per member.
+    assert len({id(sim.channel.loss_of(rid)) for rid in sim.members}) == 1

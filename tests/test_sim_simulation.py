@@ -47,6 +47,49 @@ class TestSecurityInvariants:
         assert metrics.verification_checks == metrics.rekey_count > 0
 
 
+class TestJoinAttributes:
+    """Which attributes a scheme's ``join`` takes is decided once, when
+    the simulation is built; the same keywords reach every join."""
+
+    @pytest.mark.parametrize(
+        "make_server,expected",
+        [
+            (lambda: OneTreeServer(degree=4), set()),
+            (lambda: TwoPartitionServer(mode="tt", s_period=240.0), set()),
+            (lambda: TwoPartitionServer(mode="pt", s_period=240.0), {"member_class"}),
+            (
+                lambda: LossHomogenizedServer(class_rates=(0.2, 0.02), placement="loss"),
+                {"loss_rate"},
+            ),
+            (
+                lambda: LossHomogenizedServer(class_rates=(0.2, 0.02), placement="random"),
+                set(),
+            ),
+        ],
+    )
+    def test_scheme_attributes_reach_every_join(self, make_server, expected):
+        server = make_server()
+        seen = []
+        real_join = server.join
+
+        def join(member_id, at_time, **attributes):
+            seen.append(attributes)
+            return real_join(member_id, at_time=at_time, **attributes)
+
+        server.join = join
+        config = SimulationConfig(
+            **{**FAST, "loss_population": LossPopulation.two_point(), "seed": 3}
+        )
+        simulation = GroupRekeyingSimulation(server, config)
+        simulation.run()
+        assert len(seen) > 100
+        assert all(set(attributes) == expected for attributes in seen)
+        if "loss_rate" in expected:
+            assert {a["loss_rate"] for a in seen} == {0.2, 0.02}
+        if "member_class" in expected:
+            assert {a["member_class"] for a in seen} == {"Cs", "Cl"}
+
+
 class TestTransportIntegration:
     def test_wka_bkr_delivers_every_rekey(self):
         metrics = run(
