@@ -312,6 +312,7 @@ def unwrap_key(wrapping: KeyMaterial, encrypted: EncryptedKey) -> KeyMaterial:
     repro.crypto.AuthenticationError
         If the ciphertext fails authentication (forged or corrupted).
     """
+    perf_count("crypto.unwraps")
     if (
         wrapping.key_id != encrypted.wrapping_id
         or wrapping.version != encrypted.wrapping_version
@@ -350,6 +351,20 @@ class WrapIndex:
     :meth:`repro.members.member.Member.absorb`) test membership in it and
     iterate its lists directly, so a key id nothing is wrapped under costs
     them one dict probe and no call.
+
+    ``opened`` and ``opened_with`` are the opened-wrap table, ``position ->
+    payload key`` and ``position -> the wrapping secret that opened it``:
+    the receivers of one payload run in one process, and a wrap near the
+    root is opened from the same ciphertext under the same key by every
+    receiver below it.  :meth:`~repro.members.member.Member.absorb` stores
+    the first successful :func:`unwrap_key` at a position; a later
+    receiver takes the stored payload only if the secret it holds *is* the
+    stored one or has the same bytes, which is exactly when its own
+    decrypt would return the same thing.  A failed open is never stored.
+    The table holds plaintext keys, so it lives and dies with its payload
+    and is dropped on pickling; a rebuilt index starts empty.  (Two maps,
+    not one of pairs: a tuple per wrap is a collector-tracked object that
+    lives as long as the payload.)
     """
 
     def __init__(self, keys: Sequence[EncryptedKey]) -> None:
@@ -358,6 +373,18 @@ class WrapIndex:
             buckets.setdefault(ek.wrapping_id, []).append((position, ek))
         self.buckets = buckets
         self.size = len(keys)
+        self.opened: Dict[int, KeyMaterial] = {}
+        self.opened_with: Dict[int, bytes] = {}
+
+    # The opened-wrap table holds plaintext keys, so it never leaves the
+    # process: a pickled (or copied) index carries ciphertext records only.
+    def __getstate__(self) -> tuple:
+        return (self.buckets, self.size)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.buckets, self.size = state
+        self.opened = {}
+        self.opened_with = {}
 
     @classmethod
     def from_fragments(

@@ -14,6 +14,7 @@ decrypts pre-*t* data traffic.
 
 from __future__ import annotations
 
+from hmac import compare_digest
 from typing import Dict, Iterable, List, Optional
 
 from repro.crypto.cipher import AuthenticationError, decrypt
@@ -114,7 +115,14 @@ class Member:
             ``encrypted_keys``.  Callers delivering one payload to many
             members (the simulator, the conformance harness) pass the
             message's shared index so it is built once per message instead
-            of once per member.
+            of once per member — and so each wrap is decrypted once per
+            message: a wrap another receiver of the same index already
+            opened *with the identical secret* is taken from the index's
+            opened-wrap table instead of being decrypted again, after the
+            same version and novelty checks.  Without an index the member
+            builds a private one and opens everything itself, as a
+            deployed receiver does; what is learned, and in which order,
+            is the same either way.
 
         Returns the keys newly learned, in the order learned.
         """
@@ -126,26 +134,40 @@ class Member:
             )
         keys = self._keys
         buckets = index.buckets
+        opened = index.opened
+        opened_with = index.opened_with
         learned: List[KeyMaterial] = []
-        examined = 0
+        examined = shared = 0
         # Only held keys that something in this payload is wrapped under.
         frontier = [key_id for key_id in keys if key_id in buckets]
         while frontier:
             key_id = frontier.pop()
             wrapping = keys[key_id]
             wrapping_version = wrapping.version
+            secret = wrapping.secret
             bucket = buckets[key_id]
             examined += len(bucket)
-            for _, ek in bucket:
+            for position, ek in bucket:
                 if ek.wrapping_version != wrapping_version:
                     continue
                 current = keys.get(ek.payload_id)
                 if current is not None and current.version >= ek.payload_version:
                     continue
-                try:
-                    payload = unwrap_key(wrapping, ek)
-                except (AuthenticationError, ValueError):
-                    continue
+                # Same ciphertext, same secret: the decrypt another
+                # receiver of this index already ran is this one's too.
+                payload = opened.get(position)
+                if payload is not None and (
+                    opened_with[position] is secret
+                    or compare_digest(opened_with[position], secret)
+                ):
+                    shared += 1
+                else:
+                    try:
+                        payload = unwrap_key(wrapping, ek)
+                    except (AuthenticationError, ValueError):
+                        continue
+                    opened[position] = payload
+                    opened_with[position] = secret
                 payload_id = payload.key_id
                 keys[payload_id] = payload
                 learned.append(payload)
@@ -157,6 +179,8 @@ class Member:
             perf_count("member.wraps_examined", examined)
         if learned:
             perf_count("member.keys_learned", len(learned))
+        if shared:
+            perf_count("member.unwraps_shared", shared)
         return learned
 
     def apply_advances(self, advanced) -> List[KeyMaterial]:

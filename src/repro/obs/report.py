@@ -115,10 +115,16 @@ def build_summary(records: List[Dict[str, object]], top: int = 10) -> Dict[str, 
     # --- per-receiver histograms + Ne(N, L) check -------------------
     decrypts = metrics.get("receiver.keys_learned")
     bandwidth = metrics.get("receiver.interest_keys")
+    learned = _counter_total(metrics.get("member.keys_learned"))
+    shared = _counter_total(metrics.get("member.unwraps_shared"))
     receiver = {
         "mean_decrypts_per_delivery": _round(_mean(decrypts)),
         "mean_interest_keys_per_delivery": _round(_mean(bandwidth)),
         "deliveries": int(_merged_slot(decrypts)["count"]) if decrypts else 0,
+        # What the simulator paid, not what the protocol costs a member:
+        # the share of those decrypts another receiver of the same payload
+        # had already run (the WrapIndex opened-wrap table).
+        "shared_unwrap_share": _round(shared / learned) if learned else None,
     }
 
     analytic = None
@@ -230,6 +236,12 @@ def _gauge_value(entry: Optional[Dict[str, object]], default: float) -> float:
     return default
 
 
+def _counter_total(entry: Optional[Dict[str, object]]) -> float:
+    if not entry or entry.get("kind") != "counter":
+        return 0.0
+    return sum(entry.get("series", {}).values())
+
+
 def _round(value: Optional[float], digits: int = 3) -> Optional[float]:
     return None if value is None else round(value, digits)
 
@@ -271,6 +283,10 @@ def format_summary(summary: Dict[str, object]) -> str:
         lines.append(f"  deliveries:          {receiver['deliveries']}")
         lines.append(f"  mean decrypts:       {receiver['mean_decrypts_per_delivery']}")
         lines.append(f"  mean interest keys:  {receiver['mean_interest_keys_per_delivery']}")
+        if receiver["shared_unwrap_share"] is not None:
+            lines.append(
+                f"  served from table:   {receiver['shared_unwrap_share']:.1%} of decrypts"
+            )
     analytic = summary["analytic"]
     if analytic:
         lines.append("")

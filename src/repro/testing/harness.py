@@ -145,17 +145,24 @@ class ConformanceHarness:
 
         # Multicast delivery: live members AND evicted adversaries see the
         # full broadcast — secrecy must hold against the wire, not against
-        # polite receivers.
+        # polite receivers.  Adversaries go last: by then the payload's
+        # opened-wrap table holds every key a live member unwrapped.
         receivers = list(self.members.values()) + self.adversaries
         if result.advanced:
             for receiver in receivers:
                 receiver.apply_advances(result.advanced)
         if result.encrypted_keys:
-            for receiver in receivers:
-                receiver.absorb(result.encrypted_keys)
+            self._deliver(result, receivers)
 
         self._audit_after_delivery(result, freshly_admitted)
         return result
+
+    def _deliver(self, result: BatchResult, receivers: List[Member]) -> None:
+        """Every receiver absorbs the payload through its one shared index,
+        as the simulator delivers it."""
+        index = result.index()
+        for receiver in receivers:
+            receiver.absorb(result.encrypted_keys, index=index)
 
     def _audit_after_delivery(
         self, result: BatchResult, freshly_admitted: List[str]

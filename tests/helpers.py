@@ -6,6 +6,18 @@ product surface, usable by downstream deployments, not test-only code.
 These helpers stay for the low-level tree/rekeyer tests that predate it.
 """
 
+from repro.testing import ConformanceHarness
+
+
+class PrivateIndexHarness(ConformanceHarness):
+    """Delivers as a deployed group receives: every receiver indexes the
+    payload for itself and opens every wrap itself, so nothing is served
+    from a shared opened-wrap table."""
+
+    def _deliver(self, result, receivers):
+        for receiver in receivers:
+            receiver.absorb(result.encrypted_keys)
+
 
 def populate(rekeyer, count, prefix="m"):
     """Admit ``count`` members through one batch; returns their ids."""

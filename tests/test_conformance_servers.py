@@ -8,6 +8,7 @@ semantics, structural soundness and unicast recoverability for one
 
 import pytest
 
+from repro.perf.instrumentation import recording
 from repro.testing import (
     SCHEME_FACTORIES,
     ConformanceHarness,
@@ -18,6 +19,8 @@ from repro.testing import (
     standard_scenarios,
 )
 from repro.testing.conformance import S_PERIOD
+
+from tests.helpers import PrivateIndexHarness
 
 SPECS = scheme_specs()
 SCENARIOS = standard_scenarios(s_period=S_PERIOD)
@@ -33,6 +36,24 @@ def test_scheme_passes_scenario(spec, scenario):
         join_defaults=default_join_attributes,
     )
     assert harness.epochs == sum(1 for op in scenario.ops if op[0] == "rekey")
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+def test_scheme_passes_churn_mix_on_private_indexes(spec):
+    """The battery delivers through each payload's shared index, as the
+    simulator does; one scenario stays on the path a deployed receiver
+    takes, and the shared table leaves the decrypt count per batch alone."""
+    scenario = next(s for s in SCENARIOS if s.name == "churn-mix")
+    learned = []
+    for harness_cls in (PrivateIndexHarness, ConformanceHarness):
+        with recording() as recorder:
+            scenario.run(
+                harness_cls(spec.factory()),
+                attribute_filter=spec.attributes,
+                join_defaults=default_join_attributes,
+            )
+        learned.append(recorder.counter("member.keys_learned"))
+    assert learned[0] == learned[1] > 0
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)

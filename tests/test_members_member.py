@@ -1,11 +1,18 @@
 """Unit tests for the receiver-side key state machine."""
 
+import copy
+import pickle
+
 import pytest
 
+import repro.members.member as member_module
 from repro.crypto.cipher import AuthenticationError, encrypt
-from repro.crypto.material import KeyGenerator
-from repro.crypto.wrap import wrap_key
+from repro.crypto.material import KeyGenerator, KeyMaterial
+from repro.crypto.wrap import EncryptedKey, WrapIndex, wrap_key
+from repro.keytree.lkh import RekeyMessage
 from repro.members.member import Member
+from repro.perf.instrumentation import recording
+from repro.server.onetree import OneTreeServer
 
 
 @pytest.fixture
@@ -115,3 +122,187 @@ class TestDataPlane:
     def test_missing_group_key_raises_key_error(self, member):
         with pytest.raises(KeyError):
             member.decrypt_data("group/dek", b"n", b"\x00" * 32)
+
+
+class TestOpenedWrapTable:
+    """Receivers sharing one WrapIndex run each wrap's decrypt once."""
+
+    @pytest.fixture
+    def group(self, gen):
+        """Four members under one subtree key, a payload refreshing it and
+        the root: ``(members, subtree key, wraps)``."""
+        subtree = gen.generate("n1", version=1)
+        members = [
+            Member(name, gen.generate(f"member:{name}"))
+            for name in ("alice", "bob", "carol", "dave")
+        ]
+        for m in members:
+            m.install(subtree)
+        fresh = gen.rekey(subtree)
+        root = gen.generate("root", version=4)
+        return members, subtree, [wrap_key(fresh, root), wrap_key(subtree, fresh)]
+
+    @pytest.fixture
+    def unwraps(self, monkeypatch):
+        """Successful and failed real ``unwrap_key`` calls made by absorb."""
+        calls = {"ok": 0, "failed": 0}
+        real = member_module.unwrap_key
+
+        def counting(wrapping, encrypted):
+            try:
+                payload = real(wrapping, encrypted)
+            except (AuthenticationError, ValueError):
+                calls["failed"] += 1
+                raise
+            calls["ok"] += 1
+            return payload
+
+        monkeypatch.setattr(member_module, "unwrap_key", counting)
+        return calls
+
+    def test_one_real_unwrap_per_distinct_wrap(self, group, unwraps):
+        members, _, wraps = group
+        index = WrapIndex(wraps)
+        learned = [m.absorb(wraps, index=index) for m in members]
+        assert unwraps == {"ok": 2, "failed": 0}
+        assert sorted(index.opened) == sorted(index.opened_with) == [0, 1]
+        assert all(
+            [k.handle for k in got] == [("n1", 2), ("root", 4)] for got in learned
+        )
+        # Duplicate delivery of the same payload: nothing new, no cipher.
+        assert [m.absorb(wraps, index=index) for m in members] == [[]] * 4
+        assert unwraps == {"ok": 2, "failed": 0}
+
+    def test_private_indexes_open_everything_themselves(self, group, unwraps):
+        members, _, wraps = group
+        for m in members:
+            assert len(m.absorb(wraps)) == 2
+        assert unwraps == {"ok": 8, "failed": 0}
+
+    def test_counters_split_real_and_shared_unwraps(self, group):
+        members, _, wraps = group
+        index = WrapIndex(wraps)
+        with recording() as recorder:
+            for m in members:
+                m.absorb(wraps, index=index)
+        assert recorder.counter("member.keys_learned") == 8
+        assert recorder.counter("crypto.unwraps") == 2
+        assert recorder.counter("member.unwraps_shared") == 6
+
+    def test_table_interns_keys_without_coupling_members(self, group, gen):
+        members, _, wraps = group
+        index = WrapIndex(wraps)
+        for m in members:
+            m.absorb(wraps, index=index)
+        alice, bob = members[:2]
+        assert all(m.key("root") is alice.key("root") for m in members)
+        assert all(m.key("n1") is alice.key("n1") for m in members)
+        alice.drop_keys(["root"])
+        alice.install(gen.generate("n1", version=9))
+        assert bob.holds("root", 4) and bob.key("n1").version == 2
+        assert index.opened[0].handle == ("root", 4)
+
+    def test_equal_secret_in_another_object_is_served(self, group, unwraps, gen):
+        """Siblings that learned a key from different wraps hold equal
+        copies, not one object: the byte comparison covers them."""
+        members, subtree, wraps = group
+        index = WrapIndex(wraps)
+        members[0].absorb(wraps, index=index)
+        twin = Member("erin", gen.generate("member:erin"))
+        twin.install(KeyMaterial(subtree.key_id, subtree.version, subtree.secret))
+        assert twin.key("n1") is not subtree
+        assert len(twin.absorb(wraps, index=index)) == 2
+        assert unwraps == {"ok": 2, "failed": 0}
+
+    def test_right_handle_wrong_secret_reaches_the_cipher(self, group, unwraps, gen):
+        members, subtree, wraps = group
+        index = WrapIndex(wraps)
+        for m in members:
+            m.absorb(wraps, index=index)
+        impostor = Member("mallory", gen.generate("member:mallory"))
+        impostor.install(gen.generate(subtree.key_id, version=subtree.version))
+        assert impostor.key("n1").secret != subtree.secret
+        before = dict(index.opened), dict(index.opened_with)
+        assert impostor.absorb(wraps, index=index) == []
+        assert unwraps == {"ok": 2, "failed": 1}
+        assert not impostor.holds("root")
+        assert (index.opened, index.opened_with) == before
+
+    def test_tampered_wrap_is_never_stored(self, group, unwraps):
+        members, _, wraps = group
+        good = wraps[1]
+        flipped = bytes([good.ciphertext[0] ^ 1]) + good.ciphertext[1:]
+        wraps[1] = EncryptedKey(
+            good.wrapping_id,
+            good.wrapping_version,
+            good.payload_id,
+            good.payload_version,
+            flipped,
+        )
+        index = WrapIndex(wraps)
+        assert [m.absorb(wraps, index=index) for m in members] == [[]] * 4
+        assert unwraps == {"ok": 0, "failed": 4}
+        assert index.opened == index.opened_with == {}
+
+    def test_stale_version_holder_never_reads_the_table(self, group, gen):
+        members, subtree, wraps = group
+
+        class Unreadable(dict):
+            def get(self, *args):
+                raise AssertionError("version check must come first")
+
+        index = WrapIndex(wraps)
+        for m in members:
+            m.absorb(wraps, index=index)
+        stale = Member("old", gen.generate("member:old"))
+        stale.install(gen.generate(subtree.key_id, version=subtree.version - 1))
+        index.opened = Unreadable(index.opened)
+        assert stale.absorb(wraps, index=index) == []
+
+    def test_evicted_member_learns_nothing_from_a_full_table(self):
+        server = OneTreeServer(degree=2)
+        members = {}
+        for name in "abcdefgh":
+            members[name] = Member(name, server.join(name).individual_key)
+        result = server.rekey()
+        for m in members.values():
+            m.absorb(result.encrypted_keys, index=result.index())
+        server.leave("c")
+        evicted = members.pop("c")
+        result = server.rekey()
+        index = result.index()
+        for m in members.values():
+            assert m.absorb(result.encrypted_keys, index=index)
+        assert len(index.opened) == len(result.encrypted_keys)
+        assert evicted.absorb(result.encrypted_keys, index=index) == []
+        dek = server.group_key()
+        assert all(m.holds(dek.key_id, dek.version) for m in members.values())
+        assert not evicted.holds(dek.key_id, dek.version)
+
+    def test_table_never_leaves_the_process(self, group):
+        members, _, wraps = group
+        message = RekeyMessage(group="g", epoch=1, encrypted_keys=list(wraps))
+        index = message.index()
+        for m in members:
+            m.absorb(message.encrypted_keys, index=index)
+        assert len(index.opened) == 2
+        blob = pickle.dumps(message)
+        for secret in [k.secret for k in index.opened.values()] + list(
+            index.opened_with.values()
+        ):
+            assert secret not in blob
+        restored = pickle.loads(blob).index()
+        assert restored.opened == restored.opened_with == {}
+        assert restored.buckets == index.buckets and restored.size == index.size
+        assert copy.deepcopy(index).opened == {}
+
+    def test_rebuilt_index_starts_empty(self, group, gen):
+        members, _, wraps = group
+        message = RekeyMessage(group="g", epoch=1, encrypted_keys=list(wraps))
+        members[0].absorb(message.encrypted_keys, index=message.index())
+        assert message.index().opened
+        message.encrypted_keys.append(
+            wrap_key(gen.generate("x"), gen.generate("y"))
+        )
+        assert message.index().size == 3
+        assert message.index().opened == message.index().opened_with == {}

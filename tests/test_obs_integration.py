@@ -103,6 +103,51 @@ def test_sharded_workers_merge_matches_serial_totals(backend, workers):
     assert totals[backend] == totals["serial"]
 
 
+def unwrap_totals(server):
+    """Wrap/unwrap counters of one observed lossy run; closes the server."""
+    from repro.transport.wka_bkr import WkaBkrProtocol
+
+    with obs_metrics.collecting() as registry:
+        GroupRekeyingSimulation(
+            server,
+            small_config(
+                transport=WkaBkrProtocol(keys_per_packet=16),
+                loss_population=LossPopulation.two_point(),
+            ),
+        ).run()
+        if isinstance(server, ShardedOneTreeServer):
+            server.close()
+    return {
+        name: registry.counter_total(name)
+        for name in (
+            "crypto.wraps",
+            "crypto.unwraps",
+            "member.keys_learned",
+            "member.unwraps_shared",
+        )
+    }
+
+
+def test_every_learned_key_is_one_real_or_one_shared_unwrap():
+    """Receivers of a payload share its opened-wrap table: each wrap is
+    decrypted at most once, and what the cipher ran plus what the table
+    served is the protocol's decryption count — on any backend."""
+    one = unwrap_totals(OneTreeServer(degree=4))
+    serial = unwrap_totals(
+        ShardedOneTreeServer(shards=4, degree=4, backend="serial", workers=1)
+    )
+    pooled = unwrap_totals(
+        ShardedOneTreeServer(shards=4, degree=4, backend="process", workers=4)
+    )
+    assert pooled == serial
+    for totals in (one, serial):
+        assert totals["member.unwraps_shared"] > totals["crypto.unwraps"] > 0
+        assert totals["crypto.unwraps"] <= totals["crypto.wraps"]
+        assert totals["member.keys_learned"] == (
+            totals["crypto.unwraps"] + totals["member.unwraps_shared"]
+        )
+
+
 def test_sharded_shard_spans_and_labeled_metrics():
     with obs.observe() as bundle:
         server = ShardedOneTreeServer(shards=4, degree=4)

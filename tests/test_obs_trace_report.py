@@ -23,6 +23,8 @@ def observed_run():
         bundle.registry.observe("epoch.departures", 1)
         bundle.registry.observe("receiver.keys_learned", 3)
         bundle.registry.observe("receiver.interest_keys", 3)
+        bundle.registry.inc("member.keys_learned", 3)
+        bundle.registry.inc("member.unwraps_shared", 2)
         bundle.registry.set_gauge("server.degree", 4)
     return bundle
 
@@ -78,6 +80,7 @@ def test_summary_reports_spans_shards_and_analytic(tmp_path):
 
     assert summary["receiver"]["deliveries"] == 1
     assert summary["receiver"]["mean_decrypts_per_delivery"] == 3
+    assert summary["receiver"]["shared_unwrap_share"] == 0.667
 
     analytic = summary["analytic"]
     assert analytic["degree"] == 4
@@ -88,6 +91,7 @@ def test_summary_reports_spans_shards_and_analytic(tmp_path):
     assert "top spans" in text
     assert "imbalance" in text
     assert "Ne(N, L)" in text
+    assert "served from table:   66.7% of decrypts" in text
 
 
 def test_summary_top_limit():

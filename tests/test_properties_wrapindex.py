@@ -6,13 +6,18 @@ results to the naive reference implementations — including order — over
 randomized batches, so the optimization can never drift semantically.
 """
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.material import KeyGenerator
 from repro.crypto.wrap import EncryptedKey, WrapIndex
 from repro.keytree.lkh import LkhRekeyer, RekeyMessage
 from repro.keytree.tree import KeyTree
+from repro.members.member import Member
+from repro.perf.instrumentation import recording
+from repro.testing import SCHEME_FACTORIES
+from repro.testing.strategies import churn_programs, execute_program
 
 KEY_IDS = [f"k{i}" for i in range(12)]
 
@@ -172,3 +177,90 @@ def test_interest_of_matches_naive_on_real_rekey_messages(count, degree, data):
         assert message.interest_of(held[m]) == naive_interest(
             message.encrypted_keys, held[m]
         )
+
+
+class TwinPopulations:
+    """The harness surface :func:`execute_program` drives, over two
+    populations fed the same payloads: one absorbs through the payload's
+    shared index (and so through its opened-wrap table), its twin through
+    a private index per receiver, opening every wrap itself.  Evicted
+    members keep listening in both, last, as the harness's adversaries do.
+    """
+
+    def __init__(self, server):
+        self.server = server
+        self.now = 0.0
+        self.shared = {}
+        self.private = {}
+        self.evicted = []
+        self.table_hits = 0
+
+    def advance_time(self, seconds):
+        self.now += seconds
+
+    def join(self, member_id, **attributes):
+        key = self.server.join(member_id, at_time=self.now, **attributes).individual_key
+        self.shared[member_id] = Member(member_id, key)
+        self.private[member_id] = Member(member_id, key)
+
+    def leave(self, member_id):
+        self.server.leave(member_id, at_time=self.now)
+        self.evicted.append(member_id)
+
+    def rekey(self):
+        result = self.server.rekey(now=self.now)
+        order = [m for m in self.shared if m not in self.evicted] + self.evicted
+        index = result.index()
+        with recording() as through_table:
+            got_shared = [
+                self.shared[m].apply_advances(result.advanced)
+                + self.shared[m].absorb(result.encrypted_keys, index=index)
+                for m in order
+            ]
+        with recording() as alone:
+            got_private = [
+                self.private[m].apply_advances(result.advanced)
+                + self.private[m].absorb(list(result.encrypted_keys))
+                for m in order
+            ]
+        # KeyMaterial compares by (id, version, secret): order included.
+        assert got_shared == got_private
+        for m in order:
+            assert self.shared[m]._keys == self.private[m]._keys
+        for name in ("member.keys_learned", "member.wraps_examined"):
+            assert through_table.counter(name) == alone.counter(name)
+        assert alone.counter("member.unwraps_shared") == 0
+        assert alone.counter("crypto.unwraps") == alone.counter("member.keys_learned")
+        assert through_table.counter("crypto.unwraps") == len(index.opened)
+        self.table_hits += through_table.counter("member.unwraps_shared")
+
+
+@pytest.mark.parametrize("scheme", ["one-keytree", "tt"])
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(program=churn_programs(min_size=8, max_size=60))
+def test_shared_table_matches_private_indexes_under_churn(scheme, program):
+    spec = SCHEME_FACTORIES[scheme]
+    twins = execute_program(
+        TwinPopulations(spec.factory()),
+        program,
+        attribute_filter=spec.attributes,
+        resync_at_end=False,
+    )
+    if twins.server.size:
+        dek = twins.server.group_key()
+        for member_id, member in twins.shared.items():
+            if member_id not in twins.evicted:
+                assert member.holds(dek.key_id, dek.version)
+
+
+def test_twin_populations_exercise_the_table():
+    """The oracle above is not vacuous: a plain churn program is served
+    from the table many times over."""
+    spec = SCHEME_FACTORIES["one-keytree"]
+    program = [("join",)] * 20 + [("rekey",), ("leave",), ("leave",), ("rekey",)]
+    twins = execute_program(
+        TwinPopulations(spec.factory()), program, resync_at_end=False
+    )
+    assert twins.table_hits > 20

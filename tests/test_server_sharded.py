@@ -10,6 +10,7 @@ a strict generalization, not a different scheme.
 """
 
 import json
+import pickle
 
 import pytest
 
@@ -258,3 +259,39 @@ class TestShardedSnapshot:
             )
         server.close()
         twin.close()
+
+
+class TestOpenedTableStaysHome:
+    """A batch result that crossed the process backend's worker pipe is
+    delivered through one shared index; pickling the delivered result
+    again ships ciphertext only, never the keys receivers opened."""
+
+    def test_process_backend_result_round_trips_without_the_table(self):
+        server = ShardedOneTreeServer(
+            shards=4, workers=2, backend="process", degree=4
+        )
+        try:
+            regs = {f"m{i}": server.join(f"m{i}", 0.0) for i in range(24)}
+            result = server.rekey(now=0.0)
+            dek = server.group_key()
+        finally:
+            server.close()
+        index = result.index()
+        members = [Member(m, reg.individual_key) for m, reg in regs.items()]
+        for member in members:
+            member.absorb(result.encrypted_keys, index=index)
+        assert all(m.holds(dek.key_id, dek.version) for m in members)
+        assert len(index.opened) >= len(members)
+
+        blob = pickle.dumps(result)
+        assert all(payload.secret not in blob for payload in index.opened.values())
+        assert all(secret not in blob for secret in index.opened_with.values())
+        shipped = pickle.loads(blob)
+        assert shipped.encrypted_keys == result.encrypted_keys
+        assert shipped.index().opened == shipped.index().opened_with == {}
+        assert shipped.index().buckets == index.buckets
+        assert shipped.index().size == index.size
+        # The far side opens everything itself and reaches the same keys.
+        late = Member("m0", regs["m0"].individual_key)
+        late.absorb(shipped.encrypted_keys, index=shipped.index())
+        assert late.held_versions() == members[0].held_versions()

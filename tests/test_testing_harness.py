@@ -18,11 +18,13 @@ from repro.testing import (
     ShadowGroup,
 )
 
+from tests.helpers import PrivateIndexHarness
+
 CHURN = Scenario.parse("+a +b +c . -b .", name="churn")
 
 
-def run_against(server, scenario=CHURN):
-    return scenario.run(ConformanceHarness(server))
+def run_against(server, scenario=CHURN, harness_cls=ConformanceHarness):
+    return scenario.run(harness_cls(server))
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +103,7 @@ class BrokenResyncServer(OneTreeServer):
         return super()._current_keys_of(member_id)[:-1]
 
 
-@pytest.mark.parametrize(
+mutants = pytest.mark.parametrize(
     "server_cls, fragment",
     [
         (NoRefreshServer, "no key material"),
@@ -113,9 +115,20 @@ class BrokenResyncServer(OneTreeServer):
     ],
     ids=lambda v: getattr(v, "__name__", v),
 )
+
+
+@mutants
 def test_harness_rejects_mutant(server_cls, fragment):
     with pytest.raises(InvariantViolation, match=fragment):
         run_against(server_cls())
+
+
+@mutants
+def test_harness_rejects_mutant_on_private_indexes(server_cls, fragment):
+    """Same verdicts when every receiver opens every wrap itself instead
+    of sharing the payload's index and its opened-wrap table."""
+    with pytest.raises(InvariantViolation, match=fragment):
+        run_against(server_cls(), harness_cls=PrivateIndexHarness)
 
 
 def test_harness_rejects_broken_resync():
