@@ -4,55 +4,17 @@ Every benchmark regenerates one of the paper's tables/figures (or an
 ablation) and, besides timing it, writes the regenerated rows to
 ``benchmarks/out/<name>.txt`` so the reproduction artifacts survive the
 run (pytest captures stdout by default).
-
-The suite also records each benchmark's wall-clock (the ``call`` phase
-duration pytest already measures) into a session-scoped
-``benchmarks/out/bench_times.json``, so timing drift across PRs can be
-diffed without re-reading terminal output.
 """
 
 import sys
-import time
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).parent
 OUT_DIR = BENCH_DIR / "out"
-TIMES_FILE = OUT_DIR / "bench_times.json"
 
 sys.path.insert(0, str(BENCH_DIR))
 sys.path.insert(0, str(BENCH_DIR.parent / "src"))
 
-from repro.perf.timesfile import merge_update  # noqa: E402
-
-_bench_times = {}
-_session_start = None
-
 
 def pytest_configure(config):
-    global _session_start
     OUT_DIR.mkdir(exist_ok=True)
-    _session_start = time.time()
-
-
-def pytest_runtest_logreport(report):
-    # One entry per benchmark: the body ("call" phase) wall-clock.
-    if report.when == "call":
-        _bench_times[report.nodeid] = round(report.duration, 4)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _bench_times:
-        return
-    # Atomic merge-preserve of foreign keys (``python -m repro bench``
-    # records its session under "repro_bench" in the same file).
-    merge_update(
-        TIMES_FILE,
-        {
-            "session_wall_s": (
-                round(time.time() - _session_start, 4)
-                if _session_start is not None
-                else None
-            ),
-            "benchmarks": dict(sorted(_bench_times.items())),
-        },
-    )

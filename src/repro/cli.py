@@ -7,7 +7,6 @@ Commands
 ``selfcheck`` run the security-conformance battery over every scheme
 ``validate``  run the model-vs-simulation cross validation
 ``simulate``  run one end-to-end simulated session and summarize it
-``bench``     run the hot-path scenario matrix, emit BENCH_hotpath.json
 ``metrics``   run a small observed session and dump the metrics exposition
 ``trace``     generate a synthetic MBone-style membership trace
 ``trace summarize`` summarize an observability trace file (spans/events)
@@ -15,13 +14,11 @@ Commands
 ``obs serve`` run an observed session with a live Prometheus endpoint
 ``tracestats`` summarize a trace file ([AA97]-style statistics)
 
-``simulate``, ``bench`` and ``chaos`` accept ``--trace [FILE]`` and
+``simulate`` and ``chaos`` accept ``--trace [FILE]`` and
 ``--metrics [FILE]`` to run under the :mod:`repro.obs` observability
 layer and write a JSONL trace / Prometheus exposition of the run, plus
 ``--serve [PORT]`` to expose the live metrics registry over HTTP while
-the run is in flight.  ``bench --compare BASELINE.json`` diffs the fresh
-report against a committed baseline: cost-metric regressions fail, wall
--time deltas from non-comparable hosts only warn.
+the run is in flight.
 """
 
 from __future__ import annotations
@@ -125,33 +122,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if worst < 0.35 else 1
 
 
-def _apply_crypto_env(args: argparse.Namespace) -> None:
-    """Project ``--threads``/``--arena`` onto the crypto env switches.
-
-    Schemes that build their rekeyers internally (the two-partition and
-    loss-homogenized servers, every server the chaos harness constructs)
-    pick the knobs up from ``REPRO_BULK_THREADS``/``REPRO_SECRET_ARENA``;
-    setting the env here is the one mechanism that reaches all of them.
-    Both knobs are execution-only — payload bytes never change.  An
-    oversubscribed thread budget is reported, not silently accepted.
-    """
-    import os
-
-    from repro.crypto.bulk import THREADS_ENV, thread_oversubscription_warning
-
-    threads = getattr(args, "threads", None)
-    arena = getattr(args, "arena", None)
-    if threads is not None:
-        os.environ[THREADS_ENV] = str(threads)
-    if arena:
-        from repro.crypto.arena import ARENA_ENV
-
-        os.environ[ARENA_ENV] = "1"
-    warning = thread_oversubscription_warning(threads)
-    if warning is not None:
-        print(f"warning: {warning}", file=sys.stderr)
-
-
 def _build_server(
     scheme: str,
     degree: int,
@@ -160,8 +130,6 @@ def _build_server(
     workers: int = 1,
     backend: str = "serial",
     tree_kernel: str = "object",
-    threads: Optional[int] = None,
-    arena: Optional[bool] = None,
 ):
     from repro.server.losshomog import LossHomogenizedServer
     from repro.server.onetree import OneTreeServer
@@ -169,12 +137,7 @@ def _build_server(
     from repro.server.twopartition import TwoPartitionServer
 
     if scheme == "one":
-        return OneTreeServer(
-            degree=degree,
-            tree_kernel=tree_kernel,
-            threads=threads,
-            arena=arena,
-        )
+        return OneTreeServer(degree=degree, tree_kernel=tree_kernel)
     if scheme == "sharded":
         return ShardedOneTreeServer(
             shards=shards,
@@ -182,8 +145,6 @@ def _build_server(
             backend=backend,
             degree=degree,
             tree_kernel=tree_kernel,
-            threads=threads,
-            arena=arena,
         )
     if scheme in ("qt", "tt", "pt"):
         return TwoPartitionServer(mode=scheme, s_period=s_period, degree=degree)
@@ -261,7 +222,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.quick:
         args.horizon = min(args.horizon, 600.0)
         args.warmup = min(args.warmup, 2)
-    _apply_crypto_env(args)
     server = _build_server(
         args.scheme,
         args.degree,
@@ -270,8 +230,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         workers=args.workers,
         backend=args.backend,
         tree_kernel=args.tree_kernel,
-        threads=args.threads,
-        arena=args.arena,
     )
     transport = _build_transport(args.transport)
     needs_population = transport is not None or args.scheme in (
@@ -314,250 +272,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _record_bench_session(report: dict, out: str) -> None:
-    """Append this ``repro bench`` session to ``benchmarks/out/bench_times.json``.
-
-    Merge-preserves whatever the pytest benchmark suite (or an earlier
-    session) already wrote there, through the atomic
-    :func:`repro.perf.timesfile.merge_update` (temp file + ``os.replace``
-    so a crashed or concurrent writer can't truncate the file).
-    """
-    from pathlib import Path
-
-    from repro.perf.timesfile import merge_update
-
-    times_file = Path("benchmarks") / "out" / "bench_times.json"
-    merge_update(
-        times_file,
-        {
-            "repro_bench": {
-                "out": out,
-                "quick": report["quick"],
-                "workers": report["workers"],
-                "cpus": report["cpus"],
-                "scenarios": {
-                    cell["name"]: {
-                        "total_s": cell["optimized"]["total_s"],
-                        "shards": cell["shards"],
-                        "workers": cell["workers"],
-                        "backend": cell["backend"],
-                    }
-                    for cell in report["scenarios"]
-                },
-            }
-        },
-    )
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import profile_scenario, run_bench
-
-    _apply_crypto_env(args)
-    if args.profile:
-        try:
-            out_path = profile_scenario(
-                args.profile,
-                quick=args.quick,
-                reps=args.profile_reps,
-                threads=args.threads,
-                arena=args.arena,
-            )
-        except KeyError as exc:
-            print(f"ERROR: {exc.args[0]}", file=sys.stderr)
-            return 2
-        print(f"wrote {out_path}")
-        from pathlib import Path
-
-        for line in Path(out_path).read_text().splitlines()[:12]:
-            print(line)
-        return 0
-
-    with _observed(args):
-        report = run_bench(
-            out_path=args.out,
-            quick=args.quick,
-            progress=print,
-            workers=args.workers,
-            record_env=args.record_env,
-        )
-    print(f"wrote {args.out}")
-    _record_bench_session(report, args.out)
-    worst = None
-    for scenario in report["scenarios"]:
-        if scenario["speedup"] is not None:
-            worst = (
-                scenario["speedup"]
-                if worst is None
-                else min(worst, scenario["speedup"])
-            )
-    if worst is not None:
-        print(f"worst optimized-vs-baseline speedup: {worst:.1f}x")
-    mismatched = [
-        cell["name"]
-        for cell in report["scenarios"]
-        if cell["mean_batch_cost_matches_serial"] is False
-    ]
-    if mismatched:
-        print(
-            "ERROR: backend changed mean_batch_cost in: " + ", ".join(mismatched),
-            file=sys.stderr,
-        )
-        return 1
-    kernel_mismatched = [
-        cell["name"]
-        for cell in report["scenarios"]
-        if cell.get("mean_batch_cost_matches_object") is False
-    ]
-    if kernel_mismatched:
-        print(
-            "ERROR: flat kernel changed mean_batch_cost in: "
-            + ", ".join(kernel_mismatched),
-            file=sys.stderr,
-        )
-        return 1
-    bulk_mismatched = [
-        cell["name"]
-        for cell in report["scenarios"]
-        if cell.get("mean_batch_cost_matches_flat") is False
-    ]
-    if bulk_mismatched:
-        print(
-            "ERROR: bulk crypto engine changed mean_batch_cost in: "
-            + ", ".join(bulk_mismatched),
-            file=sys.stderr,
-        )
-        return 1
-    thread_mismatched = [
-        cell["name"]
-        for cell in report["scenarios"]
-        if cell.get("mean_batch_cost_matches_bulk") is False
-    ]
-    if thread_mismatched:
-        print(
-            "ERROR: threaded wrap engine / arena changed mean_batch_cost "
-            "in: " + ", ".join(thread_mismatched),
-            file=sys.stderr,
-        )
-        return 1
-    # Bulk speedup floor: at >= 100k members the vectorized engine must
-    # beat the object kernel by 3x on cost-only cells — but only where
-    # there are cores to run on; a starved host gets a note, not a fail.
-    bulk_cells = [
-        (cell["name"], cell["speedup_vs_object"])
-        for cell in report["scenarios"]
-        if cell.get("bulk")
-        and cell["mode"] == "cost-only"
-        and cell["members"] >= 100_000
-        and cell.get("speedup_vs_object") is not None
-    ]
-    if bulk_cells and report["cpus"] < 2:
-        print(
-            f"note: single-CPU host (cpus={report['cpus']}); "
-            "bulk speedup floor not enforced"
-        )
-    elif bulk_cells:
-        slow = [(name, s) for name, s in bulk_cells if s < 3.0]
-        if slow:
-            print(
-                f"ERROR: bulk cost-only speedup below the 3.0x floor vs "
-                f"the object kernel on a {report['cpus']}-CPU host: {slow}",
-                file=sys.stderr,
-            )
-            return 1
-    # Threaded-wrap floor: at >= 100k members the worker threads + arena
-    # must beat the single-threaded bulk engine — again only where there
-    # are cores for the HMAC workers to run on.
-    threaded_cells = [
-        (cell["name"], cell["speedup_vs_bulk"])
-        for cell in report["scenarios"]
-        if cell["mode"] == "cost-only"
-        and cell["members"] >= 100_000
-        and cell.get("speedup_vs_bulk") is not None
-    ]
-    if threaded_cells and report["cpus"] < 2:
-        print(
-            f"note: single-CPU host (cpus={report['cpus']}); "
-            "speedup_vs_bulk reflects thread-pool overhead, floor not "
-            "enforced"
-        )
-    elif threaded_cells:
-        slow = [(name, s) for name, s in threaded_cells if s < 1.0]
-        if slow:
-            print(
-                f"ERROR: threaded wrap speedup below 1.0x vs the "
-                f"single-threaded bulk engine on a {report['cpus']}-CPU "
-                f"host: {slow}",
-                file=sys.stderr,
-            )
-            return 1
-    # The parallel-speedup floor is cpu-aware: on a single usable core a
-    # process pool cannot beat serial, so only the determinism gates above
-    # are meaningful there (BENCH_hotpath.json was once recorded on a
-    # 1-CPU box, making speedup_vs_serial < 1 look like a regression).
-    parallel_cells = [
-        (cell["name"], cell["speedup_vs_serial"])
-        for cell in report["scenarios"]
-        if cell["speedup_vs_serial"] is not None
-    ]
-    if parallel_cells and report["cpus"] < 2:
-        print(
-            f"note: single-CPU host (cpus={report['cpus']}); "
-            "speedup_vs_serial reflects pool overhead, not a regression"
-        )
-    elif parallel_cells:
-        slow = [(name, s) for name, s in parallel_cells if s < 1.0]
-        if slow:
-            print(
-                f"ERROR: sharded speedup below 1.0x vs serial on a "
-                f"{report['cpus']}-CPU host: {slow}",
-                file=sys.stderr,
-            )
-            return 1
-    overhead = report.get("obs_overhead")
-    if overhead is not None and not overhead["pass"]:
-        worst = max(overhead["disabled_ns"].values())
-        print(
-            f"ERROR: disabled observability probes cost {worst:.0f} ns/call "
-            f"(budget {overhead['budget_ns']:.0f} ns)",
-            file=sys.stderr,
-        )
-        return 1
-    if report["peak_rss_kb"] is not None:
-        print(f"peak RSS: {report['peak_rss_kb'] / 1024:.0f} MiB")
-    if getattr(args, "compare", None):
-        return _compare_bench_baseline(report, args.compare)
-    return 0
-
-
-def _compare_bench_baseline(report: dict, baseline_path: str) -> int:
-    """``repro bench --compare``: diff the fresh report against a baseline."""
-    import json
-    from pathlib import Path
-
-    from repro.perf.bench import compare_reports
-
-    try:
-        baseline = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"ERROR: cannot read baseline {baseline_path}: {exc}", file=sys.stderr)
-        return 2
-    diff = compare_reports(report, baseline)
-    print(
-        f"compare vs {baseline_path}: {len(diff['compared'])} cells compared, "
-        f"{len(diff['skipped'])} skipped"
-    )
-    for line in diff["skipped"]:
-        print(f"  skipped {line}")
-    for line in diff["warnings"]:
-        print(f"WARNING: {line}")
-    for line in diff["failures"]:
-        print(f"ERROR: {line}", file=sys.stderr)
-    if diff["failures"]:
-        return 1
-    print("compare: no cost regressions")
-    return 0
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.chaos import STANDARD_SCHEMES, run_chaos
     from repro.faults.schedule import STANDARD_SCHEDULES
@@ -570,7 +284,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         if args.schedules
         else tuple(STANDARD_SCHEDULES) + ("randomized",)
     )
-    _apply_crypto_env(args)
     if args.quick:
         schemes = schemes[:2]
         schedules = tuple(
@@ -870,24 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(results are identical to --workers 1)"
     )
 
-    def add_crypto_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            metavar="N",
-            help="wrap-engine HMAC worker threads (default: "
-            "REPRO_BULK_THREADS or auto; execution only, payload bytes "
-            "are identical at any thread count)",
-        )
-        p.add_argument(
-            "--arena",
-            action="store_true",
-            default=None,
-            help="plan bulk wraps from the persistent secret arena "
-            "(zero-copy; execution only, payload bytes are identical)",
-        )
-
     p = sub.add_parser("figures", help="regenerate the paper's figure tables")
     p.add_argument(
         "figure", choices=FIGURES + ("all",), nargs="?", default="all"
@@ -986,62 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="CI-sized session (caps --horizon at 600 s and --warmup at 2)",
     )
-    add_crypto_flags(p)
     add_obs_flags(p, "simulate")
     p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser(
-        "bench",
-        help="run the hot-path benchmark matrix and emit BENCH_hotpath.json",
-    )
-    p.add_argument(
-        "--quick", action="store_true", help="CI-sized matrix (1k/10k members)"
-    )
-    p.add_argument(
-        "--out",
-        default="BENCH_hotpath.json",
-        help="where to write the JSON report",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="run whole scenarios over a process pool of N workers",
-    )
-    p.add_argument(
-        "--profile",
-        metavar="SCENARIO",
-        help="run one named scenario under cProfile and write the top-25 "
-        "cumulative-time table to benchmarks/out/profile_<name>.txt "
-        "(skips the rest of the matrix; --threads/--arena override the "
-        "cell's wrap-engine config)",
-    )
-    p.add_argument(
-        "--profile-reps",
-        type=int,
-        default=3,
-        metavar="N",
-        help="repetitions aggregated into the --profile table (steady-state "
-        "rekeying cost instead of one build-dominated run)",
-    )
-    p.add_argument(
-        "--record-env",
-        action="store_true",
-        help="embed a recording-environment snapshot (usable CPUs, load, "
-        "interpreter/numpy versions) in the report; use when committing "
-        "the output as a baseline",
-    )
-    p.add_argument(
-        "--compare",
-        metavar="BASELINE",
-        default=None,
-        help="diff the fresh report against a committed BENCH_hotpath.json: "
-        "cost-metric regressions fail (exit 1); wall-time deltas fail only "
-        "when the hosts are comparable, otherwise warn",
-    )
-    add_crypto_flags(p)
-    add_obs_flags(p, "bench")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "chaos",
@@ -1068,7 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out", default="BENCH_chaos.json", help="where to write the report"
     )
-    add_crypto_flags(p)
     add_obs_flags(p, "chaos")
     p.set_defaults(func=_cmd_chaos)
 

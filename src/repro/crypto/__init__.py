@@ -24,16 +24,6 @@ Public API
                             cost-only mode: postpone wrap ciphertexts
 """
 
-from repro.crypto.arena import SecretArena, arena_enabled
-from repro.crypto.bulk import (
-    PackedWraps,
-    bulk_enabled,
-    derive_secret_list,
-    derive_secrets,
-    encrypt_wrap_rows,
-    resolve_threads,
-    thread_oversubscription_warning,
-)
 from repro.crypto.cipher import AuthenticationError, decrypt, encrypt
 from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.crypto.wrap import (
@@ -54,21 +44,12 @@ __all__ = [
     "KeyGenerator",
     "KeyMaterial",
     "LazyEncryptedKey",
-    "PackedWraps",
     "PlannedEncryptedKey",
-    "SecretArena",
     "WrapIndex",
-    "arena_enabled",
-    "bulk_enabled",
     "decrypt",
     "deferred_wraps",
-    "derive_secret_list",
-    "derive_secrets",
     "encrypt",
-    "encrypt_wrap_rows",
-    "resolve_threads",
     "set_wrap_mode",
-    "thread_oversubscription_warning",
     "unwrap_key",
     "wrap_key",
     "wrap_mode",

@@ -67,13 +67,12 @@ def key_states(key: bytes) -> Tuple[HmacState, HmacState]:
 
     The two subkeys are ``HMAC(key, "repro-enc")`` and
     ``HMAC(key, "repro-mac")``; what is kept is each subkey's pre-keyed
-    state, which is all :func:`encrypt`, :func:`decrypt` and the bulk wrap
-    engine need.  This is the module's only cache.  It is bounded at 1024
-    keys: a key near the root of a key tree is unwrapped under by a large
-    share of the group within one epoch and stays resident, while the long
-    tail of leaf-level keys (each used by a handful of receivers) cycles
-    through.  A cached entry is key-equivalent secret material — see
-    docs/security.md.
+    state, which is all :func:`encrypt` and :func:`decrypt` need.  This is
+    the module's only cache.  It is bounded at 1024 keys: a key near the
+    root of a key tree is unwrapped under by a large share of the group
+    within one epoch and stays resident, while the long tail of leaf-level
+    keys (each used by a handful of receivers) cycles through.  A cached
+    entry is key-equivalent secret material — see docs/security.md.
     """
     state = _hmac_state(key)
     return (

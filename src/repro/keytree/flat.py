@@ -18,14 +18,6 @@ same tree as a struct-of-arrays::
     _leafcnt       [  9,      4,     1,      1,   ... ]
     _gen           [  0,      0,     2,      1,   ... ]   slot reuse generation
 
-``_secrets`` and ``_gen`` are owned by a persistent
-:class:`~repro.crypto.arena.SecretArena` (``_arena``): the same growable
-buffer and slot-generation list as before, but with recycling counters
-and the adopt/quiesce discipline that lets the bulk wrap planner read
-node secrets through zero-copy arena handles instead of per-batch
-``bytes`` slice copies (``FlatRekeyer(arena=True)`` /
-``REPRO_SECRET_ARENA=1``).
-
 Batch marking is index arithmetic over ``_parent`` chains, key refresh is
 a straight counter/sha256 loop writing into ``_secrets`` slices, and
 wraps read child slots directly — no per-node objects are created except
@@ -61,19 +53,11 @@ import heapq
 import hmac
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.crypto.arena import SecretArena, arena_enabled
-from repro.crypto.bulk import (
-    PackedWraps,
-    bulk_enabled,
-    derive_secret_list,
-    resolve_threads,
-)
 from repro.crypto.cipher import encrypt
 from repro.crypto.material import KEY_SIZE, KeyGenerator, KeyMaterial
 from repro.crypto.wrap import EncryptedKey, LazyEncryptedKey, wrap_mode
 from repro.keytree.lkh import RekeyMessage
 from repro.keytree.tree import HEAP_SHED_FLOOR, HEAP_SHED_RATIO
-from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.perf.instrumentation import count as perf_count
 
@@ -291,7 +275,7 @@ class FlatKeyTree:
         self._ids: List[Optional[str]] = [root_id]
         self._member: List[Optional[str]] = [None]
         self._versions: List[int] = [0]
-        self._arena = SecretArena(self.keygen.fresh_secret())
+        self._secrets = bytearray(self.keygen.fresh_secret())
         self._leafcnt: List[int] = [0]
         # Leaf counts are not on any payload-visible path, so they are
         # maintained lazily: structural edits mark them stale and
@@ -303,6 +287,7 @@ class FlatKeyTree:
         # depth on every pop, and an O(1) array read there replaces an
         # O(depth) parent walk on the hottest path in a bulk join.
         self._depthv: List[int] = [0]
+        self._gen: List[int] = [0]
         self._free: List[int] = []
         self._index: Dict[str, int] = {root_id: ROOT}
         self._member_leaf: Dict[str, int] = {}
@@ -317,18 +302,6 @@ class FlatKeyTree:
         value = self._seq_value
         self._seq_value += 1
         return value
-
-    # ``_secrets``/``_gen`` are the arena's buffers, exposed under the
-    # original names so hot loops keep hoisting them into locals once per
-    # batch; in-place writes through these references are legal as long
-    # as the mutating entry points quiesce the arena first (they do).
-    @property
-    def _secrets(self) -> bytearray:
-        return self._arena.data
-
-    @property
-    def _gen(self) -> List[int]:
-        return self._arena.generations
 
     # ------------------------------------------------------------------
     # queries
@@ -422,7 +395,8 @@ class FlatKeyTree:
             self._versions[idx] = version
             self._leafcnt[idx] = 1 if member_id is not None else 0
             self._depthv[idx] = 0  # caller sets the real depth on attach
-            self._arena.reclaim(idx, secret)
+            base = idx * KEY_SIZE
+            self._secrets[base : base + KEY_SIZE] = secret
         else:
             idx = len(self._ids)
             self._parent.append(NIL)
@@ -431,9 +405,10 @@ class FlatKeyTree:
             self._ids.append(node_id)
             self._member.append(member_id)
             self._versions.append(version)
+            self._secrets.extend(secret)
             self._leafcnt.append(1 if member_id is not None else 0)
             self._depthv.append(0)
-            self._arena.append(secret)
+            self._gen.append(0)
         self._index[node_id] = idx
         return idx
 
@@ -441,9 +416,7 @@ class FlatKeyTree:
         del self._index[self._ids[idx]]
         self._ids[idx] = None
         self._member[idx] = None
-        # Bumping the generation invalidates every outstanding heap entry
-        # (and every arena handle to the slot).
-        self._arena.retire(idx)
+        self._gen[idx] += 1  # invalidates every outstanding heap entry
         self._free.append(idx)
 
     def _add_child(self, parent: int, child: int) -> None:
@@ -909,9 +882,10 @@ class FlatKeyTree:
         tree._ids = []
         tree._member = []
         tree._versions = []
-        tree._arena = SecretArena()
+        tree._secrets = bytearray()
         tree._leafcnt = []
         tree._depthv = []
+        tree._gen = []
         tree._free = []
         tree._index = {}
         tree._member_leaf = {}
@@ -952,19 +926,9 @@ class FlatRekeyer:
         self,
         tree: FlatKeyTree,
         keygen: Optional[KeyGenerator] = None,
-        bulk: Optional[bool] = None,
-        threads: Optional[int] = None,
-        arena: Optional[bool] = None,
     ) -> None:
         self.tree = tree
         self.keygen = keygen if keygen is not None else tree.keygen
-        self.bulk = bulk_enabled(bulk)
-        # Execution-only knobs (never change payload bytes): worker
-        # threads for the bulk wrap engine, and whether the wrap plan
-        # reads child secrets through zero-copy arena handles instead of
-        # per-batch bytes copies.  Both only apply on the bulk path.
-        self.threads = resolve_threads(threads)
-        self.arena = arena_enabled(arena)
         self._next_epoch = 1
 
     def _take_epoch(self) -> int:
@@ -980,7 +944,6 @@ class FlatRekeyer:
         self, member_id: str, key: Optional[KeyMaterial] = None
     ) -> Tuple[FlatNodeView, RekeyMessage]:
         tree = self.tree
-        tree._arena.quiesce()  # pin deferred packs before in-place writes
         before = set(tree._index)
         leaf = tree._add_member_slot(member_id, key)
         message = RekeyMessage(
@@ -1086,7 +1049,6 @@ class FlatRekeyer:
         force_root: bool,
     ) -> RekeyMessage:
         tree = self.tree
-        tree._arena.quiesce()  # pin deferred packs before in-place writes
         message = RekeyMessage(group=tree.name, epoch=self._take_epoch())
         ids = tree._ids
         parents = tree._parent
@@ -1138,11 +1100,6 @@ class FlatRekeyer:
             heapreplace = heapq.heapreplace
             if joins:
                 tree._leafcnt_fresh = False
-            # The inlined alloc branches below write the arena buffers
-            # directly (entry quiesce already ran); recycling counters are
-            # tallied once after the loop instead of per iteration.
-            inline_reused = 0
-            inline_grown = 0
             for member_id, key in joins:
                 if member_id in member_leaf:
                     raise ValueError(
@@ -1177,7 +1134,6 @@ class FlatRekeyer:
                     depthv[leaf] = 0
                     base = leaf * KEY_SIZE
                     secrets[base : base + KEY_SIZE] = secret
-                    inline_reused += 1
                 else:
                     leaf = len(ids)
                     parents.append(NIL)
@@ -1190,7 +1146,6 @@ class FlatRekeyer:
                     leafcnt.append(1)
                     depthv.append(0)
                     gens.append(0)
-                    inline_grown += 1
                 index[leaf_id] = leaf
                 attached = False
                 while open_heap:
@@ -1244,8 +1199,6 @@ class FlatRekeyer:
             keygen._counter = kg_counter
             if joins:
                 perf_count("keytree.add_member", len(joins))
-                tree._arena.reused += inline_reused
-                tree._arena.grown += inline_grown
 
             # Removals may have spliced out previously marked nodes.
             live_marked = [
@@ -1264,7 +1217,6 @@ class FlatRekeyer:
         self, joins: Sequence[Tuple[str, Optional[KeyMaterial]]]
     ) -> RekeyMessage:
         tree = self.tree
-        tree._arena.quiesce()  # pin deferred packs before in-place writes
         message = RekeyMessage(group=tree.name, epoch=self._take_epoch())
         before = set(tree._index)
         ids = tree._ids
@@ -1367,13 +1319,9 @@ class FlatRekeyer:
         :meth:`LkhRekeyer._refresh_and_wrap` exactly.
         """
         tree = self.tree
-        tree._arena.quiesce()  # pin deferred packs before in-place writes
         pairs = list(dict.fromkeys(marked))
         depths = tree._depthv
         pairs.sort(key=lambda pair: depths[pair[1]], reverse=True)
-        if self.bulk and pairs:
-            self._refresh_and_wrap_bulk(pairs, message)
-            return
 
         versions = tree._versions
         secrets = tree._secrets
@@ -1458,109 +1406,6 @@ class FlatRekeyer:
             wraps = len(eks) - wraps_before
         if wraps:
             perf_count("crypto.wraps", wraps)
-
-    def _refresh_and_wrap_bulk(
-        self, pairs: List[Tuple[str, int]], message: RekeyMessage
-    ) -> None:
-        """Bulk fast path: vectorized derivation + one packed wrap plan.
-
-        Same draws as :meth:`_refresh_and_wrap` — ``len(pairs)`` keygen
-        counter advances in refresh order, no seq draws — and the wrap
-        plan is built in the identical nested loop order, so the packed
-        payload's rows are byte-for-byte the eager kernel's wraps.  In
-        deferred mode no ciphertext exists until something reads one, at
-        which point the whole pack encrypts in a single batched pass.
-        """
-        tree = self.tree
-        versions = tree._versions
-        secrets = tree._secrets
-        updated = message.updated
-        keygen = self.keygen
-        fresh: Dict[int, bytes] = {}
-        with obs_tracing.span("generate", refreshed=len(pairs)):
-            new_secrets = derive_secret_list(
-                keygen._root, keygen._counter, len(pairs)
-            )
-            keygen._counter += len(pairs)
-            for (node_id, idx), secret in zip(pairs, new_secrets):
-                base = idx * KEY_SIZE
-                secrets[base : base + KEY_SIZE] = secret
-                fresh[idx] = secret
-                version = versions[idx] + 1
-                versions[idx] = version
-                updated.append((node_id, version))
-
-        with obs_tracing.span("wrap") as wrap_span:
-            ids = tree._ids
-            child_slots = tree._child
-            nchild = tree._nchild
-            degree = tree.degree
-            fresh_get = fresh.get
-            use_arena = self.arena
-            w_ids: List[str] = []
-            w_vers: List[int] = []
-            p_ids: List[str] = []
-            p_vers: List[int] = []
-            w_secs: List = []
-            p_secs: List[bytes] = []
-            for node_id, idx in pairs:
-                payload_version = versions[idx]
-                payload_secret = fresh[idx]
-                child_base = idx * degree
-                for slot in range(child_base, child_base + nchild[idx]):
-                    child = child_slots[slot]
-                    child_secret = fresh_get(child)
-                    if child_secret is None:
-                        # Unrefreshed child: in arena mode the wrap plan
-                        # records the slot handle and the engine reads the
-                        # 32 bytes through a zero-copy view at encrypt
-                        # time; otherwise, the classic slice copy.
-                        if use_arena:
-                            child_secret = child
-                        else:
-                            child_key_base = child * KEY_SIZE
-                            child_secret = bytes(
-                                secrets[
-                                    child_key_base : child_key_base + KEY_SIZE
-                                ]
-                            )
-                    w_ids.append(ids[child])
-                    w_vers.append(versions[child])
-                    p_ids.append(node_id)
-                    p_vers.append(payload_version)
-                    w_secs.append(child_secret)
-                    p_secs.append(payload_secret)
-            # Wrapping ids double as grouping keys: rows sharing an id
-            # share a secret by construction, and grouping by short str
-            # beats hashing 32-byte secrets (or converting arena views).
-            pack = PackedWraps(
-                w_ids, w_vers, p_ids, p_vers, w_secs, p_secs,
-                threads=self.threads,
-                group_keys=w_ids,
-                arena=tree._arena if use_arena else None,
-            )
-            if wrap_mode() != "deferred":
-                pack.materialize()
-            elif use_arena:
-                # Deferred pack holding live slot handles: the arena pins
-                # it to bytes before its next mutation.
-                tree._arena.adopt(pack)
-            eks = message.encrypted_keys
-            if eks:
-                eks.extend(pack)
-            else:
-                message.encrypted_keys = pack
-            wrap_span.set("wraps", len(message.encrypted_keys))
-            wraps = len(pack)
-        if wraps:
-            perf_count("crypto.wraps", wraps)
-            if use_arena and obs_metrics.active_registry() is not None:
-                stats = tree._arena.stats()
-                obs_metrics.gauge_set("arena.slots", stats["slots"])
-                obs_metrics.gauge_set("arena.bytes", stats["bytes"])
-                obs_metrics.gauge_set("arena.grown", stats["grown"])
-                obs_metrics.gauge_set("arena.reused", stats["reused"])
-                obs_metrics.gauge_set("arena.retired", stats["retired"])
 
     def refresh_root(self) -> RekeyMessage:
         tree = self.tree

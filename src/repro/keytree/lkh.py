@@ -28,18 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.crypto.bulk import (
-    PackedWraps,
-    bulk_enabled,
-    derive_secret_list,
-    resolve_threads,
-)
 from repro.crypto.material import KeyGenerator, KeyMaterial
-from repro.crypto.wrap import EncryptedKey, WrapIndex, wrap_key, wrap_mode
+from repro.crypto.wrap import EncryptedKey, WrapIndex, wrap_key
 from repro.keytree.node import Node
 from repro.keytree.tree import KeyTree
 from repro.obs import tracing as obs_tracing
-from repro.perf.instrumentation import count as perf_count
 
 
 @dataclass
@@ -115,19 +108,9 @@ class LkhRekeyer:
         self,
         tree: KeyTree,
         keygen: Optional[KeyGenerator] = None,
-        bulk: Optional[bool] = None,
-        threads: Optional[int] = None,
-        arena: Optional[bool] = None,
     ) -> None:
         self.tree = tree
         self.keygen = keygen if keygen is not None else tree.keygen
-        self.bulk = bulk_enabled(bulk)
-        # Worker threads for the bulk wrap engine (execution-only knob;
-        # payload bytes never depend on it).  ``arena`` is accepted for
-        # interface parity with FlatRekeyer but has nothing to do here:
-        # the object kernel's KeyMaterial secrets are immutable bytes, so
-        # the wrap planner already reads them copy-free.
-        self.threads = resolve_threads(threads)
         self._next_epoch = 1
 
     def _take_epoch(self) -> int:
@@ -330,72 +313,15 @@ class LkhRekeyer:
             dict.fromkeys(marked), key=lambda n: n.depth, reverse=True
         )
         with obs_tracing.span("generate", refreshed=len(marked_list)):
-            if self.bulk and marked_list:
-                # Vectorized derivation: all fresh secrets in one pass over
-                # the packed counter range — the same draws, in the same
-                # order, as the per-node rekey() calls below.
-                keygen = self.keygen
-                secrets = derive_secret_list(
-                    keygen._root, keygen._counter, len(marked_list)
-                )
-                keygen._counter += len(marked_list)
-                trusted = KeyMaterial._trusted
-                for node, secret in zip(marked_list, secrets):
-                    old = node.key
-                    node.key = key = trusted(
-                        old.key_id, old.version + 1, secret
-                    )
-                    message.updated.append((key.key_id, key.version))
-            else:
-                for node in marked_list:
-                    node.key = self.keygen.rekey(node.key)
-                    message.updated.append(node.key.handle)
+            for node in marked_list:
+                node.key = self.keygen.rekey(node.key)
+                message.updated.append(node.key.handle)
         with obs_tracing.span("wrap") as wrap_span:
-            if self.bulk and marked_list:
-                # Batched wrap plan: same nested loop order as the
-                # wrap_key path below, executed by the bulk engine
-                # (grouped HMAC templates, vectorized XOR, optional
-                # worker threads) — payload rows are byte-identical.
-                w_ids: List[str] = []
-                w_vers: List[int] = []
-                p_ids: List[str] = []
-                p_vers: List[int] = []
-                w_secs: List[bytes] = []
-                p_secs: List[bytes] = []
-                for node in marked_list:
-                    payload = node.key
-                    payload_id = payload.key_id
-                    payload_version = payload.version
-                    payload_secret = payload.secret
-                    for child in node.children:
-                        wrapping = child.key
-                        w_ids.append(wrapping.key_id)
-                        w_vers.append(wrapping.version)
-                        p_ids.append(payload_id)
-                        p_vers.append(payload_version)
-                        w_secs.append(wrapping.secret)
-                        p_secs.append(payload_secret)
-                pack = PackedWraps(
-                    w_ids, w_vers, p_ids, p_vers, w_secs, p_secs,
-                    threads=self.threads,
-                    group_keys=w_ids,
-                )
-                if wrap_mode() != "deferred":
-                    pack.materialize()
-                eks = message.encrypted_keys
-                if eks:
-                    eks.extend(pack)
-                else:
-                    message.encrypted_keys = pack
-                if len(pack):
-                    # wrap_key() counts per call; the pack counts once.
-                    perf_count("crypto.wraps", len(pack))
-            else:
-                for node in marked_list:
-                    for child in node.children:
-                        message.encrypted_keys.append(
-                            wrap_key(child.key, node.key)
-                        )
+            for node in marked_list:
+                for child in node.children:
+                    message.encrypted_keys.append(
+                        wrap_key(child.key, node.key)
+                    )
             wrap_span.set("wraps", len(message.encrypted_keys))
 
     def refresh_root(self) -> RekeyMessage:

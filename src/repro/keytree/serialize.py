@@ -159,29 +159,15 @@ def make_kernel_tree(
     raise ValueError(f"unknown tree kernel {kernel!r} (want one of {TREE_KERNELS})")
 
 
-def make_kernel_rekeyer(
-    tree,
-    bulk: Optional[bool] = None,
-    threads: Optional[int] = None,
-    arena: Optional[bool] = None,
-):
-    """The matching rekeyer for a tree of either kernel.
-
-    ``bulk`` turns on the vectorized derivation / batched-HMAC engine
-    (:mod:`repro.crypto.bulk`); ``None`` defers to ``REPRO_BULK_CRYPTO``.
-    ``threads`` sets the bulk wrap engine's worker-thread count (``None``
-    defers to ``REPRO_BULK_THREADS``) and ``arena`` the flat kernel's
-    zero-copy secret-arena wrap planning (``None`` defers to
-    ``REPRO_SECRET_ARENA``) — both execution-only knobs: payload bytes
-    are identical for every setting.
-    """
+def make_kernel_rekeyer(tree):
+    """The matching rekeyer for a tree of either kernel."""
     if getattr(tree, "kernel", "object") == "flat":
         from repro.keytree.flat import FlatRekeyer
 
-        return FlatRekeyer(tree, bulk=bulk, threads=threads, arena=arena)
+        return FlatRekeyer(tree)
     from repro.keytree.lkh import LkhRekeyer
 
-    return LkhRekeyer(tree, bulk=bulk, threads=threads, arena=arena)
+    return LkhRekeyer(tree)
 
 
 def kernel_tree_to_dict(tree) -> Dict:

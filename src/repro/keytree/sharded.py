@@ -18,8 +18,9 @@ cost of every batch.  The executor backend and worker-lane count are pure
 derived from the server generator and the shard id, so the payload for a
 given operation sequence is byte-identical whether shards run serially,
 on threads, or across worker processes, and whatever the lane count.
-That is why ``repro bench`` can demand equal ``mean_batch_cost`` across
-backends and worker counts — only wall-clock may differ.
+That is why the backend matrix in ``tests/test_server_sharded.py`` can
+demand equal payloads across backends and worker counts — only
+wall-clock may differ.
 
 With ``shards=1`` the sharded tree degenerates to exactly the unsharded
 one-keytree structure (no stitch, identical per-batch costs), which the
@@ -32,7 +33,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.bulk import resolve_threads
 from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.keytree.serialize import TREE_KERNELS
 from repro.perf.parallel import (
@@ -102,9 +102,6 @@ class ShardedKeyTree:
         workers: int = 1,
         payload: str = PAYLOAD_FULL,
         kernel: str = "object",
-        bulk: Optional[bool] = None,
-        threads: Optional[int] = None,
-        arena: Optional[bool] = None,
     ) -> None:
         if shards < 1:
             raise ValueError("shard count must be at least 1")
@@ -119,20 +116,6 @@ class ShardedKeyTree:
         self.workers = max(1, int(workers))
         self.payload = payload
         self.kernel = kernel
-        self.bulk = bulk
-        self.threads = threads
-        self.arena = arena
-        # ``threads`` is the whole box's wrap-engine budget.  With one
-        # worker lane the shards run one at a time and each may use the
-        # full budget; with several lanes the budget is divided so
-        # ``workers`` concurrent shard jobs × per-shard threads never
-        # oversubscribe.  ``None`` with workers > 1 still divides (the
-        # env/auto resolution would otherwise be taken once per lane).
-        if self.workers <= 1:
-            shard_threads = threads
-        else:
-            shard_threads = max(1, resolve_threads(threads) // self.workers)
-        self.shard_threads = shard_threads
         keygen = keygen if keygen is not None else KeyGenerator()
         specs = [
             ShardSpec(
@@ -141,9 +124,6 @@ class ShardedKeyTree:
                 degree=degree,
                 stream=keygen.derive_stream(f"shard{shard}").state(),
                 kernel=kernel,
-                bulk=bulk,
-                threads=shard_threads,
-                arena=arena,
             )
             for shard in range(shards)
         ]

@@ -1,4 +1,4 @@
-"""Performance instrumentation and the hot-path benchmark harness.
+"""Performance instrumentation and shard-parallel execution.
 
 Two pieces:
 
@@ -7,9 +7,12 @@ Two pieces:
   rekey-message indexing, transport packing) report into whenever a
   :class:`PerfRecorder` is activated.  With no recorder active every probe
   is a single global ``is None`` check, so production paths pay nothing.
-* :mod:`repro.perf.bench` — the standard scenario matrix behind
-  ``python -m repro bench``; emits ``BENCH_hotpath.json`` so successive
-  PRs can diff ops/sec, per-phase wall-clock, and peak RSS.
+* :mod:`repro.perf.parallel` — the serial / thread / process executors
+  behind :class:`~repro.keytree.sharded.ShardedKeyTree` and the
+  ``--workers`` fan-out of the experiment sweeps.
+
+Speed is measured from outside the package, by ``python3 bench/run.py``
+(``BENCHMARK.json``).
 """
 
 from repro.perf.instrumentation import (

@@ -16,8 +16,8 @@ Since the unified observability layer landed this module is also a
 **compatibility shim**: the same probes additionally forward into the
 active :class:`repro.obs.metrics.MetricsRegistry` when one is installed
 (counts become registry counters under the same dotted name; timed
-phases become ``<name>.seconds`` latency histograms).  ``repro bench``
-keeps its :class:`PerfRecorder`-shaped output; new consumers read the
+phases become ``<name>.seconds`` latency histograms).  The op-count
+budget tests read a :class:`PerfRecorder`; everything else reads the
 registry.  With neither sink active a probe is still just two global
 ``is None`` checks.
 """

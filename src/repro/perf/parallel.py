@@ -30,7 +30,7 @@ work.  Cost-only batches win once shards carry ~10k+ members each (the
 marking walk dominates); full-crypto batches win much earlier because the
 HMAC work parallelizes.  On a single-core host the process backend only
 adds overhead — callers should consult ``os.cpu_count()`` before choosing
-it (``repro bench`` records it in its report).
+it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.crypto.bulk import PackedWraps
 from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.crypto.wrap import (
     EncryptedKey,
@@ -105,17 +104,6 @@ class ShardSpec:
     #: Tree kernel (``"object"`` or ``"flat"``); execution-only — both
     #: kernels emit byte-identical payloads for the same stream/ops.
     kernel: str = "object"
-    #: Bulk crypto engine flag (``None`` = resolve ``REPRO_BULK_CRYPTO``
-    #: in whichever process builds the shard); execution-only as well.
-    bulk: Optional[bool] = None
-    #: Wrap-engine worker threads for this shard (``None`` = resolve
-    #: ``REPRO_BULK_THREADS`` in the shard's process).  The sharded tree
-    #: pre-divides the global thread budget by ``workers`` so process
-    #: lanes × threads never oversubscribe the box.
-    threads: Optional[int] = None
-    #: Secret-arena wrap planning (flat kernel; ``None`` = resolve
-    #: ``REPRO_SECRET_ARENA`` in the shard's process).
-    arena: Optional[bool] = None
 
 
 @dataclass(frozen=True)
@@ -148,17 +136,11 @@ class _ShardState:
     def __init__(self, spec: ShardSpec) -> None:
         self.shard = spec.shard
         self.kernel = getattr(spec, "kernel", "object")
-        self.bulk = getattr(spec, "bulk", None)
-        # getattr defaults keep pre-threads pickled specs loadable.
-        self.threads = getattr(spec, "threads", None)
-        self.arena = getattr(spec, "arena", None)
         self.keygen = KeyGenerator.from_state(spec.stream)
         self.tree = make_kernel_tree(
             self.kernel, degree=spec.degree, keygen=self.keygen, name=spec.name
         )
-        self.rekeyer = make_kernel_rekeyer(
-            self.tree, bulk=self.bulk, threads=self.threads, arena=self.arena
-        )
+        self.rekeyer = make_kernel_rekeyer(self.tree)
 
     def apply(self, batch: ShardBatch, payload: str) -> ShardFragment:
         start = time.perf_counter()
@@ -169,12 +151,7 @@ class _ShardState:
         )
         keys = message.encrypted_keys
         if payload == PAYLOAD_HANDLES:
-            if isinstance(keys, PackedWraps):
-                # Zero-copy cost-only fragment: share the pack's identity
-                # columns instead of building per-key planned records.
-                keys = keys.handles()
-            else:
-                keys = [PlannedEncryptedKey.from_key(ek) for ek in keys]
+            keys = [PlannedEncryptedKey.from_key(ek) for ek in keys]
         return ShardFragment(
             shard=self.shard,
             encrypted_keys=keys,
@@ -190,9 +167,7 @@ class _ShardState:
     def load(self, data: dict) -> None:
         self.tree, epoch = tree_with_stream_from_dict(data, kernel=self.kernel)
         self.keygen = self.tree.keygen
-        self.rekeyer = make_kernel_rekeyer(
-            self.tree, bulk=self.bulk, threads=self.threads, arena=self.arena
-        )
+        self.rekeyer = make_kernel_rekeyer(self.tree)
         self.rekeyer._next_epoch = epoch
 
 

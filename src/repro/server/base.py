@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.crypto.bulk import PackedWraps
 from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.crypto.wrap import EncryptedKey, WrapIndex
 from repro.faults.recovery import RecoveryEvent, SyncTracker
@@ -56,21 +55,8 @@ class BatchResult:
         return len(self.encrypted_keys)
 
     def extend(self, label: str, keys: List[EncryptedKey]) -> None:
-        """Append a component's keys and record its share in the breakdown.
-
-        A :class:`PackedWraps` payload is adopted whole while the result
-        is still empty — flattening it into per-row views here would undo
-        the bulk engine's zero-copy layout for the common one-component
-        batch.  Once any second component lands, everything degrades to
-        one flat list.
-        """
-        current = self.encrypted_keys
-        if isinstance(keys, PackedWraps) and type(current) is list and not current:
-            self.encrypted_keys = keys
-        else:
-            if type(current) is not list:
-                self.encrypted_keys = current = list(current)
-            current.extend(keys)
+        """Append a component's keys and record its share in the breakdown."""
+        self.encrypted_keys.extend(keys)
         self.breakdown[label] = self.breakdown.get(label, 0) + len(keys)
 
     def index(self) -> WrapIndex:

@@ -19,8 +19,10 @@ class OneTreeServer(GroupKeyServer):
     This is "the previous one-keytree scheme" every optimization in the
     paper is measured against.  ``tree_kernel`` selects the in-memory
     tree representation: ``"object"`` (node objects, the reference) or
-    ``"flat"`` (index arrays; byte-identical payloads, much faster at
-    large N — see ``docs/performance.md``).
+    ``"flat"`` (index arrays; byte-identical payloads, far fewer
+    collector-tracked objects, so shorter slow epochs and set-up at
+    large N — "Execution options" in ``docs/performance.md`` has the
+    measurement).  It is the only execution setting this server has.
     """
 
     name = "one-keytree"
@@ -32,9 +34,6 @@ class OneTreeServer(GroupKeyServer):
         group: str = "group",
         join_refresh: str = "random",
         tree_kernel: str = "object",
-        bulk: Optional[bool] = None,
-        threads: Optional[int] = None,
-        arena: Optional[bool] = None,
     ) -> None:
         if join_refresh not in ("random", "owf"):
             raise ValueError("join_refresh must be 'random' or 'owf'")
@@ -43,15 +42,10 @@ class OneTreeServer(GroupKeyServer):
         super().__init__(keygen=keygen, group=group)
         self.join_refresh = join_refresh
         self.tree_kernel = tree_kernel
-        self.bulk = bulk
-        self.threads = threads
-        self.arena = arena
         self.tree = make_kernel_tree(
             tree_kernel, degree=degree, keygen=self.keygen, name=f"{group}/tree"
         )
-        self.rekeyer = make_kernel_rekeyer(
-            self.tree, bulk=bulk, threads=threads, arena=arena
-        )
+        self.rekeyer = make_kernel_rekeyer(self.tree)
 
     def _process_batch(
         self,

@@ -78,9 +78,6 @@ class ShardedOneTreeServer(GroupKeyServer):
         join_refresh: str = "random",
         payload: str = PAYLOAD_FULL,
         tree_kernel: str = "object",
-        bulk: Optional[bool] = None,
-        threads: Optional[int] = None,
-        arena: Optional[bool] = None,
     ) -> None:
         if join_refresh not in ("random", "owf"):
             raise ValueError("join_refresh must be 'random' or 'owf'")
@@ -88,11 +85,6 @@ class ShardedOneTreeServer(GroupKeyServer):
         self.join_refresh = join_refresh
         self.payload = payload
         self.tree_kernel = tree_kernel
-        self.bulk = bulk
-        # ``threads`` is the whole-server wrap-engine budget; the sharded
-        # tree divides it across worker lanes (see ShardedKeyTree).
-        self.threads = threads
-        self.arena = arena
         self.sharded = ShardedKeyTree(
             shards=shards,
             degree=degree,
@@ -102,9 +94,6 @@ class ShardedOneTreeServer(GroupKeyServer):
             workers=workers,
             payload=payload,
             kernel=tree_kernel,
-            bulk=bulk,
-            threads=threads,
-            arena=arena,
         )
         # The stitch stream is parent-side and dedicated, so DEK material
         # never depends on how many draws the shard streams have made.

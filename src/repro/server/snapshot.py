@@ -194,12 +194,7 @@ def restore_server(state: Dict) -> GroupKeyServer:
         server.tree = kernel_tree_from_dict(
             state["tree"], kernel=kernel, keygen=keygen
         )
-        server.rekeyer = make_kernel_rekeyer(
-            server.tree,
-            bulk=server.bulk,
-            threads=getattr(server, "threads", None),
-            arena=getattr(server, "arena", None),
-        )
+        server.rekeyer = make_kernel_rekeyer(server.tree)
         server.rekeyer._next_epoch = int(state["tree_epoch"])
     elif kind == "two-partition":
         server = TwoPartitionServer(

@@ -28,36 +28,16 @@ TRACES = [
 
 
 def _build(trace, kernel):
-    import repro.crypto.bulk as bulk_mod
     from repro.crypto.material import KeyGenerator
     from repro.keytree.serialize import make_kernel_rekeyer, make_kernel_tree
 
-    # Suffixes select execution variants that must all reproduce the same
-    # golden bytes: "-bulk" forces the bulk crypto engine, "-tN" adds N
-    # wrap worker threads, "-arena" plans from the secret arena (e.g.
-    # "flat-bulk-t4-arena").
-    base_kernel, _, suffix = kernel.partition("-")
-    tokens = suffix.split("-") if suffix else []
-    threads = None
-    for token in tokens:
-        if token.startswith("t") and token[1:].isdigit():
-            threads = int(token[1:])
-    if threads is not None and threads > 1:
-        # Golden traces are small; drop the serial fallback so the
-        # threaded path really executes under the fixture check.
-        bulk_mod.MIN_ROWS_PER_THREAD = 1
     tree = make_kernel_tree(
-        base_kernel,
+        kernel,
         degree=trace["degree"],
         keygen=KeyGenerator(trace["seed"]),
         name="golden/tree",
     )
-    return make_kernel_rekeyer(
-        tree,
-        bulk=("bulk" in tokens) or None,
-        threads=threads,
-        arena=True if "arena" in tokens else None,
-    )
+    return make_kernel_rekeyer(tree)
 
 
 def _message_record(message):
@@ -82,16 +62,6 @@ def _message_record(message):
 
 def replay(trace, kernel):
     """Run one deterministic churn trace; return per-step payload records."""
-    import repro.crypto.bulk as bulk_mod
-
-    saved_min_rows = bulk_mod.MIN_ROWS_PER_THREAD
-    try:
-        return _replay(trace, kernel)
-    finally:
-        bulk_mod.MIN_ROWS_PER_THREAD = saved_min_rows
-
-
-def _replay(trace, kernel):
     rekeyer = _build(trace, kernel)
     join_refresh = trace.get("join_refresh", "random")
     rng = random.Random(trace["seed"])

@@ -125,22 +125,38 @@ class TestTrace:
         assert "peak concurrency" in out
 
 
-class TestBench:
-    def test_profile_writes_cumtime_table(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)  # --profile writes under benchmarks/out/
-        code = main(["bench", "--quick", "--profile", "full-crypto-1k"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "profile_full-crypto-1k.txt" in out
-        assert "cumulative" in out
-        assert (
-            tmp_path / "benchmarks" / "out" / "profile_full-crypto-1k.txt"
-        ).exists()
+class TestRemovedExecutionOptions:
+    """The bulk / threads / arena wrap engine and the ``bench`` subcommand
+    are gone; their flags are argparse errors, not silently accepted."""
 
-    def test_profile_unknown_scenario_rejected(self, capsys):
-        code = main(["bench", "--quick", "--profile", "no-such-cell"])
-        assert code == 2
-        assert "unknown scenario" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--quick", "--threads", "2"],
+            ["chaos", "--quick", "--arena"],
+            ["bench"],
+        ],
+        ids=["simulate-threads", "chaos-arena", "bench"],
+    )
+    def test_removed_flags_and_subcommand_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+
+    def test_simulate_leaves_the_environment_alone(self, capsys):
+        """``--threads`` / ``--arena`` used to be written into
+        ``os.environ`` and never restored, so one in-process ``main()``
+        call reconfigured every rekeyer built after it."""
+        import os
+
+        before = dict(os.environ)
+        code = main(
+            ["simulate", "--quick", "--scheme", "one", "--arrival-rate", "0.5"]
+        )
+        assert code == 0
+        assert dict(os.environ) == before
+        capsys.readouterr()
 
 
 class TestSimulateVariants:

@@ -41,6 +41,14 @@ class TestKeyMaterial:
         assert key.derive("blind").secret == child.secret
         assert key.derive("other").secret != child.secret
 
+    def test_trusted_constructor_matches_validating_constructor(self):
+        secret = bytes(range(32))
+        fast = KeyMaterial._trusted("node/1", 4, secret)
+        slow = KeyMaterial(key_id="node/1", version=4, secret=secret)
+        assert fast == slow
+        assert hash(fast) == hash(slow)
+        assert fast.handle == ("node/1", 4)
+
 
 class TestKeyGenerator:
     def test_same_seed_same_sequence(self):

@@ -35,17 +35,7 @@ def _trace_params():
     return [
         pytest.param(trace, kernel, id=f"{trace['name']}-{kernel}")
         for trace in _fixture["traces"]
-        for kernel in (
-            "object",
-            "flat",
-            "object-bulk",
-            "flat-bulk",
-            # Wrap-engine execution variants: worker threads and the
-            # secret arena must reproduce the same golden bytes.
-            "flat-bulk-t4",
-            "flat-bulk-arena",
-            "flat-bulk-t4-arena",
-        )
+        for kernel in ("object", "flat")
     ]
 
 

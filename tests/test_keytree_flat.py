@@ -68,6 +68,35 @@ class TestFlatTreeStructure:
         tree.validate()
         assert len(tree._free) < free_before  # reused, not grown
 
+    def test_freed_slot_generation_bump_kills_stale_heap_entries(self):
+        tree, rekeyer = build_flat(count=16, degree=2)
+        leaf = tree._member_leaf["m5"]
+        stale = (leaf, tree._gen[leaf])
+        assert any(entry[2:] == stale for entry in tree._split_candidates)
+        rekeyer.rekey_batch(departures=["m5"])
+        assert leaf in tree._free
+        assert tree._gen[leaf] == stale[1] + 1
+        # The dead tenant's entry may still sit in the heap array, but it
+        # is invisible: dumps skip it and no pop can surface it.
+        assert all(
+            node_id != "member:m5"
+            for _, _, node_id in tree.to_dict()["split_candidates"]
+        )
+        # The slot's next tenants carry the new generation, so the stale
+        # entry stays dead however often the slot is reused.
+        for round_no in range(3):
+            rekeyer.rekey_batch(joins=[(f"fresh{round_no}", None)])
+            tree.validate()
+            rekeyer.rekey_batch(departures=[f"fresh{round_no}"])
+        live = {
+            entry[2:]
+            for heap in (tree._split_candidates, tree._open_internal)
+            for entry in heap
+            if tree._gen[entry[2]] == entry[3]
+        }
+        assert stale not in live
+        assert all(tree._ids[idx] is not None for idx, _ in live)
+
 
 class TestDumpInterchange:
     def test_flat_dump_restores_into_object_tree(self):

@@ -64,27 +64,16 @@ def assert_identical(obj_msg, flat_msg, context=""):
 class KernelPair:
     """Object and flat rekeyers fed the same operations in lock step."""
 
-    def __init__(
-        self,
-        degree,
-        seed,
-        join_refresh="random",
-        bulk_obj=False,
-        bulk_flat=False,
-        threads=None,
-        arena=None,
-    ):
+    def __init__(self, degree, seed, join_refresh="random"):
         self.join_refresh = join_refresh
         self.obj_tree = KeyTree(
             degree=degree, keygen=KeyGenerator(seed), name="g/tree"
         )
-        self.obj = LkhRekeyer(self.obj_tree, bulk=bulk_obj)
+        self.obj = LkhRekeyer(self.obj_tree)
         self.flat_tree = FlatKeyTree(
             degree=degree, keygen=KeyGenerator(seed), name="g/tree"
         )
-        self.flat = FlatRekeyer(
-            self.flat_tree, bulk=bulk_flat, threads=threads, arena=arena
-        )
+        self.flat = FlatRekeyer(self.flat_tree)
 
     def batch(self, joins=(), departures=(), force_root=False, context=""):
         obj_msg = self.obj.rekey_batch(
@@ -157,41 +146,10 @@ def run_program(pair, program):
     program=programs,
     degree=st.integers(min_value=2, max_value=5),
     deferred=st.booleans(),
-    # Asymmetric bulk combos: each bulk engine is gated against a
-    # non-bulk reference kernel, never only against the other bulk path.
-    bulk=st.sampled_from([(False, False), (False, True), (True, False)]),
 )
-def test_hypothesis_churn_traces_are_byte_identical(
-    program, degree, deferred, bulk
-):
+def test_hypothesis_churn_traces_are_byte_identical(program, degree, deferred):
     with deferred_wraps(enabled=deferred):
-        pair = KernelPair(
-            degree=degree, seed=11, bulk_obj=bulk[0], bulk_flat=bulk[1]
-        )
-        run_program(pair, program)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    program=programs,
-    degree=st.integers(min_value=2, max_value=5),
-    deferred=st.booleans(),
-    # Wrap-engine execution knobs: worker threads and the secret arena
-    # must never move a byte relative to the object kernel's serial path.
-    threads=st.sampled_from([1, 2, 4]),
-    arena=st.booleans(),
-)
-def test_threaded_arena_traces_are_byte_identical(
-    program, degree, deferred, threads, arena
-):
-    with deferred_wraps(enabled=deferred):
-        pair = KernelPair(
-            degree=degree,
-            seed=17,
-            bulk_flat=True,
-            threads=threads,
-            arena=arena,
-        )
+        pair = KernelPair(degree=degree, seed=11)
         run_program(pair, program)
 
 
@@ -432,13 +390,10 @@ def wire_result(result):
     )
 
 
-@pytest.mark.parametrize("bulk", [False, True])
 @pytest.mark.parametrize(
     "backend,workers", [("serial", 1), ("thread", 2), ("process", 2)]
 )
-def test_sharded_flat_kernel_matches_object_across_backends(
-    backend, workers, bulk
-):
+def test_sharded_flat_kernel_matches_object_across_backends(backend, workers):
     with deferred_wraps():
         obj_server = ShardedOneTreeServer(shards=4, degree=3, group="kx")
         flat_server = ShardedOneTreeServer(
@@ -448,38 +403,6 @@ def test_sharded_flat_kernel_matches_object_across_backends(
             backend=backend,
             workers=workers,
             tree_kernel="flat",
-            bulk=bulk,
-        )
-        try:
-            assert _server_wires(obj_server) == _server_wires(flat_server)
-        finally:
-            obj_server.close()
-            flat_server.close()
-
-
-@pytest.mark.parametrize("arena", [False, True])
-@pytest.mark.parametrize(
-    "backend,workers", [("serial", 1), ("thread", 2), ("process", 2)]
-)
-def test_sharded_process_thread_composition_parity(backend, workers, arena):
-    """Worker processes x wrap threads x arena composes byte-identically.
-
-    The whole-server thread budget is divided across executor lanes
-    (``ShardedKeyTree``); whatever per-shard budget that leaves, the
-    payload must match the unsharded-object reference exactly.
-    """
-    with deferred_wraps():
-        obj_server = ShardedOneTreeServer(shards=4, degree=3, group="kx")
-        flat_server = ShardedOneTreeServer(
-            shards=4,
-            degree=3,
-            group="kx",
-            backend=backend,
-            workers=workers,
-            tree_kernel="flat",
-            bulk=True,
-            threads=4,
-            arena=arena,
         )
         try:
             assert _server_wires(obj_server) == _server_wires(flat_server)

@@ -1,7 +1,7 @@
 """CLI surface of the observability layer.
 
-``repro simulate --quick --trace --metrics``, ``repro metrics``,
-``repro trace summarize`` and the bench obs-overhead gate.  The legacy
+``repro simulate --quick --trace --metrics``, ``repro metrics`` and
+``repro trace summarize``.  The legacy
 ``repro trace <output>`` generator keeps its positional argument — the
 summarizer is dispatched on the exact ``trace summarize`` prefix.
 """
@@ -129,30 +129,3 @@ def test_simulate_serve_flag_announces_endpoint(tmp_path, capsys):
     rc, _, _, out = run_simulate(tmp_path, capsys, "--serve", "0")
     assert rc == 0
     assert "serving live metrics at http://127.0.0.1:" in out
-
-
-def test_bench_gate_rejects_overbudget_probes(tmp_path, capsys, monkeypatch):
-    import repro.cli as cli
-    import repro.perf.bench as bench
-
-    def fake_run_bench(**kwargs):
-        return {
-            "quick": True,
-            "workers": 1,
-            "cpus": 1,
-            "scenarios": [],
-            "peak_rss_kb": None,
-            "obs_overhead": {
-                "disabled_ns": {"metrics_inc": 9_999.0},
-                "budget_ns": bench.OBS_OVERHEAD_BUDGET_NS,
-                "pass": False,
-            },
-        }
-
-    monkeypatch.setattr(bench, "run_bench", fake_run_bench)
-    monkeypatch.chdir(tmp_path)
-    rc = cli.main(["bench", "--quick", "--out", str(tmp_path / "b.json")])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "ERROR" in captured.err
-    assert "ns/call" in captured.err

@@ -11,11 +11,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.material import KeyGenerator
-from repro.crypto.wrap import EncryptedKey, WrapIndex
+from repro.crypto.wrap import EncryptedKey, WrapIndex, deferred_wraps
 from repro.keytree.lkh import LkhRekeyer, RekeyMessage
 from repro.keytree.tree import KeyTree
 from repro.members.member import Member
 from repro.perf.instrumentation import recording
+from repro.server.onetree import OneTreeServer
 from repro.testing import SCHEME_FACTORIES
 from repro.testing.strategies import churn_programs, execute_program
 
@@ -177,6 +178,61 @@ def test_interest_of_matches_naive_on_real_rekey_messages(count, degree, data):
         assert message.interest_of(held[m]) == naive_interest(
             message.encrypted_keys, held[m]
         )
+
+
+def test_10k_member_delivery_stays_within_depth_budget():
+    """Tier-1 guard of the indexed delivery path, on deterministic op
+    counters, never wall-clock: at N=10k, resolving one member's interest
+    examines O(depth * degree) candidate wraps, not O(|message|).  A
+    regression back to linear payload scans blows the budget by two
+    orders of magnitude."""
+    members = 10_000
+    churn = 64
+    degree = 4
+    server = OneTreeServer(degree=degree, group="budget")
+    with deferred_wraps():
+        member_ids = [f"m{i}" for i in range(members)]
+        for member_id in member_ids:
+            server.join(member_id)
+        server.rekey()
+
+        held = {
+            member_id: {
+                node.key.key_id: node.key.version
+                for node in server.tree.path_of(member_id)
+            }
+            for member_id in member_ids[: 2 * churn]
+        }
+        for member_id in member_ids[:churn]:
+            server.leave(member_id)
+        for i in range(churn):
+            server.join(f"j{i}")
+        result = server.rekey()
+
+    depth = max(len(h) for h in held.values())
+    # The budget's premise: a batch is much bigger than one path, so a
+    # naive scan (|message| wraps per receiver) would be far over it.
+    assert result.cost > 4 * depth
+    survivors = member_ids[churn : 2 * churn]
+    with recording() as recorder:
+        index = result.index()
+        for member_id in survivors:
+            index.closure(held[member_id])
+    examined = recorder.counter("wrapindex.examined")
+    assert examined > 0
+    # Each member examines the buckets of its ~depth held keys plus
+    # those of keys it learns along the way; degree bounds any bucket
+    # contribution per key.  2x slack absorbs bucket skew (measured
+    # work is ~depth wraps per receiver, far under this).
+    budget = len(survivors) * 2 * depth * degree
+    assert examined <= budget, (
+        f"examined {examined} wraps for {len(survivors)} receivers "
+        f"(budget {budget}); delivery work is no longer O(depth)"
+    )
+    # And the measured work is orders of magnitude below what linear
+    # scans would cost (|message| wraps per receiver).
+    naive_cost = len(survivors) * result.cost
+    assert examined * 50 < naive_cost
 
 
 class TwinPopulations:
