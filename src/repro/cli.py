@@ -129,7 +129,6 @@ def _build_server(
     shards: int = 4,
     workers: int = 1,
     backend: str = "serial",
-    tree_kernel: str = "object",
 ):
     from repro.server.losshomog import LossHomogenizedServer
     from repro.server.onetree import OneTreeServer
@@ -137,14 +136,13 @@ def _build_server(
     from repro.server.twopartition import TwoPartitionServer
 
     if scheme == "one":
-        return OneTreeServer(degree=degree, tree_kernel=tree_kernel)
+        return OneTreeServer(degree=degree)
     if scheme == "sharded":
         return ShardedOneTreeServer(
             shards=shards,
             workers=workers,
             backend=backend,
             degree=degree,
-            tree_kernel=tree_kernel,
         )
     if scheme in ("qt", "tt", "pt"):
         return TwoPartitionServer(mode=scheme, s_period=s_period, degree=degree)
@@ -229,7 +227,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         shards=args.shards,
         workers=args.workers,
         backend=args.backend,
-        tree_kernel=args.tree_kernel,
     )
     transport = _build_transport(args.transport)
     needs_population = transport is not None or args.scheme in (
@@ -645,13 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="serial",
         help="sharded scheme: executor backend (execution only)",
     )
-    p.add_argument(
-        "--tree-kernel",
-        choices=("object", "flat"),
-        default="object",
-        help="key-tree kernel for one/sharded schemes (execution only; "
-        "payloads are byte-identical either way)",
-    )
     p.add_argument("--transport", choices=("none", "wka-bkr", "multi-send", "fec"), default="none")
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--s-period", type=float, default=600.0)
@@ -694,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--schemes",
         default=None,
-        help="comma list (default: one,tt,pt,losshomog,one-flat)",
+        help="comma list (default: one,tt,pt,losshomog,qt)",
     )
     p.add_argument(
         "--schedules",

@@ -46,7 +46,7 @@ from repro.testing.invariants import (
 
 #: schemes the default chaos sweep covers (CLI ``--schemes`` overrides);
 #: ``--quick`` takes the first two, so keep the reference pair up front
-STANDARD_SCHEMES = ("one", "tt", "pt", "losshomog", "one-flat")
+STANDARD_SCHEMES = ("one", "tt", "pt", "losshomog", "qt")
 
 
 def _build_server(scheme: str):
@@ -56,8 +56,6 @@ def _build_server(scheme: str):
 
     if scheme == "one":
         return OneTreeServer()
-    if scheme == "one-flat":
-        return OneTreeServer(tree_kernel="flat")
     if scheme in ("qt", "tt", "pt"):
         return TwoPartitionServer(mode=scheme)
     if scheme == "losshomog":

@@ -11,6 +11,9 @@ maintains:
   paper) and periodic *batched* rekeying (Section 2.1.1), producing
   :class:`RekeyMessage` objects whose encrypted-key count is the paper's
   cost metric.
+* :mod:`repro.keytree.flat` — the same tree and algorithm over flat
+  arrays, byte for byte: what every server builds, with :class:`KeyTree`
+  and :class:`LkhRekeyer` as the reference it is tested against.
 * :class:`QueuePartition` — the flat linear-queue structure used for the
   S-partition of the QT-scheme (Section 3.2): members hold only their
   individual key and the group key.

@@ -1,11 +1,12 @@
 """Flat-array LKH kernel: the key tree as parallel index arrays.
 
-The object kernel (:mod:`repro.keytree.tree` / :mod:`repro.keytree.lkh`)
-spends most of a large batch in the cyclic garbage collector: every tree
-node is a ``Node`` with parent/children reference cycles plus a
-``KeyMaterial``, so a 1M-member tree keeps millions of tracked objects
-alive and every collection generation walks them.  This module stores the
-same tree as a struct-of-arrays::
+This is the tree every server builds.  The object kernel
+(:mod:`repro.keytree.tree` / :mod:`repro.keytree.lkh`), kept as the
+reference this one must match, spends most of a large batch in the cyclic
+garbage collector: every tree node is a ``Node`` with parent/children
+reference cycles plus a ``KeyMaterial``, so a 1M-member tree keeps
+millions of tracked objects alive and every collection generation walks
+them.  This module stores the same tree as a struct-of-arrays::
 
     index            0       1       2       3    ...
     _parent        [ -1,     0,      0,      1,   ... ]   parent index (-1 = none)
@@ -37,6 +38,12 @@ battery in ``tests/test_keytree_flat_differential.py`` enforces this on
 hypothesis-generated churn traces and golden fixtures; treat any change
 that battery rejects as a protocol change, not an optimization.
 
+Slot numbers are private.  Nothing observable goes by them — dumps,
+payloads, node ids, ``_seq_value`` and heap pop order go by node id,
+depth and sequence number — which is what lets a freed slot be reused
+and a sparse tree renumber its slots between batches
+(:meth:`FlatKeyTree._compact`).
+
 One deliberate narrowing versus the object kernel: an individual key
 passed to :meth:`FlatKeyTree.add_member` must carry
 ``key_id == "member:<member_id>"`` (every server in the repository does
@@ -64,6 +71,22 @@ from repro.perf.instrumentation import count as perf_count
 NIL = -1
 ROOT = 0
 FORMAT_VERSION = 1  # shared with repro.keytree.serialize — dumps interchange
+
+#: Between batches a tree renumbers its live slots densely (see
+#: :meth:`FlatKeyTree._compact`) once more than ``SLOT_COMPACT_RATIO``
+#: slots per live one are free, ``SLOT_COMPACT_FLOOR`` being allowed for
+#: on top.  Freed slots are reused before the arrays grow, so only a mass
+#: departure gets there — the two-partition server's S-tree after the
+#: group it was set up with has migrated — and without this every column
+#: stays the size of the largest membership the tree ever held.
+SLOT_COMPACT_RATIO = 3
+SLOT_COMPACT_FLOOR = 1024
+
+#: The per-slot columns that hold no slot numbers (``_parent`` and
+#: ``_child`` do; ``_secrets`` is one bytearray).
+_PLAIN_COLUMNS = (
+    "_nchild", "_ids", "_member", "_versions", "_leafcnt", "_depthv", "_gen"
+)
 
 
 @contextlib.contextmanager
@@ -97,10 +120,14 @@ class FlatLazyEncryptedKey(EncryptedKey):
     same identities and secrets, and its field-content
     ``__eq__``/``__hash__``, borrowed below, compare across all
     :class:`EncryptedKey` flavors.  There are no key objects here to read
-    the identity fields through, so unlike that class this one keeps its
-    own seven fields in the instance dict (seven slot stores cost twice
-    the one dict update).
+    the identity fields through, so the six constructor arguments are
+    kept as one tuple — which the collector stops tracking at its first
+    pass, strings, ints and bytes being all it holds.
     """
+
+    # Two slots, and the instance dict the non-slotted base allows is
+    # never created: 160 bytes a wrap, tuple included.
+    __slots__ = ("_fields", "_ciphertext")
 
     def __init__(
         self,
@@ -111,37 +138,64 @@ class FlatLazyEncryptedKey(EncryptedKey):
         wrapping_secret: bytes,
         payload_secret: bytes,
     ) -> None:
-        # Bypass the frozen-dataclass __setattr__ wholesale: one dict
-        # update is the entire per-wrap cost in deferred mode (assigning
-        # self.__dict__ itself would route through the frozen __setattr__).
-        self.__dict__.update(
-            wrapping_id=wrapping_id,
-            wrapping_version=wrapping_version,
-            payload_id=payload_id,
-            payload_version=payload_version,
-            _wrapping_secret=wrapping_secret,
-            _payload_secret=payload_secret,
-            _ciphertext=None,
+        # Wrap creation is the per-encrypted-key cost of every cost-only
+        # batch: two stores through the slot descriptors, past the
+        # frozen-dataclass __setattr__.
+        _set_fields(
+            self,
+            (
+                wrapping_id,
+                wrapping_version,
+                payload_id,
+                payload_version,
+                wrapping_secret,
+                payload_secret,
+            ),
         )
+        _set_ciphertext(self, None)
+
+    @property
+    def wrapping_id(self) -> str:  # type: ignore[override]
+        return self._fields[0]
+
+    @property
+    def wrapping_version(self) -> int:  # type: ignore[override]
+        return self._fields[1]
+
+    @property
+    def payload_id(self) -> str:  # type: ignore[override]
+        return self._fields[2]
+
+    @property
+    def payload_version(self) -> int:  # type: ignore[override]
+        return self._fields[3]
 
     @property
     def ciphertext(self) -> bytes:  # type: ignore[override]
         blob = self._ciphertext
         if blob is None:
-            nonce = (
-                f"{self.wrapping_id}#{self.wrapping_version}"
-                f"->{self.payload_id}#{self.payload_version}"
-            ).encode("utf-8")
-            blob = encrypt(self._wrapping_secret, nonce, self._payload_secret)
-            self.__dict__["_ciphertext"] = blob
+            blob = _seal(*self._fields)
+            _set_ciphertext(self, blob)
         return blob
 
     @property
     def materialized(self) -> bool:
         return self._ciphertext is not None
 
+    # Slots of a frozen class: the default unpickler would setattr them.
+    def __getstate__(self) -> tuple:
+        return (self._fields, self._ciphertext)
+
+    def __setstate__(self, state: tuple) -> None:
+        _set_fields(self, state[0])
+        _set_ciphertext(self, state[1])
+
     __eq__ = LazyEncryptedKey.__eq__
     __hash__ = LazyEncryptedKey.__hash__
+
+
+_set_fields = FlatLazyEncryptedKey._fields.__set__
+_set_ciphertext = FlatLazyEncryptedKey._ciphertext.__set__
 
 
 class FlatNodeView:
@@ -149,7 +203,9 @@ class FlatNodeView:
 
     Views are created on demand for the API surfaces that want node
     objects (``path_of``, ``root``, validation helpers); the hot batch
-    paths never build them.
+    paths never build them.  A view names a slot, and slot numbers are
+    private to the tree (a freed slot is reused, compaction renumbers the
+    live ones): read a view before the next batch, do not keep it.
     """
 
     __slots__ = ("tree", "index")
@@ -178,16 +234,14 @@ class FlatNodeView:
     def key(self) -> KeyMaterial:
         tree = self.tree
         base = self.index * KEY_SIZE
-        # Bypass dataclass __init__/__post_init__: secrets in the slot
-        # arrays are KEY_SIZE by construction, and per-receiver delivery
-        # builds one KeyMaterial per held path node.
-        key = object.__new__(KeyMaterial)
-        key.__dict__.update(
-            key_id=tree._ids[self.index],
-            version=tree._versions[self.index],
-            secret=bytes(tree._secrets[base : base + KEY_SIZE]),
+        # Unvalidated: secrets in the slot arrays are KEY_SIZE by
+        # construction, and per-receiver delivery builds one KeyMaterial
+        # per held path node.
+        return KeyMaterial._trusted(
+            tree._ids[self.index],
+            tree._versions[self.index],
+            bytes(tree._secrets[base : base + KEY_SIZE]),
         )
-        return key
 
     @property
     def leaf_count(self) -> int:
@@ -210,7 +264,7 @@ class FlatNodeView:
 
     @property
     def depth(self) -> int:
-        return self.tree._depth(self.index)
+        return self.tree._depthv[self.index]
 
     def path_to_root(self) -> List["FlatNodeView"]:
         tree = self.tree
@@ -251,8 +305,6 @@ class FlatKeyTree:
     :class:`FlatNodeView` records), same serialized dump format, and the
     byte-identity contract described in the module docstring.
     """
-
-    kernel = "flat"
 
     def __init__(
         self,
@@ -341,7 +393,7 @@ class FlatKeyTree:
     def height(self) -> int:
         if not self._member_leaf:
             return 0
-        return max(self._depth(leaf) for leaf in self._member_leaf.values())
+        return max(self._depthv[leaf] for leaf in self._member_leaf.values())
 
     def iter_nodes(self) -> Iterator[FlatNodeView]:
         """Every node currently in the tree, preorder."""
@@ -359,9 +411,6 @@ class FlatKeyTree:
 
     def internal_nodes(self) -> List[FlatNodeView]:
         return [view for view in self.iter_nodes() if not view.is_leaf]
-
-    def _depth(self, idx: int) -> int:
-        return self._depthv[idx]
 
     def _walk_depth(self, idx: int) -> int:
         """Ground-truth depth by parent walk; ``validate()`` checks the
@@ -464,6 +513,59 @@ class FlatKeyTree:
                 stack.extend((c, False) for c in children)
         self._leafcnt_fresh = True
 
+    def _trim_slots(self) -> None:
+        """Between batches only — never where a loop holds slot numbers
+        in locals: give the slot arrays back once most of them are free."""
+        if len(self._free) > (
+            SLOT_COMPACT_RATIO * len(self._index) + SLOT_COMPACT_FLOOR
+        ):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Renumber the live slots densely, in slot order.
+
+        Every column, the id index and the member map are rebuilt (a dict
+        does not shrink on its own) and the free list is emptied; slot
+        numbers being private, nothing observable moves.  The heaps are
+        remapped entry for entry, array order kept: entries compare on
+        ``(depth, seq)`` alone, ``seq`` being unique.  Dead entries stay
+        where they are, because the shed rule counts them, under a
+        generation no slot will ever carry.
+        """
+        live = [idx for idx, node_id in enumerate(self._ids) if node_id is not None]
+        # One spare entry at the end, so that remap[NIL] is NIL.
+        remap = [NIL] * (len(self._ids) + 1)
+        for new, old in enumerate(live):
+            remap[old] = new
+        degree = self.degree
+        parent, child, secrets, gens = (
+            self._parent, self._child, self._secrets, self._gen
+        )
+        for heap in (self._open_internal, self._split_candidates):
+            heap[:] = [
+                (depth, seq, remap[idx], gen)
+                if gens[idx] == gen
+                else (depth, seq, ROOT, NIL)
+                for depth, seq, idx, gen in heap
+            ]
+        self._parent = [remap[parent[old]] for old in live]
+        self._child = [
+            remap[entry]
+            for old in live
+            for entry in child[old * degree : (old + 1) * degree]
+        ]
+        self._secrets = bytearray().join(
+            secrets[old * KEY_SIZE : (old + 1) * KEY_SIZE] for old in live
+        )
+        for name in _PLAIN_COLUMNS:
+            column = getattr(self, name)
+            setattr(self, name, [column[old] for old in live])
+        self._index = {node_id: remap[old] for node_id, old in self._index.items()}
+        self._member_leaf = {
+            member_id: remap[old] for member_id, old in self._member_leaf.items()
+        }
+        self._free = []
+
     # ------------------------------------------------------------------
     # structural mutation (draw-for-draw with KeyTree)
     # ------------------------------------------------------------------
@@ -555,7 +657,7 @@ class FlatKeyTree:
         self, victim: int, leaf: int, victim_depth: Optional[int] = None
     ) -> None:
         if victim_depth is None:
-            victim_depth = self._depth(victim)
+            victim_depth = self._depthv[victim]
         parent = self._parent[victim]
         assert parent != NIL, "split candidate cannot be the root"
         self._remove_child(parent, victim)
@@ -589,7 +691,7 @@ class FlatKeyTree:
 
     def _note_candidates(self, idx: int, depth: Optional[int] = None) -> None:
         if depth is None:
-            depth = self._depth(idx)
+            depth = self._depthv[idx]
         if self._member[idx] is not None:
             heapq.heappush(
                 self._split_candidates,
@@ -876,17 +978,9 @@ class FlatKeyTree:
         # Reset the constructor's root-only state and rebuild every slot
         # from the dump (slot numbering is internal, not part of the
         # format; preorder assignment is as good as any).
-        tree._parent = []
-        tree._child = []
-        tree._nchild = []
-        tree._ids = []
-        tree._member = []
-        tree._versions = []
+        for name in _PLAIN_COLUMNS + ("_parent", "_child", "_free"):
+            setattr(tree, name, [])
         tree._secrets = bytearray()
-        tree._leafcnt = []
-        tree._depthv = []
-        tree._gen = []
-        tree._free = []
         tree._index = {}
         tree._member_leaf = {}
         root_idx = tree._build_from_dict(data["root"], None)
@@ -953,7 +1047,7 @@ class FlatRekeyer:
         versions = tree._versions
         secrets = tree._secrets
         parents = tree._parent
-        deferred = wrap_mode() == "deferred"
+        wrap = _wrap_constructor()
         eks = message.encrypted_keys
         leaf_id = ids[leaf]
         leaf_version = versions[leaf]
@@ -975,8 +1069,8 @@ class FlatRekeyer:
             if node_id in before:
                 # Existing key: one wrap under the previous version.
                 eks.append(
-                    _make_wrap(
-                        deferred, node_id, old_version, node_id, new_version,
+                    wrap(
+                        node_id, old_version, node_id, new_version,
                         old_secret, new_secret,
                     )
                 )
@@ -989,8 +1083,8 @@ class FlatRekeyer:
                     if child != leaf:
                         child_key_base = child * KEY_SIZE
                         eks.append(
-                            _make_wrap(
-                                deferred, ids[child], versions[child],
+                            wrap(
+                                ids[child], versions[child],
                                 node_id, new_version,
                                 bytes(
                                     secrets[
@@ -1003,8 +1097,8 @@ class FlatRekeyer:
                         wraps += 1
             # The joiner bootstraps from its individual key.
             eks.append(
-                _make_wrap(
-                    deferred, leaf_id, leaf_version, node_id, new_version,
+                wrap(
+                    leaf_id, leaf_version, node_id, new_version,
                     leaf_secret, new_secret,
                 )
             )
@@ -1022,6 +1116,7 @@ class FlatRekeyer:
         )
         ids = tree._ids
         self._refresh_and_wrap([(ids[idx], idx) for idx in survivors], message)
+        tree._trim_slots()
         return message
 
     # ------------------------------------------------------------------
@@ -1040,7 +1135,9 @@ class FlatRekeyer:
         with _gc_paused():
             if join_refresh == "owf" and not departures and not force_root:
                 return self._rekey_batch_owf(joins)
-            return self._rekey_batch_mixed(joins, departures, force_root)
+            message = self._rekey_batch_mixed(joins, departures, force_root)
+            self.tree._trim_slots()
+            return message
 
     def _rekey_batch_mixed(
         self,
@@ -1241,7 +1338,7 @@ class FlatRekeyer:
         marked_list = sorted(
             marked.items(), key=lambda item: depths[item[1]], reverse=True
         )
-        deferred = wrap_mode() == "deferred"
+        wrap = _wrap_constructor()
         eks = message.encrypted_keys
         keygen = self.keygen
         wraps = 0
@@ -1272,8 +1369,8 @@ class FlatRekeyer:
                     if child_id not in joining_leaf_ids:
                         child_key_base = child * KEY_SIZE
                         eks.append(
-                            _make_wrap(
-                                deferred, child_id, versions[child],
+                            wrap(
+                                child_id, versions[child],
                                 node_id, new_version,
                                 bytes(
                                     secrets[
@@ -1293,8 +1390,8 @@ class FlatRekeyer:
             while node != NIL:
                 base = node * KEY_SIZE
                 eks.append(
-                    _make_wrap(
-                        deferred, leaf_id, leaf_version,
+                    wrap(
+                        leaf_id, leaf_version,
                         ids[node], versions[node],
                         leaf_secret, bytes(secrets[base : base + KEY_SIZE]),
                     )
@@ -1356,52 +1453,29 @@ class FlatRekeyer:
             wraps_before = len(eks)
             append = eks.append
             fresh_get = fresh.get
-            if wrap_mode() == "deferred":
-                for node_id, idx in pairs:
-                    payload_version = versions[idx]
-                    payload_secret = fresh[idx]
-                    child_base = idx * degree
-                    for slot in range(child_base, child_base + nchild[idx]):
-                        child = child_slots[slot]
-                        child_secret = fresh_get(child)
-                        if child_secret is None:
-                            child_key_base = child * KEY_SIZE
-                            child_secret = bytes(
-                                secrets[child_key_base : child_key_base + KEY_SIZE]
-                            )
-                        append(
-                            FlatLazyEncryptedKey(
-                                ids[child],
-                                versions[child],
-                                node_id,
-                                payload_version,
-                                child_secret,
-                                payload_secret,
-                            )
+            wrap = _wrap_constructor()
+            for node_id, idx in pairs:
+                payload_version = versions[idx]
+                payload_secret = fresh[idx]
+                child_base = idx * degree
+                for slot in range(child_base, child_base + nchild[idx]):
+                    child = child_slots[slot]
+                    child_secret = fresh_get(child)
+                    if child_secret is None:
+                        child_key_base = child * KEY_SIZE
+                        child_secret = bytes(
+                            secrets[child_key_base : child_key_base + KEY_SIZE]
                         )
-            else:
-                for node_id, idx in pairs:
-                    payload_version = versions[idx]
-                    payload_secret = fresh[idx]
-                    child_base = idx * degree
-                    for slot in range(child_base, child_base + nchild[idx]):
-                        child = child_slots[slot]
-                        child_secret = fresh_get(child)
-                        if child_secret is None:
-                            child_key_base = child * KEY_SIZE
-                            child_secret = bytes(
-                                secrets[child_key_base : child_key_base + KEY_SIZE]
-                            )
-                        append(
-                            _eager_wrap(
-                                ids[child],
-                                versions[child],
-                                node_id,
-                                payload_version,
-                                child_secret,
-                                payload_secret,
-                            )
+                    append(
+                        wrap(
+                            ids[child],
+                            versions[child],
+                            node_id,
+                            payload_version,
+                            child_secret,
+                            payload_secret,
                         )
+                    )
             wrap_span.set("wraps", len(eks))
             wraps = len(eks) - wraps_before
         if wraps:
@@ -1414,41 +1488,27 @@ class FlatRekeyer:
         return message
 
 
-def _eager_wrap(
+def _seal(
     wrapping_id: str,
     wrapping_version: int,
     payload_id: str,
     payload_version: int,
     wrapping_secret: bytes,
     payload_secret: bytes,
-) -> EncryptedKey:
+) -> bytes:
+    """The ciphertext of one wrap (nonce as in :mod:`repro.crypto.wrap`)."""
     nonce = (
         f"{wrapping_id}#{wrapping_version}->{payload_id}#{payload_version}"
     ).encode("utf-8")
-    return EncryptedKey(
-        wrapping_id=wrapping_id,
-        wrapping_version=wrapping_version,
-        payload_id=payload_id,
-        payload_version=payload_version,
-        ciphertext=encrypt(wrapping_secret, nonce, payload_secret),
-    )
+    return encrypt(wrapping_secret, nonce, payload_secret)
 
 
-def _make_wrap(
-    deferred: bool,
-    wrapping_id: str,
-    wrapping_version: int,
-    payload_id: str,
-    payload_version: int,
-    wrapping_secret: bytes,
-    payload_secret: bytes,
-) -> EncryptedKey:
-    if deferred:
-        return FlatLazyEncryptedKey(
-            wrapping_id, wrapping_version, payload_id, payload_version,
-            wrapping_secret, payload_secret,
-        )
-    return _eager_wrap(
-        wrapping_id, wrapping_version, payload_id, payload_version,
-        wrapping_secret, payload_secret,
-    )
+def _eager_wrap(*fields) -> EncryptedKey:
+    """An :class:`EncryptedKey` from :func:`_seal`'s six arguments."""
+    return EncryptedKey(*fields[:4], _seal(*fields))
+
+
+def _wrap_constructor():
+    """What builds this batch's wraps: both take the same six arguments,
+    so the wrap mode is read once a batch, not once a wrap."""
+    return FlatLazyEncryptedKey if wrap_mode() == "deferred" else _eager_wrap

@@ -134,92 +134,3 @@ def tree_from_dict(data: Dict, keygen: Optional[KeyGenerator] = None) -> KeyTree
     tree._seq_value = int(data["seq"])
     tree.validate()
     return tree
-
-
-TREE_KERNELS = ("object", "flat")
-"""Selectable key-tree kernels.  Both emit byte-identical payloads on
-identical churn traces (enforced by the differential battery); dumps are
-format-compatible in both directions."""
-
-
-def make_kernel_tree(
-    kernel: str,
-    *,
-    degree: int,
-    keygen: Optional[KeyGenerator] = None,
-    name: str = "tree",
-):
-    """Construct a key tree of the requested ``kernel``."""
-    if kernel == "object":
-        return KeyTree(degree=degree, keygen=keygen, name=name)
-    if kernel == "flat":
-        from repro.keytree.flat import FlatKeyTree
-
-        return FlatKeyTree(degree=degree, keygen=keygen, name=name)
-    raise ValueError(f"unknown tree kernel {kernel!r} (want one of {TREE_KERNELS})")
-
-
-def make_kernel_rekeyer(tree):
-    """The matching rekeyer for a tree of either kernel."""
-    if getattr(tree, "kernel", "object") == "flat":
-        from repro.keytree.flat import FlatRekeyer
-
-        return FlatRekeyer(tree)
-    from repro.keytree.lkh import LkhRekeyer
-
-    return LkhRekeyer(tree)
-
-
-def kernel_tree_to_dict(tree) -> Dict:
-    """Serialize a tree of either kernel (one shared dump format)."""
-    if getattr(tree, "kernel", "object") == "flat":
-        return tree.to_dict()
-    return tree_to_dict(tree)
-
-
-def kernel_tree_from_dict(
-    data: Dict, kernel: str = "object", keygen: Optional[KeyGenerator] = None
-):
-    """Rebuild a tree of the requested ``kernel`` from either kernel's dump."""
-    if kernel == "flat":
-        from repro.keytree.flat import FlatKeyTree
-
-        return FlatKeyTree.from_dict(data, keygen=keygen)
-    if kernel == "object":
-        return tree_from_dict(data, keygen=keygen)
-    raise ValueError(f"unknown tree kernel {kernel!r} (want one of {TREE_KERNELS})")
-
-
-def tree_with_stream_to_dict(tree, epoch: int = 1) -> Dict:
-    """Serialize a tree *together with its private key-generator stream*.
-
-    Sharded servers give every shard subtree its own :class:`KeyGenerator`
-    stream (so shards rekey independently of executor backend and lane
-    count).  A shard dump therefore must carry the stream state alongside
-    the structure — attachment heaps included via :func:`tree_to_dict` —
-    plus the shard rekeyer's message epoch, or a restored shard would draw
-    different key material than the live one.  Works for either kernel;
-    the dump itself is kernel-neutral.
-    """
-    return {
-        "tree": kernel_tree_to_dict(tree),
-        "stream": tree.keygen.state(),
-        "epoch": int(epoch),
-    }
-
-
-def tree_with_stream_from_dict(data: Dict, kernel: str = "object") -> tuple:
-    """Rebuild ``(tree, epoch)`` from :func:`tree_with_stream_to_dict`.
-
-    The returned tree's ``keygen`` is the restored stream with its counter
-    pinned last (tree construction consumes a draw that must not count),
-    so post-restore rekeys replay the exact key sequence of the live tree.
-    ``kernel`` picks the in-memory representation; the dump restores into
-    either one identically.
-    """
-    stream = data["stream"]
-    keygen = KeyGenerator.from_state(stream)
-    tree = kernel_tree_from_dict(data["tree"], kernel=kernel, keygen=keygen)
-    keygen._root = bytes.fromhex(stream["root"])
-    keygen._counter = int(stream["counter"])
-    return tree, int(data.get("epoch", 1))

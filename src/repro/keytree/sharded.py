@@ -1,7 +1,7 @@
 """A key tree sharded into independent LKH subtrees.
 
 :class:`ShardedKeyTree` splits the membership across ``shards``
-independent :class:`~repro.keytree.tree.KeyTree` subtrees, so a batch of
+independent :class:`~repro.keytree.flat.FlatKeyTree` subtrees, so a batch of
 J joins / L departures decomposes into per-shard mark/generate/wrap jobs
 that can run on any :mod:`repro.perf.parallel` backend, plus an O(shards)
 group-key stitch the owning server performs over the shard roots (the
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.material import KeyGenerator, KeyMaterial
-from repro.keytree.serialize import TREE_KERNELS
 from repro.perf.parallel import (
     BACKENDS,
     PAYLOAD_FULL,
@@ -86,10 +85,6 @@ class ShardedKeyTree:
         ``"handles"`` — cost-only fragments of
         :class:`~repro.crypto.wrap.PlannedEncryptedKey` records, the
         cheap-IPC mode for cost-only benchmarks.
-    kernel:
-        Per-shard tree kernel (``"object"`` or ``"flat"``).  Like the
-        backend, an execution parameter only: both kernels emit
-        byte-identical payloads, so ``mean_batch_cost`` must not move.
     """
 
     def __init__(
@@ -101,21 +96,17 @@ class ShardedKeyTree:
         backend: str = "serial",
         workers: int = 1,
         payload: str = PAYLOAD_FULL,
-        kernel: str = "object",
     ) -> None:
         if shards < 1:
             raise ValueError("shard count must be at least 1")
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-        if kernel not in TREE_KERNELS:
-            raise ValueError(f"kernel must be one of {TREE_KERNELS}, got {kernel!r}")
         self.shards = shards
         self.degree = degree
         self.name = name
         self.backend = backend
         self.workers = max(1, int(workers))
         self.payload = payload
-        self.kernel = kernel
         keygen = keygen if keygen is not None else KeyGenerator()
         specs = [
             ShardSpec(
@@ -123,7 +114,6 @@ class ShardedKeyTree:
                 name=f"{name}/shard{shard}",
                 degree=degree,
                 stream=keygen.derive_stream(f"shard{shard}").state(),
-                kernel=kernel,
             )
             for shard in range(shards)
         ]
@@ -226,7 +216,7 @@ class ShardedKeyTree:
         return self.executor.member_paths({shard: [member_id]})[member_id]
 
     def local_trees(self):
-        """(shard -> KeyTree) for structural checks.
+        """(shard -> key tree) for structural checks.
 
         Live trees for in-process backends; parent-side reconstructions
         from worker dumps for the process backend.

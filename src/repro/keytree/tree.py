@@ -61,9 +61,6 @@ class KeyTree:
         the trees a single server composes so key ids never collide.
     """
 
-    #: Kernel discriminator (``repro.keytree.flat`` provides ``"flat"``).
-    kernel = "object"
-
     def __init__(
         self,
         degree: int = 4,
@@ -404,6 +401,13 @@ class KeyTree:
 
         optimal = math.ceil(math.log(self.size, self.degree))
         return self.height() <= optimal + slack
+
+    def to_dict(self) -> Dict:
+        """The dump, under the name :class:`~repro.keytree.flat.FlatKeyTree`
+        gives its own: one format, whichever class wrote it."""
+        from repro.keytree.serialize import tree_to_dict
+
+        return tree_to_dict(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -49,13 +49,8 @@ from repro.crypto.wrap import (
     set_wrap_mode,
     wrap_mode,
 )
+from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.obs import metrics as obs_metrics
-from repro.keytree.serialize import (
-    make_kernel_rekeyer,
-    make_kernel_tree,
-    tree_with_stream_from_dict,
-    tree_with_stream_to_dict,
-)
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -101,9 +96,6 @@ class ShardSpec:
     degree: int
     #: :meth:`KeyGenerator.state` of the shard's private key stream.
     stream: dict
-    #: Tree kernel (``"object"`` or ``"flat"``); execution-only — both
-    #: kernels emit byte-identical payloads for the same stream/ops.
-    kernel: str = "object"
 
 
 @dataclass(frozen=True)
@@ -135,12 +127,11 @@ class _ShardState:
 
     def __init__(self, spec: ShardSpec) -> None:
         self.shard = spec.shard
-        self.kernel = getattr(spec, "kernel", "object")
         self.keygen = KeyGenerator.from_state(spec.stream)
-        self.tree = make_kernel_tree(
-            self.kernel, degree=spec.degree, keygen=self.keygen, name=spec.name
+        self.tree = FlatKeyTree(
+            degree=spec.degree, keygen=self.keygen, name=spec.name
         )
-        self.rekeyer = make_kernel_rekeyer(self.tree)
+        self.rekeyer = FlatRekeyer(self.tree)
 
     def apply(self, batch: ShardBatch, payload: str) -> ShardFragment:
         start = time.perf_counter()
@@ -162,13 +153,23 @@ class _ShardState:
         )
 
     def dump(self) -> dict:
-        return tree_with_stream_to_dict(self.tree, epoch=self.rekeyer._next_epoch)
+        """The tree (attachment heaps included) *together with* its
+        private stream's state and the rekeyer's message epoch: a restored
+        shard must draw the key material the live one would have."""
+        return {
+            "tree": self.tree.to_dict(),
+            "stream": self.keygen.state(),
+            "epoch": self.rekeyer._next_epoch,
+        }
 
     def load(self, data: dict) -> None:
-        self.tree, epoch = tree_with_stream_from_dict(data, kernel=self.kernel)
-        self.keygen = self.tree.keygen
-        self.rekeyer = make_kernel_rekeyer(self.tree)
-        self.rekeyer._next_epoch = epoch
+        self.keygen = KeyGenerator.from_state(data["stream"])
+        self.tree = FlatKeyTree.from_dict(data["tree"], keygen=self.keygen)
+        # Pin the counter last: tree construction consumed a draw that
+        # must not count.
+        self.keygen._counter = int(data["stream"]["counter"])
+        self.rekeyer = FlatRekeyer(self.tree)
+        self.rekeyer._next_epoch = int(data.get("epoch", 1))
 
 
 # ----------------------------------------------------------------------
@@ -452,7 +453,7 @@ class ProcessShardExecutor:
     def local_trees(self) -> Dict[int, object]:
         """Parent-side reconstructions of the worker trees (test paths)."""
         return {
-            shard: tree_with_stream_from_dict(data)[0]
+            shard: FlatKeyTree.from_dict(data["tree"])
             for shard, data in self.dump_shards().items()
         }
 

@@ -17,8 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.crypto.wrap import EncryptedKey, wrap_key
-from repro.keytree.lkh import LkhRekeyer
-from repro.keytree.tree import KeyTree
+from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.server.base import BatchResult, GroupKeyServer, Registration
 
 
@@ -54,14 +53,14 @@ class LossHomogenizedServer(GroupKeyServer):
         self.degree = degree
         self.name = f"loss-homogenized[{placement}]"
         self.class_rates = tuple(sorted(set(class_rates), reverse=True))
-        self.trees: Dict[float, KeyTree] = {}
-        self.rekeyers: Dict[float, LkhRekeyer] = {}
+        self.trees: Dict[float, FlatKeyTree] = {}
+        self.rekeyers: Dict[float, FlatRekeyer] = {}
         for rate in self.class_rates:
-            tree = KeyTree(
+            tree = FlatKeyTree(
                 degree=degree, keygen=self.keygen, name=f"{group}/tree-p{rate:g}"
             )
             self.trees[rate] = tree
-            self.rekeyers[rate] = LkhRekeyer(tree)
+            self.rekeyers[rate] = FlatRekeyer(tree)
         self._assignment: Dict[str, float] = {}
         self._pending_rate: Dict[str, float] = {}
         self._round_robin_index = 0

@@ -5,11 +5,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.crypto.material import KeyGenerator, KeyMaterial
-from repro.keytree.serialize import (
-    TREE_KERNELS,
-    make_kernel_rekeyer,
-    make_kernel_tree,
-)
+from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.server.base import BatchResult, GroupKeyServer, Registration
 
 
@@ -17,12 +13,7 @@ class OneTreeServer(GroupKeyServer):
     """One LKH tree; the group key is the tree's root key.
 
     This is "the previous one-keytree scheme" every optimization in the
-    paper is measured against.  ``tree_kernel`` selects the in-memory
-    tree representation: ``"object"`` (node objects, the reference) or
-    ``"flat"`` (index arrays; byte-identical payloads, far fewer
-    collector-tracked objects, so shorter slow epochs and set-up at
-    large N — "Execution options" in ``docs/performance.md`` has the
-    measurement).  It is the only execution setting this server has.
+    paper is measured against.
     """
 
     name = "one-keytree"
@@ -33,19 +24,15 @@ class OneTreeServer(GroupKeyServer):
         keygen: Optional[KeyGenerator] = None,
         group: str = "group",
         join_refresh: str = "random",
-        tree_kernel: str = "object",
     ) -> None:
         if join_refresh not in ("random", "owf"):
             raise ValueError("join_refresh must be 'random' or 'owf'")
-        if tree_kernel not in TREE_KERNELS:
-            raise ValueError(f"tree_kernel must be one of {TREE_KERNELS}")
         super().__init__(keygen=keygen, group=group)
         self.join_refresh = join_refresh
-        self.tree_kernel = tree_kernel
-        self.tree = make_kernel_tree(
-            tree_kernel, degree=degree, keygen=self.keygen, name=f"{group}/tree"
+        self.tree = FlatKeyTree(
+            degree=degree, keygen=self.keygen, name=f"{group}/tree"
         )
-        self.rekeyer = make_kernel_rekeyer(self.tree)
+        self.rekeyer = FlatRekeyer(self.tree)
 
     def _process_batch(
         self,

@@ -60,9 +60,6 @@ class ShardedOneTreeServer(GroupKeyServer):
     payload:
         ``"full"`` (default) or ``"handles"`` (cost-only fragments; see
         :class:`~repro.keytree.sharded.ShardedKeyTree`).
-    tree_kernel:
-        Per-shard tree kernel, ``"object"`` or ``"flat"`` — execution
-        only, payload bytes are identical either way.
     """
 
     name = "sharded-keytree"
@@ -77,14 +74,12 @@ class ShardedOneTreeServer(GroupKeyServer):
         group: str = "group",
         join_refresh: str = "random",
         payload: str = PAYLOAD_FULL,
-        tree_kernel: str = "object",
     ) -> None:
         if join_refresh not in ("random", "owf"):
             raise ValueError("join_refresh must be 'random' or 'owf'")
         super().__init__(keygen=keygen, group=group)
         self.join_refresh = join_refresh
         self.payload = payload
-        self.tree_kernel = tree_kernel
         self.sharded = ShardedKeyTree(
             shards=shards,
             degree=degree,
@@ -93,7 +88,6 @@ class ShardedOneTreeServer(GroupKeyServer):
             backend=backend,
             workers=workers,
             payload=payload,
-            kernel=tree_kernel,
         )
         # The stitch stream is parent-side and dedicated, so DEK material
         # never depends on how many draws the shard streams have made.

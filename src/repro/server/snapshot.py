@@ -15,15 +15,8 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.crypto.material import KeyGenerator, KeyMaterial
-from repro.keytree.lkh import LkhRekeyer
+from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.keytree.queuepartition import QueuePartition
-from repro.keytree.serialize import (
-    kernel_tree_from_dict,
-    kernel_tree_to_dict,
-    make_kernel_rekeyer,
-    tree_from_dict,
-    tree_to_dict,
-)
 from repro.server.base import GroupKeyServer, Registration
 from repro.server.losshomog import LossHomogenizedServer
 from repro.server.onetree import OneTreeServer
@@ -98,6 +91,14 @@ def _restore_queue(queue: QueuePartition, data: Dict) -> None:
     queue._keys = {key.key_id.split(":", 1)[1]: key for key in keys}
 
 
+def _restore_tree(data: Dict, keygen: KeyGenerator, next_epoch) -> tuple:
+    """``(tree, rekeyer)`` from a tree dump and its rekeyer's epoch."""
+    tree = FlatKeyTree.from_dict(data, keygen=keygen)
+    rekeyer = FlatRekeyer(tree)
+    rekeyer._next_epoch = int(next_epoch)
+    return tree, rekeyer
+
+
 def snapshot_server(server: GroupKeyServer) -> Dict:
     """Serialize any supported server to a JSON-compatible dict."""
     state: Dict = {
@@ -108,9 +109,8 @@ def snapshot_server(server: GroupKeyServer) -> Dict:
     if isinstance(server, OneTreeServer):
         state["kind"] = "one-keytree"
         state["degree"] = server.tree.degree
-        state["tree_kernel"] = server.tree_kernel
         state["join_refresh"] = server.join_refresh
-        state["tree"] = kernel_tree_to_dict(server.tree)
+        state["tree"] = server.tree.to_dict()
         state["tree_epoch"] = server.rekeyer._next_epoch
     elif isinstance(server, TwoPartitionServer):
         state["kind"] = "two-partition"
@@ -120,13 +120,13 @@ def snapshot_server(server: GroupKeyServer) -> Dict:
         state["dek"] = _key_to_dict(server._dek)
         state["s_entered"] = dict(server._s_entered)
         state["member_class"] = dict(server._member_class)
-        state["l_tree"] = tree_to_dict(server.l_tree)
+        state["l_tree"] = server.l_tree.to_dict()
         state["l_epoch"] = server.l_rekeyer._next_epoch
         if server.s_queue is not None:
             state["s_queue"] = _queue_to_dict(server.s_queue)
         else:
             assert server.s_tree is not None and server.s_rekeyer is not None
-            state["s_tree"] = tree_to_dict(server.s_tree)
+            state["s_tree"] = server.s_tree.to_dict()
             state["s_epoch"] = server.s_rekeyer._next_epoch
     elif isinstance(server, LossHomogenizedServer):
         state["kind"] = "loss-homogenized"
@@ -138,7 +138,7 @@ def snapshot_server(server: GroupKeyServer) -> Dict:
         state["round_robin_index"] = server._round_robin_index
         state["pending_rate"] = dict(server._pending_rate)
         state["trees"] = {
-            str(rate): tree_to_dict(tree) for rate, tree in server.trees.items()
+            str(rate): tree.to_dict() for rate, tree in server.trees.items()
         }
         state["tree_epochs"] = {
             str(rate): rekeyer._next_epoch
@@ -152,7 +152,6 @@ def snapshot_server(server: GroupKeyServer) -> Dict:
         state["degree"] = server.sharded.degree
         state["join_refresh"] = server.join_refresh
         state["payload"] = server.payload
-        state["tree_kernel"] = server.tree_kernel
         state["dek_stream"] = server._dek_stream.state()
         if server._dek is not None:
             state["dek"] = _key_to_dict(server._dek)
@@ -180,22 +179,21 @@ def restore_server(state: Dict) -> GroupKeyServer:
     keygen = KeyGenerator.from_state(state["keygen"])
 
     server: GroupKeyServer
+    # Tree dumps are one format whichever tree class wrote them, so the
+    # "tree_kernel" field snapshots carried while there were two kernels
+    # to choose from is not read.
     if kind == "one-keytree":
-        # Older snapshots predate the kernel/join_refresh fields; they
-        # were all object-kernel, random-refresh servers.
-        kernel = state.get("tree_kernel", "object")
+        # Older snapshots predate the join_refresh field; they were all
+        # random-refresh servers.
         server = OneTreeServer(
             degree=int(state["degree"]),
             group=group,
             join_refresh=state.get("join_refresh", "random"),
-            tree_kernel=kernel,
         )
         server.keygen = keygen
-        server.tree = kernel_tree_from_dict(
-            state["tree"], kernel=kernel, keygen=keygen
+        server.tree, server.rekeyer = _restore_tree(
+            state["tree"], keygen, state["tree_epoch"]
         )
-        server.rekeyer = make_kernel_rekeyer(server.tree)
-        server.rekeyer._next_epoch = int(state["tree_epoch"])
     elif kind == "two-partition":
         server = TwoPartitionServer(
             mode=state["mode"],
@@ -207,17 +205,17 @@ def restore_server(state: Dict) -> GroupKeyServer:
         server._dek = _key_from_dict(state["dek"])
         server._s_entered = {m: float(t) for m, t in state["s_entered"].items()}
         server._member_class = dict(state["member_class"])
-        server.l_tree = tree_from_dict(state["l_tree"], keygen=keygen)
-        server.l_rekeyer = LkhRekeyer(server.l_tree)
-        server.l_rekeyer._next_epoch = int(state["l_epoch"])
+        server.l_tree, server.l_rekeyer = _restore_tree(
+            state["l_tree"], keygen, state["l_epoch"]
+        )
         if "s_queue" in state:
             assert server.s_queue is not None
             server.s_queue.keygen = keygen
             _restore_queue(server.s_queue, state["s_queue"])
         else:
-            server.s_tree = tree_from_dict(state["s_tree"], keygen=keygen)
-            server.s_rekeyer = LkhRekeyer(server.s_tree)
-            server.s_rekeyer._next_epoch = int(state["s_epoch"])
+            server.s_tree, server.s_rekeyer = _restore_tree(
+                state["s_tree"], keygen, state["s_epoch"]
+            )
     elif kind == "loss-homogenized":
         server = LossHomogenizedServer(
             class_rates=tuple(state["class_rates"]),
@@ -234,10 +232,8 @@ def restore_server(state: Dict) -> GroupKeyServer:
         }
         for rate_text, tree_data in state["trees"].items():
             rate = float(rate_text)
-            server.trees[rate] = tree_from_dict(tree_data, keygen=keygen)
-            server.rekeyers[rate] = LkhRekeyer(server.trees[rate])
-            server.rekeyers[rate]._next_epoch = int(
-                state["tree_epochs"][rate_text]
+            server.trees[rate], server.rekeyers[rate] = _restore_tree(
+                tree_data, keygen, state["tree_epochs"][rate_text]
             )
     elif kind == "sharded-keytree":
         server = ShardedOneTreeServer(
@@ -248,7 +244,6 @@ def restore_server(state: Dict) -> GroupKeyServer:
             group=group,
             join_refresh=state["join_refresh"],
             payload=state["payload"],
-            tree_kernel=state.get("tree_kernel", "object"),
         )
         server.keygen = keygen
         server._dek_stream = KeyGenerator.from_state(state["dek_stream"])

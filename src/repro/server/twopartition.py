@@ -35,9 +35,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.crypto.wrap import EncryptedKey, wrap_key
-from repro.keytree.lkh import LkhRekeyer
+from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.keytree.queuepartition import QueuePartition
-from repro.keytree.tree import KeyTree
 from repro.members.durations import LONG_CLASS, SHORT_CLASS
 from repro.server.base import BatchResult, GroupKeyServer, Registration
 
@@ -80,14 +79,18 @@ class TwoPartitionServer(GroupKeyServer):
             self.s_queue: Optional[QueuePartition] = QueuePartition(
                 keygen=self.keygen, name=f"{group}/s-queue"
             )
-            self.s_tree: Optional[KeyTree] = None
-            self.s_rekeyer: Optional[LkhRekeyer] = None
+            self.s_tree: Optional[FlatKeyTree] = None
+            self.s_rekeyer: Optional[FlatRekeyer] = None
         else:
             self.s_queue = None
-            self.s_tree = KeyTree(degree=degree, keygen=self.keygen, name=f"{group}/s-tree")
-            self.s_rekeyer = LkhRekeyer(self.s_tree)
-        self.l_tree = KeyTree(degree=degree, keygen=self.keygen, name=f"{group}/l-tree")
-        self.l_rekeyer = LkhRekeyer(self.l_tree)
+            self.s_tree = FlatKeyTree(
+                degree=degree, keygen=self.keygen, name=f"{group}/s-tree"
+            )
+            self.s_rekeyer = FlatRekeyer(self.s_tree)
+        self.l_tree = FlatKeyTree(
+            degree=degree, keygen=self.keygen, name=f"{group}/l-tree"
+        )
+        self.l_rekeyer = FlatRekeyer(self.l_tree)
 
         self._dek = self.keygen.generate(f"{group}/dek")
         self._s_entered: Dict[str, float] = {}

@@ -35,6 +35,7 @@ from repro.testing.invariants import (
     check_structures,
     probe_ciphertext,
 )
+from repro.testing.oracle import with_object_trees
 from repro.testing.scenario import Scenario, standard_scenarios
 from repro.testing.shadow import ShadowGroup
 
@@ -56,4 +57,5 @@ __all__ = [
     "run_conformance",
     "scheme_specs",
     "standard_scenarios",
+    "with_object_trees",
 ]

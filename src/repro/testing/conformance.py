@@ -96,19 +96,6 @@ def scheme_specs() -> List[SchemeSpec]:
             ),
             (),
         ),
-        # The flat-array kernel under the same battery: payloads must be
-        # byte-identical to the object kernel, so every invariant that
-        # holds above must hold here too.
-        SchemeSpec(
-            "one-keytree-flat",
-            lambda: OneTreeServer(degree=4, tree_kernel="flat"),
-            (),
-        ),
-        SchemeSpec(
-            "sharded-flat",
-            lambda: ShardedOneTreeServer(shards=4, degree=4, tree_kernel="flat"),
-            (),
-        ),
     ]
 
 

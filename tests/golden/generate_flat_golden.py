@@ -29,15 +29,20 @@ TRACES = [
 
 def _build(trace, kernel):
     from repro.crypto.material import KeyGenerator
-    from repro.keytree.serialize import make_kernel_rekeyer, make_kernel_tree
+    from repro.keytree.flat import FlatKeyTree, FlatRekeyer
+    from repro.keytree.lkh import LkhRekeyer
+    from repro.keytree.tree import KeyTree
 
-    tree = make_kernel_tree(
-        kernel,
+    tree_cls, rekeyer_cls = {
+        "object": (KeyTree, LkhRekeyer),
+        "flat": (FlatKeyTree, FlatRekeyer),
+    }[kernel]
+    tree = tree_cls(
         degree=trace["degree"],
         keygen=KeyGenerator(trace["seed"]),
         name="golden/tree",
     )
-    return make_kernel_rekeyer(tree)
+    return rekeyer_cls(tree)
 
 
 def _message_record(message):

@@ -6,7 +6,18 @@ product surface, usable by downstream deployments, not test-only code.
 These helpers stay for the low-level tree/rekeyer tests that predate it.
 """
 
+from repro.keytree.flat import FlatKeyTree, FlatRekeyer
+from repro.keytree.lkh import LkhRekeyer
+from repro.keytree.tree import KeyTree
 from repro.testing import ConformanceHarness
+
+#: The two key-tree implementations, as (tree class, rekeyer class): the
+#: flat-array kernel every server builds, and the object tree that is its
+#: reference.  Tests of a property both must have parametrize over this.
+KERNELS = {
+    "object": (KeyTree, LkhRekeyer),
+    "flat": (FlatKeyTree, FlatRekeyer),
+}
 
 
 class PrivateIndexHarness(ConformanceHarness):

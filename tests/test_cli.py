@@ -126,17 +126,19 @@ class TestTrace:
 
 
 class TestRemovedExecutionOptions:
-    """The bulk / threads / arena wrap engine and the ``bench`` subcommand
-    are gone; their flags are argparse errors, not silently accepted."""
+    """The bulk / threads / arena wrap engine, the ``bench`` subcommand and
+    the choice of tree kernel are gone; their flags are argparse errors,
+    not silently accepted."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["simulate", "--quick", "--threads", "2"],
+            ["simulate", "--quick", "--tree-kernel", "flat"],
             ["chaos", "--quick", "--arena"],
             ["bench"],
         ],
-        ids=["simulate-threads", "chaos-arena", "bench"],
+        ids=["simulate-threads", "simulate-tree-kernel", "chaos-arena", "bench"],
     )
     def test_removed_flags_and_subcommand_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -12,14 +12,18 @@ import json
 
 import pytest
 
+from repro.keytree.flat import FlatKeyTree
+from repro.keytree.tree import KeyTree
 from repro.server.snapshot import restore_server, snapshot_server
 from repro.testing import (
     SCHEME_FACTORIES,
     ConformanceHarness,
     Scenario,
     default_join_attributes,
+    with_object_trees,
 )
 from repro.testing.conformance import S_PERIOD
+from repro.testing.invariants import _tree_structures
 
 PREFIX = Scenario.parse(
     f"+a +b +c +d +e . -b . t+{S_PERIOD:g} +f .", name="prefix"
@@ -33,13 +37,11 @@ SNAPSHOT_SCHEMES = [
     "qt",
     "tt",
     "loss-homogenized",
-    "one-keytree-flat",
-    "sharded-flat",
 ]
 
 
-def run_prefix(spec):
-    harness = ConformanceHarness(spec.factory())
+def run_prefix(spec, build=lambda server: server):
+    harness = ConformanceHarness(build(spec.factory()))
     PREFIX.run(
         harness,
         attribute_filter=spec.attributes,
@@ -106,17 +108,6 @@ def test_live_and_restored_emit_identical_batches(name):
     assert twin_wire == live_wire
 
 
-#: (scheme, kernel to restore into) — dumps are kernel-neutral, so a
-#: snapshot taken with one kernel must restore into the other and keep
-#: emitting byte-identical payloads from the next rekey onward.
-CROSS_KERNEL = [
-    ("one-keytree", "flat"),
-    ("one-keytree-flat", "object"),
-    ("sharded", "flat"),
-    ("sharded-flat", "object"),
-]
-
-
 def _wire(result):
     return [
         (
@@ -130,26 +121,39 @@ def _wire(result):
     ]
 
 
-@pytest.mark.parametrize("name,other_kernel", CROSS_KERNEL)
-def test_cross_kernel_restore_emits_identical_payloads(name, other_kernel):
+@pytest.mark.parametrize("name", sorted(SCHEME_FACTORIES))
+def test_object_tree_snapshot_restores_into_the_shipped_server(name):
+    """Dumps are one format whichever tree class wrote them: a snapshot
+    recorded while servers still built object trees — it says so, in a
+    field nothing reads any more — restores into today's server, which
+    carries on byte for byte where the object trees would have."""
     spec = SCHEME_FACTORIES[name]
-    live = run_prefix(spec)
+    live = run_prefix(spec, build=with_object_trees)
+    assert all(isinstance(t, KeyTree) for _, t in _tree_structures(live.server))
     state = json.loads(json.dumps(snapshot_server(live.server)))
-    assert state["tree_kernel"] != other_kernel
-    state["tree_kernel"] = other_kernel
+    assert "tree_kernel" not in state
+    state["tree_kernel"] = "object"
     twin = restore_server(state)
+    assert all(isinstance(t, FlatKeyTree) for _, t in _tree_structures(twin))
 
     # Continue churning both servers in lock step: every subsequent batch
     # must match byte for byte (order and ciphertexts included).
     for step in range(4):
         now = 1000.0 + 10.0 * step
+        member = f"x{step}"
+        attrs = {
+            k: v
+            for k, v in default_join_attributes(member).items()
+            if k in spec.attributes
+        }
         for server in (live.server, twin):
-            server.join(f"x{step}", at_time=now)
+            server.join(member, at_time=now, **attrs)
             if step == 1:
                 server.leave("c", at_time=now)
         live_result = live.server.rekey(now=now)
         twin_result = twin.rekey(now=now)
         assert twin_result.epoch == live_result.epoch
+        assert twin_result.breakdown == live_result.breakdown
         assert _wire(twin_result) == _wire(live_result)
     assert twin.group_key().secret == live.server.group_key().secret
     if hasattr(twin, "close"):

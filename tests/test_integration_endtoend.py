@@ -139,22 +139,21 @@ def test_loss_homogenized_beats_one_tree_on_wire_cost():
 def test_package_imports_and_rekeys_without_numpy():
     """The package is stdlib-only: with numpy unimportable (a ``None``
     entry in ``sys.modules`` makes ``import numpy`` raise), ``import
-    repro`` works and both kernels run a batch rekey members can open."""
+    repro`` works and a server runs a batch rekey members can open."""
     script = """
 import sys
 sys.modules["numpy"] = None
 import repro
 from repro import Member, OneTreeServer
-for kernel in ("object", "flat"):
-    server = OneTreeServer(degree=3, tree_kernel=kernel)
-    registrations = [server.join(f"m{i}") for i in range(20)]
-    members = [Member(r.member_id, r.individual_key) for r in registrations]
-    batch = server.rekey(now=60.0)
-    for member in members:
-        member.absorb(batch.encrypted_keys, index=batch.index())
-    dek = server.group_key()
-    assert batch.cost > 0
-    assert all(m.holds(dek.key_id, dek.version) for m in members)
+server = OneTreeServer(degree=3)
+registrations = [server.join(f"m{i}") for i in range(20)]
+members = [Member(r.member_id, r.individual_key) for r in registrations]
+batch = server.rekey(now=60.0)
+for member in members:
+    member.absorb(batch.encrypted_keys, index=batch.index())
+dek = server.group_key()
+assert batch.cost > 0
+assert all(m.holds(dek.key_id, dek.version) for m in members)
 print("ok")
 """
     env = dict(os.environ)

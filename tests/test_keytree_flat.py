@@ -3,24 +3,22 @@
 The heavyweight correctness gate is the differential battery
 (``test_keytree_flat_differential.py``); these tests cover the flat
 kernel's own surface — structure API, dump interchange with the object
-kernel, slot recycling, and the kernel-selection plumbing.
+kernel, slot recycling and compaction, and the fact that it is the one
+kernel every server builds.
 """
 
 import pytest
 
 from repro.crypto.material import KeyGenerator
+from repro.keytree import flat
 from repro.keytree.flat import FlatKeyTree, FlatRekeyer
-from repro.keytree.serialize import (
-    TREE_KERNELS,
-    kernel_tree_from_dict,
-    make_kernel_rekeyer,
-    make_kernel_tree,
-    tree_from_dict,
-    tree_to_dict,
-)
+from repro.keytree.serialize import tree_from_dict, tree_to_dict
 from repro.keytree.sharded import ShardedKeyTree
 from repro.keytree.tree import KeyTree
 from repro.server.onetree import OneTreeServer
+from repro.server.sharded import ShardedOneTreeServer
+from repro.testing import SCHEME_FACTORIES
+from repro.testing.invariants import _tree_structures
 
 
 def build_flat(count=25, degree=3, seed=9):
@@ -116,40 +114,108 @@ class TestDumpInterchange:
         assert flat.to_dict() == tree_to_dict(obj)
 
 
-class TestKernelSelection:
-    def test_kernel_discriminators(self):
-        assert KeyTree.kernel == "object"
-        assert FlatKeyTree.kernel == "flat"
-        assert set(TREE_KERNELS) == {"object", "flat"}
+class TestSlotCompaction:
+    """Sparse slot arrays are given back between batches, unobservably."""
 
-    def test_make_kernel_tree_dispatches(self):
-        for kernel, cls in (("object", KeyTree), ("flat", FlatKeyTree)):
-            tree = make_kernel_tree(
-                kernel, degree=3, keygen=KeyGenerator(1), name="t"
+    @pytest.fixture(autouse=True)
+    def small_floor(self, monkeypatch):
+        monkeypatch.setattr(flat, "SLOT_COMPACT_FLOOR", 8)
+
+    def test_mass_departure_shrinks_every_column(self):
+        tree, rekeyer = build_flat(count=200, degree=4)
+        slots_before = len(tree._ids)
+        rekeyer.rekey_batch(departures=[f"m{i}" for i in range(190)])
+        tree.validate()
+        live = len(tree._index)
+        assert not tree._free
+        assert slots_before > 4 * live
+        for column in (
+            tree._parent, tree._nchild, tree._ids, tree._member,
+            tree._versions, tree._leafcnt, tree._depthv, tree._gen,
+        ):
+            assert len(column) == live
+        assert len(tree._child) == live * tree.degree
+        assert len(tree._secrets) == live * flat.KEY_SIZE
+        assert sorted(tree._index.values()) == list(range(live))
+        assert tree._index[tree.root.node_id] == flat.ROOT
+        assert sorted(tree.members()) == sorted(f"m{i}" for i in range(190, 200))
+
+    def test_compaction_moves_nothing_a_dump_or_a_pop_can_see(self):
+        tree, rekeyer = build_flat(count=120, degree=3)
+        for i in range(0, 100, 2):  # tree-level removals: only a rekeyer trims
+            tree.remove_member(f"m{i}")
+        before = tree.to_dict()
+        heaps_before = [
+            [(depth, seq) for depth, seq, _, _ in heap]
+            for heap in (tree._open_internal, tree._split_candidates)
+        ]
+        dead_before = sum(
+            tree._gen[idx] != gen
+            for heap in (tree._open_internal, tree._split_candidates)
+            for _, _, idx, gen in heap
+        )
+        assert dead_before  # the remap has dead entries to carry over
+        tree._compact()
+        tree.validate()
+        assert tree.to_dict() == before
+        assert [
+            [(depth, seq) for depth, seq, _, _ in heap]
+            for heap in (tree._open_internal, tree._split_candidates)
+        ] == heaps_before
+        assert dead_before == sum(
+            tree._gen[idx] != gen
+            for heap in (tree._open_internal, tree._split_candidates)
+            for _, _, idx, gen in heap
+        )
+        # Dead entries stay dead whatever the compacted tree goes on to do.
+        for round_no in range(3):
+            rekeyer.rekey_batch(joins=[(f"n{round_no}-{i}", None) for i in range(40)])
+            rekeyer.rekey_batch(
+                departures=[f"n{round_no}-{i}" for i in range(40)]
             )
-            assert isinstance(tree, cls)
-            rekeyer = make_kernel_rekeyer(tree)
-            rekeyer.rekey_batch(joins=[("a", None), ("b", None)])
-            assert tree.size == 2
-        with pytest.raises(ValueError):
-            make_kernel_tree("simd", degree=3, name="t")
-        with pytest.raises(ValueError):
-            kernel_tree_from_dict({}, kernel="simd")
+            tree.validate()
 
-    def test_server_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError):
-            OneTreeServer(tree_kernel="simd")
-        with pytest.raises(ValueError):
-            ShardedKeyTree(shards=2, kernel="simd")
+    def test_threshold_counts_free_slots_against_live_ones(self):
+        tree, rekeyer = build_flat(count=64, degree=4)
+        # Free slots up to 3 x live + the floor are kept for reuse.
+        rekeyer.rekey_batch(departures=[f"m{i}" for i in range(40)])
+        assert tree._free
+        assert len(tree._free) <= 3 * len(tree._index) + 8
+        rekeyer.rekey_batch(departures=[f"m{i}" for i in range(40, 62)])
+        assert not tree._free
+        tree.validate()
 
-    def test_one_tree_server_flat_kernel_serves_group_key(self):
-        server = OneTreeServer(degree=3, tree_kernel="flat")
+    def test_single_leave_compacts_too(self):
+        tree, rekeyer = build_flat(count=80, degree=4)
+        for i in range(78):
+            rekeyer.leave(f"m{i}")
+        tree.validate()
+        assert len(tree._ids) < 40
+        assert sorted(tree.members()) == ["m78", "m79"]
+
+
+class TestSingleKernel:
+    def test_every_scheme_builds_flat_trees(self):
+        for name, spec in SCHEME_FACTORIES.items():
+            trees = _tree_structures(spec.factory())
+            assert trees, name
+            assert all(isinstance(tree, FlatKeyTree) for _, tree in trees), name
+
+    def test_kernel_argument_is_gone(self):
+        with pytest.raises(TypeError):
+            OneTreeServer(tree_kernel="flat")
+        with pytest.raises(TypeError):
+            ShardedOneTreeServer(shards=2, tree_kernel="flat")
+        with pytest.raises(TypeError):
+            ShardedKeyTree(shards=2, kernel="flat")
+
+    def test_one_tree_server_serves_group_key(self):
+        server = OneTreeServer(degree=3)
         for i in range(9):
             server.join(f"m{i}")
         result = server.rekey()
         assert result.cost > 0
         dek = server.group_key()
-        assert server.tree.kernel == "flat"
         assert dek.secret == server.tree.root.key.secret
         held = server._current_keys_of("m4")
         assert held[-1].key_id == dek.key_id

@@ -11,6 +11,12 @@ Traces come from two sources: hypothesis-generated operation programs
 (shrinkable counterexamples) and pinned-seed random mixes (stable
 regression anchors).  Both run under eager and deferred wrapping, and
 the sharded variant is checked across all three executor backends.
+
+The same holds one level up.  Every server builds the flat kernel and
+nothing else, so the battery also drives each shipped server beside a
+twin whose trees :func:`repro.testing.with_object_trees` has swapped for
+object trees, and demands the same payload bytes, cost breakdown and
+verbatim tree dumps after every batch.
 """
 
 import random
@@ -22,12 +28,20 @@ from hypothesis import strategies as st
 
 from repro.crypto.material import KeyGenerator
 from repro.crypto.wrap import WrapIndex, deferred_wraps
+from repro.keytree import flat
 from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.keytree.lkh import LkhRekeyer
 from repro.keytree.serialize import tree_to_dict
 from repro.keytree.tree import KeyTree
 from repro.members.member import Member
 from repro.server.sharded import ShardedOneTreeServer
+from repro.testing import (
+    SCHEME_FACTORIES,
+    default_join_attributes,
+    with_object_trees,
+)
+from repro.testing.conformance import S_PERIOD
+from repro.testing.invariants import _tree_structures
 
 # ----------------------------------------------------------------------
 # helpers
@@ -299,6 +313,39 @@ def test_heaps_shed_in_lock_step_under_steady_churn():
         assert sheds[KeyTree] > 3
 
 
+def test_slots_compact_in_lock_step_with_the_object_tree():
+    """The object tree has no slots to renumber, which makes it the
+    oracle for compaction: cohorts that join and then all leave — batched
+    and one by one — with the floor low enough to fire every time, and
+    payloads, counters and verbatim dumps stay equal throughout."""
+    compactions = []
+    compact = FlatKeyTree._compact
+
+    def counting(tree):
+        compactions.append(len(tree._ids))
+        compact(tree)
+
+    with deferred_wraps(), mock.patch.object(
+        flat, "SLOT_COMPACT_FLOOR", 4
+    ), mock.patch.object(FlatKeyTree, "_compact", counting):
+        pair = KernelPair(degree=4, seed=37)
+        pair.batch([(f"stay{i}", None) for i in range(5)])
+        for cohort in range(6):
+            members = [f"c{cohort}-{i}" for i in range(60)]
+            pair.batch([(member, None) for member in members])
+            if cohort % 2:
+                pair.batch(departures=members)
+            else:
+                for victim in members:
+                    assert_identical(
+                        pair.obj.leave(victim), pair.flat.leave(victim)
+                    )
+                    pair.check_state(f"cohort {cohort} {victim}")
+            pair.check_state(f"cohort {cohort}")
+            assert len(pair.flat_tree._ids) < 40
+    assert len(compactions) >= 6
+
+
 def test_per_receiver_decrypt_counts_match():
     """Receivers fed either kernel's payload learn the same keys, in the
     same quantity, every epoch."""
@@ -395,17 +442,152 @@ def wire_result(result):
 )
 def test_sharded_flat_kernel_matches_object_across_backends(backend, workers):
     with deferred_wraps():
-        obj_server = ShardedOneTreeServer(shards=4, degree=3, group="kx")
+        obj_server = with_object_trees(
+            ShardedOneTreeServer(shards=4, degree=3, group="kx")
+        )
         flat_server = ShardedOneTreeServer(
-            shards=4,
-            degree=3,
-            group="kx",
-            backend=backend,
-            workers=workers,
-            tree_kernel="flat",
+            shards=4, degree=3, group="kx", backend=backend, workers=workers
         )
         try:
+            assert all(
+                isinstance(tree, KeyTree)
+                for tree in obj_server.sharded.local_trees().values()
+            )
             assert _server_wires(obj_server) == _server_wires(flat_server)
+            if backend == "process":  # its workers build their own trees
+                with pytest.raises(TypeError):
+                    with_object_trees(flat_server)
         finally:
             obj_server.close()
             flat_server.close()
+
+
+# ----------------------------------------------------------------------
+# every server: shipped (flat) vs its object-tree oracle, in lock step
+# ----------------------------------------------------------------------
+
+LOCK_STEP_SCHEMES = ("qt", "tt", "pt", "loss-homogenized")
+
+
+class ServerPair:
+    """A shipped server and its object-tree oracle, fed the same churn."""
+
+    def __init__(self, scheme):
+        self.spec = SCHEME_FACTORIES[scheme]
+        self.shipped = self.spec.factory()
+        self.oracle = with_object_trees(self.spec.factory())
+        assert all(
+            isinstance(tree, FlatKeyTree)
+            for _, tree in _tree_structures(self.shipped)
+        )
+        assert all(
+            isinstance(tree, KeyTree) for _, tree in _tree_structures(self.oracle)
+        )
+        self.present = []
+        self.counter = 0
+        self.now = 0.0
+
+    def join(self, count):
+        for _ in range(count):
+            self.counter += 1
+            member = f"m{self.counter}"
+            attributes = {
+                name: value
+                for name, value in default_join_attributes(member).items()
+                if name in self.spec.attributes
+            }
+            for server in (self.shipped, self.oracle):
+                server.join(member, at_time=self.now, **attributes)
+            self.present.append(member)
+
+    def leave(self, count):
+        for _ in range(min(count, len(self.present))):
+            member = self.present.pop(0)
+            for server in (self.shipped, self.oracle):
+                server.leave(member)
+
+    def rekey(self, context=""):
+        ours = self.shipped.rekey(now=self.now)
+        theirs = self.oracle.rekey(now=self.now)
+        assert wire_result(ours) == wire_result(theirs), context
+        assert ours.breakdown == theirs.breakdown, context
+        assert list(ours.breakdown) == list(theirs.breakdown), context
+        assert ours.migrated == theirs.migrated, context
+        assert ours.advanced == theirs.advanced, context
+        assert self.shipped.keygen._counter == self.oracle.keygen._counter, context
+        # Verbatim: heap arrays included, entry for entry.
+        assert [
+            (label, tree.to_dict()) for label, tree in _tree_structures(self.shipped)
+        ] == [
+            (label, tree.to_dict()) for label, tree in _tree_structures(self.oracle)
+        ], context
+        return ours
+
+
+# One step: (joins, departures, seconds to the next rekey point).  Half an
+# S-period and a whole one, so members migrate S -> L both in trickles and
+# as whole cohorts.
+server_programs = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=4),
+        st.sampled_from((0.0, S_PERIOD / 2, S_PERIOD)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@pytest.mark.parametrize("scheme", LOCK_STEP_SCHEMES)
+@settings(max_examples=15, deadline=None)
+@given(program=server_programs, deferred=st.booleans())
+def test_servers_match_their_object_tree_oracle(scheme, program, deferred):
+    with deferred_wraps(enabled=deferred), mock.patch.object(
+        flat, "SLOT_COMPACT_FLOOR", 2
+    ):
+        pair = ServerPair(scheme)
+        for step, (joins, departures, advance) in enumerate(program):
+            pair.leave(departures)
+            pair.join(joins)
+            pair.now += advance
+            pair.rekey(f"{scheme} step {step}")
+        for _, tree in _tree_structures(pair.shipped):
+            tree.validate()
+
+
+@pytest.mark.parametrize("deferred", [False, True])
+@pytest.mark.parametrize("scheme", ("qt", "tt"))
+def test_mass_migration_compacts_the_s_tree_unobservably(scheme, deferred):
+    """The benchmark's set-up in miniature: a group admitted at once sits
+    out its S-period and migrates to the L-tree in one batch, after which
+    the S-partition holds a trickle of newcomers.  With the floor patched
+    low the emptied S-tree gives its slots back, and nothing the oracle
+    can see moves."""
+    compacted = []
+    compact = FlatKeyTree._compact
+
+    def recording(tree):
+        compacted.append(tree.name)
+        compact(tree)
+
+    with deferred_wraps(enabled=deferred), mock.patch.object(
+        flat, "SLOT_COMPACT_FLOOR", 8
+    ), mock.patch.object(FlatKeyTree, "_compact", recording):
+        pair = ServerPair(scheme)
+        pair.join(120)
+        pair.rekey("admit")
+        pair.now += S_PERIOD
+        pair.join(3)
+        result = pair.rekey("mass migration")
+        assert len(result.migrated) == 120
+        for epoch in range(6):
+            pair.now += S_PERIOD / 2
+            pair.leave(2)
+            pair.join(3)
+            pair.rekey(f"steady {epoch}")
+        s_tree = pair.shipped.s_tree
+        if scheme == "tt":
+            assert compacted and all(name.endswith("s-tree") for name in compacted)
+            assert len(s_tree._ids) <= 4 * len(s_tree._index) + 8
+        else:  # the queue partition has no tree to compact
+            assert s_tree is None and not compacted

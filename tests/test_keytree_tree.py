@@ -10,14 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.material import KeyGenerator
+from repro.keytree import flat
 from repro.keytree.flat import FlatKeyTree
-from repro.keytree.serialize import (
-    TREE_KERNELS,
-    kernel_tree_to_dict,
-    make_kernel_rekeyer,
-    make_kernel_tree,
-)
 from repro.keytree.tree import KeyTree
+
+from tests.helpers import KERNELS
 
 
 class TestConstruction:
@@ -240,7 +237,7 @@ def dump(tree):
     along the way.  ``seq`` is unique, so the sorted entries are exactly
     what the heap will pop, in order — the part that is state.
     """
-    data = kernel_tree_to_dict(tree)
+    data = tree.to_dict()
     data["open_internal"].sort()
     data["split_candidates"].sort()
     return data
@@ -269,14 +266,13 @@ steps = st.lists(
 class ChurnTwins:
     """The tree and its hoarding oracle, fed the same operations."""
 
-    def __init__(self, kernel, degree):
-        self.tree = make_kernel_tree(
-            kernel, degree=degree, keygen=KeyGenerator(3), name="t"
-        )
-        self.oracle = HOARDERS[kernel](
+    def __init__(self, kernel, degree, oracle=None):
+        tree_cls, rekeyer_cls = KERNELS[kernel]
+        self.tree = tree_cls(degree=degree, keygen=KeyGenerator(3), name="t")
+        self.oracle = (oracle or HOARDERS[kernel])(
             degree=degree, keygen=KeyGenerator(3), name="t"
         )
-        self.rekeyers = [make_kernel_rekeyer(self.tree), make_kernel_rekeyer(self.oracle)]
+        self.rekeyers = [rekeyer_cls(self.tree), rekeyer_cls(self.oracle)]
         self.present = []
         self.departed = []
         self.counter = 0
@@ -336,7 +332,7 @@ class ChurnTwins:
         assert structure(self.tree) == structure(self.oracle)
 
 
-@pytest.mark.parametrize("kernel", TREE_KERNELS)
+@pytest.mark.parametrize("kernel", KERNELS)
 @settings(max_examples=40, deadline=None)
 @given(program=steps, degree=st.integers(2, 4))
 def test_shedding_dead_heap_entries_is_unobservable(kernel, program, degree):
@@ -355,15 +351,16 @@ def heap_entries(tree):
     return len(tree._split_candidates) + len(tree._open_internal)
 
 
-@pytest.mark.parametrize("kernel", TREE_KERNELS)
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_heaps_stay_proportional_to_live_nodes_under_steady_churn(kernel):
     """200 epochs of J = L churn at N = 500: removals keep opening slots,
     so a departed leaf's split-candidate entry never surfaces to be
     popped — the heaps must not keep one entry per member ever hosted."""
     rng = random.Random(11)
-    tree = make_kernel_tree(kernel, degree=4, keygen=KeyGenerator(5), name="t")
+    tree_cls, rekeyer_cls = KERNELS[kernel]
+    tree = tree_cls(degree=4, keygen=KeyGenerator(5), name="t")
     hoarder = HOARDERS[kernel](degree=4, keygen=KeyGenerator(5), name="t")
-    rekeyers = [make_kernel_rekeyer(tree), make_kernel_rekeyer(hoarder)]
+    rekeyers = [rekeyer_cls(tree), rekeyer_cls(hoarder)]
     present = [f"m{i}" for i in range(500)]
     for rekeyer in rekeyers:
         rekeyer.rekey_batch(joins=[(member, None) for member in present])
@@ -388,3 +385,74 @@ def test_heaps_stay_proportional_to_live_nodes_under_steady_churn(kernel):
     assert tree._seq_value == hoarder._seq_value
     assert structure(tree) == structure(hoarder)
     assert dump(tree) == dump(hoarder)
+
+
+# ----------------------------------------------------------------------
+# slot arrays: compacting them is unobservable
+# ----------------------------------------------------------------------
+
+
+class SlotHoardingFlatKeyTree(FlatKeyTree):
+    """Oracle: the flat tree with every slot it ever allocated."""
+
+    def _trim_slots(self):
+        pass
+
+
+class RekeyerTwins(ChurnTwins):
+    """Every operation through the rekeyers — slots are renumbered between
+    rekeyer operations, nowhere else — with the messages compared too."""
+
+    def __init__(self, degree):
+        super().__init__("flat", degree, oracle=SlotHoardingFlatKeyTree)
+
+    def add(self, ids):
+        for member in ids:
+            ours, theirs = (rekeyer.join(member)[1] for rekeyer in self.rekeyers)
+            assert ours.encrypted_keys == theirs.encrypted_keys
+            self.present.append(member)
+            self.check()
+
+    def remove(self, ids):
+        for member in ids:
+            self.present.remove(member)
+            self.departed.append(member)
+            ours, theirs = (rekeyer.leave(member) for rekeyer in self.rekeyers)
+            assert ours.encrypted_keys == theirs.encrypted_keys
+            self.check()
+
+    def check(self):
+        super().check()
+        # Verbatim: compaction keeps the heap arrays in order.
+        assert self.tree.to_dict() == self.oracle.to_dict()
+
+
+@contextmanager
+def compact_floor(floor):
+    with mock.patch.object(flat, "SLOT_COMPACT_FLOOR", floor):
+        yield
+
+
+@settings(max_examples=40, deadline=None)
+@given(program=steps, degree=st.integers(2, 4))
+def test_compacting_slots_is_unobservable(program, degree):
+    """Same counter, node ids, parent links, child order, messages and
+    verbatim dump after every operation as a tree that never gives a slot
+    back — while the heaps shed too, as they do in service."""
+    with shed_floor(4), compact_floor(2):
+        twins = RekeyerTwins(degree)
+        for kind, a, b in program:
+            twins.run(kind, a, b)
+    twins.tree.validate()
+    assert len(twins.tree._ids) <= len(twins.oracle._ids)
+
+
+def test_mass_departure_program_does_compact():
+    """The program above is not vacuous: the S-partition's life — a
+    cohort joins, then all of it leaves — renumbers the slots."""
+    with compact_floor(2):
+        twins = RekeyerTwins(degree=4)
+        twins.run("join", 3, 0)
+        twins.run("mass", 40, 0)
+    assert len(twins.oracle._ids) > 40
+    assert len(twins.tree._ids) < 16

@@ -2,22 +2,29 @@
 
 The collector's cost is the tracked heap it walks and the objects each
 epoch promotes into it (``docs/performance.md``, "Memory and the
-collector").  These tests pin the four mechanisms that keep both down:
-attachment heaps that shed dead entries, receiver RNG streams built at
-the first draw, events that carry their arguments, and one tracked
-object per deferred wrap.
+collector").  These tests pin the mechanisms that keep both down:
+attachment heaps that shed dead entries and slot arrays that are given
+back after a mass departure, receiver RNG streams built at the first
+draw, events that carry their arguments, and one tracked object per
+deferred wrap.
 """
 
 import gc
 import pickle
 import random
+import sys
 import types
 from contextlib import contextmanager
 
 import repro.network.channel as channel_module
-from repro.crypto.material import KeyGenerator
+from repro.crypto.material import KEY_SIZE, KeyGenerator
 from repro.crypto.wrap import deferred_wraps, wrap_key
 from repro.faults.schedule import ChurnStorm, FaultSchedule
+from repro.keytree.flat import (
+    SLOT_COMPACT_FLOOR,
+    FlatLazyEncryptedKey,
+    _eager_wrap,
+)
 from repro.members.durations import TwoClassDuration
 from repro.network.channel import MulticastChannel
 from repro.network.loss import BernoulliLoss
@@ -109,6 +116,20 @@ def test_cost_only_census_stays_within_budget():
     assert peak - baseline <= 1.4 * (early - baseline)
     # Nobody is drawn for in a cost-only run, so no stream is ever built.
     assert built == []
+    # The S-tree was set up holding the whole group, which then migrated;
+    # its slot arrays follow what it holds now, not what it held then.
+    s_tree = sim.server.s_tree
+    live = len(s_tree._index)
+    assert live < size / 4
+    budget = 4 * live + SLOT_COMPACT_FLOOR
+    for column in (
+        s_tree._parent, s_tree._nchild, s_tree._ids, s_tree._member,
+        s_tree._versions, s_tree._leafcnt, s_tree._depthv, s_tree._gen,
+    ):
+        assert len(column) <= budget
+    assert len(s_tree._child) <= budget * s_tree.degree
+    assert len(s_tree._secrets) <= budget * KEY_SIZE
+    assert len(s_tree._free) + live == len(s_tree._ids)
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +237,63 @@ def test_deferred_wrap_still_matches_its_eager_twin():
         eager.payload_handle,
     )
     assert repr(lazy).replace("LazyEncryptedKey", "EncryptedKey") == repr(eager)
+
+
+def flat_wrap_arguments(count):
+    """What the flat kernel hands its wrap constructor: ids, versions and
+    the two secrets as bytes — no key objects."""
+    keygen = KeyGenerator(2)
+    wrapping = keygen.generate("kek")
+    return [
+        ("kek", wrapping.version, f"k{i}", i % 3, wrapping.secret, keygen.fresh_secret())
+        for i in range(count)
+    ]
+
+
+def test_flat_deferred_wrap_is_two_slots_and_a_tuple():
+    arguments = flat_wrap_arguments(1000)
+    wraps = [None] * 1000
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for i, six in enumerate(arguments):
+            wraps[i] = FlatLazyEncryptedKey(*six)
+        grown = len(gc.get_objects()) - before
+    finally:
+        if was_enabled:
+            gc.enable()
+    # The instance and the tuple of its six fields: no instance dict (the
+    # non-slotted base class allows one, made the first time it is asked
+    # for — so count, do not ask).
+    assert 2000 <= grown < 2010
+    assert all(
+        sys.getsizeof(wrap) + sys.getsizeof(wrap._fields) <= 160 for wrap in wraps
+    )
+    # Strings, ints and bytes are all the tuple holds, so the collector
+    # stops tracking it the first time it looks: one object per wrap.
+    gc.collect()
+    assert not any(gc.is_tracked(wrap._fields) for wrap in wraps)
+    assert not any(wrap.materialized for wrap in wraps)
+
+
+def test_flat_deferred_wraps_still_match_their_eager_twins():
+    for six in flat_wrap_arguments(1000):
+        lazy, eager = FlatLazyEncryptedKey(*six), _eager_wrap(*six)
+        thawed = pickle.loads(pickle.dumps(lazy))
+        assert type(thawed) is FlatLazyEncryptedKey and not thawed.materialized
+        assert not lazy.materialized
+        assert lazy == eager and eager == lazy
+        assert hash(lazy) == hash(eager)
+        assert lazy.materialized
+        assert thawed == eager and hash(thawed) == hash(eager)
+        assert pickle.loads(pickle.dumps(lazy)).materialized
+        assert (lazy.wrapping_handle, lazy.payload_handle) == (
+            eager.wrapping_handle,
+            eager.payload_handle,
+        )
+        assert repr(lazy).replace("FlatLazyEncryptedKey", "EncryptedKey") == repr(eager)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,8 @@ def admit(server, ids, now=0.0):
 class TestOneTreeServer:
     def test_group_key_is_tree_root(self):
         server = OneTreeServer()
-        assert server.group_key() is server.tree.root.key
+        # By value: the tree keeps no key objects, it builds one per read.
+        assert server.group_key() == server.tree.root.key
         assert server.group_key_id == server.tree.root.key.key_id
 
     def test_join_batch_distributes_group_key(self):

@@ -16,6 +16,7 @@ from repro.testing import (
     InvariantViolation,
     Scenario,
     ShadowGroup,
+    with_object_trees,
 )
 
 from tests.helpers import PrivateIndexHarness
@@ -57,7 +58,12 @@ class LeakyWrapServer(OneTreeServer):
 class OwfOnLeaveServer(OneTreeServer):
     """Uses one-way advances to 'refresh' after a departure — the evicted
     member can run the same hash chain (the misuse the paper's LKH+
-    discussion warns about)."""
+    discussion warns about).  Assigns node keys, so it is built on the
+    object trees, whose nodes carry them."""
+
+    def __init__(self):
+        super().__init__()
+        with_object_trees(self)
 
     def _process_batch(self, result, joins, leaves, now):
         if leaves and not joins and self.tree.size:
