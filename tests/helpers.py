@@ -6,6 +6,10 @@ product surface, usable by downstream deployments, not test-only code.
 These helpers stay for the low-level tree/rekeyer tests that predate it.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.keytree.lkh import LkhRekeyer
 from repro.keytree.tree import KeyTree
@@ -18,6 +22,19 @@ KERNELS = {
     "object": (KeyTree, LkhRekeyer),
     "flat": (FlatKeyTree, FlatRekeyer),
 }
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def load_golden_generator(name):
+    """The module ``tests/golden/<name>.py`` (a script, not a package member)."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, GOLDEN_DIR / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 class PrivateIndexHarness(ConformanceHarness):

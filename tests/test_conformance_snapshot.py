@@ -24,6 +24,11 @@ from repro.testing import (
 )
 from repro.testing.conformance import S_PERIOD
 from repro.testing.invariants import _tree_structures
+from tests.helpers import load_golden_generator
+
+_golden = load_golden_generator("generate_server_golden")
+_golden_payloads = json.loads(_golden.FIXTURE.read_text())["schemes"]
+_format_1 = json.loads(_golden.SNAPSHOTS.read_text())
 
 PREFIX = Scenario.parse(
     f"+a +b +c +d +e . -b . t+{S_PERIOD:g} +f .", name="prefix"
@@ -158,6 +163,26 @@ def test_object_tree_snapshot_restores_into_the_shipped_server(name):
     assert twin.group_key().secret == live.server.group_key().secret
     if hasattr(twin, "close"):
         twin.close()
+
+
+@pytest.mark.parametrize("name", sorted(_format_1["snapshots"]))
+def test_format_1_snapshot_continues_the_golden_trace(name):
+    """Snapshots written before the servers became one class (format 1,
+    taken mid-trace with a batch queued; one of them by a sharded server
+    on the since-deleted process backend) still restore, and the restored
+    server emits the rest of the golden trace byte for byte."""
+    scheme = "sharded" if name == "sharded-process" else name
+    state = _format_1["snapshots"][name]
+    assert state["format"] == 1
+    assert (state.get("backend") == "process") == (name == "sharded-process")
+    first = _format_1["batch"]
+    server = restore_server(state)
+    records = _golden.replay(scheme, server=server, start=first)
+    expected = _golden_payloads[scheme][first - 1:]
+    assert len(records) == len(expected) >= 4
+    assert records == expected
+    if hasattr(server, "close"):
+        server.close()
 
 
 def test_snapshot_round_trip_preserves_resync():

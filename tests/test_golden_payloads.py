@@ -1,34 +1,28 @@
-"""Golden-payload regression anchor for both tree kernels.
+"""Golden-payload regression anchors: tree kernels and key servers.
 
 ``tests/golden/flat_kernel_payloads.json`` pins the exact wire bytes
 (wrap order, versions, ciphertexts) of a handful of deterministic churn
 traces, recorded from the object kernel.  Both kernels must reproduce
 them byte for byte — independently, so a behavior drift in *either*
 kernel fails here even if the two still agree with each other.
+
+``tests/golden/server_payloads.json`` does the same one layer up: for
+each of the eight conformance schemes, one seeded churn trace (joins
+only, departures only, mixed, empty and migration-only batches) with
+every batch's wraps, breakdown, migrations, group key and generator
+counter, recorded before the four server classes became one.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-GOLDEN_DIR = Path(__file__).parent / "golden"
-FIXTURE = GOLDEN_DIR / "flat_kernel_payloads.json"
+from tests.helpers import load_golden_generator
 
-
-def _load_generator():
-    spec = importlib.util.spec_from_file_location(
-        "generate_flat_golden", GOLDEN_DIR / "generate_flat_golden.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault("generate_flat_golden", module)
-    spec.loader.exec_module(module)
-    return module
-
-_generator = _load_generator()
-_fixture = json.loads(FIXTURE.read_text())
+_generator = load_golden_generator("generate_flat_golden")
+_fixture = json.loads(_generator.FIXTURE.read_text())
+_server_generator = load_golden_generator("generate_server_golden")
+_server_fixture = json.loads(_server_generator.FIXTURE.read_text())
 
 
 def _trace_params():
@@ -70,3 +64,22 @@ def test_fixture_covers_interesting_shapes():
         record["advanced"]
         for record in by_name["deg4-owf"]["records"]
     )
+
+
+@pytest.mark.parametrize("scheme", _server_generator.SCHEMES)
+def test_server_reproduces_golden_payloads(scheme):
+    assert _server_fixture["format"] == 1
+    expected = _server_fixture["schemes"][scheme]
+    records = _server_generator.replay(scheme)
+    assert len(records) == len(expected) == len(_server_generator.SCHEDULE)
+    for got, want in zip(records, expected):
+        for field in want:
+            assert got[field] == want[field], (
+                f"scheme {scheme!r} diverges from the golden payload at "
+                f"epoch {want['epoch']} in {field!r}"
+            )
+
+
+def test_server_fixture_covers_every_batch_shape():
+    assert set(_server_fixture["schemes"]) == set(_server_generator.SCHEMES)
+    _server_generator._check_coverage(_server_fixture)
