@@ -122,14 +122,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if worst < 0.35 else 1
 
 
-def _build_server(
-    scheme: str,
-    degree: int,
-    s_period: float,
-    shards: int = 4,
-    workers: int = 1,
-    backend: str = "serial",
-):
+def _build_server(scheme: str, degree: int, s_period: float, shards: int = 4):
     from repro.server.losshomog import LossHomogenizedServer
     from repro.server.onetree import OneTreeServer
     from repro.server.sharded import ShardedOneTreeServer
@@ -138,12 +131,7 @@ def _build_server(
     if scheme == "one":
         return OneTreeServer(degree=degree)
     if scheme == "sharded":
-        return ShardedOneTreeServer(
-            shards=shards,
-            workers=workers,
-            backend=backend,
-            degree=degree,
-        )
+        return ShardedOneTreeServer(shards=shards, degree=degree)
     if scheme in ("qt", "tt", "pt"):
         return TwoPartitionServer(mode=scheme, s_period=s_period, degree=degree)
     if scheme == "losshomog":
@@ -221,12 +209,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.horizon = min(args.horizon, 600.0)
         args.warmup = min(args.warmup, 2)
     server = _build_server(
-        args.scheme,
-        args.degree,
-        args.s_period,
-        shards=args.shards,
-        workers=args.workers,
-        backend=args.backend,
+        args.scheme, args.degree, args.s_period, shards=args.shards
     )
     transport = _build_transport(args.transport)
     needs_population = transport is not None or args.scheme in (
@@ -629,18 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="sharded scheme: number of LKH subtrees (protocol parameter)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="sharded scheme: executor lanes (execution only, no payload effect)",
-    )
-    p.add_argument(
-        "--backend",
-        choices=("serial", "thread", "process"),
-        default="serial",
-        help="sharded scheme: executor backend (execution only)",
     )
     p.add_argument("--transport", choices=("none", "wka-bkr", "multi-send", "fec"), default="none")
     p.add_argument("--degree", type=int, default=4)

@@ -29,7 +29,6 @@ from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.crypto.wrap import (
     EncryptedKey,
     LazyEncryptedKey,
-    PlannedEncryptedKey,
     WrapIndex,
     deferred_wraps,
     set_wrap_mode,
@@ -44,7 +43,6 @@ __all__ = [
     "KeyGenerator",
     "KeyMaterial",
     "LazyEncryptedKey",
-    "PlannedEncryptedKey",
     "WrapIndex",
     "decrypt",
     "deferred_wraps",

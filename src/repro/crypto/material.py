@@ -69,6 +69,15 @@ class KeyMaterial:
         """Hashable ``(key_id, version)`` pair naming this exact key."""
         return (self.key_id, self.version)
 
+    def to_dict(self) -> dict:
+        """JSON-compatible form (SENSITIVE: carries the secret)."""
+        return {"id": self.key_id, "version": self.version, "secret": self.secret.hex()}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "KeyMaterial":
+        """Rebuild from :meth:`to_dict` output, validating the bytes."""
+        return cls(data["id"], int(data["version"]), bytes.fromhex(data["secret"]))
+
     def fingerprint(self) -> str:
         """Short hex digest of the secret, safe to log or compare in tests."""
         return hashlib.sha256(self.secret).hexdigest()[:16]

@@ -174,73 +174,6 @@ _set_payload = LazyEncryptedKey._payload.__set__
 _set_ciphertext = LazyEncryptedKey._ciphertext.__set__
 
 
-class PlannedEncryptedKey(EncryptedKey):
-    """A cost-only :class:`EncryptedKey` carrying handles but no material.
-
-    Process-backend shard workers in cost-only mode return these instead
-    of :class:`LazyEncryptedKey` records: the identity fields are all the
-    parent needs for cost accounting, indexing and interest closure, and
-    shipping them avoids pickling key material across the worker pipe.
-    Reading :attr:`ciphertext` is a programming error (the key material
-    stayed in the worker), and raises ``RuntimeError``.
-    """
-
-    def __init__(
-        self,
-        wrapping_id: str,
-        wrapping_version: int,
-        payload_id: str,
-        payload_version: int,
-    ) -> None:
-        # Bypass the frozen-dataclass __setattr__ wholesale (one dict
-        # update, not four object.__setattr__ calls): this is the
-        # per-wrap cost of handle-only shard fragments.
-        self.__dict__.update(
-            wrapping_id=wrapping_id,
-            wrapping_version=wrapping_version,
-            payload_id=payload_id,
-            payload_version=payload_version,
-        )
-
-    @property
-    def ciphertext(self) -> bytes:  # type: ignore[override]
-        raise RuntimeError(
-            "PlannedEncryptedKey has no ciphertext: the payload was produced "
-            "in cost-only (handles) mode and the key material never left the "
-            "shard worker"
-        )
-
-    @classmethod
-    def from_key(cls, ek: EncryptedKey) -> "PlannedEncryptedKey":
-        """Strip ``ek`` down to its handles (no material, no ciphertext)."""
-        return cls(
-            ek.wrapping_id,
-            ek.wrapping_version,
-            ek.payload_id,
-            ek.payload_version,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EncryptedKey):
-            return NotImplemented
-        return (
-            self.wrapping_id == other.wrapping_id
-            and self.wrapping_version == other.wrapping_version
-            and self.payload_id == other.payload_id
-            and self.payload_version == other.payload_version
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.wrapping_id,
-                self.wrapping_version,
-                self.payload_id,
-                self.payload_version,
-            )
-        )
-
-
 _WRAP_MODES = ("eager", "deferred")
 _wrap_mode = "eager"
 
@@ -385,28 +318,6 @@ class WrapIndex:
         self.buckets, self.size = state
         self.opened = {}
         self.opened_with = {}
-
-    @classmethod
-    def from_fragments(
-        cls, fragments: Sequence[Sequence[EncryptedKey]]
-    ) -> "WrapIndex":
-        """Build one index over the concatenation of payload fragments.
-
-        Sharded servers assemble a batch payload from per-shard fragments
-        (plus the group-key stitch); this merge assigns positions as if the
-        fragments had been concatenated first, without materializing the
-        concatenation — the resulting index is identical to
-        ``WrapIndex(list(chain(*fragments)))``.
-        """
-        index = cls(())
-        buckets = index.buckets
-        position = 0
-        for fragment in fragments:
-            for ek in fragment:
-                buckets.setdefault(ek.wrapping_id, []).append((position, ek))
-                position += 1
-        index.size = position
-        return index
 
     _EMPTY: Tuple[Tuple[int, EncryptedKey], ...] = ()
 

@@ -39,7 +39,6 @@ from repro.keytree.node import Node
 from repro.keytree.oft import OneWayFunctionTree
 from repro.keytree.probabilistic import HuffmanKeyTree
 from repro.keytree.queuepartition import QueuePartition
-from repro.keytree.sharded import ShardedKeyTree, shard_of
 from repro.keytree.stats import TreeStats, collect_stats
 from repro.keytree.subsetcover import CompleteSubtreeCenter, CompleteSubtreeReceiver
 from repro.keytree.tree import KeyTree
@@ -56,8 +55,6 @@ __all__ = [
     "OneWayFunctionTree",
     "QueuePartition",
     "RekeyMessage",
-    "ShardedKeyTree",
     "TreeStats",
     "collect_stats",
-    "shard_of",
 ]

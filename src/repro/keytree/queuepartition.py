@@ -13,14 +13,17 @@ opposing effects the paper notes:
   eq. 8 of the paper).
 
 This module only manages queue membership and individual keys; deciding
-when to roll the group key and wrapping it is done by the composed server
-(:class:`repro.server.twopartition.TwoPartitionServer`), which owns the
-group DEK.
+when to roll the group key is done by the composed server
+(:class:`repro.server.partitioned.PartitionedServer`), which owns the
+group DEK and treats the queue as the degenerate, tree-less partition:
+it answers the same questions a key tree does (:meth:`QueuePartition.apply`,
+:meth:`~QueuePartition.wrap_dek`, :meth:`~QueuePartition.path_keys`) with
+no auxiliary keys of its own.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.crypto.wrap import EncryptedKey, wrap_key
@@ -37,6 +40,9 @@ class QueuePartition:
         Label used in diagnostics; individual key ids are global
         (``member:<id>``) so they survive migration to a tree partition.
     """
+
+    #: What the composed server calls this partition in a batch breakdown.
+    label = "s-partition"
 
     def __init__(self, keygen: Optional[KeyGenerator] = None, name: str = "queue") -> None:
         self.keygen = keygen if keygen is not None else KeyGenerator()
@@ -97,6 +103,53 @@ class QueuePartition:
     def wrap_for(self, member_id: str, payload: KeyMaterial) -> EncryptedKey:
         """Encrypt ``payload`` for a single member."""
         return wrap_key(self.key_of(member_id), payload)
+
+    # ------------------------------------------------------------------
+    # the partition questions a composed server asks
+    # ------------------------------------------------------------------
+
+    def apply(
+        self,
+        joins: Sequence[Tuple[str, KeyMaterial]],
+        departures: Sequence[str],
+        join_refresh: str = "random",
+    ) -> None:
+        """Apply this partition's slice of a batch.
+
+        Returns no rekey message: the queue has no keys to refresh, its
+        whole cost is the per-resident DEK distribution of :meth:`wrap_dek`.
+        """
+        for member_id in departures:
+            self.remove_member(member_id)
+        for member_id, key in joins:
+            self.add_member(member_id, key)
+
+    def wrap_dek(
+        self, dek: KeyMaterial, joiners: Optional[Sequence[str]] = None
+    ) -> List[EncryptedKey]:
+        """``dek`` for every resident, or for ``joiners`` only."""
+        if joiners is None:
+            return self.wrap_for_all(dek)
+        return [self.wrap_for(member_id, dek) for member_id in joiners]
+
+    def path_keys(self, member_id: str) -> List[KeyMaterial]:
+        """Keys above the member's own: none, the queue has no tree."""
+        self.key_of(member_id)
+        return []
+
+    def dump(self, shared: Optional[KeyGenerator] = None) -> Dict:
+        """Snapshot form (SENSITIVE: every resident's individual key)."""
+        keys = [key.to_dict() for key in self._keys.values()]
+        return {"label": self.label, "queue": {"name": self.name, "keys": keys}}
+
+    @classmethod
+    def load(cls, data: Dict, shared: KeyGenerator) -> "QueuePartition":
+        """Rebuild from :meth:`dump` output."""
+        queue = cls(keygen=shared, name=data["queue"]["name"])
+        for entry in data["queue"]["keys"]:
+            key = KeyMaterial.from_dict(entry)
+            queue._keys[key.key_id.split(":", 1)[1]] = key
+        return queue
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<QueuePartition {self.name!r} members={self.size}>"

@@ -4,9 +4,10 @@ Reads a JSONL trace file produced with ``--trace`` and reports:
 
 * **Top spans** — wall-time totals per span name (count/total/mean plus
   simulated-time totals where available).
-* **Per-shard imbalance** — the ``shard`` spans' per-shard wall time and
-  key counts, with a max/mean imbalance ratio (the signal a sharded-run
-  operator actually tunes on).
+* **Per-shard imbalance** — the ``shard`` spans' wall time and key counts
+  per partition (``shard3``, ``s-partition``, ``tree-p0.2``, ...: every
+  server reports the partitions a batch touches), with a max/mean
+  imbalance ratio (the signal a sharded-run operator actually tunes on).
 * **Per-receiver histograms** — the ``receiver.keys_learned`` (decrypts
   per delivery) and ``receiver.interest_keys`` (bandwidth units per
   delivery) distributions, checked against the analytic ``Ne(N, L)``
@@ -268,10 +269,10 @@ def format_summary(summary: Dict[str, object]) -> str:
     if summary["shards"]:
         lines.append("")
         lines.append("per-shard")
-        lines.append(f"  {'shard':<8} {'batches':>8} {'wall_s':>10} {'keys':>10}")
+        lines.append(f"  {'shard':<12} {'batches':>8} {'wall_s':>10} {'keys':>10}")
         for row in summary["shards"]:
             lines.append(
-                f"  {row['shard']:<8} {row['batches']:>8} "
+                f"  {row['shard']:<12} {row['batches']:>8} "
                 f"{row['wall_s']:>10.4f} {row['keys']:>10}"
             )
         if summary["shard_imbalance"] is not None:

@@ -1,4 +1,4 @@
-"""Performance instrumentation and shard-parallel execution.
+"""Performance instrumentation and the experiment-sweep fan-out.
 
 Two pieces:
 
@@ -7,9 +7,8 @@ Two pieces:
   rekey-message indexing, transport packing) report into whenever a
   :class:`PerfRecorder` is activated.  With no recorder active every probe
   is a single global ``is None`` check, so production paths pay nothing.
-* :mod:`repro.perf.parallel` — the serial / thread / process executors
-  behind :class:`~repro.keytree.sharded.ShardedKeyTree` and the
-  ``--workers`` fan-out of the experiment sweeps.
+* :mod:`repro.perf.parallel` — :func:`~repro.perf.parallel.parallel_map`,
+  the ``--workers`` process-pool fan-out of the experiment sweeps.
 
 Speed is measured from outside the package, by ``python3 bench/run.py``
 (``BENCHMARK.json``).

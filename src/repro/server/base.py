@@ -82,6 +82,8 @@ class GroupKeyServer:
     """
 
     name = "base"
+    #: Keyword attributes ``join()`` takes besides the member and the time.
+    join_attributes: tuple = ()
 
     def __init__(self, keygen: Optional[KeyGenerator] = None, group: str = "group") -> None:
         self.keygen = keygen if keygen is not None else KeyGenerator()
@@ -130,16 +132,18 @@ class GroupKeyServer:
 
         Returns the :class:`Registration` carrying the individual key the
         member receives over the simulated secure unicast channel.
-        Subclass-specific placement attributes (``member_class`` for PT,
-        ``loss_rate`` for loss-homogenized servers) pass through
-        ``**attributes``.
+        Placement attributes (``member_class`` for PT, ``loss_rate`` for
+        loss-homogenized servers; :attr:`join_attributes` names the ones
+        this server takes) pass through ``**attributes``.
         """
         if member_id in self._members or member_id in self._pending_joins:
             raise ValueError(f"member {member_id!r} already known to {self.group!r}")
+        # Attributes are outside input: checked before anything is drawn
+        # or recorded, so a rejected join leaves the server as it was.
+        self._note_join_attributes(member_id, attributes)
         key = self.keygen.generate(f"member:{member_id}")
         registration = Registration(member_id, key, at_time)
         self._pending_joins[member_id] = registration
-        self._note_join_attributes(member_id, attributes)
         obs_events.emit("join", time=at_time, member_id=member_id)
         return registration
 

@@ -1,0 +1,260 @@
+"""Placement policies: who lives in which partition.
+
+Every optimisation in the paper is the same construction — sub-trees
+under one group key — and differs only in where a member is put:
+
+====================  =========================  ===========================
+policy                paper                      rule
+====================  =========================  ===========================
+:class:`AgePlacement`        Section 3, QT / TT   joiners enter partition 0 (S)
+                                                  and move to partition 1 (L)
+                                                  once resident ``Ts`` seconds
+:class:`ClassPlacement`      Section 3, PT        the joiner's class, told by
+                                                  an oracle: ``Cs`` -> 0,
+                                                  ``Cl`` -> 1; nobody moves
+:class:`NearestLossPlacement`  Section 4          the partition whose nominal
+                                                  loss rate is nearest the one
+                                                  the joiner reports
+:class:`RoundRobinPlacement`   Fig. 6 control     the same partitions, filled
+                                                  in turn, no homogenisation
+:class:`HashPlacement`       (sharding; one tree)  ``sha256(member_id) % k``
+====================  =========================  ===========================
+
+A policy is all the state a :class:`~repro.server.partitioned.PartitionedServer`
+keeps about placement besides the partitions themselves: it validates the
+join attributes it names in :attr:`~PlacementPolicy.attributes`, remembers
+what it decided for joiners not yet admitted, and snapshots itself with
+:meth:`~PlacementPolicy.state`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import numbers
+from typing import Dict, List, Sequence, Tuple
+
+from repro.members.durations import LONG_CLASS, SHORT_CLASS
+
+
+def shard_of(member_id: str, shards: int) -> int:
+    """Stable member-to-shard placement: ``sha256(member_id) % shards``.
+
+    Independent of ``PYTHONHASHSEED``, process, platform and insertion
+    order — the placement is part of the protocol state.
+    """
+    digest = hashlib.sha256(member_id.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % shards
+
+
+def _check_class(member_class: object) -> None:
+    if member_class not in (SHORT_CLASS, LONG_CLASS):
+        raise ValueError(
+            f"member_class must be {SHORT_CLASS!r} or {LONG_CLASS!r}, "
+            f"got {member_class!r}"
+        )
+
+
+class PlacementPolicy:
+    """Base policy: decide at join time, hand the decision over at admission.
+
+    ``pending`` maps a joiner not yet admitted to the partition index
+    chosen for it; policies that can only decide at admission (by age, by
+    hash) leave it empty and override :meth:`place`.
+    """
+
+    #: Snapshot tag (``state()["name"]``).
+    name = ""
+    #: Join attributes ``admit`` takes; anything else is a ``TypeError``.
+    attributes: Tuple[str, ...] = ()
+
+    def __init__(self) -> None:
+        self.pending: Dict[str, int] = {}
+
+    def admit(self, member_id: str) -> None:
+        """``join()`` time: validate the attributes, note the decision."""
+
+    def cancel(self, member_id: str) -> None:
+        """A joiner left before it was admitted."""
+        self.pending.pop(member_id, None)
+
+    def place(self, member_id: str, now: float) -> int:
+        """Admission: the index of the partition the joiner enters."""
+        return self.pending.pop(member_id)
+
+    def forget(self, member_id: str) -> None:
+        """An admitted member departed."""
+
+    def migrations(self, now: float) -> List[Tuple[str, int, int]]:
+        """Members to move this batch, as ``(member_id, from, to)``."""
+        return []
+
+    def state(self) -> Dict:
+        """JSON-compatible state; ``from_state`` is its inverse."""
+        return {"name": self.name, "pending": dict(self.pending)}
+
+    @classmethod
+    def from_state(cls, state: Dict) -> "PlacementPolicy":
+        policy = cls()
+        policy.pending = {m: int(i) for m, i in state["pending"].items()}
+        return policy
+
+
+class AgePlacement(PlacementPolicy):
+    """QT / TT: enter the S-partition, migrate to L after ``s_period``."""
+
+    name = "by-age"
+    attributes = ("member_class",)
+
+    def __init__(self, s_period: float) -> None:
+        if s_period < 0:
+            raise ValueError("s_period must be non-negative")
+        super().__init__()
+        self.s_period = s_period
+        #: S-partition resident -> when it entered.
+        self.entered: Dict[str, float] = {}
+
+    def admit(self, member_id: str, member_class: object = None) -> None:
+        # The class is not used (that is PT); a wrong one is still wrong.
+        if member_class is not None:
+            _check_class(member_class)
+
+    def place(self, member_id: str, now: float) -> int:
+        self.entered[member_id] = now
+        return 0
+
+    def forget(self, member_id: str) -> None:
+        self.entered.pop(member_id, None)
+
+    def migrations(self, now: float) -> List[Tuple[str, int, int]]:
+        ready = sorted(
+            member_id
+            for member_id, entered in self.entered.items()
+            if now - entered >= self.s_period - 1e-9
+        )
+        for member_id in ready:
+            del self.entered[member_id]
+        return [(member_id, 0, 1) for member_id in ready]
+
+    def state(self) -> Dict:
+        return {
+            "name": self.name,
+            "s_period": self.s_period,
+            "entered": dict(self.entered),
+        }
+
+    @classmethod
+    def from_state(cls, state: Dict) -> "AgePlacement":
+        policy = cls(float(state["s_period"]))
+        policy.entered = {m: float(t) for m, t in state["entered"].items()}
+        return policy
+
+
+class ClassPlacement(PlacementPolicy):
+    """PT: the server is told each joiner's class; no migrations."""
+
+    name = "class-oracle"
+    attributes = ("member_class",)
+
+    def admit(self, member_id: str, member_class: object = None) -> None:
+        _check_class(member_class)
+        self.pending[member_id] = 1 if member_class == LONG_CLASS else 0
+
+
+class _LossClasses(PlacementPolicy):
+    """One partition per nominal loss rate, highest rate first."""
+
+    def __init__(self, class_rates: Sequence[float] = ()) -> None:
+        super().__init__()
+        self.class_rates = tuple(class_rates)
+
+    def state(self) -> Dict:
+        return {**super().state(), "class_rates": list(self.class_rates)}
+
+    @classmethod
+    def from_state(cls, state: Dict) -> "_LossClasses":
+        policy = super().from_state(state)
+        policy.class_rates = tuple(float(r) for r in state["class_rates"])
+        return policy
+
+
+class NearestLossPlacement(_LossClasses):
+    """Section 4: the class whose nominal rate is nearest the reported one."""
+
+    name = "nearest-loss"
+    attributes = ("loss_rate",)
+
+    def admit(self, member_id: str, loss_rate: object = None) -> None:
+        if not isinstance(loss_rate, numbers.Real) or not 0.0 <= loss_rate <= 1.0:
+            raise ValueError(
+                "loss-homogenized placement requires a loss_rate in [0, 1] "
+                f"at join time, got {loss_rate!r}"
+            )
+        rates = self.class_rates
+        self.pending[member_id] = min(
+            range(len(rates)), key=lambda index: abs(rates[index] - loss_rate)
+        )
+
+
+class RoundRobinPlacement(_LossClasses):
+    """Fig. 6's control: the loss classes' trees, filled in turn."""
+
+    name = "round-robin"
+
+    def __init__(self, class_rates: Sequence[float] = ()) -> None:
+        super().__init__(class_rates)
+        self.next_index = 0
+
+    def admit(self, member_id: str) -> None:
+        self.pending[member_id] = self.next_index % len(self.class_rates)
+        self.next_index += 1
+
+    def state(self) -> Dict:
+        return {**super().state(), "next_index": self.next_index}
+
+    @classmethod
+    def from_state(cls, state: Dict) -> "RoundRobinPlacement":
+        policy = super().from_state(state)
+        policy.next_index = int(state["next_index"])
+        return policy
+
+
+class HashPlacement(PlacementPolicy):
+    """Sharding: ``shard_of``; one shard is the plain one-keytree scheme."""
+
+    name = "hash"
+
+    def __init__(self, shards: int = 1) -> None:
+        if shards < 1:
+            raise ValueError("shard count must be at least 1")
+        super().__init__()
+        self.shards = shards
+
+    def place(self, member_id: str, now: float) -> int:
+        return shard_of(member_id, self.shards) if self.shards > 1 else 0
+
+    def state(self) -> Dict:
+        return {"name": self.name, "shards": self.shards}
+
+    @classmethod
+    def from_state(cls, state: Dict) -> "HashPlacement":
+        return cls(int(state["shards"]))
+
+
+POLICIES = {
+    policy.name: policy
+    for policy in (
+        AgePlacement,
+        ClassPlacement,
+        NearestLossPlacement,
+        RoundRobinPlacement,
+        HashPlacement,
+    )
+}
+
+
+def policy_from_state(state: Dict) -> PlacementPolicy:
+    """Rebuild whichever policy wrote ``state``."""
+    try:
+        return POLICIES[state["name"]].from_state(state)
+    except KeyError as exc:
+        raise ValueError(f"unknown or malformed placement policy: {exc}") from None

@@ -1,11 +1,23 @@
 """Key-server snapshot/restore.
 
-Dumps the complete operational state of any of the repository's servers —
-key trees, queue partitions, group DEK, member registry, pending batches,
-migration clocks, placement maps, and the key-generator state — into one
+Dumps the complete operational state of a
+:class:`~repro.server.partitioned.PartitionedServer` — its partitions (key
+trees with their attachment heaps, queue partitions), the placement
+policy's state (migration clocks, pending placements), the group DEK,
+member registry, pending batches and every key stream — into one
 JSON-compatible dict, and restores a server that behaves identically from
 the next ``rekey()`` onward (same epochs, same node ids, same future key
 material).
+
+One layout serves every scheme (``FORMAT_VERSION = 2``)::
+
+    {"format": 2, "kind": ..., "base": ..., "keygen": ..., "join_refresh": ...,
+     "policy": policy.state(), "partitions": [partition.dump(), ...],
+     "dek": ..., "dek_stream": ...}          # the last two only if present
+
+Format-1 snapshots (one layout per server class, written before the
+classes became one) are still read: :func:`_upgrade_format_1` reshapes the
+dict, nothing else.
 
 A snapshot contains every secret the server knows.  Encrypt at rest.
 """
@@ -15,33 +27,33 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.crypto.material import KeyGenerator, KeyMaterial
-from repro.keytree.flat import FlatKeyTree, FlatRekeyer
-from repro.keytree.queuepartition import QueuePartition
 from repro.server.base import GroupKeyServer, Registration
 from repro.server.losshomog import LossHomogenizedServer
 from repro.server.onetree import OneTreeServer
+from repro.server.partitioned import PartitionedServer, load_partition
+from repro.server.placement import policy_from_state
 from repro.server.sharded import ShardedOneTreeServer
 from repro.server.twopartition import TwoPartitionServer
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-
-def _key_to_dict(key: KeyMaterial) -> Dict:
-    return {"id": key.key_id, "version": key.version, "secret": key.secret.hex()}
-
-
-def _key_from_dict(data: Dict) -> KeyMaterial:
-    return KeyMaterial(
-        key_id=data["id"],
-        version=int(data["version"]),
-        secret=bytes.fromhex(data["secret"]),
+#: ``kind`` -> the class a snapshot of that kind restores into.
+_KINDS = {
+    cls.kind: cls
+    for cls in (
+        PartitionedServer,
+        OneTreeServer,
+        TwoPartitionServer,
+        LossHomogenizedServer,
+        ShardedOneTreeServer,
     )
+}
 
 
 def _registration_to_dict(registration: Registration) -> Dict:
     return {
         "member": registration.member_id,
-        "key": _key_to_dict(registration.individual_key),
+        "key": registration.individual_key.to_dict(),
         "join_time": registration.join_time,
     }
 
@@ -49,7 +61,7 @@ def _registration_to_dict(registration: Registration) -> Dict:
 def _registration_from_dict(data: Dict) -> Registration:
     return Registration(
         member_id=data["member"],
-        individual_key=_key_from_dict(data["key"]),
+        individual_key=KeyMaterial.from_dict(data["key"]),
         join_time=float(data["join_time"]),
     )
 
@@ -79,184 +91,129 @@ def _restore_base(server: GroupKeyServer, data: Dict) -> None:
     }
 
 
-def _queue_to_dict(queue: QueuePartition) -> Dict:
-    return {
-        "name": queue.name,
-        "keys": [_key_to_dict(key) for key in queue._keys.values()],
-    }
-
-
-def _restore_queue(queue: QueuePartition, data: Dict) -> None:
-    keys = [_key_from_dict(entry) for entry in data["keys"]]
-    queue._keys = {key.key_id.split(":", 1)[1]: key for key in keys}
-
-
-def _restore_tree(data: Dict, keygen: KeyGenerator, next_epoch) -> tuple:
-    """``(tree, rekeyer)`` from a tree dump and its rekeyer's epoch."""
-    tree = FlatKeyTree.from_dict(data, keygen=keygen)
-    rekeyer = FlatRekeyer(tree)
-    rekeyer._next_epoch = int(next_epoch)
-    return tree, rekeyer
-
-
 def snapshot_server(server: GroupKeyServer) -> Dict:
-    """Serialize any supported server to a JSON-compatible dict."""
+    """Serialize a partitioned server to a JSON-compatible dict."""
+    if getattr(server, "kind", None) not in _KINDS:
+        raise TypeError(f"cannot snapshot server type {type(server).__name__}")
     state: Dict = {
         "format": FORMAT_VERSION,
+        "kind": server.kind,
         "base": _base_state(server),
         "keygen": server.keygen.state(),
+        "join_refresh": server.join_refresh,
+        "policy": server.policy.state(),
+        "partitions": [part.dump(server.keygen) for part in server.partitions],
     }
-    if isinstance(server, OneTreeServer):
-        state["kind"] = "one-keytree"
-        state["degree"] = server.tree.degree
-        state["join_refresh"] = server.join_refresh
-        state["tree"] = server.tree.to_dict()
-        state["tree_epoch"] = server.rekeyer._next_epoch
-    elif isinstance(server, TwoPartitionServer):
-        state["kind"] = "two-partition"
-        state["mode"] = server.mode
-        state["s_period"] = server.s_period
-        state["degree"] = server.degree
-        state["dek"] = _key_to_dict(server._dek)
-        state["s_entered"] = dict(server._s_entered)
-        state["member_class"] = dict(server._member_class)
-        state["l_tree"] = server.l_tree.to_dict()
-        state["l_epoch"] = server.l_rekeyer._next_epoch
-        if server.s_queue is not None:
-            state["s_queue"] = _queue_to_dict(server.s_queue)
-        else:
-            assert server.s_tree is not None and server.s_rekeyer is not None
-            state["s_tree"] = server.s_tree.to_dict()
-            state["s_epoch"] = server.s_rekeyer._next_epoch
-    elif isinstance(server, LossHomogenizedServer):
-        state["kind"] = "loss-homogenized"
-        state["placement"] = server.placement
-        state["degree"] = server.degree
-        state["class_rates"] = list(server.class_rates)
-        state["dek"] = _key_to_dict(server._dek)
-        state["assignment"] = dict(server._assignment)
-        state["round_robin_index"] = server._round_robin_index
-        state["pending_rate"] = dict(server._pending_rate)
-        state["trees"] = {
-            str(rate): tree.to_dict() for rate, tree in server.trees.items()
-        }
-        state["tree_epochs"] = {
-            str(rate): rekeyer._next_epoch
-            for rate, rekeyer in server.rekeyers.items()
-        }
-    elif isinstance(server, ShardedOneTreeServer):
-        state["kind"] = "sharded-keytree"
-        state["shards"] = server.shards
-        state["workers"] = server.workers
-        state["backend"] = server.backend
-        state["degree"] = server.sharded.degree
-        state["join_refresh"] = server.join_refresh
-        state["payload"] = server.payload
-        state["dek_stream"] = server._dek_stream.state()
-        if server._dek is not None:
-            state["dek"] = _key_to_dict(server._dek)
-        # Each shard dump carries its tree (attachment heaps included),
-        # its private RNG stream state and its rekeyer epoch, so the
-        # restored server re-derives identical payloads.
-        state["shard_dumps"] = {
-            str(shard): dump
-            for shard, dump in server.sharded.dump_shards().items()
-        }
-    else:
-        raise TypeError(f"cannot snapshot server type {type(server).__name__}")
+    if server._dek is not None:
+        state["dek"] = server._dek.to_dict()
+        if server._dek_stream is not server.keygen:
+            state["dek_stream"] = server._dek_stream.state()
     return state
+
+
+def _upgrade_format_1(old: Dict) -> Dict:
+    """Reshape a format-1 snapshot into the one layout; reads no server.
+
+    Fields that selected an execution strategy (``tree_kernel``, and the
+    sharded server's ``backend`` / ``workers`` / ``payload``) are dropped:
+    there is one strategy.  Placement maps the partitions themselves imply
+    (``assignment``, admitted members' ``member_class``) are dropped too.
+    """
+    kind = old.get("kind")
+    new = {key: old.get(key) for key in ("kind", "base", "keygen")}
+    new["format"] = FORMAT_VERSION
+    new["join_refresh"] = old.get("join_refresh", "random")
+    pending = {entry["member"] for entry in old["base"]["pending_joins"]}
+
+    def tree(label: str, tree_key: str, epoch_key: str) -> Dict:
+        return {"label": label, "tree": old[tree_key], "epoch": old[epoch_key]}
+
+    if kind == "one-keytree":
+        new["policy"] = {"name": "hash", "shards": 1}
+        new["partitions"] = [tree("tree", "tree", "tree_epoch")]
+    elif kind == "two-partition":
+        if old["mode"] == "pt":
+            new["policy"] = {
+                "name": "class-oracle",
+                "pending": {
+                    member: int(member_class == "Cl")
+                    for member, member_class in old["member_class"].items()
+                    if member in pending
+                },
+            }
+        else:
+            new["policy"] = {
+                "name": "by-age",
+                "s_period": old["s_period"],
+                "entered": old["s_entered"],
+            }
+        if "s_queue" in old:
+            s_partition = {"label": "s-partition", "queue": old["s_queue"]}
+        else:
+            s_partition = tree("s-partition", "s_tree", "s_epoch")
+        new["partitions"] = [s_partition, tree("l-partition", "l_tree", "l_epoch")]
+    elif kind == "loss-homogenized":
+        rates = [float(rate) for rate in old["class_rates"]]
+        new["policy"] = {
+            "name": "nearest-loss" if old["placement"] == "loss" else "round-robin",
+            "class_rates": rates,
+            "next_index": old["round_robin_index"],
+            "pending": {
+                member: rates.index(float(rate))
+                for member, rate in old["pending_rate"].items()
+            },
+        }
+        new["partitions"] = [
+            {
+                "label": f"tree-p{rate:g}",
+                "tree": old["trees"][str(rate)],
+                "epoch": old["tree_epochs"][str(rate)],
+            }
+            for rate in rates
+        ]
+    elif kind == "sharded-keytree":
+        shards = int(old["shards"])
+        new["policy"] = {"name": "hash", "shards": shards}
+        new["partitions"] = [
+            {"label": f"shard{shard}", **old["shard_dumps"][str(shard)]}
+            for shard in range(shards)
+        ]
+        if shards > 1:
+            new["dek_stream"] = old["dek_stream"]
+    else:
+        raise ValueError(f"unknown server kind {kind!r}")
+    if "dek" in old:
+        new["dek"] = old["dek"]
+    return new
 
 
 def restore_server(state: Dict) -> GroupKeyServer:
     """Rebuild a server from :func:`snapshot_server` output."""
+    if state.get("format") == 1:
+        state = _upgrade_format_1(state)
     if state.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported snapshot format: {state.get('format')!r}")
-    kind = state["kind"]
-    group = state["base"]["group"]
-    # Construct with a throwaway generator, restore structures against the
-    # real one, then pin the generator state last (construction consumes
-    # generator draws that must not advance the restored counter).
+    if state.get("kind") not in _KINDS:
+        raise ValueError(f"unknown server kind {state.get('kind')!r}")
     keygen = KeyGenerator.from_state(state["keygen"])
-
-    server: GroupKeyServer
-    # Tree dumps are one format whichever tree class wrote them, so the
-    # "tree_kernel" field snapshots carried while there were two kernels
-    # to choose from is not read.
-    if kind == "one-keytree":
-        # Older snapshots predate the join_refresh field; they were all
-        # random-refresh servers.
-        server = OneTreeServer(
-            degree=int(state["degree"]),
-            group=group,
-            join_refresh=state.get("join_refresh", "random"),
-        )
-        server.keygen = keygen
-        server.tree, server.rekeyer = _restore_tree(
-            state["tree"], keygen, state["tree_epoch"]
-        )
-    elif kind == "two-partition":
-        server = TwoPartitionServer(
-            mode=state["mode"],
-            s_period=float(state["s_period"]),
-            degree=int(state["degree"]),
-            group=group,
-        )
-        server.keygen = keygen
-        server._dek = _key_from_dict(state["dek"])
-        server._s_entered = {m: float(t) for m, t in state["s_entered"].items()}
-        server._member_class = dict(state["member_class"])
-        server.l_tree, server.l_rekeyer = _restore_tree(
-            state["l_tree"], keygen, state["l_epoch"]
-        )
-        if "s_queue" in state:
-            assert server.s_queue is not None
-            server.s_queue.keygen = keygen
-            _restore_queue(server.s_queue, state["s_queue"])
-        else:
-            server.s_tree, server.s_rekeyer = _restore_tree(
-                state["s_tree"], keygen, state["s_epoch"]
-            )
-    elif kind == "loss-homogenized":
-        server = LossHomogenizedServer(
-            class_rates=tuple(state["class_rates"]),
-            placement=state["placement"],
-            degree=int(state["degree"]),
-            group=group,
-        )
-        server.keygen = keygen
-        server._dek = _key_from_dict(state["dek"])
-        server._assignment = {m: float(r) for m, r in state["assignment"].items()}
-        server._round_robin_index = int(state["round_robin_index"])
-        server._pending_rate = {
-            m: float(r) for m, r in state["pending_rate"].items()
-        }
-        for rate_text, tree_data in state["trees"].items():
-            rate = float(rate_text)
-            server.trees[rate], server.rekeyers[rate] = _restore_tree(
-                tree_data, keygen, state["tree_epochs"][rate_text]
-            )
-    elif kind == "sharded-keytree":
-        server = ShardedOneTreeServer(
-            shards=int(state["shards"]),
-            workers=int(state["workers"]),
-            backend=state["backend"],
-            degree=int(state["degree"]),
-            group=group,
-            join_refresh=state["join_refresh"],
-            payload=state["payload"],
-        )
-        server.keygen = keygen
-        server._dek_stream = KeyGenerator.from_state(state["dek_stream"])
-        server._dek = _key_from_dict(state["dek"]) if "dek" in state else None
-        server.sharded.load_shards(
-            {int(shard): dump for shard, dump in state["shard_dumps"].items()}
-        )
-    else:
-        raise ValueError(f"unknown server kind {kind!r}")
-
+    dek_stream = None
+    if "dek" in state:
+        stream = state.get("dek_stream")
+        dek_stream = KeyGenerator.from_state(stream) if stream else keygen
+    server = _KINDS[state["kind"]]._assemble(
+        [load_partition(data, keygen) for data in state["partitions"]],
+        policy_from_state(state["policy"]),
+        dek_stream,
+        keygen=keygen,
+        group=state["base"]["group"],
+        join_refresh=state["join_refresh"],
+    )
+    if dek_stream is not None:
+        server._dek = KeyMaterial.from_dict(state["dek"])
+        if dek_stream is not keygen:
+            dek_stream._counter = int(state["dek_stream"]["counter"])
     _restore_base(server, state["base"])
-    # Pin the generator counter last — construction and tree restoration
+    # Pin the generator counter last — rebuilding the trees and the DEK
     # above consumed draws that must not count.
-    server.keygen._root = bytes.fromhex(state["keygen"]["root"])
-    server.keygen._counter = int(state["keygen"]["counter"])
+    keygen._counter = int(state["keygen"]["counter"])
     return server

@@ -29,8 +29,6 @@ from repro.obs.latency import LatencyTracker
 from repro.network.channel import MulticastChannel
 from repro.network.loss import BernoulliLoss
 from repro.server.base import BatchResult, GroupKeyServer
-from repro.server.losshomog import LossHomogenizedServer
-from repro.server.twopartition import TwoPartitionServer
 from repro.sim.engine import EventLoop
 from repro.sim.metrics import RekeyRecord, SimulationMetrics
 from repro.transport.session import TransportExhausted, TransportTask
@@ -125,8 +123,8 @@ class GroupRekeyingSimulation:
         Optional hook ``(member_id, member_class, loss_rate) -> dict``
         giving the extra keyword arguments for ``server.join`` (PT servers
         need ``member_class``; loss-homogenized servers need
-        ``loss_rate``).  The default passes whatever the server's scheme
-        requires based on its class.
+        ``loss_rate``).  The default passes what the server's
+        ``join_attributes`` names.
     """
 
     def __init__(
@@ -140,12 +138,7 @@ class GroupRekeyingSimulation:
         self._join_attributes = join_attributes
         # Which attributes the scheme takes is settled here, once: a
         # crash-restore swaps ``self.server`` for one of the same scheme.
-        self._joins_take_class = (
-            isinstance(server, TwoPartitionServer) and server.mode == "pt"
-        )
-        self._joins_take_loss = (
-            isinstance(server, LossHomogenizedServer) and server.placement == "loss"
-        )
+        self._joins_take = tuple(server.join_attributes)
         self.loop = EventLoop()
         self.rng = random.Random(self.config.seed)
         if self.config.fault_schedule is not None:
@@ -189,12 +182,8 @@ class GroupRekeyingSimulation:
     # ------------------------------------------------------------------
 
     def _default_join_attributes(self, member_class: str, loss_rate: float) -> Dict:
-        attributes: Dict = {}
-        if self._joins_take_class:
-            attributes["member_class"] = member_class
-        if self._joins_take_loss:
-            attributes["loss_rate"] = loss_rate
-        return attributes
+        offered = {"member_class": member_class, "loss_rate": loss_rate}
+        return {name: offered[name] for name in self._joins_take}
 
     def _admit_new_member(self) -> str:
         """Join one fresh member now (shared by arrivals and churn storms)."""
@@ -550,12 +539,9 @@ class GroupRekeyingSimulation:
 
     def _tree_degree(self) -> int:
         """The server's key-tree degree (for the Ne(N, L) trace check)."""
-        tree = getattr(self.server, "tree", None)
-        if tree is not None and hasattr(tree, "degree"):
-            return tree.degree
-        sharded = getattr(self.server, "sharded", None)
-        if sharded is not None and hasattr(sharded, "degree"):
-            return sharded.degree
+        for partition in getattr(self.server, "partitions", ()):
+            if hasattr(partition, "tree"):
+                return partition.tree.degree
         return 4
 
     def run(self) -> SimulationMetrics:

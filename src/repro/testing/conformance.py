@@ -49,6 +49,11 @@ class SchemeSpec:
     #: Join attributes this scheme's ``join()`` accepts.
     attributes: tuple
 
+    @classmethod
+    def of(cls, name: str, factory: Callable[[], GroupKeyServer]) -> "SchemeSpec":
+        """A spec whose ``attributes`` are the ones the server itself names."""
+        return cls(name, factory, tuple(factory().join_attributes))
+
 
 def scheme_specs() -> List[SchemeSpec]:
     """Every key-server scheme in the repository, battery-ready."""
@@ -57,46 +62,19 @@ def scheme_specs() -> List[SchemeSpec]:
     from repro.server.sharded import ShardedOneTreeServer
     from repro.server.twopartition import TwoPartitionServer
 
-    return [
-        SchemeSpec("one-keytree", lambda: OneTreeServer(degree=4), ()),
-        SchemeSpec(
-            "sharded",
-            lambda: ShardedOneTreeServer(shards=4, degree=4),
-            (),
+    factories = {
+        "one-keytree": lambda: OneTreeServer(degree=4),
+        "sharded": lambda: ShardedOneTreeServer(shards=4, degree=4),
+        "one-keytree-owf": lambda: OneTreeServer(degree=4, join_refresh="owf"),
+        "qt": lambda: TwoPartitionServer(mode="qt", s_period=S_PERIOD),
+        "tt": lambda: TwoPartitionServer(mode="tt", s_period=S_PERIOD),
+        "pt": lambda: TwoPartitionServer(mode="pt"),
+        "loss-homogenized": lambda: LossHomogenizedServer(class_rates=(0.20, 0.02)),
+        "loss-random": lambda: LossHomogenizedServer(
+            class_rates=(0.20, 0.02), placement="random"
         ),
-        SchemeSpec(
-            "one-keytree-owf",
-            lambda: OneTreeServer(degree=4, join_refresh="owf"),
-            (),
-        ),
-        SchemeSpec(
-            "qt",
-            lambda: TwoPartitionServer(mode="qt", s_period=S_PERIOD),
-            ("member_class",),
-        ),
-        SchemeSpec(
-            "tt",
-            lambda: TwoPartitionServer(mode="tt", s_period=S_PERIOD),
-            ("member_class",),
-        ),
-        SchemeSpec(
-            "pt",
-            lambda: TwoPartitionServer(mode="pt"),
-            ("member_class",),
-        ),
-        SchemeSpec(
-            "loss-homogenized",
-            lambda: LossHomogenizedServer(class_rates=(0.20, 0.02)),
-            ("loss_rate",),
-        ),
-        SchemeSpec(
-            "loss-random",
-            lambda: LossHomogenizedServer(
-                class_rates=(0.20, 0.02), placement="random"
-            ),
-            (),
-        ),
-    ]
+    }
+    return [SchemeSpec.of(name, factory) for name, factory in factories.items()]
 
 
 SCHEME_FACTORIES: Dict[str, SchemeSpec] = {spec.name: spec for spec in scheme_specs()}

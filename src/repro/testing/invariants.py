@@ -131,27 +131,12 @@ def check_batch_accounting(result: BatchResult) -> None:
 
 
 def _tree_structures(server: GroupKeyServer) -> List[Tuple[str, object]]:
-    """(label, KeyTree) pairs for every tree a known server type holds."""
-    from repro.server.losshomog import LossHomogenizedServer
-    from repro.server.onetree import OneTreeServer
-    from repro.server.sharded import ShardedOneTreeServer
-    from repro.server.twopartition import TwoPartitionServer
-
-    if isinstance(server, OneTreeServer):
-        return [("tree", server.tree)]
-    if isinstance(server, ShardedOneTreeServer):
-        return [
-            (f"shard{shard}", tree)
-            for shard, tree in sorted(server.sharded.local_trees().items())
-        ]
-    if isinstance(server, TwoPartitionServer):
-        trees: List[Tuple[str, object]] = [("l-tree", server.l_tree)]
-        if server.s_tree is not None:
-            trees.append(("s-tree", server.s_tree))
-        return trees
-    if isinstance(server, LossHomogenizedServer):
-        return [(f"tree-p{rate:g}", tree) for rate, tree in server.trees.items()]
-    return []
+    """(label, key tree) pairs for every tree partition a server holds."""
+    return [
+        (part.label, part.tree)
+        for part in getattr(server, "partitions", ())
+        if hasattr(part, "tree")
+    ]
 
 
 def check_structures(server: GroupKeyServer) -> None:
@@ -159,12 +144,9 @@ def check_structures(server: GroupKeyServer) -> None:
 
     Every key tree the server maintains must pass its own ``validate()``,
     the partitions' member sets must be pairwise disjoint, and together
-    (plus any queue partition) they must cover exactly the admitted
+    (queue partitions included) they must cover exactly the admitted
     membership.
     """
-    from repro.server.twopartition import TwoPartitionServer
-
-    placed: List[str] = []
     for label, tree in _tree_structures(server):
         try:
             tree.validate()
@@ -172,9 +154,9 @@ def check_structures(server: GroupKeyServer) -> None:
             raise InvariantViolation(
                 f"server {server.group!r}: {label} failed validation: {exc}"
             ) from exc
-        placed.extend(tree.members())
-    if isinstance(server, TwoPartitionServer) and server.s_queue is not None:
-        placed.extend(server.s_queue.members())
+    placed: List[str] = []
+    for part in getattr(server, "partitions", ()):
+        placed.extend(part.members())
     if not placed and server.size == 0:
         return
     if len(placed) != len(set(placed)):

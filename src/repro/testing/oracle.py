@@ -39,33 +39,11 @@ def with_object_trees(server: GroupKeyServer) -> GroupKeyServer:
     from its tree's dump, which omits the dead heap entries a tree with a
     history carries, so one made later emits the same payloads but sheds
     those entries at other moments and its verbatim dumps can differ.
-    Returns ``server``; a sharded one must be on an in-process backend.
+    Returns ``server``.
     """
-    from repro.server.losshomog import LossHomogenizedServer
-    from repro.server.onetree import OneTreeServer
-    from repro.server.sharded import ShardedOneTreeServer
-    from repro.server.twopartition import TwoPartitionServer
-
-    if isinstance(server, OneTreeServer):
-        server.tree, server.rekeyer = _object_twin(server.tree, server.rekeyer)
-    elif isinstance(server, TwoPartitionServer):
-        server.l_tree, server.l_rekeyer = _object_twin(
-            server.l_tree, server.l_rekeyer
-        )
-        if server.s_tree is not None:
-            server.s_tree, server.s_rekeyer = _object_twin(
-                server.s_tree, server.s_rekeyer
-            )
-    elif isinstance(server, LossHomogenizedServer):
-        for rate, tree in server.trees.items():
-            server.trees[rate], server.rekeyers[rate] = _object_twin(
-                tree, server.rekeyers[rate]
-            )
-    elif isinstance(server, ShardedOneTreeServer):
-        if server.backend == "process":
-            raise TypeError("object-tree twins need an in-process backend")
-        for state in server.sharded.executor._states.values():
-            state.tree, state.rekeyer = _object_twin(state.tree, state.rekeyer)
-    else:
+    trees = [part for part in getattr(server, "partitions", ()) if hasattr(part, "tree")]
+    if not trees:
         raise TypeError(f"no key trees known for {type(server).__name__}")
+    for part in trees:
+        part.tree, part.rekeyer = _object_twin(part.tree, part.rekeyer)
     return server

@@ -7,20 +7,24 @@ payload_version, ciphertext)`` list in order, the ``breakdown`` (key
 order included), ``migrated``, ``advanced``, the group key's id and
 version and the server generator's draw counter.  The trace has
 joins-only, departures-only, mixed, empty and migration-only batches and
-a joiner that cancels before admission.  ``server_snapshots_v1.json``
-holds format-1 ``snapshot_server`` dicts taken mid-trace (before batch
-``SNAPSHOT_BATCH``, its joins and leaves already queued) by the commit
-that recorded the payloads, one per scheme plus a sharded server on the
-process backend.
+a joiner that cancels before admission.
+
+``server_snapshots_v1.json`` holds format-1 ``snapshot_server`` dicts, one
+per scheme plus a sharded server on the process backend, each taken
+mid-trace: before batch 11, its joins and leaves already queued.
 
 Both files were recorded at commit a5b5b05, before the four server
 classes became one partitioned server, and are the anchor that refactor
 (and any later one) is held to: ``tests/test_golden_payloads.py`` and
 ``tests/test_conformance_snapshot.py`` replay them byte for byte.  Do not
-regenerate them to make a change pass; regenerate only when a payload
-change is intended and reviewed:
+regenerate the payloads to make a change pass; regenerate only when a
+payload change is intended and reviewed:
 
     PYTHONPATH=src python tests/golden/generate_server_golden.py
+
+The snapshots cannot be regenerated at all: nothing writes format 1 (or
+runs a process backend) any more.  The code that wrote them is this
+file as first committed (``git log --diff-filter=A -- <this file>``).
 
 One normalisation is applied while recording.  On a join-only batch the
 QT server of a5b5b05 wrapped the fresh group key for its joiners in the
@@ -41,9 +45,6 @@ SNAPSHOTS = GOLDEN_DIR / "server_snapshots_v1.json"
 SEED = 22
 PERIOD = 100.0
 S_PERIOD = 300.0
-#: Snapshots are taken with this batch's joins and leaves queued.
-SNAPSHOT_BATCH = 11
-
 #: (joins, leaves) per batch; a ``-`` batch is empty for every scheme but
 #: QT / TT, where the ones marked so carry a migration wave and nothing else.
 SCHEDULE = [
@@ -209,18 +210,6 @@ def replay(scheme, server=None, start=1):
     return records
 
 
-def snapshot_at(scheme, server):
-    """The server's snapshot with batch ``SNAPSHOT_BATCH`` queued."""
-    from repro.server.snapshot import snapshot_server
-
-    batches = trace_batches()
-    for batch in batches[: SNAPSHOT_BATCH - 1]:
-        queue_batch(server, scheme, batch)
-        server.rekey(now=batch[0])
-    queue_batch(server, scheme, batches[SNAPSHOT_BATCH - 1])
-    return snapshot_server(server)
-
-
 def _dump(data):
     """Indented JSON with every innermost list (one wrap, one pair) on one line."""
     text = json.dumps(data, indent=1)
@@ -250,9 +239,6 @@ def _check_coverage(fixture):
 
 
 def main():
-    from repro.crypto.material import KeyGenerator
-    from repro.server.sharded import ShardedOneTreeServer
-
     fixture = {
         "format": 1,
         "recorded_at": "a5b5b05",
@@ -260,27 +246,8 @@ def main():
     }
     _check_coverage(fixture)
     FIXTURE.write_text(_dump(fixture))
-
-    snapshots = {scheme: snapshot_at(scheme, build(scheme)) for scheme in SCHEMES}
-    pooled = ShardedOneTreeServer(
-        shards=4,
-        degree=3,
-        keygen=KeyGenerator(SEED + SCHEMES.index("sharded")),
-        group="golden",
-        backend="process",
-        workers=2,
-    )
-    try:
-        snapshots["sharded-process"] = snapshot_at("sharded", pooled)
-    finally:
-        pooled.close()
-    SNAPSHOTS.write_text(
-        _dump(
-            {"recorded_at": "a5b5b05", "batch": SNAPSHOT_BATCH, "snapshots": snapshots}
-        )
-    )
     wraps = {s: sum(len(r["wraps"]) for r in rs) for s, rs in fixture["schemes"].items()}
-    print(f"wrote {FIXTURE} ({wraps} wraps) and {SNAPSHOTS}")
+    print(f"wrote {FIXTURE} ({wraps} wraps)")
 
 
 if __name__ == "__main__":

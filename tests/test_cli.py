@@ -126,19 +126,28 @@ class TestTrace:
 
 
 class TestRemovedExecutionOptions:
-    """The bulk / threads / arena wrap engine, the ``bench`` subcommand and
-    the choice of tree kernel are gone; their flags are argparse errors,
-    not silently accepted."""
+    """The bulk / threads / arena wrap engine, the ``bench`` subcommand,
+    the choice of tree kernel and the shard executors are gone; their
+    flags are argparse errors, not silently accepted."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["simulate", "--quick", "--threads", "2"],
             ["simulate", "--quick", "--tree-kernel", "flat"],
+            ["simulate", "--quick", "--scheme", "sharded", "--workers", "2"],
+            ["simulate", "--quick", "--scheme", "sharded", "--backend", "process"],
             ["chaos", "--quick", "--arena"],
             ["bench"],
         ],
-        ids=["simulate-threads", "simulate-tree-kernel", "chaos-arena", "bench"],
+        ids=[
+            "simulate-threads",
+            "simulate-tree-kernel",
+            "simulate-workers",
+            "simulate-backend",
+            "chaos-arena",
+            "bench",
+        ],
     )
     def test_removed_flags_and_subcommand_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -13,7 +13,6 @@ from repro.crypto.material import KeyGenerator
 from repro.keytree import flat
 from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.keytree.serialize import tree_from_dict, tree_to_dict
-from repro.keytree.sharded import ShardedKeyTree
 from repro.keytree.tree import KeyTree
 from repro.server.onetree import OneTreeServer
 from repro.server.sharded import ShardedOneTreeServer
@@ -206,8 +205,6 @@ class TestSingleKernel:
             OneTreeServer(tree_kernel="flat")
         with pytest.raises(TypeError):
             ShardedOneTreeServer(shards=2, tree_kernel="flat")
-        with pytest.raises(TypeError):
-            ShardedKeyTree(shards=2, kernel="flat")
 
     def test_one_tree_server_serves_group_key(self):
         server = OneTreeServer(degree=3)

@@ -9,8 +9,7 @@ same wrap order, same versions, same ciphertext bytes — plus equal
 
 Traces come from two sources: hypothesis-generated operation programs
 (shrinkable counterexamples) and pinned-seed random mixes (stable
-regression anchors).  Both run under eager and deferred wrapping, and
-the sharded variant is checked across all three executor backends.
+regression anchors).  Both run under eager and deferred wrapping.
 
 The same holds one level up.  Every server builds the flat kernel and
 nothing else, so the battery also drives each shipped server beside a
@@ -34,7 +33,6 @@ from repro.keytree.lkh import LkhRekeyer
 from repro.keytree.serialize import tree_to_dict
 from repro.keytree.tree import KeyTree
 from repro.members.member import Member
-from repro.server.sharded import ShardedOneTreeServer
 from repro.testing import (
     SCHEME_FACTORIES,
     default_join_attributes,
@@ -402,28 +400,6 @@ def test_per_receiver_decrypt_counts_match():
             )
 
 
-# ----------------------------------------------------------------------
-# sharded server: kernels x executor backends
-# ----------------------------------------------------------------------
-
-
-def _server_wires(server, rounds=4, churn=3):
-    out = []
-    present = []
-    counter = 0
-    for round_no in range(rounds):
-        for _ in range(4):
-            counter += 1
-            member = f"m{counter}"
-            server.join(member)
-            present.append(member)
-        if round_no:
-            for _ in range(churn):
-                server.leave(present.pop(0))
-        out.append(wire_result(server.rekey()))
-    return out
-
-
 def wire_result(result):
     return tuple(
         (
@@ -437,36 +413,11 @@ def wire_result(result):
     )
 
 
-@pytest.mark.parametrize(
-    "backend,workers", [("serial", 1), ("thread", 2), ("process", 2)]
-)
-def test_sharded_flat_kernel_matches_object_across_backends(backend, workers):
-    with deferred_wraps():
-        obj_server = with_object_trees(
-            ShardedOneTreeServer(shards=4, degree=3, group="kx")
-        )
-        flat_server = ShardedOneTreeServer(
-            shards=4, degree=3, group="kx", backend=backend, workers=workers
-        )
-        try:
-            assert all(
-                isinstance(tree, KeyTree)
-                for tree in obj_server.sharded.local_trees().values()
-            )
-            assert _server_wires(obj_server) == _server_wires(flat_server)
-            if backend == "process":  # its workers build their own trees
-                with pytest.raises(TypeError):
-                    with_object_trees(flat_server)
-        finally:
-            obj_server.close()
-            flat_server.close()
-
-
 # ----------------------------------------------------------------------
 # every server: shipped (flat) vs its object-tree oracle, in lock step
 # ----------------------------------------------------------------------
 
-LOCK_STEP_SCHEMES = ("qt", "tt", "pt", "loss-homogenized")
+LOCK_STEP_SCHEMES = ("qt", "tt", "pt", "loss-homogenized", "loss-random", "sharded")
 
 
 class ServerPair:
@@ -585,9 +536,10 @@ def test_mass_migration_compacts_the_s_tree_unobservably(scheme, deferred):
             pair.leave(2)
             pair.join(3)
             pair.rekey(f"steady {epoch}")
-        s_tree = pair.shipped.s_tree
+        s_partition = pair.shipped.partitions[0]
         if scheme == "tt":
+            s_tree = s_partition.tree
             assert compacted and all(name.endswith("s-tree") for name in compacted)
             assert len(s_tree._ids) <= 4 * len(s_tree._index) + 8
         else:  # the queue partition has no tree to compact
-            assert s_tree is None and not compacted
+            assert not hasattr(s_partition, "tree") and not compacted

@@ -1,24 +1,48 @@
-"""ShardedKeyTree structure: placement, sizes, dumps, executor parity."""
+"""Hash placement: ``shard_of``, per-shard slices, private streams, dumps.
+
+What used to be pinned on a separate sharded key tree is pinned here on
+the partitioned server under :class:`~repro.server.placement.HashPlacement`:
+which shard a member lands in, that a batch touches only the shards it
+has members in, that every shard draws from its own stream, and that a
+shard's dump restores into one that re-derives the same payloads.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+
 from repro.crypto.material import KeyGenerator
-from repro.keytree.sharded import ShardedKeyTree, shard_of
+from repro.server.partitioned import TreePartition, load_partition
+from repro.server.placement import HashPlacement, shard_of
+from repro.server.sharded import ShardedOneTreeServer
 
 
-def make_tree(shards=4, backend="serial", workers=1, seed=7):
-    return ShardedKeyTree(
-        shards=shards,
-        degree=4,
-        keygen=KeyGenerator(seed=seed),
-        backend=backend,
-        workers=workers,
-    )
+def make_server(shards=4, seed=7):
+    return ShardedOneTreeServer(shards=shards, degree=4, keygen=KeyGenerator(seed=seed))
 
 
-def join_batch(tree, member_ids, keygen):
-    joins = [(m, keygen.generate(f"member:{m}")) for m in member_ids]
-    return tree.apply_batch(joins=joins)
+def admit(server, member_ids, now=0.0):
+    for member_id in member_ids:
+        server.join(member_id, at_time=now)
+    return server.rekey(now=now)
+
+
+def wire(keys):
+    return [
+        (
+            ek.wrapping_id,
+            ek.wrapping_version,
+            ek.payload_id,
+            ek.payload_version,
+            ek.ciphertext,
+        )
+        for ek in keys
+    ]
 
 
 class TestPlacement:
@@ -42,158 +66,168 @@ class TestPlacement:
 
     def test_single_shard_routes_everything_to_zero(self):
         assert all(shard_of(f"m{i}", 1) == 0 for i in range(50))
+        assert all(HashPlacement(1).place(f"m{i}", 0.0) == 0 for i in range(50))
+
+    def test_placement_is_independent_of_pythonhashseed(self):
+        script = (
+            "from repro.server.placement import shard_of;"
+            "print([shard_of(f'm{i}', 16) for i in range(64)])"
+        )
+        src = str(Path(repro.__file__).parent.parent)
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                check=True,
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("0", "1", "4242")
+        }
+        assert outputs == {str([shard_of(f"m{i}", 16) for i in range(64)]) + "\n"}
 
     def test_apply_batch_records_placement(self):
-        tree = make_tree()
-        keygen = KeyGenerator(seed=1)
-        join_batch(tree, [f"m{i}" for i in range(32)], keygen)
+        server = make_server()
+        admit(server, [f"m{i}" for i in range(32)])
         for i in range(32):
             member = f"m{i}"
-            assert member in tree
-            assert tree.shard_holding(member) == shard_of(member, tree.shards)
-        assert tree.size == 32
-        assert sum(tree.shard_sizes().values()) == 32
-        tree.close()
+            shard = shard_of(member, server.shards)
+            assert member in server.partitions[shard]
+            assert server.shard_label(member) == f"shard{shard}"
+        assert server.size == 32
+        assert sum(server.shard_sizes().values()) == 32
 
     def test_departure_updates_sizes_and_membership(self):
-        tree = make_tree()
-        keygen = KeyGenerator(seed=1)
-        join_batch(tree, [f"m{i}" for i in range(16)], keygen)
-        before = tree.shard_sizes()
+        server = make_server()
+        admit(server, [f"m{i}" for i in range(16)])
+        before = server.shard_sizes()
         victim = "m5"
-        shard = tree.shard_holding(victim)
-        tree.apply_batch(departures=[victim])
-        assert victim not in tree
-        assert tree.shard_sizes()[shard] == before[shard] - 1
+        shard = shard_of(victim, server.shards)
+        server.leave(victim, at_time=10.0)
+        server.rekey(now=10.0)
+        assert victim not in server
+        assert server.shard_sizes()[shard] == before[shard] - 1
         with pytest.raises(KeyError):
-            tree.shard_holding(victim)
-        tree.close()
+            server.shard_label(victim)
 
     def test_populated_shards_excludes_empty(self):
-        tree = make_tree(shards=8)
-        keygen = KeyGenerator(seed=1)
-        join_batch(tree, ["only-one"], keygen)
-        assert tree.populated_shards() == [shard_of("only-one", 8)]
-        tree.close()
+        server = make_server(shards=8)
+        admit(server, ["only-one"])
+        sizes = server.shard_sizes()
+        assert [s for s, size in sizes.items() if size] == [shard_of("only-one", 8)]
+        # The empty shards get no DEK wrap when it leaves the next batch.
+        admit(server, ["another"], now=10.0)
+        server.leave("only-one", at_time=20.0)
+        result = server.rekey(now=20.0)
+        assert result.breakdown["group-key"] == 1
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            ShardedKeyTree(shards=0)
-        with pytest.raises(ValueError):
-            ShardedKeyTree(shards=2, backend="gpu")
+            ShardedOneTreeServer(shards=0)
+        for removed in ("backend", "workers", "payload"):
+            with pytest.raises(TypeError):
+                ShardedOneTreeServer(shards=2, **{removed: 1})
 
 
 class TestBatchOutcome:
     def test_touched_lists_only_affected_shards(self):
-        tree = make_tree(shards=8)
-        keygen = KeyGenerator(seed=3)
-        join_batch(tree, [f"m{i}" for i in range(24)], keygen)
+        server = make_server(shards=8, seed=3)
+        admit(server, [f"m{i}" for i in range(24)])
         victim = "m0"
-        outcome = tree.apply_batch(departures=[victim])
-        assert outcome.touched == [shard_of(victim, 8)]
-        assert [f.shard for f in outcome.fragments] == outcome.touched
-        tree.close()
+        server.leave(victim, at_time=10.0)
+        result = server.rekey(now=10.0)
+        assert list(result.breakdown) == [f"shard{shard_of(victim, 8)}", "group-key"]
 
     def test_fragments_come_back_in_shard_order(self):
-        tree = make_tree(shards=8, backend="thread", workers=4)
-        keygen = KeyGenerator(seed=3)
-        outcome = join_batch(tree, [f"m{i}" for i in range(40)], keygen)
-        order = [f.shard for f in outcome.fragments]
-        assert order == sorted(order)
-        tree.close()
+        server = make_server(shards=8, seed=3)
+        result = admit(server, [f"m{i}" for i in range(40)])
+        labels = [label for label in result.breakdown if label != "group-key"]
+        assert labels == sorted(labels, key=lambda label: int(label[5:]))
+        assert list(result.breakdown)[-1] == "group-key"
 
     def test_fragment_roots_match_root_key_query(self):
-        tree = make_tree(shards=4)
-        keygen = KeyGenerator(seed=3)
-        outcome = join_batch(tree, [f"m{i}" for i in range(20)], keygen)
-        for fragment in outcome.fragments:
-            assert tree.root_key(fragment.shard) == fragment.root_key
-        tree.close()
-
-
-class TestExecutorParity:
-    """The same batch sequence emits identical fragments on every backend."""
-
-    def run_sequence(self, backend, workers):
-        tree = make_tree(shards=4, backend=backend, workers=workers, seed=11)
-        keygen = KeyGenerator(seed=12)
-        transcript = []
-        try:
-            outcome = join_batch(tree, [f"m{i}" for i in range(30)], keygen)
-            transcript.append(self.flatten(outcome))
-            outcome = tree.apply_batch(
-                joins=[("zz", keygen.generate("member:zz"))],
-                departures=["m4", "m9"],
-            )
-            transcript.append(self.flatten(outcome))
-            roots = {s: tree.root_key(s) for s in tree.populated_shards()}
-        finally:
-            tree.close()
-        return transcript, roots
-
-    @staticmethod
-    def flatten(outcome):
-        return [
-            (
-                fragment.shard,
-                tuple(
-                    (
-                        ek.wrapping_id,
-                        ek.wrapping_version,
-                        ek.payload_id,
-                        ek.payload_version,
-                        ek.ciphertext,
-                    )
-                    for ek in fragment.encrypted_keys
-                ),
-            )
-            for fragment in outcome.fragments
+        """The stitch wraps the DEK under each shard's *current* root."""
+        server = make_server(shards=4, seed=3)
+        admit(server, [f"m{i}" for i in range(20)])
+        server.leave("m3", at_time=10.0)
+        result = server.rekey(now=10.0)
+        dek = server.group_key()
+        wrapped_under = [
+            (ek.wrapping_id, ek.wrapping_version)
+            for ek in result.encrypted_keys
+            if ek.payload_id == dek.key_id
         ]
+        roots = [part.tree.root.key for part in server.partitions if part.size]
+        assert wrapped_under == [(root.key_id, root.version) for root in roots]
 
-    @pytest.mark.parametrize(
-        "backend,workers", [("thread", 2), ("process", 2)]
-    )
-    def test_backend_emits_identical_fragments(self, backend, workers):
-        reference = self.run_sequence("serial", 1)
-        assert self.run_sequence(backend, workers) == reference
+
+class TestPrivateStreams:
+    def test_a_shard_draws_only_from_its_own_stream(self):
+        """Churn confined to one shard moves that shard's stream and the
+        DEK stream, and no other shard's."""
+        server = make_server(shards=4, seed=11)
+        admit(server, [f"m{i}" for i in range(30)])
+        streams = [part.tree.keygen for part in server.partitions]
+        assert len({id(stream) for stream in streams} | {id(server.keygen)}) == 5
+        before = [stream.state()["counter"] for stream in streams]
+        victim = "m4"
+        server.leave(victim, at_time=10.0)
+        server.rekey(now=10.0)
+        after = [stream.state()["counter"] for stream in streams]
+        moved = [shard for shard in range(4) if after[shard] != before[shard]]
+        assert moved == [shard_of(victim, 4)]
+
+    def test_shard_keys_do_not_depend_on_other_shards_churn(self):
+        """Same members in shard 0, different traffic elsewhere: shard 0's
+        slice of the payload is byte-identical."""
+        everyone = [f"m{i}" for i in range(40)]
+        only_zero = [m for m in everyone if shard_of(m, 4) == 0]
+        full, sparse = make_server(seed=5), make_server(seed=5)
+        # Individual keys come off the shared stream, so admit in one order.
+        full_result = admit(full, only_zero + [m for m in everyone if m not in only_zero])
+        sparse_result = admit(sparse, only_zero)
+        count = full_result.breakdown["shard0"]
+        assert count == sparse_result.breakdown["shard0"]
+        assert wire(full_result.encrypted_keys[:count]) == wire(
+            sparse_result.encrypted_keys[:count]
+        )
 
 
 class TestDumpLoad:
     def test_round_trip_re_derives_identical_payloads(self):
-        live = make_tree(shards=4, seed=21)
-        keygen = KeyGenerator(seed=22)
-        join_batch(live, [f"m{i}" for i in range(20)], keygen)
-        live.apply_batch(departures=["m3", "m8"])
+        live = make_server(shards=4, seed=21)
+        admit(live, [f"m{i}" for i in range(20)])
+        live.leave("m3", at_time=10.0)
+        live.leave("m8", at_time=10.0)
+        live.rekey(now=10.0)
 
-        twin = make_tree(shards=4, seed=99)  # seed replaced by the load
-        twin.load_shards(live.dump_shards())
-        assert twin.shard_sizes() == live.shard_sizes()
-        assert twin.members() and set(twin.members()) == set(live.members())
-        for shard in live.populated_shards():
-            assert twin.root_key(shard) == live.root_key(shard)
+        shared = KeyGenerator(seed=99)  # private streams come from the dump
+        twins = [load_partition(part.dump(live.keygen), shared) for part in live.partitions]
+        assert all(isinstance(twin, TreePartition) for twin in twins)
+        assert shared.state()["counter"] == 0
+        for part, twin in zip(live.partitions, twins):
+            assert twin.label == part.label
+            assert sorted(twin.members()) == sorted(part.members())
+            assert twin.tree.root.key == part.tree.root.key
+            assert twin.tree.keygen.state() == part.tree.keygen.state()
 
-        followup_keygen = KeyGenerator(seed=22)
-        followup_keygen._counter = keygen._counter
-        live_out = live.apply_batch(
-            joins=[("late", keygen.generate("member:late"))],
-            departures=["m1"],
-        )
-        twin_out = twin.apply_batch(
-            joins=[("late", followup_keygen.generate("member:late"))],
-            departures=["m1"],
-        )
-        assert TestExecutorParity.flatten(twin_out) == (
-            TestExecutorParity.flatten(live_out)
-        )
-        live.close()
-        twin.close()
+        late = KeyGenerator(seed=22).generate("member:late")
+        for part, twin in zip(live.partitions, twins):
+            leaving = [m for m in ("m1",) if m in part]
+            entering = [("late", late)] if part.label == "shard0" else []
+            if not leaving and not entering:
+                continue
+            ours = part.apply(entering, leaving)
+            theirs = twin.apply(entering, leaving)
+            assert wire(theirs.encrypted_keys) == wire(ours.encrypted_keys)
+            assert theirs.epoch == ours.epoch
 
     def test_member_path_keys_end_at_shard_root(self):
-        tree = make_tree(shards=4)
-        keygen = KeyGenerator(seed=5)
-        join_batch(tree, [f"m{i}" for i in range(16)], keygen)
+        server = make_server(shards=4, seed=5)
+        admit(server, [f"m{i}" for i in range(16)])
         for member in ("m0", "m7", "m15"):
-            path = tree.member_path_keys(member)
+            part = server.partitions[shard_of(member, 4)]
+            path = part.path_keys(member)
             assert path
-            assert path[-1] == tree.root_key(tree.shard_holding(member))
-        tree.close()
+            assert path[-1] == part.tree.root.key
+            assert server._current_keys_of(member) == path + [server.group_key()]

@@ -118,7 +118,7 @@ def test_cost_only_census_stays_within_budget():
     assert built == []
     # The S-tree was set up holding the whole group, which then migrated;
     # its slot arrays follow what it holds now, not what it held then.
-    s_tree = sim.server.s_tree
+    s_tree = sim.server.partitions[0].tree
     live = len(s_tree._index)
     assert live < size / 4
     budget = 4 * live + SLOT_COMPACT_FLOOR

@@ -11,12 +11,12 @@ from repro.cli import main
 from repro.obs.metrics import parse_prometheus
 
 
-def run_simulate(tmp_path, capsys, *extra):
+def run_simulate(tmp_path, capsys, *extra, scheme="one"):
     trace = tmp_path / "trace.jsonl"
     prom = tmp_path / "metrics.prom"
     rc = main(
         [
-            "simulate", "--quick", "--scheme", "one",
+            "simulate", "--quick", "--scheme", scheme,
             "--arrival-rate", "0.5", "--seed", "1",
             "--trace", str(trace), "--metrics", str(prom),
             *extra,
@@ -86,6 +86,29 @@ def test_trace_summarize_command(tmp_path, capsys):
     assert rc == 0
     assert "top spans" in out
     assert "epoch" in out
+
+
+def test_tt_run_reports_its_partitions_per_shard(tmp_path, capsys):
+    """The per-partition spans come out of the one batch loop, so a TT run
+    has a per-shard table too — its S- and L-partition."""
+    from repro.obs.check import main as check_main
+
+    # --quick stops at 600 s: a short S-period, so members reach L.
+    rc, trace, prom, _ = run_simulate(
+        tmp_path, capsys, "--s-period", "120", scheme="tt"
+    )
+    assert rc == 0
+    rc = main(["trace", "summarize", str(trace)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    table = out.split("per-shard", 1)[1].split("\n\n", 1)[0]
+    rows = {line.split()[0]: line.split() for line in table.splitlines()[2:] if line.strip()}
+    assert {"s-partition", "l-partition"} <= set(rows)
+    assert int(rows["s-partition"][1]) > 0 and int(rows["s-partition"][3]) > 0
+    samples = parse_prometheus(prom.read_text())
+    assert samples['repro_shard_batch_keys_count{shard="l-partition"}'] > 0
+    assert check_main([str(trace), str(prom)]) == 0
+    assert "ok:" in capsys.readouterr().out
 
 
 def test_trace_generator_still_owns_positional(tmp_path, capsys):

@@ -4,9 +4,8 @@ The acceptance contract of the obs layer:
 
 * an observed simulation produces agreeing epoch counts across all three
   signal planes (metrics counter, epoch events, epoch spans);
-* a sharded ``workers=4`` process-backend run merges its workers' metric
-  deltas so the counted totals (rekeys, wraps, encrypted keys) are
-  identical to the serial backend's;
+* every partition a batch touches reports a ``shard`` span and the
+  ``shard.*`` histograms under its breakdown label, whatever the policy;
 * a chaos run's trace carries fault-window span events and retry-round
   spans;
 * the whole artifact chain (``write_trace`` + ``write_metrics`` +
@@ -20,8 +19,10 @@ from repro.members.durations import TwoClassDuration
 from repro.members.population import LossPopulation
 from repro.obs import check as obs_check
 from repro.obs import metrics as obs_metrics
+from repro.server.losshomog import LossHomogenizedServer
 from repro.server.onetree import OneTreeServer
 from repro.server.sharded import ShardedOneTreeServer
+from repro.server.twopartition import TwoPartitionServer
 from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
 
 
@@ -80,31 +81,8 @@ def churn(server, rounds=4, width=32):
     return total_keys
 
 
-@pytest.mark.parametrize("backend,workers", [("thread", 4), ("process", 4)])
-def test_sharded_workers_merge_matches_serial_totals(backend, workers):
-    totals = {}
-    for label, kwargs in (
-        ("serial", dict(backend="serial", workers=1)),
-        (backend, dict(backend=backend, workers=workers)),
-    ):
-        with obs_metrics.collecting() as registry:
-            server = ShardedOneTreeServer(shards=4, degree=4, **kwargs)
-            wire_keys = churn(server)
-            server.close()
-        totals[label] = {
-            "rekeys": registry.counter_total("server.rekeys"),
-            "wraps": registry.counter_total("crypto.wraps"),
-            "encrypted_keys": registry.counter_total("server.encrypted_keys"),
-            "wire_keys": wire_keys,
-        }
-    assert totals["serial"]["rekeys"] == 5
-    assert totals["serial"]["wraps"] > 0
-    assert totals["serial"]["encrypted_keys"] == totals["serial"]["wire_keys"]
-    assert totals[backend] == totals["serial"]
-
-
 def unwrap_totals(server):
-    """Wrap/unwrap counters of one observed lossy run; closes the server."""
+    """Wrap/unwrap counters of one observed lossy run."""
     from repro.transport.wka_bkr import WkaBkrProtocol
 
     with obs_metrics.collecting() as registry:
@@ -115,8 +93,6 @@ def unwrap_totals(server):
                 loss_population=LossPopulation.two_point(),
             ),
         ).run()
-        if isinstance(server, ShardedOneTreeServer):
-            server.close()
     return {
         name: registry.counter_total(name)
         for name in (
@@ -131,16 +107,13 @@ def unwrap_totals(server):
 def test_every_learned_key_is_one_real_or_one_shared_unwrap():
     """Receivers of a payload share its opened-wrap table: each wrap is
     decrypted at most once, and what the cipher ran plus what the table
-    served is the protocol's decryption count — on any backend."""
-    one = unwrap_totals(OneTreeServer(degree=4))
-    serial = unwrap_totals(
-        ShardedOneTreeServer(shards=4, degree=4, backend="serial", workers=1)
-    )
-    pooled = unwrap_totals(
-        ShardedOneTreeServer(shards=4, degree=4, backend="process", workers=4)
-    )
-    assert pooled == serial
-    for totals in (one, serial):
+    served is the protocol's decryption count — under any policy."""
+    for server in (
+        OneTreeServer(degree=4),
+        ShardedOneTreeServer(shards=4, degree=4),
+        TwoPartitionServer(mode="tt", s_period=120.0),
+    ):
+        totals = unwrap_totals(server)
         assert totals["member.unwraps_shared"] > totals["crypto.unwraps"] > 0
         assert totals["crypto.unwraps"] <= totals["crypto.wraps"]
         assert totals["member.keys_learned"] == (
@@ -150,19 +123,68 @@ def test_every_learned_key_is_one_real_or_one_shared_unwrap():
 
 def test_sharded_shard_spans_and_labeled_metrics():
     with obs.observe() as bundle:
-        server = ShardedOneTreeServer(shards=4, degree=4)
-        churn(server, rounds=2)
-        server.close()
+        churn(ShardedOneTreeServer(shards=4, degree=4), rounds=2)
     shard_spans = [s for s in bundle.tracer.spans if s.name == "shard"]
     assert shard_spans
-    shards_seen = {s.attributes["shard"] for s in shard_spans}
-    assert shards_seen == {0, 1, 2, 3}
-    hist = bundle.registry.histogram(
-        "shard.batch_keys", labels=("shard",)
-    )
-    assert sum(hist.stats(shard=str(i))["count"] for i in range(4)) == len(
+    labels = {"shard0", "shard1", "shard2", "shard3"}
+    assert {s.attributes["shard"] for s in shard_spans} == labels
+    hist = bundle.registry.histogram("shard.batch_keys", labels=("shard",))
+    assert sum(hist.stats(shard=label)["count"] for label in labels) == len(
         shard_spans
     )
+
+
+@pytest.mark.parametrize(
+    "build,labels",
+    [
+        (lambda: OneTreeServer(degree=4), {"tree"}),
+        (lambda: TwoPartitionServer(mode="qt", s_period=0.0), {"s-partition", "l-partition"}),
+        (lambda: TwoPartitionServer(mode="tt", s_period=0.0), {"s-partition", "l-partition"}),
+        (
+            lambda: LossHomogenizedServer(placement="random"),
+            {"tree-p0.2", "tree-p0.02"},
+        ),
+    ],
+    ids=["one-keytree", "qt", "tt", "loss-random"],
+)
+def test_every_policy_reports_its_touched_partitions(build, labels):
+    """One loop, one instrumentation point: a span and both histograms per
+    partition a batch touches, keys summing to what the breakdown says."""
+    with obs.observe() as bundle:
+        server = build()
+        results = []
+        for member_id in [f"m{i}" for i in range(16)]:
+            server.join(member_id)
+        results.append(server.rekey(now=0.0))
+        server.leave("m3", at_time=30.0)
+        server.join("late", at_time=30.0)
+        results.append(server.rekey(now=60.0))
+    spans = [s for s in bundle.tracer.spans if s.name == "shard"]
+    assert {s.attributes["shard"] for s in spans} == labels
+    rekeys = {s.span_id for s in bundle.tracer.spans if s.name == "rekey"}
+    assert all(s.parent_id in rekeys for s in spans)
+    keys = bundle.registry.histogram("shard.batch_keys", labels=("shard",))
+    seconds = bundle.registry.histogram("shard.batch_seconds", labels=("shard",))
+    for label in labels:
+        attributed = sum(r.breakdown.get(label, 0) for r in results)
+        assert keys.stats(shard=label)["sum"] == attributed
+        assert seconds.stats(shard=label)["count"] == keys.stats(shard=label)["count"]
+
+
+def test_no_partition_is_timed_while_nothing_observes():
+    from repro.server import partitioned
+
+    calls = []
+    real = partitioned.perf_counter
+    partitioned.perf_counter = lambda: calls.append(1) or real()
+    try:
+        churn(ShardedOneTreeServer(shards=4, degree=4), rounds=1)
+        assert calls == []
+        with obs.observe():
+            churn(ShardedOneTreeServer(shards=4, degree=4), rounds=1)
+        assert calls
+    finally:
+        partitioned.perf_counter = real
 
 
 def test_chaos_trace_has_fault_windows_and_retry_rounds():

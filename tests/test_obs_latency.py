@@ -15,6 +15,9 @@ from repro.obs.metrics import (
     bucket_quantile,
     merge_bucket_series,
 )
+from repro.server.onetree import OneTreeServer
+from repro.server.sharded import ShardedOneTreeServer
+from repro.server.twopartition import TwoPartitionServer
 from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
 from repro.transport.wka_bkr import WkaBkrProtocol
 
@@ -179,10 +182,7 @@ class TestLatencyTracker:
         assert late["sum"] == pytest.approx(706.0)
 
 
-def _sharded_latency_snapshot(workers: int, backend: str):
-    from repro.server.sharded import ShardedOneTreeServer
-
-    server = ShardedOneTreeServer(shards=4, workers=workers, backend=backend)
+def _latency_snapshot(server):
     config = SimulationConfig(
         arrival_rate=1.0,
         rekey_period=60.0,
@@ -193,55 +193,34 @@ def _sharded_latency_snapshot(workers: int, backend: str):
         verify=False,
         seed=11,
     )
-    try:
-        with obs.observe() as bundle:
-            GroupRekeyingSimulation(server, config).run()
-    finally:
-        server.close()
+    with obs.observe() as bundle:
+        GroupRekeyingSimulation(server, config).run()
     return bundle.registry.to_json().get(LATENCY_METRIC)
 
 
-class TestShardedLatencyMerge:
-    def test_workers4_histogram_matches_serial_byte_for_byte(self):
-        serial = _sharded_latency_snapshot(workers=1, backend="serial")
-        pooled = _sharded_latency_snapshot(workers=4, backend="thread")
-        assert serial is not None and serial["series"], "no latency observed"
-        # Shard labels must be real shard indices, not the "0" fallback.
-        shards = {key.split("|")[1] for key in serial["series"]}
-        assert len(shards) > 1
-        assert json.dumps(serial, sort_keys=True) == json.dumps(
-            pooled, sort_keys=True
+class TestPartitionLatencyLabels:
+    """``rekey.latency`` series carry the label of the partition holding
+    the member — under every placement policy, not only the hash one."""
+
+    @pytest.mark.parametrize(
+        "build,labels",
+        [
+            (
+                lambda: ShardedOneTreeServer(shards=4),
+                {"shard0", "shard1", "shard2", "shard3"},
+            ),
+            (
+                lambda: TwoPartitionServer(mode="tt", s_period=120.0),
+                {"s-partition", "l-partition"},
+            ),
+            (lambda: OneTreeServer(), {"tree"}),
+        ],
+        ids=["sharded", "tt", "one-keytree"],
+    )
+    def test_series_are_labelled_by_partition_and_reruns_agree(self, build, labels):
+        first = _latency_snapshot(build())
+        assert first is not None and first["series"], "no latency observed"
+        assert {key.split("|")[1] for key in first["series"]} == labels
+        assert json.dumps(first, sort_keys=True) == json.dumps(
+            _latency_snapshot(build()), sort_keys=True
         )
-
-
-class TestChaosLatencyBattery:
-    def test_blackout_abandonments_all_reach_a_terminal(self):
-        from repro.faults.chaos import run_chaos_case
-
-        with obs.observe() as bundle:
-            entry = run_chaos_case(
-                "one", "blackout-resync", seed=7, horizon=900.0
-            )
-        counts = {}
-        for record in bundle.events.records:
-            counts[record["type"]] = counts.get(record["type"], 0) + 1
-        abandonments = counts.get("abandonment", 0)
-        assert abandonments > 0, "schedule produced no abandonments"
-        assert abandonments == (
-            counts.get("resync_complete", 0)
-            + counts.get("abandoned_unrecovered", 0)
-        )
-        ttd = entry["time_to_new_dek"]
-        assert ttd["open"] == 0
-        assert ttd["count"] > 0
-        assert ttd["resyncs"] + ttd["abandoned_unrecovered"] == abandonments
-        assert ttd["p99_s"] >= ttd["p50_s"] >= 0.0
-        # The registry double-books the same stories.
-        hist = bundle.registry.to_json()[LATENCY_METRIC]
-        by_state = {}
-        for key, slot in hist["series"].items():
-            state = key.split("|")[2]
-            by_state[state] = by_state.get(state, 0) + slot["count"]
-        assert by_state.get("resync", 0) == ttd["resyncs"]
-        assert by_state.get("abandoned", 0) == ttd["abandoned_unrecovered"]
-        assert hist["buckets"] == list(LATENCY_LOG_BUCKETS_S)

@@ -1,24 +1,6 @@
-"""Executor layer: parallel_map, shard executors, handle-only payloads."""
+"""``parallel_map``: the experiment sweeps' process-pool fan-out."""
 
-import pytest
-
-from repro.crypto.material import KeyGenerator, KeyMaterial
-from repro.crypto.wrap import (
-    EncryptedKey,
-    PlannedEncryptedKey,
-    WrapIndex,
-    wrap_key,
-)
-from repro.perf.parallel import (
-    BACKENDS,
-    PAYLOAD_FULL,
-    PAYLOAD_HANDLES,
-    ShardBatch,
-    ShardSpec,
-    available_cpus,
-    make_executor,
-    parallel_map,
-)
+from repro.perf.parallel import parallel_map
 
 
 def _square(x):
@@ -41,165 +23,3 @@ class TestParallelMap:
 
     def test_empty_input(self):
         assert parallel_map(_square, [], workers=4) == []
-
-
-class TestAvailableCpus:
-    def test_reports_at_least_one(self):
-        assert available_cpus() >= 1
-
-
-def make_specs(shards=3, seed=31, degree=4):
-    keygen = KeyGenerator(seed=seed)
-    return [
-        ShardSpec(
-            shard=shard,
-            name=f"g/shard{shard}",
-            degree=degree,
-            stream=keygen.derive_stream(f"shard{shard}").state(),
-        )
-        for shard in range(shards)
-    ]
-
-
-def seed_batches(member_keygen, count=18, shards=3):
-    joins = {shard: [] for shard in range(shards)}
-    for i in range(count):
-        member = f"m{i}"
-        joins[i % shards].append(
-            (member, member_keygen.generate(f"member:{member}"))
-        )
-    return [
-        ShardBatch(shard=shard, joins=tuple(pairs), departures=())
-        for shard, pairs in joins.items()
-    ]
-
-
-def flatten(fragments):
-    return [
-        (
-            f.shard,
-            f.size,
-            f.root_key,
-            tuple(
-                (
-                    ek.wrapping_id,
-                    ek.wrapping_version,
-                    ek.payload_id,
-                    ek.payload_version,
-                )
-                for ek in f.encrypted_keys
-            ),
-        )
-        for f in fragments
-    ]
-
-
-class TestExecutors:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backend_matches_serial_reference(self, backend):
-        reference = None
-        for candidate in ("serial", backend):
-            executor = make_executor(candidate, make_specs(), lanes=2)
-            try:
-                fragments = executor.run_batch(
-                    seed_batches(KeyGenerator(seed=32)), payload=PAYLOAD_FULL
-                )
-                flat = flatten(fragments)
-                roots = executor.root_keys()
-            finally:
-                executor.close()
-            if reference is None:
-                reference = (flat, roots)
-        assert (flat, roots) == reference
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_handles_payload_matches_full_identities(self, backend):
-        full_executor = make_executor("serial", make_specs(), lanes=1)
-        full = full_executor.run_batch(
-            seed_batches(KeyGenerator(seed=32)), payload=PAYLOAD_FULL
-        )
-        full_executor.close()
-
-        executor = make_executor(backend, make_specs(), lanes=2)
-        try:
-            handles = executor.run_batch(
-                seed_batches(KeyGenerator(seed=32)), payload=PAYLOAD_HANDLES
-            )
-        finally:
-            executor.close()
-        # PlannedEncryptedKey.__eq__ compares identity fields only, so the
-        # handle fragments must equal the full ones wrap for wrap.
-        for full_frag, handle_frag in zip(full, handles):
-            assert handle_frag.encrypted_keys == full_frag.encrypted_keys
-            assert all(
-                isinstance(ek, PlannedEncryptedKey)
-                for ek in handle_frag.encrypted_keys
-            )
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_dump_load_round_trip(self, backend):
-        executor = make_executor(backend, make_specs(), lanes=2)
-        try:
-            executor.run_batch(
-                seed_batches(KeyGenerator(seed=32)), payload=PAYLOAD_FULL
-            )
-            dumps = executor.dump_shards()
-            roots = executor.root_keys()
-        finally:
-            executor.close()
-
-        twin = make_executor("serial", make_specs(seed=99), lanes=1)
-        try:
-            twin.load_shards(dumps)
-            assert twin.root_keys() == roots
-        finally:
-            twin.close()
-
-    def test_close_is_idempotent(self):
-        executor = make_executor("process", make_specs(), lanes=2)
-        executor.run_batch(
-            seed_batches(KeyGenerator(seed=32)), payload=PAYLOAD_HANDLES
-        )
-        executor.close()
-        executor.close()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            make_executor("gpu", make_specs())
-
-
-class TestPlannedEncryptedKey:
-    def wrap(self):
-        keygen = KeyGenerator(seed=5)
-        wrapping = keygen.generate("wrapping")
-        payload = keygen.generate("payload")
-        return wrap_key(wrapping, payload)
-
-    def test_from_key_preserves_identity(self):
-        ek = self.wrap()
-        planned = PlannedEncryptedKey.from_key(ek)
-        assert planned == ek
-        assert hash(planned) == hash(
-            PlannedEncryptedKey.from_key(self.wrap())
-        )
-
-    def test_ciphertext_access_raises(self):
-        planned = PlannedEncryptedKey.from_key(self.wrap())
-        with pytest.raises(RuntimeError):
-            planned.ciphertext
-
-
-class TestWrapIndexFromFragments:
-    def test_positions_match_concatenation(self):
-        keygen = KeyGenerator(seed=6)
-        keys = [keygen.generate(f"k{i}") for i in range(6)]
-        frag_a = [wrap_key(keys[0], keys[1]), wrap_key(keys[2], keys[3])]
-        frag_b = [wrap_key(keys[0], keys[4])]
-        frag_c = [wrap_key(keys[2], keys[5])]
-        merged = WrapIndex.from_fragments([frag_a, frag_b, frag_c])
-        reference = WrapIndex(frag_a + frag_b + frag_c)
-        assert merged.size == reference.size
-        for key in keys:
-            assert merged.wraps_under(key.key_id) == (
-                reference.wraps_under(key.key_id)
-            )

@@ -90,7 +90,7 @@ class TestRekeying:
         members, __ = admit(
             server, {f"h{i}": 0.2 for i in range(8)} | {f"l{i}": 0.02 for i in range(8)}
         )
-        low_tree = server.trees[0.02]
+        low_tree = server.partitions[1].tree
         versions = {n.node_id: n.key.version for n in low_tree.iter_nodes()}
         server.leave("h0", at_time=60.0)
         evicted = members.pop("h0")

@@ -1,0 +1,256 @@
+"""The partitioned server itself: policies, join attributes, one stitch.
+
+The four scheme classes are thin factories over
+:class:`~repro.server.partitioned.PartitionedServer`; their payloads are
+pinned by ``tests/golden/server_payloads.json``.  Here the composite is
+driven directly — any number of partitions under any policy — and the
+policy's contract with ``join()`` is checked for every scheme.
+"""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.crypto.material import KeyGenerator
+from repro.keytree.flat import FlatKeyTree
+from repro.keytree.queuepartition import QueuePartition
+from repro.server.losshomog import LossHomogenizedServer
+from repro.server.partitioned import PartitionedServer, TreePartition
+from repro.server.placement import (
+    POLICIES,
+    AgePlacement,
+    HashPlacement,
+    RoundRobinPlacement,
+    shard_of,
+)
+from repro.server.snapshot import restore_server, snapshot_server
+from repro.server.twopartition import TwoPartitionServer
+from repro.testing import SCHEME_FACTORIES, ConformanceHarness
+from repro.testing.conformance import default_join_attributes
+from repro.testing.invariants import check_structures
+from repro.testing.strategies import churn_programs, execute_program
+
+SRC = Path(repro.__file__).parent
+
+
+def composite(policy_name, k, seed=0, queue_first=False, dek=True):
+    """A ``k``-partition server under the named policy, built from parts."""
+    keygen = KeyGenerator(seed)
+    partitions = [
+        TreePartition(f"part{i}", FlatKeyTree(degree=3, keygen=keygen, name=f"g/part{i}"))
+        for i in range(k)
+    ]
+    if queue_first:
+        partitions[0] = QueuePartition(keygen=keygen, name="g/queue")
+    policy = {
+        "hash": lambda: HashPlacement(k),
+        "round-robin": lambda: RoundRobinPlacement(tuple(range(k))),
+        "by-age": lambda: AgePlacement(60.0),
+    }[policy_name]()
+    return PartitionedServer(
+        partitions, policy, keygen if dek else None, keygen=keygen, group="g"
+    )
+
+
+# ----------------------------------------------------------------------
+# any k, any policy: structure and secrecy
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    policy=st.sampled_from(("hash", "round-robin", "by-age")),
+    k=st.integers(min_value=1, max_value=6),
+    queue_first=st.booleans(),
+    program=churn_programs(max_size=40),
+)
+def test_any_composite_keeps_structure_and_secrecy(policy, k, queue_first, program):
+    """Forward and backward secrecy, delivery, resync and structural
+    soundness are properties of the composite, not of a scheme: they hold
+    for any number of partitions under any policy (the harness audits all
+    of them at every rekey point)."""
+    if policy == "by-age":
+        k = max(k, 2)  # S and L; the rest stay empty, which must be fine
+    server = composite(policy, k, queue_first=queue_first)
+    harness = ConformanceHarness(server, structural_checks=True)
+    execute_program(harness, program)
+    check_structures(server)
+    assert sum(part.size for part in server.partitions) == server.size
+    if policy == "hash":
+        for member_id in server.members():
+            assert member_id in server.partitions[shard_of(member_id, k)]
+    # Any composite snapshots and restores, not only the four factories.
+    twin = restore_server(json.loads(json.dumps(snapshot_server(server))))
+    assert type(twin) is PartitionedServer
+    assert [part.label for part in twin.partitions] == [
+        part.label for part in server.partitions
+    ]
+    for target in (server, twin):
+        target.join("late", at_time=harness.now)
+    ours, theirs = server.rekey(now=harness.now), twin.rekey(now=harness.now)
+    assert [ek.ciphertext for ek in theirs.encrypted_keys] == [
+        ek.ciphertext for ek in ours.encrypted_keys
+    ]
+    assert theirs.breakdown == ours.breakdown
+
+
+def test_a_single_partition_needs_no_dek():
+    server = composite("hash", 1, dek=False)
+    server.join("a")
+    result = server.rekey()
+    assert "group-key" not in result.breakdown
+    assert server.group_key() == server.partitions[0].tree.root.key
+    with pytest.raises(ValueError):
+        composite("hash", 2, dek=False)
+
+
+def test_round_robin_fills_partitions_in_turn():
+    server = composite("round-robin", 3)
+    for i in range(9):
+        server.join(f"m{i}")
+    server.rekey()
+    assert [part.size for part in server.partitions] == [3, 3, 3]
+
+
+def test_migration_alone_does_not_roll_the_dek():
+    server = composite("by-age", 2)
+    server.join("a", at_time=0.0)
+    server.rekey(now=0.0)
+    before = server.group_key()
+    result = server.rekey(now=60.0)
+    assert result.migrated == ["a"]
+    assert "a" in server.partitions[1]
+    assert server.group_key() == before
+    assert "group-key" not in result.breakdown
+
+
+# ----------------------------------------------------------------------
+# join attributes: outside input, checked by the policy
+# ----------------------------------------------------------------------
+
+BAD_LOSS_RATES = [float("nan"), -5.0, 17, float("inf"), -0.0001, 1.0001, "0.2", None]
+
+
+@pytest.mark.parametrize(
+    "build,attributes",
+    [
+        *[
+            (LossHomogenizedServer, {"loss_rate": rate})
+            for rate in BAD_LOSS_RATES
+        ],
+        (LossHomogenizedServer, {}),
+        *[
+            (lambda mode=mode: TwoPartitionServer(mode=mode), {"member_class": "bogus"})
+            for mode in ("qt", "tt", "pt")
+        ],
+        (lambda: TwoPartitionServer(mode="pt"), {"member_class": None}),
+        (lambda: TwoPartitionServer(mode="pt"), {}),
+    ],
+    ids=lambda value: repr(value) if isinstance(value, dict) else None,
+)
+def test_bad_join_attributes_are_rejected_and_leave_no_trace(build, attributes):
+    """``nan`` used to land in the 0.20 tree, ``-5.0`` in the 0.02 tree,
+    ``"bogus"`` was stored; and a join that did raise stayed queued with a
+    key drawn for it."""
+    server = build()
+    before = (server.keygen.state(), server.policy.state())
+    with pytest.raises(ValueError):
+        server.join("m", **attributes)
+    assert (server.keygen.state(), server.policy.state()) == before
+    assert server._pending_joins == {}
+    # The id is still free, and the batch that follows is healthy.
+    good = {name: default_join_attributes("m")[name] for name in server.join_attributes}
+    server.join("m", **good)
+    server.rekey()
+    assert "m" in server
+
+
+@pytest.mark.parametrize(
+    "rate,placed", [(0, 0.02), (0.0, 0.02), (0.1, 0.02), (0.12, 0.20), (1, 0.20), (1.0, 0.20)]
+)
+def test_loss_rates_in_range_are_placed_nearest(rate, placed):
+    server = LossHomogenizedServer(class_rates=(0.20, 0.02))
+    server.join("m", loss_rate=rate)
+    server.rekey()
+    assert server.tree_of("m") == placed
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEME_FACTORIES))
+def test_join_attributes_name_exactly_what_join_accepts(scheme):
+    """One source — the policy's ``attributes`` — read by the simulator and
+    the conformance battery; it must be what ``join()`` really does."""
+    spec = SCHEME_FACTORIES[scheme]
+    server = spec.factory()
+    assert spec.attributes == tuple(server.join_attributes) == server.policy.attributes
+    valid = default_join_attributes("m0")
+    named = {name: valid[name] for name in server.join_attributes}
+    server.join("m0", **named)
+    for name in valid:
+        if name in server.join_attributes:
+            continue
+        with pytest.raises(TypeError):
+            server.join("m1", **{**named, name: valid[name]})
+    with pytest.raises(TypeError):
+        server.join("m1", **named, favourite_colour="blue")
+    server.rekey()
+    assert server.members() == ["m0"]
+
+
+def test_every_policy_round_trips_its_state():
+    assert set(POLICIES) == {"by-age", "class-oracle", "nearest-loss", "round-robin", "hash"}
+    for scheme, spec in SCHEME_FACTORIES.items():
+        server = spec.factory()
+        for i in range(5):
+            server.join(
+                f"m{i}",
+                **{
+                    name: default_join_attributes(f"m{i}")[name]
+                    for name in server.join_attributes
+                },
+            )
+        server.leave("m4")  # cancelled before admission
+        state = json.loads(json.dumps(server.policy.state()))
+        twin = POLICIES[state["name"]].from_state(state)
+        assert type(twin) is type(server.policy), scheme
+        assert twin.state() == server.policy.state(), scheme
+
+
+# ----------------------------------------------------------------------
+# one stitch, no type ladder, no executors
+# ----------------------------------------------------------------------
+
+
+def test_one_function_rolls_the_group_key():
+    rollers = [
+        (path.name, match.group(0))
+        for path in sorted((SRC / "server").glob("*.py"))
+        for match in re.finditer(r"def \w*roll\w*\(|\.rekey\((?:previous|self\._dek)", path.read_text())
+    ]
+    assert rollers == [
+        ("partitioned.py", "def _roll_group_key("),
+        ("partitioned.py", ".rekey(previous"),
+    ]
+
+
+def test_no_server_type_ladder_and_no_shard_executors():
+    for relative in (
+        "server/snapshot.py",
+        "testing/oracle.py",
+        "testing/invariants.py",
+        "sim/simulation.py",
+    ):
+        assert "isinstance(server" not in (SRC / relative).read_text(), relative
+    pools = []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        assert "ThreadPoolExecutor" not in text, path
+        assert not re.search(r"^\s*(import|from) multiprocessing", text, re.M), path
+        if "ProcessPoolExecutor" in text:
+            pools.append(str(path.relative_to(SRC)))
+    assert pools == ["perf/parallel.py"]
+    assert not (SRC / "keytree" / "sharded.py").exists()

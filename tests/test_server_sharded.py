@@ -1,12 +1,11 @@
 """ShardedOneTreeServer: determinism contract, parity, DEK stitch, snapshots.
 
-The sharding decomposition has one central promise: ``shards`` is a
-*protocol* parameter (it fixes placement and cost) while ``backend`` and
-``workers`` are pure *execution* parameters — any backend, any worker
-count, any run must emit byte-identical payloads for the same batches.
-And ``shards=1`` must reproduce the unsharded one-keytree scheme exactly
-(same costs, same per-receiver decrypt counts), so the sharded server is
-a strict generalization, not a different scheme.
+``shards`` is a *protocol* parameter (it fixes placement and cost); a
+rerun of the same batches must emit byte-identical payloads.  And
+``shards=1`` must reproduce the unsharded one-keytree scheme exactly
+(same bytes, same per-receiver decrypt counts), so the sharded server is
+a strict generalization, not a different scheme — both are the one
+partitioned server under hash placement.
 """
 
 import json
@@ -31,64 +30,53 @@ def churn_plan(rounds=4):
 
 
 def run_transcript(server, *, with_ciphertext=True):
-    """(cost, wire-tuples, advanced) per round; closes the server."""
+    """(cost, wire-tuples, advanced) per round."""
     transcript = []
     t = 0.0
-    try:
-        for joins, departures in churn_plan():
-            for m in joins:
-                server.join(m, t)
-            for m in departures:
-                server.leave(m, t)
-            result = server.rekey(now=t)
-            wire = []
-            for ek in result.encrypted_keys:
-                row = (
-                    ek.wrapping_id,
-                    ek.wrapping_version,
-                    ek.payload_id,
-                    ek.payload_version,
-                )
-                if with_ciphertext:
-                    row = row + (ek.ciphertext,)
-                wire.append(row)
-            transcript.append((result.cost, tuple(wire), tuple(result.advanced)))
-            t += 10.0
-    finally:
-        if isinstance(server, ShardedOneTreeServer):
-            server.close()
+    for joins, departures in churn_plan():
+        for m in joins:
+            server.join(m, t)
+        for m in departures:
+            server.leave(m, t)
+        result = server.rekey(now=t)
+        wire = []
+        for ek in result.encrypted_keys:
+            row = (
+                ek.wrapping_id,
+                ek.wrapping_version,
+                ek.payload_id,
+                ek.payload_version,
+            )
+            if with_ciphertext:
+                row = row + (ek.ciphertext,)
+            wire.append(row)
+        transcript.append((result.cost, tuple(wire), tuple(result.advanced)))
+        t += 10.0
     return transcript
 
 
 class TestBackendInvariance:
-    def sharded(self, backend, workers, **kwargs):
+    """There is one execution path; what is left to pin is that it is a
+    function of the batches alone."""
+
+    def sharded(self, **kwargs):
         return ShardedOneTreeServer(
             shards=kwargs.pop("shards", 4),
-            workers=workers,
-            backend=backend,
             degree=4,
             keygen=KeyGenerator(seed=41),
             **kwargs,
         )
 
     def test_serial_rerun_is_byte_identical(self):
-        first = run_transcript(self.sharded("serial", 1))
-        second = run_transcript(self.sharded("serial", 1))
+        first = run_transcript(self.sharded())
+        second = run_transcript(self.sharded())
         assert first == second
 
-    @pytest.mark.parametrize(
-        "backend,workers", [("thread", 2), ("process", 1), ("process", 2)]
-    )
-    def test_backends_are_byte_identical_to_serial(self, backend, workers):
-        reference = run_transcript(self.sharded("serial", 1))
-        other = run_transcript(self.sharded(backend, workers))
-        assert other == reference
-
-    def test_worker_count_never_changes_payload(self):
-        reference = run_transcript(self.sharded("serial", 1, shards=8))
-        for workers in (2, 8):
-            got = run_transcript(self.sharded("thread", workers, shards=8))
-            assert got == reference
+    def test_execution_options_are_gone(self):
+        for removed in ("workers", "backend", "payload"):
+            with pytest.raises(TypeError):
+                self.sharded(**{removed: 1})
+        assert not hasattr(self.sharded(), "close")
 
 
 class TestSingleShardParity:
@@ -99,50 +87,67 @@ class TestSingleShardParity:
         decrypts = {}
         members = {}
         t = 0.0
-        try:
-            for joins, departures in churn_plan():
-                regs = {m: server.join(m, t) for m in joins}
-                for m in departures:
-                    server.leave(m, t)
-                result = server.rekey(now=t)
-                costs.append(result.cost)
-                for m in departures:
-                    members.pop(m, None)
-                index = result.index()
-                for member_id, member in members.items():
-                    wanted = index.closure(member.held_versions())
-                    decrypts.setdefault(member_id, []).append(len(wanted))
-                    member.absorb(result.encrypted_keys, index=index)
-                for member_id, reg in regs.items():
-                    member = Member(member_id, reg.individual_key)
-                    member.absorb(result.encrypted_keys, index=index)
-                    members[member_id] = member
-                dek = server.group_key()
-                for member in members.values():
-                    assert member.holds(dek.key_id, dek.version)
-                t += 10.0
-        finally:
-            if isinstance(server, ShardedOneTreeServer):
-                server.close()
+        for joins, departures in churn_plan():
+            regs = {m: server.join(m, t) for m in joins}
+            for m in departures:
+                server.leave(m, t)
+            result = server.rekey(now=t)
+            costs.append(result.cost)
+            for m in departures:
+                members.pop(m, None)
+            index = result.index()
+            for member_id, member in members.items():
+                wanted = index.closure(member.held_versions())
+                decrypts.setdefault(member_id, []).append(len(wanted))
+                member.absorb(result.encrypted_keys, index=index)
+            for member_id, reg in regs.items():
+                member = Member(member_id, reg.individual_key)
+                member.absorb(result.encrypted_keys, index=index)
+                members[member_id] = member
+            dek = server.group_key()
+            for member in members.values():
+                assert member.holds(dek.key_id, dek.version)
+            t += 10.0
         return costs, decrypts
 
-    @pytest.mark.parametrize("workers,backend", [(1, "serial"), (2, "thread")])
-    def test_matches_one_tree_server(self, workers, backend):
+    def test_matches_one_tree_server(self):
         one_costs, one_decrypts = self.run_costs_and_decrypts(
             OneTreeServer(degree=4)
         )
         sharded_costs, sharded_decrypts = self.run_costs_and_decrypts(
-            ShardedOneTreeServer(shards=1, workers=workers, backend=backend)
+            ShardedOneTreeServer(shards=1)
         )
         assert sharded_costs == one_costs
         assert sharded_decrypts == one_decrypts
+
+    def test_single_shard_payload_is_the_one_tree_payload_renamed(self):
+        """Same class, same loop, no DEK above the root: wrap for wrap the
+        single shard emits the one keytree's payload, with its nodes named
+        ``.../tree/shard0/...`` and their secrets off the shard's stream."""
+        one = run_transcript(OneTreeServer(degree=4), with_ciphertext=False)
+        sharded = run_transcript(
+            ShardedOneTreeServer(shards=1, degree=4), with_ciphertext=False
+        )
+        renamed = [
+            (
+                cost,
+                tuple(
+                    (wid.replace("/shard0", ""), wv, pid.replace("/shard0", ""), pv)
+                    for wid, wv, pid, pv in wire
+                ),
+                tuple((key_id.replace("/shard0", ""), v) for key_id, v in advanced),
+            )
+            for cost, wire, advanced in sharded
+        ]
+        assert renamed == one
 
     def test_single_shard_group_key_is_shard_root(self):
         server = ShardedOneTreeServer(shards=1)
         server.join("a", 0.0)
         server.join("b", 0.0)
         server.rekey(now=0.0)
-        assert server.group_key() == server.sharded.root_key(0)
+        assert server.group_key() == server.partitions[0].tree.root.key
+        assert server._dek is None
 
 
 class TestDekStitch:
@@ -162,8 +167,7 @@ class TestDekStitch:
             ek for ek in result.encrypted_keys if ek.payload_id == dek.key_id
         ]
         roots = {
-            server.sharded.root_key(s).key_id
-            for s in server.sharded.populated_shards()
+            part.tree.root.key.key_id for part in server.partitions if part.size
         }
         assert {ek.wrapping_id for ek in dek_wraps} == roots
         assert all(ek.payload_version == dek.version for ek in dek_wraps)
@@ -194,13 +198,9 @@ class TestShardedSnapshot:
     """Satellite: per-shard heaps + RNG stream states round-trip so a
     restored sharded server re-derives byte-identical payloads."""
 
-    def build_mid_scenario(self, backend="serial", workers=1):
+    def build_mid_scenario(self):
         server = ShardedOneTreeServer(
-            shards=4,
-            degree=4,
-            workers=workers,
-            backend=backend,
-            keygen=KeyGenerator(seed=42),
+            shards=4, degree=4, keygen=KeyGenerator(seed=42)
         )
         for i in range(20):
             server.join(f"m{i}", 0.0)
@@ -231,51 +231,38 @@ class TestShardedSnapshot:
             (ek.ciphertext) for ek in restored.encrypted_keys
         ] == [(ek.ciphertext) for ek in original.encrypted_keys]
         assert twin.group_key() == server.group_key()
-        server.close()
-        twin.close()
 
     def test_restore_crosses_backends(self):
-        """A snapshot taken from a serial server restores into its saved
-        backend and still re-derives the identical payload."""
+        """The execution fields old sharded snapshots carried say nothing
+        about the state: whatever they hold, the restored server is the
+        same one and re-derives the identical payload."""
         server = self.build_mid_scenario()
         state = json.loads(json.dumps(snapshot_server(server)))
-        state["backend"] = "thread"
-        state["workers"] = 2
+        assert not {"backend", "workers", "payload"} & set(state)
+        state.update(backend="thread", workers=2, payload="handles")
         twin = restore_server(state)
-        assert twin.backend == "thread"
         original = self.continue_run(server)
         restored = self.continue_run(twin)
         assert restored.encrypted_keys == original.encrypted_keys
-        server.close()
-        twin.close()
 
     def test_snapshot_preserves_shard_assignment(self):
         server = self.build_mid_scenario()
         twin = restore_server(json.loads(json.dumps(snapshot_server(server))))
         assert twin.shard_sizes() == server.shard_sizes()
         for member in server.members():
-            assert twin.sharded.shard_holding(member) == (
-                server.sharded.shard_holding(member)
-            )
-        server.close()
-        twin.close()
+            assert twin.shard_label(member) == server.shard_label(member)
 
 
 class TestOpenedTableStaysHome:
-    """A batch result that crossed the process backend's worker pipe is
-    delivered through one shared index; pickling the delivered result
-    again ships ciphertext only, never the keys receivers opened."""
+    """A batch result is delivered through one shared index; pickling the
+    delivered result ships ciphertext only, never the keys receivers
+    opened."""
 
-    def test_process_backend_result_round_trips_without_the_table(self):
-        server = ShardedOneTreeServer(
-            shards=4, workers=2, backend="process", degree=4
-        )
-        try:
-            regs = {f"m{i}": server.join(f"m{i}", 0.0) for i in range(24)}
-            result = server.rekey(now=0.0)
-            dek = server.group_key()
-        finally:
-            server.close()
+    def test_pickled_result_round_trips_without_the_table(self):
+        server = ShardedOneTreeServer(shards=4, degree=4)
+        regs = {f"m{i}": server.join(f"m{i}", 0.0) for i in range(24)}
+        result = server.rekey(now=0.0)
+        dek = server.group_key()
         index = result.index()
         members = [Member(m, reg.individual_key) for m, reg in regs.items()]
         for member in members:

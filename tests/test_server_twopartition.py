@@ -91,7 +91,7 @@ class TestMigration:
         fresh_reg = server.join("fresh", at_time=61.0)
         result = server.rekey(now=120.0)
         deliver(result, members)
-        s_root = server.s_tree.root.key
+        s_root = server.partitions[0].tree.root.key
         assert not members["old"].holds(s_root.key_id, s_root.version)
 
     def test_pt_never_migrates(self):
@@ -138,12 +138,12 @@ class TestTtScheme:
         deliver(result, veterans)
 
         l_versions = {
-            n.node_id: n.key.version for n in server.l_tree.iter_nodes()
+            n.node_id: n.key.version for n in server.partitions[1].tree.iter_nodes()
         }
         server.leave("f3", at_time=150.0)
         result = server.rekey(now=150.0)
         assert result.breakdown.get("l-partition", 0) == 0
-        for node in server.l_tree.iter_nodes():
+        for node in server.partitions[1].tree.iter_nodes():
             assert node.key.version == l_versions[node.node_id]
         # L-members still reach the fresh DEK through the L-root wrap.
         deliver(result, veterans)

@@ -55,7 +55,7 @@ class TestJoinAttributes:
         "make_server,expected",
         [
             (lambda: OneTreeServer(degree=4), set()),
-            (lambda: TwoPartitionServer(mode="tt", s_period=240.0), set()),
+            (lambda: TwoPartitionServer(mode="tt", s_period=240.0), {"member_class"}),
             (lambda: TwoPartitionServer(mode="pt", s_period=240.0), {"member_class"}),
             (
                 lambda: LossHomogenizedServer(class_rates=(0.2, 0.02), placement="loss"),
