@@ -16,8 +16,8 @@ Two schema generations are handled:
   consistent layout by nesting children sequentially inside their
   parents, preserving durations and hierarchy if not absolute time.
 
-Spans that overlap without nesting (e.g. worker-side shard jobs recorded
-via ``add_span``) are fanned out across additional tracks, keeping every
+Spans that overlap without nesting (e.g. per-partition batch slices
+recorded via ``add_span``) are fanned out across additional tracks, keeping every
 track properly nested with monotone timestamps — the property
 :func:`validate_chrome_trace` enforces, together with all-finite numbers
 (Perfetto rejects NaN).  Timestamps are integer microseconds.

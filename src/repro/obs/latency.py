@@ -27,9 +27,8 @@ per epoch for exact p50/p95/p99 extraction (``summary()``,
 ``epoch_percentiles()``), and every closed interval is also observed into
 the active :class:`~repro.obs.metrics.MetricsRegistry` as the
 ``rekey.latency`` histogram over :data:`LATENCY_LOG_BUCKETS_S`, labeled
-``scheme``/``shard``/``sync_state``.  The histogram path is what rides
-the process-pool snapshot/merge pipe, so a sharded ``--workers N`` run
-reports byte-identical latency series to a serial one.
+``scheme``/``shard``/``sync_state`` (``shard``: the label of the
+partition holding the member, ``server.shard_label``).
 """
 
 from __future__ import annotations

@@ -2,12 +2,10 @@
 
 One :class:`MetricsRegistry` is the single sink for every quantitative
 signal in a run: the legacy :mod:`repro.perf.instrumentation` probes
-forward into the active registry, the simulator and transports observe
-histograms directly, and sharded process-pool workers collect into a
-scratch registry whose :meth:`~MetricsRegistry.snapshot` travels back
-over the worker pipe to be :meth:`~MetricsRegistry.merge`\\ d into the
-parent's — so a ``--workers 4`` run reports the same counted totals as a
-serial one.
+forward into the active registry, and the servers, the simulator and the
+transports observe histograms directly.  A registry collected in another
+process can be folded in: its :meth:`~MetricsRegistry.snapshot` is a plain
+dict that :meth:`~MetricsRegistry.merge` adds to this one's.
 
 Design constraints, in order:
 

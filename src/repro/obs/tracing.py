@@ -8,7 +8,7 @@ canonical hierarchy an instrumented simulation produces is::
     │   ├── mark              (batch marking: departures then joins)
     │   ├── generate          (key refresh of marked nodes)
     │   ├── wrap              (wrapping refreshed keys under children)
-    │   └── shard[j]          (per-shard fan-out, sharded server only)
+    │   └── shard[label]      (one per partition the batch touches)
     ├── transport             (reliable delivery)
     │   └── transport.round   (one per transport round, any protocol)
     └── deliver               (receiver absorption + sync tracking)
@@ -168,8 +168,8 @@ class Tracer:
         #: Optional simulated-time clock (e.g. ``lambda: sim.loop.now``).
         self.clock = clock
         self.spans: List[Span] = []
-        # The current-span stack is thread-local: thread-backend shard
-        # jobs open spans from pool threads, which must not interleave
+        # The current-span stack is thread-local: spans opened from another
+        # thread (the live metrics endpoint runs one) must not interleave
         # with (or mis-parent under) the main thread's open spans.
         self._local = threading.local()
         self._ids = itertools.count(1)
@@ -216,7 +216,7 @@ class Tracer:
         sim_time: Optional[float] = None,
         **attributes: object,
     ) -> Span:
-        """Record an externally measured span (e.g. a worker-side shard job).
+        """Record an externally measured span (e.g. one partition's batch slice).
 
         The span parents under the current span and carries ``wall_s`` as
         its duration without having been timed by this process.

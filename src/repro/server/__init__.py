@@ -1,26 +1,29 @@
 """Key servers: the schemes the paper compares.
 
-* :class:`OneTreeServer` — the un-optimized baseline: one balanced LKH
-  tree, periodic batched rekeying.
-* :class:`TwoPartitionServer` — Section 3: QT (queue + tree), TT (tree +
-  tree) and PT (oracle placement) constructions, with batched S-to-L
-  migration after the S-period.
-* :class:`LossHomogenizedServer` — Section 4: one key tree per loss class
-  (or random placement, the control) under a common group key.
-* :class:`AdaptiveController` — Section 3.4: estimates (Ms, Ml, alpha)
-  from the observed membership trace and picks the best scheme and
-  S-period from the analytic model.
+One server, :class:`PartitionedServer` — sub-trees under a group DEK,
+members placed by a :class:`PlacementPolicy` — and four factories over it:
 
-All servers share the same lifecycle: ``join`` / ``leave`` enqueue
-membership changes; ``rekey`` processes the batch and returns a
-:class:`BatchResult` whose encrypted keys are handed to a transport (or
-counted directly — the paper's metric).
+* :class:`OneTreeServer` — the un-optimized baseline: one balanced LKH tree.
+* :class:`TwoPartitionServer` — Section 3: QT (queue + tree), TT (tree +
+  tree) and PT (oracle placement), with batched S-to-L migration.
+* :class:`LossHomogenizedServer` — Section 4: one key tree per loss class
+  (or round-robin placement, the control).
+* :class:`ShardedOneTreeServer` — hash-placed subtrees.
+
+:class:`AdaptiveController` (Section 3.4) estimates (Ms, Ml, alpha) from
+the observed membership trace and picks the best scheme and S-period.
+All servers share one lifecycle: ``join`` / ``leave`` enqueue membership
+changes; ``rekey`` processes the batch and returns a :class:`BatchResult`
+whose encrypted keys are handed to a transport (or counted — the paper's
+metric).
 """
 
 from repro.server.adaptive import AdaptiveController, TraceEstimate
 from repro.server.base import BatchResult, GroupKeyServer, Registration
 from repro.server.losshomog import LossHomogenizedServer
 from repro.server.onetree import OneTreeServer
+from repro.server.partitioned import PartitionedServer
+from repro.server.placement import PlacementPolicy
 from repro.server.scheduler import PeriodicScheduler
 from repro.server.sharded import ShardedOneTreeServer
 from repro.server.snapshot import restore_server, snapshot_server
@@ -32,7 +35,9 @@ __all__ = [
     "GroupKeyServer",
     "LossHomogenizedServer",
     "OneTreeServer",
+    "PartitionedServer",
     "PeriodicScheduler",
+    "PlacementPolicy",
     "Registration",
     "ShardedOneTreeServer",
     "TraceEstimate",

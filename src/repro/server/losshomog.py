@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.crypto.material import KeyGenerator
-from repro.keytree.flat import FlatKeyTree
 from repro.server.partitioned import PartitionedServer, TreePartition
 from repro.server.placement import NearestLossPlacement, RoundRobinPlacement
 
@@ -55,11 +54,8 @@ class LossHomogenizedServer(PartitionedServer):
         keygen = keygen if keygen is not None else KeyGenerator()
         rates = tuple(sorted(set(class_rates), reverse=True))
         partitions = [
-            TreePartition(
-                f"tree-p{rate:g}",
-                FlatKeyTree(degree=degree, keygen=keygen, name=f"{group}/tree-p{rate:g}"),
-            )
-            for rate in rates
+            TreePartition.build(label, f"{group}/{label}", degree, keygen)
+            for label in (f"tree-p{rate:g}" for rate in rates)
         ]
         super().__init__(
             partitions, _PLACEMENTS[placement](rates), keygen, keygen=keygen, group=group
@@ -75,14 +71,11 @@ class LossHomogenizedServer(PartitionedServer):
 
     @property
     def class_rates(self) -> Tuple[float, ...]:
-        return self.policy.class_rates
+        return tuple(self.policy.class_rates)
 
     def tree_of(self, member_id: str) -> float:
         """The nominal class rate of the tree holding ``member_id``."""
-        try:
-            return self.class_rates[self._partition_index(member_id)]
-        except KeyError:
-            raise KeyError(f"member {member_id!r} not placed") from None
+        return self.class_rates[self._partition_index(member_id)]
 
     def tree_sizes(self) -> Dict[float, int]:
         """Members per tree, keyed by nominal class rate."""

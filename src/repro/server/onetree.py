@@ -29,9 +29,8 @@ class OneTreeServer(PartitionedServer):
         join_refresh: str = "random",
     ) -> None:
         keygen = keygen if keygen is not None else KeyGenerator()
-        tree = FlatKeyTree(degree=degree, keygen=keygen, name=f"{group}/tree")
         super().__init__(
-            [TreePartition("tree", tree)],
+            [TreePartition.build("tree", f"{group}/tree", degree, keygen)],
             HashPlacement(1),
             None,
             keygen=keygen,

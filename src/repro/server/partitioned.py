@@ -24,14 +24,10 @@ departure.  Key draws happen in that same order, which is what keeps every
 payload byte-identical to the four server classes this one replaced.
 
 A server built without a DEK stream has one partition whose root key *is*
-the group key: the un-optimised one-keytree scheme.
-
-:class:`~repro.server.onetree.OneTreeServer`,
-:class:`~repro.server.sharded.ShardedOneTreeServer`,
-:class:`~repro.server.twopartition.TwoPartitionServer` and
-:class:`~repro.server.losshomog.LossHomogenizedServer` are thin factories
-over this class: a constructor that picks the partitions and the policy,
-and the read-only names their callers use.
+the group key: the un-optimised one-keytree scheme.  The four scheme
+classes (``onetree``, ``sharded``, ``twopartition``, ``losshomog``) are
+thin factories over this one: a constructor that picks the partitions and
+the policy, and the read-only names their callers use.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.crypto.wrap import EncryptedKey, wrap_key
 from repro.keytree.flat import FlatKeyTree, FlatRekeyer
-from repro.keytree.queuepartition import QueuePartition
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.server.base import BatchResult, GroupKeyServer, Registration
@@ -57,6 +52,11 @@ class TreePartition:
         self.label = label
         self.tree = tree
         self.rekeyer = FlatRekeyer(tree)
+
+    @classmethod
+    def build(cls, label: str, name: str, degree: int, keygen: KeyGenerator):
+        """An empty partition whose tree ``name`` draws keys from ``keygen``."""
+        return cls(label, FlatKeyTree(degree=degree, keygen=keygen, name=name))
 
     @property
     def size(self) -> int:
@@ -117,12 +117,6 @@ class TreePartition:
         return partition
 
 
-def load_partition(data: Dict, shared: KeyGenerator):
-    """Rebuild whichever kind of partition wrote ``data``."""
-    kind = QueuePartition if "queue" in data else TreePartition
-    return kind.load(data, shared)
-
-
 class PartitionedServer(GroupKeyServer):
     """Partitions under one group DEK, members placed by ``policy``.
 
@@ -143,8 +137,7 @@ class PartitionedServer(GroupKeyServer):
     """
 
     name = "partitioned"
-    #: Snapshot tag: which class :func:`~repro.server.snapshot.restore_server`
-    #: rebuilds.
+    #: Snapshot tag: the class ``restore_server`` rebuilds.
     kind = "partitioned"
 
     def __init__(
@@ -163,36 +156,20 @@ class PartitionedServer(GroupKeyServer):
         super().__init__(keygen=keygen, group=group)
         self.partitions = list(partitions)
         self.policy = policy
+        self.join_attributes = policy.attributes
         self.join_refresh = join_refresh
         self._dek_stream = dek_stream
         self._dek: Optional[KeyMaterial] = None
         if dek_stream is not None:
             self._dek = dek_stream.generate(f"{group}/dek")
 
-    @classmethod
-    def _assemble(cls, *args, **kwargs) -> "PartitionedServer":
-        """An instance of factory class ``cls`` from ready-made parts
-        (the snapshot path, which has no constructor arguments to give)."""
-        server = cls.__new__(cls)
-        PartitionedServer.__init__(server, *args, **kwargs)
-        return server
-
-    # ------------------------------------------------------------------
-    # placement
-    # ------------------------------------------------------------------
-
-    @property
-    def join_attributes(self) -> Tuple[str, ...]:
-        """The keyword attributes ``join()`` takes under this policy."""
-        return self.policy.attributes
-
     def _note_join_attributes(self, member_id: str, attributes: Dict) -> None:
-        unknown = sorted(set(attributes) - set(self.policy.attributes))
-        if unknown:
-            raise TypeError(
-                f"{self.name} takes join attributes {self.policy.attributes}, "
-                f"got unknown {unknown}"
-            )
+        allowed = self.policy.attributes
+        for name in attributes:
+            if name not in allowed:
+                raise TypeError(
+                    f"{self.name} takes join attributes {allowed}, got {name!r}"
+                )
         self.policy.admit(member_id, **attributes)
 
     def _forget_join_attributes(self, member_id: str) -> None:
@@ -208,10 +185,6 @@ class PartitionedServer(GroupKeyServer):
         """The ``breakdown`` label of the partition holding a member —
         the ``shard`` label of its ``rekey.latency`` series."""
         return self.partitions[self._partition_index(member_id)].label
-
-    # ------------------------------------------------------------------
-    # batch processing
-    # ------------------------------------------------------------------
 
     def _process_batch(
         self,
@@ -229,11 +202,12 @@ class PartitionedServer(GroupKeyServer):
         # the batch that admits it.
         moves = policy.migrations(now)
         result.migrated = [member_id for member_id, __, __ in moves]
-        joiners: List[List[str]] = [[] for _ in self.partitions]
         for registration in joins:
-            index = policy.place(registration.member_id, now)
-            slices[index][0].append((registration.member_id, registration.individual_key))
-            joiners[index].append(registration.member_id)
+            member_id, key = registration.member_id, registration.individual_key
+            slices[policy.place(member_id, now)][0].append((member_id, key))
+        # Joiners head each slice; the migrants appended next are not new
+        # to the group and get no DEK wrap of their own.
+        admitted = [len(entering) for entering, __ in slices]
         for member_id, source, target in moves:
             slices[source][1].append(member_id)
             slices[target][0].append((member_id, self._members[member_id].individual_key))
@@ -253,12 +227,20 @@ class PartitionedServer(GroupKeyServer):
                 result.extend(partition.label, message.encrypted_keys)
                 result.advanced.extend(message.advanced)
             if observing:
-                _observe_partition(partition.label, keys, perf_counter() - started)
+                label, wall_s = partition.label, perf_counter() - started
+                obs_tracing.add_span("shard", wall_s=wall_s, shard=label, keys=keys)
+                obs_metrics.observe("shard.batch_keys", keys, shard=label)
+                obs_metrics.observe(
+                    "shard.batch_seconds",
+                    wall_s,
+                    buckets=obs_metrics.LATENCY_BUCKETS_S,
+                    shard=label,
+                )
         if self._dek is not None and (joins or leaves):
-            self._roll_group_key(result, joiners, had_departure=bool(leaves))
+            self._roll_group_key(result, slices, admitted, had_departure=bool(leaves))
 
     def _roll_group_key(
-        self, result: BatchResult, joiners: List[List[str]], had_departure: bool
+        self, result: BatchResult, slices: List, admitted: List[int], had_departure: bool
     ) -> None:
         """Refresh and distribute the group DEK — the one stitch.
 
@@ -268,7 +250,7 @@ class PartitionedServer(GroupKeyServer):
         individual key — QT's ``Neq = Ns`` term).  On a join-only batch
         one encryption under the previous DEK covers every existing member
         (the paper's phase-1 rule), plus the partitions that admitted a
-        joiner.
+        joiner: the first ``admitted[i]`` entries of slice ``i``.
         """
         previous = self._dek
         dek = self._dek = self._dek_stream.rekey(previous)
@@ -278,14 +260,11 @@ class PartitionedServer(GroupKeyServer):
                 wraps.extend(partition.wrap_dek(dek))
         else:
             wraps.append(wrap_key(previous, dek))
-            for partition, admitted in zip(self.partitions, joiners):
-                if admitted:
-                    wraps.extend(partition.wrap_dek(dek, admitted))
+            for partition, (entering, __), count in zip(self.partitions, slices, admitted):
+                if count:
+                    joiners = [member_id for member_id, __ in entering[:count]]
+                    wraps.extend(partition.wrap_dek(dek, joiners))
         result.extend("group-key", wraps)
-
-    # ------------------------------------------------------------------
-    # key queries
-    # ------------------------------------------------------------------
 
     def group_key(self) -> KeyMaterial:
         if self._dek is None:
@@ -295,15 +274,3 @@ class PartitionedServer(GroupKeyServer):
     def _current_keys_of(self, member_id: str) -> List[KeyMaterial]:
         keys = self.partitions[self._partition_index(member_id)].path_keys(member_id)
         return keys if self._dek is None else keys + [self._dek]
-
-
-def _observe_partition(label: str, keys: int, wall_s: float) -> None:
-    """The per-partition span and histograms of one batch."""
-    obs_tracing.add_span("shard", wall_s=wall_s, shard=label, keys=keys)
-    obs_metrics.observe("shard.batch_keys", keys, shard=label)
-    obs_metrics.observe(
-        "shard.batch_seconds",
-        wall_s,
-        buckets=obs_metrics.LATENCY_BUCKETS_S,
-        shard=label,
-    )

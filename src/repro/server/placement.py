@@ -1,30 +1,20 @@
 """Placement policies: who lives in which partition.
 
 Every optimisation in the paper is the same construction — sub-trees
-under one group key — and differs only in where a member is put:
-
-====================  =========================  ===========================
-policy                paper                      rule
-====================  =========================  ===========================
-:class:`AgePlacement`        Section 3, QT / TT   joiners enter partition 0 (S)
-                                                  and move to partition 1 (L)
-                                                  once resident ``Ts`` seconds
-:class:`ClassPlacement`      Section 3, PT        the joiner's class, told by
-                                                  an oracle: ``Cs`` -> 0,
-                                                  ``Cl`` -> 1; nobody moves
-:class:`NearestLossPlacement`  Section 4          the partition whose nominal
-                                                  loss rate is nearest the one
-                                                  the joiner reports
-:class:`RoundRobinPlacement`   Fig. 6 control     the same partitions, filled
-                                                  in turn, no homogenisation
-:class:`HashPlacement`       (sharding; one tree)  ``sha256(member_id) % k``
-====================  =========================  ===========================
+under one group key — and differs only in where a member is put: by age
+with S -> L migration (:class:`AgePlacement`, Section 3's QT / TT), by a
+class oracle (:class:`ClassPlacement`, PT), by nearest loss class
+(:class:`NearestLossPlacement`, Section 4), round-robin
+(:class:`RoundRobinPlacement`, the Fig. 6 control) or by hash
+(:class:`HashPlacement`: sharding, and with one shard the plain
+one-keytree scheme).  ``docs/architecture.md`` has them side by side.
 
 A policy is all the state a :class:`~repro.server.partitioned.PartitionedServer`
 keeps about placement besides the partitions themselves: it validates the
 join attributes it names in :attr:`~PlacementPolicy.attributes`, remembers
-what it decided for joiners not yet admitted, and snapshots itself with
-:meth:`~PlacementPolicy.state`.
+what it decided for joiners not yet admitted, and snapshots itself —
+every instance attribute is plain JSON-compatible data, and that is the
+whole of :meth:`~PlacementPolicy.state`.
 """
 
 from __future__ import annotations
@@ -89,14 +79,26 @@ class PlacementPolicy:
         return []
 
     def state(self) -> Dict:
-        """JSON-compatible state; ``from_state`` is its inverse."""
-        return {"name": self.name, "pending": dict(self.pending)}
+        """JSON-compatible state: the tag and every instance attribute."""
+        return {"name": self.name, **_copied(vars(self))}
 
     @classmethod
     def from_state(cls, state: Dict) -> "PlacementPolicy":
+        """Inverse of :meth:`state` (which may have been through JSON)."""
         policy = cls()
-        policy.pending = {m: int(i) for m, i in state["pending"].items()}
+        missing = vars(policy).keys() - state.keys()
+        if missing:
+            raise ValueError(f"{cls.name} policy state lacks {sorted(missing)}")
+        vars(policy).update(_copied({key: state[key] for key in vars(policy)}))
         return policy
+
+
+def _copied(fields: Dict) -> Dict:
+    """``fields`` with its dict values copied: state never aliases a policy."""
+    return {
+        key: dict(value) if isinstance(value, dict) else value
+        for key, value in fields.items()
+    }
 
 
 class AgePlacement(PlacementPolicy):
@@ -105,7 +107,7 @@ class AgePlacement(PlacementPolicy):
     name = "by-age"
     attributes = ("member_class",)
 
-    def __init__(self, s_period: float) -> None:
+    def __init__(self, s_period: float = 0.0) -> None:
         if s_period < 0:
             raise ValueError("s_period must be non-negative")
         super().__init__()
@@ -135,19 +137,6 @@ class AgePlacement(PlacementPolicy):
             del self.entered[member_id]
         return [(member_id, 0, 1) for member_id in ready]
 
-    def state(self) -> Dict:
-        return {
-            "name": self.name,
-            "s_period": self.s_period,
-            "entered": dict(self.entered),
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict) -> "AgePlacement":
-        policy = cls(float(state["s_period"]))
-        policy.entered = {m: float(t) for m, t in state["entered"].items()}
-        return policy
-
 
 class ClassPlacement(PlacementPolicy):
     """PT: the server is told each joiner's class; no migrations."""
@@ -165,16 +154,7 @@ class _LossClasses(PlacementPolicy):
 
     def __init__(self, class_rates: Sequence[float] = ()) -> None:
         super().__init__()
-        self.class_rates = tuple(class_rates)
-
-    def state(self) -> Dict:
-        return {**super().state(), "class_rates": list(self.class_rates)}
-
-    @classmethod
-    def from_state(cls, state: Dict) -> "_LossClasses":
-        policy = super().from_state(state)
-        policy.class_rates = tuple(float(r) for r in state["class_rates"])
-        return policy
+        self.class_rates = list(class_rates)
 
 
 class NearestLossPlacement(_LossClasses):
@@ -208,15 +188,6 @@ class RoundRobinPlacement(_LossClasses):
         self.pending[member_id] = self.next_index % len(self.class_rates)
         self.next_index += 1
 
-    def state(self) -> Dict:
-        return {**super().state(), "next_index": self.next_index}
-
-    @classmethod
-    def from_state(cls, state: Dict) -> "RoundRobinPlacement":
-        policy = super().from_state(state)
-        policy.next_index = int(state["next_index"])
-        return policy
-
 
 class HashPlacement(PlacementPolicy):
     """Sharding: ``shard_of``; one shard is the plain one-keytree scheme."""
@@ -231,13 +202,6 @@ class HashPlacement(PlacementPolicy):
 
     def place(self, member_id: str, now: float) -> int:
         return shard_of(member_id, self.shards) if self.shards > 1 else 0
-
-    def state(self) -> Dict:
-        return {"name": self.name, "shards": self.shards}
-
-    @classmethod
-    def from_state(cls, state: Dict) -> "HashPlacement":
-        return cls(int(state["shards"]))
 
 
 POLICIES = {
@@ -254,7 +218,7 @@ POLICIES = {
 
 def policy_from_state(state: Dict) -> PlacementPolicy:
     """Rebuild whichever policy wrote ``state``."""
-    try:
-        return POLICIES[state["name"]].from_state(state)
-    except KeyError as exc:
-        raise ValueError(f"unknown or malformed placement policy: {exc}") from None
+    name = state.get("name")
+    if name not in POLICIES:
+        raise ValueError(f"unknown placement policy {name!r}")
+    return POLICIES[name].from_state(state)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.crypto.material import KeyGenerator
-from repro.keytree.flat import FlatKeyTree
 from repro.server.partitioned import PartitionedServer, TreePartition
 from repro.server.placement import HashPlacement
 
@@ -53,15 +52,10 @@ class ShardedOneTreeServer(PartitionedServer):
         policy = HashPlacement(shards)
         keygen = keygen if keygen is not None else KeyGenerator()
         partitions = [
-            TreePartition(
-                f"shard{shard}",
-                FlatKeyTree(
-                    degree=degree,
-                    keygen=keygen.derive_stream(f"shard{shard}"),
-                    name=f"{group}/tree/shard{shard}",
-                ),
+            TreePartition.build(
+                label, f"{group}/tree/{label}", degree, keygen.derive_stream(label)
             )
-            for shard in range(shards)
+            for label in (f"shard{shard}" for shard in range(shards))
         ]
         super().__init__(
             partitions,

@@ -27,10 +27,12 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.crypto.material import KeyGenerator, KeyMaterial
+from repro.keytree.queuepartition import QueuePartition
 from repro.server.base import GroupKeyServer, Registration
 from repro.server.losshomog import LossHomogenizedServer
 from repro.server.onetree import OneTreeServer
-from repro.server.partitioned import PartitionedServer, load_partition
+from repro.keytree.queuepartition import QueuePartition
+from repro.server.partitioned import PartitionedServer, TreePartition
 from repro.server.placement import policy_from_state
 from repro.server.sharded import ShardedOneTreeServer
 from repro.server.twopartition import TwoPartitionServer
@@ -50,42 +52,34 @@ _KINDS = {
 }
 
 
-def _registration_to_dict(registration: Registration) -> Dict:
-    return {
-        "member": registration.member_id,
-        "key": registration.individual_key.to_dict(),
-        "join_time": registration.join_time,
-    }
-
-
-def _registration_from_dict(data: Dict) -> Registration:
-    return Registration(
-        member_id=data["member"],
-        individual_key=KeyMaterial.from_dict(data["key"]),
-        join_time=float(data["join_time"]),
-    )
-
-
 def _base_state(server: GroupKeyServer) -> Dict:
+    def registrations(table: Dict[str, Registration]) -> list:
+        return [
+            {"member": r.member_id, "key": r.individual_key.to_dict(), "join_time": r.join_time}
+            for r in table.values()
+        ]
+
     return {
         "group": server.group,
         "next_epoch": server._next_epoch,
-        "members": [_registration_to_dict(r) for r in server._members.values()],
-        "pending_joins": [
-            _registration_to_dict(r) for r in server._pending_joins.values()
-        ],
+        "members": registrations(server._members),
+        "pending_joins": registrations(server._pending_joins),
         "pending_leaves": dict(server._pending_leaves),
     }
 
 
 def _restore_base(server: GroupKeyServer, data: Dict) -> None:
+    def registrations(entries: list) -> Dict[str, Registration]:
+        return {
+            e["member"]: Registration(
+                e["member"], KeyMaterial.from_dict(e["key"]), float(e["join_time"])
+            )
+            for e in entries
+        }
+
     server._next_epoch = int(data["next_epoch"])
-    server._members = {
-        r["member"]: _registration_from_dict(r) for r in data["members"]
-    }
-    server._pending_joins = {
-        r["member"]: _registration_from_dict(r) for r in data["pending_joins"]
-    }
+    server._members = registrations(data["members"])
+    server._pending_joins = registrations(data["pending_joins"])
     server._pending_leaves = {
         member: float(t) for member, t in data["pending_leaves"].items()
     }
@@ -129,7 +123,7 @@ def _upgrade_format_1(old: Dict) -> Dict:
         return {"label": label, "tree": old[tree_key], "epoch": old[epoch_key]}
 
     if kind == "one-keytree":
-        new["policy"] = {"name": "hash", "shards": 1}
+        new["policy"] = {"name": "hash", "shards": 1, "pending": {}}
         new["partitions"] = [tree("tree", "tree", "tree_epoch")]
     elif kind == "two-partition":
         if old["mode"] == "pt":
@@ -146,6 +140,7 @@ def _upgrade_format_1(old: Dict) -> Dict:
                 "name": "by-age",
                 "s_period": old["s_period"],
                 "entered": old["s_entered"],
+                "pending": {},
             }
         if "s_queue" in old:
             s_partition = {"label": "s-partition", "queue": old["s_queue"]}
@@ -173,7 +168,7 @@ def _upgrade_format_1(old: Dict) -> Dict:
         ]
     elif kind == "sharded-keytree":
         shards = int(old["shards"])
-        new["policy"] = {"name": "hash", "shards": shards}
+        new["policy"] = {"name": "hash", "shards": shards, "pending": {}}
         new["partitions"] = [
             {"label": f"shard{shard}", **old["shard_dumps"][str(shard)]}
             for shard in range(shards)
@@ -200,8 +195,15 @@ def restore_server(state: Dict) -> GroupKeyServer:
     if "dek" in state:
         stream = state.get("dek_stream")
         dek_stream = KeyGenerator.from_state(stream) if stream else keygen
-    server = _KINDS[state["kind"]]._assemble(
-        [load_partition(data, keygen) for data in state["partitions"]],
+    # The factory classes' constructors build fresh partitions; a restore
+    # has them ready-made, so it initialises the composite underneath.
+    server = object.__new__(_KINDS[state["kind"]])
+    PartitionedServer.__init__(
+        server,
+        [
+            (QueuePartition if "queue" in data else TreePartition).load(data, keygen)
+            for data in state["partitions"]
+        ],
         policy_from_state(state["policy"]),
         dek_stream,
         keygen=keygen,

@@ -16,18 +16,13 @@ how members are placed:
     (``member_class="Cs"`` or ``"Cl"``) at join time — the oracle scheme,
     no migrations, the upper bound on achievable gain.
 
-Lifecycle per batch (Section 3.2's three phases), as run by
-:class:`~repro.server.partitioned.PartitionedServer`:
-
-1. joiners are admitted to the S-partition (``pt``: to their class's
-   partition) and the DEK is rolled;
-2. departures are processed inside their own partition only — an
-   S-partition departure never touches L-partition keys, which is where
-   the savings come from;
-3. S-members whose residence reached the S-period ``Ts`` are *migrated*:
-   a departure procedure in S plus a join procedure in L, batched with the
-   period's other changes; a migration alone does not roll the DEK (the
-   member remains authorized).
+The batch lifecycle (Section 3.2's three phases: admit joiners and roll
+the DEK; process each departure inside its own partition only, which is
+where the savings come from; migrate S-members whose residence reached
+``Ts`` as a departure from S batched with a join to L, which alone does
+not roll the DEK) is :class:`~repro.server.partitioned.PartitionedServer`'s,
+under :class:`~repro.server.placement.AgePlacement` (``qt``, ``tt``) or
+:class:`~repro.server.placement.ClassPlacement` (``pt``).
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.crypto.material import KeyGenerator
-from repro.keytree.flat import FlatKeyTree
 from repro.keytree.queuepartition import QueuePartition
 from repro.server.partitioned import PartitionedServer, TreePartition
 from repro.server.placement import AgePlacement, ClassPlacement
@@ -71,18 +65,13 @@ class TwoPartitionServer(PartitionedServer):
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         policy = ClassPlacement() if mode == "pt" else AgePlacement(s_period)
         keygen = keygen if keygen is not None else KeyGenerator()
-
-        def tree(label: str, name: str) -> TreePartition:
-            return TreePartition(
-                label, FlatKeyTree(degree=degree, keygen=keygen, name=f"{group}/{name}")
-            )
-
         if mode == "qt":
             s_partition = QueuePartition(keygen=keygen, name=f"{group}/s-queue")
         else:
-            s_partition = tree("s-partition", "s-tree")
+            s_partition = TreePartition.build("s-partition", f"{group}/s-tree", degree, keygen)
+        l_partition = TreePartition.build("l-partition", f"{group}/l-tree", degree, keygen)
         super().__init__(
-            [s_partition, tree("l-partition", "l-tree")],
+            [s_partition, l_partition],
             policy,
             keygen,
             keygen=keygen,

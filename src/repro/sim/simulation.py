@@ -138,7 +138,8 @@ class GroupRekeyingSimulation:
         self._join_attributes = join_attributes
         # Which attributes the scheme takes is settled here, once: a
         # crash-restore swaps ``self.server`` for one of the same scheme.
-        self._joins_take = tuple(server.join_attributes)
+        self._joins_take_class = "member_class" in server.join_attributes
+        self._joins_take_loss = "loss_rate" in server.join_attributes
         self.loop = EventLoop()
         self.rng = random.Random(self.config.seed)
         if self.config.fault_schedule is not None:
@@ -182,8 +183,12 @@ class GroupRekeyingSimulation:
     # ------------------------------------------------------------------
 
     def _default_join_attributes(self, member_class: str, loss_rate: float) -> Dict:
-        offered = {"member_class": member_class, "loss_rate": loss_rate}
-        return {name: offered[name] for name in self._joins_take}
+        attributes: Dict = {}
+        if self._joins_take_class:
+            attributes["member_class"] = member_class
+        if self._joins_take_loss:
+            attributes["loss_rate"] = loss_rate
+        return attributes
 
     def _admit_new_member(self) -> str:
         """Join one fresh member now (shared by arrivals and churn storms)."""

@@ -17,7 +17,7 @@ import pytest
 import repro
 
 from repro.crypto.material import KeyGenerator
-from repro.server.partitioned import TreePartition, load_partition
+from repro.server.partitioned import TreePartition
 from repro.server.placement import HashPlacement, shard_of
 from repro.server.sharded import ShardedOneTreeServer
 
@@ -202,7 +202,7 @@ class TestDumpLoad:
         live.rekey(now=10.0)
 
         shared = KeyGenerator(seed=99)  # private streams come from the dump
-        twins = [load_partition(part.dump(live.keygen), shared) for part in live.partitions]
+        twins = [TreePartition.load(part.dump(live.keygen), shared) for part in live.partitions]
         assert all(isinstance(twin, TreePartition) for twin in twins)
         assert shared.state()["counter"] == 0
         for part, twin in zip(live.partitions, twins):

@@ -172,19 +172,18 @@ def test_every_policy_reports_its_touched_partitions(build, labels):
 
 
 def test_no_partition_is_timed_while_nothing_observes():
+    from unittest import mock
+
     from repro.server import partitioned
 
-    calls = []
-    real = partitioned.perf_counter
-    partitioned.perf_counter = lambda: calls.append(1) or real()
-    try:
+    with mock.patch.object(
+        partitioned, "perf_counter", wraps=partitioned.perf_counter
+    ) as clock:
         churn(ShardedOneTreeServer(shards=4, degree=4), rounds=1)
-        assert calls == []
+        assert clock.call_count == 0
         with obs.observe():
             churn(ShardedOneTreeServer(shards=4, degree=4), rounds=1)
-        assert calls
-    finally:
-        partitioned.perf_counter = real
+        assert clock.call_count > 0
 
 
 def test_chaos_trace_has_fault_windows_and_retry_rounds():

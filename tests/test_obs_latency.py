@@ -224,3 +224,36 @@ class TestPartitionLatencyLabels:
         assert json.dumps(first, sort_keys=True) == json.dumps(
             _latency_snapshot(build()), sort_keys=True
         )
+
+
+class TestChaosLatencyBattery:
+    def test_blackout_abandonments_all_reach_a_terminal(self):
+        from repro.faults.chaos import run_chaos_case
+
+        with obs.observe() as bundle:
+            entry = run_chaos_case(
+                "one", "blackout-resync", seed=7, horizon=900.0
+            )
+        counts = {}
+        for record in bundle.events.records:
+            counts[record["type"]] = counts.get(record["type"], 0) + 1
+        abandonments = counts.get("abandonment", 0)
+        assert abandonments > 0, "schedule produced no abandonments"
+        assert abandonments == (
+            counts.get("resync_complete", 0)
+            + counts.get("abandoned_unrecovered", 0)
+        )
+        ttd = entry["time_to_new_dek"]
+        assert ttd["open"] == 0
+        assert ttd["count"] > 0
+        assert ttd["resyncs"] + ttd["abandoned_unrecovered"] == abandonments
+        assert ttd["p99_s"] >= ttd["p50_s"] >= 0.0
+        # The registry double-books the same stories.
+        hist = bundle.registry.to_json()[LATENCY_METRIC]
+        by_state = {}
+        for key, slot in hist["series"].items():
+            state = key.split("|")[2]
+            by_state[state] = by_state.get(state, 0) + slot["count"]
+        assert by_state.get("resync", 0) == ttd["resyncs"]
+        assert by_state.get("abandoned", 0) == ttd["abandoned_unrecovered"]
+        assert hist["buckets"] == list(LATENCY_LOG_BUCKETS_S)

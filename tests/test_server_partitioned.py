@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro.crypto.material import KeyGenerator
-from repro.keytree.flat import FlatKeyTree
 from repro.keytree.queuepartition import QueuePartition
 from repro.server.losshomog import LossHomogenizedServer
 from repro.server.partitioned import PartitionedServer, TreePartition
@@ -42,8 +41,7 @@ def composite(policy_name, k, seed=0, queue_first=False, dek=True):
     """A ``k``-partition server under the named policy, built from parts."""
     keygen = KeyGenerator(seed)
     partitions = [
-        TreePartition(f"part{i}", FlatKeyTree(degree=3, keygen=keygen, name=f"g/part{i}"))
-        for i in range(k)
+        TreePartition.build(f"part{i}", f"g/part{i}", 3, keygen) for i in range(k)
     ]
     if queue_first:
         partitions[0] = QueuePartition(keygen=keygen, name="g/queue")
