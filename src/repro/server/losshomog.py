@@ -47,8 +47,6 @@ class LossHomogenizedServer(PartitionedServer):
         keygen: Optional[KeyGenerator] = None,
         group: str = "group",
     ) -> None:
-        if not class_rates:
-            raise ValueError("at least one loss class is required")
         if placement not in _PLACEMENTS:
             raise ValueError("placement must be 'loss' or 'random'")
         keygen = keygen if keygen is not None else KeyGenerator()

@@ -31,7 +31,7 @@ class OneTreeServer(PartitionedServer):
         keygen = keygen if keygen is not None else KeyGenerator()
         super().__init__(
             [TreePartition.build("tree", f"{group}/tree", degree, keygen)],
-            HashPlacement(1),
+            HashPlacement(),
             None,
             keygen=keygen,
             group=group,

@@ -153,6 +153,10 @@ class PartitionedServer(GroupKeyServer):
             raise ValueError("join_refresh must be 'random' or 'owf'")
         if dek_stream is None and len(partitions) != 1:
             raise ValueError("a server without a DEK has exactly one partition")
+        if not policy.accepts(len(partitions)):
+            raise ValueError(
+                f"{policy.name} placement does not fit {len(partitions)} partitions"
+            )
         super().__init__(keygen=keygen, group=group)
         self.partitions = list(partitions)
         self.policy = policy
@@ -164,12 +168,7 @@ class PartitionedServer(GroupKeyServer):
             self._dek = dek_stream.generate(f"{group}/dek")
 
     def _note_join_attributes(self, member_id: str, attributes: Dict) -> None:
-        allowed = self.policy.attributes
-        for name in attributes:
-            if name not in allowed:
-                raise TypeError(
-                    f"{self.name} takes join attributes {allowed}, got {name!r}"
-                )
+        # A name admit() does not take is Python's own TypeError.
         self.policy.admit(member_id, **attributes)
 
     def _forget_join_attributes(self, member_id: str) -> None:
@@ -204,7 +203,7 @@ class PartitionedServer(GroupKeyServer):
         result.migrated = [member_id for member_id, __, __ in moves]
         for registration in joins:
             member_id, key = registration.member_id, registration.individual_key
-            slices[policy.place(member_id, now)][0].append((member_id, key))
+            slices[policy.place(member_id, now, len(slices))][0].append((member_id, key))
         # Joiners head each slice; the migrants appended next are not new
         # to the group and get no DEK wrap of their own.
         admitted = [len(entering) for entering, __ in slices]

@@ -13,14 +13,16 @@ A policy is all the state a :class:`~repro.server.partitioned.PartitionedServer`
 keeps about placement besides the partitions themselves: it validates the
 join attributes it names in :attr:`~PlacementPolicy.attributes`, remembers
 what it decided for joiners not yet admitted, and snapshots itself —
-every instance attribute is plain JSON-compatible data, and that is the
-whole of :meth:`~PlacementPolicy.state`.
+the attributes named in :attr:`~PlacementPolicy.fields` are plain
+JSON-compatible data, and they are the whole of
+:meth:`~PlacementPolicy.state`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import numbers
+from copy import deepcopy
 from typing import Dict, List, Sequence, Tuple
 
 from repro.members.durations import LONG_CLASS, SHORT_CLASS
@@ -56,9 +58,17 @@ class PlacementPolicy:
     name = ""
     #: Join attributes ``admit`` takes; anything else is a ``TypeError``.
     attributes: Tuple[str, ...] = ()
+    #: Instance attributes, in ``state()`` order; a restore sets exactly these.
+    fields: Tuple[str, ...] = ("pending",)
+    #: Fewest partitions the indices ``place`` and ``migrations`` name need.
+    min_partitions = 1
 
     def __init__(self) -> None:
         self.pending: Dict[str, int] = {}
+
+    def accepts(self, partitions: int) -> bool:
+        """Whether this policy can place members among that many partitions."""
+        return partitions >= self.min_partitions
 
     def admit(self, member_id: str) -> None:
         """``join()`` time: validate the attributes, note the decision."""
@@ -67,8 +77,8 @@ class PlacementPolicy:
         """A joiner left before it was admitted."""
         self.pending.pop(member_id, None)
 
-    def place(self, member_id: str, now: float) -> int:
-        """Admission: the index of the partition the joiner enters."""
+    def place(self, member_id: str, now: float, partitions: int) -> int:
+        """Admission: which of the ``partitions`` the joiner enters."""
         return self.pending.pop(member_id)
 
     def forget(self, member_id: str) -> None:
@@ -79,26 +89,9 @@ class PlacementPolicy:
         return []
 
     def state(self) -> Dict:
-        """JSON-compatible state: the tag and every instance attribute."""
-        return {"name": self.name, **_copied(vars(self))}
-
-    @classmethod
-    def from_state(cls, state: Dict) -> "PlacementPolicy":
-        """Inverse of :meth:`state` (which may have been through JSON)."""
-        policy = cls()
-        missing = vars(policy).keys() - state.keys()
-        if missing:
-            raise ValueError(f"{cls.name} policy state lacks {sorted(missing)}")
-        vars(policy).update(_copied({key: state[key] for key in vars(policy)}))
-        return policy
-
-
-def _copied(fields: Dict) -> Dict:
-    """``fields`` with its dict values copied: state never aliases a policy."""
-    return {
-        key: dict(value) if isinstance(value, dict) else value
-        for key, value in fields.items()
-    }
+        """JSON-compatible state: the tag and a copy of every declared field."""
+        fields = {field: getattr(self, field) for field in self.fields}
+        return {"name": self.name, **deepcopy(fields)}
 
 
 class AgePlacement(PlacementPolicy):
@@ -106,8 +99,10 @@ class AgePlacement(PlacementPolicy):
 
     name = "by-age"
     attributes = ("member_class",)
+    fields = ("pending", "s_period", "entered")
+    min_partitions = 2  # S and L; any further ones stay empty
 
-    def __init__(self, s_period: float = 0.0) -> None:
+    def __init__(self, s_period: float) -> None:
         if s_period < 0:
             raise ValueError("s_period must be non-negative")
         super().__init__()
@@ -120,7 +115,7 @@ class AgePlacement(PlacementPolicy):
         if member_class is not None:
             _check_class(member_class)
 
-    def place(self, member_id: str, now: float) -> int:
+    def place(self, member_id: str, now: float, partitions: int) -> int:
         self.entered[member_id] = now
         return 0
 
@@ -143,6 +138,7 @@ class ClassPlacement(PlacementPolicy):
 
     name = "class-oracle"
     attributes = ("member_class",)
+    min_partitions = 2
 
     def admit(self, member_id: str, member_class: object = None) -> None:
         _check_class(member_class)
@@ -152,9 +148,16 @@ class ClassPlacement(PlacementPolicy):
 class _LossClasses(PlacementPolicy):
     """One partition per nominal loss rate, highest rate first."""
 
-    def __init__(self, class_rates: Sequence[float] = ()) -> None:
+    fields = ("pending", "class_rates")
+
+    def __init__(self, class_rates: Sequence[float]) -> None:
+        if not class_rates:
+            raise ValueError("at least one loss class is required")
         super().__init__()
         self.class_rates = list(class_rates)
+
+    def accepts(self, partitions: int) -> bool:
+        return partitions == len(self.class_rates)
 
 
 class NearestLossPlacement(_LossClasses):
@@ -164,7 +167,11 @@ class NearestLossPlacement(_LossClasses):
     attributes = ("loss_rate",)
 
     def admit(self, member_id: str, loss_rate: object = None) -> None:
-        if not isinstance(loss_rate, numbers.Real) or not 0.0 <= loss_rate <= 1.0:
+        if (
+            isinstance(loss_rate, bool)  # a Real, but never a measured rate
+            or not isinstance(loss_rate, numbers.Real)
+            or not 0.0 <= loss_rate <= 1.0
+        ):
             raise ValueError(
                 "loss-homogenized placement requires a loss_rate in [0, 1] "
                 f"at join time, got {loss_rate!r}"
@@ -179,10 +186,8 @@ class RoundRobinPlacement(_LossClasses):
     """Fig. 6's control: the loss classes' trees, filled in turn."""
 
     name = "round-robin"
-
-    def __init__(self, class_rates: Sequence[float] = ()) -> None:
-        super().__init__(class_rates)
-        self.next_index = 0
+    fields = ("pending", "class_rates", "next_index")
+    next_index = 0  # joiners placed so far
 
     def admit(self, member_id: str) -> None:
         self.pending[member_id] = self.next_index % len(self.class_rates)
@@ -190,18 +195,13 @@ class RoundRobinPlacement(_LossClasses):
 
 
 class HashPlacement(PlacementPolicy):
-    """Sharding: ``shard_of``; one shard is the plain one-keytree scheme."""
+    """Sharding: ``shard_of`` over however many partitions the server has
+    (no count of its own); one shard is the plain one-keytree scheme."""
 
     name = "hash"
 
-    def __init__(self, shards: int = 1) -> None:
-        if shards < 1:
-            raise ValueError("shard count must be at least 1")
-        super().__init__()
-        self.shards = shards
-
-    def place(self, member_id: str, now: float) -> int:
-        return shard_of(member_id, self.shards) if self.shards > 1 else 0
+    def place(self, member_id: str, now: float, partitions: int) -> int:
+        return shard_of(member_id, partitions) if partitions > 1 else 0
 
 
 POLICIES = {
@@ -217,8 +217,14 @@ POLICIES = {
 
 
 def policy_from_state(state: Dict) -> PlacementPolicy:
-    """Rebuild whichever policy wrote ``state``."""
-    name = state.get("name")
-    if name not in POLICIES:
-        raise ValueError(f"unknown placement policy {name!r}")
-    return POLICIES[name].from_state(state)
+    """Rebuild whichever policy wrote ``state`` (maybe via JSON); no alias kept."""
+    cls = POLICIES.get(state.get("name"))
+    if cls is None:
+        raise ValueError(f"unknown placement policy {state.get('name')!r}")
+    missing = [field for field in cls.fields if field not in state]
+    if missing:
+        raise ValueError(f"{cls.name} policy state lacks {missing}")
+    policy = cls.__new__(cls)
+    for field in cls.fields:
+        setattr(policy, field, deepcopy(state[field]))
+    return policy

@@ -49,7 +49,8 @@ class ShardedOneTreeServer(PartitionedServer):
         group: str = "group",
         join_refresh: str = "random",
     ) -> None:
-        policy = HashPlacement(shards)
+        if shards < 1:
+            raise ValueError("shard count must be at least 1")
         keygen = keygen if keygen is not None else KeyGenerator()
         partitions = [
             TreePartition.build(
@@ -59,7 +60,7 @@ class ShardedOneTreeServer(PartitionedServer):
         ]
         super().__init__(
             partitions,
-            policy,
+            HashPlacement(),
             keygen.derive_stream("dek") if shards > 1 else None,
             keygen=keygen,
             group=group,

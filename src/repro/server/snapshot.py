@@ -31,7 +31,6 @@ from repro.keytree.queuepartition import QueuePartition
 from repro.server.base import GroupKeyServer, Registration
 from repro.server.losshomog import LossHomogenizedServer
 from repro.server.onetree import OneTreeServer
-from repro.keytree.queuepartition import QueuePartition
 from repro.server.partitioned import PartitionedServer, TreePartition
 from repro.server.placement import policy_from_state
 from repro.server.sharded import ShardedOneTreeServer
@@ -123,7 +122,7 @@ def _upgrade_format_1(old: Dict) -> Dict:
         return {"label": label, "tree": old[tree_key], "epoch": old[epoch_key]}
 
     if kind == "one-keytree":
-        new["policy"] = {"name": "hash", "shards": 1, "pending": {}}
+        new["policy"] = {"name": "hash", "pending": {}}
         new["partitions"] = [tree("tree", "tree", "tree_epoch")]
     elif kind == "two-partition":
         if old["mode"] == "pt":
@@ -168,7 +167,7 @@ def _upgrade_format_1(old: Dict) -> Dict:
         ]
     elif kind == "sharded-keytree":
         shards = int(old["shards"])
-        new["policy"] = {"name": "hash", "shards": shards, "pending": {}}
+        new["policy"] = {"name": "hash", "pending": {}}
         new["partitions"] = [
             {"label": f"shard{shard}", **old["shard_dumps"][str(shard)]}
             for shard in range(shards)

@@ -173,10 +173,17 @@ class GroupRekeyingSimulation:
         #: Member-level time-to-new-DEK accounting (needs real receivers).
         self.latency: Optional[LatencyTracker] = None
         if not self.config.cost_only:
+            # Looked up through self.server at call time: a crash-restore
+            # replaces the server, and the label is read off live partitions.
             self.latency = LatencyTracker(
                 scheme=getattr(server, "name", type(server).__name__),
-                shard_fn=getattr(server, "shard_label", None),
+                shard_fn=self._shard_label
+                if hasattr(server, "shard_label")
+                else None,
             )
+
+    def _shard_label(self, member_id: str) -> str:
+        return self.server.shard_label(member_id)
 
     # ------------------------------------------------------------------
     # workload events

@@ -230,6 +230,30 @@ def test_unreadable_snapshots_raise_value_error(fmt, damage):
         restore_server({**state, **damage})
 
 
+@pytest.mark.parametrize(
+    "scheme,field,value",
+    [
+        ("loss-homogenized", "class_rates", [0.2]),
+        ("loss-random", "class_rates", [0.2, 0.1, 0.02]),
+        ("tt", "partitions", 1),
+        ("pt", "partitions", 1),
+    ],
+)
+def test_a_policy_that_does_not_fit_the_partitions_is_refused(scheme, field, value):
+    """A policy sized for other partitions than the snapshot carries would
+    place a joiner outside the list (or never fill part of it).  The hash
+    policy keeps no count of its own: it fits however many there are."""
+    live = run_prefix(SCHEME_FACTORIES[scheme])
+    state = json.loads(json.dumps(snapshot_server(live.server)))
+    if field == "partitions":
+        state["partitions"] = state["partitions"][-value:]
+    else:
+        assert len(state["partitions"]) != len(value)
+        state["policy"][field] = value
+    with pytest.raises(ValueError, match="does not fit"):
+        restore_server(state)
+
+
 def test_snapshot_round_trip_preserves_resync():
     spec = SCHEME_FACTORIES["tt"]
     live = run_prefix(spec)

@@ -66,7 +66,7 @@ class TestPlacement:
 
     def test_single_shard_routes_everything_to_zero(self):
         assert all(shard_of(f"m{i}", 1) == 0 for i in range(50))
-        assert all(HashPlacement(1).place(f"m{i}", 0.0) == 0 for i in range(50))
+        assert all(HashPlacement().place(f"m{i}", 0.0, 1) == 0 for i in range(50))
 
     def test_placement_is_independent_of_pythonhashseed(self):
         script = (

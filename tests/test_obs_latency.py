@@ -225,6 +225,50 @@ class TestPartitionLatencyLabels:
             _latency_snapshot(build()), sort_keys=True
         )
 
+    @pytest.mark.parametrize(
+        "build,labels",
+        [
+            (
+                lambda: ShardedOneTreeServer(shards=4),
+                {"shard0", "shard1", "shard2", "shard3"},
+            ),
+            (
+                lambda: TwoPartitionServer(mode="tt", s_period=120.0),
+                {"s-partition", "l-partition"},
+            ),
+        ],
+        ids=["sharded", "tt"],
+    )
+    def test_labels_follow_the_server_a_crash_restore_swaps_in(self, build, labels):
+        """The tracker reads labels off the *current* server: members who
+        join (or migrate) after a restore are unknown to the crashed one."""
+        from repro.faults.schedule import FaultSchedule
+
+        horizon = 600.0
+        config = SimulationConfig(
+            arrival_rate=0.5,
+            rekey_period=60.0,
+            horizon=horizon,
+            duration_model=TwoClassDuration(180.0, 2400.0, 0.7),
+            loss_population=LossPopulation.two_point(),
+            transport=WkaBkrProtocol(keys_per_packet=16),
+            verify=False,
+            seed=11,
+            fault_schedule=FaultSchedule.named("crash-restore", horizon),
+        )
+        started_with = build()
+        sim = GroupRekeyingSimulation(started_with, config)
+        with obs.observe() as bundle:
+            metrics = sim.run()
+        assert metrics.server_crashes == 2
+        assert sim.server is not started_with
+        series = bundle.registry.to_json()[LATENCY_METRIC]["series"]
+        assert {key.split("|")[1] for key in series} == labels
+        after_restore = [m for m in sim.members if m not in started_with._members]
+        assert after_restore, "nobody joined after the last restore"
+        for member_id in sim.members:
+            assert sim.latency._shard(member_id) == sim.server.shard_label(member_id)
+
 
 class TestChaosLatencyBattery:
     def test_blackout_abandonments_all_reach_a_terminal(self):

@@ -24,7 +24,9 @@ from repro.server.placement import (
     POLICIES,
     AgePlacement,
     HashPlacement,
+    NearestLossPlacement,
     RoundRobinPlacement,
+    policy_from_state,
     shard_of,
 )
 from repro.server.snapshot import restore_server, snapshot_server
@@ -46,7 +48,7 @@ def composite(policy_name, k, seed=0, queue_first=False, dek=True):
     if queue_first:
         partitions[0] = QueuePartition(keygen=keygen, name="g/queue")
     policy = {
-        "hash": lambda: HashPlacement(k),
+        "hash": HashPlacement,
         "round-robin": lambda: RoundRobinPlacement(tuple(range(k))),
         "by-age": lambda: AgePlacement(60.0),
     }[policy_name]()
@@ -131,7 +133,7 @@ def test_migration_alone_does_not_roll_the_dek():
 # join attributes: outside input, checked by the policy
 # ----------------------------------------------------------------------
 
-BAD_LOSS_RATES = [float("nan"), -5.0, 17, float("inf"), -0.0001, 1.0001, "0.2", None]
+BAD_LOSS_RATES = [float("nan"), -5.0, 17, float("inf"), -0.0001, 1.0001, "0.2", None, True, False]
 
 
 @pytest.mark.parametrize(
@@ -213,9 +215,35 @@ def test_every_policy_round_trips_its_state():
             )
         server.leave("m4")  # cancelled before admission
         state = json.loads(json.dumps(server.policy.state()))
-        twin = POLICIES[state["name"]].from_state(state)
+        twin = policy_from_state(state)
         assert type(twin) is type(server.policy), scheme
         assert twin.state() == server.policy.state(), scheme
+        assert set(twin.fields) == set(vars(server.policy)), scheme
+        # State is a copy both ways: nothing in it is the policy's own.
+        for field in twin.fields:
+            value = getattr(server.policy, field)
+            if isinstance(value, (dict, list)):
+                assert server.policy.state()[field] is not value
+                assert getattr(twin, field) is not state[field]
+
+
+def test_policies_have_no_placeholder_defaults():
+    """A policy that could be built empty would be an invalid one
+    (no classes to fill in turn, no rate to be nearest to)."""
+    for build in (AgePlacement, NearestLossPlacement, RoundRobinPlacement):
+        with pytest.raises(TypeError):
+            build()
+    for build in (NearestLossPlacement, RoundRobinPlacement):
+        with pytest.raises(ValueError):
+            build(())
+    with pytest.raises(ValueError, match="does not fit"):
+        keygen = KeyGenerator(0)
+        PartitionedServer(
+            [TreePartition.build("p", "g/p", 3, keygen)] * 3,
+            RoundRobinPlacement((0.2, 0.02)),
+            keygen,
+            keygen=keygen,
+        )
 
 
 # ----------------------------------------------------------------------
