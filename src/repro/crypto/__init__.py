@@ -19,7 +19,8 @@ Public API
 :func:`unwrap_key`          recover a wrapped key (authenticated)
 :func:`encrypt` / :func:`decrypt`  generic authenticated payload encryption
 :exc:`AuthenticationError`  raised when decryption fails authentication
-:class:`WrapIndex`          positional index of a rekey payload by wrapping id
+:class:`WrapBatch`          a rekey payload as columns, one row per wrap
+:class:`WrapIndex`          row index of a rekey payload by wrapping id
 :func:`deferred_wraps` / :func:`set_wrap_mode` / :func:`wrap_mode`
                             cost-only mode: postpone wrap ciphertexts
 """
@@ -29,6 +30,7 @@ from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.crypto.wrap import (
     EncryptedKey,
     LazyEncryptedKey,
+    WrapBatch,
     WrapIndex,
     deferred_wraps,
     set_wrap_mode,
@@ -43,6 +45,7 @@ __all__ = [
     "KeyGenerator",
     "KeyMaterial",
     "LazyEncryptedKey",
+    "WrapBatch",
     "WrapIndex",
     "decrypt",
     "deferred_wraps",

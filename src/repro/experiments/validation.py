@@ -193,10 +193,10 @@ def validate_wka_transport(
             index = message.index()
             interest = {}
             for m in survivors:
-                wanted = {pos for pos, _ in index.closure(held[m])}
+                wanted = set(index.closure(held[m]))
                 if wanted:
                     interest[m] = wanted
-            task = TransportTask(keys=list(message.encrypted_keys), interest=interest)
+            task = TransportTask(keys=message.encrypted_keys, interest=interest)
             outcome = protocol.run(task, channel)
             total += outcome.keys_sent
     mixture = ((loss_rate, 1.0),)

@@ -21,8 +21,9 @@ them.  This module stores the same tree as a struct-of-arrays::
 
 Batch marking is index arithmetic over ``_parent`` chains, key refresh is
 a straight counter/sha256 loop writing into ``_secrets`` slices, and
-wraps read child slots directly — no per-node objects are created except
-the :class:`EncryptedKey` records the payload itself is made of.
+wraps read child slots directly into the rows of the message's
+:class:`~repro.crypto.wrap.WrapBatch` — no per-node or per-wrap objects
+are created.
 
 Byte-identity contract
 ----------------------
@@ -58,11 +59,9 @@ import gc
 import hashlib
 import heapq
 import hmac
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.crypto.cipher import encrypt
 from repro.crypto.material import KEY_SIZE, KeyGenerator, KeyMaterial
-from repro.crypto.wrap import EncryptedKey, LazyEncryptedKey, wrap_mode
 from repro.keytree.lkh import RekeyMessage
 from repro.keytree.tree import HEAP_SHED_FLOOR, HEAP_SHED_RATIO
 from repro.obs import tracing as obs_tracing
@@ -110,94 +109,6 @@ def _gc_paused():
         gc.enable()
 
 
-class FlatLazyEncryptedKey(EncryptedKey):
-    """A deferred wrap over raw secret bytes instead of KeyMaterial.
-
-    The flat kernel's key material lives in a mutable bytearray, so the
-    wrap must snapshot the secrets at wrap time (the object kernel gets
-    this for free from immutable ``KeyMaterial``).  Ciphertext bytes are
-    identical to :class:`~repro.crypto.wrap.LazyEncryptedKey` for the
-    same identities and secrets, and its field-content
-    ``__eq__``/``__hash__``, borrowed below, compare across all
-    :class:`EncryptedKey` flavors.  There are no key objects here to read
-    the identity fields through, so the six constructor arguments are
-    kept as one tuple — which the collector stops tracking at its first
-    pass, strings, ints and bytes being all it holds.
-    """
-
-    # Two slots, and the instance dict the non-slotted base allows is
-    # never created: 160 bytes a wrap, tuple included.
-    __slots__ = ("_fields", "_ciphertext")
-
-    def __init__(
-        self,
-        wrapping_id: str,
-        wrapping_version: int,
-        payload_id: str,
-        payload_version: int,
-        wrapping_secret: bytes,
-        payload_secret: bytes,
-    ) -> None:
-        # Wrap creation is the per-encrypted-key cost of every cost-only
-        # batch: two stores through the slot descriptors, past the
-        # frozen-dataclass __setattr__.
-        _set_fields(
-            self,
-            (
-                wrapping_id,
-                wrapping_version,
-                payload_id,
-                payload_version,
-                wrapping_secret,
-                payload_secret,
-            ),
-        )
-        _set_ciphertext(self, None)
-
-    @property
-    def wrapping_id(self) -> str:  # type: ignore[override]
-        return self._fields[0]
-
-    @property
-    def wrapping_version(self) -> int:  # type: ignore[override]
-        return self._fields[1]
-
-    @property
-    def payload_id(self) -> str:  # type: ignore[override]
-        return self._fields[2]
-
-    @property
-    def payload_version(self) -> int:  # type: ignore[override]
-        return self._fields[3]
-
-    @property
-    def ciphertext(self) -> bytes:  # type: ignore[override]
-        blob = self._ciphertext
-        if blob is None:
-            blob = _seal(*self._fields)
-            _set_ciphertext(self, blob)
-        return blob
-
-    @property
-    def materialized(self) -> bool:
-        return self._ciphertext is not None
-
-    # Slots of a frozen class: the default unpickler would setattr them.
-    def __getstate__(self) -> tuple:
-        return (self._fields, self._ciphertext)
-
-    def __setstate__(self, state: tuple) -> None:
-        _set_fields(self, state[0])
-        _set_ciphertext(self, state[1])
-
-    __eq__ = LazyEncryptedKey.__eq__
-    __hash__ = LazyEncryptedKey.__hash__
-
-
-_set_fields = FlatLazyEncryptedKey._fields.__set__
-_set_ciphertext = FlatLazyEncryptedKey._ciphertext.__set__
-
-
 class FlatNodeView:
     """A read-only :class:`~repro.keytree.node.Node`-shaped view of a slot.
 
@@ -233,14 +144,13 @@ class FlatNodeView:
     @property
     def key(self) -> KeyMaterial:
         tree = self.tree
-        base = self.index * KEY_SIZE
         # Unvalidated: secrets in the slot arrays are KEY_SIZE by
         # construction, and per-receiver delivery builds one KeyMaterial
         # per held path node.
         return KeyMaterial._trusted(
             tree._ids[self.index],
             tree._versions[self.index],
-            bytes(tree._secrets[base : base + KEY_SIZE]),
+            tree._slot_secret(self.index),
         )
 
     @property
@@ -460,6 +370,10 @@ class FlatKeyTree:
             self._gen.append(0)
         self._index[node_id] = idx
         return idx
+
+    def _slot_secret(self, idx: int) -> bytes:
+        base = idx * KEY_SIZE
+        return bytes(self._secrets[base : base + KEY_SIZE])
 
     def _free_slot(self, idx: int) -> None:
         del self._index[self._ids[idx]]
@@ -898,11 +812,10 @@ class FlatKeyTree:
     # ------------------------------------------------------------------
 
     def _node_to_dict(self, idx: int) -> Dict:
-        base = idx * KEY_SIZE
         data: Dict = {
             "id": self._ids[idx],
             "version": self._versions[idx],
-            "secret": bytes(self._secrets[base : base + KEY_SIZE]).hex(),
+            "secret": self._slot_secret(idx).hex(),
         }
         if self._member[idx] is not None:
             data["member"] = self._member[idx]
@@ -1047,20 +960,17 @@ class FlatRekeyer:
         versions = tree._versions
         secrets = tree._secrets
         parents = tree._parent
-        wrap = _wrap_constructor()
-        eks = message.encrypted_keys
+        add = message.encrypted_keys.add
         leaf_id = ids[leaf]
         leaf_version = versions[leaf]
-        leaf_base = leaf * KEY_SIZE
-        leaf_secret = bytes(secrets[leaf_base : leaf_base + KEY_SIZE])
+        leaf_secret = tree._slot_secret(leaf)
         keygen = self.keygen
-        wraps = 0
         node = parents[leaf]
         while node != NIL:
             node_id = ids[node]
             base = node * KEY_SIZE
             old_version = versions[node]
-            old_secret = bytes(secrets[base : base + KEY_SIZE])
+            old_secret = tree._slot_secret(node)
             new_secret = keygen.fresh_secret()
             secrets[base : base + KEY_SIZE] = new_secret
             new_version = old_version + 1
@@ -1068,44 +978,14 @@ class FlatRekeyer:
             message.updated.append((node_id, new_version))
             if node_id in before:
                 # Existing key: one wrap under the previous version.
-                eks.append(
-                    wrap(
-                        node_id, old_version, node_id, new_version,
-                        old_secret, new_secret,
-                    )
-                )
-                wraps += 1
+                add(node_id, old_version, node_id, new_version, old_secret, new_secret)
             else:
-                # Split-created joint: wrap under the displaced children.
-                child_base = node * tree.degree
-                for slot in range(child_base, child_base + tree._nchild[node]):
-                    child = tree._child[slot]
-                    if child != leaf:
-                        child_key_base = child * KEY_SIZE
-                        eks.append(
-                            wrap(
-                                ids[child], versions[child],
-                                node_id, new_version,
-                                bytes(
-                                    secrets[
-                                        child_key_base : child_key_base + KEY_SIZE
-                                    ]
-                                ),
-                                new_secret,
-                            )
-                        )
-                        wraps += 1
+                self._wrap_joint(add, node, skip=(leaf,))
             # The joiner bootstraps from its individual key.
-            eks.append(
-                wrap(
-                    leaf_id, leaf_version, node_id, new_version,
-                    leaf_secret, new_secret,
-                )
-            )
-            wraps += 1
+            add(leaf_id, leaf_version, node_id, new_version, leaf_secret, new_secret)
             node = parents[node]
-        if wraps:
-            perf_count("crypto.wraps", wraps)
+        if message.cost:
+            perf_count("crypto.wraps", message.cost)
         return FlatNodeView(tree, leaf), message
 
     def leave(self, member_id: str) -> RekeyMessage:
@@ -1333,78 +1213,60 @@ class FlatRekeyer:
         if joins:
             perf_count("keytree.add_member", len(joins))
 
-        joining_leaf_ids = {ids[leaf] for leaf in new_leaves}
+        joining = set(new_leaves)
         depths = tree._depthv
         marked_list = sorted(
             marked.items(), key=lambda item: depths[item[1]], reverse=True
         )
-        wrap = _wrap_constructor()
-        eks = message.encrypted_keys
+        add = message.encrypted_keys.add
         keygen = self.keygen
-        wraps = 0
         for node_id, idx in marked_list:
             base = idx * KEY_SIZE
             if node_id in before:
                 # One-way advance: holders compute it locally, no wraps.
                 new_secret = hmac.new(
-                    bytes(secrets[base : base + KEY_SIZE]),
-                    b"repro-advance",
-                    hashlib.sha256,
+                    tree._slot_secret(idx), b"repro-advance", hashlib.sha256
                 ).digest()
                 secrets[base : base + KEY_SIZE] = new_secret
                 versions[idx] += 1
                 message.advanced.append((node_id, versions[idx]))
             else:
-                # Split-created joint: fresh key wrapped under the
-                # displaced (non-joining) children.
-                new_secret = keygen.fresh_secret()
-                secrets[base : base + KEY_SIZE] = new_secret
+                secrets[base : base + KEY_SIZE] = keygen.fresh_secret()
                 versions[idx] += 1
-                new_version = versions[idx]
-                message.updated.append((node_id, new_version))
-                child_base = idx * tree.degree
-                for slot in range(child_base, child_base + tree._nchild[idx]):
-                    child = tree._child[slot]
-                    child_id = ids[child]
-                    if child_id not in joining_leaf_ids:
-                        child_key_base = child * KEY_SIZE
-                        eks.append(
-                            wrap(
-                                child_id, versions[child],
-                                node_id, new_version,
-                                bytes(
-                                    secrets[
-                                        child_key_base : child_key_base + KEY_SIZE
-                                    ]
-                                ),
-                                new_secret,
-                            )
-                        )
-                        wraps += 1
+                message.updated.append((node_id, versions[idx]))
+                self._wrap_joint(add, idx, skip=joining)
         for leaf in new_leaves:
             leaf_id = ids[leaf]
             leaf_version = versions[leaf]
-            leaf_base = leaf * KEY_SIZE
-            leaf_secret = bytes(secrets[leaf_base : leaf_base + KEY_SIZE])
+            leaf_secret = tree._slot_secret(leaf)
             node = parents[leaf]
             while node != NIL:
-                base = node * KEY_SIZE
-                eks.append(
-                    wrap(
-                        leaf_id, leaf_version,
-                        ids[node], versions[node],
-                        leaf_secret, bytes(secrets[base : base + KEY_SIZE]),
-                    )
+                add(
+                    leaf_id, leaf_version, ids[node], versions[node],
+                    leaf_secret, tree._slot_secret(node),
                 )
-                wraps += 1
                 node = parents[node]
-        if wraps:
-            perf_count("crypto.wraps", wraps)
+        if message.cost:
+            perf_count("crypto.wraps", message.cost)
         return message
 
     # ------------------------------------------------------------------
     # shared machinery
     # ------------------------------------------------------------------
+
+    def _wrap_joint(self, add, joint: int, skip: Collection[int]) -> None:
+        """Wrap a split-created joint's fresh key under each child slot not
+        in ``skip`` — the displaced children; joiners get it through
+        their own bootstrap wraps."""
+        tree = self.tree
+        ids, versions, secret_of = tree._ids, tree._versions, tree._slot_secret
+        base = joint * tree.degree
+        for child in tree._child[base : base + tree._nchild[joint]]:
+            if child not in skip:
+                add(
+                    ids[child], versions[child], ids[joint], versions[joint],
+                    secret_of(child), secret_of(joint),
+                )
 
     def _refresh_and_wrap(
         self, marked: Sequence[Tuple[str, int]], message: RekeyMessage
@@ -1449,11 +1311,8 @@ class FlatRekeyer:
             child_slots = tree._child
             nchild = tree._nchild
             degree = tree.degree
-            eks = message.encrypted_keys
-            wraps_before = len(eks)
-            append = eks.append
+            add = message.encrypted_keys.add
             fresh_get = fresh.get
-            wrap = _wrap_constructor()
             for node_id, idx in pairs:
                 payload_version = versions[idx]
                 payload_secret = fresh[idx]
@@ -1466,20 +1325,13 @@ class FlatRekeyer:
                         child_secret = bytes(
                             secrets[child_key_base : child_key_base + KEY_SIZE]
                         )
-                    append(
-                        wrap(
-                            ids[child],
-                            versions[child],
-                            node_id,
-                            payload_version,
-                            child_secret,
-                            payload_secret,
-                        )
+                    add(
+                        ids[child], versions[child], node_id, payload_version,
+                        child_secret, payload_secret,
                     )
-            wrap_span.set("wraps", len(eks))
-            wraps = len(eks) - wraps_before
-        if wraps:
-            perf_count("crypto.wraps", wraps)
+            wrap_span.set("wraps", message.cost)
+        if message.cost:
+            perf_count("crypto.wraps", message.cost)
 
     def refresh_root(self) -> RekeyMessage:
         tree = self.tree
@@ -1487,28 +1339,3 @@ class FlatRekeyer:
         self._refresh_and_wrap([(tree._ids[ROOT], ROOT)], message)
         return message
 
-
-def _seal(
-    wrapping_id: str,
-    wrapping_version: int,
-    payload_id: str,
-    payload_version: int,
-    wrapping_secret: bytes,
-    payload_secret: bytes,
-) -> bytes:
-    """The ciphertext of one wrap (nonce as in :mod:`repro.crypto.wrap`)."""
-    nonce = (
-        f"{wrapping_id}#{wrapping_version}->{payload_id}#{payload_version}"
-    ).encode("utf-8")
-    return encrypt(wrapping_secret, nonce, payload_secret)
-
-
-def _eager_wrap(*fields) -> EncryptedKey:
-    """An :class:`EncryptedKey` from :func:`_seal`'s six arguments."""
-    return EncryptedKey(*fields[:4], _seal(*fields))
-
-
-def _wrap_constructor():
-    """What builds this batch's wraps: both take the same six arguments,
-    so the wrap mode is read once a batch, not once a wrap."""
-    return FlatLazyEncryptedKey if wrap_mode() == "deferred" else _eager_wrap

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.material import KeyGenerator, KeyMaterial
-from repro.crypto.wrap import EncryptedKey, WrapIndex, wrap_key
+from repro.crypto.wrap import EncryptedKey, WrapBatch, WrapIndex, wrap_key
 from repro.keytree.node import Node
 from repro.keytree.tree import KeyTree
 from repro.obs import tracing as obs_tracing
@@ -42,11 +42,13 @@ class RekeyMessage:
     ``len(encrypted_keys)`` is the paper's cost metric (number of encrypted
     keys the server must deliver).  The transport layer packs these into
     packets; members extract the subset wrapped under keys they hold.
+    Rekeyers append to a :class:`~repro.crypto.wrap.WrapBatch`; any
+    sequence of :class:`EncryptedKey` records is accepted in its place.
     """
 
     group: str
     epoch: int
-    encrypted_keys: List[EncryptedKey] = field(default_factory=list)
+    encrypted_keys: WrapBatch = field(default_factory=WrapBatch)
     updated: List[Tuple[str, int]] = field(default_factory=list)
     #: ELK/LKH+ one-way advances: ``(key_id, new_version)`` pairs every
     #: current holder computes locally as ``K_{v+1} = H(K_v)`` — no bytes
@@ -66,7 +68,7 @@ class RekeyMessage:
         return len(self.encrypted_keys)
 
     def index(self) -> WrapIndex:
-        """The ``wrapping_id -> [(position, key)]`` index of this payload.
+        """The ``wrapping_id -> rows`` index of this payload.
 
         Built once on first use and shared by every receiver the message
         is delivered to — the heart of the O(depth)-per-member delivery
@@ -89,7 +91,8 @@ class RekeyMessage:
         proportional to its tree depth, not to the message size — and
         returned in exact message order.
         """
-        return [ek for _, ek in self.index().direct_matches(held)]
+        index = self.index()
+        return [index.batch[row] for row in index.direct_matches(held)]
 
 
 class LkhRekeyer:

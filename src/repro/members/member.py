@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.crypto.cipher import AuthenticationError, decrypt
 from repro.crypto.material import KeyMaterial
-from repro.crypto.wrap import EncryptedKey, WrapIndex, unwrap_key
+from repro.crypto.wrap import EncryptedKey, WrapIndex
 from repro.keytree.lkh import RekeyMessage
 from repro.perf.instrumentation import count as perf_count
 
@@ -127,53 +127,54 @@ class Member:
         Returns the keys newly learned, in the order learned.
         """
         if index is None:
-            index = WrapIndex(
-                encrypted_keys
-                if isinstance(encrypted_keys, (list, tuple))
-                else list(encrypted_keys)
-            )
+            index = WrapIndex(encrypted_keys)
         keys = self._keys
-        buckets = index.buckets
+        heads, chain = index.heads, index.chain
+        batch = index.batch
+        wrapping_versions = batch.wrapping_versions
+        payload_ids = batch.payload_ids
+        payload_versions = batch.payload_versions
         opened = index.opened
         opened_with = index.opened_with
         learned: List[KeyMaterial] = []
         examined = shared = 0
         # Only held keys that something in this payload is wrapped under.
-        frontier = [key_id for key_id in keys if key_id in buckets]
+        frontier = [key_id for key_id in keys if key_id in heads]
         while frontier:
             key_id = frontier.pop()
             wrapping = keys[key_id]
             wrapping_version = wrapping.version
             secret = wrapping.secret
-            bucket = buckets[key_id]
-            examined += len(bucket)
-            for position, ek in bucket:
-                if ek.wrapping_version != wrapping_version:
+            next_row = heads[key_id]
+            while next_row >= 0:
+                row, next_row = next_row, chain[next_row]
+                examined += 1
+                if wrapping_versions[row] != wrapping_version:
                     continue
-                current = keys.get(ek.payload_id)
-                if current is not None and current.version >= ek.payload_version:
+                current = keys.get(payload_ids[row])
+                if current is not None and current.version >= payload_versions[row]:
                     continue
                 # Same ciphertext, same secret: the decrypt another
                 # receiver of this index already ran is this one's too.
-                payload = opened.get(position)
+                payload = opened.get(row)
                 if payload is not None and (
-                    opened_with[position] is secret
-                    or compare_digest(opened_with[position], secret)
+                    opened_with[row] is secret
+                    or compare_digest(opened_with[row], secret)
                 ):
                     shared += 1
                 else:
                     try:
-                        payload = unwrap_key(wrapping, ek)
+                        payload = batch.unwrap(row, wrapping)
                     except (AuthenticationError, ValueError):
                         continue
-                    opened[position] = payload
-                    opened_with[position] = secret
+                    opened[row] = payload
+                    opened_with[row] = secret
                 payload_id = payload.key_id
                 keys[payload_id] = payload
                 learned.append(payload)
                 # The learned key may itself wrap further keys — and may
                 # upgrade a version we already tried under — so requeue it.
-                if payload_id in buckets:
+                if payload_id in heads:
                     frontier.append(payload_id)
         if examined:
             perf_count("member.wraps_examined", examined)
@@ -228,12 +229,8 @@ class Member:
         ``index`` when querying many members about one message.
         """
         if index is None:
-            index = WrapIndex(
-                encrypted_keys
-                if isinstance(encrypted_keys, (list, tuple))
-                else list(encrypted_keys)
-            )
-        return [ek for _, ek in index.closure(self.held_versions())]
+            index = WrapIndex(encrypted_keys)
+        return [index.batch[row] for row in index.closure(self.held_versions())]
 
     def drop_keys(self, key_ids: Iterable[str]) -> None:
         """Forget keys (e.g. partition-local keys after a migration)."""

@@ -8,10 +8,10 @@ operation at the end of the period produces a single rekey payload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.crypto.material import KeyGenerator, KeyMaterial
-from repro.crypto.wrap import EncryptedKey, WrapIndex
+from repro.crypto.wrap import EncryptedKey, WrapBatch, WrapIndex
 from repro.faults.recovery import RecoveryEvent, SyncTracker
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
@@ -39,7 +39,7 @@ class BatchResult:
 
     epoch: int
     time: float
-    encrypted_keys: List[EncryptedKey] = field(default_factory=list)
+    encrypted_keys: WrapBatch = field(default_factory=WrapBatch)
     #: ELK/LKH+ one-way advances members apply locally (no wire bytes).
     advanced: List[tuple] = field(default_factory=list)
     joined: List[str] = field(default_factory=list)
@@ -54,13 +54,14 @@ class BatchResult:
         """Total encrypted keys in the batch payload."""
         return len(self.encrypted_keys)
 
-    def extend(self, label: str, keys: List[EncryptedKey]) -> None:
-        """Append a component's keys and record its share in the breakdown."""
+    def extend(self, label: str, keys: Sequence[EncryptedKey]) -> None:
+        """Append a component's keys (a batch column by column) and record
+        its share in the breakdown."""
         self.encrypted_keys.extend(keys)
         self.breakdown[label] = self.breakdown.get(label, 0) + len(keys)
 
     def index(self) -> WrapIndex:
-        """Shared ``wrapping_id -> [(position, key)]`` index of the payload.
+        """Shared ``wrapping_id -> rows`` index of the payload.
 
         Built on first use (and rebuilt if more keys were appended since),
         then reused by every receiver this batch is delivered to.

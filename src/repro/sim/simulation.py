@@ -510,12 +510,12 @@ class GroupRekeyingSimulation:
                 # No point retransmitting wraps it cannot open — the
                 # unicast catch-up path owns this receiver now.
                 continue
-            wanted = {pos for pos, _ in index.closure(member.held_versions())}
+            wanted = set(index.closure(member.held_versions()))
             if wanted:
                 interest[member_id] = wanted
                 if observing:
                     obs_metrics.observe("receiver.interest_keys", len(wanted))
-        return TransportTask(keys=list(result.encrypted_keys), interest=interest)
+        return TransportTask(keys=result.encrypted_keys, interest=interest)
 
     # ------------------------------------------------------------------
     # verification

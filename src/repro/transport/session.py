@@ -11,7 +11,17 @@ abandonment, latency stamps, exhaustion and the observability records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.crypto.wrap import EncryptedKey
 from repro.faults.retry import RetryPolicy
@@ -48,7 +58,9 @@ class TransportTask:
     Attributes
     ----------
     keys:
-        The encrypted keys of the rekey message, indexed by position.
+        The encrypted keys of the rekey message, indexed by position (the
+        payload's :class:`~repro.crypto.wrap.WrapBatch` itself, or any
+        sequence of records; transports read only its length).
     interest:
         ``receiver_id -> set of key indices`` that receiver must obtain.
         Receivers with empty interest are ignored (they need nothing this
@@ -56,7 +68,7 @@ class TransportTask:
         already covered by one group-key encryption they received).
     """
 
-    keys: List[EncryptedKey]
+    keys: Sequence[EncryptedKey]
     interest: Dict[str, Set[int]]
 
     def receivers_needing(self, index: int) -> Set[str]:
@@ -335,5 +347,5 @@ def build_task(
     index = message.index()
     interest: Dict[str, Set[int]] = {}
     for receiver_id, versions in held_versions.items():
-        interest[receiver_id] = {pos for pos, _ in index.closure(versions)}
-    return TransportTask(keys=list(message.encrypted_keys), interest=interest)
+        interest[receiver_id] = set(index.closure(versions))
+    return TransportTask(keys=message.encrypted_keys, interest=interest)

@@ -5,10 +5,9 @@ import pickle
 
 import pytest
 
-import repro.members.member as member_module
 from repro.crypto.cipher import AuthenticationError, encrypt
 from repro.crypto.material import KeyGenerator, KeyMaterial
-from repro.crypto.wrap import EncryptedKey, WrapIndex, wrap_key
+from repro.crypto.wrap import EncryptedKey, WrapBatch, WrapIndex, wrap_key
 from repro.keytree.lkh import RekeyMessage
 from repro.members.member import Member
 from repro.perf.instrumentation import recording
@@ -144,20 +143,20 @@ class TestOpenedWrapTable:
 
     @pytest.fixture
     def unwraps(self, monkeypatch):
-        """Successful and failed real ``unwrap_key`` calls made by absorb."""
+        """Successful and failed real row unwraps made by absorb."""
         calls = {"ok": 0, "failed": 0}
-        real = member_module.unwrap_key
+        real = WrapBatch.unwrap
 
-        def counting(wrapping, encrypted):
+        def counting(batch, row, wrapping):
             try:
-                payload = real(wrapping, encrypted)
+                payload = real(batch, row, wrapping)
             except (AuthenticationError, ValueError):
                 calls["failed"] += 1
                 raise
             calls["ok"] += 1
             return payload
 
-        monkeypatch.setattr(member_module, "unwrap_key", counting)
+        monkeypatch.setattr(WrapBatch, "unwrap", counting)
         return calls
 
     def test_one_real_unwrap_per_distinct_wrap(self, group, unwraps):
@@ -293,7 +292,8 @@ class TestOpenedWrapTable:
             assert secret not in blob
         restored = pickle.loads(blob).index()
         assert restored.opened == restored.opened_with == {}
-        assert restored.buckets == index.buckets and restored.size == index.size
+        assert (restored.heads, restored.chain) == (index.heads, index.chain)
+        assert restored.size == index.size
         assert copy.deepcopy(index).opened == {}
 
     def test_rebuilt_index_starts_empty(self, group, gen):

@@ -5,8 +5,9 @@ epoch promotes into it (``docs/performance.md``, "Memory and the
 collector").  These tests pin the mechanisms that keep both down:
 attachment heaps that shed dead entries and slot arrays that are given
 back after a mass departure, receiver RNG streams built at the first
-draw, events that carry their arguments, and one tracked object per
-deferred wrap.
+draw, events that carry their arguments, one tracked object per
+deferred ``wrap_key`` record, and a payload that is columns from the
+rekeyer to the index — no tracked object per wrap at all.
 """
 
 import gc
@@ -16,21 +17,28 @@ import sys
 import types
 from contextlib import contextmanager
 
+import pytest
+
 import repro.network.channel as channel_module
-from repro.crypto.material import KEY_SIZE, KeyGenerator
-from repro.crypto.wrap import deferred_wraps, wrap_key
-from repro.faults.schedule import ChurnStorm, FaultSchedule
-from repro.keytree.flat import (
-    SLOT_COMPACT_FLOOR,
-    FlatLazyEncryptedKey,
-    _eager_wrap,
+from repro.crypto.cipher import key_states
+from repro.crypto.material import KEY_SIZE, KeyGenerator, KeyMaterial
+from repro.crypto.wrap import (
+    EncryptedKey,
+    WrapBatch,
+    WrapIndex,
+    deferred_wraps,
+    wrap_key,
 )
+from repro.faults.schedule import ChurnStorm, FaultSchedule
+from repro.keytree.flat import SLOT_COMPACT_FLOOR, FlatKeyTree, FlatRekeyer
+from repro.keytree.lkh import RekeyMessage
 from repro.members.durations import TwoClassDuration
 from repro.network.channel import MulticastChannel
 from repro.network.loss import BernoulliLoss
 from repro.server.twopartition import TwoPartitionServer
 from repro.sim.engine import EventLoop
 from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
+from repro.transport.codec import decode_rekey_message, encode_rekey_message
 
 
 @contextmanager
@@ -190,7 +198,7 @@ def test_lazy_streams_end_in_the_states_of_eager_ones():
 
 
 # ----------------------------------------------------------------------
-# (c) a deferred wrap is one tracked object
+# (c) a deferred wrap_key record is one tracked object; a payload is columns
 # ----------------------------------------------------------------------
 
 
@@ -240,8 +248,8 @@ def test_deferred_wrap_still_matches_its_eager_twin():
 
 
 def flat_wrap_arguments(count):
-    """What the flat kernel hands its wrap constructor: ids, versions and
-    the two secrets as bytes — no key objects."""
+    """What the flat kernel adds a row from: ids, versions and the two
+    secrets as bytes — no key objects."""
     keygen = KeyGenerator(2)
     wrapping = keygen.generate("kek")
     return [
@@ -250,50 +258,112 @@ def flat_wrap_arguments(count):
     ]
 
 
-def test_flat_deferred_wrap_is_two_slots_and_a_tuple():
-    arguments = flat_wrap_arguments(1000)
-    wraps = [None] * 1000
-    gc.collect()
+def payload_census(members, departures, deferred):
+    """``(wraps, tracked objects left)`` by one flat-kernel payload taken
+    from rekey through encode and decode to its index.
+
+    The collector is off throughout, so nothing is collected mid-way; one
+    explicit collection before each count lets it untrack what it never
+    walks again (tuples and dicts of strings and ints, such as the tree's
+    heap entries and the messages' ``updated`` handles) and the census
+    counts what it would keep walking.  Everything the pipeline made is
+    still referenced at the second count; the HMAC key-state cache, which
+    is bounded and process-wide rather than the payload's, is emptied
+    before each count."""
+    tree = FlatKeyTree(degree=4, keygen=KeyGenerator(3), name="budget")
+    rekeyer = FlatRekeyer(tree)
+    rekeyer.rekey_batch(joins=[(f"m{i}", None) for i in range(members)])
+    leavers = random.Random(1).sample([f"m{i}" for i in range(members)], departures)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
+        key_states.cache_clear()
+        gc.collect()
         before = len(gc.get_objects())
-        for i, six in enumerate(arguments):
-            wraps[i] = FlatLazyEncryptedKey(*six)
+        with deferred_wraps(enabled=deferred):
+            message = rekeyer.rekey_batch(departures=leavers)
+        wire = encode_rekey_message(message)
+        decoded = decode_rekey_message(wire)
+        index = decoded.index()
+        key_states.cache_clear()
+        gc.collect()
         grown = len(gc.get_objects()) - before
     finally:
         if was_enabled:
             gc.enable()
-    # The instance and the tuple of its six fields: no instance dict (the
-    # non-slotted base class allows one, made the first time it is asked
-    # for — so count, do not ask).
-    assert 2000 <= grown < 2010
-    assert all(
-        sys.getsizeof(wrap) + sys.getsizeof(wrap._fields) <= 160 for wrap in wraps
-    )
-    # Strings, ints and bytes are all the tuple holds, so the collector
-    # stops tracking it the first time it looks: one object per wrap.
-    gc.collect()
-    assert not any(gc.is_tracked(wrap._fields) for wrap in wraps)
-    assert not any(wrap.materialized for wrap in wraps)
+    assert index.size == len(message.encrypted_keys) == message.cost
+    assert all(message.encrypted_keys.is_sealed(row) for row in range(message.cost))
+    return message.cost, grown
 
 
-def test_flat_deferred_wraps_still_match_their_eager_twins():
-    for six in flat_wrap_arguments(1000):
-        lazy, eager = FlatLazyEncryptedKey(*six), _eager_wrap(*six)
-        thawed = pickle.loads(pickle.dumps(lazy))
-        assert type(thawed) is FlatLazyEncryptedKey and not thawed.materialized
-        assert not lazy.materialized
-        assert lazy == eager and eager == lazy
-        assert hash(lazy) == hash(eager)
-        assert lazy.materialized
+@pytest.mark.parametrize("deferred", [False, True], ids=["eager", "deferred"])
+def test_payload_path_tracks_no_object_per_wrap(deferred):
+    """A payload is a fixed handful of containers (columns, the index's
+    two maps) whatever its size: rekey -> encode -> decode -> index()
+    leaves as many tracked objects behind for ~4.4k wraps as for ~1.1k.
+    One object per wrap on either side of the wire, or a bucket per
+    wrapping key, would add thousands."""
+    small_wraps, small = payload_census(2048, 200, deferred)
+    large_wraps, large = payload_census(8192, 800, deferred)
+    assert 1000 <= small_wraps and 4 * small_wraps - 500 <= large_wraps
+    assert abs(large - small) <= 8
+    assert large < 64
+
+
+def test_row_views_match_their_wrap_key_twins():
+    batch = WrapBatch()
+    with deferred_wraps():
+        for six in flat_wrap_arguments(1000):
+            batch.add(*six)
+    thawed_batch = pickle.loads(pickle.dumps(batch))
+    assert not any(thawed_batch.is_sealed(row) for row in range(len(batch)))
+    for row, six in enumerate(flat_wrap_arguments(1000)):
+        wrapping = KeyMaterial(six[0], six[1], six[4])
+        eager = wrap_key(wrapping, KeyMaterial(six[2], six[3], six[5]))
+        view = batch[row]
+        thawed = pickle.loads(pickle.dumps(view))
+        assert not view.materialized and not thawed.materialized
+        assert view == eager and eager == view
+        assert hash(view) == hash(eager)
         assert thawed == eager and hash(thawed) == hash(eager)
-        assert pickle.loads(pickle.dumps(lazy)).materialized
-        assert (lazy.wrapping_handle, lazy.payload_handle) == (
+        assert (view.wrapping_handle, view.payload_handle) == (
             eager.wrapping_handle,
             eager.payload_handle,
         )
-        assert repr(lazy).replace("FlatLazyEncryptedKey", "EncryptedKey") == repr(eager)
+        assert repr(view).replace("LazyEncryptedKey", "EncryptedKey") == repr(eager)
+        assert thawed_batch[row] == eager
+        # Reading a view's ciphertext seals the view, not the row.
+        assert not batch.is_sealed(row)
+        sealed = batch.ciphertext(row)
+        assert batch.is_sealed(row) and sealed == eager.ciphertext
+        assert batch[row] == eager and type(batch[row]) is EncryptedKey
+        assert pickle.loads(pickle.dumps(batch[row])) == eager
+    assert batch == thawed_batch and thawed_batch == list(batch)
+
+
+def test_a_deferred_row_seals_only_when_its_ciphertext_is_read():
+    keygen = KeyGenerator(4)
+    kek = keygen.generate("kek")
+    with deferred_wraps():
+        batch = WrapBatch()
+        for six in flat_wrap_arguments(40):
+            batch.add(*six)
+        lazy = wrap_key(kek, keygen.generate("dek"))
+    batch.append(lazy)  # a deferred record stays deferred
+    assert not lazy.materialized
+    index = WrapIndex(batch)
+    holder = {"kek": kek.version}
+    assert index.closure(holder) and index.direct_matches(holder)
+    assert [len(batch), batch[-1].payload_handle] == [41, ("dek", 0)]
+    assert batch.payload_ids[:2] == ["k0", "k1"] and batch.wrapping_versions[-1] == 0
+    assert not any(batch.is_sealed(row) for row in range(41))
+    first = batch.ciphertext(3)
+    assert [row for row in range(41) if batch.is_sealed(row)] == [3]
+    assert batch.ciphertext(3) is first
+    blob = encode_rekey_message(RekeyMessage(group="g", epoch=1, encrypted_keys=batch))
+    assert all(batch.is_sealed(row) for row in range(41))
+    assert not lazy.materialized
+    assert decode_rekey_message(blob).encrypted_keys == batch
 
 
 # ----------------------------------------------------------------------

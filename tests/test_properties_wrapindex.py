@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.material import KeyGenerator
-from repro.crypto.wrap import EncryptedKey, WrapIndex, deferred_wraps
+from repro.crypto.wrap import EncryptedKey, WrapBatch, WrapIndex, deferred_wraps
 from repro.keytree.lkh import LkhRekeyer, RekeyMessage
 from repro.keytree.tree import KeyTree
 from repro.members.member import Member
@@ -19,6 +19,7 @@ from repro.perf.instrumentation import recording
 from repro.server.onetree import OneTreeServer
 from repro.testing import SCHEME_FACTORIES
 from repro.testing.strategies import churn_programs, execute_program
+from repro.transport.codec import decode_rekey_message, encode_rekey_message
 
 KEY_IDS = [f"k{i}" for i in range(12)]
 
@@ -80,8 +81,9 @@ def test_closure_is_sound_and_covers_direct_matches(keys, held):
     version-upgrade races where the naive scan is order-dependent.)"""
     index = WrapIndex(keys)
     before = dict(held)
-    selected = index.closure(held)
-    positions = {pos for pos, _ in selected}
+    rows = index.closure(held)
+    selected = [(row, keys[row]) for row in rows]
+    assert rows == sorted(set(rows))
     assert held == before, "closure must not mutate the caller's holdings"
     # (a) every selected wrap is openable with a held key or the payload
     # of another selected wrap, teaches a strictly newer version than the
@@ -94,7 +96,8 @@ def test_closure_is_sound_and_covers_direct_matches(keys, held):
         assert ek.payload_handle not in delivered
         delivered.add(ek.payload_handle)
     # (b) direct matches that deliver something new are always included.
-    for pos, ek in index.direct_matches(held):
+    for pos in index.direct_matches(held):
+        ek = keys[pos]
         if ek.payload_version > before.get(ek.payload_id, -1):
             assert any(
                 p == pos or other.payload_id == ek.payload_id
@@ -133,7 +136,7 @@ def test_closure_matches_naive_fixed_point_on_real_messages(
     for m in members:
         if m in victims:
             continue
-        positions = {pos for pos, _ in index.closure(held[m])}
+        positions = set(index.closure(held[m]))
         assert positions == naive_closure_positions(
             message.encrypted_keys, held[m]
         )
@@ -143,8 +146,9 @@ def test_closure_matches_naive_fixed_point_on_real_messages(
 @given(keys=batches, held=holdings)
 def test_direct_matches_preserve_message_order(keys, held):
     index = WrapIndex(keys)
-    positions = [pos for pos, _ in index.direct_matches(held)]
+    positions = index.direct_matches(held)
     assert positions == sorted(positions)
+    assert [keys[pos] for pos in positions] == naive_interest(keys, held)
 
 
 @settings(max_examples=25, deadline=None)
@@ -236,59 +240,99 @@ def test_10k_member_delivery_stays_within_depth_budget():
 
 
 class TwinPopulations:
-    """The harness surface :func:`execute_program` drives, over two
-    populations fed the same payloads: one absorbs through the payload's
-    shared index (and so through its opened-wrap table), its twin through
-    a private index per receiver, opening every wrap itself.  Evicted
-    members keep listening in both, last, as the harness's adversaries do.
+    """The harness surface :func:`execute_program` drives, over three
+    populations fed the same payloads in three representations: the
+    server's :class:`WrapBatch` through its shared index (and so through
+    its opened-wrap table), the same broadcast after ``encode`` ->
+    ``decode`` through the decoded batch's own shared index, and a plain
+    list of the same :class:`EncryptedKey` records absorbed without an
+    index, each receiver opening every wrap itself.  Evicted members keep
+    listening in all three, last, as the harness's adversaries do.
     """
+
+    PAYLOADS = ("server", "wire", "list")
 
     def __init__(self, server):
         self.server = server
         self.now = 0.0
-        self.shared = {}
-        self.private = {}
+        self.populations = {payload: {} for payload in self.PAYLOADS}
         self.evicted = []
         self.table_hits = 0
+
+    @property
+    def shared(self):
+        return self.populations["server"]
 
     def advance_time(self, seconds):
         self.now += seconds
 
     def join(self, member_id, **attributes):
         key = self.server.join(member_id, at_time=self.now, **attributes).individual_key
-        self.shared[member_id] = Member(member_id, key)
-        self.private[member_id] = Member(member_id, key)
+        for population in self.populations.values():
+            population[member_id] = Member(member_id, key)
 
     def leave(self, member_id):
         self.server.leave(member_id, at_time=self.now)
         self.evicted.append(member_id)
 
+    def payloads(self, result):
+        """``payload -> (advanced, records, shared index or None)``."""
+        wire = decode_rekey_message(
+            encode_rekey_message(
+                RekeyMessage(
+                    group=self.server.group,
+                    epoch=result.epoch,
+                    encrypted_keys=result.encrypted_keys,
+                    advanced=result.advanced,
+                    joined=result.joined,
+                    departed=result.departed,
+                )
+            )
+        )
+        assert isinstance(wire.encrypted_keys, WrapBatch)
+        assert isinstance(result.encrypted_keys, WrapBatch)
+        return {
+            "server": (result.advanced, result.encrypted_keys, result.index()),
+            "wire": (wire.advanced, wire.encrypted_keys, wire.index()),
+            "list": (result.advanced, list(result.encrypted_keys), None),
+        }
+
     def rekey(self):
         result = self.server.rekey(now=self.now)
         order = [m for m in self.shared if m not in self.evicted] + self.evicted
-        index = result.index()
-        with recording() as through_table:
-            got_shared = [
-                self.shared[m].apply_advances(result.advanced)
-                + self.shared[m].absorb(result.encrypted_keys, index=index)
+        seen = {}
+        for payload, (advanced, keys, index) in self.payloads(result).items():
+            members = self.populations[payload]
+            closures = [
+                (index or WrapIndex(keys)).closure(members[m].held_versions())
                 for m in order
             ]
-        with recording() as alone:
-            got_private = [
-                self.private[m].apply_advances(result.advanced)
-                + self.private[m].absorb(list(result.encrypted_keys))
-                for m in order
-            ]
-        # KeyMaterial compares by (id, version, secret): order included.
-        assert got_shared == got_private
-        for m in order:
-            assert self.shared[m]._keys == self.private[m]._keys
-        for name in ("member.keys_learned", "member.wraps_examined"):
-            assert through_table.counter(name) == alone.counter(name)
-        assert alone.counter("member.unwraps_shared") == 0
-        assert alone.counter("crypto.unwraps") == alone.counter("member.keys_learned")
-        assert through_table.counter("crypto.unwraps") == len(index.opened)
-        self.table_hits += through_table.counter("member.unwraps_shared")
+            with recording() as recorder:
+                learned = [
+                    members[m].apply_advances(advanced)
+                    + members[m].absorb(keys, index=index)
+                    for m in order
+                ]
+            if index is None:
+                assert recorder.counter("member.unwraps_shared") == 0
+                assert recorder.counter("crypto.unwraps") == recorder.counter(
+                    "member.keys_learned"
+                )
+            else:
+                assert recorder.counter("crypto.unwraps") == len(index.opened)
+            # KeyMaterial compares by (id, version, secret): order included.
+            seen[payload] = (
+                closures,
+                learned,
+                [members[m]._keys for m in order],
+                [
+                    recorder.counter(name)
+                    for name in ("member.keys_learned", "member.wraps_examined")
+                ],
+            )
+            if payload == "server":
+                self.table_hits += recorder.counter("member.unwraps_shared")
+        assert seen["server"] == seen["wire"] == seen["list"]
 
 
 @pytest.mark.parametrize("scheme", ["one-keytree", "tt"])

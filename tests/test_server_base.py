@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.wrap import EncryptedKey, WrapBatch
 from repro.server.base import BatchResult
 from repro.server.onetree import OneTreeServer
 
@@ -79,8 +80,9 @@ class TestJoinLeaveLifecycle:
 class TestBatchResult:
     def test_extend_tracks_breakdown(self):
         result = BatchResult(epoch=1, time=0.0)
-        result.extend("part", [object(), object()])  # type: ignore[list-item]
-        result.extend("part", [object()])  # type: ignore[list-item]
+        wrap = EncryptedKey("kek", 0, "dek", 1, b"opaque")
+        result.extend("part", [wrap, wrap])
+        result.extend("part", WrapBatch([wrap]))
         result.extend("other", [])
         assert result.breakdown == {"part": 3, "other": 0}
         assert result.cost == 3

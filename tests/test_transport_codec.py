@@ -179,17 +179,25 @@ def _length_fields(blob):
 
 
 REAL_MESSAGES = _real_messages()
+#: The buffer types a datagram may arrive in.
+BYTES_LIKE = (bytes, bytearray, memoryview)
 
 
-def _rejected_or_canonical(blob):
-    """The one property: a mutated message is rejected with the codec's
-    own error, or it parses to a message that encodes back to exactly
-    those bytes.  Anything else raised here fails the test."""
+def _rejected_or_canonical(blob, buffer=bytes):
+    """The one property: a mutated message, handed over as ``buffer``,
+    is rejected with the codec's own error, or it parses — into ``str``
+    ids and ``bytes`` ciphertexts, hashable records — to a message that
+    encodes back to exactly those bytes.  Anything else raised here fails
+    the test."""
     try:
-        message = decode_rekey_message(blob)
+        message = decode_rekey_message(buffer(blob))
     except CodecError:
         return "rejected"
     assert encode_rekey_message(message) == blob
+    for ek in message.encrypted_keys:
+        assert type(ek.wrapping_id) is type(ek.payload_id) is str
+        assert type(ek.ciphertext) is bytes
+        hash(ek)
     return "parsed"
 
 
@@ -218,14 +226,34 @@ class TestMalformedInput:
     """Reject, never mis-parse — and only ever with :class:`CodecError`."""
 
     @settings(max_examples=1500, deadline=None)
-    @given(mutated_messages())
-    def test_mutations_are_rejected_or_canonical(self, blob):
-        _rejected_or_canonical(blob)
+    @given(mutated_messages(), st.sampled_from(BYTES_LIKE))
+    def test_mutations_are_rejected_or_canonical(self, blob, buffer):
+        _rejected_or_canonical(blob, buffer)
 
     def test_every_truncation_is_rejected(self):
+        for buffer in BYTES_LIKE:
+            for blob in REAL_MESSAGES:
+                for cut in range(len(blob)):
+                    assert _rejected_or_canonical(blob[:cut], buffer) == "rejected", cut
+
+    def test_any_bytes_like_input_parses_alike(self):
+        """A ``memoryview`` used to escape as ``AttributeError``, and a
+        ``bytearray`` parsed into records whose ciphertext could not be
+        hashed."""
         for blob in REAL_MESSAGES:
-            for cut in range(len(blob)):
-                assert _rejected_or_canonical(blob[:cut]) == "rejected", cut
+            expected = decode_rekey_message(blob)
+            for buffer in BYTES_LIKE:
+                assert _rejected_or_canonical(blob, buffer) == "parsed"
+                message = decode_rekey_message(buffer(blob))
+                assert message == expected
+                assert set(message.encrypted_keys) == set(expected.encrypted_keys)
+        key = decode_rekey_message(REAL_MESSAGES[0]).encrypted_keys[0]
+        for buffer in BYTES_LIKE:
+            decoded, __ = decode_encrypted_key(buffer(encode_encrypted_key(key)))
+            assert decoded == key and type(decoded.ciphertext) is bytes
+        for not_bytes in ("RKM1", 12, None, [1, 2]):
+            with pytest.raises(CodecError):
+                decode_rekey_message(not_bytes)
 
     def test_bit_flipped_id_is_rejected_not_leaked(self):
         """An id byte with its top bit flipped is not UTF-8: that used to
