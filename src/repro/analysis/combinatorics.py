@@ -7,7 +7,8 @@ node with ``S`` member leaves below it is updated when ``L`` of the group's
     P = 1 - C(N - S, L) / C(N, L)
 
 Group sizes reach 262 144 in Fig. 5, so binomials are evaluated in
-log-space via ``lgamma``.  The steady-state model of Section 3.3 produces
+log-space: as a sum of ``log1p`` terms for up to 256 integer departures,
+via ``lgamma`` above that.  The steady-state model of Section 3.3 produces
 *fractional* expected member and departure counts (e.g. ``Ns = 7 864.3``),
 so all functions accept real-valued arguments through the gamma-function
 extension of the binomial coefficient — the natural smooth interpolation.
@@ -17,6 +18,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+#: Up to this many (integer) departures, eq. (11) is evaluated as a
+#: product of L factors rather than through ``lgamma``.
+_PRODUCT_MAX_DEPARTURES = 256
 
 
 @lru_cache(maxsize=1 << 16)
@@ -52,7 +57,16 @@ def subtree_hit_probability(group_size: float, departures: float, subtree: float
         return 0.0
     if departures > group_size - subtree:
         return 1.0
-    log_ratio = log_choose(group_size - subtree, departures) - log_choose(
-        group_size, departures
-    )
+    if departures <= _PRODUCT_MAX_DEPARTURES and float(departures).is_integer():
+        # C(N - S, L) / C(N, L) = prod_{i<L} (1 - S / (N - i)), exact for
+        # integer L and real N, S.  The lgamma difference below cancels
+        # two terms of size ~N log N, which leaves a relative error of
+        # 1.5e-5 at N = 8^6, L = 1 (where the answer is just S / N).
+        log_ratio = math.fsum(
+            math.log1p(-subtree / (group_size - i)) for i in range(int(departures))
+        )
+    else:
+        log_ratio = log_choose(group_size - subtree, departures) - log_choose(
+            group_size, departures
+        )
     return -math.expm1(log_ratio)

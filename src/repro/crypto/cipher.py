@@ -8,15 +8,16 @@ random to the extent HMAC-SHA256 is a PRF, and tampering is detected.
 The rekeying performance results never depend on this module — cost is
 counted in number of encrypted keys — but the end-to-end tests use it to
 demonstrate that departed members really cannot read post-departure traffic,
-and every receiver's unwrap runs through it, so its per-MAC cost is the
-unit cost of the delivery path.
+and every wrap and receiver unwrap runs through it, so its per-call cost is
+the unit cost of the rekey and delivery paths.
 
-Every MAC here is HMAC-SHA256 computed from *pre-keyed states*: the
-SHA-256 contexts that have already absorbed ``key ^ ipad`` and
-``key ^ opad``.  One MAC is then ``inner.copy()`` → ``update(message)`` →
-``outer.copy()`` → ``update(inner digest)`` — the same bytes as
-``hmac.new(key, message, sha256).digest()`` without re-deriving the pads
-or going through the ``hmac`` object layer on every call.
+A key's two subkeys are ``HMAC(key, "repro-enc")`` (keystream) and
+``HMAC(key, "repro-mac")`` (tag).  Every HMAC is written out as two
+one-shot hashes, ``sha256(k ^ opad || sha256(k ^ ipad || message))``: the
+bytes of ``hmac.new(k, message, sha256).digest()``.  :func:`_subkeys`
+derives a key's padded subkeys once; :func:`encrypt` (seal) and
+:func:`decrypt` (open) are then one Python frame each, because in pure
+Python a wrap costs its calls, not its SHA-256 compressions.
 """
 
 from __future__ import annotations
@@ -24,78 +25,46 @@ from __future__ import annotations
 import hashlib
 import hmac
 from functools import lru_cache
-from typing import Any, Tuple
+from typing import Tuple
 
 _TAG_SIZE = 16
-_BLOCK = hashlib.sha256().digest_size
-_HASH_BLOCK = hashlib.sha256().block_size
+_BLOCK = 32  # SHA-256 digest: one keystream block
+_HASH_BLOCK = 64  # SHA-256 block: HMAC's key length
 _IPAD = bytes(x ^ 0x36 for x in range(256))
 _OPAD = bytes(x ^ 0x5C for x in range(256))
-_ZERO8 = (0).to_bytes(8, "big")
-
-# (inner, outer) SHA-256 contexts of one HMAC key; never updated, only copied.
-HmacState = Tuple[Any, Any]
+_ZERO8 = bytes(8)
+_sha256 = hashlib.sha256
 
 
 class AuthenticationError(Exception):
     """Raised when a ciphertext fails authentication (wrong key or tampered)."""
 
 
-def _hmac_state(key: bytes) -> HmacState:
-    """The pre-keyed ``(inner, outer)`` SHA-256 contexts of HMAC under ``key``."""
-    if len(key) > _HASH_BLOCK:
-        key = hashlib.sha256(key).digest()
-    padded = key.ljust(_HASH_BLOCK, b"\0")
-    return (
-        hashlib.sha256(padded.translate(_IPAD)),
-        hashlib.sha256(padded.translate(_OPAD)),
-    )
-
-
-def hmac_digest(state: HmacState, message: bytes) -> bytes:
-    """HMAC-SHA256 of ``message`` under the key ``state`` was built from."""
-    inner = state[0].copy()
-    inner.update(message)
-    outer = state[1].copy()
-    outer.update(inner.digest())
-    return outer.digest()
-
-
 @lru_cache(maxsize=1024)
-def key_states(key: bytes) -> Tuple[HmacState, HmacState]:
-    """Pre-keyed ``(encryption, authentication)`` HMAC states for ``key``.
+def _subkeys(key: bytes) -> Tuple[bytes, bytes, bytes, bytes]:
+    """``(enc ^ ipad, enc ^ opad, mac ^ ipad, mac ^ opad)``: the padded
+    HMAC keys of ``key``'s keystream and tag subkeys.
 
-    The two subkeys are ``HMAC(key, "repro-enc")`` and
-    ``HMAC(key, "repro-mac")``; what is kept is each subkey's pre-keyed
-    state, which is all :func:`encrypt` and :func:`decrypt` need.  This is
-    the module's only cache.  It is bounded at 1024 keys: a key near the
-    root of a key tree is unwrapped under by a large share of the group
-    within one epoch and stays resident, while the long tail of leaf-level
-    keys (each used by a handful of receivers) cycles through.  A cached
-    entry is key-equivalent secret material — see docs/security.md.
+    The module's only cache, shared by seal and open.  Wraps are under
+    distinct child keys, so a server's seal mostly misses; what the cache
+    buys is the open that follows, which finds the subkeys the seal of
+    that row left.  1024 keys (about 0.6 MB) hold a whole epoch's wraps on
+    groups of a few thousand; larger bounds raised the hit rate at
+    N = 65,536 but not the epoch time (docs/performance.md, "One seal,
+    one open").  An entry is key-equivalent secret material — see
+    docs/security.md.
     """
-    state = _hmac_state(key)
+    if len(key) > _HASH_BLOCK:
+        key = _sha256(key).digest()
+    key = key.ljust(_HASH_BLOCK, b"\0")
+    inner, outer = key.translate(_IPAD), key.translate(_OPAD)
+    enc = _sha256(outer + _sha256(inner + b"repro-enc").digest()).digest()
+    mac = _sha256(outer + _sha256(inner + b"repro-mac").digest()).digest()
+    enc, mac = enc.ljust(_HASH_BLOCK, b"\0"), mac.ljust(_HASH_BLOCK, b"\0")
     return (
-        _hmac_state(hmac_digest(state, b"repro-enc")),
-        _hmac_state(hmac_digest(state, b"repro-mac")),
+        enc.translate(_IPAD), enc.translate(_OPAD),
+        mac.translate(_IPAD), mac.translate(_OPAD),
     )
-
-
-def _xor_keystream(enc_state: HmacState, nonce: bytes, data: bytes) -> bytes:
-    """XOR ``data`` with the HMAC counter-mode keystream for ``nonce``."""
-    length = len(data)
-    if length <= _BLOCK:  # one wrapped key: a single keystream block
-        stream = hmac_digest(enc_state, nonce + _ZERO8)
-        if length < _BLOCK:
-            stream = stream[:length]
-    else:
-        stream = b"".join(
-            hmac_digest(enc_state, nonce + counter.to_bytes(8, "big"))
-            for counter in range(-(-length // _BLOCK))
-        )[:length]
-    return (
-        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-    ).to_bytes(length, "big")
 
 
 def encrypt(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
@@ -119,9 +88,18 @@ def encrypt(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
     """
     if len(key) < 16:
         raise ValueError("key must be at least 16 bytes")
-    enc_state, mac_state = key_states(key)
-    ciphertext = _xor_keystream(enc_state, nonce, plaintext)
-    return ciphertext + hmac_digest(mac_state, nonce + ciphertext)[:_TAG_SIZE]
+    enc_in, enc_out, mac_in, mac_out = _subkeys(key)
+    length = len(plaintext)
+    # Counter-mode keystream; one block is one wrapped key.
+    stream = _sha256(enc_out + _sha256(enc_in + nonce + _ZERO8).digest()).digest()
+    for counter in range(1, -(-length // _BLOCK)):
+        block = nonce + counter.to_bytes(8, "big")
+        stream += _sha256(enc_out + _sha256(enc_in + block).digest()).digest()
+    ciphertext = (
+        int.from_bytes(plaintext, "big") ^ int.from_bytes(stream[:length], "big")
+    ).to_bytes(length, "big")
+    tag = _sha256(mac_out + _sha256(mac_in + nonce + ciphertext).digest()).digest()
+    return ciphertext + tag[:_TAG_SIZE]
 
 
 def decrypt(key: bytes, nonce: bytes, blob: bytes) -> bytes:
@@ -138,8 +116,15 @@ def decrypt(key: bytes, nonce: bytes, blob: bytes) -> bytes:
     if len(blob) < _TAG_SIZE:
         raise AuthenticationError("ciphertext too short")
     ciphertext, tag = blob[:-_TAG_SIZE], blob[-_TAG_SIZE:]
-    enc_state, mac_state = key_states(key)
-    expected = hmac_digest(mac_state, nonce + ciphertext)[:_TAG_SIZE]
-    if not hmac.compare_digest(tag, expected):
+    enc_in, enc_out, mac_in, mac_out = _subkeys(key)
+    expected = _sha256(mac_out + _sha256(mac_in + nonce + ciphertext).digest()).digest()
+    if not hmac.compare_digest(tag, expected[:_TAG_SIZE]):
         raise AuthenticationError("authentication tag mismatch")
-    return _xor_keystream(enc_state, nonce, ciphertext)
+    length = len(ciphertext)
+    stream = _sha256(enc_out + _sha256(enc_in + nonce + _ZERO8).digest()).digest()
+    for counter in range(1, -(-length // _BLOCK)):
+        block = nonce + counter.to_bytes(8, "big")
+        stream += _sha256(enc_out + _sha256(enc_in + block).digest()).digest()
+    return (
+        int.from_bytes(ciphertext, "big") ^ int.from_bytes(stream[:length], "big")
+    ).to_bytes(length, "big")

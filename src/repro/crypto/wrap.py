@@ -40,14 +40,6 @@ from repro.crypto.material import KEY_SIZE, KeyMaterial
 from repro.perf.instrumentation import count as perf_count
 
 
-def _nonce(
-    wrapping_id: str, wrapping_version: int, payload_id: str, payload_version: int
-) -> bytes:
-    """Deterministic unique nonce for a (wrapping key, payload key) pair."""
-    text = f"{wrapping_id}#{wrapping_version}->{payload_id}#{payload_version}"
-    return text.encode("utf-8")
-
-
 def _seal(
     wrapping_id: str,
     wrapping_version: int,
@@ -57,9 +49,13 @@ def _seal(
     payload_secret: bytes,
 ) -> bytes:
     """The one wrap core: the ciphertext of ``payload_secret`` under
-    ``wrapping_secret`` for the given handles."""
-    nonce = _nonce(wrapping_id, wrapping_version, payload_id, payload_version)
-    return encrypt(wrapping_secret, nonce, payload_secret)
+    ``wrapping_secret`` for the given handles.
+
+    The nonce is the text ``wrapping#version->payload#version``: unique per
+    (wrapping key, payload key) pair.  It is spelled out here and in
+    :func:`_open` rather than in a helper, one frame less per wrap."""
+    nonce = f"{wrapping_id}#{wrapping_version}->{payload_id}#{payload_version}"
+    return encrypt(wrapping_secret, nonce.encode(), payload_secret)
 
 
 def _open(
@@ -69,8 +65,8 @@ def _open(
     :meth:`WrapBatch.unwrap`: decrypt a wrap whose wrapping handle the
     caller has matched against ``wrapping``."""
     perf_count("crypto.unwraps")
-    nonce = _nonce(*wrapping.handle, payload_id, payload_version)
-    secret = decrypt(wrapping.secret, nonce, ciphertext)
+    nonce = f"{wrapping.key_id}#{wrapping.version}->{payload_id}#{payload_version}"
+    secret = decrypt(wrapping.secret, nonce.encode(), ciphertext)
     # The record came off the wire: the checks of KeyMaterial.__post_init__
     # apply (decrypt always returns bytes), spelled out here because this
     # runs once per key learned by every receiver and the frozen-dataclass

@@ -118,9 +118,18 @@ class SyncTracker:
     # transitions
     # ------------------------------------------------------------------
 
+    def _slot(self, member_id: str) -> ReceiverSync:
+        """``member_id``'s slot; an unknown member gets a fresh in-sync one.
+        Built only on a miss: ``mark_delivered`` runs once per receiver
+        per epoch."""
+        slot = self._receivers.get(member_id)
+        if slot is None:
+            slot = self._receivers[member_id] = ReceiverSync()
+        return slot
+
     def mark_delivered(self, member_id: str, epoch: int) -> None:
         """A rekey epoch's payload fully reached this receiver."""
-        slot = self._receivers.setdefault(member_id, ReceiverSync())
+        slot = self._slot(member_id)
         if slot.state is SyncState.OUT_OF_SYNC:
             # Multicast cannot repair an OUT_OF_SYNC receiver (it lacks the
             # wrapping keys); only catch_up() may transition it back.
@@ -141,7 +150,7 @@ class SyncTracker:
     def mark_lagging(self, member_id: str, epoch: int, now: float) -> None:
         """Delivery incomplete this epoch, but the transport hasn't given
         up — the receiver may still complete from retransmissions."""
-        slot = self._receivers.setdefault(member_id, ReceiverSync())
+        slot = self._slot(member_id)
         if slot.state is SyncState.OUT_OF_SYNC:
             return
         if slot.state is SyncState.IN_SYNC:
@@ -160,7 +169,7 @@ class SyncTracker:
     def mark_out_of_sync(self, member_id: str, epoch: int, now: float) -> None:
         """The transport abandoned this receiver (or it missed a whole
         epoch): it can no longer follow the multicast rekey stream."""
-        slot = self._receivers.setdefault(member_id, ReceiverSync())
+        slot = self._slot(member_id)
         if slot.state is SyncState.OUT_OF_SYNC:
             return
         if slot.desynced_at is None:
@@ -181,7 +190,7 @@ class SyncTracker:
         self, member_id: str, epoch: int, now: float, keys_sent: int
     ) -> RecoveryEvent:
         """Unicast catch-up landed: record the event and return to sync."""
-        slot = self._receivers.setdefault(member_id, ReceiverSync())
+        slot = self._slot(member_id)
         desynced_at = slot.desynced_at if slot.desynced_at is not None else now
         desynced_epoch = (
             slot.desynced_epoch if slot.desynced_epoch is not None else epoch

@@ -41,6 +41,15 @@ class TestBounds:
         assert worst_case_batch_cost(0, 5, 4) == 0.0
         assert best_case_batch_cost(100, 0, 4) == 0.0
 
+    @pytest.mark.parametrize("n, d", [(8**6, 8), (6**6, 6)])
+    def test_single_departure_expected_is_exact(self, n, d):
+        # One departure updates exactly one leaf-to-root path: d wraps per
+        # level.  The lgamma form read 47.99987 at N = 8^6 (the one point
+        # where test_bound_ordering_property failed) and 36.0000013 at 6^6.
+        height = 6
+        assert expected_batch_cost_full(n, 1, d) == pytest.approx(d * height, rel=1e-12)
+        assert best_case_batch_cost(n, 1, d) == worst_case_batch_cost(n, 1, d) == d * height
+
     def test_validation(self):
         with pytest.raises(ValueError):
             worst_case_batch_cost(100, 5, 1)
@@ -63,7 +72,7 @@ def test_bound_ordering_property(height, l, d):
     best = best_case_batch_cost(n, l, d)
     expected = expected_batch_cost_full(n, l, d)
     worst = worst_case_batch_cost(n, l, d)
-    # 1e-6 relative tolerance: the closed form accumulates lgamma rounding
-    # (e.g. 36.0000013 vs the bounds' exact 36.0 at N = 6^6, L = 1).
+    # 1e-6 relative tolerance: above 256 departures the closed form goes
+    # through lgamma, whose rounding is ~1e-7 relative at these N.
     assert best <= expected * (1 + 1e-6) + 1e-6
     assert expected <= worst * (1 + 1e-6) + 1e-6

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.cipher import AuthenticationError, decrypt, encrypt
+from repro.crypto.cipher import AuthenticationError, _subkeys, decrypt, encrypt
+from repro.crypto.material import KeyMaterial
+from repro.crypto.wrap import unwrap_key, wrap_key
 
 KEY = bytes(range(32))
 KEY2 = bytes(range(1, 33))
@@ -113,6 +115,25 @@ class TestReferenceOracle:
         assert blob == reference_encrypt(key, nonce, plaintext)
         assert decrypt(key, nonce, blob) == plaintext
 
+    @settings(max_examples=300, deadline=None)
+    @given(key=KEYS, nonce=NONCES, plaintext=PLAINTEXTS, data=st.data())
+    def test_open_accepts_only_the_reference_blob(self, key, nonce, plaintext, data):
+        blob = reference_encrypt(key, nonce, plaintext)
+        assert decrypt(key, nonce, blob) == plaintext
+        # A different HMAC key: the first byte flipped (a key over 64 bytes
+        # is hashed first, so any flip changes it).
+        wrong = bytes([key[0] ^ 0x01]) + key[1:]
+        with pytest.raises(AuthenticationError):
+            decrypt(wrong, nonce, blob)
+        bit = data.draw(st.integers(min_value=0, max_value=8 * len(blob) - 1))
+        tampered = bytearray(blob)
+        tampered[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(AuthenticationError):
+            decrypt(key, nonce, bytes(tampered))
+        cut = data.draw(st.integers(min_value=1, max_value=len(blob)))
+        with pytest.raises(AuthenticationError):
+            decrypt(key, nonce, blob[:-cut])
+
     @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 64, 65, 100])
     def test_block_boundaries(self, length):
         plaintext = bytes(range(length))
@@ -141,3 +162,34 @@ class TestRejectionOnBothPaths:
         for cut in (1, 16, 17, len(blob) - 3):
             with pytest.raises(AuthenticationError):
                 decrypt(KEY, NONCE, blob[:-cut])
+
+
+class TestSubkeyCache:
+    """Seal and open share one bounded cache of derived subkeys."""
+
+    def test_seal_leaves_the_derivation_for_the_next_open(self):
+        _subkeys.cache_clear()
+        blob = encrypt(KEY, NONCE, bytes(32))
+        assert _subkeys.cache_info()[:2] == (0, 1)  # hits, misses
+        assert decrypt(KEY, NONCE, blob) == bytes(32)
+        assert _subkeys.cache_info()[:2] == (1, 1)
+
+    def test_a_wrap_leaves_the_derivation_for_its_unwrap(self):
+        wrapping = KeyMaterial("node:7", 3, bytes(range(32)))
+        payload = KeyMaterial("node:1", 4, bytes(range(32, 64)))
+        _subkeys.cache_clear()
+        wrapped = wrap_key(wrapping, payload)
+        assert unwrap_key(wrapping, wrapped) == payload
+        assert _subkeys.cache_info()[:2] == (1, 1)
+
+    def test_open_after_eviction(self):
+        maxsize = _subkeys.cache_info().maxsize
+        keys = [index.to_bytes(4, "big") * 8 for index in range(maxsize + 8)]
+        _subkeys.cache_clear()
+        blobs = [encrypt(key, NONCE, key) for key in keys]
+        assert _subkeys.cache_info().currsize == maxsize
+        # The oldest key's subkeys were evicted: the open derives them again.
+        assert decrypt(keys[0], NONCE, blobs[0]) == keys[0]
+        assert _subkeys.cache_info()[:2] == (0, len(keys) + 1)
+        with pytest.raises(AuthenticationError):
+            decrypt(keys[1], NONCE, blobs[0])

@@ -64,6 +64,19 @@ class TestSyncTracker:
             "in-sync": 1, "lagging": 1, "out-of-sync": 1
         }
 
+    def test_unknown_member_gets_an_in_sync_slot(self):
+        tracker = SyncTracker()
+        tracker.mark_delivered("new", epoch=4)
+        assert "new" in tracker
+        assert tracker.state_of("new") is SyncState.IN_SYNC
+        assert tracker.counts() == {"in-sync": 1, "lagging": 0, "out-of-sync": 0}
+        # A transition from that slot starts where a fresh one does.
+        tracker.mark_lagging("late", epoch=5, now=300.0)
+        assert tracker.state_of("late") is SyncState.LAGGING
+        event = tracker.mark_recovered("late", epoch=5, now=310.0, keys_sent=2)
+        assert event.latency == pytest.approx(10.0)
+        assert tracker.state_of("late") is SyncState.IN_SYNC
+
 
 class TestLatencySummary:
     def test_empty(self):

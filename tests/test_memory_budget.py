@@ -20,7 +20,7 @@ from contextlib import contextmanager
 import pytest
 
 import repro.network.channel as channel_module
-from repro.crypto.cipher import key_states
+from repro.crypto.cipher import _subkeys
 from repro.crypto.material import KEY_SIZE, KeyGenerator, KeyMaterial
 from repro.crypto.wrap import (
     EncryptedKey,
@@ -267,7 +267,7 @@ def payload_census(members, departures, deferred):
     walks again (tuples and dicts of strings and ints, such as the tree's
     heap entries and the messages' ``updated`` handles) and the census
     counts what it would keep walking.  Everything the pipeline made is
-    still referenced at the second count; the HMAC key-state cache, which
+    still referenced at the second count; the cipher's subkey cache, which
     is bounded and process-wide rather than the payload's, is emptied
     before each count."""
     tree = FlatKeyTree(degree=4, keygen=KeyGenerator(3), name="budget")
@@ -277,7 +277,7 @@ def payload_census(members, departures, deferred):
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        key_states.cache_clear()
+        _subkeys.cache_clear()
         gc.collect()
         before = len(gc.get_objects())
         with deferred_wraps(enabled=deferred):
@@ -285,7 +285,7 @@ def payload_census(members, departures, deferred):
         wire = encode_rekey_message(message)
         decoded = decode_rekey_message(wire)
         index = decoded.index()
-        key_states.cache_clear()
+        _subkeys.cache_clear()
         gc.collect()
         grown = len(gc.get_objects()) - before
     finally:
