@@ -6,7 +6,7 @@ uses the same model by default and offers a Gilbert–Elliott two-state
 bursty alternative as an extension for sensitivity studies.
 """
 
-from repro.network.channel import DeliveryReport, MulticastChannel
+from repro.network.channel import DeliveryReport, MulticastChannel, PreparedAudience
 from repro.network.loss import BernoulliLoss, GilbertElliottLoss, LossProcess
 from repro.network.topology import MulticastTopology
 
@@ -17,4 +17,5 @@ __all__ = [
     "LossProcess",
     "MulticastChannel",
     "MulticastTopology",
+    "PreparedAudience",
 ]

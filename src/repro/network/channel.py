@@ -10,20 +10,54 @@ one receiver therefore never shifts another receiver's loss draws — a
 property the fault-injection harness (:mod:`repro.faults`) relies on to
 reproduce a fault scenario exactly while varying the receiver set.
 (Re-subscribing the same id restarts that id's stream from the top.)
-A stream is built at the receiver's first draw, not at ``subscribe``: a
-``random.Random`` is 2.5 KB and a sha512 seeding, which a receiver that
-is never drawn for (every member of a cost-only run) does not pay.
+A stream is built when an audience holding the receiver is first
+resolved — by :meth:`MulticastChannel.prepare` or by a draw — not at
+``subscribe``: a ``random.Random`` is 2.5 KB and a sha512 seeding, which
+a receiver that is never drawn for (every member of a cost-only run)
+does not pay.
+
+A receiver whose loss process is exactly a :class:`BernoulliLoss` (the
+paper's model, and the only process the simulator subscribes) has its
+rate in a column beside its stream.  An audience made only of such
+receivers is drawn in one C-level pass, ``compress(ids, map(lt,
+map(Random.random, streams), rates))``: the one ``random() < rate`` per
+receiver on its own stream that ``BernoulliLoss.lost`` takes, so every
+stream advances exactly as the per-receiver loop would advance it.  An
+audience holding any other loss process takes the per-receiver loop, and
+so does a prepared audience the subscriptions changed under.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Collection, Dict, Generic, List, Optional, Set, TypeVar
+from itertools import compress, filterfalse
+from operator import ge, lt
+from typing import (
+    Collection,
+    Dict,
+    Generic,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
-from repro.network.loss import LossProcess
+from repro.network.loss import BernoulliLoss, LossProcess
 
 PacketT = TypeVar("PacketT")
+
+# The C method every stream draws with (bound here: tests may swap the
+# module's ``random`` for a constructor-counting stand-in).
+_uniform = random.Random.random
+
+#: An all-Bernoulli audience as columns: the subscribed ids in audience
+#: order (repeats kept), their streams, their rates, and the set of those
+#: ids (``None`` when one repeats, so it draws once per occurrence).
+_Columns = Tuple[List[str], List[random.Random], List[float], Optional[Set[str]]]
 
 
 @dataclass
@@ -37,6 +71,34 @@ class DeliveryReport(Generic[PacketT]):
     @property
     def fully_delivered(self) -> bool:
         return not self.lost_at
+
+
+class PreparedAudience:
+    """An audience :meth:`MulticastChannel.prepare` resolved once, for every
+    multicast to it while the channel's subscriptions stay as they were.
+
+    It iterates, sizes and tests membership as the audience it was
+    prepared from (ids in their order, repeats kept).
+    """
+
+    __slots__ = ("ids", "generation", "columns")
+
+    def __init__(
+        self, ids: Tuple[str, ...], generation: object, columns: Optional[_Columns]
+    ) -> None:
+        self.ids = ids
+        self.generation = generation
+        #: ``None`` when a receiver has another loss process: the loop draws
+        self.columns = columns
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __contains__(self, receiver_id: object) -> bool:
+        return receiver_id in self.ids
 
 
 class MulticastChannel(Generic[PacketT]):
@@ -55,6 +117,13 @@ class MulticastChannel(Generic[PacketT]):
         self.seed = seed
         self._receivers: Dict[str, LossProcess] = {}
         self._streams: Dict[str, random.Random] = {}
+        #: receiver -> loss rate, for receivers whose process is exactly a
+        #: BernoulliLoss (its rate is fixed at construction)
+        self._rates: Dict[str, float] = {}
+        #: a fresh token on every subscription change: a prepared audience
+        #: is current only on the channel, and the subscriptions, it was
+        #: prepared under
+        self._generation = object()
         self.packets_sent = 0
         self.receptions = 0
         self.losses = 0
@@ -64,11 +133,16 @@ class MulticastChannel(Generic[PacketT]):
         if receiver_id in self._receivers:
             raise ValueError(f"receiver {receiver_id!r} already subscribed")
         self._receivers[receiver_id] = loss
+        if type(loss) is BernoulliLoss:
+            self._rates[receiver_id] = loss.loss_rate
+        self._generation = object()
 
     def unsubscribe(self, receiver_id: str) -> None:
         """Remove a receiver (e.g. on group departure)."""
-        self._receivers.pop(receiver_id, None)
-        self._streams.pop(receiver_id, None)
+        if self._receivers.pop(receiver_id, None) is not None:
+            self._rates.pop(receiver_id, None)
+            self._streams.pop(receiver_id, None)
+            self._generation = object()
 
     def subscribers(self) -> List[str]:
         """Current receiver ids (unordered)."""
@@ -76,6 +150,14 @@ class MulticastChannel(Generic[PacketT]):
 
     def __contains__(self, receiver_id: str) -> bool:
         return receiver_id in self._receivers
+
+    def subscribed(self, ids: Iterable[str]) -> List[str]:
+        """The ids among ``ids`` subscribed now, in their order."""
+        return list(filter(self._receivers.__contains__, ids))
+
+    def unsubscribed(self, ids: Iterable[str]) -> List[str]:
+        """The ids among ``ids`` not subscribed now, in their order."""
+        return list(filterfalse(self._receivers.__contains__, ids))
 
     @property
     def receiver_count(self) -> int:
@@ -103,6 +185,17 @@ class MulticastChannel(Generic[PacketT]):
     # delivery
     # ------------------------------------------------------------------
 
+    def prepare(self, audience: Collection[str]) -> PreparedAudience:
+        """Resolve ``audience`` once for several multicasts to it.
+
+        A multicast to the result draws exactly as one to ``audience``
+        would, without looking its receivers up again — until a receiver
+        subscribes or unsubscribes, after which it falls back to the
+        per-receiver loop over the ids it was prepared from.
+        """
+        ids = tuple(audience)
+        return PreparedAudience(ids, self._generation, self._columns(ids))
+
     def multicast(
         self, packet: PacketT, audience: Optional[Collection[str]] = None
     ) -> DeliveryReport[PacketT]:
@@ -116,16 +209,68 @@ class MulticastChannel(Generic[PacketT]):
             When given, only these receivers' outcomes are *reported*
             (everyone still physically receives multicast traffic, but the
             transport only cares who among the interested set got it —
-            the sparseness property).
+            the sparseness property).  A :meth:`prepare`-d audience skips
+            resolving it again.
         """
         report = self._draw(packet, audience)
         self._count(report)
         return report
 
+    def _columns(self, ids: Collection[str]) -> Optional[_Columns]:
+        """``ids`` as draw columns, building the streams not built yet;
+        ``None`` if a subscribed receiver among them has another loss
+        process.  Unsubscribed ids are left out."""
+        rates = self._rates
+        drawn = list(filter(rates.__contains__, ids))
+        if len(drawn) < len(ids) and any(
+            map(self._receivers.__contains__, filterfalse(rates.__contains__, ids))
+        ):
+            return None
+        streams = list(map(self._streams.get, drawn))
+        if not all(streams):  # a stream not built yet is None
+            streams = [
+                stream or self.stream_of(rid) for rid, stream in zip(drawn, streams)
+            ]
+        members = set(drawn)
+        return (
+            drawn,
+            streams,
+            list(map(rates.__getitem__, drawn)),
+            members if len(members) == len(drawn) else None,
+        )
+
     def _draw(
         self, packet: PacketT, audience: Optional[Collection[str]]
     ) -> DeliveryReport[PacketT]:
         """One steady-state draw per subscribed receiver of the audience."""
+        if type(audience) is PreparedAudience:
+            columns = audience.columns
+            if columns is None or audience.generation is not self._generation:
+                return self._draw_each(packet, audience.ids)
+        else:
+            columns = self._columns(
+                self._receivers.keys() if audience is None else audience
+            )
+            if columns is None:
+                return self._draw_each(packet, audience)
+        drawn, streams, rates, members = columns
+        if members is None:
+            # A repeated id draws once per occurrence, and lands in each
+            # outcome set one of its draws gave.
+            draws = list(map(_uniform, streams))
+            return DeliveryReport(
+                packet,
+                set(compress(drawn, map(ge, draws, rates))),
+                set(compress(drawn, map(lt, draws, rates))),
+            )
+        lost = set(compress(drawn, map(lt, map(_uniform, streams), rates)))
+        return DeliveryReport(packet, members - lost, lost)
+
+    def _draw_each(
+        self, packet: PacketT, audience: Optional[Collection[str]]
+    ) -> DeliveryReport[PacketT]:
+        """The per-receiver loop: for an audience holding another loss
+        process, and for a prepared one the subscriptions changed under."""
         receivers = self._receivers
         streams = self._streams
         delivered: Set[str] = set()

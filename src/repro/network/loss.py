@@ -20,7 +20,11 @@ class LossProcess(Protocol):
 
 
 class BernoulliLoss:
-    """Independent per-packet loss with a fixed rate — the paper's model."""
+    """Independent per-packet loss with a fixed rate — the paper's model.
+
+    A :class:`~repro.network.channel.MulticastChannel` reads the rate once,
+    at ``subscribe``, into the column it draws whole audiences from.
+    """
 
     def __init__(self, loss_rate: float) -> None:
         if not 0.0 <= loss_rate < 1.0:

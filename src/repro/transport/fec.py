@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.faults.retry import RetryPolicy
-from repro.network.channel import MulticastChannel
+from repro.network.channel import MulticastChannel, PreparedAudience
 from repro.transport.packets import KeyPacket, pack_indices
 from repro.transport.session import (
     RoundState,
@@ -47,6 +47,9 @@ class _Block:
     # receiver -> packets of this block received so far, for the trackers
     # still pending on it: direct_missing non-empty and count < k
     received: Dict[str, int] = field(default_factory=dict)
+    # the channel's resolution of direct_missing's keys, for every packet
+    # of the block; None until the next packet after a tracker is dropped
+    audience: Optional[PreparedAudience] = None
 
     @property
     def k(self) -> int:
@@ -87,7 +90,7 @@ class ProactiveFecProtocol:
             When the round cap is hit with receivers still unsatisfied and
             no retry policy licenses abandoning them.
         """
-        state = _FecState(self, task)
+        state = _FecState(self, task, channel)
         if not state.pending:
             return TransportResult(satisfied=True)
         return run_rounds(self.name, state, channel, self.retry, self.max_rounds)
@@ -101,7 +104,13 @@ class _FecState(RoundState):
     # left before the first round.
     sends_idle_first_round = True
 
-    def __init__(self, protocol: ProactiveFecProtocol, task: TransportTask) -> None:
+    def __init__(
+        self,
+        protocol: ProactiveFecProtocol,
+        task: TransportTask,
+        channel: MulticastChannel,
+    ) -> None:
+        self.channel = channel
         self.parity_keys = protocol.keys_per_packet
         self.proactivity = protocol.proactivity
         payload = pack_indices(range(len(task.keys)), protocol.keys_per_packet)
@@ -147,6 +156,7 @@ class _FecState(RoundState):
         for block in self.tracking.pop(receiver_id):
             del block.direct_missing[receiver_id]
             block.received.pop(receiver_id, None)
+            block.audience = None
         self.pending.pop(receiver_id, None)
 
     def packets(self, round_index):
@@ -172,7 +182,11 @@ class _FecState(RoundState):
                     )
                 )
                 self.seqno += 1
-            audience = block.direct_missing.keys()
+            audience = block.audience
+            if audience is None:
+                audience = block.audience = self.channel.prepare(
+                    block.direct_missing.keys()
+                )
             for packet in sends:
                 yield packet, audience
 

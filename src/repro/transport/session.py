@@ -262,7 +262,7 @@ def run_rounds(
     for round_index in range(round_cap):
         # A receiver that left the channel mid-delivery (departed the
         # group) stops being anyone's problem.
-        for rid in [r for r in state.addressed() if r not in channel]:
+        for rid in channel.unsubscribed(state.addressed()):
             state.drop(rid)
         if not pending and (round_index > 0 or not state.sends_idle_first_round):
             break

@@ -175,9 +175,7 @@ class _WkaBkrState(KeyInterestState):
         self.seqno = 0
         # A receiver already gone from the channel is dropped before the
         # first round weighs anything.
-        self.rates = protocol._weight_rates(
-            (rid for rid in self.pending if rid in channel), channel
-        )
+        self.rates = protocol._weight_rates(channel.subscribed(self.pending), channel)
 
     def plan(self, round_index, audiences):
         packets = self.protocol._build_round_packets(

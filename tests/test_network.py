@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.network.channel import MulticastChannel
+from repro.network.channel import DeliveryReport, MulticastChannel, PreparedAudience
 from repro.network.loss import BernoulliLoss, GilbertElliottLoss
 
 
@@ -282,3 +284,214 @@ class TestUnsubscribeMidDelivery:
         follow_up = channel.multicast("pkt2")
         assert "a" not in follow_up.delivered_to
         assert "a" not in follow_up.lost_at
+
+
+# ----------------------------------------------------------------------
+# The column draw against the per-receiver loop
+# ----------------------------------------------------------------------
+
+
+class LoopChannel(MulticastChannel):
+    """Oracle: one ``loss.lost(stream)`` per audience id, in order, through
+    public calls only — the draw as it was before the rate column."""
+
+    def _draw(self, packet, audience):
+        delivered, lost = set(), set()
+        for rid in self.subscribers() if audience is None else list(audience):
+            if rid not in self:
+                continue
+            if self.loss_of(rid).lost(self.stream_of(rid)):
+                lost.add(rid)
+            else:
+                delivered.add(rid)
+        return DeliveryReport(packet, delivered, lost)
+
+
+class SubclassedBernoulli(BernoulliLoss):
+    """Same draws as its parent, but not exactly a BernoulliLoss."""
+
+
+def make_loss(kind, rate):
+    if kind == "gilbert":
+        return GilbertElliottLoss(p_good_to_bad=0.3, p_bad_to_good=0.4, bad_loss=rate)
+    return (SubclassedBernoulli if kind == "subclass" else BernoulliLoss)(rate)
+
+
+IDS = [f"r{i}" for i in range(8)]
+RATES = st.one_of(st.sampled_from([0.0, 0.999999999]), st.floats(0.0, 0.99))
+SPEC = st.tuples(
+    st.sampled_from(["bernoulli"] * 4 + ["subclass", "gilbert"]),
+    RATES,
+    st.integers(0, 3),  # draws taken before the run: a fresh or advanced stream
+)
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("send"), st.integers(0, 3)),
+        st.tuples(st.just("prepare"), st.integers(0, 3)),
+        st.tuples(st.just("toggle"), st.sampled_from(IDS)),
+    ),
+    max_size=30,
+)
+
+
+class TestColumnDraw:
+    """Prepared, on-the-fly and per-receiver-loop draws over the same
+    subscriptions: the same outcomes, counters and stream states."""
+
+    @staticmethod
+    def channels(population, seed):
+        made = []
+        for cls in (MulticastChannel, MulticastChannel, LoopChannel):
+            channel = cls(seed=seed)
+            for rid, (kind, rate, advance) in population.items():
+                channel.subscribe(rid, make_loss(kind, rate))
+                for __ in range(advance):
+                    channel.stream_of(rid).random()
+            made.append(channel)
+        return made
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        population=st.dictionaries(st.sampled_from(IDS), SPEC, max_size=8),
+        audiences=st.lists(
+            st.lists(st.sampled_from(IDS + ["ghost"]), max_size=10),
+            min_size=4, max_size=4,
+        ),
+        ops=OPS,
+        seed=st.integers(0, 2**16),
+    )
+    def test_three_draws_agree(self, population, audiences, ops, seed):
+        prepared_channel, fly_channel, loop_channel = self.channels(population, seed)
+        prepared = [prepared_channel.prepare(audience) for audience in audiences]
+        for step, (op, arg) in enumerate(ops):
+            if op == "prepare":
+                prepared[arg] = prepared_channel.prepare(audiences[arg])
+            elif op == "toggle":
+                kind, rate, __ = population.get(arg, ("bernoulli", 0.5, 0))
+                for channel in (prepared_channel, fly_channel, loop_channel):
+                    if arg in channel:
+                        channel.unsubscribe(arg)
+                    else:
+                        channel.subscribe(arg, make_loss(kind, rate))
+            else:
+                reports = [
+                    prepared_channel.multicast(step, prepared[arg]),
+                    fly_channel.multicast(step, audiences[arg]),
+                    loop_channel.multicast(step, audiences[arg]),
+                ]
+                assert reports[0] == reports[2] and reports[1] == reports[2]
+        channels = (prepared_channel, fly_channel, loop_channel)
+        everyone = [channel.multicast("all") for channel in channels]
+        assert everyone[0] == everyone[2] and everyone[1] == everyone[2]
+        subscribed = sorted(loop_channel.subscribers())
+        for channel in channels:
+            assert (channel.receptions, channel.losses) == (
+                loop_channel.receptions, loop_channel.losses,
+            )
+            assert sorted(channel.subscribers()) == subscribed
+            for rid in subscribed:
+                assert (
+                    channel.stream_of(rid).getstate()
+                    == loop_channel.stream_of(rid).getstate()
+                ), rid
+
+    def test_extreme_rates(self):
+        population = {
+            "never": ("bernoulli", 0.0, 0),
+            "always": ("bernoulli", 0.999999999, 2),
+        }
+        prepared_channel, fly_channel, loop_channel = self.channels(population, 4)
+        audience = prepared_channel.prepare(["never", "always"])
+        for packet in range(20):
+            reports = [
+                prepared_channel.multicast(packet, audience),
+                fly_channel.multicast(packet, ["never", "always"]),
+                loop_channel.multicast(packet, ["never", "always"]),
+            ]
+            assert reports[0] == reports[1] == reports[2]
+            assert reports[0].delivered_to == {"never"}
+            assert reports[0].lost_at == {"always"}
+
+    def test_repeated_id_draws_once_per_occurrence(self):
+        population = {"a": ("bernoulli", 0.5, 0), "b": ("bernoulli", 0.5, 1)}
+        audience = ["a", "b", "a", "a"]
+        prepared_channel, fly_channel, loop_channel = self.channels(population, 2)
+        prepared = prepared_channel.prepare(audience)
+        assert list(prepared) == audience and len(prepared) == 4 and "a" in prepared
+        split = False
+        for packet in range(30):
+            reports = [
+                prepared_channel.multicast(packet, prepared),
+                fly_channel.multicast(packet, audience),
+                loop_channel.multicast(packet, audience),
+            ]
+            assert reports[0] == reports[1] == reports[2]
+            split |= "a" in reports[0].delivered_to and "a" in reports[0].lost_at
+        # Three draws of one stream for one packet: sometimes one of each.
+        assert split
+        for rid in population:
+            state = loop_channel.stream_of(rid).getstate()
+            assert prepared_channel.stream_of(rid).getstate() == state
+            assert fly_channel.stream_of(rid).getstate() == state
+
+    def test_prepared_before_unsubscribe(self):
+        channel = MulticastChannel(seed=1)
+        for rid in ("a", "b", "c"):
+            channel.subscribe(rid, BernoulliLoss(0.3))
+        prepared = channel.prepare(["a", "b", "c"])
+        channel.unsubscribe("b")
+        report = channel.multicast("pkt", prepared)
+        assert "b" not in report.delivered_to and "b" not in report.lost_at
+        assert report.delivered_to | report.lost_at == {"a", "c"}
+
+    def test_prepared_before_subscribe(self):
+        channel, oracle = MulticastChannel(seed=1), LoopChannel(seed=1)
+        for each in (channel, oracle):
+            each.subscribe("a", BernoulliLoss(0.3))
+        prepared = channel.prepare(["a", "late"])
+        for each in (channel, oracle):
+            each.subscribe("late", BernoulliLoss(0.3))
+        report = channel.multicast("pkt", prepared)
+        assert report == oracle.multicast("pkt", ["a", "late"])
+        assert report.delivered_to | report.lost_at == {"a", "late"}
+
+    def test_only_exact_bernoulli_audiences_take_columns(self):
+        channel = MulticastChannel(seed=3)
+        channel.subscribe("plain", BernoulliLoss(0.2))
+        channel.subscribe("bursty", GilbertElliottLoss())
+        channel.subscribe("subclass", SubclassedBernoulli(0.2))
+        assert channel.prepare(["plain", "ghost"]).columns is not None
+        assert channel.prepare(["plain", "bursty"]).columns is None
+        assert channel.prepare(["subclass"]).columns is None
+
+    def test_prepare_builds_the_streams_a_draw_would(self):
+        channel = MulticastChannel(seed=5)
+        for rid in ("a", "b"):
+            channel.subscribe(rid, BernoulliLoss(0.4))
+        prepared = channel.prepare(["a"])
+        assert isinstance(prepared, PreparedAudience)
+        assert prepared.columns[1] == [channel._streams["a"]]
+        assert "b" not in channel._streams
+
+    def test_prepared_on_another_channel_takes_the_loop(self):
+        here, there, oracle = (
+            MulticastChannel(seed=6), MulticastChannel(seed=6), LoopChannel(seed=6)
+        )
+        for channel in (here, there, oracle):
+            channel.subscribe("a", BernoulliLoss(0.4))
+        foreign = there.prepare(["a"])
+        assert here.multicast("pkt", foreign) == oracle.multicast("pkt", ["a"])
+        # Drawn from this channel's stream; the other's has not moved.
+        assert here.stream_of("a").getstate() == oracle.stream_of("a").getstate()
+        assert there.stream_of("a").getstate() == random.Random("6/a").getstate()
+
+
+class TestMembershipQueries:
+    def test_subscribed_and_unsubscribed_keep_order(self):
+        channel = MulticastChannel(seed=0)
+        for rid in ("c", "a"):
+            channel.subscribe(rid, BernoulliLoss(0.0))
+        ids = ["a", "x", "c", "y", "a"]
+        assert channel.subscribed(ids) == ["a", "c", "a"]
+        assert channel.unsubscribed(ids) == ["x", "y"]
+        assert channel.unsubscribed({"a": 1, "z": 2}) == ["z"]

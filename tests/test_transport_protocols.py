@@ -771,3 +771,74 @@ class TestProactiveFec:
         mixed = sum(cost(4, s) for s in range(5))
         clean = sum(cost(0, s) for s in range(5))
         assert mixed > clean
+
+
+class PrepareCountingChannel(PacketLogChannel):
+    """Records every audience the channel prepared, and the block and
+    audience of every multicast."""
+
+    def start_log(self, unsubscribe_at=None):
+        self.prepared = []
+        self.sent_to = []
+        return super().start_log(unsubscribe_at)
+
+    def prepare(self, audience):
+        prepared = super().prepare(audience)
+        self.prepared.append(prepared)
+        return prepared
+
+    def multicast(self, packet, audience=None):
+        self.sent_to.append((packet.block, audience))
+        return super().multicast(packet, audience=audience)
+
+
+class TestFecPreparesEachBlockOnce:
+    """A block's audience is resolved once per delivery, and again only
+    after one of its trackers departs."""
+
+    def deliver(self, seed, unsubscribe_at=None, hopeless=()):
+        task, rates = TestWkaBkrAudienceIndexEquivalence().lossy_task(seed)
+        rates.update({rid: 0.999 for rid in hopeless})
+        channel = PrepareCountingChannel(seed + 100).start_log(unsubscribe_at)
+        for rid, rate in rates.items():
+            channel.subscribe(rid, BernoulliLoss(rate))
+        result = ProactiveFecProtocol(**FEC).run(task, channel)
+        audiences = {}  # block -> its distinct audiences, in send order
+        for index, (block, audience) in enumerate(channel.sent_to):
+            seen = audiences.setdefault(block, [])
+            if not any(audience is known for __, known in seen):
+                seen.append((index, audience))
+        return task, result, channel, audiences
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_once_per_block(self, seed):
+        __, result, channel, audiences = self.deliver(seed)
+        assert result.rounds >= 2 and len(audiences) >= 4
+        assert all(len(seen) == 1 for seen in audiences.values())
+        assert len(channel.prepared) == len(audiences)
+        assert {id(a) for a in channel.prepared} == {
+            id(seen[0][1]) for seen in audiences.values()
+        }
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_again_after_a_tracker_departs(self, seed):
+        task, __ = TestWkaBkrAudienceIndexEquivalence().lossy_task(seed)
+        # Needs the most keys and loses nearly everything: still pending on
+        # every block it tracks when it leaves inside the first round.
+        leaver = min(task.interest, key=lambda r: (-len(task.interest[r]), r))
+        __, result, channel, audiences = self.deliver(
+            seed, unsubscribe_at={2: [leaver]}, hopeless=[leaver]
+        )
+        first_round = result.per_round_packets[0]
+        again = 0
+        for block, seen in audiences.items():
+            sent_later = any(b == block for b, __ in channel.sent_to[first_round:])
+            if leaver in seen[0][1] and sent_later:
+                # Re-prepared at the block's first packet after the drop.
+                assert len(seen) == 2 and seen[1][0] >= first_round
+                assert leaver not in seen[1][1]
+                again += 1
+            else:
+                assert len(seen) == 1
+        assert again >= 1
+        assert len(channel.prepared) == len(audiences) + again
