@@ -170,6 +170,22 @@ class MulticastChannel(Generic[PacketT]):
         except KeyError:
             raise KeyError(f"receiver {receiver_id!r} not subscribed") from None
 
+    def loss_rates(self, ids: Iterable[str]) -> Dict[str, float]:
+        """``receiver -> mean loss rate`` for the subscribed ids among
+        ``ids``: the rate column where it has the receiver, else its loss
+        process's ``mean_loss``.  Unsubscribed ids are left out."""
+        ids = list(ids)
+        rates = self._rates
+        column = list(filter(rates.__contains__, ids))
+        found = dict(zip(column, map(rates.__getitem__, column)))
+        if len(column) < len(ids):
+            receivers = self._receivers
+            for rid in filterfalse(rates.__contains__, ids):
+                loss = receivers.get(rid)
+                if loss is not None:
+                    found[rid] = loss.mean_loss
+        return found
+
     def stream_of(self, receiver_id: str) -> random.Random:
         """The per-receiver RNG stream loss draws come from."""
         if receiver_id not in self._receivers:

@@ -37,8 +37,8 @@ def audiences_of(interest: Dict[str, Set[int]]) -> Dict[int, Set[str]]:
     """Invert ``receiver -> wanted key indices`` into ``index -> audience``.
 
     Only keys somebody wants appear.  This is the one audience builder:
-    a task's :meth:`TransportTask.audiences` and every WKA-BKR round (over
-    the interest still outstanding) go through it.
+    a task's :meth:`TransportTask.audiences` and the one map a
+    :class:`KeyInterestState` keeps for a whole delivery go through it.
     """
     audiences: Dict[int, Set[str]] = {}
     for rid, wanted in interest.items():
@@ -70,10 +70,6 @@ class TransportTask:
 
     keys: Sequence[EncryptedKey]
     interest: Dict[str, Set[int]]
-
-    def receivers_needing(self, index: int) -> Set[str]:
-        """Audience of one key: receivers whose interest includes it."""
-        return {rid for rid, wanted in self.interest.items() if index in wanted}
 
     def audiences(self) -> Dict[int, Set[str]]:
         """index -> audience, for every key with a non-empty audience."""
@@ -189,21 +185,33 @@ class RoundState:
 
 
 class KeyInterestState(RoundState):
-    """Pending state as ``receiver -> key indices still wanted``.
+    """Pending state as one ``key index -> receivers still needing it`` map.
 
     Shared by the transports that resend keys themselves (WKA-BKR,
     multi-send): a packet's audience is whoever still needs one of its
-    keys.  Subclasses say which packets a round sends (:meth:`plan`).
+    keys.  The map is inverted from the task's interest once per delivery
+    and kept in step by :meth:`deliver` and :meth:`drop`; a key leaves it
+    when its audience empties.  ``pending`` counts, per receiver, the keys
+    it still lacks.  The task's interest sets are read, never copied or
+    written.  Subclasses say which packets a round sends (:meth:`plan`).
     """
 
     def __init__(self, task: TransportTask) -> None:
-        self.pending: Dict[str, Set[int]] = {
-            rid: set(wanted) for rid, wanted in task.interest.items() if wanted
+        self.interest = task.interest
+        self.audiences: Dict[int, Set[str]] = audiences_of(task.interest)
+        self.pending: Dict[str, int] = {
+            rid: len(wanted) for rid, wanted in task.interest.items() if wanted
         }
-        self.audiences: Dict[int, Set[str]] = {}
 
     def drop(self, receiver_id):
         del self.pending[receiver_id]
+        audiences = self.audiences
+        for index in self.interest[receiver_id]:
+            audience = audiences.get(index)
+            if audience is not None:
+                audience.discard(receiver_id)
+                if not audience:
+                    del audiences[index]
 
     def plan(
         self, round_index: int, audiences: Dict[int, Set[str]]
@@ -212,11 +220,11 @@ class KeyInterestState(RoundState):
         raise NotImplementedError
 
     def packets(self, round_index):
-        # Built once per round and kept in step by ``deliver``, so a
-        # packet's audience is the union over its keys of who *still*
-        # needs each one — a receiver that already got a replicated key
-        # from an earlier packet of this round is not drawn for again.
-        audiences = self.audiences = audiences_of(self.pending)
+        # Kept in step by ``deliver``, so a packet's audience is the union
+        # over its keys of who *still* needs each one — a receiver that
+        # already got a replicated key from an earlier packet of this
+        # round is not drawn for again.
+        audiences = self.audiences
         for packet in self.plan(round_index, audiences):
             audience = set().union(
                 *[audiences.get(index, ()) for index in packet.key_indices]
@@ -224,21 +232,29 @@ class KeyInterestState(RoundState):
             yield packet, audience or None
 
     def deliver(self, packet, receivers):
-        carried = set(packet.key_indices)
         pending, audiences = self.pending, self.audiences
         satisfied = []
-        for rid in receivers:
-            wanted = pending[rid]
-            for index in wanted & carried:
-                audiences[index].discard(rid)
-                wanted.discard(index)
-            if not wanted:
-                del pending[rid]
-                satisfied.append(rid)
+        # A key a packet carries twice finds its second audience without
+        # the receivers the first copy reached: each counts it once.
+        for index in packet.key_indices:
+            audience = audiences.get(index)
+            if audience is None:
+                continue
+            got = audience & receivers
+            audience -= got
+            if not audience:
+                del audiences[index]
+            for rid in got:
+                lacking = pending[rid] - 1
+                if lacking:
+                    pending[rid] = lacking
+                else:
+                    del pending[rid]
+                    satisfied.append(rid)
         return satisfied
 
     def keys_pending(self):
-        return sum(len(wanted) for wanted in self.pending.values())
+        return sum(self.pending.values())
 
 
 def run_rounds(

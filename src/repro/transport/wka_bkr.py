@@ -16,7 +16,9 @@ packets wholesale — exploiting the payload's sparseness.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Set
+from functools import lru_cache
+from itertools import repeat
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.wka import expected_transmissions
 from repro.faults.retry import RetryPolicy
@@ -33,6 +35,15 @@ from repro.transport.session import (
     TransportTask,
     run_rounds,
 )
+
+
+@lru_cache(maxsize=4096)
+def _profile_weight(profile: Tuple[Tuple[float, int], ...]) -> int:
+    """``round(E[M])``, at least 1, for an audience given as its sorted
+    ``(rate, receivers)`` profile."""
+    total = sum(count for __, count in profile)
+    mixture = [(rate, count / total) for rate, count in profile]
+    return max(1, round(expected_transmissions(float(total), mixture)))
 
 
 class WkaBkrProtocol:
@@ -89,13 +100,14 @@ class WkaBkrProtocol:
     def _weight_rates(
         self, receivers: Iterable[str], channel: MulticastChannel
     ) -> Dict[str, float]:
-        """``receiver -> loss rate`` as WKA weighs it (clamped)."""
-        return {
-            rid: min(channel.loss_of(rid).mean_loss, self.MAX_WEIGHT_RATE)
-            for rid in receivers
-        }
+        """``receiver -> loss rate`` as WKA weighs it (clamped), for the
+        subscribed receivers among ``receivers``."""
+        rates = channel.loss_rates(receivers)
+        return dict(
+            zip(rates, map(min, rates.values(), repeat(self.MAX_WEIGHT_RATE)))
+        )
 
-    def _weight(self, audience: Set[str], rates: Dict[str, float]) -> int:
+    def _weight(self, audience: Collection[str], rates: Dict[str, float]) -> int:
         """WKA weight: the expected transmissions for this key, rounded.
 
         Nearest-integer replication tracks the [SZJ02] expected-bandwidth
@@ -103,14 +115,22 @@ class WkaBkrProtocol:
         :mod:`repro.experiments.validation`); rounding up instead
         over-replicates by ~25% since BKR's reactive rounds already mop up
         the residual misses near-optimally.
+
+        The weight is a function of the audience's rate profile (its
+        multiset of rates), memoized on it.  The eq. 14 sum walks the
+        mixture in ascending rate order.  A rate-0 class adds nothing
+        after the first term, so with at most two distinct non-zero rates
+        each term adds at most two non-zero logs, and IEEE addition is
+        commutative: the weight is bit for bit what any other mixture
+        order gives.  With three or more non-zero rates ``E[M]`` can
+        differ from another order's in its last bit, which moves the
+        weight only if ``E[M]`` lies within an ulp of ``k + 0.5``.
         """
         if not audience:
             return 0
-        counts = Counter(rates[rid] for rid in audience)
-        total = sum(counts.values())
-        mixture = [(rate, count / total) for rate, count in counts.items()]
-        expected = expected_transmissions(float(total), mixture)
-        return max(1, round(expected))
+        return _profile_weight(
+            tuple(sorted(Counter(map(rates.__getitem__, audience)).items()))
+        )
 
     def _build_round_packets(
         self,
@@ -121,10 +141,11 @@ class WkaBkrProtocol:
     ) -> List[KeyPacket]:
         """Weight, replicate, order and pack the still-needed keys.
 
-        ``audiences`` is the round's ``key index -> receivers still
-        needing it`` map (:func:`~repro.transport.session.audiences_of`);
-        ``rates`` the run's :meth:`_weight_rates`, looked up here instead
-        of asking the channel per (key, receiver).
+        ``audiences`` is the delivery's ``key index -> receivers still
+        needing it`` map
+        (:class:`~repro.transport.session.KeyInterestState`); ``rates``
+        the run's :meth:`_weight_rates`, looked up here instead of asking
+        the channel per (key, receiver).
         """
         if not audiences:
             return []
@@ -173,9 +194,9 @@ class _WkaBkrState(KeyInterestState):
         self.protocol = protocol
         self.channel = channel
         self.seqno = 0
-        # A receiver already gone from the channel is dropped before the
-        # first round weighs anything.
-        self.rates = protocol._weight_rates(channel.subscribed(self.pending), channel)
+        # A receiver already gone from the channel has no rate: it is
+        # dropped before the first round weighs anything.
+        self.rates = protocol._weight_rates(self.pending, channel)
 
     def plan(self, round_index, audiences):
         packets = self.protocol._build_round_packets(

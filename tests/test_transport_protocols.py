@@ -1,16 +1,20 @@
 """Unit and behavioural tests for the three rekey transport protocols."""
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.wka import expected_transmissions
 from repro.crypto.material import KeyGenerator
 from repro.crypto.wrap import wrap_key
 from repro.faults.retry import RetryPolicy
 from repro.network.channel import MulticastChannel
-from repro.network.loss import BernoulliLoss
+from repro.network.loss import BernoulliLoss, GilbertElliottLoss
 from repro.transport.fec import ProactiveFecProtocol
 from repro.transport.multisend import MultiSendProtocol
 from repro.transport.packets import KeyPacket, pack_indices
@@ -344,6 +348,129 @@ class TestWkaBkrAudienceIndexEquivalence:
         assert set(hopeless) <= result.abandoned
         assert result.elapsed == policy.total_delay(result.rounds)
         self.assert_same(outcomes)
+
+    @pytest.mark.parametrize("seed", [8, 9])
+    def test_three_rate_population(self, seed):
+        __, rates = self.lossy_task(seed)
+        three = {rid: (0.25, 0.08, 0.02)[i % 3] for i, rid in enumerate(sorted(rates))}
+        outcomes = self.run_both(seed, rates_override=three)
+        result, __ = outcomes[1]
+        assert result.late and result.keys_sent > result.per_round_packets[0]
+        self.assert_same(outcomes)
+
+    def test_replicated_key_twice_in_one_packet(self):
+        """Two keys that each weigh 3 fill one packet of 8 with three
+        copies of each: a delivery counts each key once."""
+        outcomes = []
+        for cls in (PerPacketScanWkaBkr, WkaBkrProtocol):
+            interest = {f"r{i}": {0, 1} for i in range(30)}
+            interest["odd"] = {1}
+            task = make_task(2, interest)
+            channel = RecordingChannel(41)
+            for rid in interest:
+                channel.subscribe(rid, BernoulliLoss(0.2))
+            outcomes.append((cls(keys_per_packet=8).run(task, channel), channel))
+        result, channel = outcomes[1]
+        assert channel.log[0][1] == (1, 0, 1, 0, 1, 0)  # widest audience first
+        assert result.satisfied and len(result.completed) == 31
+        self.assert_same(outcomes)
+
+
+def pre_change_weight(audience, rates):
+    """``WkaBkrProtocol._weight`` before it was memoized: the mixture in
+    the order the audience first meets each rate."""
+    if not audience:
+        return 0
+    return max(1, round(first_seen_expectation(audience, rates)))
+
+
+def first_seen_expectation(audience, rates):
+    counts = Counter(rates[rid] for rid in audience)
+    total = sum(counts.values())
+    mixture = [(rate, count / total) for rate, count in counts.items()]
+    return expected_transmissions(float(total), mixture)
+
+
+WEIGHED_RATE = st.floats(0.0, WkaBkrProtocol.MAX_WEIGHT_RATE)
+
+
+class TestWkaWeightMemo:
+    """The weight memoized on the audience's sorted rate profile against
+    the pre-change weight, whose mixture order was set iteration order."""
+
+    @staticmethod
+    def population(data, pool, size):
+        rates = {f"r{i}": data.draw(st.sampled_from(pool)) for i in range(size)}
+        return rates, data.draw(st.permutations(sorted(rates)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        distinct=st.lists(WEIGHED_RATE, min_size=1, max_size=2, unique=True),
+        zero=st.booleans(),
+        size=st.integers(1, 40),
+    )
+    def test_two_rates_bit_equal_in_any_order(self, data, distinct, zero, size):
+        rates, order = self.population(data, distinct + [0.0] * zero, size)
+        by_rate = sorted(order, key=rates.__getitem__)
+        # At most two non-zero terms per step of the eq. 14 sum.
+        assert first_seen_expectation(order, rates) == first_seen_expectation(
+            by_rate, rates
+        )
+        weight = WkaBkrProtocol()._weight(set(order), rates)
+        assert weight == pre_change_weight(order, rates)
+        assert weight == pre_change_weight(order[::-1], rates)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        distinct=st.lists(WEIGHED_RATE, min_size=3, max_size=4, unique=True),
+        size=st.integers(3, 40),
+    )
+    def test_more_rates_are_order_independent(self, data, distinct, size):
+        rates, order = self.population(data, distinct, size)
+        weigh = WkaBkrProtocol()._weight
+        weight = weigh(order, rates)
+        assert weigh(order[::-1], rates) == weigh(set(order), rates) == weight
+        # The profile's mixture is in ascending rate order.
+        assert weight == pre_change_weight(sorted(order, key=rates.__getitem__), rates)
+
+    def test_empty_audience_weighs_nothing(self):
+        assert WkaBkrProtocol()._weight(set(), {}) == 0
+
+
+class ReportedMeanBernoulli(BernoulliLoss):
+    """Draws at its rate but reports another long-run mean."""
+
+    @property
+    def mean_loss(self):
+        return 0.95
+
+
+class TestLossRates:
+    def test_each_process_reports_its_mean(self):
+        channel = MulticastChannel(seed=2)
+        losses = {
+            "plain": BernoulliLoss(0.2),
+            "high": BernoulliLoss(0.95),
+            "bursty": GilbertElliottLoss(p_good_to_bad=0.3, p_bad_to_good=0.4),
+            "subclass": ReportedMeanBernoulli(0.2),
+        }
+        for rid, loss in losses.items():
+            channel.subscribe(rid, loss)
+        channel.subscribe("gone", BernoulliLoss(0.1))
+        channel.unsubscribe("gone")
+        ids = ["ghost", *losses, "gone"]
+        rates = channel.loss_rates(ids)
+        assert rates == {rid: loss.mean_loss for rid, loss in losses.items()}
+        assert rates == {rid: channel.loss_of(rid).mean_loss for rid in losses}
+        assert rates["subclass"] == 0.95 and rates["bursty"] == losses["bursty"].mean_loss
+        assert channel.loss_rates(iter(ids)) == rates
+        assert channel.loss_rates(dict.fromkeys(ids)) == rates
+        # WKA clamps after the channel reports.
+        weighed = WkaBkrProtocol()._weight_rates(ids, channel)
+        assert weighed == {rid: min(rate, 0.9) for rid, rate in rates.items()}
+        assert weighed["high"] == weighed["subclass"] == 0.9
 
 
 @dataclass
@@ -842,3 +969,51 @@ class TestFecPreparesEachBlockOnce:
                 assert len(seen) == 1
         assert again >= 1
         assert len(channel.prepared) == len(audiences) + again
+
+
+class TestTransportsLeaveTheirTaskAlone:
+    """A transport reads its task's interest and never copies into or
+    writes it: the same set objects, with the same contents, after ``run``,
+    through departures, abandonment and exhaustion."""
+
+    @staticmethod
+    def protocol(name, scenario):
+        if scenario == "abandon" and name != "multi-send":
+            policy = RetryPolicy(max_rounds=6, base_delay=0.5, abandon_after=3)
+            bound = dict(retry=policy)
+        else:
+            # Multi-send takes no policy: its hopeless receivers exhaust it.
+            bound = dict(max_rounds=3 if scenario == "abandon" else 50)
+        if name == "wka-bkr":
+            return WkaBkrProtocol(keys_per_packet=8, **bound)
+        if name == "multi-send":
+            return MultiSendProtocol(**MULTI, **bound)
+        return ProactiveFecProtocol(**FEC, **bound)
+
+    @pytest.mark.parametrize("scenario", ["plain", "departure", "abandon"])
+    @pytest.mark.parametrize("name", ["wka-bkr", "multi-send", "proactive-fec"])
+    def test_interest_untouched(self, name, scenario):
+        task, rates = TestWkaBkrAudienceIndexEquivalence().lossy_task(11)
+        hopeless = sorted(task.interest)[:3]
+        if scenario != "plain":
+            rates.update({rid: 0.999 for rid in hopeless})
+        channel = PacketLogChannel(111).start_log(
+            {2: hopeless[:1], 40: hopeless[1:]} if scenario == "departure" else None
+        )
+        for rid, rate in rates.items():
+            channel.subscribe(rid, BernoulliLoss(rate))
+        interest = task.interest
+        before = {rid: (wanted, frozenset(wanted)) for rid, wanted in interest.items()}
+        result, pending = run_or_exhaust(self.protocol(name, scenario), task, channel)
+        assert task.interest is interest and interest.keys() == before.keys()
+        for rid, (wanted, contents) in before.items():
+            assert interest[rid] is wanted and wanted == contents, rid
+        if scenario == "departure":
+            assert result.satisfied and not set(hopeless) & set(result.completed)
+            assert not set(hopeless) & set(channel.subscribers())
+        elif scenario == "abandon":
+            assert set(hopeless) <= result.abandoned | pending
+        else:
+            assert result.satisfied and len(result.completed) == len(
+                [wanted for wanted in interest.values() if wanted]
+            )

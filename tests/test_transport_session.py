@@ -12,12 +12,12 @@ class TestTransportTask:
         task = TransportTask(keys=[], interest={"a": {0, 1}, "b": {1}})
         audiences = task.audiences()
         assert audiences == {0: {"a"}, 1: {"a", "b"}}
-
-    def test_receivers_needing(self):
-        task = TransportTask(keys=[], interest={"a": {0}, "b": {0, 1}})
-        assert task.receivers_needing(0) == {"a", "b"}
-        assert task.receivers_needing(1) == {"b"}
-        assert task.receivers_needing(9) == set()
+        task = TransportTask(keys=[], interest={"a": {0}, "b": {0, 1}, "c": set()})
+        audiences = task.audiences()
+        assert audiences[0] == {"a", "b"}
+        assert audiences[1] == {"b"}
+        # A key nobody wants has no entry, not an empty audience.
+        assert 9 not in audiences and set(audiences) == {0, 1}
 
 
 class TestTransportResult:
