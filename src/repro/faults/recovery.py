@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Collection, Dict, List, Set, Tuple
 
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
@@ -38,19 +38,6 @@ class SyncState(Enum):
     IN_SYNC = "in-sync"
     LAGGING = "lagging"
     OUT_OF_SYNC = "out-of-sync"
-
-
-@dataclass
-class ReceiverSync:
-    """One receiver's slot in the state machine."""
-
-    state: SyncState = SyncState.IN_SYNC
-    #: last epoch the server believes this receiver fully absorbed
-    synced_epoch: int = 0
-    #: when the receiver fell out of sync (for recovery-latency accounting)
-    desynced_at: Optional[float] = None
-    #: epoch whose delivery it missed when it fell out of sync
-    desynced_epoch: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -70,10 +57,20 @@ class RecoveryEvent:
 
 
 class SyncTracker:
-    """Server-side registry of every receiver's :class:`SyncState`."""
+    """Server-side registry of every receiver's :class:`SyncState`.
+
+    Only receivers out of step are stored with their state: a known
+    receiver is ``IN_SYNC`` unless it sits in ``_lagging`` or ``_out``,
+    each mapping it to ``(desynced_at, desynced_epoch)`` — when it fell
+    out of step, for recovery-latency accounting, and the epoch whose
+    delivery it missed.  A delivery that leaves everyone in step therefore
+    touches no per-receiver state.
+    """
 
     def __init__(self) -> None:
-        self._receivers: Dict[str, ReceiverSync] = {}
+        self._known: Set[str] = set()
+        self._lagging: Dict[str, Tuple[float, int]] = {}
+        self._out: Dict[str, Tuple[float, int]] = {}
         self.events: List[RecoveryEvent] = []
 
     # ------------------------------------------------------------------
@@ -82,119 +79,114 @@ class SyncTracker:
 
     def admit(self, member_id: str, epoch: int) -> None:
         """A freshly admitted member starts in sync at its join epoch."""
-        self._receivers[member_id] = ReceiverSync(
-            state=SyncState.IN_SYNC, synced_epoch=epoch
-        )
+        self.forget(member_id)
+        self._known.add(member_id)
 
     def forget(self, member_id: str) -> None:
-        """Drop a departed member's slot."""
-        self._receivers.pop(member_id, None)
+        """Drop a departed member."""
+        self._known.discard(member_id)
+        self._lagging.pop(member_id, None)
+        self._out.pop(member_id, None)
 
     def __contains__(self, member_id: str) -> bool:
-        return member_id in self._receivers
+        return member_id in self._known
 
     def state_of(self, member_id: str) -> SyncState:
-        slot = self._receivers.get(member_id)
-        if slot is None:
-            raise KeyError(f"sync tracker knows no member {member_id!r}")
-        return slot.state
+        if member_id in self._out:
+            return SyncState.OUT_OF_SYNC
+        if member_id in self._lagging:
+            return SyncState.LAGGING
+        if member_id in self._known:
+            return SyncState.IN_SYNC
+        raise KeyError(f"sync tracker knows no member {member_id!r}")
 
     def out_of_sync(self) -> List[str]:
-        """Members currently awaiting unicast recovery."""
-        return [
-            member_id
-            for member_id, slot in self._receivers.items()
-            if slot.state is SyncState.OUT_OF_SYNC
-        ]
+        """Members currently awaiting unicast recovery, in the order they
+        went out of sync."""
+        return list(self._out)
 
     def counts(self) -> Dict[str, int]:
         """State -> member count (observability)."""
-        totals = {state.value: 0 for state in SyncState}
-        for slot in self._receivers.values():
-            totals[slot.state.value] += 1
-        return totals
+        lagging, out = len(self._lagging), len(self._out)
+        return {
+            SyncState.IN_SYNC.value: len(self._known) - lagging - out,
+            SyncState.LAGGING.value: lagging,
+            SyncState.OUT_OF_SYNC.value: out,
+        }
 
     # ------------------------------------------------------------------
-    # transitions
+    # transitions (an unknown member becomes known, in sync, first)
     # ------------------------------------------------------------------
-
-    def _slot(self, member_id: str) -> ReceiverSync:
-        """``member_id``'s slot; an unknown member gets a fresh in-sync one.
-        Built only on a miss: ``mark_delivered`` runs once per receiver
-        per epoch."""
-        slot = self._receivers.get(member_id)
-        if slot is None:
-            slot = self._receivers[member_id] = ReceiverSync()
-        return slot
 
     def mark_delivered(self, member_id: str, epoch: int) -> None:
         """A rekey epoch's payload fully reached this receiver."""
-        slot = self._slot(member_id)
-        if slot.state is SyncState.OUT_OF_SYNC:
-            # Multicast cannot repair an OUT_OF_SYNC receiver (it lacks the
-            # wrapping keys); only catch_up() may transition it back.
-            return
-        if slot.state is not SyncState.IN_SYNC:
-            obs_events.emit(
-                "sync_transition",
-                member_id=member_id,
-                from_state=slot.state.value,
-                to_state=SyncState.IN_SYNC.value,
-                epoch=epoch,
-            )
-        slot.state = SyncState.IN_SYNC
-        slot.synced_epoch = max(slot.synced_epoch, epoch)
-        slot.desynced_at = None
-        slot.desynced_epoch = None
+        self.mark_delivered_all((member_id,), epoch)
+
+    def mark_delivered_all(self, ids: Collection[str], epoch: int) -> None:
+        """A rekey epoch's payload fully reached every receiver in ``ids``.
+
+        Only the lagging ones move, back to ``IN_SYNC``, with their
+        transition events in ``ids`` order.  Multicast cannot repair an
+        ``OUT_OF_SYNC`` receiver (it lacks the wrapping keys); only
+        :meth:`mark_recovered` may transition it back.
+        """
+        self._known.update(ids)
+        lagging = self._lagging
+        for member_id in filter(lagging.__contains__, ids):
+            if lagging.pop(member_id, None) is not None:
+                obs_events.emit(
+                    "sync_transition",
+                    member_id=member_id,
+                    from_state=SyncState.LAGGING.value,
+                    to_state=SyncState.IN_SYNC.value,
+                    epoch=epoch,
+                )
 
     def mark_lagging(self, member_id: str, epoch: int, now: float) -> None:
         """Delivery incomplete this epoch, but the transport hasn't given
         up — the receiver may still complete from retransmissions."""
-        slot = self._slot(member_id)
-        if slot.state is SyncState.OUT_OF_SYNC:
+        self._known.add(member_id)
+        if member_id in self._out or member_id in self._lagging:
             return
-        if slot.state is SyncState.IN_SYNC:
-            slot.state = SyncState.LAGGING
-            slot.desynced_at = now
-            slot.desynced_epoch = epoch
-            obs_events.emit(
-                "sync_transition",
-                time=now,
-                member_id=member_id,
-                from_state=SyncState.IN_SYNC.value,
-                to_state=SyncState.LAGGING.value,
-                epoch=epoch,
-            )
-
-    def mark_out_of_sync(self, member_id: str, epoch: int, now: float) -> None:
-        """The transport abandoned this receiver (or it missed a whole
-        epoch): it can no longer follow the multicast rekey stream."""
-        slot = self._slot(member_id)
-        if slot.state is SyncState.OUT_OF_SYNC:
-            return
-        if slot.desynced_at is None:
-            slot.desynced_at = now
-            slot.desynced_epoch = epoch
+        self._lagging[member_id] = (now, epoch)
         obs_events.emit(
             "sync_transition",
             time=now,
             member_id=member_id,
-            from_state=slot.state.value,
+            from_state=SyncState.IN_SYNC.value,
+            to_state=SyncState.LAGGING.value,
+            epoch=epoch,
+        )
+
+    def mark_out_of_sync(self, member_id: str, epoch: int, now: float) -> None:
+        """The transport abandoned this receiver (or it missed a whole
+        epoch): it can no longer follow the multicast rekey stream."""
+        self._known.add(member_id)
+        if member_id in self._out:
+            return
+        desynced = self._lagging.pop(member_id, None)
+        from_state = SyncState.IN_SYNC if desynced is None else SyncState.LAGGING
+        self._out[member_id] = desynced or (now, epoch)
+        obs_events.emit(
+            "sync_transition",
+            time=now,
+            member_id=member_id,
+            from_state=from_state.value,
             to_state=SyncState.OUT_OF_SYNC.value,
             epoch=epoch,
         )
-        slot.state = SyncState.OUT_OF_SYNC
         obs_metrics.inc("sync.out_of_sync")
 
     def mark_recovered(
         self, member_id: str, epoch: int, now: float, keys_sent: int
     ) -> RecoveryEvent:
         """Unicast catch-up landed: record the event and return to sync."""
-        slot = self._slot(member_id)
-        desynced_at = slot.desynced_at if slot.desynced_at is not None else now
-        desynced_epoch = (
-            slot.desynced_epoch if slot.desynced_epoch is not None else epoch
+        self._known.add(member_id)
+        state = self.state_of(member_id)
+        desynced = self._out.pop(member_id, None) or self._lagging.pop(
+            member_id, None
         )
+        desynced_at, desynced_epoch = desynced or (now, epoch)
         event = RecoveryEvent(
             member_id=member_id,
             desynced_at=desynced_at,
@@ -203,12 +195,12 @@ class SyncTracker:
             keys_sent=keys_sent,
         )
         self.events.append(event)
-        if slot.state is not SyncState.IN_SYNC:
+        if state is not SyncState.IN_SYNC:
             obs_events.emit(
                 "sync_transition",
                 time=now,
                 member_id=member_id,
-                from_state=slot.state.value,
+                from_state=state.value,
                 to_state=SyncState.IN_SYNC.value,
                 epoch=epoch,
             )
@@ -227,10 +219,6 @@ class SyncTracker:
             event.latency,
             buckets=obs_metrics.LATENCY_BUCKETS_S,
         )
-        slot.state = SyncState.IN_SYNC
-        slot.synced_epoch = epoch
-        slot.desynced_at = None
-        slot.desynced_epoch = None
         return event
 
 

@@ -34,7 +34,8 @@ partition holding the member, ``server.shard_label``).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import compress
+from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
@@ -119,26 +120,42 @@ class LatencyTracker:
     def observe_delivery(
         self, member_id: str, epoch: int, latency: float
     ) -> None:
-        """A member absorbed the epoch's keys off the multicast channel.
+        """One member absorbed the epoch's keys: :meth:`observe_deliveries`
+        of one, satisfied at ``latency`` (0.0 for round-0 delivery)."""
+        self.observe_deliveries((member_id,), epoch, {member_id: latency})
 
-        ``latency`` is the transport's virtual elapsed time at the round
-        that satisfied the member — 0.0 for round-0 delivery.
+    def observe_deliveries(
+        self, ids: Collection[str], epoch: int, completed: Dict[str, float]
+    ) -> None:
+        """Members ``ids`` absorbed the epoch's keys off the multicast channel.
+
+        ``completed`` is the transport's virtual elapsed time at the round
+        that satisfied each member (``TransportResult.completed``); a member
+        it lacks, or holds at 0.0, adopted the DEK in round 0.  The epoch
+        gets one zero count and the late samples; per-member histograms
+        and ``dek_adopted`` events only while a registry or a log listens.
         """
+        late_ids = set(compress(completed, map((0.0).__lt__, completed.values())))
+        late = [(rid, completed[rid]) for rid in filter(late_ids.__contains__, ids)]
         slot = self._slot(epoch)
-        if latency <= 0.0:
-            slot.zero += 1
-            self._observe_histogram(member_id, 0.0, "delivered")
-            return
-        slot.samples.append((member_id, latency, "late"))
-        self._observe_histogram(member_id, latency, "late")
-        if obs_events.active_log() is not None:
-            obs_events.emit(
-                "dek_adopted",
-                member_id=member_id,
-                epoch=epoch,
-                latency=round(latency, 6),
-                sync_state="late",
-            )
+        slot.zero += len(ids) - len(late)
+        slot.samples.extend((rid, latency, "late") for rid, latency in late)
+        if obs_metrics.active_registry() is not None:
+            late_of = dict(late)
+            for rid in ids:
+                latency = late_of.get(rid, 0.0)
+                self._observe_histogram(
+                    rid, latency, "late" if latency else "delivered"
+                )
+        if late and obs_events.active_log() is not None:
+            for rid, latency in late:
+                obs_events.emit(
+                    "dek_adopted",
+                    member_id=rid,
+                    epoch=epoch,
+                    latency=round(latency, 6),
+                    sync_state="late",
+                )
 
     def open_interval(self, member_id: str, epoch: int, opened_at: float) -> None:
         """The transport abandoned a member; its epoch story is now open.

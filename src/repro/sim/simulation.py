@@ -420,25 +420,23 @@ class GroupRekeyingSimulation:
                 # positional index is built once and shared.
                 with obs_tracing.span("deliver") as deliver_span:
                     index = result.index()
-                    delivered = 0
+                    delivered: List[str] = []
                     for member_id, member in self.members.items():
                         if member_id in self._out_of_sync:
                             continue
                         learned = member.absorb(result.encrypted_keys, index=index)
-                        delivered += 1
+                        delivered.append(member_id)
                         if observing:
                             obs_metrics.observe(
                                 "receiver.keys_learned", len(learned)
                             )
-                        if self.sync_tracker is not None:
-                            self.sync_tracker.mark_delivered(member_id, result.epoch)
-                        if self.latency is not None:
-                            self.latency.observe_delivery(
-                                member_id,
-                                result.epoch,
-                                completed.get(member_id, 0.0),
-                            )
-                    deliver_span.set("receivers", delivered)
+                    if self.sync_tracker is not None:
+                        self.sync_tracker.mark_delivered_all(delivered, result.epoch)
+                    if self.latency is not None:
+                        self.latency.observe_deliveries(
+                            delivered, result.epoch, completed
+                        )
+                    deliver_span.set("receivers", len(delivered))
                 if self.latency is not None:
                     self.latency.epoch_complete(result.epoch)
         if self.config.verify:

@@ -22,6 +22,7 @@ units) in ``keys_sent``, matching the analytic model's accounting.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
@@ -38,17 +39,31 @@ from repro.transport.session import (
 
 @dataclass
 class _Block:
-    """One FEC block and the progress of every receiver tracking it."""
+    """One FEC block and, as sets, the progress of everyone tracking it.
+
+    Payload packets go out once, in round 0, and NACK rounds send parity
+    only: a tracker is satisfied directly only at the last payload packet
+    it wants, and only if it got every payload packet it wants.  Every
+    tracker is in the audience of every packet sent to the block, so a
+    pending tracker in ``by_misses[m]`` has received ``sent - m`` of them.
+    """
 
     payload_packets: List[KeyPacket]
-    # receiver -> seqnos of the payload packets carrying keys it wants and
-    # has not directly received; its keys are everyone tracking the block
-    direct_missing: Dict[str, Set[int]] = field(default_factory=dict)
-    # receiver -> packets of this block received so far, for the trackers
-    # still pending on it: direct_missing non-empty and count < k
-    received: Dict[str, int] = field(default_factory=dict)
-    # the channel's resolution of direct_missing's keys, for every packet
-    # of the block; None until the next packet after a tracker is dropped
+    #: the audience: everyone tracking the block, satisfied or not
+    trackers: Set[str] = field(default_factory=set)
+    #: payload seqno -> trackers wanting a key that packet carries
+    need: Dict[int, Set[str]] = field(default_factory=dict)
+    #: payload seqno -> trackers for whom it is the last packet they want
+    ends_at: Dict[int, Set[str]] = field(default_factory=dict)
+    #: trackers that missed a payload packet they want
+    spoiled: Set[str] = field(default_factory=set)
+    #: ``by_misses[m]``: the trackers still pending on the block that
+    #: missed ``m`` of its packets
+    by_misses: List[Set[str]] = field(default_factory=list)
+    #: packets multicast to the block so far
+    sent: int = 0
+    #: the channel's resolution of ``trackers``, for every packet of the
+    #: block; None until the next packet after a tracker is dropped
     audience: Optional[PreparedAudience] = None
 
     @property
@@ -113,10 +128,11 @@ class _FecState(RoundState):
         self.channel = channel
         self.parity_keys = protocol.keys_per_packet
         self.proactivity = protocol.proactivity
+        audiences = task.audiences()
         payload = pack_indices(range(len(task.keys)), protocol.keys_per_packet)
         self.seqno = len(payload)
         self.blocks: List[_Block] = []
-        packet_of_key: Dict[int, KeyPacket] = {}
+        tracking: Counter = Counter()
         for offset in range(0, len(payload), protocol.block_size):
             block = _Block(
                 [
@@ -125,39 +141,36 @@ class _FecState(RoundState):
                 ]
             )
             self.blocks.append(block)
-            for packet in block.payload_packets:
-                for index in packet.key_indices:
-                    packet_of_key[index] = packet
-        # Register interest: a receiver tracks each block containing any of
-        # its keys, with the payload packets it would need directly.
-        #: receiver -> the blocks it tracks
-        self.tracking: Dict[str, List[_Block]] = {}
+            # One reverse pass: a packet ends the interest of the trackers
+            # wanting it that want no later packet of the block.
+            trackers = block.trackers
+            for packet in reversed(block.payload_packets):
+                need = set().union(
+                    *[audiences.get(index, ()) for index in packet.key_indices]
+                )
+                if need:
+                    block.need[packet.seqno] = need
+                    block.ends_at[packet.seqno] = need - trackers
+                    trackers |= need
+            block.by_misses = [set(trackers)]
+            tracking.update(trackers)
         #: receiver -> how many of its blocks it is still pending on
-        self.pending: Dict[str, int] = {}
-        for rid, wanted in task.interest.items():
-            for index in wanted:
-                packet = packet_of_key[index]
-                block = self.blocks[packet.block]
-                missing = block.direct_missing.get(rid)
-                if missing is None:
-                    block.direct_missing[rid] = {packet.seqno}
-                    block.received[rid] = 0
-                    self.tracking.setdefault(rid, []).append(block)
-                else:
-                    missing.add(packet.seqno)
-            if wanted:
-                self.pending[rid] = len(self.tracking[rid])
+        self.pending: Dict[str, int] = dict(tracking)
+        self.tracked = set(tracking)
 
     def addressed(self):
         # A block's audience is everyone tracking it, satisfied or not.
-        return self.tracking
+        return self.tracked
 
     def drop(self, receiver_id):
-        for block in self.tracking.pop(receiver_id):
-            del block.direct_missing[receiver_id]
-            block.received.pop(receiver_id, None)
-            block.audience = None
+        self.tracked.discard(receiver_id)
         self.pending.pop(receiver_id, None)
+        for block in self.blocks:
+            if receiver_id in block.trackers:
+                block.trackers.discard(receiver_id)
+                block.audience = None
+                for bucket in block.by_misses:
+                    bucket.discard(receiver_id)
 
     def packets(self, round_index):
         for block_id, block in enumerate(self.blocks):
@@ -165,14 +178,15 @@ class _FecState(RoundState):
                 sends = list(block.payload_packets)
                 parity_count = (
                     math.ceil((self.proactivity - 1.0) * block.k)
-                    if block.direct_missing
+                    if block.trackers
                     else 0
                 )
-            elif block.received:
-                # NACKs: the worst pending receiver sizes the block's
-                # retransmission.
+            elif any(block.by_misses):
+                # NACKs: the worst pending receiver, the one that missed
+                # the most, sizes the block's retransmission.
+                worst = max(m for m, bucket in enumerate(block.by_misses) if bucket)
                 sends = []
-                parity_count = block.k - min(block.received.values())
+                parity_count = block.k - (block.sent - worst)
             else:
                 continue
             for __ in range(parity_count):
@@ -184,30 +198,54 @@ class _FecState(RoundState):
                 self.seqno += 1
             audience = block.audience
             if audience is None:
-                audience = block.audience = self.channel.prepare(
-                    block.direct_missing.keys()
-                )
+                audience = block.audience = self.channel.prepare(block.trackers)
             for packet in sends:
                 yield packet, audience
 
     def deliver(self, packet, receivers):
         block = self.blocks[packet.block]
-        received, missing_of, k = block.received, block.direct_missing, block.k
+        block.sent += 1
+        by_misses = block.by_misses
+        if by_misses[-1]:
+            by_misses.append(set())
+        # The pending trackers this packet missed move up one bucket,
+        # highest bucket first so that none moves twice.
+        for misses in range(len(by_misses) - 2, -1, -1):
+            bucket = by_misses[misses]
+            if bucket:
+                lost = bucket - receivers
+                if lost:
+                    bucket -= lost
+                    by_misses[misses + 1] |= lost
+        # Whoever has now received k packets rebuilds the block.
+        done: Set[str] = set()
+        full = block.sent - block.k
+        if 0 <= full < len(by_misses):
+            done, by_misses[full] = by_misses[full], done
+        # A payload packet satisfies directly the trackers it ends that got
+        # every payload packet they want; parity seqnos have no ``need``.
+        need = block.need.get(packet.seqno)
+        if need:
+            spoiled = block.spoiled
+            spoiled |= need - receivers
+            direct = (block.ends_at[packet.seqno] & receivers) - spoiled
+            direct -= done
+            if direct:
+                for bucket in by_misses:
+                    bucket -= direct
+                done |= direct
+        if not done:
+            return ()
+        open_blocks = self.pending
         satisfied = []
-        # Only receivers still pending on the block have progress to make.
-        for rid in received.keys() & receivers:
-            count = received[rid] = received[rid] + 1
-            missing = missing_of[rid]
-            if not packet.is_parity:
-                missing.discard(packet.seqno)
-            if count >= k or not missing:
-                del received[rid]
-                if self.pending[rid] > 1:
-                    self.pending[rid] -= 1
-                else:
-                    del self.pending[rid]
-                    satisfied.append(rid)
+        for rid in done:
+            left = open_blocks[rid] - 1
+            if left:
+                open_blocks[rid] = left
+            else:
+                del open_blocks[rid]
+                satisfied.append(rid)
         return satisfied
 
     def keys_pending(self):
-        return sum(len(block.received) for block in self.blocks)
+        return sum(len(bucket) for block in self.blocks for bucket in block.by_misses)

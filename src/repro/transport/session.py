@@ -33,24 +33,6 @@ from repro.obs import tracing as obs_tracing
 from repro.transport.packets import KeyPacket
 
 
-def audiences_of(interest: Dict[str, Set[int]]) -> Dict[int, Set[str]]:
-    """Invert ``receiver -> wanted key indices`` into ``index -> audience``.
-
-    Only keys somebody wants appear.  This is the one audience builder:
-    a task's :meth:`TransportTask.audiences` and the one map a
-    :class:`KeyInterestState` keeps for a whole delivery go through it.
-    """
-    audiences: Dict[int, Set[str]] = {}
-    for rid, wanted in interest.items():
-        for index in wanted:
-            audience = audiences.get(index)
-            if audience is None:
-                audiences[index] = {rid}
-            else:
-                audience.add(rid)
-    return audiences
-
-
 @dataclass
 class TransportTask:
     """One rekey delivery job.
@@ -72,8 +54,31 @@ class TransportTask:
     interest: Dict[str, Set[int]]
 
     def audiences(self) -> Dict[int, Set[str]]:
-        """index -> audience, for every key with a non-empty audience."""
-        return audiences_of(self.interest)
+        """Invert the interest into ``index -> audience`` for every key
+        somebody wants: the one audience builder every transport state
+        starts from.
+
+        Raises
+        ------
+        ValueError
+            When a receiver wants an index outside ``range(len(keys))``.
+        """
+        audiences: Dict[int, Set[str]] = {}
+        for rid, wanted in self.interest.items():
+            for index in wanted:
+                audience = audiences.get(index)
+                if audience is None:
+                    audiences[index] = {rid}
+                else:
+                    audience.add(rid)
+        size = len(self.keys)
+        if audiences and (min(audiences) < 0 or max(audiences) >= size):
+            index = min(audiences) if min(audiences) < 0 else max(audiences)
+            raise ValueError(
+                f"receiver {min(audiences[index])!r} wants key index {index}, "
+                f"outside the payload's {size} keys"
+            )
+        return audiences
 
 
 @dataclass
@@ -198,7 +203,7 @@ class KeyInterestState(RoundState):
 
     def __init__(self, task: TransportTask) -> None:
         self.interest = task.interest
-        self.audiences: Dict[int, Set[str]] = audiences_of(task.interest)
+        self.audiences: Dict[int, Set[str]] = task.audiences()
         self.pending: Dict[str, int] = {
             rid: len(wanted) for rid, wanted in task.interest.items() if wanted
         }

@@ -1,6 +1,12 @@
 """The per-receiver epoch state machine and measured recovery events."""
 
+from collections import Counter
+from dataclasses import dataclass
+from typing import Dict, List, Optional
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults.recovery import (
     RecoveryEvent,
@@ -8,6 +14,8 @@ from repro.faults.recovery import (
     SyncTracker,
     latency_summary,
 )
+from repro.obs import events as obs_events
+from repro.obs import metrics as obs_metrics
 
 
 class TestSyncTracker:
@@ -100,3 +108,300 @@ class TestLatencySummary:
         assert summary["latency_p99_s"] == 90.0
         assert summary["keys_total"] == 12
         assert summary["epochs_missed_max"] == 4
+
+
+@dataclass
+class ReceiverSync:
+    """One receiver's slot in the state machine."""
+
+    state: SyncState = SyncState.IN_SYNC
+    #: last epoch the server believes this receiver fully absorbed
+    synced_epoch: int = 0
+    #: when the receiver fell out of sync (for recovery-latency accounting)
+    desynced_at: Optional[float] = None
+    #: epoch whose delivery it missed when it fell out of sync
+    desynced_epoch: Optional[int] = None
+
+
+class PerSlotSyncTracker:
+    """Oracle: ``SyncTracker`` as it was before it stored only receivers
+    out of step — one :class:`ReceiverSync` slot per known receiver."""
+
+    def __init__(self) -> None:
+        self._receivers: Dict[str, ReceiverSync] = {}
+        self.events: List[RecoveryEvent] = []
+
+    # ------------------------------------------------------------------
+    # membership
+    # ------------------------------------------------------------------
+
+    def admit(self, member_id: str, epoch: int) -> None:
+        """A freshly admitted member starts in sync at its join epoch."""
+        self._receivers[member_id] = ReceiverSync(
+            state=SyncState.IN_SYNC, synced_epoch=epoch
+        )
+
+    def forget(self, member_id: str) -> None:
+        """Drop a departed member's slot."""
+        self._receivers.pop(member_id, None)
+
+    def __contains__(self, member_id: str) -> bool:
+        return member_id in self._receivers
+
+    def state_of(self, member_id: str) -> SyncState:
+        slot = self._receivers.get(member_id)
+        if slot is None:
+            raise KeyError(f"sync tracker knows no member {member_id!r}")
+        return slot.state
+
+    def out_of_sync(self) -> List[str]:
+        """Members currently awaiting unicast recovery."""
+        return [
+            member_id
+            for member_id, slot in self._receivers.items()
+            if slot.state is SyncState.OUT_OF_SYNC
+        ]
+
+    def counts(self) -> Dict[str, int]:
+        """State -> member count (observability)."""
+        totals = {state.value: 0 for state in SyncState}
+        for slot in self._receivers.values():
+            totals[slot.state.value] += 1
+        return totals
+
+    # ------------------------------------------------------------------
+    # transitions
+    # ------------------------------------------------------------------
+
+    def _slot(self, member_id: str) -> ReceiverSync:
+        """``member_id``'s slot; an unknown member gets a fresh in-sync one.
+        Built only on a miss: ``mark_delivered`` runs once per receiver
+        per epoch."""
+        slot = self._receivers.get(member_id)
+        if slot is None:
+            slot = self._receivers[member_id] = ReceiverSync()
+        return slot
+
+    def mark_delivered(self, member_id: str, epoch: int) -> None:
+        """A rekey epoch's payload fully reached this receiver."""
+        slot = self._slot(member_id)
+        if slot.state is SyncState.OUT_OF_SYNC:
+            # Multicast cannot repair an OUT_OF_SYNC receiver (it lacks the
+            # wrapping keys); only catch_up() may transition it back.
+            return
+        if slot.state is not SyncState.IN_SYNC:
+            obs_events.emit(
+                "sync_transition",
+                member_id=member_id,
+                from_state=slot.state.value,
+                to_state=SyncState.IN_SYNC.value,
+                epoch=epoch,
+            )
+        slot.state = SyncState.IN_SYNC
+        slot.synced_epoch = max(slot.synced_epoch, epoch)
+        slot.desynced_at = None
+        slot.desynced_epoch = None
+
+    def mark_lagging(self, member_id: str, epoch: int, now: float) -> None:
+        """Delivery incomplete this epoch, but the transport hasn't given
+        up — the receiver may still complete from retransmissions."""
+        slot = self._slot(member_id)
+        if slot.state is SyncState.OUT_OF_SYNC:
+            return
+        if slot.state is SyncState.IN_SYNC:
+            slot.state = SyncState.LAGGING
+            slot.desynced_at = now
+            slot.desynced_epoch = epoch
+            obs_events.emit(
+                "sync_transition",
+                time=now,
+                member_id=member_id,
+                from_state=SyncState.IN_SYNC.value,
+                to_state=SyncState.LAGGING.value,
+                epoch=epoch,
+            )
+
+    def mark_out_of_sync(self, member_id: str, epoch: int, now: float) -> None:
+        """The transport abandoned this receiver (or it missed a whole
+        epoch): it can no longer follow the multicast rekey stream."""
+        slot = self._slot(member_id)
+        if slot.state is SyncState.OUT_OF_SYNC:
+            return
+        if slot.desynced_at is None:
+            slot.desynced_at = now
+            slot.desynced_epoch = epoch
+        obs_events.emit(
+            "sync_transition",
+            time=now,
+            member_id=member_id,
+            from_state=slot.state.value,
+            to_state=SyncState.OUT_OF_SYNC.value,
+            epoch=epoch,
+        )
+        slot.state = SyncState.OUT_OF_SYNC
+        obs_metrics.inc("sync.out_of_sync")
+
+    def mark_recovered(
+        self, member_id: str, epoch: int, now: float, keys_sent: int
+    ) -> RecoveryEvent:
+        """Unicast catch-up landed: record the event and return to sync."""
+        slot = self._slot(member_id)
+        desynced_at = slot.desynced_at if slot.desynced_at is not None else now
+        desynced_epoch = (
+            slot.desynced_epoch if slot.desynced_epoch is not None else epoch
+        )
+        event = RecoveryEvent(
+            member_id=member_id,
+            desynced_at=desynced_at,
+            recovered_at=now,
+            epochs_missed=max(0, epoch - desynced_epoch + 1),
+            keys_sent=keys_sent,
+        )
+        self.events.append(event)
+        if slot.state is not SyncState.IN_SYNC:
+            obs_events.emit(
+                "sync_transition",
+                time=now,
+                member_id=member_id,
+                from_state=slot.state.value,
+                to_state=SyncState.IN_SYNC.value,
+                epoch=epoch,
+            )
+        obs_events.emit(
+            "resync",
+            time=now,
+            member_id=member_id,
+            keys_sent=event.keys_sent,
+            epochs_missed=event.epochs_missed,
+            latency=event.latency,
+        )
+        obs_metrics.inc("sync.recoveries")
+        obs_metrics.observe("sync.recovery_keys", event.keys_sent)
+        obs_metrics.observe(
+            "sync.recovery_latency",
+            event.latency,
+            buckets=obs_metrics.LATENCY_BUCKETS_S,
+        )
+        slot.state = SyncState.IN_SYNC
+        slot.synced_epoch = epoch
+        slot.desynced_at = None
+        slot.desynced_epoch = None
+        return event
+
+
+    def mark_delivered_all(self, ids, epoch: int) -> None:
+        """The batched call, as the loop it replaces."""
+        for member_id in ids:
+            self.mark_delivered(member_id, epoch)
+
+
+MEMBERS = ["a", "b", "c"]
+MEMBER = st.sampled_from(MEMBERS)
+EPOCH = st.integers(0, 6)
+NOW = st.integers(0, 400).map(float)
+TRANSITIONS = [
+    st.tuples(st.just("mark_lagging"), MEMBER, EPOCH, NOW),
+    st.tuples(st.just("mark_out_of_sync"), MEMBER, EPOCH, NOW),
+    st.tuples(st.just("mark_recovered"), MEMBER, EPOCH, NOW, st.integers(0, 9)),
+]
+# Transitions twice as likely as the rest, so that lagging -> out of sync
+# -> recovered stories form often.
+STEP = st.one_of(
+    *TRANSITIONS,
+    *TRANSITIONS,
+    st.tuples(st.just("admit"), MEMBER, EPOCH),
+    st.tuples(st.just("forget"), MEMBER),
+    st.tuples(st.just("mark_delivered"), MEMBER, EPOCH),
+    st.tuples(
+        st.just("mark_delivered_all"),
+        st.lists(MEMBER, max_size=4).map(tuple),
+        EPOCH,
+    ),
+)
+
+
+def records(log):
+    """A log's events as a multiset of their fields."""
+    return Counter(tuple(sorted(record.items())) for record in log.records)
+
+
+class TestAgainstPerSlotTracker:
+    """The tracker that stores only out-of-step receivers against the one
+    that kept a slot per receiver, over transition sequences."""
+
+    @staticmethod
+    def assert_agree(steps):
+        oracle, tracker = PerSlotSyncTracker(), SyncTracker()
+        logs = {id(oracle): obs_events.EventLog(), id(tracker): obs_events.EventLog()}
+        registries = {id(oracle): obs_metrics.MetricsRegistry(),
+                      id(tracker): obs_metrics.MetricsRegistry()}
+        for name, *args in steps:
+            for each in (oracle, tracker):
+                with obs_events.logging(logs[id(each)]), obs_metrics.collecting(
+                    registries[id(each)]
+                ):
+                    getattr(each, name)(*args)
+            for member_id in MEMBERS:
+                assert (member_id in tracker) == (member_id in oracle)
+                if member_id in oracle:
+                    assert tracker.state_of(member_id) is oracle.state_of(member_id)
+                else:
+                    with pytest.raises(KeyError):
+                        tracker.state_of(member_id)
+            assert tracker.counts() == oracle.counts()
+            assert set(tracker.out_of_sync()) == set(oracle.out_of_sync())
+            assert tracker.events == oracle.events
+            assert records(logs[id(tracker)]) == records(logs[id(oracle)])
+        assert (
+            registries[id(tracker)].to_prometheus()
+            == registries[id(oracle)].to_prometheus()
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=st.lists(STEP, min_size=8, max_size=40))
+    def test_random_sequences(self, steps):
+        self.assert_agree(steps)
+
+    @pytest.mark.parametrize(
+        "story",
+        [
+            # lagging, then out of sync later: recovery measures from the dip
+            [("mark_lagging", "a", 2, 60.0), ("mark_out_of_sync", "a", 3, 65.0),
+             ("mark_recovered", "a", 4, 120.0, 5)],
+            # lagging, delivered, lagging again, recovered
+            [("admit", "a", 1), ("mark_lagging", "a", 2, 60.0),
+             ("mark_delivered_all", ("b", "a", "a"), 2),
+             ("mark_lagging", "a", 3, 90.0), ("mark_recovered", "a", 3, 95.0, 1)],
+            # out of sync twice, delivered in between, re-admitted
+            [("mark_out_of_sync", "b", 1, 10.0), ("mark_delivered", "b", 2),
+             ("mark_out_of_sync", "b", 2, 20.0), ("admit", "b", 3),
+             ("mark_lagging", "b", 3, 30.0), ("forget", "b"),
+             ("mark_recovered", "b", 4, 40.0, 2)],
+        ],
+    )
+    def test_recovery_stories(self, story):
+        self.assert_agree(story)
+
+    def test_out_of_sync_lists_in_the_order_members_went_out(self):
+        tracker = SyncTracker()
+        for member in ("a", "b", "c"):
+            tracker.admit(member, epoch=1)
+        tracker.mark_out_of_sync("c", epoch=2, now=1.0)
+        tracker.mark_out_of_sync("a", epoch=2, now=2.0)
+        assert tracker.out_of_sync() == ["c", "a"]
+
+    def test_batch_moves_lagging_back_in_ids_order(self):
+        with obs_events.logging() as log:
+            tracker = SyncTracker()
+            tracker.mark_lagging("b", epoch=2, now=1.0)
+            tracker.mark_lagging("a", epoch=2, now=1.0)
+            tracker.mark_out_of_sync("c", epoch=2, now=1.0)
+            tracker.mark_delivered_all(["c", "a", "new", "b"], epoch=2)
+        back = [
+            (t["member_id"], t["from_state"])
+            for t in log.of_type("sync_transition")
+            if t["to_state"] == "in-sync"
+        ]
+        assert back == [("a", "lagging"), ("b", "lagging")]
+        assert tracker.state_of("c") is SyncState.OUT_OF_SYNC
+        assert tracker.counts() == {"in-sync": 3, "lagging": 0, "out-of-sync": 1}

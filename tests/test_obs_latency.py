@@ -3,10 +3,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.members.durations import TwoClassDuration
 from repro.members.population import LossPopulation
+from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs.latency import LATENCY_METRIC, LatencyTracker, exact_percentile
 from repro.obs.metrics import (
@@ -180,6 +183,88 @@ class TestLatencyTracker:
         late = merged["series"]["one|0|late"]
         assert late["count"] == 3
         assert late["sum"] == pytest.approx(706.0)
+
+
+def per_member_observe_delivery(tracker, member_id, epoch, latency):
+    """Oracle: ``LatencyTracker.observe_delivery`` as it was before an
+    epoch's deliveries were recorded in one call."""
+    slot = tracker._slot(epoch)
+    if latency <= 0.0:
+        slot.zero += 1
+        tracker._observe_histogram(member_id, 0.0, "delivered")
+        return
+    slot.samples.append((member_id, latency, "late"))
+    tracker._observe_histogram(member_id, latency, "late")
+    if obs_events.active_log() is not None:
+        obs_events.emit(
+            "dek_adopted",
+            member_id=member_id,
+            epoch=epoch,
+            latency=round(latency, 6),
+            sync_state="late",
+        )
+
+
+MEMBERS = [f"m{i}" for i in range(12)]
+LATENCY = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.5, 4.0, 30.0, 700.0])
+EPOCH_DELIVERIES = st.tuples(
+    st.integers(0, 4),
+    st.lists(st.sampled_from(MEMBERS), unique=True),
+    st.dictionaries(st.sampled_from(MEMBERS + ["gone"]), LATENCY),
+)
+
+
+class TestBatchedDeliveriesAgainstPerMemberLoop:
+    """``observe_deliveries`` against a loop of the per-member
+    ``observe_delivery`` it replaced, member by member in ``ids`` order."""
+
+    @staticmethod
+    def record(epochs, batched):
+        tracker = LatencyTracker(scheme="s", shard_fn=lambda m: int(m[1:]) % 3)
+        for epoch, ids, completed in epochs:
+            if batched:
+                tracker.observe_deliveries(ids, epoch, completed)
+            else:
+                for member_id in ids:
+                    per_member_observe_delivery(
+                        tracker, member_id, epoch, completed.get(member_id, 0.0)
+                    )
+            tracker.open_interval(f"r{epoch}", epoch, opened_at=1.0)
+            tracker.close_resync(f"r{epoch}", now=2.0 + epoch)
+        return tracker
+
+    @settings(max_examples=100, deadline=None)
+    @given(epochs=st.lists(EPOCH_DELIVERIES, max_size=6))
+    def test_same_reads_metrics_and_events(self, epochs):
+        outcomes = []
+        for batched in (False, True):
+            with obs.observe(clock=lambda: 0.0) as bundle:
+                tracker = self.record(epochs, batched)
+            outcomes.append(
+                (
+                    tracker.summary(),
+                    tracker.epoch_rows(),
+                    tracker.worst(30),
+                    bundle.registry.to_prometheus(),
+                    bundle.events.of_type("dek_adopted"),
+                )
+            )
+        assert outcomes[1] == outcomes[0]
+        # Unobserved, the reads are the same too.
+        unobserved = self.record(epochs, batched=True)
+        assert unobserved.summary() == outcomes[0][0]
+        assert unobserved.epoch_rows() == outcomes[0][1]
+
+    def test_one_record_per_epoch(self):
+        tracker = LatencyTracker()
+        tracker.observe_deliveries(
+            ["a", "b", "c", "d"], 1, {"b": 2.5, "c": 0.0, "x": 9.0}
+        )
+        assert tracker.summary()["count"] == 4
+        assert tracker.epoch_percentiles(1)["max"] == 2.5
+        assert tracker.worst() == [
+            {"member": "b", "epoch": 1, "latency_s": 2.5, "state": "late"}
+        ]
 
 
 def _latency_snapshot(server):

@@ -853,6 +853,164 @@ class TestRoundEngineEquivalence:
         assert_same_delivery(*outcomes)
 
 
+class TestFecShapesAgainstTheScan:
+    """FEC block shapes the fixed ``FEC`` settings miss, each against
+    :class:`PerBlockScanFec`: one-packet blocks (k = 1), a short last
+    block, no and double proactive parity, a receiver wanting a key in
+    every payload packet of its block, and a spoiled receiver (one that
+    missed a payload packet it wants) departing mid-round."""
+
+    lossy_task = TestWkaBkrAudienceIndexEquivalence.lossy_task
+    RECEIVERS = TestRoundEngineEquivalence.RECEIVERS
+
+    @staticmethod
+    def run_both(make, settings, unsubscribe_at=None, seed=77, **protocol):
+        """``make()`` -> ``(task, rates)``, called afresh for each side."""
+        outcomes = []
+        for cls in (PerBlockScanFec, ProactiveFecProtocol):
+            task, rates = make()
+            channel = PacketLogChannel(seed).start_log(unsubscribe_at)
+            for rid, rate in rates.items():
+                channel.subscribe(rid, BernoulliLoss(rate))
+            result, pending = run_or_exhaust(cls(**settings, **protocol), task, channel)
+            outcomes.append((result, pending, channel))
+        assert_same_delivery(*outcomes)
+        return outcomes[1]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_one_packet_blocks(self, seed):
+        settings = dict(keys_per_packet=4, block_size=1, proactivity=1.25)
+        result, __, channel = self.run_both(lambda: self.lossy_task(seed), settings)
+        assert result.satisfied and result.late and result.parity_packets
+        assert max(block for __, __, block, __, __ in channel.log) >= 20
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_short_last_block(self, seed):
+        task, __ = self.lossy_task(seed)
+        packets = math.ceil(len(task.keys) / 4)
+        block_size = next(size for size in range(5, 12) if packets % size)
+        settings = dict(keys_per_packet=4, block_size=block_size, proactivity=1.25)
+        result, __, channel = self.run_both(lambda: self.lossy_task(seed), settings)
+        last = packets // block_size
+        assert result.satisfied
+        assert any(block == last for __, __, block, __, __ in channel.log)
+
+    @pytest.mark.parametrize("proactivity", [1.0, 2.0])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_proactivity(self, seed, proactivity):
+        settings = dict(keys_per_packet=4, block_size=3, proactivity=proactivity)
+        result, __, __ = self.run_both(lambda: self.lossy_task(seed), settings)
+        assert result.satisfied and len(result.completed) >= 300
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_receiver_wanting_every_packet_of_its_block(self, seed):
+        import random
+
+        def make():
+            rng = random.Random(seed)
+            # 8 keys a packet, 4 packets a block: 96 keys in 3 blocks.
+            interest = {"every": {0, 9, 18, 27}, "whole": set(range(96))}
+            for i in range(30):
+                interest[f"r{i}"] = set(rng.sample(range(96), rng.randint(1, 6)))
+            rates = {rid: rng.choice([0.05, 0.2, 0.4]) for rid in interest}
+            return TransportTask(keys=[None] * 96, interest=interest), rates
+
+        settings = dict(keys_per_packet=8, block_size=4, proactivity=1.25)
+        result, pending, __ = self.run_both(make, settings, seed=seed)
+        assert result.satisfied and not pending
+        assert {"every", "whole"} <= set(result.completed)
+
+    @pytest.mark.parametrize("round_index", [0, 1])
+    @pytest.mark.parametrize("seed", [10, 11])
+    def test_spoiled_receiver_departs_mid_round(self, seed, round_index):
+        task, __ = self.lossy_task(seed)
+        # Needs the most keys and loses nearly everything: spoiled at its
+        # first wanted payload packet, still pending when it leaves.
+        leaver = min(task.interest, key=lambda r: (-len(task.interest[r]), r))
+
+        def make():
+            task, rates = self.lossy_task(seed)
+            rates[leaver] = 0.999
+            return task, rates
+
+        settings = dict(keys_per_packet=4, block_size=3, proactivity=1.25)
+        dry, __, __ = self.run_both(make, settings, max_rounds=2)
+        at = sum(dry.per_round_packets[:round_index]) + 3
+        result, __, channel = self.run_both(make, settings, unsubscribe_at={at: [leaver]})
+        assert leaver not in channel.subscribers()
+        assert leaver not in result.completed and result.satisfied
+        # Dropped before a NACK round counts it late, if it left in round 0.
+        assert (leaver in result.late) == (round_index == 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_small_shapes(self, data):
+        keys = data.draw(st.integers(1, 30), label="keys")
+        settings = dict(
+            keys_per_packet=data.draw(st.integers(1, 5), label="keys_per_packet"),
+            block_size=data.draw(st.integers(1, 5), label="block_size"),
+            proactivity=data.draw(
+                st.sampled_from([1.0, 1.25, 1.5, 2.0]), label="proactivity"
+            ),
+        )
+        interest = {
+            f"r{i}": data.draw(st.sets(st.integers(0, keys - 1), max_size=6))
+            for i in range(data.draw(st.integers(1, 8), label="receivers"))
+        }
+        rates = {
+            rid: data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.6])) for rid in interest
+        }
+        leaving = data.draw(
+            st.dictionaries(
+                st.integers(0, 30), st.sampled_from(sorted(interest)), max_size=2
+            ),
+            label="leaving",
+        )
+
+        def make():
+            task = TransportTask(
+                keys=[None] * keys,
+                interest={rid: set(wanted) for rid, wanted in interest.items()},
+            )
+            return task, dict(rates)
+
+        self.run_both(
+            make, settings, unsubscribe_at={at: [rid] for at, rid in leaving.items()}
+        )
+
+
+class TestMalformedInterest:
+    """An index outside the payload is rejected up front, the same way by
+    every transport: a ``ValueError`` naming the receiver and the index."""
+
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            WkaBkrProtocol(keys_per_packet=2),
+            MultiSendProtocol(keys_per_packet=2),
+            ProactiveFecProtocol(keys_per_packet=2, block_size=2),
+        ],
+        ids=lambda p: p.name,
+    )
+    @pytest.mark.parametrize(
+        "interest, receiver, index",
+        [
+            ({"a": {1, 7}, "b": {2}}, "a", 7),
+            ({"a": {1}, "b": {-1}}, "b", -1),
+            # the lowest out-of-range index, then the first receiver by id
+            ({"b": {1, 7}, "a": {-1, 9}, "c": {-1}}, "a", -1),
+        ],
+    )
+    def test_rejected_naming_receiver_and_index(
+        self, protocol, interest, receiver, index
+    ):
+        task = TransportTask(keys=[None] * 4, interest=interest)
+        channel = make_channel({rid: 0.0 for rid in interest})
+        with pytest.raises(ValueError, match=f"'{receiver}'.* {index},"):
+            protocol.run(task, channel)
+        assert channel.packets_sent == 0
+
+
 class TestProactiveFec:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -9,10 +9,12 @@ from tests.helpers import populate
 
 class TestTransportTask:
     def test_audiences_inverts_interest(self):
-        task = TransportTask(keys=[], interest={"a": {0, 1}, "b": {1}})
+        # Transports read only the payload's length.
+        keys = [None, None]
+        task = TransportTask(keys=keys, interest={"a": {0, 1}, "b": {1}})
         audiences = task.audiences()
         assert audiences == {0: {"a"}, 1: {"a", "b"}}
-        task = TransportTask(keys=[], interest={"a": {0}, "b": {0, 1}, "c": set()})
+        task = TransportTask(keys=keys, interest={"a": {0}, "b": {0, 1}, "c": set()})
         audiences = task.audiences()
         assert audiences[0] == {"a", "b"}
         assert audiences[1] == {"b"}
