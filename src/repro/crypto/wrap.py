@@ -532,6 +532,11 @@ class WrapIndex:
         work set.  ``versions`` is not mutated.  Rows come back sorted;
         total work is proportional to the wraps actually examined —
         O(tree depth) per receiver — not to the message size.
+
+        The simulator takes each member's interest from a journaled
+        :meth:`~repro.members.member.Member.absorb`, which reports the rows
+        the member learned; this is the reference that interest is tested
+        against.
         """
         heads, chain = self.heads, self.chain
         batch = self.batch

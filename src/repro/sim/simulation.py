@@ -23,7 +23,7 @@ from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.members.durations import TwoClassDuration
-from repro.members.member import Member
+from repro.members.member import AbsorbJournal, Member
 from repro.members.population import LossPopulation
 from repro.obs.latency import LatencyTracker
 from repro.network.channel import MulticastChannel
@@ -354,10 +354,19 @@ class GroupRekeyingSimulation:
                     )
 
     def _deliver_batch(self, result: BatchResult, now: float) -> None:
-        """Transport the batch payload, handle degradation, verify, record."""
+        """Absorb the batch payload, transport it, handle degradation,
+        verify, record.
+
+        One receiver pass per epoch: every in-sync member absorbs the
+        payload once, before the transport, and the rows it learned are its
+        interest (the sparseness property, Section 2.2).  A receiver the
+        transport then abandons gets its pre-epoch keys back before it goes
+        OUT_OF_SYNC, so sync, latency and the ``receiver.*`` records cover
+        only the receivers whose delivery committed.
+        """
         transport_keys = transport_packets = transport_rounds = 0
         transport_elapsed = 0.0
-        newly_abandoned: Set[str] = set()
+        abandoned: List[str] = []
         completed: Dict[str, float] = {}
         obs_tracing.set_attr("epoch", result.epoch)
         observing = obs_metrics.active_registry() is not None
@@ -367,8 +376,30 @@ class GroupRekeyingSimulation:
                 for member in self.members.values():
                     member.apply_advances(result.advanced)
             if result.encrypted_keys:
+                # OUT_OF_SYNC receivers lack wraps they would need; the
+                # unicast catch-up path owns them.  The positional index is
+                # built once and shared.
+                with obs_tracing.span("deliver") as deliver_span:
+                    index = result.index()
+                    journals: Dict[str, AbsorbJournal] = {}
+                    for member_id, member in self.members.items():
+                        if member_id in self._out_of_sync:
+                            continue
+                        journal = journals[member_id] = AbsorbJournal()
+                        member.absorb(
+                            result.encrypted_keys, index=index, journal=journal
+                        )
+                    deliver_span.set("receivers", len(journals))
                 if self.config.transport is not None:
-                    task = self._build_task(result)
+                    if observing:
+                        for wanted in journals.values():
+                            if wanted:
+                                obs_metrics.observe(
+                                    "receiver.interest_keys", len(wanted)
+                                )
+                    # A journal's rows are its member's interest; one that
+                    # learned nothing is ignored.
+                    task = TransportTask(keys=result.encrypted_keys, interest=journals)
                     with obs_tracing.span(
                         "transport",
                         protocol=getattr(
@@ -383,19 +414,17 @@ class GroupRekeyingSimulation:
                             # could not satisfy go OUT_OF_SYNC and recover over
                             # unicast instead of failing the whole run.
                             outcome = exc.result
-                            newly_abandoned = set(exc.pending) | set(
-                                outcome.abandoned
-                            )
+                            gave_up = exc.pending | outcome.abandoned
                         else:
-                            newly_abandoned = set(outcome.abandoned)
-                            if not outcome.satisfied and not newly_abandoned:
+                            gave_up = outcome.abandoned
+                            if not outcome.satisfied and not gave_up:
                                 raise RuntimeError(
                                     f"transport failed to satisfy all receivers "
                                     f"at t={now}"
                                 )
                         transport_span.set("rounds", outcome.rounds)
                         transport_span.set("packets", outcome.packets_sent)
-                        transport_span.set("abandoned", len(newly_abandoned))
+                        transport_span.set("abandoned", len(gave_up))
                     transport_keys = outcome.keys_sent
                     transport_packets = outcome.packets_sent
                     transport_rounds = outcome.rounds
@@ -406,38 +435,29 @@ class GroupRekeyingSimulation:
                         obs_metrics.inc(
                             "transport.packets_sent", outcome.packets_sent
                         )
-                    if self.sync_tracker is not None:
-                        for rid in outcome.late:
-                            if rid in self.members and rid not in newly_abandoned:
+                    # Receivers walk in roster order, so the events below do
+                    # not depend on set iteration (the hash seed).
+                    if gave_up:
+                        abandoned = [rid for rid in journals if rid in gave_up]
+                        for member_id in abandoned:
+                            self.members[member_id].revert(journals.pop(member_id))
+                    if self.sync_tracker is not None and outcome.late:
+                        late = outcome.late
+                        for member_id in journals:
+                            if member_id in late:
                                 self.sync_tracker.mark_lagging(
-                                    rid, result.epoch, now
+                                    member_id, result.epoch, now
                                 )
-                    self._register_abandoned(newly_abandoned, result.epoch, now)
-                # Members absorb the payload (delivery is reliable by the
-                # time the transport finishes, or assumed reliable without
-                # one) — except OUT_OF_SYNC receivers, which missed wraps
-                # they would need and wait for unicast catch-up.  The
-                # positional index is built once and shared.
-                with obs_tracing.span("deliver") as deliver_span:
-                    index = result.index()
-                    delivered: List[str] = []
-                    for member_id, member in self.members.items():
-                        if member_id in self._out_of_sync:
-                            continue
-                        learned = member.absorb(result.encrypted_keys, index=index)
-                        delivered.append(member_id)
-                        if observing:
-                            obs_metrics.observe(
-                                "receiver.keys_learned", len(learned)
-                            )
-                    if self.sync_tracker is not None:
-                        self.sync_tracker.mark_delivered_all(delivered, result.epoch)
-                    if self.latency is not None:
-                        self.latency.observe_deliveries(
-                            delivered, result.epoch, completed
-                        )
-                    deliver_span.set("receivers", len(delivered))
+                    self._register_abandoned(abandoned, result.epoch, now)
+                if observing:
+                    for journal in journals.values():
+                        obs_metrics.observe("receiver.keys_learned", len(journal))
+                if self.sync_tracker is not None:
+                    self.sync_tracker.mark_delivered_all(journals, result.epoch)
                 if self.latency is not None:
+                    self.latency.observe_deliveries(
+                        journals, result.epoch, completed
+                    )
                     self.latency.epoch_complete(result.epoch)
         if self.config.verify:
             self._verify(result)
@@ -455,18 +475,17 @@ class GroupRekeyingSimulation:
                 transport_packets=transport_packets,
                 transport_rounds=transport_rounds,
                 transport_elapsed=transport_elapsed,
-                abandoned=len(newly_abandoned),
+                abandoned=len(abandoned),
             )
         )
 
     def _register_abandoned(
-        self, abandoned: Set[str], epoch: int, now: float
+        self, abandoned: List[str], epoch: int, now: float
     ) -> None:
-        """Transition abandoned receivers to OUT_OF_SYNC and schedule their
-        unicast catch-up after the configured recovery delay."""
+        """Transition abandoned receivers, in the order given, to
+        OUT_OF_SYNC and schedule their unicast catch-up after the configured
+        recovery delay."""
         for member_id in abandoned:
-            if member_id not in self.members or member_id in self._out_of_sync:
-                continue
             self._out_of_sync.add(member_id)
             obs_events.emit(
                 "abandonment", time=now, member_id=member_id, epoch=epoch
@@ -492,28 +511,6 @@ class GroupRekeyingSimulation:
         self.metrics.recoveries.append(event)
         if self.latency is not None:
             self.latency.close_resync(member_id, self.loop.now)
-
-    def _build_task(self, result: BatchResult) -> TransportTask:
-        """Per-receiver interest for the batch payload (sparseness property).
-
-        Resolved through the payload's shared positional index: each
-        member's fixed-point closure costs O(its tree depth), so building
-        the whole task is O(N · depth) instead of O(N · message size).
-        """
-        index = result.index()
-        interest: Dict[str, Set[int]] = {}
-        observing = obs_metrics.active_registry() is not None
-        for member_id, member in self.members.items():
-            if member_id in self._out_of_sync:
-                # No point retransmitting wraps it cannot open — the
-                # unicast catch-up path owns this receiver now.
-                continue
-            wanted = set(index.closure(member.held_versions()))
-            if wanted:
-                interest[member_id] = wanted
-                if observing:
-                    obs_metrics.observe("receiver.interest_keys", len(wanted))
-        return TransportTask(keys=result.encrypted_keys, interest=interest)
 
     # ------------------------------------------------------------------
     # verification

@@ -44,14 +44,17 @@ class TransportTask:
         payload's :class:`~repro.crypto.wrap.WrapBatch` itself, or any
         sequence of records; transports read only its length).
     interest:
-        ``receiver_id -> set of key indices`` that receiver must obtain.
-        Receivers with empty interest are ignored (they need nothing this
-        round — e.g. L-partition members during a pure S-partition rekey
-        already covered by one group-key encryption they received).
+        ``receiver_id -> key indices`` that receiver must obtain: a set, or
+        any collection of distinct indices (the simulator passes each
+        member's :class:`~repro.members.member.AbsorbJournal`, keyed by the
+        rows it learned).  Transports only read it.  Receivers with empty
+        interest are ignored (they need nothing this round — e.g.
+        L-partition members during a pure S-partition rekey already covered
+        by one group-key encryption they received).
     """
 
     keys: Sequence[EncryptedKey]
-    interest: Dict[str, Set[int]]
+    interest: Dict[str, Collection[int]]
 
     def audiences(self) -> Dict[int, Set[str]]:
         """Invert the interest into ``index -> audience`` for every key
@@ -363,7 +366,9 @@ def build_task(
     can be opened with a held key or with another interesting key from the
     same message (rekey messages chain fresh parents onto fresh children).
     Computed through the message's shared positional index, so the work per
-    receiver is O(its tree depth) rather than O(message size).
+    receiver is O(its tree depth) rather than O(message size).  The
+    simulator takes each receiver's interest from the rows its one absorb
+    learned instead; this is the reference that interest is tested against.
     """
     index = message.index()
     interest: Dict[str, Set[int]] = {}
