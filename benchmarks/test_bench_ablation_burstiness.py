@@ -9,12 +9,11 @@ how far the independence assumption bends under burstiness.
 import random
 
 from repro.crypto.material import KeyGenerator
-from repro.keytree.lkh import LkhRekeyer
-from repro.keytree.tree import KeyTree
+from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.network.channel import MulticastChannel
 from repro.network.loss import BernoulliLoss, GilbertElliottLoss
+from repro.testing.oracle import build_task
 from repro.transport.fec import ProactiveFecProtocol
-from repro.transport.session import build_task
 from repro.transport.wka_bkr import WkaBkrProtocol
 
 from bench_utils import emit
@@ -35,8 +34,8 @@ def make_bursty():
 def run(protocol_factory, loss_factory) -> int:
     total = 0
     for trial in range(TRIALS):
-        tree = KeyTree(degree=4, keygen=KeyGenerator(trial))
-        rekeyer = LkhRekeyer(tree)
+        tree = FlatKeyTree(degree=4, keygen=KeyGenerator(trial))
+        rekeyer = FlatRekeyer(tree)
         members = [f"m{i}" for i in range(GROUP)]
         rekeyer.rekey_batch(joins=[(m, None) for m in members])
         held = {

@@ -8,11 +8,10 @@ same simulated lossy sessions and reports the measured wire cost.
 import random
 
 from repro.crypto.material import KeyGenerator
-from repro.keytree.lkh import LkhRekeyer
-from repro.keytree.tree import KeyTree
+from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.network.channel import MulticastChannel
 from repro.network.loss import BernoulliLoss
-from repro.transport.session import build_task
+from repro.testing.oracle import build_task
 from repro.transport.wka_bkr import WkaBkrProtocol
 
 from bench_utils import emit
@@ -26,8 +25,8 @@ TRIALS = 6
 def run_packing(packing: str) -> int:
     total = 0
     for trial in range(TRIALS):
-        tree = KeyTree(degree=4, keygen=KeyGenerator(trial))
-        rekeyer = LkhRekeyer(tree)
+        tree = FlatKeyTree(degree=4, keygen=KeyGenerator(trial))
+        rekeyer = FlatRekeyer(tree)
         members = [f"m{i}" for i in range(GROUP)]
         rekeyer.rekey_batch(joins=[(m, None) for m in members])
         held = {

@@ -8,15 +8,14 @@ performance baseline.
 import random
 
 from repro.crypto.material import KeyGenerator
-from repro.keytree.lkh import LkhRekeyer
-from repro.keytree.tree import KeyTree
+from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 
 from bench_utils import emit
 
 
 def build_tree(size, seed=0, degree=4):
-    tree = KeyTree(degree=degree, keygen=KeyGenerator(seed))
-    rekeyer = LkhRekeyer(tree)
+    tree = FlatKeyTree(degree=degree, keygen=KeyGenerator(seed))
+    rekeyer = FlatRekeyer(tree)
     rekeyer.rekey_batch(joins=[(f"m{i}", None) for i in range(size)])
     return tree, rekeyer
 

@@ -9,9 +9,8 @@ MARKS simply cannot express.
 """
 
 from repro.crypto.material import KeyGenerator
-from repro.keytree.lkh import LkhRekeyer
+from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.keytree.marks import MarksKeySequence, MarksReceiver
-from repro.keytree.tree import KeyTree
 from repro.members.durations import TwoClassDuration
 from repro.members.trace import MBoneTraceGenerator
 
@@ -42,8 +41,8 @@ def measure():
         assert receiver.slot_key(start) == sequence.slot_key(start)
 
     # --- batched LKH: the same membership replayed through rekey batches.
-    tree = KeyTree(degree=4, keygen=KeyGenerator(13))
-    rekeyer = LkhRekeyer(tree)
+    tree = FlatKeyTree(degree=4, keygen=KeyGenerator(13))
+    rekeyer = FlatRekeyer(tree)
     multicast_keys = 0
     events = sorted(
         [(r.join_time, "join", r.member_id) for r in records]

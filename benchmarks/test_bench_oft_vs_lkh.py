@@ -6,9 +6,8 @@ eviction where binary LKH delivers ~2h wraps ([BM00]'s halving).
 """
 
 from repro.crypto.material import KeyGenerator
-from repro.keytree.lkh import LkhRekeyer
+from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.keytree.oft import OneWayFunctionTree
-from repro.keytree.tree import KeyTree
 
 from bench_utils import emit
 
@@ -22,8 +21,8 @@ def measure():
         oft.join(f"m{i}")
     oft_cost = sum(oft.leave(f"m{i}").cost for i in range(EVICTIONS))
 
-    tree = KeyTree(degree=2, keygen=KeyGenerator(2))
-    lkh = LkhRekeyer(tree)
+    tree = FlatKeyTree(degree=2, keygen=KeyGenerator(2))
+    lkh = FlatRekeyer(tree)
     lkh.rekey_batch(joins=[(f"m{i}", None) for i in range(GROUP)])
     lkh_cost = sum(lkh.leave(f"m{i}").cost for i in range(EVICTIONS))
     return {"oft": oft_cost, "lkh-d2": lkh_cost}

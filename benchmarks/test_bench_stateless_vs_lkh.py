@@ -11,9 +11,8 @@ import random
 
 from repro.crypto.material import KeyGenerator
 from repro.experiments.report import Series
-from repro.keytree.lkh import LkhRekeyer
+from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.keytree.subsetcover import CompleteSubtreeCenter
-from repro.keytree.tree import KeyTree
 
 from bench_utils import emit
 
@@ -27,8 +26,8 @@ def measure() -> Series:
 
     center = CompleteSubtreeCenter(depth=CAPACITY_BITS, keygen=KeyGenerator(6))
     session = KeyGenerator(7)
-    tree = KeyTree(degree=2, keygen=KeyGenerator(8))
-    rekeyer = LkhRekeyer(tree)
+    tree = FlatKeyTree(degree=2, keygen=KeyGenerator(8))
+    rekeyer = FlatRekeyer(tree)
     rekeyer.rekey_batch(
         joins=[(f"m{i}", None) for i in range(1 << CAPACITY_BITS)]
     )

@@ -8,13 +8,12 @@ mixed-loss scenario ([SZJ02]'s result, which Section 4 builds on).
 import random
 
 from repro.crypto.material import KeyGenerator
-from repro.keytree.lkh import LkhRekeyer
-from repro.keytree.tree import KeyTree
+from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.network.channel import MulticastChannel
 from repro.network.loss import BernoulliLoss
+from repro.testing.oracle import build_task
 from repro.transport.fec import ProactiveFecProtocol
 from repro.transport.multisend import MultiSendProtocol
-from repro.transport.session import build_task
 from repro.transport.wka_bkr import WkaBkrProtocol
 
 from bench_utils import emit
@@ -28,8 +27,8 @@ TRIALS = 5
 def run_protocol(protocol) -> int:
     total = 0
     for trial in range(TRIALS):
-        tree = KeyTree(degree=4, keygen=KeyGenerator(trial))
-        rekeyer = LkhRekeyer(tree)
+        tree = FlatKeyTree(degree=4, keygen=KeyGenerator(trial))
+        rekeyer = FlatRekeyer(tree)
         members = [f"m{i}" for i in range(GROUP)]
         rekeyer.rekey_batch(joins=[(m, None) for m in members])
         held = {

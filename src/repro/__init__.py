@@ -27,8 +27,8 @@ See README.md for a guided tour and DESIGN.md for the system inventory.
 """
 
 from repro.analysis.twopartition import TwoPartitionParameters, scheme_costs
-from repro.crypto import KeyGenerator, KeyMaterial
-from repro.keytree import KeyTree, LkhRekeyer, OneWayFunctionTree, RekeyMessage
+from repro.crypto import KeyGenerator, KeyMaterial, RekeyMessage
+from repro.keytree import OneWayFunctionTree
 from repro.members import Member, TwoClassDuration
 from repro.network import BernoulliLoss, MulticastChannel
 from repro.server import (
@@ -54,8 +54,6 @@ __all__ = [
     "GroupRekeyingSimulation",
     "KeyGenerator",
     "KeyMaterial",
-    "KeyTree",
-    "LkhRekeyer",
     "LossHomogenizedServer",
     "Member",
     "MultiSendProtocol",

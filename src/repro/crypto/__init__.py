@@ -21,6 +21,7 @@ Public API
 :exc:`AuthenticationError`  raised when decryption fails authentication
 :class:`WrapBatch`          a rekey payload as columns, one row per wrap
 :class:`WrapIndex`          row index of a rekey payload by wrapping id
+:class:`RekeyMessage`       one rekey operation's payload and its index
 :func:`deferred_wraps` / :func:`set_wrap_mode` / :func:`wrap_mode`
                             cost-only mode: postpone wrap ciphertexts
 """
@@ -30,6 +31,7 @@ from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.crypto.wrap import (
     EncryptedKey,
     LazyEncryptedKey,
+    RekeyMessage,
     WrapBatch,
     WrapIndex,
     deferred_wraps,
@@ -45,6 +47,7 @@ __all__ = [
     "KeyGenerator",
     "KeyMaterial",
     "LazyEncryptedKey",
+    "RekeyMessage",
     "WrapBatch",
     "WrapIndex",
     "decrypt",

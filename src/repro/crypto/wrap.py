@@ -25,6 +25,10 @@ wrapped-key unit itself:
   Receivers hold O(tree depth) keys, so indexed lookup makes per-receiver
   delivery work O(depth) instead of a linear scan over the whole message
   (the sparseness property of Section 2.2, realized).
+
+:class:`RekeyMessage` — one rekey operation's payload with its epoch and
+membership deltas, caching the payload's :class:`WrapIndex` — lives here
+too: a batch and its index are all it is made of.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import operator
 from collections import abc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.crypto.cipher import decrypt, encrypt
 from repro.crypto.material import KEY_SIZE, KeyMaterial
@@ -440,7 +444,7 @@ class WrapBatch(abc.Sequence):
 class WrapIndex:
     """Index of a rekey payload by wrapping key id, in row numbers.
 
-    Built once per payload (a :class:`~repro.keytree.lkh.RekeyMessage` or
+    Built once per payload (a :class:`RekeyMessage` or
     :class:`~repro.server.base.BatchResult` caches one) and shared by every
     receiver: a member holding ``H`` keys resolves its deliverable subset
     in O(H · b) dict lookups — ``b`` being the rows wrapped under one key,
@@ -497,29 +501,6 @@ class WrapIndex:
         self.opened = {}
         self.opened_with = {}
 
-    def direct_matches(self, held: Dict[str, int]) -> List[int]:
-        """Rows directly openable with ``held`` keys, in message order.
-
-        Equivalent to filtering the payload linearly on
-        ``held[wrapping_id] == wrapping_version``, but touches only the
-        rows of held key ids.
-        """
-        heads, chain = self.heads, self.chain
-        versions = self.batch.wrapping_versions
-        matches: List[int] = []
-        examined = 0
-        for key_id, version in held.items():
-            row = heads.get(key_id, -1)
-            while row >= 0:
-                examined += 1
-                if versions[row] == version:
-                    matches.append(row)
-                row = chain[row]
-        if examined:
-            perf_count("wrapindex.examined", examined)
-        matches.sort()
-        return matches
-
     def closure(self, versions: Dict[str, int]) -> List[int]:
         """Fixed-point reachable rows for a holder of ``versions``.
 
@@ -569,3 +550,50 @@ class WrapIndex:
             perf_count("wrapindex.examined", examined)
         out.sort()
         return out
+
+
+@dataclass
+class RekeyMessage:
+    """The output of one rekeying operation: the keys to multicast.
+
+    ``len(encrypted_keys)`` is the paper's cost metric (number of encrypted
+    keys the server must deliver).  The transport layer packs these into
+    packets; members extract the subset wrapped under keys they hold.
+    Rekeyers append to a :class:`WrapBatch`; any sequence of
+    :class:`EncryptedKey` records is accepted in its place.
+    """
+
+    group: str
+    epoch: int
+    encrypted_keys: WrapBatch = field(default_factory=WrapBatch)
+    updated: List[Tuple[str, int]] = field(default_factory=list)
+    #: ELK/LKH+ one-way advances: ``(key_id, new_version)`` pairs every
+    #: current holder computes locally as ``K_{v+1} = H(K_v)`` — no bytes
+    #: on the wire (see ``FlatRekeyer.rekey_batch(join_refresh="owf")``).
+    advanced: List[Tuple[str, int]] = field(default_factory=list)
+    departed: List[str] = field(default_factory=list)
+    joined: List[str] = field(default_factory=list)
+    #: Lazily built positional index over ``encrypted_keys``; excluded
+    #: from equality/repr because it is pure derived state.
+    _index: Optional[WrapIndex] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def cost(self) -> int:
+        """Number of encrypted keys in the message."""
+        return len(self.encrypted_keys)
+
+    def index(self) -> WrapIndex:
+        """The ``wrapping_id -> rows`` index of this payload.
+
+        Built once on first use and shared by every receiver the message
+        is delivered to — the heart of the O(depth)-per-member delivery
+        path.  Rebuilt automatically if keys were appended since the last
+        build (rekeyers construct messages incrementally).
+        """
+        index = self._index
+        if index is None or index.size != len(self.encrypted_keys):
+            index = WrapIndex(self.encrypted_keys)
+            self._index = index
+        return index

@@ -24,8 +24,7 @@ from typing import Dict, List, Sequence
 
 from repro.crypto.material import KeyGenerator
 from repro.crypto.wrap import deferred_wraps
-from repro.keytree.lkh import LkhRekeyer
-from repro.keytree.tree import KeyTree
+from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.network.topology import MulticastTopology
 
 
@@ -75,29 +74,22 @@ def _run_placement_costed(
     degree: int,
     seed: int,
 ) -> TopologyGainResult:
-    tree = KeyTree(degree=degree, keygen=KeyGenerator(seed), name=f"topo-{placement}")
-    rekeyer = LkhRekeyer(tree)
+    tree = FlatKeyTree(degree=degree, keygen=KeyGenerator(seed), name=f"topo-{placement}")
+    rekeyer = FlatRekeyer(tree)
     rekeyer.rekey_batch(joins=[(r, None) for r in order])
-
-    # Who holds which wrapping key: the leaves under the wrapping node.
-    holder_of: Dict[tuple, List[str]] = {}
-    for node in tree.iter_nodes():
-        holder_of[(node.key.key_id, node.key.version)] = [
-            leaf.member_id for leaf in node.iter_leaves()
-        ]
-
     message = rekeyer.rekey_batch(departures=list(departures))
-    # Refresh holder map for keys refreshed inside the batch (children of
-    # marked nodes may themselves carry fresh versions).
-    for node in tree.iter_nodes():
-        holder_of[(node.key.key_id, node.key.version)] = [
-            leaf.member_id for leaf in node.iter_leaves()
-        ]
+
+    # Who holds which wrapping key: every member on whose path it lies.
+    # Wraps are made under keys the tree holds after the batch (a marked
+    # child's fresh key included), so the tree as it stands covers them.
+    holder_of: Dict[tuple, List[str]] = {}
+    for member in tree.members():
+        for node in tree.path_of(member):
+            holder_of.setdefault(node.key.handle, []).append(member)
 
     total = 0
     for ek in message.encrypted_keys:
-        audience = holder_of.get((ek.wrapping_id, ek.wrapping_version), [])
-        audience = [r for r in audience if r is not None]
+        audience = holder_of.get((ek.wrapping_id, ek.wrapping_version))
         if audience:
             total += topology.multicast_link_cost(audience)
     return TopologyGainResult(

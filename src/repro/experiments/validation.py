@@ -27,8 +27,7 @@ from repro.analysis.batchcost import expected_batch_cost
 from repro.analysis.twopartition import TwoPartitionParameters, scheme_costs, steady_state
 from repro.analysis.wka import wka_rekey_cost
 from repro.crypto.wrap import deferred_wraps
-from repro.keytree.lkh import LkhRekeyer
-from repro.keytree.tree import KeyTree
+from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.members.durations import TwoClassDuration
 from repro.network.channel import MulticastChannel
 from repro.network.loss import BernoulliLoss
@@ -79,8 +78,8 @@ def validate_batch_cost(
     # Cost-only: nothing decrypts these wraps, so skip the HMAC work.
     with deferred_wraps():
         for batch in range(batches):
-            tree = KeyTree(degree=degree, name=f"val{batch}")
-            rekeyer = LkhRekeyer(tree)
+            tree = FlatKeyTree(degree=degree, name=f"val{batch}")
+            rekeyer = FlatRekeyer(tree)
             members = [f"v{batch}m{i}" for i in range(group_size)]
             rekeyer.rekey_batch(joins=[(m, None) for m in members])
             victims = rng.sample(members, departures)
@@ -172,8 +171,8 @@ def validate_wka_transport(
     # deferred wraps skip the HMAC work here too.
     with deferred_wraps():
         for trial in range(trials):
-            tree = KeyTree(degree=degree, name=f"wka{trial}")
-            rekeyer = LkhRekeyer(tree)
+            tree = FlatKeyTree(degree=degree, name=f"wka{trial}")
+            rekeyer = FlatRekeyer(tree)
             members = [f"w{trial}m{i}" for i in range(group_size)]
             rekeyer.rekey_batch(joins=[(m, None) for m in members])
             # Track which keys each member holds (ids and versions) directly

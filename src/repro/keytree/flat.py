@@ -1,12 +1,12 @@
 """Flat-array LKH kernel: the key tree as parallel index arrays.
 
 This is the tree every server builds.  The object kernel
-(:mod:`repro.keytree.tree` / :mod:`repro.keytree.lkh`), kept as the
-reference this one must match, spends most of a large batch in the cyclic
-garbage collector: every tree node is a ``Node`` with parent/children
-reference cycles plus a ``KeyMaterial``, so a 1M-member tree keeps
-millions of tracked objects alive and every collection generation walks
-them.  This module stores the same tree as a struct-of-arrays::
+(:mod:`repro.testing.tree` / :mod:`repro.testing.lkh`), kept in
+:mod:`repro.testing` as the reference this one must match, spends most of
+a large batch in the cyclic garbage collector: every tree node is a
+``Node`` with parent/children reference cycles plus a ``KeyMaterial``, so
+a 1M-member tree keeps millions of tracked objects alive and every
+collection generation walks them.  This module stores the same tree as a struct-of-arrays::
 
     index            0       1       2       3    ...
     _parent        [ -1,     0,      0,      1,   ... ]   parent index (-1 = none)
@@ -33,7 +33,7 @@ Byte-identity contract
 time), same :class:`~repro.crypto.material.KeyGenerator` counter draws,
 same marking insertion order, same stable depth-descending refresh order,
 and same child slot order — so identical operation sequences yield
-byte-identical :class:`~repro.keytree.lkh.RekeyMessage` payloads
+byte-identical :class:`~repro.crypto.wrap.RekeyMessage` payloads
 (ciphertexts included) and identical serialized dumps.  The differential
 battery in ``tests/test_keytree_flat_differential.py`` enforces this on
 hypothesis-generated churn traces and golden fixtures; treat any change
@@ -62,14 +62,28 @@ import hmac
 from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.crypto.material import KEY_SIZE, KeyGenerator, KeyMaterial
-from repro.keytree.lkh import RekeyMessage
-from repro.keytree.tree import HEAP_SHED_FLOOR, HEAP_SHED_RATIO
+from repro.crypto.wrap import RekeyMessage
 from repro.obs import tracing as obs_tracing
 from repro.perf.instrumentation import count as perf_count
 
 NIL = -1
 ROOT = 0
-FORMAT_VERSION = 1  # shared with repro.keytree.serialize — dumps interchange
+#: The key-tree dump format; the reference tree's dumps use it too, so
+#: dumps interchange between the two kernels.
+FORMAT_VERSION = 1
+
+#: The attachment heaps shed their dead entries (see
+#: :meth:`FlatKeyTree._shed_dead_candidates`) once they hold more than
+#: ``HEAP_SHED_RATIO`` entries per live node, ``HEAP_SHED_FLOOR`` nodes
+#: being allowed for on top: on a tree that small a scan costs more than
+#: the entries it frees.  A dead entry pins its heap tuple and, in the
+#: reference tree, its ``Node``, child list and key — objects the
+#: collector walks — so the ratio is kept tight: at 1.25 the scans are 4%
+#: of a cost-only epoch at N = 32768 (one an epoch on the 2.5k-member
+#: S-tree, one in fifty on the L-tree); at 1.5 they are half that and the
+#: collector's heap is 14% larger.
+HEAP_SHED_RATIO = 1.25
+HEAP_SHED_FLOOR = 64
 
 #: Between batches a tree renumbers its live slots densely (see
 #: :meth:`FlatKeyTree._compact`) once more than ``SLOT_COMPACT_RATIO``
@@ -210,7 +224,7 @@ class FlatKeyTree:
     """A balanced d-ary logical key tree over flat arrays.
 
     Drop-in structural replacement for
-    :class:`~repro.keytree.tree.KeyTree`: same constructor signature,
+    :class:`~repro.testing.tree.KeyTree`: same constructor signature,
     same query/mutation API (node-valued methods return
     :class:`FlatNodeView` records), same serialized dump format, and the
     byte-identity contract described in the module docstring.
@@ -624,10 +638,11 @@ class FlatKeyTree:
             self._shed_dead_candidates()
 
     def _shed_dead_candidates(self) -> None:
-        """:meth:`KeyTree._shed_dead_candidates`, entry for entry: checked
-        after the same operations, same survivors, same ``heapify`` — so
-        the heap arrays (which the dumps list verbatim) stay equal across
-        kernels.  Dead here is a slot-generation mismatch."""
+        """:meth:`repro.testing.tree.KeyTree._shed_dead_candidates`, entry
+        for entry: checked after the same operations, same survivors, same
+        ``heapify`` — so the heap arrays (which the dumps list verbatim)
+        stay equal across kernels.  Dead here is a slot-generation
+        mismatch."""
         gens = self._gen
         for heap in (self._open_internal, self._split_candidates):
             # In place: the fused bulk-join loop holds the lists in locals.
@@ -808,7 +823,7 @@ class FlatKeyTree:
         return self.height() <= optimal + slack
 
     # ------------------------------------------------------------------
-    # serialization (format-identical to repro.keytree.serialize)
+    # serialization (format-identical to repro.testing.serialize)
     # ------------------------------------------------------------------
 
     def _node_to_dict(self, idx: int) -> Dict:
@@ -836,7 +851,7 @@ class FlatKeyTree:
         ]
 
     def to_dict(self) -> Dict:
-        """Serialize to the exact :func:`repro.keytree.serialize.tree_to_dict`
+        """Serialize to the exact :func:`repro.testing.serialize.tree_to_dict`
         format — object- and flat-kernel dumps are interchangeable."""
         return {
             "format": FORMAT_VERSION,
@@ -882,7 +897,7 @@ class FlatKeyTree:
         cls, data: Dict, keygen: Optional[KeyGenerator] = None
     ) -> "FlatKeyTree":
         """Rebuild from :meth:`to_dict` (or object-kernel
-        :func:`~repro.keytree.serialize.tree_to_dict`) output."""
+        :func:`~repro.testing.serialize.tree_to_dict`) output."""
         if data.get("format") != FORMAT_VERSION:
             raise ValueError(
                 f"unsupported key-tree dump format: {data.get('format')!r}"
@@ -924,7 +939,7 @@ class FlatKeyTree:
 class FlatRekeyer:
     """LKH rekeying over a :class:`FlatKeyTree`.
 
-    Mirrors :class:`~repro.keytree.lkh.LkhRekeyer` operation for
+    Mirrors :class:`~repro.testing.lkh.LkhRekeyer` operation for
     operation (see the module docstring's byte-identity contract); the
     hot loops run over the tree's arrays instead of node objects.
     """

@@ -8,7 +8,8 @@ from repro.crypto.material import KeyMaterial
 
 
 class Node:
-    """A node of a :class:`~repro.keytree.tree.KeyTree`.
+    """A node of an object key tree: the one-way function tree, the Huffman
+    tree and the reference :class:`~repro.testing.tree.KeyTree`.
 
     Internal nodes carry key-encryption keys (KEKs); the root carries the
     group data-encryption key (DEK); leaves carry the individual keys shared

@@ -43,7 +43,7 @@ class HuffmanKeyTree:
     keygen:
         Fresh-key source.
 
-    Unlike :class:`~repro.keytree.tree.KeyTree` (which optimizes for
+    Unlike :class:`~repro.keytree.flat.FlatKeyTree` (which optimizes for
     online balance under churn), this structure is built once from known
     weights, as [SMS00] assume; use :meth:`rebuild` to re-shape after the
     weights change materially.

@@ -1,7 +1,7 @@
 """Group members: key state machines and behaviour models.
 
 * :class:`Member` — the receiver-side key state machine: holds the keys on
-  its key-tree path, absorbs :class:`~repro.keytree.lkh.RekeyMessage`
+  its key-tree path, absorbs :class:`~repro.crypto.wrap.RekeyMessage`
   broadcasts, and exposes exactly what a receiver can decrypt (used by the
   tests to prove forward/backward confidentiality end-to-end).
 * :mod:`repro.members.durations` — membership-duration models: exponential,

@@ -19,8 +19,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.crypto.cipher import AuthenticationError, decrypt
 from repro.crypto.material import KeyMaterial
-from repro.crypto.wrap import EncryptedKey, WrapIndex
-from repro.keytree.lkh import RekeyMessage
+from repro.crypto.wrap import EncryptedKey, RekeyMessage, WrapIndex
 from repro.perf.instrumentation import count as perf_count
 
 
@@ -270,25 +269,6 @@ class Member:
         learned = self.apply_advances(message.advanced)
         learned.extend(self.absorb(message.encrypted_keys, index=message.index()))
         return learned
-
-    def useful_subset(
-        self,
-        encrypted_keys: Iterable[EncryptedKey],
-        index: Optional[WrapIndex] = None,
-    ) -> List[EncryptedKey]:
-        """The wraps this member could use, by fixed-point reachability.
-
-        Unlike :meth:`absorb` this does **not** mutate state; it simulates
-        which records matter to this receiver, which is what a NACK-based
-        transport needs to know when deciding per-receiver interest.
-        Results come back in message order; pass the payload's shared
-        ``index`` when querying many members about one message.  The
-        simulator takes interest from a journaled :meth:`absorb` instead;
-        this is the reference for it.
-        """
-        if index is None:
-            index = WrapIndex(encrypted_keys)
-        return [index.batch[row] for row in index.closure(self.held_versions())]
 
     def drop_keys(self, key_ids: Iterable[str]) -> None:
         """Forget keys (e.g. partition-local keys after a migration)."""

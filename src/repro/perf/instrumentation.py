@@ -1,9 +1,9 @@
 """Counters and timers for the rekeying hot paths.
 
-The instrumented code (``GroupKeyServer.rekey``, ``KeyTree.add_member`` /
-``remove_member``, :meth:`RekeyMessage.interest_of
-<repro.keytree.lkh.RekeyMessage.interest_of>`, transport packing) calls the
-module-level :func:`count` and :func:`timed` probes.  When no recorder is
+The instrumented code (``GroupKeyServer.rekey``, ``FlatKeyTree.add_member``
+/ ``remove_member``, :meth:`WrapIndex.closure
+<repro.crypto.wrap.WrapIndex.closure>`, ``Member.absorb``, transport
+packing) calls the module-level :func:`count` and :func:`timed` probes.  When no recorder is
 active — the normal case — each probe is one global ``is None`` check;
 activating a :class:`PerfRecorder` (usually via the :func:`recording`
 context manager) makes the same probes accumulate into it.

@@ -14,7 +14,13 @@ same battery via :func:`~repro.testing.conformance.run_conformance` or
 
 Hypothesis strategies for randomized audits live in
 :mod:`repro.testing.strategies`, which is intentionally not imported here
-(production installs need no ``hypothesis``).
+(production installs need no ``hypothesis``).  Neither is
+:mod:`repro.testing.oracle`: it holds the reference implementations the
+product code is tested against — the object-per-node key tree
+(:mod:`repro.testing.tree`, :mod:`repro.testing.lkh`,
+:mod:`repro.testing.serialize`), :func:`~repro.testing.oracle.with_object_trees`
+and the closure-derived transport interest — and importing this package
+(``repro.faults.chaos`` does) must not load that kernel.
 """
 
 from repro.testing.conformance import (
@@ -35,7 +41,6 @@ from repro.testing.invariants import (
     check_structures,
     probe_ciphertext,
 )
-from repro.testing.oracle import with_object_trees
 from repro.testing.scenario import Scenario, standard_scenarios
 from repro.testing.shadow import ShadowGroup
 
@@ -57,5 +62,4 @@ __all__ = [
     "run_conformance",
     "scheme_specs",
     "standard_scenarios",
-    "with_object_trees",
 ]

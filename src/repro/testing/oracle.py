@@ -1,21 +1,36 @@
-"""The reference key-tree implementation under a shipped server.
+"""The reference implementations product code is tested against.
 
 Every server builds its trees on the flat-array kernel
-(:mod:`repro.keytree.flat`); :class:`~repro.keytree.tree.KeyTree` and
-:class:`~repro.keytree.lkh.LkhRekeyer` — one object per node, the code a
+(:mod:`repro.keytree.flat`); :class:`~repro.testing.tree.KeyTree` and
+:class:`~repro.testing.lkh.LkhRekeyer` — one object per node, the code a
 reader checks against the paper — stay as the reference it must match
 byte for byte.  :func:`with_object_trees` puts that reference under a
 real server, so a test can drive the same churn through both and compare
 payloads, breakdowns and dumps.  It is the only way to get such a server:
 no constructor argument, flag, environment variable or snapshot field
 selects the reference implementation.
+
+The simulator takes each receiver's transport interest from the rows its
+one journaled :meth:`~repro.members.member.Member.absorb` learned.
+:func:`useful_subset` and :func:`build_task` derive the same rows without
+absorbing, from :meth:`~repro.crypto.wrap.WrapIndex.closure`: the
+reference that interest is tested against, and the way the ablation
+benchmarks plan a delivery on a bare rekeyer.
+
+Importing this module loads the reference kernel, so nothing on the
+product path imports it; :mod:`repro.testing` does not either.
 """
 
 from __future__ import annotations
 
-from repro.keytree.lkh import LkhRekeyer
-from repro.keytree.serialize import tree_from_dict
+from typing import Dict, Iterable, List, Optional, Set
+
+from repro.crypto.wrap import EncryptedKey, RekeyMessage, WrapIndex
+from repro.members.member import Member
 from repro.server.base import GroupKeyServer
+from repro.testing.lkh import LkhRekeyer
+from repro.testing.serialize import tree_from_dict
+from repro.transport.session import TransportTask
 
 
 def _object_twin(tree, rekeyer) -> tuple:
@@ -47,3 +62,49 @@ def with_object_trees(server: GroupKeyServer) -> GroupKeyServer:
     for part in trees:
         part.tree, part.rekeyer = _object_twin(part.tree, part.rekeyer)
     return server
+
+
+def useful_subset(
+    member: Member,
+    encrypted_keys: Iterable[EncryptedKey],
+    index: Optional[WrapIndex] = None,
+) -> List[EncryptedKey]:
+    """The wraps ``member`` could use, by fixed-point reachability.
+
+    Unlike :meth:`~repro.members.member.Member.absorb` this does **not**
+    mutate the member; it says which records matter to this receiver.
+    Results come back in message order; pass the payload's shared
+    ``index`` when querying many members about one message.
+    """
+    if index is None:
+        index = WrapIndex(encrypted_keys)
+    return [index.batch[row] for row in index.closure(member.held_versions())]
+
+
+def build_task(
+    message: RekeyMessage,
+    held_versions: Dict[str, Dict[str, int]],
+) -> TransportTask:
+    """Derive per-receiver interest for a rekey message.
+
+    Parameters
+    ----------
+    message:
+        The rekey broadcast produced by the server.
+    held_versions:
+        ``receiver_id -> {key_id: version}`` — what each receiver holds
+        *before* this message (the server knows this; real receivers
+        equivalently derive their own interest from key ids in packet
+        headers).
+
+    Interest is the fixed-point closure: a key is interesting if its wrap
+    can be opened with a held key or with another interesting key from the
+    same message (rekey messages chain fresh parents onto fresh children).
+    Computed through the message's shared positional index, so the work per
+    receiver is O(its tree depth) rather than O(message size).
+    """
+    index = message.index()
+    interest: Dict[str, Set[int]] = {}
+    for receiver_id, versions in held_versions.items():
+        interest[receiver_id] = set(index.closure(versions))
+    return TransportTask(keys=message.encrypted_keys, interest=interest)

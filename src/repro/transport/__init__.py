@@ -36,7 +36,6 @@ from repro.transport.session import (
     TransportExhausted,
     TransportResult,
     TransportTask,
-    build_task,
 )
 from repro.transport.wka_bkr import WkaBkrProtocol
 
@@ -49,7 +48,6 @@ __all__ = [
     "TransportResult",
     "TransportTask",
     "WkaBkrProtocol",
-    "build_task",
     "decode_rekey_message",
     "encode_rekey_message",
     "pack_indices",

@@ -41,8 +41,7 @@ from __future__ import annotations
 import struct
 from typing import List, Tuple
 
-from repro.crypto.wrap import EncryptedKey, WrapBatch
-from repro.keytree.lkh import RekeyMessage
+from repro.crypto.wrap import EncryptedKey, RekeyMessage, WrapBatch
 
 _MAGIC = b"RKM1"
 _U16 = struct.Struct(">H")

@@ -25,7 +25,6 @@ from typing import (
 
 from repro.crypto.wrap import EncryptedKey
 from repro.faults.retry import RetryPolicy
-from repro.keytree.lkh import RekeyMessage
 from repro.network.channel import MulticastChannel
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
@@ -345,33 +344,3 @@ def run_rounds(
     result.satisfied = True
     return result
 
-
-def build_task(
-    message: RekeyMessage,
-    held_versions: Dict[str, Dict[str, int]],
-) -> TransportTask:
-    """Derive per-receiver interest for a rekey message.
-
-    Parameters
-    ----------
-    message:
-        The rekey broadcast produced by the server.
-    held_versions:
-        ``receiver_id -> {key_id: version}`` — what each receiver holds
-        *before* this message (the server knows this; real receivers
-        equivalently derive their own interest from key ids in packet
-        headers).
-
-    Interest is the fixed-point closure: a key is interesting if its wrap
-    can be opened with a held key or with another interesting key from the
-    same message (rekey messages chain fresh parents onto fresh children).
-    Computed through the message's shared positional index, so the work per
-    receiver is O(its tree depth) rather than O(message size).  The
-    simulator takes each receiver's interest from the rows its one absorb
-    learned instead; this is the reference that interest is tested against.
-    """
-    index = message.index()
-    interest: Dict[str, Set[int]] = {}
-    for receiver_id, versions in held_versions.items():
-        interest[receiver_id] = set(index.closure(versions))
-    return TransportTask(keys=message.encrypted_keys, interest=interest)

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.crypto.material import KeyGenerator
-from repro.keytree.lkh import LkhRekeyer
-from repro.keytree.tree import KeyTree
 from repro.server.onetree import OneTreeServer
 from repro.testing import ConformanceHarness
+from repro.testing.lkh import LkhRekeyer
+from repro.testing.tree import KeyTree
 
 
 @pytest.fixture

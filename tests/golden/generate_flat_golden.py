@@ -30,8 +30,8 @@ TRACES = [
 def _build(trace, kernel):
     from repro.crypto.material import KeyGenerator
     from repro.keytree.flat import FlatKeyTree, FlatRekeyer
-    from repro.keytree.lkh import LkhRekeyer
-    from repro.keytree.tree import KeyTree
+    from repro.testing.lkh import LkhRekeyer
+    from repro.testing.tree import KeyTree
 
     tree_cls, rekeyer_cls = {
         "object": (KeyTree, LkhRekeyer),

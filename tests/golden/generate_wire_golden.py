@@ -40,7 +40,7 @@ def _server_generator():
 
 def wire_message(server, result):
     """The broadcast one batch puts on the wire."""
-    from repro.keytree.lkh import RekeyMessage
+    from repro.crypto.wrap import RekeyMessage
 
     return RekeyMessage(
         group=server.group,

@@ -11,9 +11,9 @@ import sys
 from pathlib import Path
 
 from repro.keytree.flat import FlatKeyTree, FlatRekeyer
-from repro.keytree.lkh import LkhRekeyer
-from repro.keytree.tree import KeyTree
 from repro.testing import ConformanceHarness
+from repro.testing.lkh import LkhRekeyer
+from repro.testing.tree import KeyTree
 
 #: The two key-tree implementations, as (tree class, rekeyer class): the
 #: flat-array kernel every server builds, and the object tree that is its

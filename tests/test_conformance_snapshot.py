@@ -13,17 +13,17 @@ import json
 import pytest
 
 from repro.keytree.flat import FlatKeyTree
-from repro.keytree.tree import KeyTree
 from repro.server.snapshot import restore_server, snapshot_server
 from repro.testing import (
     SCHEME_FACTORIES,
     ConformanceHarness,
     Scenario,
     default_join_attributes,
-    with_object_trees,
 )
 from repro.testing.conformance import S_PERIOD
 from repro.testing.invariants import _tree_structures
+from repro.testing.oracle import with_object_trees
+from repro.testing.tree import KeyTree
 from tests.helpers import load_golden_generator
 
 _golden = load_golden_generator("generate_server_golden")

@@ -12,12 +12,12 @@ import pytest
 from repro.crypto.material import KeyGenerator
 from repro.keytree import flat
 from repro.keytree.flat import FlatKeyTree, FlatRekeyer
-from repro.keytree.serialize import tree_from_dict, tree_to_dict
-from repro.keytree.tree import KeyTree
 from repro.server.onetree import OneTreeServer
 from repro.server.sharded import ShardedOneTreeServer
 from repro.testing import SCHEME_FACTORIES
 from repro.testing.invariants import _tree_structures
+from repro.testing.serialize import tree_from_dict, tree_to_dict
+from repro.testing.tree import KeyTree
 
 
 def build_flat(count=25, degree=3, seed=9):

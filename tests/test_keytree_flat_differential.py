@@ -13,8 +13,8 @@ regression anchors).  Both run under eager and deferred wrapping.
 
 The same holds one level up.  Every server builds the flat kernel and
 nothing else, so the battery also drives each shipped server beside a
-twin whose trees :func:`repro.testing.with_object_trees` has swapped for
-object trees, and demands the same payload bytes, cost breakdown and
+twin whose trees :func:`repro.testing.oracle.with_object_trees` has swapped
+for object trees, and demands the same payload bytes, cost breakdown and
 verbatim tree dumps after every batch.
 """
 
@@ -29,17 +29,14 @@ from repro.crypto.material import KeyGenerator
 from repro.crypto.wrap import WrapIndex, deferred_wraps
 from repro.keytree import flat
 from repro.keytree.flat import FlatKeyTree, FlatRekeyer
-from repro.keytree.lkh import LkhRekeyer
-from repro.keytree.serialize import tree_to_dict
-from repro.keytree.tree import KeyTree
 from repro.members.member import Member
-from repro.testing import (
-    SCHEME_FACTORIES,
-    default_join_attributes,
-    with_object_trees,
-)
+from repro.testing import SCHEME_FACTORIES, default_join_attributes
 from repro.testing.conformance import S_PERIOD
 from repro.testing.invariants import _tree_structures
+from repro.testing.lkh import LkhRekeyer
+from repro.testing.oracle import with_object_trees
+from repro.testing.serialize import tree_to_dict
+from repro.testing.tree import KeyTree
 
 # ----------------------------------------------------------------------
 # helpers

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.crypto.material import KeyGenerator
-from repro.keytree.lkh import LkhRekeyer
-from repro.keytree.tree import KeyTree
 from repro.members.member import Member
+from repro.testing.lkh import LkhRekeyer
+from repro.testing.tree import KeyTree
 
 from tests.helpers import populate
 
@@ -198,11 +198,3 @@ class TestBatch:
         first = rekeyer.rekey_batch(joins=[("a", None)])
         second = rekeyer.rekey_batch(joins=[("b", None)])
         assert second.epoch > first.epoch
-
-    def test_interest_of_filters_by_held_keys(self, rekeyer):
-        populate(rekeyer, 16)
-        tree = rekeyer.tree
-        held = {n.key.key_id: n.key.version for n in tree.path_of("m0")}
-        message = rekeyer.rekey_batch(departures=["m8"])
-        interesting = message.interest_of(held)
-        assert all(ek.wrapping_id in held for ek in interesting)

@@ -128,8 +128,8 @@ class TestCostComparison:
     def test_oft_beats_lkh_per_eviction(self):
         """OFT sends ~h keys per eviction vs ~d*h for LKH (the [BM00]
         halving at d=2)."""
-        from repro.keytree.lkh import LkhRekeyer
-        from repro.keytree.tree import KeyTree
+        from repro.testing.lkh import LkhRekeyer
+        from repro.testing.tree import KeyTree
 
         oft, __ = build(64)
         oft_cost = oft.leave("m20").cost

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.crypto.material import KeyGenerator
 from repro.keytree import flat
 from repro.keytree.flat import FlatKeyTree
-from repro.keytree.tree import KeyTree
+from repro.testing.tree import KeyTree
 
 from tests.helpers import KERNELS
 
@@ -212,7 +212,7 @@ HOARDERS = {"object": HoardingKeyTree, "flat": HoardingFlatKeyTree}
 def shed_floor(floor):
     """Lower the size under which the heaps are left alone, so programs of
     a few members shed again and again."""
-    with mock.patch("repro.keytree.tree.HEAP_SHED_FLOOR", floor), mock.patch(
+    with mock.patch("repro.testing.tree.HEAP_SHED_FLOOR", floor), mock.patch(
         "repro.keytree.flat.HEAP_SHED_FLOOR", floor
     ):
         yield

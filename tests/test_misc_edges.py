@@ -3,11 +3,11 @@
 import pytest
 
 from repro.analysis.fec import FecParameters, expected_block_cost
+from repro.crypto.wrap import RekeyMessage
 from repro.experiments.fig3 import fig3_series
 from repro.experiments.fig4 import fig4_series
 from repro.experiments.fig6 import mixture_for
 from repro.experiments.report import Series
-from repro.keytree.lkh import RekeyMessage
 from repro.network.topology import MulticastTopology
 
 
@@ -77,7 +77,7 @@ class TestTopologyEdges:
 class TestRekeyMessageInterest:
     def test_interest_of_empty_holder(self):
         message = RekeyMessage(group="g", epoch=1)
-        assert message.interest_of({}) == []
+        assert message.index().closure({}) == []
 
 
 class TestChannelSubscribers:

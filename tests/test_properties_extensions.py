@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from repro.crypto.material import KeyGenerator
 from repro.keytree.marks import MarksKeySequence, MarksReceiver
 from repro.keytree.probabilistic import HuffmanKeyTree
-from repro.keytree.serialize import tree_from_dict, tree_to_dict
 from repro.keytree.subsetcover import CompleteSubtreeCenter
-from repro.keytree.tree import KeyTree
+from repro.testing.serialize import tree_from_dict, tree_to_dict
+from repro.testing.tree import KeyTree
 
 
 @settings(max_examples=40, deadline=None)
@@ -108,8 +108,8 @@ def test_tree_serialization_roundtrips_under_churn(ops, degree):
 @given(count=st.integers(min_value=1, max_value=40), seed=st.integers(0, 1000))
 def test_member_absorb_is_idempotent(count, seed):
     """Processing the same rekey message twice changes nothing."""
-    from repro.keytree.lkh import LkhRekeyer
     from repro.members.member import Member
+    from repro.testing.lkh import LkhRekeyer
 
     tree = KeyTree(degree=4, keygen=KeyGenerator(seed))
     rekeyer = LkhRekeyer(tree)

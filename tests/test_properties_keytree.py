@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.material import KeyGenerator
-from repro.keytree.lkh import LkhRekeyer
-from repro.keytree.tree import KeyTree
+from repro.testing.lkh import LkhRekeyer
+from repro.testing.tree import KeyTree
 
 # An operation stream: True = join a fresh member, False = remove the
 # oldest surviving member (skipped when none exist).

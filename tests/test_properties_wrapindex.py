@@ -1,9 +1,10 @@
 """Property-based tests (hypothesis) for the indexed delivery path.
 
 The :class:`~repro.crypto.wrap.WrapIndex` replaced linear payload scans
-in ``interest_of`` / member absorption; these properties pin the indexed
-results to the naive reference implementations — including order — over
-randomized batches, so the optimization can never drift semantically.
+in interest derivation and member absorption; these properties pin the
+indexed results to the naive reference implementations — including order
+— over randomized batches, so the optimization can never drift
+semantically.
 """
 
 import pytest
@@ -11,14 +12,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.material import KeyGenerator
-from repro.crypto.wrap import EncryptedKey, WrapBatch, WrapIndex, deferred_wraps
-from repro.keytree.lkh import LkhRekeyer, RekeyMessage
-from repro.keytree.tree import KeyTree
+from repro.crypto.wrap import (
+    EncryptedKey,
+    RekeyMessage,
+    WrapBatch,
+    WrapIndex,
+    deferred_wraps,
+)
 from repro.members.member import Member
 from repro.perf.instrumentation import recording
 from repro.server.onetree import OneTreeServer
 from repro.testing import SCHEME_FACTORIES
+from repro.testing.lkh import LkhRekeyer
 from repro.testing.strategies import churn_programs, execute_program
+from repro.testing.tree import KeyTree
 from repro.transport.codec import decode_rekey_message, encode_rekey_message
 
 KEY_IDS = [f"k{i}" for i in range(12)]
@@ -37,10 +44,12 @@ holdings = st.dictionaries(
 )
 
 
-def naive_interest(keys, held):
-    """The pre-index ``interest_of``: one linear pass, order-preserving."""
+def naive_direct_matches(keys, held):
+    """Positions of the wraps openable with a held key: one linear pass."""
     return [
-        ek for ek in keys if held.get(ek.wrapping_id) == ek.wrapping_version
+        position
+        for position, ek in enumerate(keys)
+        if held.get(ek.wrapping_id) == ek.wrapping_version
     ]
 
 
@@ -61,13 +70,6 @@ def naive_closure_positions(keys, held):
                 versions[ek.payload_id] = ek.payload_version
                 progress = True
     return wanted
-
-
-@settings(max_examples=200, deadline=None)
-@given(keys=batches, held=holdings)
-def test_interest_of_matches_naive_linear_filter(keys, held):
-    message = RekeyMessage(group="g", epoch=1, encrypted_keys=list(keys))
-    assert message.interest_of(held) == naive_interest(keys, held)
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,7 +98,7 @@ def test_closure_is_sound_and_covers_direct_matches(keys, held):
         assert ek.payload_handle not in delivered
         delivered.add(ek.payload_handle)
     # (b) direct matches that deliver something new are always included.
-    for pos in index.direct_matches(held):
+    for pos in naive_direct_matches(keys, held):
         ek = keys[pos]
         if ek.payload_version > before.get(ek.payload_id, -1):
             assert any(
@@ -138,48 +140,6 @@ def test_closure_matches_naive_fixed_point_on_real_messages(
             continue
         positions = set(index.closure(held[m]))
         assert positions == naive_closure_positions(
-            message.encrypted_keys, held[m]
-        )
-
-
-@settings(max_examples=200, deadline=None)
-@given(keys=batches, held=holdings)
-def test_direct_matches_preserve_message_order(keys, held):
-    index = WrapIndex(keys)
-    positions = index.direct_matches(held)
-    assert positions == sorted(positions)
-    assert [keys[pos] for pos in positions] == naive_interest(keys, held)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    count=st.integers(min_value=2, max_value=50),
-    degree=st.integers(min_value=2, max_value=5),
-    data=st.data(),
-)
-def test_interest_of_matches_naive_on_real_rekey_messages(count, degree, data):
-    """Same equivalence on genuine batched-rekey payloads (chained wraps,
-    version bumps, split-created joints) rather than synthetic ones."""
-    tree = KeyTree(degree=degree, keygen=KeyGenerator(5))
-    rekeyer = LkhRekeyer(tree)
-    members = [f"m{i}" for i in range(count)]
-    rekeyer.rekey_batch(joins=[(m, None) for m in members])
-    held = {
-        m: {n.key.key_id: n.key.version for n in tree.path_of(m)}
-        for m in members
-    }
-    k = data.draw(st.integers(min_value=1, max_value=count - 1))
-    victims = data.draw(
-        st.lists(
-            st.sampled_from(members), min_size=k, max_size=k, unique=True
-        )
-    )
-    joiners = [(f"j{i}", None) for i in range(k)]
-    message = rekeyer.rekey_batch(joins=joiners, departures=victims)
-    for m in members:
-        if m in victims:
-            continue
-        assert message.interest_of(held[m]) == naive_interest(
             message.encrypted_keys, held[m]
         )
 

@@ -5,15 +5,15 @@ import json
 import pytest
 
 from repro.crypto.material import KeyGenerator
-from repro.keytree.lkh import LkhRekeyer
-from repro.keytree.serialize import tree_from_dict, tree_to_dict
-from repro.keytree.tree import KeyTree
 from repro.members.durations import SHORT_CLASS
 from repro.members.member import Member
 from repro.server.losshomog import LossHomogenizedServer
 from repro.server.onetree import OneTreeServer
 from repro.server.snapshot import restore_server, snapshot_server
 from repro.server.twopartition import TwoPartitionServer
+from repro.testing.lkh import LkhRekeyer
+from repro.testing.serialize import tree_from_dict, tree_to_dict
+from repro.testing.tree import KeyTree
 
 from tests.helpers import populate
 

@@ -16,8 +16,8 @@ from repro.testing import (
     InvariantViolation,
     Scenario,
     ShadowGroup,
-    with_object_trees,
 )
+from repro.testing.oracle import with_object_trees
 
 from tests.helpers import PrivateIndexHarness
 

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.material import KeyGenerator
-from repro.crypto.wrap import wrap_key
-from repro.keytree.lkh import LkhRekeyer, RekeyMessage
-from repro.keytree.tree import KeyTree
+from repro.crypto.wrap import RekeyMessage, wrap_key
 from repro.members.member import Member
+from repro.testing.lkh import LkhRekeyer
+from repro.testing.tree import KeyTree
 from repro.transport.codec import (
     CodecError,
     decode_encrypted_key,

@@ -136,9 +136,9 @@ class TestWkaBkr:
         uniform-interest blob."""
         import random
 
-        from repro.keytree.lkh import LkhRekeyer
-        from repro.keytree.tree import KeyTree
-        from repro.transport.session import build_task
+        from repro.testing.lkh import LkhRekeyer
+        from repro.testing.oracle import build_task
+        from repro.testing.tree import KeyTree
 
         def scenario(seed, protocol):
             tree = KeyTree(degree=4, keygen=KeyGenerator(seed))
@@ -249,9 +249,9 @@ class TestWkaBkrAudienceIndexEquivalence:
     def lossy_task(self, seed):
         import random
 
-        from repro.keytree.lkh import LkhRekeyer
-        from repro.keytree.tree import KeyTree
-        from repro.transport.session import build_task
+        from repro.testing.lkh import LkhRekeyer
+        from repro.testing.oracle import build_task
+        from repro.testing.tree import KeyTree
 
         tree = KeyTree(degree=4, keygen=KeyGenerator(seed))
         rekeyer = LkhRekeyer(tree)

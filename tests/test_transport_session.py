@@ -1,8 +1,9 @@
 """Unit tests for transport tasks and interest derivation."""
 
-from repro.keytree.lkh import LkhRekeyer
-from repro.keytree.tree import KeyTree
-from repro.transport.session import TransportResult, TransportTask, build_task
+from repro.testing.lkh import LkhRekeyer
+from repro.testing.oracle import build_task
+from repro.testing.tree import KeyTree
+from repro.transport.session import TransportResult, TransportTask
 
 from tests.helpers import populate
 
