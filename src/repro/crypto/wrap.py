@@ -41,7 +41,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.crypto.cipher import decrypt, encrypt
 from repro.crypto.material import KEY_SIZE, KeyMaterial
-from repro.perf.instrumentation import count as perf_count
+from repro.obs import metrics as obs_metrics
 
 
 def _seal(
@@ -68,7 +68,7 @@ def _open(
     """The one unwrap core, behind :func:`unwrap_key` and
     :meth:`WrapBatch.unwrap`: decrypt a wrap whose wrapping handle the
     caller has matched against ``wrapping``."""
-    perf_count("crypto.unwraps")
+    obs_metrics.inc("crypto.unwraps")
     nonce = f"{wrapping.key_id}#{wrapping.version}->{payload_id}#{payload_version}"
     secret = decrypt(wrapping.secret, nonce.encode(), ciphertext)
     # The record came off the wire: the checks of KeyMaterial.__post_init__
@@ -254,7 +254,7 @@ def wrap_key(wrapping: KeyMaterial, payload: KeyMaterial) -> EncryptedKey:
     This and :meth:`WrapBatch.add` make every wrap; the ``crypto.wraps``
     counter is bumped here per call and by the rekeyers per batch.
     """
-    perf_count("crypto.wraps")
+    obs_metrics.inc("crypto.wraps")
     if _wrap_mode == "deferred":
         return LazyEncryptedKey(wrapping, payload)
     handles = (*wrapping.handle, *payload.handle)
@@ -547,7 +547,7 @@ class WrapIndex:
                             frontier.append((payload_id, payload_version))
                 row = chain[row]
         if examined:
-            perf_count("wrapindex.examined", examined)
+            obs_metrics.inc("wrapindex.examined", examined)
         out.sort()
         return out
 

@@ -15,7 +15,6 @@ from repro.analysis.fec import (
     fec_loss_homogenized_cost,
     fec_one_keytree_cost,
 )
-from repro.perf.parallel import parallel_map
 from repro.experiments.defaults import (
     SECTION4_DEPARTURES,
     SECTION4_GROUP_SIZE,
@@ -24,6 +23,7 @@ from repro.experiments.defaults import (
     TREE_DEGREE,
 )
 from repro.experiments.fig6 import mixture_for
+from repro.experiments.parallel import parallel_map
 from repro.experiments.report import Series
 
 

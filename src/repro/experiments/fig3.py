@@ -12,8 +12,8 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.analysis.twopartition import TwoPartitionParameters, scheme_costs
 from repro.experiments.defaults import TABLE1
+from repro.experiments.parallel import parallel_map
 from repro.experiments.report import Series
-from repro.perf.parallel import parallel_map
 
 SCHEMES = ("one-keytree", "QT-scheme", "TT-scheme", "PT-scheme")
 

@@ -13,8 +13,8 @@ from typing import Dict, Iterable, Optional, Tuple
 from repro.analysis.twopartition import TwoPartitionParameters, scheme_costs
 from repro.experiments.defaults import TABLE1
 from repro.experiments.fig3 import SCHEMES
+from repro.experiments.parallel import parallel_map
 from repro.experiments.report import Series
-from repro.perf.parallel import parallel_map
 
 
 def default_alpha_grid() -> list:

@@ -17,8 +17,8 @@ from repro.analysis.twopartition import (
     tt_cost,
 )
 from repro.experiments.defaults import TABLE1
+from repro.experiments.parallel import parallel_map
 from repro.experiments.report import Series
-from repro.perf.parallel import parallel_map
 
 DEFAULT_SIZES = (1_024, 4_096, 16_384, 65_536, 262_144)
 

@@ -17,7 +17,6 @@ from repro.analysis.losshomog import (
     one_keytree_cost,
     random_partition_cost,
 )
-from repro.perf.parallel import parallel_map
 from repro.experiments.defaults import (
     SECTION4_DEPARTURES,
     SECTION4_GROUP_SIZE,
@@ -25,6 +24,7 @@ from repro.experiments.defaults import (
     SECTION4_LOW_LOSS,
     TREE_DEGREE,
 )
+from repro.experiments.parallel import parallel_map
 from repro.experiments.report import Series
 
 

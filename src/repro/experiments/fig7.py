@@ -14,7 +14,6 @@ from typing import Iterable, Optional, Tuple
 
 from repro.analysis.losshomog import multi_tree_cost, one_keytree_cost
 from repro.analysis.misplacement import misplaced_partition_specs
-from repro.perf.parallel import parallel_map
 from repro.experiments.defaults import (
     SECTION4_DEPARTURES,
     SECTION4_GROUP_SIZE,
@@ -23,6 +22,7 @@ from repro.experiments.defaults import (
     TREE_DEGREE,
 )
 from repro.experiments.fig6 import mixture_for
+from repro.experiments.parallel import parallel_map
 from repro.experiments.report import Series
 
 

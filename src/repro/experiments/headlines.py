@@ -34,7 +34,7 @@ from repro.experiments.defaults import (
 )
 from repro.experiments.fig5 import DEFAULT_SIZES
 from repro.experiments.fig6 import mixture_for
-from repro.perf.parallel import parallel_map
+from repro.experiments.parallel import parallel_map
 
 
 def _two_partition_gain(alpha: float) -> Tuple[float, float]:

@@ -237,7 +237,7 @@ def run_all_validations(workers: int = 1) -> Dict[str, ValidationResult]:
     carries its own explicit seed, so fan-out changes wall-clock time but
     not a single measured number.
     """
-    from repro.perf.parallel import parallel_map
+    from repro.experiments.parallel import parallel_map
 
     results = parallel_map(_run_validation, VALIDATION_NAMES, workers)
     return dict(zip(VALIDATION_NAMES, results))

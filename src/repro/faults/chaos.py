@@ -17,8 +17,9 @@ checks the *ciphertext-level* security invariants under fire:
 
 Violations are *collected*, not raised — a chaos run's job is to finish
 and report everything it saw.  The emitted ``BENCH_chaos.json`` carries
-per-run recovery-latency/cost distributions, fault counters, and perf
-probes, following the ``BENCH_*.json`` report convention.
+per-run recovery-latency/cost distributions, fault counters, and the
+registry's operation counts, following the ``BENCH_*.json`` report
+convention.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import STANDARD_SCHEDULES, FaultSchedule
 from repro.members.durations import TwoClassDuration
 from repro.members.population import LossPopulation
-from repro.perf.instrumentation import recording
+from repro.obs import metrics as obs_metrics
 from repro.server.base import BatchResult
 from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
 from repro.testing.invariants import (
@@ -42,6 +43,14 @@ from repro.testing.invariants import (
     check_batch_accounting,
     check_forward_secrecy,
     check_member_decrypts,
+)
+
+#: the registry counters each run reports, as deltas over the run
+PINNED_COUNTERS = (
+    "server.rekeys",
+    "server.catchups",
+    "server.catchup_keys",
+    "member.keys_learned",
 )
 
 #: schemes the default chaos sweep covers (CLI ``--schemes`` overrides);
@@ -154,8 +163,15 @@ def run_chaos_case(
         fault_schedule=schedule,
     )
     sim = ChaosSimulation(_build_server(scheme), config)
-    with recording() as recorder:
+    # Count into the active registry when there is one (``repro chaos
+    # --serve/--metrics``), so the outer run still sees every increment.
+    with obs_metrics.collecting(obs_metrics.active_registry()) as registry:
+        before = [registry.counter_total(name) for name in PINNED_COUNTERS]
         metrics = sim.run()
+        counters = {
+            name: registry.counter_total(name) - start
+            for name, start in zip(PINNED_COUNTERS, before)
+        }
     channel = sim.channel
     return {
         "scheme": scheme,
@@ -180,15 +196,7 @@ def run_chaos_case(
             "duplicates_delivered": getattr(channel, "duplicates_delivered", 0),
             "jittered_packets": getattr(channel, "jittered_packets", 0),
         },
-        "counters": {
-            name: recorder.counter(name)
-            for name in (
-                "server.rekeys",
-                "server.catchups",
-                "server.catchup_keys",
-                "member.keys_learned",
-            )
-        },
+        "counters": counters,
         "violations": list(sim.violations),
     }
 

@@ -63,8 +63,8 @@ from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.crypto.material import KEY_SIZE, KeyGenerator, KeyMaterial
 from repro.crypto.wrap import RekeyMessage
+from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
-from repro.perf.instrumentation import count as perf_count
 
 NIL = -1
 ROOT = 0
@@ -546,7 +546,7 @@ class FlatKeyTree:
         self._member_leaf[member_id] = idx
         self._trim_heaps()
         if count:
-            perf_count("keytree.add_member")
+            obs_metrics.inc("keytree.add_member")
         return idx
 
     def _attach_leaf(self, leaf: int) -> None:
@@ -747,7 +747,7 @@ class FlatKeyTree:
             node = parents[node]
         self._trim_heaps()
         if count:
-            perf_count("keytree.remove_member")
+            obs_metrics.inc("keytree.remove_member")
         return survivors
 
     # ------------------------------------------------------------------
@@ -1000,7 +1000,7 @@ class FlatRekeyer:
             add(leaf_id, leaf_version, node_id, new_version, leaf_secret, new_secret)
             node = parents[node]
         if message.cost:
-            perf_count("crypto.wraps", message.cost)
+            obs_metrics.inc("crypto.wraps", message.cost)
         return FlatNodeView(tree, leaf), message
 
     def leave(self, member_id: str) -> RekeyMessage:
@@ -1058,7 +1058,7 @@ class FlatRekeyer:
                     marked[ids[idx]] = idx
                 message.departed.append(member_id)
             if departures:
-                perf_count("keytree.remove_member", len(departures))
+                obs_metrics.inc("keytree.remove_member", len(departures))
 
             joined = message.joined
             # Fused bulk-join fast path: _add_member_slot + _alloc +
@@ -1190,7 +1190,7 @@ class FlatRekeyer:
             tree._seq_value = seq
             keygen._counter = kg_counter
             if joins:
-                perf_count("keytree.add_member", len(joins))
+                obs_metrics.inc("keytree.add_member", len(joins))
 
             # Removals may have spliced out previously marked nodes.
             live_marked = [
@@ -1226,7 +1226,7 @@ class FlatRekeyer:
                 node = parents[node]
             message.joined.append(member_id)
         if joins:
-            perf_count("keytree.add_member", len(joins))
+            obs_metrics.inc("keytree.add_member", len(joins))
 
         joining = set(new_leaves)
         depths = tree._depthv
@@ -1262,7 +1262,7 @@ class FlatRekeyer:
                 )
                 node = parents[node]
         if message.cost:
-            perf_count("crypto.wraps", message.cost)
+            obs_metrics.inc("crypto.wraps", message.cost)
         return message
 
     # ------------------------------------------------------------------
@@ -1346,7 +1346,7 @@ class FlatRekeyer:
                     )
             wrap_span.set("wraps", message.cost)
         if message.cost:
-            perf_count("crypto.wraps", message.cost)
+            obs_metrics.inc("crypto.wraps", message.cost)
 
     def refresh_root(self) -> RekeyMessage:
         tree = self.tree

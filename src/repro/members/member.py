@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.crypto.cipher import AuthenticationError, decrypt
 from repro.crypto.material import KeyMaterial
 from repro.crypto.wrap import EncryptedKey, RekeyMessage, WrapIndex
-from repro.perf.instrumentation import count as perf_count
+from repro.obs import metrics as obs_metrics
 
 
 class AbsorbJournal(dict):
@@ -205,11 +205,11 @@ class Member:
                 if payload_id in heads:
                     frontier.append(payload_id)
         if examined:
-            perf_count("member.wraps_examined", examined)
+            obs_metrics.inc("member.wraps_examined", examined)
         if learned:
-            perf_count("member.keys_learned", len(learned))
+            obs_metrics.inc("member.keys_learned", len(learned))
         if shared:
-            perf_count("member.unwraps_shared", shared)
+            obs_metrics.inc("member.unwraps_shared", shared)
         if journal is not None:
             journal.shared, journal.examined = shared, examined
         return learned
@@ -231,13 +231,13 @@ class Member:
                 keys[old.key_id] = old
         learned, shared = len(journal), journal.shared
         if journal.examined:
-            perf_count("member.wraps_examined", -journal.examined)
+            obs_metrics.inc("member.wraps_examined", -journal.examined)
         if learned:
-            perf_count("member.keys_learned", -learned)
+            obs_metrics.inc("member.keys_learned", -learned)
         if shared:
-            perf_count("member.unwraps_shared", -shared)
+            obs_metrics.inc("member.unwraps_shared", -shared)
         if learned > shared:
-            perf_count("crypto.unwraps", shared - learned)
+            obs_metrics.inc("crypto.unwraps", shared - learned)
 
     def apply_advances(self, advanced) -> List[KeyMaterial]:
         """Apply ELK/LKH+ one-way advances: ``(key_id, new_version)`` pairs.

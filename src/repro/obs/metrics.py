@@ -1,18 +1,20 @@
 """The metrics registry: labeled counters, gauges and histograms.
 
 One :class:`MetricsRegistry` is the single sink for every quantitative
-signal in a run: the legacy :mod:`repro.perf.instrumentation` probes
-forward into the active registry, and the servers, the simulator and the
-transports observe histograms directly.  A registry collected in another
-process can be folded in: its :meth:`~MetricsRegistry.snapshot` is a plain
-dict that :meth:`~MetricsRegistry.merge` adds to this one's.
+signal in a run: the hot paths count into the active registry with
+:func:`inc`, and the servers, the simulator and the transports observe
+histograms into it.  A registry collected in another process can be
+folded in: its :meth:`~MetricsRegistry.snapshot` is a plain dict that
+:meth:`~MetricsRegistry.merge` adds to this one's.
 
 Design constraints, in order:
 
 * **Near-zero disabled overhead.**  The module-level probes (:func:`inc`,
   :func:`observe`, :func:`gauge_set`) are one global-``is None`` check
-  when no registry is active — the same contract the perf probes have
-  always had, verified by the ``obs-overhead`` bench guard.
+  when no registry is active.  The ``epoch_ms_p50`` bounds in
+  ``BENCHMARK.json`` gate that cost, since every benchmarked path runs
+  the probes disabled; ``obs.enabled_epoch_ratio`` in the traced run
+  prices turning them on.
 * **Process-safe aggregation.**  :meth:`MetricsRegistry.snapshot` is a
   plain picklable dict; :meth:`MetricsRegistry.merge` adds counter and
   histogram series pointwise and last-writes gauges.  Merging is
@@ -124,10 +126,6 @@ class Gauge:
     def set(self, value: float, **labels: str) -> None:
         self.series[_label_key(self.label_names, labels)] = value
 
-    def inc(self, n: float = 1, **labels: str) -> None:
-        key = _label_key(self.label_names, labels)
-        self.series[key] = self.series.get(key, 0) + n
-
     def value(self, **labels: str) -> float:
         return self.series.get(_label_key(self.label_names, labels), 0)
 
@@ -188,13 +186,6 @@ class Histogram:
             "sum": slot["sum"],
             "mean": slot["sum"] / slot["count"],  # type: ignore[operator]
         }
-
-    def quantile(self, q: float, **labels: str) -> Optional[float]:
-        """Upper-bound estimate of quantile ``q`` for one series."""
-        slot = self.series.get(_label_key(self.label_names, labels))
-        if slot is None:
-            return None
-        return bucket_quantile(self.buckets, slot["buckets"], q)  # type: ignore[arg-type]
 
 
 def bucket_quantile(
@@ -498,11 +489,18 @@ def collecting(
         _ACTIVE = previous
 
 
-def inc(name: str, n: float = 1, **labels: str) -> None:
-    """Increment a counter on the active registry (no-op when none)."""
+def inc(name: str, n: float = 1) -> None:
+    """Increment an unlabelled counter on the active registry (no-op when
+    none).
+
+    The op-count probes of the wrap, key-tree and member hot loops call
+    this, so it takes no ``**labels``: a keyword catch-all allocates a
+    dict on every call, enabled or not.  A labelled series goes through
+    :meth:`MetricsRegistry.inc`.
+    """
     registry = _ACTIVE
     if registry is not None:
-        registry.inc(name, n, **labels)
+        registry.inc(name, n)
 
 
 def observe(

@@ -24,26 +24,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.obs.metrics import Histogram, bucket_quantile
-
-
-def _histogram_view(entry: Dict[str, object]) -> Dict[str, Dict[str, object]]:
-    """``{series_key: slot}`` for a histogram entry of a to_json snapshot."""
-    if entry.get("kind") != "histogram":
-        return {}
-    return dict(entry.get("series", {}))
+from repro.obs.metrics import bucket_quantile, merge_bucket_series
 
 
 def _merged_slot(entry: Dict[str, object]) -> Dict[str, object]:
-    """All series of a histogram entry folded into one slot."""
-    buckets = list(entry.get("buckets", ()))
-    merged = {"buckets": [0] * (len(buckets) + 1), "sum": 0.0, "count": 0}
-    for slot in _histogram_view(entry).values():
-        for i, count in enumerate(slot["buckets"]):
-            merged["buckets"][i] += count
-        merged["sum"] += slot["sum"]
-        merged["count"] += slot["count"]
-    return merged
+    """All series of a histogram entry of a to_json snapshot, folded
+    into one slot."""
+    series = entry.get("series", {}) if entry.get("kind") == "histogram" else {}
+    return merge_bucket_series(list(series.values()))
 
 
 def _mean(entry: Optional[Dict[str, object]]) -> Optional[float]:
@@ -215,8 +203,9 @@ def _latency_section(
             "p95_s": bucket_quantile(bounds, slot["buckets"], 0.95),
             "p99_s": bucket_quantile(bounds, slot["buckets"], 0.99),
         }
-        zero_bucket = slot["buckets"][0] if bounds and bounds[0] == 0.0 else 0
+        # An empty histogram merges to no buckets at all.
         if slot["count"]:
+            zero_bucket = slot["buckets"][0] if bounds and bounds[0] == 0.0 else 0
             overall["round0_fraction"] = round(zero_bucket / slot["count"], 4)
 
     return {

@@ -8,6 +8,7 @@ operation at the end of the period produces a single rekey payload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
 from repro.crypto.material import KeyGenerator, KeyMaterial
@@ -16,7 +17,6 @@ from repro.faults.recovery import RecoveryEvent, SyncTracker
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
-from repro.perf.instrumentation import count as perf_count, timed as perf_timed
 
 
 @dataclass(frozen=True)
@@ -185,17 +185,24 @@ class GroupKeyServer:
                 self._sync.admit(registration.member_id, self._next_epoch - 1)
             for member_id in leaves:
                 self._sync.forget(member_id)
+        registry = obs_metrics.active_registry()
         with obs_tracing.span("rekey", epoch=result.epoch) as rekey_span:
-            with perf_timed("server.rekey"):
-                self._process_batch(result, joins, leaves, now)
+            started = perf_counter() if registry is not None else 0.0
+            self._process_batch(result, joins, leaves, now)
+            if registry is not None:
+                registry.observe(
+                    "server.rekey.seconds",
+                    perf_counter() - started,
+                    buckets=obs_metrics.LATENCY_BUCKETS_S,
+                )
             rekey_span.set("cost", result.cost)
-        perf_count("server.rekeys")
+        obs_metrics.inc("server.rekeys")
         if joins:
-            perf_count("server.joins", len(joins))
+            obs_metrics.inc("server.joins", len(joins))
         if leaves:
-            perf_count("server.departures", len(leaves))
+            obs_metrics.inc("server.departures", len(leaves))
         if result.encrypted_keys:
-            perf_count("server.encrypted_keys", len(result.encrypted_keys))
+            obs_metrics.inc("server.encrypted_keys", len(result.encrypted_keys))
         obs_metrics.observe("server.batch_cost", result.cost)
         obs_metrics.observe("epoch.group_size", self.size)
         obs_metrics.observe("epoch.departures", len(leaves))
@@ -282,8 +289,8 @@ class GroupKeyServer:
         event: RecoveryEvent = self.sync.mark_recovered(
             member_id, epoch=self.current_epoch, now=now, keys_sent=len(payload)
         )
-        perf_count("server.catchups")
-        perf_count("server.catchup_keys", len(payload))
+        obs_metrics.inc("server.catchups")
+        obs_metrics.inc("server.catchup_keys", len(payload))
         return payload, event
 
     def _current_keys_of(self, member_id: str) -> List[KeyMaterial]:

@@ -33,7 +33,7 @@ from typing import Dict, Iterator, List, Optional
 from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.keytree.flat import HEAP_SHED_FLOOR, HEAP_SHED_RATIO
 from repro.keytree.node import Node
-from repro.perf.instrumentation import count as perf_count
+from repro.obs import metrics as obs_metrics
 
 
 class KeyTree:
@@ -173,7 +173,7 @@ class KeyTree:
         self._nodes[leaf.node_id] = leaf
         self._member_leaf[member_id] = leaf
         self._trim_heaps()
-        perf_count("keytree.add_member")
+        obs_metrics.inc("keytree.add_member")
         return leaf
 
     def _attach_leaf(self, leaf: Node) -> None:
@@ -328,7 +328,7 @@ class KeyTree:
             survivors = parent.path_to_root()
 
         self._trim_heaps()
-        perf_count("keytree.remove_member")
+        obs_metrics.inc("keytree.remove_member")
         return survivors
 
     # ------------------------------------------------------------------

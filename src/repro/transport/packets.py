@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.perf.instrumentation import count as perf_count
+from repro.obs import metrics as obs_metrics
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ def pack_indices(
         )
         seqno += 1
     if packets:
-        perf_count("transport.packets_packed", len(packets))
-        perf_count("transport.keys_packed", len(indices))
+        obs_metrics.inc("transport.packets_packed", len(packets))
+        obs_metrics.inc("transport.keys_packed", len(indices))
     return packets
 
 

@@ -8,7 +8,7 @@ semantics, structural soundness and unicast recoverability for one
 
 import pytest
 
-from repro.perf.instrumentation import recording
+from repro.obs import metrics as obs_metrics
 from repro.testing import (
     SCHEME_FACTORIES,
     ConformanceHarness,
@@ -46,13 +46,13 @@ def test_scheme_passes_churn_mix_on_private_indexes(spec):
     scenario = next(s for s in SCENARIOS if s.name == "churn-mix")
     learned = []
     for harness_cls in (PrivateIndexHarness, ConformanceHarness):
-        with recording() as recorder:
+        with obs_metrics.collecting() as registry:
             scenario.run(
                 harness_cls(spec.factory()),
                 attribute_filter=spec.attributes,
                 join_defaults=default_join_attributes,
             )
-        learned.append(recorder.counter("member.keys_learned"))
+        learned.append(registry.counter_total("member.keys_learned"))
     assert learned[0] == learned[1] > 0
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.obs as obs
 from repro.faults.chaos import ChaosSimulation, run_chaos, run_chaos_case
 from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import FaultSchedule
@@ -52,6 +53,21 @@ def test_run_chaos_writes_report(tmp_path):
     on_disk = json.loads(out.read_text())
     assert on_disk["runs"][0]["scheme"] == "one"
     assert on_disk["violations_total"] == 0
+
+
+def test_chaos_counts_into_an_outer_registry():
+    """A run under ``observe()`` reports the same counters as a plain one
+    and leaves every increment in the outer registry (the one ``repro
+    chaos --serve/--metrics`` scrapes): the run never shadows it."""
+    cell = dict(seed=7, schemes=("one",), schedules=("crash-restore",), out_path=None)
+    plain = run_chaos(**cell)["runs"][0]
+    with obs.observe() as bundle:
+        observed = run_chaos(**cell)["runs"][0]
+    assert observed["counters"] == plain["counters"]
+    rekeys = bundle.registry.counter_total("server.rekeys")
+    # A crash computes its batch, loses it, and the restored server reruns it.
+    assert rekeys == observed["rekeyings"] + observed["server_crashes"] == 32
+    assert rekeys == observed["counters"]["server.rekeys"]
 
 
 def test_full_sweep_reproduces_committed_report(tmp_path):

@@ -9,7 +9,7 @@ from repro.crypto.cipher import AuthenticationError, encrypt
 from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.crypto.wrap import EncryptedKey, RekeyMessage, WrapBatch, WrapIndex, wrap_key
 from repro.members.member import Member
-from repro.perf.instrumentation import recording
+from repro.obs import metrics as obs_metrics
 from repro.server.onetree import OneTreeServer
 from repro.testing.oracle import useful_subset
 
@@ -181,12 +181,12 @@ class TestOpenedWrapTable:
     def test_counters_split_real_and_shared_unwraps(self, group):
         members, _, wraps = group
         index = WrapIndex(wraps)
-        with recording() as recorder:
+        with obs_metrics.collecting() as registry:
             for m in members:
                 m.absorb(wraps, index=index)
-        assert recorder.counter("member.keys_learned") == 8
-        assert recorder.counter("crypto.unwraps") == 2
-        assert recorder.counter("member.unwraps_shared") == 6
+        assert registry.counter_total("member.keys_learned") == 8
+        assert registry.counter_total("crypto.unwraps") == 2
+        assert registry.counter_total("member.unwraps_shared") == 6
 
     def test_table_interns_keys_without_coupling_members(self, group, gen):
         members, _, wraps = group

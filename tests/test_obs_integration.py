@@ -186,6 +186,23 @@ def test_no_partition_is_timed_while_nothing_observes():
         assert clock.call_count > 0
 
 
+def test_every_rekey_is_timed_only_while_a_registry_listens():
+    from unittest import mock
+
+    from repro.server import base
+
+    with mock.patch.object(base, "perf_counter", wraps=base.perf_counter) as clock:
+        churn(OneTreeServer(), rounds=2)
+        assert clock.call_count == 0
+        with obs_metrics.collecting() as registry:
+            churn(OneTreeServer(), rounds=2)
+    seconds = registry.histogram(
+        "server.rekey.seconds", buckets=obs_metrics.LATENCY_BUCKETS_S
+    ).stats()
+    assert seconds["count"] == registry.counter_total("server.rekeys") == 3
+    assert clock.call_count == 2 * seconds["count"]
+
+
 def test_chaos_trace_has_fault_windows_and_retry_rounds():
     from repro.faults.chaos import run_chaos_case
 

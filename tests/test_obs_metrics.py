@@ -12,6 +12,7 @@ def test_counter_inc_and_total():
     registry.inc("server.rekeys")
     registry.inc("server.rekeys", 4)
     assert registry.counter_total("server.rekeys") == 5
+    assert registry.counter_total("never.incremented") == 0
 
 
 def test_labeled_counter_series_are_independent():
@@ -29,8 +30,6 @@ def test_gauge_set_and_inc():
     registry.set_gauge("server.degree", 4)
     gauge = registry.gauge("server.degree")
     assert gauge.value() == 4
-    gauge.inc(2)
-    assert gauge.value() == 6
 
 
 def test_histogram_buckets_sum_count():
@@ -110,6 +109,20 @@ def test_collecting_installs_and_restores():
         metrics.inc("seen")
     assert metrics.active_registry() is None
     assert registry.counter_total("seen") == 1
+
+
+def test_collecting_nests():
+    # The inner registry shadows the outer one and restores it on exit.
+    outer, inner = metrics.MetricsRegistry(), metrics.MetricsRegistry()
+    with metrics.collecting(outer):
+        with metrics.collecting(inner):
+            assert metrics.active_registry() is inner
+            metrics.inc("ops")
+        assert metrics.active_registry() is outer
+        metrics.inc("ops")
+    assert metrics.active_registry() is None
+    assert inner.counter_total("ops") == 1
+    assert outer.counter_total("ops") == 1
 
 
 def test_to_json_snapshot_shape():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import repro.obs as obs
+from repro.obs import metrics
 from repro.obs.report import build_summary, format_summary
 
 
@@ -114,3 +115,22 @@ def test_summary_top_limit():
     assert len(summary["top_spans"]) == 5
     # Sorted by total wall time descending.
     assert summary["top_spans"][0]["name"] == "s19"
+
+
+def test_summary_of_an_empty_latency_histogram():
+    """A registered ``rekey.latency`` with no adoptions reports a zero
+    count and no quantiles (its series merge to no buckets at all)."""
+    registry = metrics.MetricsRegistry()
+    registry.histogram("rekey.latency", buckets=metrics.LATENCY_LOG_BUCKETS_S)
+    records = [
+        {"record": "header", "schema": 2, "kind": "repro-trace"},
+        {"record": "metrics", "snapshot": registry.to_json()},
+    ]
+    summary = build_summary(records)
+    assert summary["latency"]["overall"] == {
+        "count": 0,
+        "p50_s": None,
+        "p95_s": None,
+        "p99_s": None,
+    }
+    assert "rekey latency (time-to-new-DEK)" in format_summary(summary)

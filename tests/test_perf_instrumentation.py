@@ -1,89 +1,74 @@
-"""Unit tests for the perf instrumentation layer."""
+"""Op-count instrumentation: the probe sites report into ``repro.obs.metrics``.
 
-import pytest
+The counts the paper prices a rekey in (wraps made, keys unwrapped) come
+from module-level probes such as ``crypto.wraps``.  These tests drive real
+probe sites through :func:`repro.obs.metrics.collecting` and read the
+counts back with :meth:`MetricsRegistry.counter_total`.
+"""
 
-from repro.perf import (
-    Counter,
-    PerfRecorder,
-    Timer,
-    active_recorder,
-    count,
-    recording,
-    timed,
-)
+import json
+
+from repro.crypto.material import KeyGenerator
+from repro.crypto.wrap import unwrap_key, wrap_key
+from repro.obs import metrics
+
+
+def _wrap_once(seed=41):
+    gen = KeyGenerator(seed)
+    wrapping = gen.generate("wrapping", version=3)
+    return wrapping, wrap_key(wrapping, gen.generate("payload", version=7))
 
 
 class TestRecorder:
     def test_counts_accumulate(self):
-        recorder = PerfRecorder()
-        recorder.count("ops")
-        recorder.count("ops", 4)
-        assert recorder.counter("ops") == 5
+        with metrics.collecting() as registry:
+            wrapping, encrypted = _wrap_once()
+            _wrap_once(seed=42)
+            unwrap_key(wrapping, encrypted)
+            metrics.inc("crypto.wraps", 4)
+        assert registry.counter_total("crypto.wraps") == 6
+        assert registry.counter_total("crypto.unwraps") == 1
 
     def test_unknown_counter_reads_zero(self):
-        assert PerfRecorder().counter("missing") == 0
-
-    def test_timeit_accumulates_wall_clock(self):
-        recorder = PerfRecorder()
-        with recorder.timeit("phase"):
-            pass
-        with recorder.timeit("phase"):
-            pass
-        timer = recorder.timers["phase"]
-        assert timer.calls == 2
-        assert timer.total >= 0.0
-        assert recorder.timer_total("phase") == timer.total
-
-    def test_unknown_timer_total_is_zero(self):
-        assert PerfRecorder().timer_total("missing") == 0.0
+        with metrics.collecting() as registry:
+            _wrap_once()
+        assert registry.counter_total("crypto.unwraps") == 0
+        assert metrics.MetricsRegistry().counter_total("missing") == 0
 
     def test_snapshot_is_plain_data(self):
-        recorder = PerfRecorder()
-        recorder.count("ops", 3)
-        with recorder.timeit("phase"):
-            pass
-        snap = recorder.snapshot()
-        assert snap["counters"]["ops"] == 3
-        assert "phase" in snap["timers"]
+        with metrics.collecting() as registry:
+            _wrap_once()
+            _wrap_once(seed=42)
+        snap = registry.snapshot()
+        assert snap["crypto.wraps"]["kind"] == "counter"
+        assert snap["crypto.wraps"]["series"] == {(): 2}
+        # Plain containers and numbers only: the registry's state is not
+        # shared with the snapshot.
+        registry.inc("crypto.wraps")
+        assert snap["crypto.wraps"]["series"] == {(): 2}
+        assert json.loads(json.dumps(registry.to_json()))["crypto.wraps"]["kind"] == "counter"
 
 
 class TestModuleProbes:
     def test_probes_are_noops_without_recorder(self):
-        assert active_recorder() is None
-        count("ops", 10)  # must not raise
-        with timed("phase"):
-            pass
-        assert active_recorder() is None
+        assert metrics.active_registry() is None
+        wrapping, encrypted = _wrap_once()  # the probe sites must not raise
+        unwrap_key(wrapping, encrypted)
+        metrics.inc("crypto.wraps", 10)
+        assert metrics.active_registry() is None
 
     def test_recording_installs_and_restores(self):
-        recorder = PerfRecorder()
-        with recording(recorder) as active:
-            assert active is recorder
-            assert active_recorder() is recorder
-            count("ops", 2)
-            with timed("phase"):
-                pass
-        assert active_recorder() is None
-        assert recorder.counter("ops") == 2
-        assert recorder.timers["phase"].calls == 1
-
-    def test_recording_nests(self):
-        outer, inner = PerfRecorder(), PerfRecorder()
-        with recording(outer):
-            with recording(inner):
-                count("ops")
-            count("ops")
-        assert inner.counter("ops") == 1
-        assert outer.counter("ops") == 1
+        registry = metrics.MetricsRegistry()
+        with metrics.collecting(registry) as active:
+            assert active is registry
+            assert metrics.active_registry() is registry
+            _wrap_once()
+        assert metrics.active_registry() is None
+        _wrap_once()  # after the window: not counted
+        assert registry.counter_total("crypto.wraps") == 1
 
     def test_recording_creates_recorder_when_omitted(self):
-        with recording() as recorder:
-            count("ops")
-        assert isinstance(recorder, PerfRecorder)
-        assert recorder.counter("ops") == 1
-
-
-def test_dataclass_shapes():
-    assert Counter("n", 3).value == 3
-    timer = Timer("t")
-    assert timer.calls == 0 and timer.total == 0.0
+        with metrics.collecting() as registry:
+            _wrap_once()
+        assert isinstance(registry, metrics.MetricsRegistry)
+        assert registry.counter_total("crypto.wraps") == 1

@@ -1,6 +1,6 @@
 """``parallel_map``: the experiment sweeps' process-pool fan-out."""
 
-from repro.perf.parallel import parallel_map
+from repro.experiments.parallel import parallel_map
 
 
 def _square(x):

@@ -20,7 +20,7 @@ from repro.crypto.wrap import (
     deferred_wraps,
 )
 from repro.members.member import Member
-from repro.perf.instrumentation import recording
+from repro.obs import metrics as obs_metrics
 from repro.server.onetree import OneTreeServer
 from repro.testing import SCHEME_FACTORIES
 from repro.testing.lkh import LkhRekeyer
@@ -178,11 +178,11 @@ def test_10k_member_delivery_stays_within_depth_budget():
     # naive scan (|message| wraps per receiver) would be far over it.
     assert result.cost > 4 * depth
     survivors = member_ids[churn : 2 * churn]
-    with recording() as recorder:
+    with obs_metrics.collecting() as registry:
         index = result.index()
         for member_id in survivors:
             index.closure(held[member_id])
-    examined = recorder.counter("wrapindex.examined")
+    examined = registry.counter_total("wrapindex.examined")
     assert examined > 0
     # Each member examines the buckets of its ~depth held keys plus
     # those of keys it learns along the way; degree bounds any bucket
@@ -267,31 +267,30 @@ class TwinPopulations:
                 (index or WrapIndex(keys)).closure(members[m].held_versions())
                 for m in order
             ]
-            with recording() as recorder:
+            with obs_metrics.collecting() as registry:
                 learned = [
                     members[m].apply_advances(advanced)
                     + members[m].absorb(keys, index=index)
                     for m in order
                 ]
             if index is None:
-                assert recorder.counter("member.unwraps_shared") == 0
-                assert recorder.counter("crypto.unwraps") == recorder.counter(
-                    "member.keys_learned"
-                )
+                count = registry.counter_total
+                assert count("member.unwraps_shared") == 0
+                assert count("crypto.unwraps") == count("member.keys_learned")
             else:
-                assert recorder.counter("crypto.unwraps") == len(index.opened)
+                assert registry.counter_total("crypto.unwraps") == len(index.opened)
             # KeyMaterial compares by (id, version, secret): order included.
             seen[payload] = (
                 closures,
                 learned,
                 [members[m]._keys for m in order],
                 [
-                    recorder.counter(name)
+                    registry.counter_total(name)
                     for name in ("member.keys_learned", "member.wraps_examined")
                 ],
             )
             if payload == "server":
-                self.table_hits += recorder.counter("member.unwraps_shared")
+                self.table_hits += registry.counter_total("member.unwraps_shared")
         assert seen["server"] == seen["wire"] == seen["list"]
 
 

@@ -278,5 +278,5 @@ def test_no_server_type_ladder_and_no_shard_executors():
         assert not re.search(r"^\s*(import|from) multiprocessing", text, re.M), path
         if "ProcessPoolExecutor" in text:
             pools.append(str(path.relative_to(SRC)))
-    assert pools == ["perf/parallel.py"]
+    assert pools == ["experiments/parallel.py"]
     assert not (SRC / "keytree" / "sharded.py").exists()

@@ -29,7 +29,7 @@ from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import Blackout, ChurnStorm, FaultSchedule, ServerCrash
 from repro.members.member import AbsorbJournal, Member
 from repro.members.population import LossPopulation
-from repro.perf.instrumentation import recording
+from repro.obs import metrics as obs_metrics
 from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
 from repro.testing import scheme_specs
 from repro.transport.fec import ProactiveFecProtocol
@@ -154,7 +154,7 @@ class PassSpy:
             before = self.before[member_id]
             reference = Member(member_id, before[f"member:{member_id}"])
             reference._keys = dict(before)
-            with recording():  # the reference counts apart from the run
+            with obs_metrics.collecting():  # the reference counts apart from the run
                 self.references.append((member_id, self.absorb(reference, payload)))
             return payload, event
 
@@ -226,7 +226,7 @@ def test_abandoned_receivers_are_reverted(monkeypatch, make):
     sim = _simulation(SPECS[0].factory(), make(), "abandoning")
     spy = PassSpy(monkeypatch, sim)
     spy.spy_catch_ups(monkeypatch)
-    with recording() as recorder:
+    with obs_metrics.collecting() as registry:
         metrics = sim.run()
     assert metrics.abandoned_total == spy.reverted > 0
     # Each unicast catch-up teaches the member what it would have taught
@@ -236,11 +236,11 @@ def test_abandoned_receivers_are_reverted(monkeypatch, make):
         assert rid == ref_rid
         assert [key.handle for key in learned] == [key.handle for key in reference]
     # The counters read as if the reverted absorbs never ran.
-    learned = recorder.counter("member.keys_learned")
+    learned = registry.counter_total("member.keys_learned")
     assert learned == spy.committed_learned + sum(
         len(keys) for __, keys in spy.catch_ups
     )
-    assert learned == recorder.counter("crypto.unwraps") + recorder.counter(
+    assert learned == registry.counter_total("crypto.unwraps") + registry.counter_total(
         "member.unwraps_shared"
     )
 
@@ -256,14 +256,14 @@ def test_revert_restores_the_key_objects_and_counts():
     payload = [wrap_key(leaf, parent), wrap_key(parent, root)]
     index = WrapIndex(payload)
     journal = AbsorbJournal()
-    with recording() as recorder:
+    with obs_metrics.collecting() as registry:
         learned = member.absorb(payload, index=index, journal=journal)
         assert [key.handle for key in learned] == [parent.handle, root.handle]
         assert set(journal) == {0, 1} == set(index.closure(versions))
         assert list(journal.values()) == [old_parent, "root"]
         member.revert(journal)
         for name in ("member.keys_learned", "crypto.unwraps", "member.wraps_examined"):
-            assert recorder.counter(name) == 0
+            assert registry.counter_total(name) == 0
     assert member._keys.keys() == held.keys()
     assert all(member._keys[k] is held[k] for k in held)
 
