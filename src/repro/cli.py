@@ -29,6 +29,8 @@ from contextlib import contextmanager
 from typing import List, Optional
 
 FIGURES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fec")
+#: scheme names :func:`repro.server.build_server` takes
+SCHEMES = ("one", "sharded", "qt", "tt", "pt", "losshomog", "random-trees")
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -122,25 +124,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if worst < 0.35 else 1
 
 
-def _build_server(scheme: str, degree: int, s_period: float, shards: int = 4):
-    from repro.server.losshomog import LossHomogenizedServer
-    from repro.server.onetree import OneTreeServer
-    from repro.server.sharded import ShardedOneTreeServer
-    from repro.server.twopartition import TwoPartitionServer
-
-    if scheme == "one":
-        return OneTreeServer(degree=degree)
-    if scheme == "sharded":
-        return ShardedOneTreeServer(shards=shards, degree=degree)
-    if scheme in ("qt", "tt", "pt"):
-        return TwoPartitionServer(mode=scheme, s_period=s_period, degree=degree)
-    if scheme == "losshomog":
-        return LossHomogenizedServer(degree=degree, placement="loss")
-    if scheme == "random-trees":
-        return LossHomogenizedServer(degree=degree, placement="random")
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def _build_transport(name: str):
     from repro.transport.fec import ProactiveFecProtocol
     from repro.transport.multisend import MultiSendProtocol
@@ -203,12 +186,13 @@ def _observed(args: argparse.Namespace):
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.members.durations import TwoClassDuration
     from repro.members.population import LossPopulation
+    from repro.server import build_server
     from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
 
     if args.quick:
         args.horizon = min(args.horizon, 600.0)
         args.warmup = min(args.warmup, 2)
-    server = _build_server(
+    server = build_server(
         args.scheme, args.degree, args.s_period, shards=args.shards
     )
     transport = _build_transport(args.transport)
@@ -323,16 +307,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    """Run a small observed session and dump the metrics exposition."""
-    import json
-
-    import repro.obs as obs
+def _small_session(args: argparse.Namespace):
+    """The session ``metrics`` and ``obs serve`` observe: ``args.scheme``
+    over ``args.transport`` for ``args.horizon`` seconds, unverified."""
     from repro.members.durations import TwoClassDuration
     from repro.members.population import LossPopulation
+    from repro.server import build_server
     from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
 
-    server = _build_server(args.scheme, degree=4, s_period=600.0)
     transport = _build_transport(args.transport)
     config = SimulationConfig(
         arrival_rate=1.0,
@@ -346,8 +328,17 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         verify=False,
         seed=args.seed,
     )
+    return GroupRekeyingSimulation(build_server(args.scheme), config)
+
+
+def _cmd_metrics(args: argparse.Namespace) -> int:
+    """Run a small observed session and dump the metrics exposition."""
+    import json
+
+    import repro.obs as obs
+
     with obs.observe() as bundle:
-        GroupRekeyingSimulation(server, config).run()
+        _small_session(args).run()
     if args.format == "json":
         print(json.dumps(bundle.registry.to_json(), indent=2, sort_keys=True))
     else:
@@ -422,10 +413,7 @@ def _cmd_obs_serve(argv: List[str]) -> int:
     import time
 
     import repro.obs as obs
-    from repro.members.durations import TwoClassDuration
-    from repro.members.population import LossPopulation
     from repro.obs.serve import MetricsServer
-    from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
 
     parser = argparse.ArgumentParser(
         prog="repro obs serve",
@@ -437,7 +425,7 @@ def _cmd_obs_serve(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--scheme",
-        choices=("one", "sharded", "qt", "tt", "pt", "losshomog", "random-trees"),
+        choices=SCHEMES,
         default="tt",
     )
     parser.add_argument(
@@ -456,26 +444,12 @@ def _cmd_obs_serve(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    server = _build_server(args.scheme, degree=4, s_period=600.0)
-    transport = _build_transport(args.transport)
-    config = SimulationConfig(
-        arrival_rate=1.0,
-        rekey_period=60.0,
-        horizon=args.horizon,
-        duration_model=TwoClassDuration(),
-        loss_population=(
-            LossPopulation.two_point() if transport is not None else None
-        ),
-        transport=transport,
-        verify=False,
-        seed=args.seed,
-    )
     with obs.observe() as bundle:
         with MetricsServer(
             registry=bundle.registry, host=args.host, port=args.port
         ) as endpoint:
             print(f"serving live metrics at {endpoint.url}", flush=True)
-            metrics = GroupRekeyingSimulation(server, config).run()
+            metrics = _small_session(args).run()
             print(
                 f"session finished: {metrics.rekey_count} rekeyings, "
                 f"{metrics.joins_total} joins, "
@@ -604,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one end-to-end simulated session")
     p.add_argument(
         "--scheme",
-        choices=("one", "sharded", "qt", "tt", "pt", "losshomog", "random-trees"),
+        choices=SCHEMES,
         default="tt",
     )
     p.add_argument(
@@ -679,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--scheme",
-        choices=("one", "sharded", "qt", "tt", "pt", "losshomog", "random-trees"),
+        choices=SCHEMES,
         default="tt",
     )
     p.add_argument(

@@ -252,7 +252,8 @@ def wrap_key(wrapping: KeyMaterial, payload: KeyMaterial) -> EncryptedKey:
     postpones the actual encryption until its ciphertext is first read.
 
     This and :meth:`WrapBatch.add` make every wrap; the ``crypto.wraps``
-    counter is bumped here per call and by the rekeyers per batch.
+    counter is bumped here per call and by each payload producer (the
+    rekeyers, the DEK stitch) per batch.
     """
     obs_metrics.inc("crypto.wraps")
     if _wrap_mode == "deferred":

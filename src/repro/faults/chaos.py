@@ -35,6 +35,7 @@ from repro.faults.schedule import STANDARD_SCHEDULES, FaultSchedule
 from repro.members.durations import TwoClassDuration
 from repro.members.population import LossPopulation
 from repro.obs import metrics as obs_metrics
+from repro.server import build_server
 from repro.server.base import BatchResult
 from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
 from repro.testing.invariants import (
@@ -56,20 +57,6 @@ PINNED_COUNTERS = (
 #: schemes the default chaos sweep covers (CLI ``--schemes`` overrides);
 #: ``--quick`` takes the first two, so keep the reference pair up front
 STANDARD_SCHEMES = ("one", "tt", "pt", "losshomog", "qt")
-
-
-def _build_server(scheme: str):
-    from repro.server.losshomog import LossHomogenizedServer
-    from repro.server.onetree import OneTreeServer
-    from repro.server.twopartition import TwoPartitionServer
-
-    if scheme == "one":
-        return OneTreeServer()
-    if scheme in ("qt", "tt", "pt"):
-        return TwoPartitionServer(mode=scheme)
-    if scheme == "losshomog":
-        return LossHomogenizedServer(placement="loss")
-    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 class ChaosSimulation(GroupRekeyingSimulation):
@@ -106,8 +93,9 @@ class ChaosSimulation(GroupRekeyingSimulation):
         dek = self.server.group_key()
         epoch = result.epoch
         self._collect(lambda: check_batch_accounting(result))
+        desynced = self._desynced()
         for member_id, member in self.members.items():
-            if member_id in self._out_of_sync:
+            if member_id in desynced:
                 continue  # legitimately behind until unicast catch-up
             self._collect(
                 lambda m=member: check_member_decrypts(m, dek, epoch=epoch)
@@ -162,7 +150,7 @@ def run_chaos_case(
         seed=seed,
         fault_schedule=schedule,
     )
-    sim = ChaosSimulation(_build_server(scheme), config)
+    sim = ChaosSimulation(build_server(scheme), config)
     # Count into the active registry when there is one (``repro chaos
     # --serve/--metrics``), so the outer run still sees every increment.
     with obs_metrics.collecting(obs_metrics.active_registry()) as registry:
@@ -185,7 +173,7 @@ def run_chaos_case(
         "verification_checks": metrics.verification_checks,
         "server_crashes": metrics.server_crashes,
         "abandoned": metrics.abandoned_total,
-        "recoveries": latency_summary(metrics.recoveries),
+        "recoveries": latency_summary(sim.sync_tracker.events),
         "time_to_new_dek": (
             sim.latency.summary() if sim.latency is not None else {"count": 0}
         ),

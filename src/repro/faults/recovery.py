@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Dict, List, Set, Tuple
+from typing import Collection, Dict, List, Mapping, Set, Tuple
 
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
@@ -65,6 +65,8 @@ class SyncTracker:
     out of step, for recovery-latency accounting, and the epoch whose
     delivery it missed.  A delivery that leaves everyone in step therefore
     touches no per-receiver state.
+    It is the one record of who is out of step (:attr:`desynced`) and of
+    the run's recoveries (:attr:`events`); both survive a crash-restore.
     """
 
     def __init__(self) -> None:
@@ -99,6 +101,13 @@ class SyncTracker:
         if member_id in self._known:
             return SyncState.IN_SYNC
         raise KeyError(f"sync tracker knows no member {member_id!r}")
+
+    @property
+    def desynced(self) -> Mapping[str, Tuple[float, int]]:
+        """Read-only ``member -> (desynced_at, desynced_epoch)`` of every
+        ``OUT_OF_SYNC`` receiver, in the order they went out; a departed one
+        stays until the batch that processes its departure forgets it."""
+        return self._out
 
     def out_of_sync(self) -> List[str]:
         """Members currently awaiting unicast recovery, in the order they

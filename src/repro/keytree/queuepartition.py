@@ -26,7 +26,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.material import KeyGenerator, KeyMaterial
-from repro.crypto.wrap import EncryptedKey, wrap_key
+from repro.crypto.wrap import WrapBatch
+from repro.obs import metrics as obs_metrics
 
 
 class QueuePartition:
@@ -92,18 +93,6 @@ class QueuePartition:
             raise KeyError(f"member {member_id!r} is not in queue {self.name!r}")
         return key
 
-    def wrap_for_all(self, payload: KeyMaterial) -> List[EncryptedKey]:
-        """Encrypt ``payload`` individually for every queue member.
-
-        This is the ``Neq = Ns`` cost term of the QT-scheme: one encrypted
-        key per resident member.
-        """
-        return [wrap_key(key, payload) for key in self._keys.values()]
-
-    def wrap_for(self, member_id: str, payload: KeyMaterial) -> EncryptedKey:
-        """Encrypt ``payload`` for a single member."""
-        return wrap_key(self.key_of(member_id), payload)
-
     # ------------------------------------------------------------------
     # the partition questions a composed server asks
     # ------------------------------------------------------------------
@@ -126,11 +115,21 @@ class QueuePartition:
 
     def wrap_dek(
         self, dek: KeyMaterial, joiners: Optional[Sequence[str]] = None
-    ) -> List[EncryptedKey]:
-        """``dek`` for every resident, or for ``joiners`` only."""
-        if joiners is None:
-            return self.wrap_for_all(dek)
-        return [self.wrap_for(member_id, dek) for member_id in joiners]
+    ) -> WrapBatch:
+        """``dek`` wrapped under the individual key of every resident, or of
+        ``joiners`` only, one row each.
+
+        For every resident this is the ``Neq = Ns`` cost term of the
+        QT-scheme: one encrypted key per resident member.
+        """
+        keys = self._keys.values() if joiners is None else map(self.key_of, joiners)
+        dek_id, dek_version = dek.handle
+        wraps = WrapBatch()
+        for key in keys:
+            wraps.add(key.key_id, key.version, dek_id, dek_version, key.secret, dek.secret)
+        if wraps:
+            obs_metrics.inc("crypto.wraps", len(wraps))
+        return wraps
 
     def path_keys(self, member_id: str) -> List[KeyMaterial]:
         """Keys above the member's own: none, the queue has no tree."""

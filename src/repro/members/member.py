@@ -63,10 +63,6 @@ class Member:
     # key-state queries
     # ------------------------------------------------------------------
 
-    @property
-    def individual_key_id(self) -> str:
-        return f"member:{self.member_id}"
-
     def holds(self, key_id: str, version: Optional[int] = None) -> bool:
         """Whether this member holds ``key_id`` (at ``version`` if given)."""
         key = self._keys.get(key_id)

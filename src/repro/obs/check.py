@@ -11,7 +11,9 @@
    inside the trace's embedded metrics snapshot;
 4. **latency accounting** (schema-2 traces): every ``abandonment``
    event's member-epoch story reaches a terminal event — abandonments
-   must equal ``resync_complete`` + ``abandoned_unrecovered`` — and,
+   must equal ``resync_complete`` + ``abandoned_unrecovered``, the sync
+   tracker's ``sync.out_of_sync`` / ``sync.recoveries`` counters must
+   equal the ``abandonment`` / ``resync_complete`` events — and,
    when the ``rekey.latency`` histogram is in the snapshot, its
    ``resync``/``abandoned`` sync-state series counts must agree with
    those terminal events;
@@ -83,6 +85,17 @@ def _check_latency_accounting(records: List[Dict[str, object]]) -> Optional[str]
     for record in records:
         if record.get("record") == "metrics":
             snapshot = record.get("snapshot", {})
+    for counter, event, events in (
+        ("sync.out_of_sync", "abandonment", abandonments),
+        ("sync.recoveries", "resync_complete", resyncs),
+    ):
+        entry = snapshot.get(counter)
+        total = sum(entry["series"].values()) if isinstance(entry, dict) else 0
+        if total != events:
+            raise ValueError(
+                f"sync tracker disagrees with the latency ledger: {counter} "
+                f"counted {total:g} but the trace has {events} {event} events"
+            )
     state_counts = _latency_state_counts(snapshot)
     if state_counts is not None:
         observed = (state_counts.get("resync", 0), state_counts.get("abandoned", 0))

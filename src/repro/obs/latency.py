@@ -21,6 +21,10 @@ records, in simulated seconds, one closed interval per member per epoch:
 Every abandonment therefore gets exactly one terminal event —
 ``resync_complete`` or ``abandoned_unrecovered`` — so intervals can never
 leak open (the chaos harness previously ended these stories silently).
+The tracker books closed intervals only.  An open one is the member's
+entry in the server's out-of-sync ledger,
+:attr:`SyncTracker.desynced <repro.faults.recovery.SyncTracker.desynced>`,
+and the simulation hands that entry to the close.
 
 Aggregation is double-booked by design: the tracker keeps exact samples
 per epoch for exact p50/p95/p99 extraction (``summary()``,
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from typing import Callable, Collection, Dict, List, Optional, Tuple
+from typing import Callable, Collection, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
@@ -84,8 +88,6 @@ class LatencyTracker:
     ) -> None:
         self.scheme = scheme or "unknown"
         self._shard_fn = shard_fn
-        #: member_id -> (epoch, opened_at) for abandoned-awaiting-resync.
-        self._open: Dict[str, Tuple[int, float]] = {}
         self._epochs: Dict[int, _EpochSlot] = {}
 
     # ------------------------------------------------------------------
@@ -157,21 +159,12 @@ class LatencyTracker:
                     sync_state="late",
                 )
 
-    def open_interval(self, member_id: str, epoch: int, opened_at: float) -> None:
-        """The transport abandoned a member; its epoch story is now open.
-
-        Idempotent per member: a member abandoned while already awaiting
-        resync keeps its earliest open interval (the operator cares about
-        total time out of sync, not the latest failure).
-        """
-        self._open.setdefault(member_id, (epoch, opened_at))
-
-    def close_resync(self, member_id: str, now: float) -> Optional[float]:
-        """Unicast catch-up landed: close the member's open interval."""
-        interval = self._open.pop(member_id, None)
-        if interval is None:
-            return None
-        epoch, opened_at = interval
+    def close_resync(
+        self, member_id: str, since: Tuple[float, int], now: float
+    ) -> float:
+        """Unicast catch-up landed: close the member's interval, ``since``
+        its ``(desynced_at, desynced_epoch)`` ledger entry."""
+        opened_at, epoch = since
         latency = max(0.0, now - opened_at)
         self._slot(epoch).samples.append((member_id, latency, "resync"))
         self._observe_histogram(member_id, latency, "resync")
@@ -192,13 +185,11 @@ class LatencyTracker:
         return latency
 
     def close_abandoned(
-        self, member_id: str, now: float, reason: str
-    ) -> Optional[float]:
-        """The member left (or the run ended) still out of sync."""
-        interval = self._open.pop(member_id, None)
-        if interval is None:
-            return None
-        epoch, opened_at = interval
+        self, member_id: str, since: Tuple[float, int], now: float, reason: str
+    ) -> float:
+        """The member left (or the run ended) still out of sync since
+        ``since``, its ledger entry."""
+        opened_at, epoch = since
         open_for = max(0.0, now - opened_at)
         self._slot(epoch).abandoned.append((member_id, open_for))
         self._observe_histogram(member_id, open_for, "abandoned")
@@ -212,12 +203,15 @@ class LatencyTracker:
             )
         return open_for
 
-    def finish(self, now: float) -> int:
-        """Close every still-open interval at end of run; returns how many."""
-        leaked = list(self._open)
-        for member_id in leaked:
-            self.close_abandoned(member_id, now, reason="run-end")
-        return len(leaked)
+    def finish(
+        self, out_of_sync: Iterable[Tuple[str, Tuple[float, int]]], now: float
+    ) -> int:
+        """Close at run end the interval of every ``(member_id, since)``
+        ledger entry still out of sync; returns how many."""
+        out_of_sync = list(out_of_sync)
+        for member_id, since in out_of_sync:
+            self.close_abandoned(member_id, since, now, reason="run-end")
+        return len(out_of_sync)
 
     def epoch_complete(self, epoch: int) -> None:
         """Emit the streaming per-epoch summary event (multicast path only —
@@ -239,11 +233,6 @@ class LatencyTracker:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-
-    @property
-    def open_count(self) -> int:
-        """Intervals still awaiting a terminal (0 after :meth:`finish`)."""
-        return len(self._open)
 
     def epoch_percentiles(self, epoch: int) -> Dict[str, float]:
         """Exact adoption percentiles for one epoch (abandoned excluded)."""
@@ -310,7 +299,9 @@ class LatencyTracker:
             "late": late,
             "resyncs": resyncs,
             "abandoned_unrecovered": abandoned,
-            "open": self.open_count,
+            # Closed intervals only: the simulation closes every interval
+            # by departure or at run end (:meth:`finish`).
+            "open": 0,
             "max_s": round(values[-1], 6) if values else 0.0,
             "worst": self.worst(5),
         }

@@ -15,7 +15,8 @@ the observed membership trace and picks the best scheme and S-period.
 All servers share one lifecycle: ``join`` / ``leave`` enqueue membership
 changes; ``rekey`` processes the batch and returns a :class:`BatchResult`
 whose encrypted keys are handed to a transport (or counted — the paper's
-metric).
+metric).  :func:`build_server` makes one from its scheme name, the way the
+CLI and the chaos harness name them.
 """
 
 from repro.server.adaptive import AdaptiveController, TraceEstimate
@@ -29,6 +30,27 @@ from repro.server.sharded import ShardedOneTreeServer
 from repro.server.snapshot import restore_server, snapshot_server
 from repro.server.twopartition import TwoPartitionServer
 
+
+def build_server(
+    scheme: str, degree: int = 4, s_period: float = 600.0, shards: int = 4
+) -> PartitionedServer:
+    """A fresh server for a scheme name: ``one``, ``sharded`` (``shards``
+    hash-placed subtrees), ``qt`` / ``tt`` / ``pt`` (S-period
+    ``s_period``), ``losshomog`` (loss placement) or ``random-trees``
+    (its round-robin control), every tree of ``degree``."""
+    if scheme == "one":
+        return OneTreeServer(degree=degree)
+    if scheme == "sharded":
+        return ShardedOneTreeServer(shards=shards, degree=degree)
+    if scheme in ("qt", "tt", "pt"):
+        return TwoPartitionServer(mode=scheme, s_period=s_period, degree=degree)
+    if scheme == "losshomog":
+        return LossHomogenizedServer(degree=degree, placement="loss")
+    if scheme == "random-trees":
+        return LossHomogenizedServer(degree=degree, placement="random")
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 __all__ = [
     "AdaptiveController",
     "BatchResult",
@@ -41,6 +63,7 @@ __all__ = [
     "Registration",
     "ShardedOneTreeServer",
     "TraceEstimate",
+    "build_server",
     "restore_server",
     "snapshot_server",
     "TwoPartitionServer",

@@ -36,7 +36,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.material import KeyGenerator, KeyMaterial
-from repro.crypto.wrap import EncryptedKey, wrap_key
+from repro.crypto.wrap import WrapBatch
 from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
@@ -81,9 +81,14 @@ class TreePartition:
 
     def wrap_dek(
         self, dek: KeyMaterial, joiners: Optional[Sequence[str]] = None
-    ) -> List[EncryptedKey]:
+    ) -> WrapBatch:
         """One wrap under the root reaches every resident, joiners included."""
-        return [wrap_key(self.tree.root.key, dek)] if self.tree.size > 0 else []
+        wraps = WrapBatch()
+        if self.tree.size > 0:
+            root = self.tree.root.key
+            wraps.add(*root.handle, *dek.handle, root.secret, dek.secret)
+            obs_metrics.inc("crypto.wraps")
+        return wraps
 
     def path_keys(self, member_id: str) -> List[KeyMaterial]:
         """Keys above the member's own leaf, root included."""
@@ -253,12 +258,13 @@ class PartitionedServer(GroupKeyServer):
         """
         previous = self._dek
         dek = self._dek = self._dek_stream.rekey(previous)
-        wraps: List[EncryptedKey] = []
+        wraps = WrapBatch()
         if had_departure:
             for partition in self.partitions:
                 wraps.extend(partition.wrap_dek(dek))
         else:
-            wraps.append(wrap_key(previous, dek))
+            wraps.add(*previous.handle, *dek.handle, previous.secret, dek.secret)
+            obs_metrics.inc("crypto.wraps")
             for partition, (entering, __), count in zip(self.partitions, slices, admitted):
                 if count:
                     joiners = [member_id for member_id, __ in entering[:count]]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import repro.obs as obs
 from repro.crypto.wrap import deferred_wraps
@@ -152,8 +152,6 @@ class GroupRekeyingSimulation:
             self.channel = MulticastChannel(seed=self.config.seed + 1)
         #: member_id -> state machine (None per member in cost-only runs).
         self.members: Dict[str, Optional[Member]] = {}
-        self.member_class: Dict[str, str] = {}
-        self.member_loss: Dict[str, float] = {}
         #: loss rate -> the one (stateless) process its members share
         self._loss_processes: Dict[float, BernoulliLoss] = {}
         # Bound once: every member's departure event holds this one method.
@@ -161,15 +159,12 @@ class GroupRekeyingSimulation:
         self.departed: List[Member] = []
         self.metrics = SimulationMetrics()
         self._next_member = 0
-        #: receivers awaiting unicast catch-up (mirrors server.sync)
-        self._out_of_sync: Set[str] = set()
         self._crash_cursor = 0
-        if self.config.transport is not None:
-            # Building the tracker now makes server.rekey() admit/forget
-            # members in it from the first batch onward.
-            self.sync_tracker = self.server.sync
-        else:
-            self.sync_tracker = None
+        #: The server's sync tracker, the one record of which receivers are
+        #: out of step.  Only a transport abandons receivers; a run without
+        #: one builds none (a tracker makes every rekey admit and forget).
+        transport = self.config.transport
+        self.sync_tracker = self.server.sync if transport is not None else None
         #: Member-level time-to-new-DEK accounting (needs real receivers).
         self.latency: Optional[LatencyTracker] = None
         if not self.config.cost_only:
@@ -184,6 +179,12 @@ class GroupRekeyingSimulation:
 
     def _shard_label(self, member_id: str) -> str:
         return self.server.shard_label(member_id)
+
+    def _desynced(self) -> Mapping[str, Tuple[float, int]]:
+        """The tracker's ledger of receivers awaiting unicast catch-up,
+        ``member -> (desynced_at, desynced_epoch)``; empty without one."""
+        tracker = self.sync_tracker
+        return tracker.desynced if tracker is not None else {}
 
     # ------------------------------------------------------------------
     # workload events
@@ -218,8 +219,6 @@ class GroupRekeyingSimulation:
             else Member(member_id, registration.individual_key)
         )
         self.members[member_id] = member
-        self.member_class[member_id] = member_class
-        self.member_loss[member_id] = loss_rate
         loss = self._loss_processes.get(loss_rate)
         if loss is None:
             loss = self._loss_processes[loss_rate] = BernoulliLoss(loss_rate)
@@ -239,15 +238,14 @@ class GroupRekeyingSimulation:
         member = self.members.pop(member_id)
         self.server.leave(member_id, at_time=self.loop.now)
         self.channel.unsubscribe(member_id)
-        self.member_class.pop(member_id, None)
-        self.member_loss.pop(member_id, None)
-        if member_id in self._out_of_sync and self.latency is not None:
+        since = self._desynced().get(member_id)
+        if since is not None and self.latency is not None:
             # Terminal for the latency story: this member leaves without
             # ever recovering — close the interval instead of leaking it.
+            # (The ledger keeps it until the next batch forgets it.)
             self.latency.close_abandoned(
-                member_id, self.loop.now, reason="departed"
+                member_id, since, self.loop.now, reason="departed"
             )
-        self._out_of_sync.discard(member_id)
         if member is not None:
             self.departed.append(member)
             if len(self.departed) > self.config.departed_sample:
@@ -381,9 +379,10 @@ class GroupRekeyingSimulation:
                 # built once and shared.
                 with obs_tracing.span("deliver") as deliver_span:
                     index = result.index()
+                    desynced = self._desynced()
                     journals: Dict[str, AbsorbJournal] = {}
                     for member_id, member in self.members.items():
-                        if member_id in self._out_of_sync:
+                        if member_id in desynced:
                             continue
                         journal = journals[member_id] = AbsorbJournal()
                         member.absorb(
@@ -441,7 +440,7 @@ class GroupRekeyingSimulation:
                         abandoned = [rid for rid in journals if rid in gave_up]
                         for member_id in abandoned:
                             self.members[member_id].revert(journals.pop(member_id))
-                    if self.sync_tracker is not None and outcome.late:
+                    if outcome.late:
                         late = outcome.late
                         for member_id in journals:
                             if member_id in late:
@@ -486,31 +485,24 @@ class GroupRekeyingSimulation:
         OUT_OF_SYNC and schedule their unicast catch-up after the configured
         recovery delay."""
         for member_id in abandoned:
-            self._out_of_sync.add(member_id)
             obs_events.emit(
                 "abandonment", time=now, member_id=member_id, epoch=epoch
             )
             obs_metrics.inc("transport.abandonments")
-            if self.latency is not None:
-                self.latency.open_interval(member_id, epoch, now)
-            if self.sync_tracker is not None:
-                self.sync_tracker.mark_out_of_sync(member_id, epoch, now)
+            self.sync_tracker.mark_out_of_sync(member_id, epoch, now)
             self.loop.schedule(
                 now + self.config.recovery_delay, self._catch_up, member_id
             )
 
     def _catch_up(self, member_id: str) -> None:
         """Unicast recovery: re-issue the member's current entitlement."""
-        if member_id not in self.members or member_id not in self._out_of_sync:
+        since = self._desynced().get(member_id)
+        if since is None or member_id not in self.members:
             return  # departed (or already recovered) in the meantime
-        member = self.members[member_id]
-        payload, event = self.server.catch_up(member_id, now=self.loop.now)
-        if member is not None:
-            member.absorb(payload)
-        self._out_of_sync.discard(member_id)
-        self.metrics.recoveries.append(event)
+        payload, __ = self.server.catch_up(member_id, now=self.loop.now)
+        self.members[member_id].absorb(payload)
         if self.latency is not None:
-            self.latency.close_resync(member_id, self.loop.now)
+            self.latency.close_resync(member_id, since, self.loop.now)
 
     # ------------------------------------------------------------------
     # verification
@@ -524,8 +516,9 @@ class GroupRekeyingSimulation:
         * no recently departed member holds it.
         """
         dek = self.server.group_key()
+        desynced = self._desynced()
         for member_id, member in self.members.items():
-            if member_id in self._out_of_sync:
+            if member_id in desynced:
                 # Legitimately behind until its unicast catch-up lands.
                 continue
             if not member.holds(dek.key_id, dek.version):
@@ -569,6 +562,11 @@ class GroupRekeyingSimulation:
         self.loop.run_until(self.config.horizon)
         if self.latency is not None:
             # Close any interval still awaiting resync at the horizon so
-            # latency accounting never leaks an open story.
-            self.latency.finish(self.loop.now)
+            # latency accounting never leaks an open story.  A departed
+            # member's interval closed when it left.
+            members = self.members
+            self.latency.finish(
+                [entry for entry in self._desynced().items() if entry[0] in members],
+                self.loop.now,
+            )
         return self.metrics

@@ -181,7 +181,7 @@ class TestMultiSendExhaustion:
         assert sim.channel.blackout_losses > 0
         # Everyone abandoned came back over unicast, and every later epoch
         # (verify=True throughout) delivered to the whole group again.
-        assert len(metrics.recoveries) == metrics.abandoned_total
+        assert len(sim.sync_tracker.events) == metrics.abandoned_total
         assert all(record.abandoned == 0 for record in metrics.records[1:])
         assert metrics.verification_checks == len(metrics.records)
         # ... and the delivery now shows up in traces like the others'.

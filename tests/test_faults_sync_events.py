@@ -78,6 +78,9 @@ def test_out_of_sync_is_idempotent_in_the_log():
         tracker.mark_delivered("m1", epoch=3)  # multicast can't repair
     assert log.count("sync_transition") == 1
     assert tracker.state_of("m1") is SyncState.OUT_OF_SYNC
+    # The ledger keeps the earliest interval: the operator cares about
+    # total time out of sync, not the latest failure.
+    assert dict(tracker.desynced) == {"m1": (10.0, 2)}
 
 
 def test_tracker_quiet_without_active_log():

@@ -5,6 +5,7 @@ import pytest
 from repro.crypto.material import KeyGenerator
 from repro.crypto.wrap import unwrap_key
 from repro.keytree.queuepartition import QueuePartition
+from repro.obs import metrics as obs_metrics
 
 
 @pytest.fixture
@@ -52,13 +53,15 @@ class TestWrapping:
         for i in range(7):
             queue.add_member(f"m{i}")
         payload = KeyGenerator(9).generate("group/dek")
-        wraps = queue.wrap_for_all(payload)
+        with obs_metrics.collecting() as registry:
+            wraps = queue.wrap_dek(payload)
         assert len(wraps) == 7  # the Neq = Ns term
+        assert registry.counter_total("crypto.wraps") == 7
 
     def test_each_member_can_unwrap_its_copy(self, queue):
         keys = {f"m{i}": queue.add_member(f"m{i}") for i in range(5)}
         payload = KeyGenerator(9).generate("group/dek")
-        wraps = {ek.wrapping_id: ek for ek in queue.wrap_for_all(payload)}
+        wraps = {ek.wrapping_id: ek for ek in queue.wrap_dek(payload)}
         for member_id, key in keys.items():
             recovered = unwrap_key(key, wraps[key.key_id])
             assert recovered == payload
@@ -66,4 +69,7 @@ class TestWrapping:
     def test_wrap_for_single_member(self, queue):
         key = queue.add_member("a")
         payload = KeyGenerator(9).generate("group/dek")
-        assert unwrap_key(key, queue.wrap_for("a", payload)) == payload
+        queue.add_member("b")
+        wraps = queue.wrap_dek(payload, joiners=["a"])
+        assert len(wraps) == 1
+        assert unwrap_key(key, wraps[0]) == payload

@@ -251,3 +251,29 @@ def test_artifact_chain_closes(tmp_path):
     line = obs_check.check(trace, prom)
     assert line.startswith("ok:")
     assert obs_check.main([str(trace), str(prom)]) == 0
+
+
+def test_ledger_check_ties_the_sync_counters_to_the_latency_events(tmp_path):
+    import json
+
+    from repro.faults.chaos import run_chaos_case
+
+    with obs.observe() as bundle:
+        report = run_chaos_case("one", "blackout-resync", seed=7, horizon=900.0)
+    trace = tmp_path / "trace.jsonl"
+    prom = tmp_path / "metrics.prom"
+    obs.write_trace(bundle, trace)
+    obs.write_metrics(bundle.registry, prom)
+    assert report["abandoned"] > 0 and report["recoveries"]["count"] > 0
+    assert "latency ledger closed" in obs_check.check(trace, prom)
+
+    records = obs.read_trace(trace)
+    for counter in ("sync.out_of_sync", "sync.recoveries"):
+        tampered = json.loads(json.dumps(records))
+        series = tampered[-1]["snapshot"][counter]["series"]
+        key = next(iter(series))
+        series[key] += 1
+        bad = tmp_path / f"{counter}.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in tampered))
+        with pytest.raises(ValueError, match=f"sync tracker disagrees.*{counter}"):
+            obs_check.check(bad, prom)

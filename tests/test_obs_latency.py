@@ -81,30 +81,17 @@ class TestLatencyTracker:
 
     def test_resync_closes_the_open_interval(self):
         tracker = LatencyTracker(scheme="one")
-        tracker.open_interval("m", epoch=2, opened_at=100.0)
-        assert tracker.open_count == 1
-        latency = tracker.close_resync("m", now=160.0)
+        # The ledger entry: out of sync since t=100 s, epoch 2.
+        latency = tracker.close_resync("m", (100.0, 2), now=160.0)
         assert latency == pytest.approx(60.0)
-        assert tracker.open_count == 0
+        assert tracker.summary()["resyncs"] == 1
         # The interval landed in its opening epoch's distribution.
         assert tracker.epoch_percentiles(2)["max"] == 60.0
-
-    def test_open_interval_keeps_the_earliest(self):
-        tracker = LatencyTracker()
-        tracker.open_interval("m", epoch=2, opened_at=100.0)
-        tracker.open_interval("m", epoch=3, opened_at=500.0)
-        assert tracker.close_resync("m", now=600.0) == pytest.approx(500.0)
-
-    def test_close_without_open_is_a_noop(self):
-        tracker = LatencyTracker()
-        assert tracker.close_resync("ghost", now=5.0) is None
-        assert tracker.close_abandoned("ghost", now=5.0, reason="departed") is None
 
     def test_abandoned_excluded_from_percentiles(self):
         tracker = LatencyTracker()
         tracker.observe_delivery("a", epoch=1, latency=0.0)
-        tracker.open_interval("b", epoch=1, opened_at=60.0)
-        tracker.close_abandoned("b", now=400.0, reason="departed")
+        tracker.close_abandoned("b", (60.0, 1), now=400.0, reason="departed")
         stats = tracker.epoch_percentiles(1)
         assert stats["members"] == 1
         assert stats["max"] == 0.0
@@ -114,19 +101,19 @@ class TestLatencyTracker:
 
     def test_finish_closes_leaks(self):
         tracker = LatencyTracker()
-        tracker.open_interval("m1", epoch=1, opened_at=10.0)
-        tracker.open_interval("m2", epoch=2, opened_at=20.0)
-        assert tracker.finish(now=100.0) == 2
-        assert tracker.open_count == 0
-        assert tracker.summary()["abandoned_unrecovered"] == 2
+        ledger = {"m1": (10.0, 1), "m2": (20.0, 2)}
+        assert tracker.finish(ledger.items(), now=100.0) == 2
+        summary = tracker.summary()
+        assert summary["abandoned_unrecovered"] == 2
+        assert summary["open"] == 0
+        assert [row["abandoned"] for row in tracker.epoch_rows()] == [1, 1]
 
     def test_summary_quantiles_and_worst(self):
         tracker = LatencyTracker()
         for i in range(98):
             tracker.observe_delivery(f"m{i}", epoch=1, latency=0.0)
         tracker.observe_delivery("late", epoch=1, latency=5.0)
-        tracker.open_interval("worst", epoch=1, opened_at=0.0)
-        tracker.close_resync("worst", now=90.0)
+        tracker.close_resync("worst", (0.0, 1), now=90.0)
         summary = tracker.summary()
         assert summary["count"] == 100
         assert summary["p50_s"] == 0.0
@@ -146,8 +133,7 @@ class TestLatencyTracker:
             )
             tracker.observe_delivery("a", epoch=1, latency=0.0)
             tracker.observe_delivery("b", epoch=1, latency=1.5)
-            tracker.open_interval("c", epoch=1, opened_at=0.0)
-            tracker.close_resync("c", now=30.0)
+            tracker.close_resync("c", (0.0, 1), now=30.0)
         entry = registry.to_json()[LATENCY_METRIC]
         assert entry["labels"] == ["scheme", "shard", "sync_state"]
         states = {key.split("|")[2] for key in entry["series"]}
@@ -160,10 +146,8 @@ class TestLatencyTracker:
         tracker.observe_delivery("a", epoch=1, latency=2.0)
         with obs.observe(clock=lambda: 0.0) as bundle:
             tracker.observe_delivery("b", epoch=1, latency=2.0)
-            tracker.open_interval("c", epoch=1, opened_at=0.0)
-            tracker.close_resync("c", now=9.0)
-            tracker.open_interval("d", epoch=1, opened_at=0.0)
-            tracker.close_abandoned("d", now=5.0, reason="departed")
+            tracker.close_resync("c", (0.0, 1), now=9.0)
+            tracker.close_abandoned("d", (0.0, 1), now=5.0, reason="departed")
             tracker.epoch_complete(1)
         types = [r["type"] for r in bundle.events.records]
         assert types.count("dek_adopted") == 2  # late + resync, never zero
@@ -229,8 +213,7 @@ class TestBatchedDeliveriesAgainstPerMemberLoop:
                     per_member_observe_delivery(
                         tracker, member_id, epoch, completed.get(member_id, 0.0)
                     )
-            tracker.open_interval(f"r{epoch}", epoch, opened_at=1.0)
-            tracker.close_resync(f"r{epoch}", now=2.0 + epoch)
+            tracker.close_resync(f"r{epoch}", (1.0, epoch), now=2.0 + epoch)
         return tracker
 
     @settings(max_examples=100, deadline=None)
@@ -386,3 +369,84 @@ class TestChaosLatencyBattery:
         assert by_state.get("resync", 0) == ttd["resyncs"]
         assert by_state.get("abandoned", 0) == ttd["abandoned_unrecovered"]
         assert hist["buckets"] == list(LATENCY_LOG_BUCKETS_S)
+
+
+class AbandonAtEpoch:
+    """A transport that delivers everything in round 0, except that at
+    epoch ``at`` it abandons the first receiver in roster order and has
+    ``on_abandon`` told who."""
+
+    name = "abandon-at-epoch"
+
+    def __init__(self, at: int) -> None:
+        self.at = at
+        self.epoch = 0
+        self.on_abandon = None
+
+    def run(self, task, channel):
+        from repro.transport.session import TransportResult
+
+        self.epoch += 1
+        outcome = TransportResult(rounds=1, satisfied=True)
+        receivers = list(task.interest)
+        if self.epoch == self.at and receivers:
+            victim = receivers.pop(0)
+            outcome.abandoned.add(victim)
+            self.on_abandon(victim)
+        outcome.completed = dict.fromkeys(receivers, 0.0)
+        return outcome
+
+
+class TestLedgerDepartureBeforeTheNextBatch:
+    """A receiver goes OUT_OF_SYNC, then departs, and the run ends before
+    the batch that would forget it: the server's ledger still lists it,
+    and its latency interval must close once, at the departure."""
+
+    def run(self):
+        transport = AbandonAtEpoch(at=2)
+        config = SimulationConfig(
+            arrival_rate=0.2,
+            rekey_period=60.0,
+            horizon=150.0,  # rekeys at 60 s and 120 s, nothing after
+            duration_model=TwoClassDuration(1e6, 1e6, 0.5),
+            loss_population=LossPopulation.two_point(),
+            transport=transport,
+            verify=True,
+            seed=5,
+            recovery_delay=1000.0,  # no catch-up before the horizon
+        )
+        sim = GroupRekeyingSimulation(OneTreeServer(), config)
+        gone = []
+
+        def depart_soon(member_id):
+            gone.append(member_id)
+            sim.loop.schedule(sim.loop.now + 10.0, sim._depart, member_id)
+
+        transport.on_abandon = depart_soon
+        with obs.observe(clock=lambda: sim.loop.now) as bundle:
+            sim.run()
+        assert len(gone) == 1
+        return sim, bundle, gone[0]
+
+    def test_one_departed_close_and_no_run_end_close(self):
+        sim, bundle, victim = self.run()
+        assert victim not in sim.members
+        assert victim in sim.sync_tracker.desynced
+        closes = [
+            record
+            for record in bundle.events.records
+            if record["type"] in ("resync_complete", "abandoned_unrecovered")
+        ]
+        assert [(r["member_id"], r["reason"]) for r in closes] == [
+            (victim, "departed")
+        ]
+        assert closes[0]["open_for"] == pytest.approx(10.0)
+
+    def test_summary_has_nothing_open_and_sync_counts_keep_it(self):
+        sim, __, victim = self.run()
+        summary = sim.latency.summary()
+        assert summary["open"] == 0
+        assert summary["abandoned_unrecovered"] == 1
+        assert summary["resyncs"] == 0
+        assert sim.latency.worst(1)[0]["member"] == victim
+        assert sim.sync_tracker.counts()["out-of-sync"] == 1

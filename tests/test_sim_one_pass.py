@@ -171,7 +171,7 @@ class PassSpy:
                     self.chained += 1
 
     def check_epoch(self, record):
-        out = [rid for rid in self.journals if rid in self.sim._out_of_sync]
+        out = [rid for rid in self.journals if rid in self.sim.sync_tracker.desynced]
         assert len(out) == record.abandoned
         for rid in out:
             member = self.sim.members[rid]
@@ -183,7 +183,7 @@ class PassSpy:
         self.committed_learned += sum(
             len(journal)
             for rid, journal in self.journals.items()
-            if rid not in self.sim._out_of_sync
+            if rid not in self.sim.sync_tracker.desynced
         )
 
 
@@ -231,7 +231,7 @@ def test_abandoned_receivers_are_reverted(monkeypatch, make):
     assert metrics.abandoned_total == spy.reverted > 0
     # Each unicast catch-up teaches the member what it would have taught
     # the member it was before the abandoning epoch.
-    assert len(spy.catch_ups) == len(spy.references) == len(metrics.recoveries) > 0
+    assert len(spy.catch_ups) == len(spy.references) == len(sim.sync_tracker.events) > 0
     for (rid, learned), (ref_rid, reference) in zip(spy.catch_ups, spy.references):
         assert rid == ref_rid
         assert [key.handle for key in learned] == [key.handle for key in reference]
