@@ -4,7 +4,7 @@ Three independent signal planes share one activation pattern (a module
 global consulted by cheap probes, installed via context manager):
 
 * :mod:`repro.obs.metrics` — labeled Counter/Gauge/Histogram registry
-  with process-safe snapshot/merge and Prometheus/JSON exposition.
+  with locked snapshots and Prometheus/JSON exposition.
 * :mod:`repro.obs.tracing` — hierarchical spans per rekey epoch in
   simulated + wall time, with fault windows attached as span events.
 * :mod:`repro.obs.events` — schema-versioned JSONL event records
@@ -38,15 +38,14 @@ from repro.obs.events import EventLog, validate_record
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 
-#: Current trace schema.  v2 (PR 10) adds ``wall_start_s`` to span
-#: records (absolute ``perf_counter`` starts for the Chrome exporter) and
-#: the latency event types; v1 traces remain readable.
+#: Current trace schema.  v2 added ``wall_start_s`` to span records
+#: (absolute ``perf_counter`` starts for the Chrome exporter) and the
+#: latency event types; it is the only schema read.
 TRACE_SCHEMA_VERSION = 2
 
 #: Schemas :func:`validate_trace_records` accepts, with the span fields
 #: each requires.
 SUPPORTED_TRACE_SCHEMAS = {
-    1: ("span_id", "name", "wall_s", "events", "attributes"),
     2: ("span_id", "name", "wall_s", "wall_start_s", "events", "attributes"),
 }
 

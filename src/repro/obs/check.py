@@ -3,7 +3,10 @@
 ``python -m repro.obs.check trace.jsonl metrics.prom`` — the CI
 ``obs-smoke`` job's teeth.  Verifies that:
 
-1. the Prometheus exposition parses (strict line grammar);
+1. the Prometheus exposition parses (strict line grammar), and every
+   histogram series in it is whole: cumulative buckets never decrease
+   and ``le="+Inf"`` equals ``_count`` (:func:`check_histograms`, which
+   the CI ``obs-latency`` job also runs on a live mid-run scrape);
 2. every JSONL record in the trace validates against the schema;
 3. the epoch count agrees across all three planes: the
    ``repro_server_rekeys_total`` counter in the exposition, the number
@@ -29,12 +32,41 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs import read_trace, validate_trace_records
 from repro.obs.metrics import parse_prometheus
+
+
+_LE = re.compile(r'(?:^|,)le="([^"]*)"')
+
+
+def check_histograms(samples: Dict[str, float]) -> int:
+    """Check every histogram series of a parsed exposition
+    (:func:`~repro.obs.metrics.parse_prometheus`) is whole: its cumulative
+    buckets never decrease, the last is ``le="+Inf"`` and it equals the
+    series' ``_count``.  Returns how many series were checked; raises
+    ``ValueError`` on the first torn one."""
+    series: Dict[Tuple[str, str], List[Tuple[str, float]]] = {}
+    for sample, value in samples.items():
+        name, _, labels = sample.partition("{")
+        match = _LE.search(labels)
+        if name.endswith("_bucket") and match is not None:
+            rest = labels[: match.start()] + labels[match.end():]
+            key = (name[: -len("_bucket")], "{" + rest if rest != "}" else "")
+            series.setdefault(key, []).append((match.group(1), value))
+    for (base, labels), buckets in series.items():
+        counts = [count for _, count in buckets]
+        total = samples.get(f"{base}_count{labels}")
+        if counts != sorted(counts) or buckets[-1][0] != "+Inf" or counts[-1] != total:
+            raise ValueError(
+                f"torn histogram {base}{labels}: cumulative buckets {counts}, "
+                f"_count {total}"
+            )
+    return len(series)
 
 
 def _latency_state_counts(metrics_snapshot: Dict[str, object]) -> Optional[Dict[str, int]]:
@@ -139,6 +171,7 @@ def check(
 
     exposition = metrics_path.read_text(encoding="utf-8")
     samples = parse_prometheus(exposition)
+    histograms = check_histograms(samples)
     prom_epochs = samples.get("repro_server_rekeys_total")
     if prom_epochs is None:
         raise ValueError("exposition has no repro_server_rekeys_total sample")
@@ -165,7 +198,7 @@ def check(
             f"trace snapshot={snapshot_epochs}"
         )
 
-    extras: List[str] = []
+    extras: List[str] = [f"{histograms} histogram series whole"]
     latency_line = _check_latency_accounting(records)
     if latency_line is not None:
         extras.append(latency_line)

@@ -8,13 +8,8 @@ the wall-clock timeline, span events — fault windows, crashes — become
 ``"i"`` (instant) events, and each track gets a ``"M"`` thread-name
 metadata record.
 
-Two schema generations are handled:
-
-* **v2 traces** carry ``wall_start_s`` per span, so events sit at their
-  true wall-clock offsets (rebased to the earliest span = 0).
-* **v1 traces** only carry durations; the exporter reconstructs a
-  consistent layout by nesting children sequentially inside their
-  parents, preserving durations and hierarchy if not absolute time.
+Every span carries ``wall_start_s``, so events sit at their true
+wall-clock offsets (rebased to the earliest span = 0).
 
 Spans that overlap without nesting (e.g. per-partition batch slices
 recorded via ``add_span``) are fanned out across additional tracks, keeping every
@@ -47,51 +42,6 @@ def _finite(value: object, default: float = 0.0) -> float:
 
 def _us(seconds: float) -> int:
     return int(round(seconds * 1_000_000))
-
-
-def _span_intervals(
-    spans: List[Dict[str, object]],
-) -> List[Tuple[Dict[str, object], int, int]]:
-    """``(span, ts_us, dur_us)`` per span on a zero-based timeline."""
-    if not spans:
-        return []
-    if all("wall_start_s" in span for span in spans):
-        t0 = min(_finite(span["wall_start_s"]) for span in spans)
-        return [
-            (
-                span,
-                _us(_finite(span["wall_start_s"]) - t0),
-                max(0, _us(_finite(span["wall_s"]))),
-            )
-            for span in spans
-        ]
-    # v1 fallback: no absolute starts recorded.  Rebuild a consistent
-    # timeline from the hierarchy — children packed sequentially inside
-    # their parent, root spans packed end to end.
-    children: Dict[Optional[int], List[Dict[str, object]]] = {}
-    for span in spans:
-        children.setdefault(span.get("parent_id"), []).append(span)
-    placed: List[Tuple[Dict[str, object], int, int]] = []
-    seen: set = set()
-
-    def place(span: Dict[str, object], start: int) -> int:
-        seen.add(id(span))
-        dur = max(0, _us(_finite(span["wall_s"])))
-        placed.append((span, start, dur))
-        cursor = start
-        for child in children.get(span.get("span_id"), ()):
-            cursor += place(child, cursor)
-        return max(dur, cursor - start)
-
-    cursor = 0
-    for root in children.get(None, ()):
-        cursor += place(root, cursor)
-    # Orphans (parent id points at a span missing from the file) still
-    # deserve a slot rather than silent omission.
-    for span in spans:
-        if id(span) not in seen:
-            cursor += place(span, cursor)
-    return placed
 
 
 def _assign_tracks(
@@ -140,14 +90,21 @@ def export_chrome_trace(
     """
     header = records[0] if records else {}
     spans = [r for r in records if r.get("record") == "span"]
-    placed = _assign_tracks(_span_intervals(spans))
+    # One zero-based wall-clock timeline; span events carry absolute wall_s.
+    wall_t0 = min((_finite(span["wall_start_s"]) for span in spans), default=0.0)
+    placed = _assign_tracks(
+        [
+            (
+                span,
+                _us(_finite(span["wall_start_s"]) - wall_t0),
+                max(0, _us(_finite(span["wall_s"]))),
+            )
+            for span in spans
+        ]
+    )
 
     events: List[Dict[str, object]] = []
     tids_used = set()
-    # Wall-clock rebase for v2 span events (they carry absolute wall_s).
-    wall_t0: Optional[float] = None
-    if spans and all("wall_start_s" in span for span in spans):
-        wall_t0 = min(_finite(span["wall_start_s"]) for span in spans)
 
     for span, ts, dur, tid in placed:
         tids_used.add(tid)
@@ -170,7 +127,7 @@ def export_chrome_trace(
         for note in span.get("events") or ():
             if not isinstance(note, dict):
                 continue
-            if wall_t0 is not None and isinstance(note.get("wall_s"), (int, float)):
+            if isinstance(note.get("wall_s"), (int, float)):
                 note_ts = _us(_finite(note["wall_s"]) - wall_t0)
                 note_ts = min(max(note_ts, ts), ts + dur)
             else:

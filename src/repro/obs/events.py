@@ -24,8 +24,12 @@ from typing import Callable, Dict, FrozenSet, Iterator, List, Optional
 
 SCHEMA_VERSION = 2
 
-#: Required payload fields per schema-1 event type.
-EVENT_TYPES_V1: Dict[str, FrozenSet[str]] = {
+#: Required payload fields per event type (beyond record/schema/type/time).
+#: Every ``abandonment`` gets exactly one terminal — ``resync_complete``
+#: when unicast catch-up lands, ``abandoned_unrecovered`` when the member
+#: departs (or the run ends) still out of sync — so latency intervals can
+#: never leak open.
+EVENT_TYPES: Dict[str, FrozenSet[str]] = {
     "join": frozenset({"member_id"}),
     "departure": frozenset({"member_id"}),
     "epoch": frozenset({"epoch", "joins", "departures", "cost"}),
@@ -34,27 +38,10 @@ EVENT_TYPES_V1: Dict[str, FrozenSet[str]] = {
     "resync": frozenset({"member_id", "keys_sent", "epochs_missed", "latency"}),
     "crash": frozenset({"epoch"}),
     "sync_transition": frozenset({"member_id", "from_state", "to_state"}),
-}
-
-#: Schema-2 additions: member-level rekey-latency accounting.  Every
-#: ``abandonment`` now gets exactly one terminal — ``resync_complete``
-#: when unicast catch-up lands, ``abandoned_unrecovered`` when the member
-#: departs (or the run ends) still out of sync — so latency intervals can
-#: never leak open.
-EVENT_TYPES_V2_ONLY: Dict[str, FrozenSet[str]] = {
     "dek_adopted": frozenset({"member_id", "epoch", "latency", "sync_state"}),
     "epoch_latency": frozenset({"epoch", "members", "p50", "p99", "max"}),
     "resync_complete": frozenset({"member_id", "epoch", "latency"}),
     "abandoned_unrecovered": frozenset({"member_id", "epoch", "open_for", "reason"}),
-}
-
-#: Required payload fields per event type (beyond record/schema/type/time).
-EVENT_TYPES: Dict[str, FrozenSet[str]] = {**EVENT_TYPES_V1, **EVENT_TYPES_V2_ONLY}
-
-#: Type maps per supported schema version — v1 traces stay parseable.
-SUPPORTED_SCHEMAS: Dict[int, Dict[str, FrozenSet[str]]] = {
-    1: EVENT_TYPES_V1,
-    2: EVENT_TYPES,
 }
 
 
@@ -64,14 +51,13 @@ def validate_record(record: Dict[str, object]) -> None:
         raise ValueError(f"event record must be an object, got {type(record).__name__}")
     if record.get("record") != "event":
         raise ValueError(f"not an event record: {record.get('record')!r}")
-    type_map = SUPPORTED_SCHEMAS.get(record.get("schema"))  # type: ignore[arg-type]
-    if type_map is None:
+    if record.get("schema") != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported event schema {record.get('schema')!r} "
-            f"(expected one of {sorted(SUPPORTED_SCHEMAS)})"
+            f"(expected {SCHEMA_VERSION})"
         )
     etype = record.get("type")
-    required = type_map.get(etype)  # type: ignore[arg-type]
+    required = EVENT_TYPES.get(etype)  # type: ignore[arg-type]
     if required is None:
         raise ValueError(f"unknown event type {etype!r}")
     if "time" not in record:

@@ -26,13 +26,15 @@ entry in the server's out-of-sync ledger,
 :attr:`SyncTracker.desynced <repro.faults.recovery.SyncTracker.desynced>`,
 and the simulation hands that entry to the close.
 
-Aggregation is double-booked by design: the tracker keeps exact samples
-per epoch for exact p50/p95/p99 extraction (``summary()``,
-``epoch_percentiles()``), and every closed interval is also observed into
-the active :class:`~repro.obs.metrics.MetricsRegistry` as the
-``rekey.latency`` histogram over :data:`LATENCY_LOG_BUCKETS_S`, labeled
-``scheme``/``shard``/``sync_state`` (``shard``: the label of the
-partition holding the member, ``server.shard_label``).
+Each closed interval is booked twice.  The tracker keeps exact samples
+per epoch for exact p50/p95/p99 (``summary()``, ``epoch_percentiles()``),
+and, while a :class:`~repro.obs.metrics.MetricsRegistry` is active, the
+interval is observed into the ``rekey.latency`` histogram over
+:data:`LATENCY_LOG_BUCKETS_S`, labeled ``scheme``/``shard``/``sync_state``
+(``shard``: the label of the partition holding the member,
+``server.shard_label``).  An epoch's deliveries reach the histogram as
+one batch per ``(shard, sync_state)`` series; a resync or an abandoned
+close is a batch of one.
 """
 
 from __future__ import annotations
@@ -100,16 +102,16 @@ class LatencyTracker:
         return str(self._shard_fn(member_id))
 
     def _observe_histogram(
-        self, member_id: str, latency: float, sync_state: str
+        self, shard: str, sync_state: str, latencies: List[float]
     ) -> None:
         registry = obs_metrics.active_registry()
         if registry is not None:
-            registry.observe(
+            registry.observe_many(
                 LATENCY_METRIC,
-                latency,
+                latencies,
                 buckets=LATENCY_LOG_BUCKETS_S,
                 scheme=self.scheme,
-                shard=self._shard(member_id),
+                shard=shard,
                 sync_state=sync_state,
             )
 
@@ -134,8 +136,8 @@ class LatencyTracker:
         ``completed`` is the transport's virtual elapsed time at the round
         that satisfied each member (``TransportResult.completed``); a member
         it lacks, or holds at 0.0, adopted the DEK in round 0.  The epoch
-        gets one zero count and the late samples; per-member histograms
-        and ``dek_adopted`` events only while a registry or a log listens.
+        gets one zero count and the late samples; histogram batches and
+        ``dek_adopted`` events only while a registry or a log listens.
         """
         late_ids = set(compress(completed, map((0.0).__lt__, completed.values())))
         late = [(rid, completed[rid]) for rid in filter(late_ids.__contains__, ids)]
@@ -143,12 +145,15 @@ class LatencyTracker:
         slot.zero += len(ids) - len(late)
         slot.samples.extend((rid, latency, "late") for rid, latency in late)
         if obs_metrics.active_registry() is not None:
+            # One batch per series, each in ``ids`` order.
             late_of = dict(late)
+            batches: Dict[Tuple[str, str], List[float]] = {}
             for rid in ids:
                 latency = late_of.get(rid, 0.0)
-                self._observe_histogram(
-                    rid, latency, "late" if latency else "delivered"
-                )
+                state = "late" if latency else "delivered"
+                batches.setdefault((self._shard(rid), state), []).append(latency)
+            for (shard, state), latencies in batches.items():
+                self._observe_histogram(shard, state, latencies)
         if late and obs_events.active_log() is not None:
             for rid, latency in late:
                 obs_events.emit(
@@ -167,7 +172,7 @@ class LatencyTracker:
         opened_at, epoch = since
         latency = max(0.0, now - opened_at)
         self._slot(epoch).samples.append((member_id, latency, "resync"))
-        self._observe_histogram(member_id, latency, "resync")
+        self._observe_histogram(self._shard(member_id), "resync", [latency])
         if obs_events.active_log() is not None:
             obs_events.emit(
                 "resync_complete",
@@ -192,7 +197,7 @@ class LatencyTracker:
         opened_at, epoch = since
         open_for = max(0.0, now - opened_at)
         self._slot(epoch).abandoned.append((member_id, open_for))
-        self._observe_histogram(member_id, open_for, "abandoned")
+        self._observe_histogram(self._shard(member_id), "abandoned", [open_for])
         if obs_events.active_log() is not None:
             obs_events.emit(
                 "abandoned_unrecovered",

@@ -3,9 +3,7 @@
 One :class:`MetricsRegistry` is the single sink for every quantitative
 signal in a run: the hot paths count into the active registry with
 :func:`inc`, and the servers, the simulator and the transports observe
-histograms into it.  A registry collected in another process can be
-folded in: its :meth:`~MetricsRegistry.snapshot` is a plain dict that
-:meth:`~MetricsRegistry.merge` adds to this one's.
+histograms into it.
 
 Design constraints, in order:
 
@@ -15,21 +13,21 @@ Design constraints, in order:
   ``BENCHMARK.json`` gate that cost, since every benchmarked path runs
   the probes disabled; ``obs.enabled_epoch_ratio`` in the traced run
   prices turning them on.
-* **Process-safe aggregation.**  :meth:`MetricsRegistry.snapshot` is a
-  plain picklable dict; :meth:`MetricsRegistry.merge` adds counter and
-  histogram series pointwise and last-writes gauges.  Merging is
-  associative, so lanes can ship deltas in any order.
-* **Two expositions.**  :meth:`MetricsRegistry.to_prometheus` emits the
-  Prometheus text format (dotted metric names become underscored, with
-  the ``repro_`` namespace and ``_total``/``_seconds`` conventions);
-  :meth:`MetricsRegistry.to_json` emits a stable JSON document for the
-  trace file and programmatic diffing.
+* **One cheap write path.**  A write finds its series with one lookup,
+  and a histogram takes a batch (:meth:`MetricsRegistry.observe_many`,
+  one call per series per epoch on the receiver pass) through the same
+  bucket placement as a single value.
+* **Two expositions, one read.**  :meth:`MetricsRegistry.to_prometheus`
+  emits the Prometheus text format (dotted metric names become
+  underscored, with the ``repro_`` namespace and ``_total``/``_seconds``
+  conventions); :meth:`MetricsRegistry.to_json` emits a stable JSON
+  document for the trace file and programmatic diffing.  Both render
+  from one locked :meth:`~MetricsRegistry.snapshot`.
 
 Metric names are dotted (``server.rekeys``); label sets are fixed per
 metric at first registration.  Histograms use fixed bucket schemes —
 :data:`SIZE_BUCKETS` for counts/sizes and :data:`LATENCY_BUCKETS_S` for
-durations — so snapshots from different processes always merge bucket-
-for-bucket.
+durations.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -55,8 +54,7 @@ LATENCY_BUCKETS_S: Tuple[float, ...] = (
 #: Log-spaced bucket scheme for member rekey latency in simulated seconds.
 #: The leading 0 bucket isolates same-instant DEK adoption (delivery in
 #: retry round 0); the power-of-two ladder spans sub-second retry backoff
-#: through multi-hour abandonment windows, and the fixed bounds keep
-#: worker snapshots mergeable bucket-for-bucket.
+#: through multi-hour abandonment windows.
 LATENCY_LOG_BUCKETS_S: Tuple[float, ...] = (
     0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
     256.0, 512.0, 1_024.0, 2_048.0, 4_096.0,
@@ -73,14 +71,6 @@ def prometheus_name(name: str) -> str:
     return flat
 
 
-def _label_key(label_names: Sequence[str], labels: Dict[str, str]) -> Tuple[str, ...]:
-    if set(labels) != set(label_names):
-        raise ValueError(
-            f"metric expects labels {tuple(label_names)}, got {tuple(labels)}"
-        )
-    return tuple(str(labels[name]) for name in label_names)
-
-
 def _format_labels(label_names: Sequence[str], key: Tuple[str, ...], extra: str = "") -> str:
     pairs = [f'{name}="{value}"' for name, value in zip(label_names, key)]
     if extra:
@@ -88,73 +78,71 @@ def _format_labels(label_names: Sequence[str], key: Tuple[str, ...], extra: str 
     return "{" + ",".join(pairs) + "}" if pairs else ""
 
 
-class Counter:
-    """A monotonically increasing labeled count."""
+class Metric:
+    """A named family of labeled series; the subclass fixes the kind."""
 
-    kind = "counter"
-
-    def __init__(self, name: str, help: str = "", label_names: Sequence[str] = ()) -> None:
-        self.name = name
-        self.help = help
-        self.label_names = tuple(label_names)
-        self.series: Dict[Tuple[str, ...], float] = {}
-
-    def inc(self, n: float = 1, **labels: str) -> None:
-        key = _label_key(self.label_names, labels)
-        self.series[key] = self.series.get(key, 0) + n
-
-    def value(self, **labels: str) -> float:
-        """Current value of one series (0 when never incremented)."""
-        return self.series.get(_label_key(self.label_names, labels), 0)
-
-    def total(self) -> float:
-        """Sum across every labeled series."""
-        return sum(self.series.values())
-
-
-class Gauge:
-    """A labeled value that goes up and down (last write wins on merge)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "", label_names: Sequence[str] = ()) -> None:
-        self.name = name
-        self.help = help
-        self.label_names = tuple(label_names)
-        self.series: Dict[Tuple[str, ...], float] = {}
-
-    def set(self, value: float, **labels: str) -> None:
-        self.series[_label_key(self.label_names, labels)] = value
-
-    def value(self, **labels: str) -> float:
-        return self.series.get(_label_key(self.label_names, labels), 0)
-
-
-class Histogram:
-    """A labeled distribution over a fixed bucket scheme.
-
-    Each series keeps cumulative bucket counts (Prometheus ``le``
-    semantics), the running sum and the observation count, so means and
-    quantile bounds are recoverable from any snapshot.
-    """
-
-    kind = "histogram"
+    kind = ""
 
     def __init__(
         self,
         name: str,
         help: str = "",
         label_names: Sequence[str] = (),
-        buckets: Sequence[float] = SIZE_BUCKETS,
+        buckets: Sequence[float] = (),
     ) -> None:
         self.name = name
         self.help = help
         self.label_names = tuple(label_names)
-        self.buckets = tuple(sorted(buckets))
-        # key -> [bucket_counts..., +Inf count] plus (sum, count)
-        self.series: Dict[Tuple[str, ...], Dict[str, object]] = {}
+        self.buckets = tuple(sorted(buckets))  # bucket bounds (histograms)
+        self.series: Dict[Tuple[str, ...], object] = {}
 
-    def _slot(self, key: Tuple[str, ...]) -> Dict[str, object]:
+    def key(self, labels: Dict[str, object]) -> Tuple[str, ...]:
+        """The series key of ``labels``, which must name exactly this
+        metric's labels."""
+        if set(labels) != set(self.label_names):
+            raise ValueError(
+                f"metric expects labels {self.label_names}, got {tuple(labels)}"
+            )
+        return tuple(str(labels[name]) for name in self.label_names)
+
+    def target(self, key: Tuple[str, ...]) -> object:
+        """Where a write to series ``key`` lands: the series map and key."""
+        self.series.setdefault(key, 0)
+        return self.series, key
+
+    def value(self, **labels: str) -> float:
+        """Current value of one series (0 when never written)."""
+        return self.series.get(self.key(labels), 0)
+
+
+class Counter(Metric):
+    """A monotonically increasing labeled count."""
+
+    kind = "counter"
+
+    def total(self) -> float:
+        """Sum across every labeled series."""
+        return sum(self.series.values())
+
+
+class Gauge(Metric):
+    """A labeled value that goes up and down (the last write wins)."""
+
+    kind = "gauge"
+
+
+class Histogram(Metric):
+    """A labeled distribution over a fixed bucket scheme.
+
+    Each series slot keeps per-bucket counts with the overflow (``+Inf``)
+    bucket last, the running sum and the observation count, so means and
+    quantile bounds are recoverable from any snapshot.
+    """
+
+    kind = "histogram"
+
+    def target(self, key: Tuple[str, ...]) -> object:
+        """Where a write to series ``key`` lands: this metric and the slot."""
         slot = self.series.get(key)
         if slot is None:
             slot = self.series[key] = {
@@ -162,23 +150,28 @@ class Histogram:
                 "sum": 0.0,
                 "count": 0,
             }
-        return slot
+        return self, slot
 
-    def observe(self, value: float, **labels: str) -> None:
-        slot = self._slot(_label_key(self.label_names, labels))
+    def add(self, slot: Dict[str, object], values: Sequence[float]) -> None:
+        """Place ``values`` in ``slot``, summing them in the order given.
+
+        A value lands in the first bucket whose bound it does not exceed;
+        over-range values and NaN (which compares false with every bound)
+        land in the overflow bucket.
+        """
         counts: List[int] = slot["buckets"]  # type: ignore[assignment]
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[i] += 1
-                break
-        else:
-            counts[-1] += 1
-        slot["sum"] += value  # type: ignore[operator]
-        slot["count"] += 1  # type: ignore[operator]
+        bounds = self.buckets
+        overflow = len(bounds)
+        total = slot["sum"]
+        for value in values:
+            counts[bisect_left(bounds, value) if value == value else overflow] += 1
+            total += value
+        slot["sum"] = total
+        slot["count"] += len(values)  # type: ignore[operator]
 
     def stats(self, **labels: str) -> Dict[str, float]:
         """``{"count", "sum", "mean"}`` of one series (zeros when empty)."""
-        slot = self.series.get(_label_key(self.label_names, labels))
+        slot = self.series.get(self.key(labels))
         if slot is None or not slot["count"]:
             return {"count": 0, "sum": 0.0, "mean": 0.0}
         return {
@@ -232,37 +225,47 @@ def merge_bucket_series(
 
 
 class MetricsRegistry:
-    """A named family of metrics with merge and exposition support."""
+    """A named family of metrics with snapshot and exposition support.
+
+    Every write (:meth:`inc`, :meth:`set_gauge`, :meth:`observe`,
+    :meth:`observe_many`) runs under the registry lock, since a live
+    endpoint may read from another thread, and finds its series with one
+    lookup, keyed by the name and the labels as passed.  Only the first
+    write with a given key checks the kind and label names and creates
+    the series (:meth:`_resolve`); its target is kept for the next.
+    """
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, object] = {}
+        self._metrics: Dict[str, Metric] = {}
+        # write key -> target, one table per kind so a kind clash misses
+        self._counters: Dict[object, tuple] = {}
+        self._gauges: Dict[object, tuple] = {}
+        self._histograms: Dict[object, tuple] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # registration (get-or-create; kind and labels must stay consistent)
     # ------------------------------------------------------------------
 
-    def _get(self, cls, name: str, help: str, label_names: Sequence[str], **kwargs):
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = self._metrics[name] = cls(
-                    name, help=help, label_names=label_names, **kwargs
-                )
-            elif not isinstance(metric, cls) or (
-                tuple(label_names) != metric.label_names
-            ):
-                raise ValueError(
-                    f"metric {name!r} already registered as "
-                    f"{type(metric).__name__}{metric.label_names}"
-                )
-            return metric
+    def _get(self, cls, name: str, help: str, label_names: Sequence[str], buckets=()):
+        """Get or create a metric; call with the lock held."""
+        metric = self._metrics.get(name)
+        if metric is None:
+            metric = self._metrics[name] = cls(name, help, label_names, buckets)
+        elif type(metric) is not cls or tuple(label_names) != metric.label_names:
+            raise ValueError(
+                f"metric {name!r} already registered as "
+                f"{type(metric).__name__}{metric.label_names}"
+            )
+        return metric
 
     def counter(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Counter:
-        return self._get(Counter, name, help, labels)
+        with self._lock:
+            return self._get(Counter, name, help, labels)
 
     def gauge(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Gauge:
-        return self._get(Gauge, name, help, labels)
+        with self._lock:
+            return self._get(Gauge, name, help, labels)
 
     def histogram(
         self,
@@ -271,20 +274,36 @@ class MetricsRegistry:
         labels: Sequence[str] = (),
         buckets: Sequence[float] = SIZE_BUCKETS,
     ) -> Histogram:
-        return self._get(Histogram, name, help, labels, buckets=buckets)
-
-    def metrics(self) -> List[object]:
         with self._lock:
-            return [self._metrics[name] for name in sorted(self._metrics)]
+            return self._get(Histogram, name, help, labels, buckets)
 
     # ------------------------------------------------------------------
-    # locked mutation helpers (the module probes route through these)
+    # the write path (the module probes route through these)
     # ------------------------------------------------------------------
+
+    def _resolve(self, table: Dict, cls, name: str, labels: Dict[str, object], buckets=()):
+        """The target of a first write to ``name{labels}``, kept in
+        ``table`` under the write key; call with the lock held."""
+        metric = self._get(cls, name, "", tuple(sorted(labels)), buckets)
+        target = metric.target(metric.key(labels))
+        table[(name, *labels.items()) if labels else name] = target
+        return target
 
     def inc(self, name: str, n: float = 1, **labels: str) -> None:
-        metric = self.counter(name, labels=tuple(sorted(labels)))
+        table = self._counters
         with self._lock:
-            metric.inc(n, **labels)
+            series, key = table.get(
+                (name, *labels.items()) if labels else name
+            ) or self._resolve(table, Counter, name, labels)
+            series[key] += n
+
+    def set_gauge(self, name: str, value: float, **labels: str) -> None:
+        table = self._gauges
+        with self._lock:
+            series, key = table.get(
+                (name, *labels.items()) if labels else name
+            ) or self._resolve(table, Gauge, name, labels)
+            series[key] = value
 
     def observe(
         self,
@@ -293,14 +312,27 @@ class MetricsRegistry:
         buckets: Sequence[float] = SIZE_BUCKETS,
         **labels: str,
     ) -> None:
-        metric = self.histogram(name, labels=tuple(sorted(labels)), buckets=buckets)
-        with self._lock:
-            metric.observe(value, **labels)
+        """Observe one value: :meth:`observe_many` of one."""
+        self.observe_many(name, (value,), buckets, **labels)
 
-    def set_gauge(self, name: str, value: float, **labels: str) -> None:
-        metric = self.gauge(name, labels=tuple(sorted(labels)))
+    def observe_many(
+        self,
+        name: str,
+        values: Sequence[float],
+        buckets: Sequence[float] = SIZE_BUCKETS,
+        **labels: str,
+    ) -> None:
+        """Observe ``values`` into one series, adding them in order, so
+        bucket counts, count and float sum are those of a loop of
+        :meth:`observe`.  An empty batch registers nothing."""
+        if not values:
+            return
+        table = self._histograms
         with self._lock:
-            metric.set(value, **labels)
+            metric, slot = table.get(
+                (name, *labels.items()) if labels else name
+            ) or self._resolve(table, Histogram, name, labels, buckets)
+            metric.add(slot, values)
 
     # ------------------------------------------------------------------
     # reads
@@ -308,17 +340,14 @@ class MetricsRegistry:
 
     def counter_total(self, name: str) -> float:
         """Sum of a counter across all its labeled series (0 if absent)."""
-        metric = self._metrics.get(name)
-        if not isinstance(metric, Counter):
-            return 0
-        return metric.total()
-
-    # ------------------------------------------------------------------
-    # snapshot / merge (the process-pool delta path)
-    # ------------------------------------------------------------------
+        with self._lock:
+            metric = self._metrics.get(name)
+            return metric.total() if isinstance(metric, Counter) else 0
 
     def snapshot(self) -> Dict[str, object]:
-        """A plain picklable copy of every metric's state."""
+        """A plain picklable copy of every metric's state, taken under the
+        lock: both expositions render from one, so a reader on another
+        thread never sees a write half done."""
         with self._lock:
             out: Dict[str, object] = {}
             for name, metric in self._metrics.items():
@@ -342,40 +371,6 @@ class MetricsRegistry:
                 out[name] = entry
         return out
 
-    def merge(self, snapshot: Dict[str, object]) -> None:
-        """Fold a :meth:`snapshot` (e.g. a worker's delta) into this registry.
-
-        Counters and histogram series add pointwise; gauges last-write.
-        """
-        for name, entry in snapshot.items():
-            kind = entry["kind"]
-            labels = tuple(entry["labels"])
-            if kind == "counter":
-                metric = self.counter(name, help=entry["help"], labels=labels)
-                with self._lock:
-                    for key, value in entry["series"].items():
-                        key = tuple(key)
-                        metric.series[key] = metric.series.get(key, 0) + value
-            elif kind == "gauge":
-                metric = self.gauge(name, help=entry["help"], labels=labels)
-                with self._lock:
-                    for key, value in entry["series"].items():
-                        metric.series[tuple(key)] = value
-            elif kind == "histogram":
-                metric = self.histogram(
-                    name, help=entry["help"], labels=labels,
-                    buckets=entry["buckets"],
-                )
-                with self._lock:
-                    for key, slot in entry["series"].items():
-                        mine = metric._slot(tuple(key))
-                        for i, count in enumerate(slot["buckets"]):
-                            mine["buckets"][i] += count
-                        mine["sum"] += slot["sum"]
-                        mine["count"] += slot["count"]
-            else:  # pragma: no cover - future-proofing
-                raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
-
     # ------------------------------------------------------------------
     # exposition
     # ------------------------------------------------------------------
@@ -383,42 +378,40 @@ class MetricsRegistry:
     def to_prometheus(self) -> str:
         """The Prometheus text exposition of every metric."""
         lines: List[str] = []
-        for metric in self.metrics():
-            base = prometheus_name(metric.name)
-            if isinstance(metric, Counter) and not base.endswith("_total"):
+        for name, entry in sorted(self.snapshot().items()):
+            kind, label_names = entry["kind"], entry["labels"]
+            series = entry["series"]
+            base = prometheus_name(name)
+            if kind == "counter" and not base.endswith("_total"):
                 base += "_total"
-            lines.append(f"# HELP {base} {metric.help or metric.name}")
-            lines.append(f"# TYPE {base} {metric.kind}")
-            if isinstance(metric, Histogram):
-                for key in sorted(metric.series):
-                    slot = metric.series[key]
+            lines.append(f"# HELP {base} {entry['help'] or name}")
+            lines.append(f"# TYPE {base} {kind}")
+            if kind == "histogram":
+                for key in sorted(series):
+                    slot = series[key]
                     cumulative = 0
-                    for bound, count in zip(
-                        metric.buckets, slot["buckets"][:-1]
-                    ):
+                    for bound, count in zip(entry["buckets"], slot["buckets"][:-1]):
                         cumulative += count
-                        le = _format_labels(
-                            metric.label_names, key, extra=f'le="{_fmt(bound)}"'
-                        )
+                        le = _format_labels(label_names, key, extra=f'le="{_fmt(bound)}"')
                         lines.append(f"{base}_bucket{le} {cumulative}")
                     cumulative += slot["buckets"][-1]
-                    le = _format_labels(metric.label_names, key, extra='le="+Inf"')
+                    le = _format_labels(label_names, key, extra='le="+Inf"')
                     lines.append(f"{base}_bucket{le} {cumulative}")
-                    labelled = _format_labels(metric.label_names, key)
+                    labelled = _format_labels(label_names, key)
                     lines.append(f"{base}_sum{labelled} {_fmt(slot['sum'])}")
                     lines.append(f"{base}_count{labelled} {slot['count']}")
             else:
-                series = metric.series or {(): 0} if not metric.label_names else metric.series
+                if not label_names and not series:
+                    series = {(): 0}
                 for key in sorted(series):
-                    labelled = _format_labels(metric.label_names, key)
+                    labelled = _format_labels(label_names, key)
                     lines.append(f"{base}{labelled} {_fmt(series[key])}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_json(self) -> Dict[str, object]:
         """A JSON-safe document (label tuples become ``|``-joined strings)."""
-        snapshot = self.snapshot()
         out: Dict[str, object] = {}
-        for name, entry in snapshot.items():
+        for name, entry in self.snapshot().items():
             out[name] = {
                 "kind": entry["kind"],
                 "labels": list(entry["labels"]),

@@ -1,19 +1,19 @@
 """A live Prometheus scrape endpoint over the active metrics registry.
 
-``repro obs serve`` (and the ``--serve`` flag on ``simulate`` / ``bench``
-/ ``chaos``) starts a :class:`MetricsServer`: a stdlib
+``repro obs serve`` (and the ``--serve`` flag on ``simulate`` and
+``chaos``) starts a :class:`MetricsServer`: a stdlib
 ``ThreadingHTTPServer`` on a daemon thread that answers ``GET /metrics``
 with the text exposition of a :class:`~repro.obs.metrics.MetricsRegistry`
 — so an operator (or the CI smoke job's ``urllib`` one-liner) can scrape
-latency histograms and counters *while* a long bench or chaos run is
+latency histograms and counters *while* a long simulate or chaos run is
 still in flight, instead of waiting for the final ``--metrics`` file.
 
 The server resolves its registry at request time: either the one pinned
 at construction, or whatever registry is currently installed via
 :func:`repro.obs.metrics.collecting`.  No third-party dependencies, no
-background work between requests, and scraping never blocks the run —
-the registry's own lock makes ``to_prometheus()`` safe against
-concurrent observation.
+background work between requests, and a scrape holds the registry lock
+only while it copies one :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`,
+so every exposition it serves is consistent even while the run observes.
 """
 
 from __future__ import annotations

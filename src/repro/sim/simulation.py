@@ -367,7 +367,7 @@ class GroupRekeyingSimulation:
         abandoned: List[str] = []
         completed: Dict[str, float] = {}
         obs_tracing.set_attr("epoch", result.epoch)
-        observing = obs_metrics.active_registry() is not None
+        registry = obs_metrics.active_registry()
         if not self.config.cost_only:
             if result.advanced:
                 # ELK/LKH+ one-way advances: every member computes locally.
@@ -390,12 +390,11 @@ class GroupRekeyingSimulation:
                         )
                     deliver_span.set("receivers", len(journals))
                 if self.config.transport is not None:
-                    if observing:
-                        for wanted in journals.values():
-                            if wanted:
-                                obs_metrics.observe(
-                                    "receiver.interest_keys", len(wanted)
-                                )
+                    if registry is not None:
+                        registry.observe_many(
+                            "receiver.interest_keys",
+                            [len(wanted) for wanted in journals.values() if wanted],
+                        )
                     # A journal's rows are its member's interest; one that
                     # learned nothing is ignored.
                     task = TransportTask(keys=result.encrypted_keys, interest=journals)
@@ -429,11 +428,9 @@ class GroupRekeyingSimulation:
                     transport_rounds = outcome.rounds
                     transport_elapsed = outcome.elapsed
                     completed = outcome.completed
-                    if observing:
-                        obs_metrics.inc("transport.keys_sent", outcome.keys_sent)
-                        obs_metrics.inc(
-                            "transport.packets_sent", outcome.packets_sent
-                        )
+                    if registry is not None:
+                        registry.inc("transport.keys_sent", outcome.keys_sent)
+                        registry.inc("transport.packets_sent", outcome.packets_sent)
                     # Receivers walk in roster order, so the events below do
                     # not depend on set iteration (the hash seed).
                     if gave_up:
@@ -448,9 +445,10 @@ class GroupRekeyingSimulation:
                                     member_id, result.epoch, now
                                 )
                     self._register_abandoned(abandoned, result.epoch, now)
-                if observing:
-                    for journal in journals.values():
-                        obs_metrics.observe("receiver.keys_learned", len(journal))
+                if registry is not None:
+                    registry.observe_many(
+                        "receiver.keys_learned", [len(j) for j in journals.values()]
+                    )
                 if self.sync_tracker is not None:
                     self.sync_tracker.mark_delivered_all(journals, result.epoch)
                 if self.latency is not None:

@@ -70,46 +70,13 @@ class TestExport:
             )
 
 
-class TestV1Fallback:
-    def v1_records(self):
-        header = {"record": "header", "schema": 1, "kind": "repro-trace"}
-        spans = [
-            {"record": "span", "span_id": 1, "parent_id": None, "name": "root",
-             "wall_s": 0.01, "events": [], "attributes": {}},
-            {"record": "span", "span_id": 2, "parent_id": 1, "name": "child-a",
-             "wall_s": 0.004, "events": [], "attributes": {}},
-            {"record": "span", "span_id": 3, "parent_id": 1, "name": "child-b",
-             "wall_s": 0.003, "events": [], "attributes": {}},
-            # Orphan: parent 99 is not in the file.
-            {"record": "span", "span_id": 4, "parent_id": 99, "name": "orphan",
-             "wall_s": 0.002, "events": [], "attributes": {}},
-        ]
-        return [header] + spans
-
-    def test_v1_trace_exports_with_reconstructed_layout(self):
-        doc = export_chrome_trace(self.v1_records())
-        counts = validate_chrome_trace(doc)
-        assert counts["X"] == 4
-        by_name = {e["name"]: e for e in doc["traceEvents"] if e["ph"] == "X"}
-        root, a, b = by_name["root"], by_name["child-a"], by_name["child-b"]
-        # Children packed sequentially inside the parent.
-        assert a["ts"] >= root["ts"]
-        assert b["ts"] >= a["ts"] + a["dur"]
-        assert b["ts"] + b["dur"] <= root["ts"] + root["dur"]
-        assert counts["X"] == len({id(e) for e in doc["traceEvents"] if e["ph"] == "X"})
-
-    def test_orphans_place_exactly_once(self):
-        doc = export_chrome_trace(self.v1_records())
-        names = [e["name"] for e in doc["traceEvents"] if e["ph"] == "X"]
-        assert names.count("orphan") == 1
-
-
 class TestSanitization:
     def test_nan_duration_becomes_finite(self, tmp_path):
         records = [
-            {"record": "header", "schema": 1, "kind": "repro-trace"},
+            {"record": "header", "schema": 2, "kind": "repro-trace"},
             {"record": "span", "span_id": 1, "parent_id": None, "name": "bad",
-             "wall_s": float("nan"), "events": [], "attributes": {}},
+             "wall_s": float("nan"), "wall_start_s": float("nan"),
+             "events": [], "attributes": {}},
         ]
         out = tmp_path / "nan.chrome.json"
         doc = export_chrome_trace(records, out)

@@ -70,32 +70,16 @@ def test_logging_installs_and_restores():
 
 def test_every_event_type_has_a_schema():
     # The set the docs and the trace validator promise.
-    v1 = {
+    assert set(events.EVENT_TYPES) == {
         "join", "departure", "epoch", "retry_round", "abandonment",
-        "resync", "crash", "sync_transition",
-    }
-    assert set(events.EVENT_TYPES_V1) == v1
-    assert set(events.EVENT_TYPES) == v1 | {
-        "dek_adopted", "epoch_latency", "resync_complete",
-        "abandoned_unrecovered",
+        "resync", "crash", "sync_transition", "dek_adopted",
+        "epoch_latency", "resync_complete", "abandoned_unrecovered",
     }
 
 
-def test_v1_records_stay_valid_and_v2_types_need_schema_2():
-    # Backward compat: a schema-1 record with a v1 type still validates...
-    events.validate_record(
-        {"record": "event", "schema": 1, "type": "join",
-         "time": 0.0, "member_id": "a"}
-    )
-    # ...but the latency types are schema-2 only.
-    with pytest.raises(ValueError, match="unknown event type"):
-        events.validate_record(
-            {"record": "event", "schema": 1, "type": "dek_adopted",
-             "time": 0.0, "member_id": "a", "epoch": 1,
-             "latency": 1.0, "sync_state": "late"}
-        )
-    events.validate_record(
-        {"record": "event", "schema": 2, "type": "dek_adopted",
-         "time": 0.0, "member_id": "a", "epoch": 1,
-         "latency": 1.0, "sync_state": "late"}
-    )
+def test_schema_1_records_are_unsupported():
+    join = {"record": "event", "type": "join", "time": 0.0, "member_id": "a"}
+    events.validate_record({**join, "schema": 2})
+    for schema in (1, 3, None):
+        with pytest.raises(ValueError, match="unsupported event schema"):
+            events.validate_record({**join, "schema": schema})

@@ -15,6 +15,7 @@ The acceptance contract of the obs layer:
 import pytest
 
 import repro.obs as obs
+from repro.cli import SCHEMES
 from repro.members.durations import TwoClassDuration
 from repro.members.population import LossPopulation
 from repro.obs import check as obs_check
@@ -277,3 +278,69 @@ def test_ledger_check_ties_the_sync_counters_to_the_latency_events(tmp_path):
         bad.write_text("".join(json.dumps(r) + "\n" for r in tampered))
         with pytest.raises(ValueError, match=f"sync tracker disagrees.*{counter}"):
             obs_check.check(bad, prom)
+
+
+class TestBatchObservesAgainstSingleObserves:
+    """The receiver pass feeds ``receiver.interest_keys``,
+    ``receiver.keys_learned`` and ``rekey.latency`` one batch per series
+    per epoch.  An observed run must record the same snapshot as one
+    whose batch entry point loops single observes, for every scheme, over
+    both repair transports, with receivers abandoned and recovered."""
+
+    #: Histograms of wall-clock seconds: only their counts can agree.
+    WALL_CLOCK = ("server.rekey.seconds", "shard.batch_seconds")
+
+    @classmethod
+    def snapshot(cls, scheme, transport):
+        from repro.faults.retry import RetryPolicy
+        from repro.faults.schedule import Blackout, ChurnStorm, FaultSchedule
+        from repro.server import build_server
+        from repro.transport.fec import ProactiveFecProtocol
+        from repro.transport.wka_bkr import WkaBkrProtocol
+
+        retry = RetryPolicy(max_rounds=8, abandon_after=3)
+        protocol = (
+            WkaBkrProtocol(keys_per_packet=8, retry=retry)
+            if transport == "wka-bkr"
+            else ProactiveFecProtocol(keys_per_packet=4, block_size=4, retry=retry)
+        )
+        schedule = FaultSchedule.of(
+            [
+                ChurnStorm(at_time=0.0, joins=30),
+                Blackout(start=110.0, duration=20.0, fraction=0.3),
+            ],
+            name="blackout",
+        )
+        config = small_config(
+            arrival_rate=0.1,
+            horizon=300.0,
+            transport=protocol,
+            loss_population=LossPopulation.two_point(),
+            fault_schedule=schedule,
+            recovery_delay=30.0,
+            verify=True,
+        )
+        with obs.observe() as bundle:
+            GroupRekeyingSimulation(build_server(scheme, s_period=120.0), config).run()
+        snapshot = bundle.registry.to_json()
+        for name in cls.WALL_CLOCK:
+            for key, slot in snapshot.get(name, {}).get("series", {}).items():
+                snapshot[name]["series"][key] = slot["count"]
+        return snapshot
+
+    @pytest.mark.parametrize("transport", ["wka-bkr", "fec"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_same_snapshot_as_single_observes(self, scheme, transport, monkeypatch):
+        batched = self.snapshot(scheme, transport)
+        batch = obs_metrics.MetricsRegistry.observe_many
+
+        def single_observes(self, name, values, buckets=obs_metrics.SIZE_BUCKETS, **labels):
+            for value in values:
+                batch(self, name, (value,), buckets, **labels)
+
+        monkeypatch.setattr(obs_metrics.MetricsRegistry, "observe_many", single_observes)
+        assert self.snapshot(scheme, transport) == batched
+        states = {key.split("|")[2] for key in batched["rekey.latency"]["series"]}
+        assert {"delivered", "resync"} <= states, states
+        assert batched["receiver.keys_learned"]["series"][""]["count"] > 0
+        assert batched["receiver.interest_keys"]["series"][""]["count"] > 0

@@ -18,6 +18,7 @@ from repro.obs.metrics import (
     bucket_quantile,
     merge_bucket_series,
 )
+from repro.server.losshomog import LossHomogenizedServer
 from repro.server.onetree import OneTreeServer
 from repro.server.sharded import ShardedOneTreeServer
 from repro.server.twopartition import TwoPartitionServer
@@ -155,30 +156,25 @@ class TestLatencyTracker:
         assert types.count("abandoned_unrecovered") == 1
         assert types.count("epoch_latency") == 1
 
-    def test_registry_merge_sums_latency_series(self):
-        main, worker = MetricsRegistry(), MetricsRegistry()
-        for registry, latencies in ((main, [0.0, 3.0]), (worker, [3.0, 700.0])):
-            with obs_metrics.collecting(registry):
-                tracker = LatencyTracker(scheme="one")
-                for i, latency in enumerate(latencies):
-                    tracker.observe_delivery(f"m{i}", epoch=1, latency=latency)
-        main.merge(worker.snapshot())
-        merged = main.to_json()[LATENCY_METRIC]
-        late = merged["series"]["one|0|late"]
-        assert late["count"] == 3
-        assert late["sum"] == pytest.approx(706.0)
-
 
 def per_member_observe_delivery(tracker, member_id, epoch, latency):
     """Oracle: ``LatencyTracker.observe_delivery`` as it was before an
-    epoch's deliveries were recorded in one call."""
+    epoch's deliveries were recorded in one call, one histogram observe
+    per member."""
     slot = tracker._slot(epoch)
-    if latency <= 0.0:
+    state = "late" if latency > 0.0 else "delivered"
+    obs_metrics.observe(
+        LATENCY_METRIC,
+        max(latency, 0.0),
+        LATENCY_LOG_BUCKETS_S,
+        scheme=tracker.scheme,
+        shard=tracker._shard(member_id),
+        sync_state=state,
+    )
+    if state == "delivered":
         slot.zero += 1
-        tracker._observe_histogram(member_id, 0.0, "delivered")
         return
     slot.samples.append((member_id, latency, "late"))
-    tracker._observe_histogram(member_id, latency, "late")
     if obs_events.active_log() is not None:
         obs_events.emit(
             "dek_adopted",
@@ -190,7 +186,9 @@ def per_member_observe_delivery(tracker, member_id, epoch, latency):
 
 
 MEMBERS = [f"m{i}" for i in range(12)]
-LATENCY = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.5, 4.0, 30.0, 700.0])
+# 0.1, 0.2 and 0.3 do not sum exactly, so a series that adds its
+# latencies in another order than the loop shows in ``_sum``.
+LATENCY = st.sampled_from([0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 1.5, 4.0, 30.0, 700.0])
 EPOCH_DELIVERIES = st.tuples(
     st.integers(0, 4),
     st.lists(st.sampled_from(MEMBERS), unique=True),
@@ -198,13 +196,34 @@ EPOCH_DELIVERIES = st.tuples(
 )
 
 
+def partition_labels(server):
+    """``server.shard_label`` once ``MEMBERS`` are admitted and spread
+    over its partitions (loss rates alternate under loss placement)."""
+    for i, member_id in enumerate(MEMBERS):
+        attributes = {"loss_rate": (0.02, 0.2)[i % 2]}
+        server.join(member_id, **{
+            name: value for name, value in attributes.items()
+            if name in server.join_attributes
+        })
+    server.rekey()
+    return server.shard_label
+
+
+SHARD_FNS = {
+    "modulo": lambda: (lambda m: int(m[1:]) % 3),
+    "sharded": lambda: partition_labels(ShardedOneTreeServer(shards=4)),
+    "losshomog": lambda: partition_labels(LossHomogenizedServer(degree=4)),
+}
+
+
 class TestBatchedDeliveriesAgainstPerMemberLoop:
     """``observe_deliveries`` against a loop of the per-member
-    ``observe_delivery`` it replaced, member by member in ``ids`` order."""
+    ``observe_delivery`` it replaced, member by member in ``ids`` order,
+    with members spread over several ``shard`` labels."""
 
     @staticmethod
-    def record(epochs, batched):
-        tracker = LatencyTracker(scheme="s", shard_fn=lambda m: int(m[1:]) % 3)
+    def record(epochs, batched, shard_fn):
+        tracker = LatencyTracker(scheme="s", shard_fn=shard_fn)
         for epoch, ids, completed in epochs:
             if batched:
                 tracker.observe_deliveries(ids, epoch, completed)
@@ -213,28 +232,34 @@ class TestBatchedDeliveriesAgainstPerMemberLoop:
                     per_member_observe_delivery(
                         tracker, member_id, epoch, completed.get(member_id, 0.0)
                     )
-            tracker.close_resync(f"r{epoch}", (1.0, epoch), now=2.0 + epoch)
+            tracker.close_resync(MEMBERS[epoch], (1.0, epoch), now=2.0 + epoch)
         return tracker
 
-    @settings(max_examples=100, deadline=None)
-    @given(epochs=st.lists(EPOCH_DELIVERIES, max_size=6))
-    def test_same_reads_metrics_and_events(self, epochs):
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shards=st.sampled_from(sorted(SHARD_FNS)),
+        epochs=st.lists(EPOCH_DELIVERIES, max_size=6),
+    )
+    def test_same_reads_metrics_and_events(self, shards, epochs):
+        shard_fn = SHARD_FNS[shards]()
+        assert len(set(map(shard_fn, MEMBERS))) > 1
         outcomes = []
         for batched in (False, True):
             with obs.observe(clock=lambda: 0.0) as bundle:
-                tracker = self.record(epochs, batched)
+                tracker = self.record(epochs, batched, shard_fn)
             outcomes.append(
                 (
                     tracker.summary(),
                     tracker.epoch_rows(),
                     tracker.worst(30),
                     bundle.registry.to_prometheus(),
+                    bundle.registry.to_json(),
                     bundle.events.of_type("dek_adopted"),
                 )
             )
         assert outcomes[1] == outcomes[0]
         # Unobserved, the reads are the same too.
-        unobserved = self.record(epochs, batched=True)
+        unobserved = self.record(epochs, True, shard_fn)
         assert unobserved.summary() == outcomes[0][0]
         assert unobserved.epoch_rows() == outcomes[0][1]
 
