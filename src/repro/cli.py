@@ -61,7 +61,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
-    from repro.crypto.wrap import deferred_wraps
     from repro.testing import (
         InvariantViolation,
         run_conformance,
@@ -74,10 +73,7 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
     failures = 0
     for spec in specs:
         try:
-            with deferred_wraps(enabled=args.wrap_mode == "deferred"):
-                finished = run_conformance(
-                    spec, structural_checks=not args.no_structural
-                )
+            finished = run_conformance(spec, structural_checks=not args.no_structural)
         except InvariantViolation as exc:
             print(f"FAIL {spec.name}: {exc}")
             failures += 1
@@ -213,7 +209,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         verify=not args.no_verify and not args.cost_only,
         seed=args.seed,
         cost_only=args.cost_only,
-        deferred_wrap=args.deferred_wrap,
     )
     with _observed(args):
         metrics = GroupRekeyingSimulation(server, config).run()
@@ -562,12 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip per-batch tree structure validation",
     )
-    p.add_argument(
-        "--wrap-mode",
-        choices=("eager", "deferred"),
-        default="eager",
-        help="run the battery with deferred (lazy-ciphertext) key wrapping",
-    )
     p.set_defaults(func=_cmd_selfcheck)
 
     p = sub.add_parser("validate", help="model-vs-simulation cross validation")
@@ -604,12 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip receiver state machines; count server cost only "
         "(implies --no-verify, incompatible with a transport)",
-    )
-    p.add_argument(
-        "--deferred-wrap",
-        action="store_true",
-        help="produce rekey payloads with lazy ciphertexts (no HMAC work "
-        "unless something reads them)",
     )
     p.add_argument(
         "--quick",

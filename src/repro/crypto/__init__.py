@@ -22,23 +22,17 @@ Public API
 :class:`WrapBatch`          a rekey payload as columns, one row per wrap
 :class:`WrapIndex`          row index of a rekey payload by wrapping id
 :class:`RekeyMessage`       one rekey operation's payload and its index
-:func:`deferred_wraps` / :func:`set_wrap_mode` / :func:`wrap_mode`
-                            cost-only mode: postpone wrap ciphertexts
 """
 
 from repro.crypto.cipher import AuthenticationError, decrypt, encrypt
 from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.crypto.wrap import (
     EncryptedKey,
-    LazyEncryptedKey,
     RekeyMessage,
     WrapBatch,
     WrapIndex,
-    deferred_wraps,
-    set_wrap_mode,
     unwrap_key,
     wrap_key,
-    wrap_mode,
 )
 
 __all__ = [
@@ -46,15 +40,11 @@ __all__ = [
     "EncryptedKey",
     "KeyGenerator",
     "KeyMaterial",
-    "LazyEncryptedKey",
     "RekeyMessage",
     "WrapBatch",
     "WrapIndex",
     "decrypt",
-    "deferred_wraps",
     "encrypt",
-    "set_wrap_mode",
     "unwrap_key",
     "wrap_key",
-    "wrap_mode",
 ]

@@ -9,14 +9,12 @@ in the paper counts.
 Three performance facilities live here because they are properties of the
 wrapped-key unit itself:
 
-* **deferred wrapping** — the paper's cost metric is the *count* of
+* **seal on first read** — the paper's cost metric is the *count* of
   encrypted keys, so analytic experiments and cost-only simulations never
-  look at ciphertext bytes.  Under :func:`deferred_wraps` (or
-  :func:`set_wrap_mode`), :func:`wrap_key` returns a
-  :class:`LazyEncryptedKey` and :meth:`WrapBatch.add` keeps the two
-  secrets instead of a ciphertext; either seals on the first read of its
-  ciphertext, skipping all HMAC work for runs that never deliver to real
-  members.
+  look at ciphertext bytes.  :meth:`WrapBatch.add` keeps a row's two
+  secrets and seals the row on the first read of its ciphertext (a member
+  unwrap, the wire codec, a row view, pickling), so a run that never
+  delivers to real members does no HMAC work at all.
 * **:class:`WrapBatch`** — a whole payload as columns, one row per wrap,
   from the rekeyer through the wire codec to :meth:`Member.absorb
   <repro.members.member.Member.absorb>`.  No row is an object: an
@@ -35,9 +33,8 @@ from __future__ import annotations
 
 import operator
 from collections import abc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.crypto.cipher import decrypt, encrypt
 from repro.crypto.material import KEY_SIZE, KeyMaterial
@@ -82,7 +79,7 @@ def _open(
     return KeyMaterial._trusted(payload_id, payload_version, secret)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EncryptedKey:
     """A key encrypted under another key: ``{payload}_{wrapping}``.
 
@@ -118,146 +115,16 @@ class EncryptedKey:
     def payload_handle(self) -> tuple:
         return (self.payload_id, self.payload_version)
 
-    # By field content, so every flavour compares and hashes alike (a
-    # deferred record materializes its ciphertext to do so).
-    def _record(self) -> tuple:
-        return (
-            self.wrapping_id, self.wrapping_version,
-            self.payload_id, self.payload_version, self.ciphertext,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EncryptedKey):
-            return NotImplemented
-        return self._record() == other._record()
-
-    def __hash__(self) -> int:
-        return hash(self._record())
-
-
-class LazyEncryptedKey(EncryptedKey):
-    """An :class:`EncryptedKey` whose ciphertext materializes on demand.
-
-    Produced by :func:`wrap_key` in deferred mode, and as the row view of
-    a :class:`WrapBatch` row that is not sealed yet.  Identity fields
-    (wrapping/payload handles) — what cost metrics, indexing, and packet
-    planning consume — read straight from the two captured keys, while
-    the HMAC work of actual encryption happens only if something reads
-    ``ciphertext`` (a member unwrap, the wire codec, equality against an
-    eager key).
-
-    Holding the key material inside the object is fine in this codebase:
-    wraps are produced by the simulated key server, which holds every key
-    anyway; nothing here crosses a trust boundary.
-    """
-
-    # One GC-tracked object per wrap: three slots, and the instance dict
-    # the non-slotted base allows is never created.
-    __slots__ = ("_wrapping", "_payload", "_ciphertext")
-
-    def __init__(self, wrapping: KeyMaterial, payload: KeyMaterial) -> None:
-        # Wrap creation is the per-encrypted-key cost of every cost-only
-        # batch: three stores through the slot descriptors, past the
-        # frozen-dataclass __setattr__.
-        _set_wrapping(self, wrapping)
-        _set_payload(self, payload)
-        _set_ciphertext(self, None)
-
-    @property
-    def wrapping_id(self) -> str:  # type: ignore[override]
-        return self._wrapping.key_id
-
-    @property
-    def wrapping_version(self) -> int:  # type: ignore[override]
-        return self._wrapping.version
-
-    @property
-    def payload_id(self) -> str:  # type: ignore[override]
-        return self._payload.key_id
-
-    @property
-    def payload_version(self) -> int:  # type: ignore[override]
-        return self._payload.version
-
-    @property
-    def ciphertext(self) -> bytes:  # type: ignore[override]
-        blob = self._ciphertext
-        if blob is None:
-            wrapping, payload = self._wrapping, self._payload
-            blob = _seal(
-                *wrapping.handle, *payload.handle, wrapping.secret, payload.secret
-            )
-            _set_ciphertext(self, blob)
-        return blob
-
-    @property
-    def materialized(self) -> bool:
-        """Whether the ciphertext has been computed yet."""
-        return self._ciphertext is not None
-
-    # Slots of a frozen class: the default unpickler would setattr them.
-    def __getstate__(self) -> tuple:
-        return (self._wrapping, self._payload, self._ciphertext)
-
-    def __setstate__(self, state: tuple) -> None:
-        _set_wrapping(self, state[0])
-        _set_payload(self, state[1])
-        _set_ciphertext(self, state[2])
-
-
-_set_wrapping = LazyEncryptedKey._wrapping.__set__
-_set_payload = LazyEncryptedKey._payload.__set__
-_set_ciphertext = LazyEncryptedKey._ciphertext.__set__
-
-
-_WRAP_MODES = ("eager", "deferred")
-_wrap_mode = "eager"
-
-
-def wrap_mode() -> str:
-    """The active wrap mode: ``"eager"`` or ``"deferred"``."""
-    return _wrap_mode
-
-
-def set_wrap_mode(mode: str) -> str:
-    """Set the process-wide wrap mode; returns the previous mode.
-
-    ``"eager"`` (default) computes ciphertexts inside :func:`wrap_key`;
-    ``"deferred"`` returns :class:`LazyEncryptedKey` records that encrypt
-    on first ciphertext access.  Prefer the :func:`deferred_wraps`
-    context manager, which restores the previous mode.
-    """
-    global _wrap_mode
-    if mode not in _WRAP_MODES:
-        raise ValueError(f"wrap mode must be one of {_WRAP_MODES}, got {mode!r}")
-    previous = _wrap_mode
-    _wrap_mode = mode
-    return previous
-
-
-@contextmanager
-def deferred_wraps(enabled: bool = True) -> Iterator[None]:
-    """Run the body with deferred (or, with ``enabled=False``, eager) wraps."""
-    previous = set_wrap_mode("deferred" if enabled else "eager")
-    try:
-        yield
-    finally:
-        set_wrap_mode(previous)
-
 
 def wrap_key(wrapping: KeyMaterial, payload: KeyMaterial) -> EncryptedKey:
-    """Encrypt ``payload`` under ``wrapping``.
-
-    In deferred mode (see :func:`set_wrap_mode`) the returned record
-    postpones the actual encryption until its ciphertext is first read.
+    """Encrypt ``payload`` under ``wrapping``: the per-record API, sealed
+    at once.
 
     This and :meth:`WrapBatch.add` make every wrap; the ``crypto.wraps``
     counter is bumped here per call and by each payload producer (the
     rekeyers, the DEK stitch) per batch.
     """
     obs_metrics.inc("crypto.wraps")
-    if _wrap_mode == "deferred":
-        return LazyEncryptedKey(wrapping, payload)
     handles = (*wrapping.handle, *payload.handle)
     return EncryptedKey(*handles, _seal(*handles, wrapping.secret, payload.secret))
 
@@ -292,17 +159,18 @@ class WrapBatch(abc.Sequence):
     ``wrapping_ids``, ``wrapping_versions``, ``payload_ids`` and
     ``payload_versions`` are plain lists, read-only to callers.  A row's
     ciphertext is read through :meth:`ciphertext` (or the whole column
-    through :meth:`ciphertexts`): a row added in deferred wrap mode holds
-    its two secrets instead, and seals on that first read.  Ids, versions,
+    through :meth:`ciphertexts`): a row made by :meth:`add` holds its two
+    secrets instead, and seals on that first read.  Ids, versions,
     ciphertexts and secrets are strings, ints and bytes, so no row creates
     an object the cyclic collector tracks.
 
-    The batch is a ``Sequence[EncryptedKey]``: indexing builds a row view
-    on demand — an :class:`EncryptedKey`, or a :class:`LazyEncryptedKey`
-    for a row not sealed yet — and a batch compares equal to a list of
+    The batch is a ``Sequence[EncryptedKey]``: indexing a row seals it and
+    builds an :class:`EncryptedKey` view, slicing copies the columns (an
+    unsealed row stays unsealed), and a batch compares equal to a list of
     the same records.  :meth:`append` / :meth:`extend` take any
-    :class:`EncryptedKey` (an unmaterialized lazy one stays deferred), so
-    per-record producers such as :func:`wrap_key` feed the same columns.
+    :class:`EncryptedKey`, so per-record producers such as
+    :func:`wrap_key` feed the same columns.  A pickled batch is sealed
+    first and carries ciphertext only, never a secret.
     """
 
     def __init__(self, keys: Iterable[EncryptedKey] = ()) -> None:
@@ -320,9 +188,7 @@ class WrapBatch(abc.Sequence):
         """A sealed batch over the wrapping id, wrapping version, payload
         id, payload version and ciphertext columns (taken, not copied)."""
         batch = cls()
-        (batch.wrapping_ids, batch.wrapping_versions, batch.payload_ids,
-         batch.payload_versions, batch._ciphertexts) = columns
-        batch._secrets = [None] * len(batch._ciphertexts)
+        batch.__setstate__(columns)
         return batch
 
     def _columns(self) -> tuple:
@@ -330,6 +196,16 @@ class WrapBatch(abc.Sequence):
             self.wrapping_ids, self.wrapping_versions, self.payload_ids,
             self.payload_versions, self._ciphertexts, self._secrets,
         )
+
+    # Sealed on the way out: no secrets column ever leaves the process.
+    def __getstate__(self) -> tuple:
+        self.ciphertexts()
+        return self._columns()[:5]
+
+    def __setstate__(self, state: tuple) -> None:
+        (self.wrapping_ids, self.wrapping_versions, self.payload_ids,
+         self.payload_versions, self._ciphertexts) = state
+        self._secrets = [None] * len(self._ciphertexts)
 
     def add(
         self,
@@ -341,33 +217,21 @@ class WrapBatch(abc.Sequence):
         payload_secret: bytes,
     ) -> None:
         """Append the wrap of ``payload_secret`` under ``wrapping_secret``,
-        sealed now or — in deferred wrap mode — on its first read.  The
-        secrets must be ``bytes`` (the flat kernel slices them out of its
-        mutable key array), so a late seal uses the keys as added."""
-        if _wrap_mode == "deferred":
-            blob, pair = None, wrapping_secret + payload_secret
-        else:
-            blob = _seal(
-                wrapping_id, wrapping_version, payload_id, payload_version,
-                wrapping_secret, payload_secret,
-            )
-            pair = None
+        sealed on its first read.  The secrets must be ``bytes`` (the flat
+        kernel slices them out of its mutable key array), so a late seal
+        uses the keys as added."""
         self.wrapping_ids.append(wrapping_id)
         self.wrapping_versions.append(wrapping_version)
         self.payload_ids.append(payload_id)
         self.payload_versions.append(payload_version)
-        self._ciphertexts.append(blob)
-        self._secrets.append(pair)
+        self._ciphertexts.append(None)
+        self._secrets.append(wrapping_secret + payload_secret)
 
     def append(self, key: EncryptedKey) -> None:
-        """Append one record as a row (an unmaterialized lazy one deferred)."""
-        if isinstance(key, LazyEncryptedKey) and not key.materialized:
-            blob, pair = None, key._wrapping.secret + key._payload.secret
-        else:
-            blob, pair = key.ciphertext, None
+        """Append one sealed record as a row."""
         row = (
             key.wrapping_id, key.wrapping_version,
-            key.payload_id, key.payload_version, blob, pair,
+            key.payload_id, key.payload_version, key.ciphertext, None,
         )
         for column, value in zip(self._columns(), row):
             column.append(value)
@@ -386,18 +250,15 @@ class WrapBatch(abc.Sequence):
 
     def __getitem__(self, row):
         if isinstance(row, slice):
-            return WrapBatch(map(self.__getitem__, range(len(self))[row]))
+            sliced = WrapBatch()
+            for mine, theirs in zip(sliced._columns(), self._columns()):
+                mine.extend(theirs[row])
+            return sliced
         row = range(len(self))[row]
-        fields = (
+        return EncryptedKey(
             self.wrapping_ids[row], self.wrapping_versions[row],
             self.payload_ids[row], self.payload_versions[row],
-        )
-        pair = self._secrets[row]
-        if pair is None:
-            return EncryptedKey(*fields, self._ciphertexts[row])
-        return LazyEncryptedKey(
-            KeyMaterial._trusted(fields[0], fields[1], pair[:KEY_SIZE]),
-            KeyMaterial._trusted(fields[2], fields[3], pair[KEY_SIZE:]),
+            self.ciphertext(row),
         )
 
     def __eq__(self, other: object) -> bool:
@@ -413,7 +274,7 @@ class WrapBatch(abc.Sequence):
         return self._ciphertexts[row] is not None
 
     def ciphertext(self, row: int) -> bytes:
-        """Row ``row``'s ciphertext, sealing a deferred row first."""
+        """Row ``row``'s ciphertext, sealing the row first if need be."""
         blob = self._ciphertexts[row]
         if blob is None:
             pair, self._secrets[row] = self._secrets[row], None
@@ -426,7 +287,7 @@ class WrapBatch(abc.Sequence):
         return blob
 
     def ciphertexts(self) -> List[bytes]:
-        """The ciphertext column, every deferred row sealed first."""
+        """The ciphertext column, every unsealed row sealed first."""
         if None in self._ciphertexts:
             for row, blob in enumerate(self._ciphertexts):
                 if blob is None:
@@ -491,8 +352,7 @@ class WrapIndex:
 
     # The opened-wrap table holds plaintext keys, so it never leaves the
     # process: a pickled (or copied) index drops it.  The batch goes along
-    # as it is, and a deferred row not sealed yet still carries its two
-    # secrets (see docs/security.md).
+    # sealed, as ciphertext only (see docs/security.md).
     def __getstate__(self) -> tuple:
         return (self.batch, self.heads, self.chain)
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.crypto.material import KeyGenerator
-from repro.crypto.wrap import deferred_wraps
 from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.network.topology import MulticastTopology
 
@@ -60,20 +59,6 @@ def _run_placement(
     else:
         raise ValueError("placement must be 'clustered' or 'random'")
 
-    # Cost-only experiment: nothing ever decrypts these wraps, so defer
-    # the ciphertexts and skip the HMAC work entirely.
-    with deferred_wraps():
-        return _run_placement_costed(placement, topology, order, departures, degree, seed)
-
-
-def _run_placement_costed(
-    placement: str,
-    topology: MulticastTopology,
-    order: Sequence[str],
-    departures: Sequence[str],
-    degree: int,
-    seed: int,
-) -> TopologyGainResult:
     tree = FlatKeyTree(degree=degree, keygen=KeyGenerator(seed), name=f"topo-{placement}")
     rekeyer = FlatRekeyer(tree)
     rekeyer.rekey_batch(joins=[(r, None) for r in order])
@@ -87,9 +72,12 @@ def _run_placement_costed(
         for node in tree.path_of(member):
             holder_of.setdefault(node.key.handle, []).append(member)
 
+    # Cost-only experiment: the handle columns, never a row view, so no
+    # wrap is ever sealed.
+    keys = message.encrypted_keys
     total = 0
-    for ek in message.encrypted_keys:
-        audience = holder_of.get((ek.wrapping_id, ek.wrapping_version))
+    for handle in zip(keys.wrapping_ids, keys.wrapping_versions):
+        audience = holder_of.get(handle)
         if audience:
             total += topology.multicast_link_cost(audience)
     return TopologyGainResult(

@@ -26,7 +26,6 @@ from typing import Dict
 from repro.analysis.batchcost import expected_batch_cost
 from repro.analysis.twopartition import TwoPartitionParameters, scheme_costs, steady_state
 from repro.analysis.wka import wka_rekey_cost
-from repro.crypto.wrap import deferred_wraps
 from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.members.durations import TwoClassDuration
 from repro.network.channel import MulticastChannel
@@ -75,17 +74,16 @@ def validate_batch_cost(
     """
     rng = random.Random(seed)
     total = 0
-    # Cost-only: nothing decrypts these wraps, so skip the HMAC work.
-    with deferred_wraps():
-        for batch in range(batches):
-            tree = FlatKeyTree(degree=degree, name=f"val{batch}")
-            rekeyer = FlatRekeyer(tree)
-            members = [f"v{batch}m{i}" for i in range(group_size)]
-            rekeyer.rekey_batch(joins=[(m, None) for m in members])
-            victims = rng.sample(members, departures)
-            joiners = [(f"v{batch}j{i}", None) for i in range(departures)]
-            message = rekeyer.rekey_batch(joins=joiners, departures=victims)
-            total += message.cost
+    # Cost-only: nothing reads a ciphertext, so no wrap is ever sealed.
+    for batch in range(batches):
+        tree = FlatKeyTree(degree=degree, name=f"val{batch}")
+        rekeyer = FlatRekeyer(tree)
+        members = [f"v{batch}m{i}" for i in range(group_size)]
+        rekeyer.rekey_batch(joins=[(m, None) for m in members])
+        victims = rng.sample(members, departures)
+        joiners = [(f"v{batch}j{i}", None) for i in range(departures)]
+        message = rekeyer.rekey_batch(joins=joiners, departures=victims)
+        total += message.cost
     return ValidationResult(
         label=f"Ne(N={group_size}, L={departures}, d={degree})",
         predicted=expected_batch_cost(group_size, departures, degree),
@@ -168,36 +166,35 @@ def validate_wka_transport(
     protocol = WkaBkrProtocol(keys_per_packet=8)
     total = 0
     # The transport counts keys/packets but never reads ciphertexts, so
-    # deferred wraps skip the HMAC work here too.
-    with deferred_wraps():
-        for trial in range(trials):
-            tree = FlatKeyTree(degree=degree, name=f"wka{trial}")
-            rekeyer = FlatRekeyer(tree)
-            members = [f"w{trial}m{i}" for i in range(group_size)]
-            rekeyer.rekey_batch(joins=[(m, None) for m in members])
-            # Track which keys each member holds (ids and versions) directly
-            # from the authoritative tree, then rekey.
-            held: Dict[str, Dict[str, int]] = {
-                m: {n.key.key_id: n.key.version for n in tree.path_of(m)}
-                for m in members
-            }
-            victims = rng.sample(members, departures)
-            joiners = [(f"w{trial}j{i}", None) for i in range(departures)]
-            message = rekeyer.rekey_batch(joins=joiners, departures=victims)
+    # no wrap is sealed here either.
+    for trial in range(trials):
+        tree = FlatKeyTree(degree=degree, name=f"wka{trial}")
+        rekeyer = FlatRekeyer(tree)
+        members = [f"w{trial}m{i}" for i in range(group_size)]
+        rekeyer.rekey_batch(joins=[(m, None) for m in members])
+        # Track which keys each member holds (ids and versions) directly
+        # from the authoritative tree, then rekey.
+        held: Dict[str, Dict[str, int]] = {
+            m: {n.key.key_id: n.key.version for n in tree.path_of(m)}
+            for m in members
+        }
+        victims = rng.sample(members, departures)
+        joiners = [(f"w{trial}j{i}", None) for i in range(departures)]
+        message = rekeyer.rekey_batch(joins=joiners, departures=victims)
 
-            channel = MulticastChannel(seed=seed * 1000 + trial)
-            survivors = [m for m in members if m not in victims]
-            for m in survivors:
-                channel.subscribe(m, BernoulliLoss(loss_rate))
-            index = message.index()
-            interest = {}
-            for m in survivors:
-                wanted = set(index.closure(held[m]))
-                if wanted:
-                    interest[m] = wanted
-            task = TransportTask(keys=message.encrypted_keys, interest=interest)
-            outcome = protocol.run(task, channel)
-            total += outcome.keys_sent
+        channel = MulticastChannel(seed=seed * 1000 + trial)
+        survivors = [m for m in members if m not in victims]
+        for m in survivors:
+            channel.subscribe(m, BernoulliLoss(loss_rate))
+        index = message.index()
+        interest = {}
+        for m in survivors:
+            wanted = set(index.closure(held[m]))
+            if wanted:
+                interest[m] = wanted
+        task = TransportTask(keys=message.encrypted_keys, interest=interest)
+        outcome = protocol.run(task, channel)
+        total += outcome.keys_sent
     mixture = ((loss_rate, 1.0),)
     return ValidationResult(
         label=f"WKA-BKR E[V] (N={group_size}, L={departures}, p={loss_rate})",

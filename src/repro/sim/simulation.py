@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import repro.obs as obs
-from repro.crypto.wrap import deferred_wraps
 from repro.faults.channel import FaultyChannel
 from repro.faults.schedule import FaultSchedule
 from repro.obs import events as obs_events
@@ -69,9 +68,10 @@ class SimulationConfig:
         and the fast path for very large groups.  Incompatible with
         ``transport`` and ``verify`` (both need real receivers).
     deferred_wrap:
-        Produce rekey payloads as deferred wraps (ciphertext computed only
-        if something reads it — see :func:`repro.crypto.wrap.wrap_key`).
-        Skips all HMAC work in cost-only runs.
+        Inert; kept so existing callers still construct.  Every payload
+        row seals on the first read of its ciphertext (see
+        :class:`repro.crypto.wrap.WrapBatch`), so a cost-only run does no
+        HMAC work whatever this says.
     fault_schedule:
         Optional :class:`~repro.faults.schedule.FaultSchedule`.  Channel
         faults (bursts, blackouts, duplicates, jitter) apply to every
@@ -264,12 +264,6 @@ class GroupRekeyingSimulation:
     # rekeying
     # ------------------------------------------------------------------
 
-    def _run_batch(self, now: float) -> BatchResult:
-        if self.config.deferred_wrap:
-            with deferred_wraps():
-                return self.server.rekey(now=now)
-        return self.server.rekey(now=now)
-
     def _maybe_crash(self, now: float) -> bool:
         """Crash-and-restore the server when a crash point has come due.
 
@@ -298,12 +292,12 @@ class GroupRekeyingSimulation:
         ):
             self._crash_cursor += 1
         state = snapshot_server(self.server)
-        doomed = self._run_batch(now)  # computed, then lost in the crash
+        doomed = self.server.rekey(now=now)  # computed, then lost in the crash
         tracker = self.server._sync
         restored = restore_server(state)
         restored._sync = tracker  # sync registry survives (durable)
         self.server = restored
-        replay = self._run_batch(now)
+        replay = self.server.rekey(now=now)
         if (replay.epoch, replay.cost, replay.breakdown) != (
             doomed.epoch,
             doomed.cost,
@@ -326,7 +320,7 @@ class GroupRekeyingSimulation:
         with obs_tracing.span("epoch", time=now) as epoch_span:
             self._attach_fault_windows(epoch_span, now)
             if not self._maybe_crash(now):
-                result = self._run_batch(now)
+                result = self.server.rekey(now=now)
                 self._deliver_batch(result, now)
         self.loop.schedule(now + self.config.rekey_period, self._rekey)
 

@@ -3,9 +3,11 @@
 For every batch of the eight-scheme churn trace of
 ``generate_server_golden.py`` this pins the sha256 of the encoded rekey
 broadcast, ``encode_rekey_message`` of the batch's group, epoch, wraps,
-one-way advances and rosters.  The trace is replayed in both wrap modes:
-deferred wraps are sealed when the codec reads them, so the two modes
-must put the same bytes on the wire.
+one-way advances and rosters.  The fixture keeps the digest list as it
+was recorded in each of the two wrap modes the code once had ("eager"
+sealed in the rekeyer, "deferred" sealed when the codec read a row); the
+two lists are equal, and the one wrap path, which seals a row on its
+first read, must reproduce both.
 
 Recorded at commit 1284af7, before the payload became one columnar
 object from wrap to absorb; ``tests/test_golden_wire.py`` replays it,
@@ -25,7 +27,7 @@ from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).parent
 FIXTURE = GOLDEN_DIR / "wire_payloads.json"
-WRAP_MODES = ("eager", "deferred")
+RECORDED_AS = ("eager", "deferred")
 
 
 def _server_generator():
@@ -52,10 +54,8 @@ def wire_message(server, result):
     )
 
 
-def replay(scheme, mode):
-    """``(result, wire bytes)`` for every batch of the trace, wraps made in
-    wrap mode ``mode``."""
-    from repro.crypto.wrap import deferred_wraps
+def replay(scheme):
+    """``(result, wire bytes)`` for every batch of the trace."""
     from repro.transport.codec import encode_rekey_message
 
     servers = _server_generator()
@@ -63,8 +63,7 @@ def replay(scheme, mode):
     batches = []
     for batch in servers.trace_batches():
         servers.queue_batch(server, scheme, batch)
-        with deferred_wraps(enabled=mode == "deferred"):
-            result = server.rekey(now=batch[0])
+        result = server.rekey(now=batch[0])
         batches.append((result, encode_rekey_message(wire_message(server, result))))
     return batches
 
@@ -79,15 +78,12 @@ def main():
         "format": 1,
         "recorded_at": "1284af7",
         "schemes": {
-            scheme: {
-                mode: [digest(blob) for __, blob in replay(scheme, mode)]
-                for mode in WRAP_MODES
-            }
+            scheme: dict.fromkeys(
+                RECORDED_AS, [digest(blob) for __, blob in replay(scheme)]
+            )
             for scheme in servers.SCHEMES
         },
     }
-    for scheme, modes in fixture["schemes"].items():
-        assert modes["eager"] == modes["deferred"], scheme
     FIXTURE.write_text(json.dumps(fixture, indent=1) + "\n")
     print(f"wrote {FIXTURE}")
 

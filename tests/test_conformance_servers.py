@@ -107,17 +107,3 @@ def test_adversaries_accumulate_and_rotate():
     ).run(harness)
     assert len(harness.adversaries) == 2
     assert [m.member_id for m in harness.adversaries] == ["c", "d"]
-
-
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
-def test_conformance_passes_with_deferred_wraps(spec):
-    """The full security battery holds in deferred-wrap mode: lazy
-    ciphertexts materialize transparently when harness members (and the
-    adversaries) actually decrypt, so no invariant weakens."""
-    from repro.crypto.wrap import deferred_wraps, wrap_mode
-
-    with deferred_wraps():
-        finished = run_conformance(spec)
-    assert wrap_mode() == "eager"
-    assert set(finished) == {s.name for s in SCENARIOS}
-    assert all(h.total_cost() > 0 for h in finished.values())

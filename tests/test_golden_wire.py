@@ -2,8 +2,9 @@
 
 ``tests/golden/wire_payloads.json`` pins the sha256 of
 ``encode_rekey_message`` for each batch of the eight-scheme churn trace,
-in both wrap modes.  Replaying it checks three things per batch: the
-bytes hash to the pinned digest, decoding and re-encoding gives those
+as recorded in each of the two wrap modes the code once had.  Replaying
+the one wrap path checks three things per batch against each recorded
+list: the bytes hash to the pinned digest, decoding and re-encoding gives those
 bytes back, and the decoded records are the wraps ``server_payloads.json``
 pins for that batch.
 """
@@ -37,13 +38,13 @@ def _records(message, scheme, result):
     return wraps
 
 
-@pytest.mark.parametrize("mode", _wire.WRAP_MODES)
+@pytest.mark.parametrize("recorded", _wire.RECORDED_AS)
 @pytest.mark.parametrize("scheme", _servers.SCHEMES)
-def test_wire_bytes_reproduce_the_golden_digests(scheme, mode):
+def test_wire_bytes_reproduce_the_golden_digests(scheme, recorded):
     assert _fixture["format"] == 1
-    digests = _fixture["schemes"][scheme][mode]
+    digests = _fixture["schemes"][scheme][recorded]
     pinned = _server_fixture["schemes"][scheme]
-    batches = _wire.replay(scheme, mode)
+    batches = _wire.replay(scheme)
     assert len(batches) == len(digests) == len(pinned)
     for (result, blob), digest, want in zip(batches, digests, pinned):
         epoch = want["epoch"]
@@ -58,6 +59,7 @@ def test_wire_bytes_reproduce_the_golden_digests(scheme, mode):
 
 
 def test_both_wrap_modes_pin_the_same_bytes():
+    """The two recorded lists agree, so one path can match both."""
     for scheme, modes in _fixture["schemes"].items():
         assert modes["eager"] == modes["deferred"], scheme
     assert set(_fixture["schemes"]) == set(_servers.SCHEMES)

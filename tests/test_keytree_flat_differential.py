@@ -9,7 +9,7 @@ same wrap order, same versions, same ciphertext bytes — plus equal
 
 Traces come from two sources: hypothesis-generated operation programs
 (shrinkable counterexamples) and pinned-seed random mixes (stable
-regression anchors).  Both run under eager and deferred wrapping.
+regression anchors).
 
 The same holds one level up.  Every server builds the flat kernel and
 nothing else, so the battery also drives each shipped server beside a
@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.material import KeyGenerator
-from repro.crypto.wrap import WrapIndex, deferred_wraps
+from repro.crypto.wrap import WrapIndex
 from repro.keytree import flat
 from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.members.member import Member
@@ -154,20 +154,17 @@ def run_program(pair, program):
 @given(
     program=programs,
     degree=st.integers(min_value=2, max_value=5),
-    deferred=st.booleans(),
 )
-def test_hypothesis_churn_traces_are_byte_identical(program, degree, deferred):
-    with deferred_wraps(enabled=deferred):
-        pair = KernelPair(degree=degree, seed=11)
-        run_program(pair, program)
+def test_hypothesis_churn_traces_are_byte_identical(program, degree):
+    pair = KernelPair(degree=degree, seed=11)
+    run_program(pair, program)
 
 
 @settings(max_examples=20, deadline=None)
-@given(program=programs, deferred=st.booleans())
-def test_owf_refresh_traces_are_byte_identical(program, deferred):
-    with deferred_wraps(enabled=deferred):
-        pair = KernelPair(degree=3, seed=5, join_refresh="owf")
-        run_program(pair, program)
+@given(program=programs)
+def test_owf_refresh_traces_are_byte_identical(program):
+    pair = KernelPair(degree=3, seed=5, join_refresh="owf")
+    run_program(pair, program)
 
 
 def closure_records(index, versions):
@@ -185,36 +182,35 @@ def closure_records(index, versions):
 @given(program=programs)
 def test_wrap_index_closures_are_equal(program):
     """Every surviving member resolves the same closure from either payload."""
-    with deferred_wraps():
-        pair = KernelPair(degree=3, seed=23)
-        present = []
-        counter = 0
-        for njoin, ndep, force_root in program:
-            departures = [
-                present.pop(0) for _ in range(min(ndep, len(present)))
-            ]
-            joins = []
-            for _ in range(njoin):
-                counter += 1
-                joins.append((f"m{counter}", None))
-                present.append(f"m{counter}")
-            if not joins and not departures and not force_root:
-                continue
-            held = {
-                member: {
-                    v.key.key_id: v.key.version
-                    for v in pair.obj_tree.path_of(member)
-                }
-                for member in present[: len(present) // 2 + 1]
-                if member in pair.obj_tree._member_leaf
+    pair = KernelPair(degree=3, seed=23)
+    present = []
+    counter = 0
+    for njoin, ndep, force_root in program:
+        departures = [
+            present.pop(0) for _ in range(min(ndep, len(present)))
+        ]
+        joins = []
+        for _ in range(njoin):
+            counter += 1
+            joins.append((f"m{counter}", None))
+            present.append(f"m{counter}")
+        if not joins and not departures and not force_root:
+            continue
+        held = {
+            member: {
+                v.key.key_id: v.key.version
+                for v in pair.obj_tree.path_of(member)
             }
-            obj_msg, flat_msg = pair.batch(joins, departures, force_root)
-            obj_index = WrapIndex(obj_msg.encrypted_keys)
-            flat_index = WrapIndex(flat_msg.encrypted_keys)
-            for member, versions in held.items():
-                assert closure_records(obj_index, versions) == closure_records(
-                    flat_index, versions
-                ), member
+            for member in present[: len(present) // 2 + 1]
+            if member in pair.obj_tree._member_leaf
+        }
+        obj_msg, flat_msg = pair.batch(joins, departures, force_root)
+        obj_index = WrapIndex(obj_msg.encrypted_keys)
+        flat_index = WrapIndex(flat_msg.encrypted_keys)
+        for member, versions in held.items():
+            assert closure_records(obj_index, versions) == closure_records(
+                flat_index, versions
+            ), member
 
 
 # ----------------------------------------------------------------------
@@ -223,53 +219,51 @@ def test_wrap_index_closures_are_equal(program):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-@pytest.mark.parametrize("deferred", [False, True])
-def test_pinned_seed_mixed_traces(seed, deferred):
+def test_pinned_seed_mixed_traces(seed):
     rng = random.Random(seed)
-    with deferred_wraps(enabled=deferred):
-        pair = KernelPair(degree=rng.choice((2, 3, 4)), seed=seed)
-        present = []
-        counter = 0
-        for step in range(40):
-            op = rng.random()
-            context = f"seed={seed} step={step}"
-            if op < 0.3 or not present:
+    pair = KernelPair(degree=rng.choice((2, 3, 4)), seed=seed)
+    present = []
+    counter = 0
+    for step in range(40):
+        op = rng.random()
+        context = f"seed={seed} step={step}"
+        if op < 0.3 or not present:
+            counter += 1
+            member = f"m{counter}"
+            obj_msg = pair.obj.join(member)[1]
+            flat_msg = pair.flat.join(member)[1]
+            assert_identical(obj_msg, flat_msg, context)
+            present.append(member)
+        elif op < 0.45:
+            victim = present.pop(rng.randrange(len(present)))
+            assert_identical(
+                pair.obj.leave(victim), pair.flat.leave(victim), context
+            )
+        elif op < 0.9:
+            njoin = rng.randrange(0, 5)
+            ndep = rng.randrange(0, min(3, len(present)) + 1)
+            departures = [
+                present.pop(rng.randrange(len(present)))
+                for _ in range(min(ndep, len(present)))
+            ]
+            joins = []
+            for _ in range(njoin):
                 counter += 1
-                member = f"m{counter}"
-                obj_msg = pair.obj.join(member)[1]
-                flat_msg = pair.flat.join(member)[1]
-                assert_identical(obj_msg, flat_msg, context)
-                present.append(member)
-            elif op < 0.45:
-                victim = present.pop(rng.randrange(len(present)))
-                assert_identical(
-                    pair.obj.leave(victim), pair.flat.leave(victim), context
-                )
-            elif op < 0.9:
-                njoin = rng.randrange(0, 5)
-                ndep = rng.randrange(0, min(3, len(present)) + 1)
-                departures = [
-                    present.pop(rng.randrange(len(present)))
-                    for _ in range(min(ndep, len(present)))
-                ]
-                joins = []
-                for _ in range(njoin):
-                    counter += 1
-                    joins.append((f"m{counter}", None))
-                    present.append(f"m{counter}")
-                pair.batch(
-                    joins,
-                    departures,
-                    force_root=rng.random() < 0.2,
-                    context=context,
-                )
-            else:
-                assert_identical(
-                    pair.obj.refresh_root(),
-                    pair.flat.refresh_root(),
-                    context,
-                )
-            pair.check_state(context)
+                joins.append((f"m{counter}", None))
+                present.append(f"m{counter}")
+            pair.batch(
+                joins,
+                departures,
+                force_root=rng.random() < 0.2,
+                context=context,
+            )
+        else:
+            assert_identical(
+                pair.obj.refresh_root(),
+                pair.flat.refresh_root(),
+                context,
+            )
+        pair.check_state(context)
 
 
 def test_heaps_shed_in_lock_step_under_steady_churn():
@@ -288,7 +282,7 @@ def test_heaps_shed_in_lock_step_under_steady_churn():
 
         return mock.patch.object(cls, "_shed_dead_candidates", wrapper)
 
-    with deferred_wraps(), counting(KeyTree), counting(FlatKeyTree):
+    with counting(KeyTree), counting(FlatKeyTree):
         pair = KernelPair(degree=4, seed=31)
         present = [f"m{i}" for i in range(300)]
         pair.batch([(member, None) for member in present])
@@ -325,7 +319,7 @@ def test_slots_compact_in_lock_step_with_the_object_tree():
         compactions.append(len(tree._ids))
         compact(tree)
 
-    with deferred_wraps(), mock.patch.object(
+    with mock.patch.object(
         flat, "SLOT_COMPACT_FLOOR", 4
     ), mock.patch.object(FlatKeyTree, "_compact", counting):
         pair = KernelPair(degree=4, seed=37)
@@ -349,57 +343,56 @@ def test_slots_compact_in_lock_step_with_the_object_tree():
 def test_per_receiver_decrypt_counts_match():
     """Receivers fed either kernel's payload learn the same keys, in the
     same quantity, every epoch."""
-    with deferred_wraps():
-        pair = KernelPair(degree=3, seed=42)
-        rng = random.Random(42)
-        obj_members = {}
-        flat_members = {}
-        present = []
-        counter = 0
-        for _ in range(8):
-            joins = []
-            for _ in range(rng.randrange(1, 5)):
-                counter += 1
-                member_id = f"m{counter}"
-                joins.append((member_id, None))
-                present.append(member_id)
-            departures = []
-            if len(present) > 4:
-                for _ in range(rng.randrange(0, 2)):
-                    victim = present.pop(rng.randrange(len(present)))
-                    departures.append(victim)
-                    obj_members.pop(victim, None)
-                    flat_members.pop(victim, None)
-            obj_msg, flat_msg = pair.batch(joins, departures)
-            for member_id, _ in joins:
-                leaf = pair.obj_tree._member_leaf[member_id]
-                individual = leaf.key
-                obj_members[member_id] = Member(member_id, individual)
-                flat_members[member_id] = Member(member_id, individual)
-            obj_index = WrapIndex(obj_msg.encrypted_keys)
-            flat_index = WrapIndex(flat_msg.encrypted_keys)
-            for member_id in present:
-                learned_obj = obj_members[member_id].absorb(
-                    obj_msg.encrypted_keys, index=obj_index
-                )
-                learned_flat = flat_members[member_id].absorb(
-                    flat_msg.encrypted_keys, index=flat_index
-                )
-                assert len(learned_obj) == len(learned_flat), member_id
-                assert [
-                    (k.key_id, k.version, k.secret) for k in learned_obj
-                ] == [
-                    (k.key_id, k.version, k.secret) for k in learned_flat
-                ], member_id
-        # Everyone ends on the same (identical) group key.
-        obj_dek = pair.obj_tree.root.key
-        flat_dek = pair.flat_tree.root.key
-        assert obj_dek.secret == flat_dek.secret
+    pair = KernelPair(degree=3, seed=42)
+    rng = random.Random(42)
+    obj_members = {}
+    flat_members = {}
+    present = []
+    counter = 0
+    for _ in range(8):
+        joins = []
+        for _ in range(rng.randrange(1, 5)):
+            counter += 1
+            member_id = f"m{counter}"
+            joins.append((member_id, None))
+            present.append(member_id)
+        departures = []
+        if len(present) > 4:
+            for _ in range(rng.randrange(0, 2)):
+                victim = present.pop(rng.randrange(len(present)))
+                departures.append(victim)
+                obj_members.pop(victim, None)
+                flat_members.pop(victim, None)
+        obj_msg, flat_msg = pair.batch(joins, departures)
+        for member_id, _ in joins:
+            leaf = pair.obj_tree._member_leaf[member_id]
+            individual = leaf.key
+            obj_members[member_id] = Member(member_id, individual)
+            flat_members[member_id] = Member(member_id, individual)
+        obj_index = WrapIndex(obj_msg.encrypted_keys)
+        flat_index = WrapIndex(flat_msg.encrypted_keys)
         for member_id in present:
-            assert obj_members[member_id].holds(obj_dek.key_id, obj_dek.version)
-            assert flat_members[member_id].holds(
-                flat_dek.key_id, flat_dek.version
+            learned_obj = obj_members[member_id].absorb(
+                obj_msg.encrypted_keys, index=obj_index
             )
+            learned_flat = flat_members[member_id].absorb(
+                flat_msg.encrypted_keys, index=flat_index
+            )
+            assert len(learned_obj) == len(learned_flat), member_id
+            assert [
+                (k.key_id, k.version, k.secret) for k in learned_obj
+            ] == [
+                (k.key_id, k.version, k.secret) for k in learned_flat
+            ], member_id
+    # Everyone ends on the same (identical) group key.
+    obj_dek = pair.obj_tree.root.key
+    flat_dek = pair.flat_tree.root.key
+    assert obj_dek.secret == flat_dek.secret
+    for member_id in present:
+        assert obj_members[member_id].holds(obj_dek.key_id, obj_dek.version)
+        assert flat_members[member_id].holds(
+            flat_dek.key_id, flat_dek.version
+        )
 
 
 def wire_result(result):
@@ -493,9 +486,9 @@ server_programs = st.lists(
 
 @pytest.mark.parametrize("scheme", LOCK_STEP_SCHEMES)
 @settings(max_examples=15, deadline=None)
-@given(program=server_programs, deferred=st.booleans())
-def test_servers_match_their_object_tree_oracle(scheme, program, deferred):
-    with deferred_wraps(enabled=deferred), mock.patch.object(
+@given(program=server_programs)
+def test_servers_match_their_object_tree_oracle(scheme, program):
+    with mock.patch.object(
         flat, "SLOT_COMPACT_FLOOR", 2
     ):
         pair = ServerPair(scheme)
@@ -508,9 +501,8 @@ def test_servers_match_their_object_tree_oracle(scheme, program, deferred):
             tree.validate()
 
 
-@pytest.mark.parametrize("deferred", [False, True])
 @pytest.mark.parametrize("scheme", ("qt", "tt"))
-def test_mass_migration_compacts_the_s_tree_unobservably(scheme, deferred):
+def test_mass_migration_compacts_the_s_tree_unobservably(scheme):
     """The benchmark's set-up in miniature: a group admitted at once sits
     out its S-period and migrates to the L-tree in one batch, after which
     the S-partition holds a trickle of newcomers.  With the floor patched
@@ -523,7 +515,7 @@ def test_mass_migration_compacts_the_s_tree_unobservably(scheme, deferred):
         compacted.append(tree.name)
         compact(tree)
 
-    with deferred_wraps(enabled=deferred), mock.patch.object(
+    with mock.patch.object(
         flat, "SLOT_COMPACT_FLOOR", 8
     ), mock.patch.object(FlatKeyTree, "_compact", recording):
         pair = ServerPair(scheme)

@@ -5,9 +5,8 @@ epoch promotes into it (``docs/performance.md``, "Memory and the
 collector").  These tests pin the mechanisms that keep both down:
 attachment heaps that shed dead entries and slot arrays that are given
 back after a mass departure, receiver RNG streams built at the first
-draw, events that carry their arguments, one tracked object per
-deferred ``wrap_key`` record, and a payload that is columns from the
-rekeyer to the index — no tracked object per wrap at all.
+draw, events that carry their arguments, and a payload that is columns
+from the rekeyer to the index — no tracked object per wrap at all.
 """
 
 import gc
@@ -27,7 +26,6 @@ from repro.crypto.wrap import (
     RekeyMessage,
     WrapBatch,
     WrapIndex,
-    deferred_wraps,
     wrap_key,
 )
 from repro.faults.schedule import ChurnStorm, FaultSchedule
@@ -104,7 +102,6 @@ def test_cost_only_census_stays_within_budget():
                 seed=5,
                 fault_schedule=FaultSchedule.of([ChurnStorm(at_time=0.0, joins=size)]),
                 cost_only=True,
-                deferred_wrap=True,
                 verify=False,
             ),
         )
@@ -198,53 +195,8 @@ def test_lazy_streams_end_in_the_states_of_eager_ones():
 
 
 # ----------------------------------------------------------------------
-# (c) a deferred wrap_key record is one tracked object; a payload is columns
+# (c) a payload is columns, and a row seals on its first read
 # ----------------------------------------------------------------------
-
-
-def test_deferred_wrap_is_one_tracked_object():
-    keygen = KeyGenerator(2)
-    wrapping = keygen.generate("kek")
-    payloads = [keygen.generate(f"k{i}") for i in range(1000)]
-    wraps = [None] * 1000
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        before = len(gc.get_objects())
-        with deferred_wraps():
-            for i, payload in enumerate(payloads):
-                wraps[i] = wrap_key(wrapping, payload)
-        grown = len(gc.get_objects()) - before
-    finally:
-        if was_enabled:
-            gc.enable()
-    # The instance and nothing else: no instance dict (a handful of
-    # objects of slack for the context manager and the loop itself).
-    assert 1000 <= grown < 1010
-    assert not any(wrap.materialized for wrap in wraps)
-
-
-def test_deferred_wrap_still_matches_its_eager_twin():
-    keygen = KeyGenerator(2)
-    wrapping, payload = keygen.generate("kek"), keygen.generate("dek")
-    eager = wrap_key(wrapping, payload)
-    with deferred_wraps():
-        lazy = wrap_key(wrapping, payload)
-    assert not lazy.materialized
-    # Pickled before anything read the ciphertext: still deferred after.
-    thawed = pickle.loads(pickle.dumps(lazy))
-    assert type(thawed) is type(lazy) and not thawed.materialized
-    assert lazy == eager and eager == lazy
-    assert hash(lazy) == hash(eager)
-    assert lazy.materialized
-    assert thawed == eager and hash(thawed) == hash(eager)
-    assert pickle.loads(pickle.dumps(lazy)).materialized
-    assert (lazy.wrapping_handle, lazy.payload_handle) == (
-        eager.wrapping_handle,
-        eager.payload_handle,
-    )
-    assert repr(lazy).replace("LazyEncryptedKey", "EncryptedKey") == repr(eager)
 
 
 def flat_wrap_arguments(count):
@@ -258,7 +210,7 @@ def flat_wrap_arguments(count):
     ]
 
 
-def payload_census(members, departures, deferred):
+def payload_census(members, departures):
     """``(wraps, tracked objects left)`` by one flat-kernel payload taken
     from rekey through encode and decode to its index.
 
@@ -280,8 +232,7 @@ def payload_census(members, departures, deferred):
         _subkeys.cache_clear()
         gc.collect()
         before = len(gc.get_objects())
-        with deferred_wraps(enabled=deferred):
-            message = rekeyer.rekey_batch(departures=leavers)
+        message = rekeyer.rekey_batch(departures=leavers)
         wire = encode_rekey_message(message)
         decoded = decode_rekey_message(wire)
         index = decoded.index()
@@ -296,15 +247,14 @@ def payload_census(members, departures, deferred):
     return message.cost, grown
 
 
-@pytest.mark.parametrize("deferred", [False, True], ids=["eager", "deferred"])
-def test_payload_path_tracks_no_object_per_wrap(deferred):
+def test_payload_path_tracks_no_object_per_wrap():
     """A payload is a fixed handful of containers (columns, the index's
     two maps) whatever its size: rekey -> encode -> decode -> index()
     leaves as many tracked objects behind for ~4.4k wraps as for ~1.1k.
     One object per wrap on either side of the wire, or a bucket per
     wrapping key, would add thousands."""
-    small_wraps, small = payload_census(2048, 200, deferred)
-    large_wraps, large = payload_census(8192, 800, deferred)
+    small_wraps, small = payload_census(2048, 200)
+    large_wraps, large = payload_census(8192, 800)
     assert 1000 <= small_wraps and 4 * small_wraps - 500 <= large_wraps
     assert abs(large - small) <= 8
     assert large < 64
@@ -312,57 +262,61 @@ def test_payload_path_tracks_no_object_per_wrap(deferred):
 
 def test_row_views_match_their_wrap_key_twins():
     batch = WrapBatch()
-    with deferred_wraps():
-        for six in flat_wrap_arguments(1000):
-            batch.add(*six)
-    thawed_batch = pickle.loads(pickle.dumps(batch))
-    assert not any(thawed_batch.is_sealed(row) for row in range(len(batch)))
+    for six in flat_wrap_arguments(1000):
+        batch.add(*six)
+    keygen = KeyGenerator(5)
+    other = wrap_key(keygen.generate("x"), keygen.generate("y"))
     for row, six in enumerate(flat_wrap_arguments(1000)):
         wrapping = KeyMaterial(six[0], six[1], six[4])
         eager = wrap_key(wrapping, KeyMaterial(six[2], six[3], six[5]))
-        view = batch[row]
-        thawed = pickle.loads(pickle.dumps(view))
-        assert not view.materialized and not thawed.materialized
-        assert view == eager and eager == view
-        assert hash(view) == hash(eager)
-        assert thawed == eager and hash(thawed) == hash(eager)
-        assert (view.wrapping_handle, view.payload_handle) == (
-            eager.wrapping_handle,
-            eager.payload_handle,
-        )
-        assert repr(view).replace("LazyEncryptedKey", "EncryptedKey") == repr(eager)
-        assert thawed_batch[row] == eager
-        # Reading a view's ciphertext seals the view, not the row.
+        # A view seals its row and is an EncryptedKey like its twin.
         assert not batch.is_sealed(row)
-        sealed = batch.ciphertext(row)
-        assert batch.is_sealed(row) and sealed == eager.ciphertext
-        assert batch[row] == eager and type(batch[row]) is EncryptedKey
-        assert pickle.loads(pickle.dumps(batch[row])) == eager
-    assert batch == thawed_batch and thawed_batch == list(batch)
+        view = batch[row]
+        assert batch.is_sealed(row) and type(view) is EncryptedKey
+        assert view == eager and eager == view and view != other
+        assert hash(view) == hash(eager) and view in {eager}
+        assert repr(view) == repr(eager)
+        assert batch.ciphertext(row) is view.ciphertext
+        assert pickle.loads(pickle.dumps(view)) == eager
+    assert batch == list(batch) and batch != batch[1:]
+
+    # Pickled before anything read it: sealed first, in place, and the
+    # blob carries ciphertext only.
+    fresh = WrapBatch()
+    for six in flat_wrap_arguments(1000):
+        fresh.add(*six)
+    blob = pickle.dumps(fresh)
+    thawed = pickle.loads(blob)
+    assert all(thawed.is_sealed(row) and fresh.is_sealed(row) for row in range(1000))
+    assert not any(six[4] in blob or six[5] in blob for six in flat_wrap_arguments(1000))
+    assert thawed == fresh == batch and thawed == list(batch)
 
 
 def test_a_deferred_row_seals_only_when_its_ciphertext_is_read():
     keygen = KeyGenerator(4)
     kek = keygen.generate("kek")
-    with deferred_wraps():
-        batch = WrapBatch()
-        for six in flat_wrap_arguments(40):
-            batch.add(*six)
-        lazy = wrap_key(kek, keygen.generate("dek"))
-    batch.append(lazy)  # a deferred record stays deferred
-    assert not lazy.materialized
+    batch = WrapBatch()
+    for six in flat_wrap_arguments(40):
+        batch.add(*six)
+    batch.append(wrap_key(kek, keygen.generate("dek")))  # a record comes sealed
     index = WrapIndex(batch)
     holder = {"kek": kek.version}
     assert index.closure(holder)
-    assert [len(batch), batch[-1].payload_handle] == [41, ("dek", 0)]
+    head = batch[:2]  # columns sliced: the rows stay unsealed
+    assert head.payload_ids == ["k0", "k1"] and not head.is_sealed(0)
+    assert [len(batch), batch.payload_ids[-1]] == [41, "dek"]
     assert batch.payload_ids[:2] == ["k0", "k1"] and batch.wrapping_versions[-1] == 0
-    assert not any(batch.is_sealed(row) for row in range(41))
+    assert [row for row in range(41) if batch.is_sealed(row)] == [40]
     first = batch.ciphertext(3)
-    assert [row for row in range(41) if batch.is_sealed(row)] == [3]
+    assert [row for row in range(41) if batch.is_sealed(row)] == [3, 40]
     assert batch.ciphertext(3) is first
+    # An unsealed row unwraps, sealing it on the way.
+    six = flat_wrap_arguments(40)[7]
+    opened = batch.unwrap(7, KeyMaterial(six[0], six[1], six[4]))
+    assert opened == KeyMaterial(six[2], six[3], six[5]) and batch.is_sealed(7)
     blob = encode_rekey_message(RekeyMessage(group="g", epoch=1, encrypted_keys=batch))
     assert all(batch.is_sealed(row) for row in range(41))
-    assert not lazy.materialized
+    assert not head.is_sealed(0) and head == batch[:2]
     assert decode_rekey_message(blob).encrypted_keys == batch
 
 

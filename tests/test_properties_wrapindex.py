@@ -17,7 +17,6 @@ from repro.crypto.wrap import (
     RekeyMessage,
     WrapBatch,
     WrapIndex,
-    deferred_wraps,
 )
 from repro.members.member import Member
 from repro.obs import metrics as obs_metrics
@@ -154,24 +153,23 @@ def test_10k_member_delivery_stays_within_depth_budget():
     churn = 64
     degree = 4
     server = OneTreeServer(degree=degree, group="budget")
-    with deferred_wraps():
-        member_ids = [f"m{i}" for i in range(members)]
-        for member_id in member_ids:
-            server.join(member_id)
-        server.rekey()
+    member_ids = [f"m{i}" for i in range(members)]
+    for member_id in member_ids:
+        server.join(member_id)
+    server.rekey()
 
-        held = {
-            member_id: {
-                node.key.key_id: node.key.version
-                for node in server.tree.path_of(member_id)
-            }
-            for member_id in member_ids[: 2 * churn]
+    held = {
+        member_id: {
+            node.key.key_id: node.key.version
+            for node in server.tree.path_of(member_id)
         }
-        for member_id in member_ids[:churn]:
-            server.leave(member_id)
-        for i in range(churn):
-            server.join(f"j{i}")
-        result = server.rekey()
+        for member_id in member_ids[: 2 * churn]
+    }
+    for member_id in member_ids[:churn]:
+        server.leave(member_id)
+    for i in range(churn):
+        server.join(f"j{i}")
+    result = server.rekey()
 
     depth = max(len(h) for h in held.values())
     # The budget's premise: a batch is much bigger than one path, so a

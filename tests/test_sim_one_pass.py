@@ -5,9 +5,8 @@ transport, and hands the rows each one learned to the transport as its
 interest.  These tests hold that pass to the references it replaced:
 
 * the interest equals ``WrapIndex.closure(member.held_versions())`` taken
-  before the pass, for every scheme of the conformance battery in both
-  wrap modes, over all three transports, under crash-restore and
-  abandonment;
+  before the pass, for every scheme of the conformance battery, over all
+  three transports, under crash-restore and abandonment;
 * a receiver the transport abandons ends the epoch holding exactly the
   key objects it held before, OUT_OF_SYNC, with the counters reading as
   if its absorb never ran, and recovers over unicast as before;
@@ -74,7 +73,7 @@ def _schedule(name):
     return FaultSchedule.of(faults, name=name)
 
 
-def _simulation(server, transport, schedule, deferred=False):
+def _simulation(server, transport, schedule):
     config = SimulationConfig(
         arrival_rate=0.1,
         rekey_period=60.0,
@@ -83,7 +82,6 @@ def _simulation(server, transport, schedule, deferred=False):
         transport=transport,
         verify=True,
         seed=11,
-        deferred_wrap=deferred,
         fault_schedule=_schedule(schedule),
         recovery_delay=30.0,
     )
@@ -189,12 +187,11 @@ class PassSpy:
 
 @pytest.mark.parametrize("schedule", ["crash-restore", "abandoning"])
 @pytest.mark.parametrize("transport", sorted(TRANSPORTS))
-@pytest.mark.parametrize("deferred", [False, True], ids=["eager", "deferred"])
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
 def test_interest_is_the_closure_before_the_pass(
-    monkeypatch, spec, deferred, transport, schedule
+    monkeypatch, spec, transport, schedule
 ):
-    sim = _simulation(spec.factory(), TRANSPORTS[transport](), schedule, deferred)
+    sim = _simulation(spec.factory(), TRANSPORTS[transport](), schedule)
     spy = PassSpy(monkeypatch, sim)
     metrics = sim.run()
     assert spy.epochs == len(metrics.records) > 0
