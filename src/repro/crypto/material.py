@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 KEY_SIZE = 32
 """Secret length in bytes (SHA-256 output size)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class KeyMaterial:
     """An identified, versioned symmetric key.
 
@@ -30,11 +30,18 @@ class KeyMaterial:
         Monotonically increasing rekey generation for this ``key_id``.
     secret:
         ``KEY_SIZE`` bytes of key material.
+
+    A key is a slotted record with no per-instance ``__dict__``, since a
+    server holds one per admitted member.  Its repr never shows the
+    secret, and it pickles and copies only through the validating
+    constructor (:meth:`__reduce__`).
     """
+
+    __slots__ = ("key_id", "version", "secret")
 
     key_id: str
     version: int
-    secret: bytes = field(repr=False)
+    secret: bytes
 
     def __post_init__(self) -> None:
         if not isinstance(self.secret, (bytes, bytearray)):
@@ -45,6 +52,16 @@ class KeyMaterial:
             )
         if self.version < 0:
             raise ValueError("version must be non-negative")
+        if type(self.secret) is not bytes:
+            # An immutable copy: a caller's buffer can neither change the
+            # key afterwards nor make it unhashable.
+            object.__setattr__(self, "secret", bytes(self.secret))
+
+    def __repr__(self) -> str:
+        return f"KeyMaterial(key_id={self.key_id!r}, version={self.version!r})"
+
+    def __reduce__(self) -> tuple:
+        return (KeyMaterial, (self.key_id, self.version, self.secret))
 
     @classmethod
     def _trusted(cls, key_id: str, version: int, secret: bytes) -> "KeyMaterial":
@@ -53,15 +70,17 @@ class KeyMaterial:
         :class:`KeyGenerator` output always satisfies the ``__post_init__``
         checks (fresh SHA-256 digests at non-negative versions), and key
         construction sits on the batch-rekeying hot path — one marked node,
-        one new ``KeyMaterial``.  Bypassing the frozen-dataclass ``__init__``
-        roughly halves construction cost.  Anything carrying external bytes
-        must be validated first: deserialization uses the validating
-        constructor, and :func:`repro.crypto.wrap.unwrap_key` (once per key
-        learned by every receiver) makes the same checks itself before
-        calling this.
+        one new ``KeyMaterial``.  Setting the three slots directly skips
+        the frozen-dataclass ``__init__``.  Anything carrying external
+        bytes must be validated first: deserialization (pickle included)
+        uses the validating constructor, and
+        :func:`repro.crypto.wrap.unwrap_key` (once per key learned by
+        every receiver) makes the same checks itself before calling this.
         """
         material = object.__new__(cls)
-        material.__dict__.update(key_id=key_id, version=version, secret=secret)
+        _set_key_id(material, key_id)
+        _set_version(material, version)
+        _set_secret(material, secret)
         return material
 
     @property
@@ -103,6 +122,13 @@ class KeyMaterial:
         """
         secret = hmac.new(self.secret, b"repro-advance", hashlib.sha256).digest()
         return KeyMaterial(key_id=self.key_id, version=self.version + 1, secret=secret)
+
+
+# The slots' own setters: the frozen ``__setattr__`` refuses writes, and
+# calling the descriptors skips the attribute lookup on every new key.
+_set_key_id = KeyMaterial.key_id.__set__  # type: ignore[attr-defined]
+_set_version = KeyMaterial.version.__set__  # type: ignore[attr-defined]
+_set_secret = KeyMaterial.secret.__set__  # type: ignore[attr-defined]
 
 
 class KeyGenerator:

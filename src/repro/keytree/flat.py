@@ -539,6 +539,7 @@ class FlatKeyTree:
                     f"flat kernel requires individual key id {leaf_id!r}, "
                     f"got {key.key_id!r}"
                 )
+            leaf_id = key.key_id  # shared with the key, as in the batch path
             version = key.version
             secret = key.secret
         idx = self._alloc(leaf_id, version, secret, member_id)
@@ -1110,6 +1111,9 @@ class FlatRekeyer:
                             f"flat kernel requires individual key id "
                             f"{leaf_id!r}, got {key.key_id!r}"
                         )
+                    # The key's own id string, not an equal copy: the
+                    # registration already holds it for the member's life.
+                    leaf_id = key.key_id
                     version = key.version
                     secret = key.secret
                 if free:

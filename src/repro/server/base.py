@@ -21,11 +21,20 @@ from repro.obs import tracing as obs_tracing
 
 @dataclass(frozen=True)
 class Registration:
-    """What a joiner receives over the out-of-band registration channel."""
+    """What a joiner receives over the out-of-band registration channel.
+
+    Slotted like :class:`KeyMaterial`: the server keeps one per admitted
+    member.  It pickles and copies through its constructor.
+    """
+
+    __slots__ = ("member_id", "individual_key", "join_time")
 
     member_id: str
     individual_key: KeyMaterial
     join_time: float
+
+    def __reduce__(self) -> tuple:
+        return (Registration, (self.member_id, self.individual_key, self.join_time))
 
 
 @dataclass
@@ -56,8 +65,17 @@ class BatchResult:
 
     def extend(self, label: str, keys: Sequence[EncryptedKey]) -> None:
         """Append a component's keys (a batch column by column) and record
-        its share in the breakdown."""
-        self.encrypted_keys.extend(keys)
+        its share in the breakdown.
+
+        The first batch into an empty payload is adopted, not copied: the
+        payload *is* that batch from then on, and later components append
+        to it.  Callers hand over a batch nothing else keeps (a
+        partition's fresh rekey message, a local DEK batch).
+        """
+        if isinstance(keys, WrapBatch) and not self.encrypted_keys:
+            self.encrypted_keys = keys
+        else:
+            self.encrypted_keys.extend(keys)
         self.breakdown[label] = self.breakdown.get(label, 0) + len(keys)
 
     def index(self) -> WrapIndex:

@@ -5,14 +5,16 @@ epoch promotes into it (``docs/performance.md``, "Memory and the
 collector").  These tests pin the mechanisms that keep both down:
 attachment heaps that shed dead entries and slot arrays that are given
 back after a mass departure, receiver RNG streams built at the first
-draw, events that carry their arguments, and a payload that is columns
-from the rekeyer to the index — no tracked object per wrap at all.
+draw, events that carry their arguments, a payload that is columns
+from the rekeyer to the index — no tracked object per wrap at all — and
+per-member records without a ``__dict__`` that share their id strings.
 """
 
 import gc
 import pickle
 import random
 import sys
+import tracemalloc
 import types
 from contextlib import contextmanager
 
@@ -33,6 +35,7 @@ from repro.keytree.flat import SLOT_COMPACT_FLOOR, FlatKeyTree, FlatRekeyer
 from repro.members.durations import TwoClassDuration
 from repro.network.channel import MulticastChannel
 from repro.network.loss import BernoulliLoss
+from repro.server.onetree import OneTreeServer
 from repro.server.twopartition import TwoPartitionServer
 from repro.sim.engine import EventLoop
 from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
@@ -360,3 +363,111 @@ def test_member_events_share_one_bound_method():
     assert len({id(event[2]) for event in departures}) == 1
     # ... and one loss process per loss rate, not per member.
     assert len({id(sim.channel.loss_of(rid)) for rid in sim.members}) == 1
+
+
+# ----------------------------------------------------------------------
+# (e) one compact record per member, and the payload is not copied
+# ----------------------------------------------------------------------
+
+
+def admit(server, count, now=0.0, first=0):
+    registrations = [server.join(f"m{i}", at_time=now) for i in range(first, first + count)]
+    return registrations, server.rekey(now=now)
+
+
+def test_bytes_per_member_after_the_first_rekey():
+    """A one-keytree server at N = 8,192, traced from empty through its
+    first rekey.  Measured (bytes per admitted member, payload alive /
+    traced peak): 1,003 / 1,168 on CPython 3.11, 1,041 / 1,211 on 3.9 and
+    984 / 1,149 on 3.12.  The budget is the highest reading plus ~7%.
+    Dict-backed keys and registrations, a second copy of each leaf id and
+    a copy of the payload's columns read 1,239-1,287 / 1,411-1,464."""
+    size = 8192
+    admit(OneTreeServer(degree=4, keygen=KeyGenerator(0)), 64)  # warm caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        server = OneTreeServer(degree=4, keygen=KeyGenerator(1))
+        __, result = admit(server, size)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert server.size == size and result.cost > size
+    assert (held - before) / size <= 1110
+    assert (peak - before) / size <= 1295
+
+
+def test_leaf_id_is_the_individual_keys_own_string():
+    server = OneTreeServer(degree=4, keygen=KeyGenerator(2))
+    registrations, __ = admit(server, 300)
+    for member_id in [f"m{i}" for i in range(0, 300, 3)]:
+        server.leave(member_id, at_time=60.0)
+    more, __ = admit(server, 150, now=60.0, first=300)  # freed slots reused
+    tree = server.partitions[0].tree
+    kept = [r for r in registrations + more if r.member_id in server]
+    assert len(kept) == 350
+    for registration in kept:
+        leaf = tree._member_leaf[registration.member_id]
+        assert tree._ids[leaf] is registration.individual_key.key_id
+
+
+@contextmanager
+def captured_messages(server):
+    """Record each partition's rekey message, and a column copy of its
+    payload as the partition returned it."""
+    captured = []
+    for partition in server.partitions:
+
+        def apply(*args, _apply=partition.apply, _label=partition.label):
+            message = _apply(*args)
+            if message is not None:
+                captured.append((_label, message, message.encrypted_keys[:]))
+            return message
+
+        partition.apply = apply
+    try:
+        yield captured
+    finally:
+        for partition in server.partitions:
+            del partition.apply
+
+
+def test_one_partition_payload_is_the_partitions_batch():
+    server = OneTreeServer(degree=4, keygen=KeyGenerator(3))
+    with captured_messages(server) as captured:
+        __, result = admit(server, 500)
+    [(label, message, rows)] = captured
+    assert result.encrypted_keys is message.encrypted_keys
+    assert result.breakdown == {label: len(rows)} and result.encrypted_keys == rows
+
+
+def test_two_partition_payload_keeps_the_row_order_and_breakdown():
+    server = TwoPartitionServer(mode="tt", s_period=120.0, degree=4, keygen=KeyGenerator(4))
+    rng = random.Random(4)
+    joined = 0
+    both = 0
+    for epoch in range(8):
+        now = 60.0 * epoch
+        if epoch:
+            for member_id in rng.sample(sorted(server.members()), 15):
+                server.leave(member_id, at_time=now)
+        with captured_messages(server) as captured:
+            __, result = admit(server, 200 if epoch == 0 else 25, now=now, first=joined)
+        joined += 200 if epoch == 0 else 25
+        labels = [label for label, __, __ in captured]
+        both += labels == ["s-partition", "l-partition"]
+        expected = WrapBatch()
+        breakdown = {}
+        for label, __, rows in captured:
+            expected.extend(rows)
+            breakdown[label] = len(rows)
+        stitch = result.encrypted_keys[len(expected):]
+        expected.extend(stitch)
+        breakdown["group-key"] = len(stitch)
+        assert len(stitch) > 0
+        assert result.breakdown == breakdown
+        assert result.encrypted_keys == expected
+        # The payload is the first partition's batch, grown in place.
+        assert result.encrypted_keys is captured[0][1].encrypted_keys
+    assert both >= 4
