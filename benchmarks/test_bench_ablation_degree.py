@@ -5,12 +5,7 @@ two-partition gains across degrees — the gain is a property of the
 partitioning, not of one particular fan-out.
 """
 
-from repro.analysis.twopartition import (
-    TwoPartitionParameters,
-    one_tree_cost,
-    qt_cost,
-    tt_cost,
-)
+from repro.analysis import TwoPartitionParameters, scheme_costs
 from repro.experiments.report import Series
 
 from bench_utils import emit
@@ -26,11 +21,11 @@ def degree_series() -> Series:
     )
     base_costs, tt_gain, qt_gain = [], [], []
     for degree in DEGREES:
-        params = TwoPartitionParameters(degree=degree)
-        base = one_tree_cost(params)
+        costs = scheme_costs(TwoPartitionParameters(degree=degree))
+        base = costs["one-keytree"]
         base_costs.append(base)
-        tt_gain.append((base - tt_cost(params)) / base * 100)
-        qt_gain.append((base - qt_cost(params)) / base * 100)
+        tt_gain.append((base - costs["TT-scheme"]) / base * 100)
+        qt_gain.append((base - costs["QT-scheme"]) / base * 100)
     series.add_column("one-keytree-cost", base_costs)
     series.add_column("TT-gain-%", tt_gain)
     series.add_column("QT-gain-%", qt_gain)

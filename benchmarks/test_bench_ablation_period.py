@@ -5,11 +5,7 @@ partitioning gain survives across practical Tp choices (holding the
 S-period Ts = K * Tp fixed at the Table 1 value of 600 s).
 """
 
-from repro.analysis.twopartition import (
-    TwoPartitionParameters,
-    one_tree_cost,
-    tt_cost,
-)
+from repro.analysis import TwoPartitionParameters, scheme_costs
 from repro.experiments.report import Series
 
 from bench_utils import emit
@@ -29,8 +25,9 @@ def period_series() -> Series:
         params = TwoPartitionParameters(
             rekey_period=period, k_periods=int(S_PERIOD / period)
         )
-        b = one_tree_cost(params)
-        t = tt_cost(params)
+        costs = scheme_costs(params)
+        b = costs["one-keytree"]
+        t = costs["TT-scheme"]
         base.append(b)
         tt.append(t)
         gain.append((b - t) / b * 100)

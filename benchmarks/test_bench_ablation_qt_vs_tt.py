@@ -5,12 +5,7 @@ small number of members" and the TT-scheme when it is large.  Sweeping K
 moves the steady-state S-partition occupancy, exposing the crossover.
 """
 
-from repro.analysis.twopartition import (
-    TwoPartitionParameters,
-    qt_cost,
-    steady_state,
-    tt_cost,
-)
+from repro.analysis import TwoPartitionParameters, scheme_costs, steady_state
 from repro.experiments.report import Series
 
 from bench_utils import emit
@@ -26,9 +21,10 @@ def crossover_series() -> Series:
     ns, qt, tt = [], [], []
     for k in k_values:
         params = TwoPartitionParameters(k_periods=k)
+        costs = scheme_costs(params)
         ns.append(steady_state(params).n_short)
-        qt.append(qt_cost(params))
-        tt.append(tt_cost(params))
+        qt.append(costs["QT-scheme"])
+        tt.append(costs["TT-scheme"])
     series.add_column("Ns", ns)
     series.add_column("QT-cost", qt)
     series.add_column("TT-cost", tt)

@@ -5,11 +5,7 @@ does finer partitioning keep paying?  Two trees already capture most of
 the gain; four capture a bit more.
 """
 
-from repro.analysis.losshomog import (
-    TreeSpec,
-    multi_tree_cost,
-    one_keytree_cost,
-)
+from repro.analysis import WKA_BKR, one_tree, proportional_trees, scheme_cost
 from repro.experiments.report import Series
 
 from bench_utils import emit
@@ -19,23 +15,23 @@ N, L, D = 65_536, 256, 4
 POPULATION = ((0.30, 0.05), (0.20, 0.15), (0.05, 0.30), (0.01, 0.50))
 
 
-def grouped_specs(groups):
+def grouped_cost(groups):
     """Partition the 4 classes into ``groups`` trees (contiguous by rate);
     each tree's mixture reflects the classes pooled into it."""
-    specs = []
+    trees = []
     for group in groups:
         fraction = sum(POPULATION[i][1] for i in group)
         mixture = tuple(
             (POPULATION[i][0], POPULATION[i][1] / fraction) for i in group
         )
-        specs.append(TreeSpec(size=N * fraction, mixture=mixture))
-    return specs
+        trees.append((N * fraction, mixture))
+    return scheme_cost(proportional_trees(trees, L), WKA_BKR, D)
 
 
 def tree_count_series() -> Series:
-    one = one_keytree_cost(N, L, POPULATION, D)
-    two = multi_tree_cost(grouped_specs([(0, 1), (2, 3)]), L, D)
-    four = multi_tree_cost(grouped_specs([(0,), (1,), (2,), (3,)]), L, D)
+    one = scheme_cost(one_tree(N, L, POPULATION), WKA_BKR, D)
+    two = grouped_cost([(0, 1), (2, 3)])
+    four = grouped_cost([(0,), (1,), (2,), (3,)])
     series = Series(
         title="Ablation — number of loss-homogenized trees (4-point population)",
         x_label="trees",

@@ -22,12 +22,12 @@ def test_fec_gain_sweep(benchmark):
     assert 15.0 < gains[0.1] < 45.0
     # FEC is *more* sensitive to the high-loss minority than WKA-BKR
     # (Section 4.4's observation).
-    from repro.analysis.losshomog import loss_homogenized_cost, one_keytree_cost
+    from repro.analysis import WKA_BKR, loss_homogenized_trees, one_tree, scheme_cost
 
     mixture = ((0.20, 0.1), (0.02, 0.9))
     wka_gain = 100 * (
         1
-        - loss_homogenized_cost(65_536, 256, mixture, 4)
-        / one_keytree_cost(65_536, 256, mixture, 4)
+        - scheme_cost(loss_homogenized_trees(65_536, 256, mixture), WKA_BKR, 4)
+        / scheme_cost(one_tree(65_536, 256, mixture), WKA_BKR, 4)
     )
     assert gains[0.1] > wka_gain

@@ -15,7 +15,7 @@ test suite's smoke runner uses this.
 import os
 
 from repro import OneTreeServer, TwoPartitionServer
-from repro.analysis.twopartition import TwoPartitionParameters, scheme_costs
+from repro.analysis import TwoPartitionParameters, scheme_costs
 from repro.members import TwoClassDuration
 from repro.sim import GroupRekeyingSimulation, SimulationConfig
 

@@ -26,7 +26,7 @@ Quickstart::
 See README.md for a guided tour and DESIGN.md for the system inventory.
 """
 
-from repro.analysis.twopartition import TwoPartitionParameters, scheme_costs
+from repro.analysis import TwoPartitionParameters, scheme_costs
 from repro.crypto import KeyGenerator, KeyMaterial, RekeyMessage
 from repro.keytree import OneWayFunctionTree
 from repro.members import Member, TwoClassDuration

@@ -41,7 +41,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from repro.analysis.batchcost import expected_batch_cost
-from repro.analysis.losshomog import TreeSpec
 from repro.analysis.wka import LossMixture, _mixture_key, _validate_mixture
 
 
@@ -160,78 +159,30 @@ expected_block_cost.__wrapped__ = _expected_block_cost_impl
 
 
 def fec_tree_cost(
-    tree: TreeSpec,
+    size: float,
     departures: float,
+    mixture: LossMixture,
     degree: int = 4,
     params: FecParameters = FecParameters(),
 ) -> float:
     """Expected keys transmitted to rekey one tree over proactive FEC."""
-    if tree.size <= 1 or departures <= 0:
+    if size <= 1 or departures <= 0:
         return 0.0
-    payload_keys = expected_batch_cost(tree.size, departures, degree)
+    payload_keys = expected_batch_cost(size, departures, degree)
     payload_packets = payload_keys / params.keys_per_packet
     if payload_packets <= 0:
         return 0.0
     full_blocks = int(payload_packets // params.block_size)
     tail_packets = payload_packets - full_blocks * params.block_size
     cost_packets = full_blocks * expected_block_cost(
-        params.block_size, tree.size, tree.mixture, params
+        params.block_size, size, mixture, params
     )
     if tail_packets > 1e-9:
         tail_block = max(1, int(round(tail_packets)))
         # Pro-rate the tail block so the cost varies smoothly with payload.
         cost_packets += (
-            expected_block_cost(tail_block, tree.size, tree.mixture, params)
+            expected_block_cost(tail_block, size, mixture, params)
             * tail_packets
             / tail_block
         )
     return cost_packets * params.keys_per_packet
-
-
-def fec_one_keytree_cost(
-    group_size: float,
-    departures: float,
-    mixture: LossMixture,
-    degree: int = 4,
-    params: FecParameters = FecParameters(),
-) -> float:
-    """FEC transport cost for the single mixed-population tree."""
-    return fec_tree_cost(
-        TreeSpec(size=group_size, mixture=tuple(mixture)), departures, degree, params
-    )
-
-
-def fec_multi_tree_cost(
-    trees: Sequence[TreeSpec],
-    total_departures: float,
-    degree: int = 4,
-    params: FecParameters = FecParameters(),
-) -> float:
-    """FEC transport cost for a composed multi-tree server.
-
-    Departures split proportionally to tree size, as in Section 4.3.
-    """
-    populated = [t for t in trees if t.size > 0.5]
-    total_size = sum(t.size for t in populated)
-    if not populated or total_size <= 0:
-        return 0.0
-    return sum(
-        fec_tree_cost(t, total_departures * t.size / total_size, degree, params)
-        for t in populated
-    )
-
-
-def fec_loss_homogenized_cost(
-    group_size: float,
-    departures: float,
-    mixture: LossMixture,
-    degree: int = 4,
-    params: FecParameters = FecParameters(),
-) -> float:
-    """One homogeneous tree per loss class, over proactive FEC."""
-    trees = [
-        TreeSpec.homogeneous(group_size * fraction, rate)
-        for rate, fraction in mixture
-        if fraction > 0
-    ]
-    return fec_multi_tree_cost(trees, departures, degree, params)

@@ -1,4 +1,4 @@
-"""Section 3.3: the two-partition steady-state model and scheme costs.
+"""Section 3.3: the two-partition steady-state model.
 
 The group is a two-class open queueing system (Fig. 2 of the paper):
 joins arrive at rate ``J`` per rekey period ``Tp``, a fraction ``alpha``
@@ -6,25 +6,17 @@ from class Cs (exponential durations, mean ``Ms``) and the rest from class
 Cl (mean ``Ml``).  Every joiner enters the S-partition; survivors of the
 S-period ``Ts = K * Tp`` migrate to the L-partition in the periodic batch.
 
-Steady-state balance (eqs. 1–7) yields the per-period flows, and the
-per-period rekeying costs follow (eqs. 8–10)::
-
-    C_one = Ne(N,  J)                      # the un-optimized baseline
-    C_qt  = Ns + Ne(Nl, Ll)                # queue + tree
-    C_tt  = Ne(Ns, J) + Ne(Nl, Ll)         # tree + tree
-    C_pt  = Ne(Ncs, Lcs) + Ne(Ncl, Lcl)    # oracle placement, no migration
-
-At ``K = 0`` the S-partition is empty and every scheme degenerates to the
-one-keytree scheme, which the cost functions honor exactly.
+Steady-state balance (eqs. 1–7) yields the per-period flows.  The
+per-period rekeying costs (eqs. 8–10) are partitions of this steady state,
+priced by :func:`repro.analysis.schemes.scheme_costs`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict
+from numbers import Integral
 
-from repro.analysis.batchcost import expected_batch_cost
 from repro.members.durations import exponential_departure_probability
 
 
@@ -41,6 +33,10 @@ class TwoPartitionParameters:
     alpha: float = 0.8
 
     def __post_init__(self) -> None:
+        for name in ("degree", "k_periods"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.group_size <= 0:
             raise ValueError("group size must be positive")
         if self.degree < 2:
@@ -130,67 +126,3 @@ def steady_state(params: TwoPartitionParameters) -> SteadyState:
         l_long=l_long,
         l_migrated=l_migrated,
     )
-
-
-def one_tree_cost(params: TwoPartitionParameters) -> float:
-    """Eq. baseline: ``Ne(N, J)`` — the un-optimized one-keytree scheme."""
-    state = steady_state(params)
-    return expected_batch_cost(params.group_size, state.joins, params.degree)
-
-
-def qt_cost(params: TwoPartitionParameters) -> float:
-    """Eq. (8): queue S-partition + tree L-partition.
-
-    ``Neq = Ns``: on the batch the fresh group key is encrypted once per
-    queue resident.
-    """
-    if params.k_periods == 0:
-        return one_tree_cost(params)
-    state = steady_state(params)
-    return state.n_short + expected_batch_cost(
-        state.n_long, state.l_long, params.degree
-    )
-
-
-def tt_cost(params: TwoPartitionParameters) -> float:
-    """Eq. (9): tree S-partition + tree L-partition.
-
-    The S-tree processes all ``J`` removals per period (true departures
-    plus migrations) against its ``Ns`` residents.
-    """
-    if params.k_periods == 0:
-        return one_tree_cost(params)
-    state = steady_state(params)
-    return expected_batch_cost(
-        state.n_short, state.joins, params.degree
-    ) + expected_batch_cost(state.n_long, state.l_long, params.degree)
-
-
-def pt_cost(params: TwoPartitionParameters) -> float:
-    """Eq. (10): oracle placement by class — no migration overhead.
-
-    An upper bound on the achievable gain (the [SMS00]-style scheme that
-    assumes departure classes are known at join time).
-    """
-    state = steady_state(params)
-    return expected_batch_cost(
-        state.n_class_short, state.l_class_short, params.degree
-    ) + expected_batch_cost(state.n_class_long, state.l_class_long, params.degree)
-
-
-def scheme_costs(params: TwoPartitionParameters) -> Dict[str, float]:
-    """All four per-period costs, keyed by the paper's scheme names."""
-    return {
-        "one-keytree": one_tree_cost(params),
-        "QT-scheme": qt_cost(params),
-        "TT-scheme": tt_cost(params),
-        "PT-scheme": pt_cost(params),
-    }
-
-
-def reduction_over_one_tree(params: TwoPartitionParameters, scheme_cost: float) -> float:
-    """Fractional bandwidth reduction of a scheme vs the one-keytree baseline."""
-    baseline = one_tree_cost(params)
-    if baseline == 0:
-        return 0.0
-    return (baseline - scheme_cost) / baseline

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-from repro.analysis.fec import (
+from repro.analysis import (
+    Fec,
     FecParameters,
-    fec_loss_homogenized_cost,
-    fec_one_keytree_cost,
+    loss_homogenized_trees,
+    one_tree,
+    scheme_cost,
 )
 from repro.experiments.defaults import (
     SECTION4_DEPARTURES,
@@ -35,11 +37,9 @@ def _fec_gain_point(item: Tuple) -> Tuple[float, float]:
     """(one-tree, homogenized) FEC costs at one alpha; picklable."""
     alpha, group_size, departures, degree, high_loss, low_loss, params = item
     mixture = mixture_for(alpha, high_loss, low_loss)
-    return (
-        fec_one_keytree_cost(group_size, departures, mixture, degree, params),
-        fec_loss_homogenized_cost(
-            group_size, departures, mixture, degree, params
-        ),
+    return tuple(
+        scheme_cost(build(group_size, departures, mixture), Fec(params), degree)
+        for build in (one_tree, loss_homogenized_trees)
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.analysis.twopartition import TwoPartitionParameters, scheme_costs
+from repro.analysis import TwoPartitionParameters, scheme_costs
 from repro.experiments.defaults import TABLE1
 from repro.experiments.fig3 import SCHEMES
 from repro.experiments.parallel import parallel_map

@@ -10,12 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-from repro.analysis.twopartition import (
-    TwoPartitionParameters,
-    one_tree_cost,
-    qt_cost,
-    tt_cost,
-)
+from repro.analysis import TwoPartitionParameters, scheme_costs
 from repro.experiments.defaults import TABLE1
 from repro.experiments.parallel import parallel_map
 from repro.experiments.report import Series
@@ -28,11 +23,11 @@ def _fig5_point(
 ) -> Tuple[float, float]:
     """(QT reduction, TT reduction) at one group size; picklable."""
     base, n = item
-    p = base.with_group_size(float(n))
-    baseline = one_tree_cost(p)
+    costs = scheme_costs(base.with_group_size(float(n)))
+    baseline = costs["one-keytree"]
     return (
-        (baseline - qt_cost(p)) / baseline,
-        (baseline - tt_cost(p)) / baseline,
+        (baseline - costs["QT-scheme"]) / baseline,
+        (baseline - costs["TT-scheme"]) / baseline,
     )
 
 

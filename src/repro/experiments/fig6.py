@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-from repro.analysis.losshomog import (
-    loss_homogenized_cost,
-    one_keytree_cost,
-    random_partition_cost,
+from repro.analysis import (
+    WKA_BKR,
+    loss_homogenized_trees,
+    one_tree,
+    random_trees,
+    scheme_cost,
 )
 from repro.experiments.defaults import (
     SECTION4_DEPARTURES,
@@ -46,12 +48,9 @@ def _fig6_point(item: Tuple) -> Tuple[float, float, float]:
     """(one-tree, two-random, homogenized) WKA costs at one alpha; picklable."""
     alpha, group_size, departures, degree, high_loss, low_loss = item
     mixture = mixture_for(alpha, high_loss, low_loss)
-    return (
-        one_keytree_cost(group_size, departures, mixture, degree),
-        random_partition_cost(
-            group_size, departures, mixture, degree, tree_count=2
-        ),
-        loss_homogenized_cost(group_size, departures, mixture, degree),
+    return tuple(
+        scheme_cost(build(group_size, departures, mixture), WKA_BKR, degree)
+        for build in (one_tree, random_trees, loss_homogenized_trees)
     )
 
 

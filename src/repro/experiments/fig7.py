@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-from repro.analysis.losshomog import multi_tree_cost, one_keytree_cost
-from repro.analysis.misplacement import misplaced_partition_specs
+from repro.analysis import WKA_BKR, misplaced_trees, one_tree, scheme_cost
 from repro.experiments.defaults import (
     SECTION4_DEPARTURES,
     SECTION4_GROUP_SIZE,
@@ -33,10 +32,10 @@ def default_beta_grid() -> list:
 def _fig7_point(item: Tuple) -> float:
     """Mis-partitioned cost at one beta; picklable for process pools."""
     beta, alpha, group_size, departures, degree, high_loss, low_loss = item
-    specs = misplaced_partition_specs(
-        group_size, alpha, high_loss, low_loss, beta
+    partitions = misplaced_trees(
+        group_size, departures, alpha, high_loss, low_loss, beta
     )
-    return multi_tree_cost(specs, departures, degree)
+    return scheme_cost(partitions, WKA_BKR, degree)
 
 
 def fig7_series(
@@ -52,10 +51,10 @@ def fig7_series(
     """Rekeying cost (# keys) vs misplaced fraction ``beta``."""
     betas = list(beta_values) if beta_values is not None else default_beta_grid()
     mixture = mixture_for(alpha, high_loss, low_loss)
-    baseline = one_keytree_cost(group_size, departures, mixture, degree)
-    correctly = multi_tree_cost(
-        misplaced_partition_specs(group_size, alpha, high_loss, low_loss, 0.0),
-        departures,
+    baseline = scheme_cost(one_tree(group_size, departures, mixture), WKA_BKR, degree)
+    correctly = scheme_cost(
+        misplaced_trees(group_size, departures, alpha, high_loss, low_loss, 0.0),
+        WKA_BKR,
         degree,
     )
     series = Series(

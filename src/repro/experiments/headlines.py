@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.analysis.fec import fec_loss_homogenized_cost, fec_one_keytree_cost
-from repro.analysis.losshomog import loss_homogenized_cost, one_keytree_cost
-from repro.analysis.twopartition import (
-    one_tree_cost,
-    pt_cost,
-    qt_cost,
-    tt_cost,
+from repro.analysis import (
+    FEC,
+    WKA_BKR,
+    loss_homogenized_trees,
+    one_tree,
+    scheme_cost,
+    scheme_costs,
 )
 from repro.experiments.defaults import (
     SECTION4_DEPARTURES,
@@ -39,28 +39,35 @@ from repro.experiments.parallel import parallel_map
 
 def _two_partition_gain(alpha: float) -> Tuple[float, float]:
     """(best scheme gain, alpha) at one sweep point; picklable."""
-    p = TABLE1.with_alpha(alpha)
-    baseline = one_tree_cost(p)
-    gain = max(baseline - qt_cost(p), baseline - tt_cost(p)) / baseline
+    costs = scheme_costs(TABLE1.with_alpha(alpha))
+    baseline = costs["one-keytree"]
+    gain = max(baseline - costs["QT-scheme"], baseline - costs["TT-scheme"]) / baseline
     return gain, alpha
 
 
 def _fig5_reductions(n: int) -> Tuple[float, float]:
     """(QT reduction, TT reduction) at one group size; picklable."""
-    p = TABLE1.with_group_size(float(n))
-    b = one_tree_cost(p)
-    return (b - qt_cost(p)) / b, (b - tt_cost(p)) / b
+    costs = scheme_costs(TABLE1.with_group_size(float(n)))
+    b = costs["one-keytree"]
+    return (b - costs["QT-scheme"]) / b, (b - costs["TT-scheme"]) / b
+
+
+def _section4_costs(alpha: float, transport) -> Tuple[float, float]:
+    """(one-tree, loss-homogenized) cost at one high-loss fraction."""
+    mixture = mixture_for(alpha, SECTION4_HIGH_LOSS, SECTION4_LOW_LOSS)
+    return tuple(
+        scheme_cost(
+            build(SECTION4_GROUP_SIZE, SECTION4_DEPARTURES, mixture),
+            transport,
+            TREE_DEGREE,
+        )
+        for build in (one_tree, loss_homogenized_trees)
+    )
 
 
 def _loss_homog_gain(alpha: float) -> Tuple[float, float]:
     """(homogenization gain, alpha) at one sweep point; picklable."""
-    mixture = mixture_for(alpha, SECTION4_HIGH_LOSS, SECTION4_LOW_LOSS)
-    one = one_keytree_cost(
-        SECTION4_GROUP_SIZE, SECTION4_DEPARTURES, mixture, TREE_DEGREE
-    )
-    homog = loss_homogenized_cost(
-        SECTION4_GROUP_SIZE, SECTION4_DEPARTURES, mixture, TREE_DEGREE
-    )
+    one, homog = _section4_costs(alpha, WKA_BKR)
     return ((one - homog) / one if one else 0.0), alpha
 
 
@@ -91,14 +98,15 @@ def headline_numbers(alpha_step: float = 0.05, workers: int = 1) -> Dict[str, fl
     results["two_partition_peak_alpha"] = best_alpha
 
     # TT at the Table 1 defaults, K=10 (paper: ~25%).
-    baseline = one_tree_cost(TABLE1)
+    costs = scheme_costs(TABLE1)
+    baseline = costs["one-keytree"]
     results["tt_reduction_at_defaults_pct"] = (
-        (baseline - tt_cost(TABLE1)) / baseline * 100
+        (baseline - costs["TT-scheme"]) / baseline * 100
     )
 
     # PT at the defaults (paper: up to ~40%).
     results["pt_reduction_at_defaults_pct"] = (
-        (baseline - pt_cost(TABLE1)) / baseline * 100
+        (baseline - costs["PT-scheme"]) / baseline * 100
     )
 
     # Fig. 5 average reduction across group sizes (paper: >22%).
@@ -117,13 +125,7 @@ def headline_numbers(alpha_step: float = 0.05, workers: int = 1) -> Dict[str, fl
     results["loss_homog_peak_alpha"] = best_alpha
 
     # Proactive-FEC gain at alpha=0.1 (paper: 25.7%).
-    mixture = mixture_for(0.1, SECTION4_HIGH_LOSS, SECTION4_LOW_LOSS)
-    one = fec_one_keytree_cost(
-        SECTION4_GROUP_SIZE, SECTION4_DEPARTURES, mixture, TREE_DEGREE
-    )
-    homog = fec_loss_homogenized_cost(
-        SECTION4_GROUP_SIZE, SECTION4_DEPARTURES, mixture, TREE_DEGREE
-    )
+    one, homog = _section4_costs(0.1, FEC)
     results["fec_gain_at_alpha_0.1_pct"] = (one - homog) / one * 100 if one else 0.0
 
     return results

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.analysis.batchcost import expected_batch_cost
-from repro.analysis.twopartition import TwoPartitionParameters, scheme_costs, steady_state
+from repro.analysis import TwoPartitionParameters, scheme_costs, steady_state
 from repro.analysis.wka import wka_rekey_cost
 from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.members.durations import TwoClassDuration

@@ -20,12 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.twopartition import (
-    TwoPartitionParameters,
-    one_tree_cost,
-    qt_cost,
-    tt_cost,
-)
+from repro.analysis import TwoPartitionParameters, scheme_costs
 
 
 @dataclass(frozen=True)
@@ -183,12 +178,13 @@ class AdaptiveController:
             long_mean=estimate.long_mean,
             alpha=estimate.alpha,
         )
-        best: Tuple[float, str, int] = (one_tree_cost(base), "one-keytree", 0)
-        costs: Dict[str, float] = {"one-keytree": best[0]}
+        baseline = scheme_costs(base)["one-keytree"]
+        best: Tuple[float, str, int] = (baseline, "one-keytree", 0)
+        costs: Dict[str, float] = {"one-keytree": baseline}
         for k in self.k_candidates:
-            params = base.with_k(k)
-            for scheme, cost_fn in (("QT-scheme", qt_cost), ("TT-scheme", tt_cost)):
-                cost = cost_fn(params)
+            at_k = scheme_costs(base.with_k(k))
+            for scheme in ("QT-scheme", "TT-scheme"):
+                cost = at_k[scheme]
                 label = f"{scheme}@K={k}"
                 costs[label] = cost
                 if cost < best[0]:

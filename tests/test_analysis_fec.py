@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.analysis.fec import (
-    FecParameters,
-    expected_block_cost,
-    fec_loss_homogenized_cost,
-    fec_multi_tree_cost,
-    fec_one_keytree_cost,
-    fec_tree_cost,
+from repro.analysis import (
+    FEC,
+    WKA_BKR,
+    Partition,
+    loss_homogenized_trees,
+    one_tree,
+    scheme_cost,
 )
-from repro.analysis.losshomog import TreeSpec
+from repro.analysis.fec import FecParameters, expected_block_cost, fec_tree_cost
 
 N, L, D = 65_536, 256, 4
 PH, PL = 0.20, 0.02
@@ -23,6 +23,14 @@ def mixture(alpha):
     if alpha < 1:
         pairs.append((PL, 1 - alpha))
     return tuple(pairs)
+
+
+def one(alpha, transport=FEC):
+    return scheme_cost(one_tree(N, L, mixture(alpha)), transport, D)
+
+
+def homogenized(alpha, transport=FEC):
+    return scheme_cost(loss_homogenized_trees(N, L, mixture(alpha)), transport, D)
 
 
 class TestParameters:
@@ -67,45 +75,39 @@ class TestBlockCost:
 
 class TestTreeCosts:
     def test_trivial_inputs_free(self):
-        assert fec_tree_cost(TreeSpec.homogeneous(0, PL), L) == 0.0
-        assert fec_tree_cost(TreeSpec.homogeneous(N, PL), 0) == 0.0
+        assert fec_tree_cost(0, L, ((PL, 1.0),)) == 0.0
+        assert fec_tree_cost(N, 0, ((PL, 1.0),)) == 0.0
 
     def test_homogenized_beats_one_tree_in_the_middle(self):
         for alpha in (0.05, 0.1, 0.3):
-            one = fec_one_keytree_cost(N, L, mixture(alpha), D)
-            hom = fec_loss_homogenized_cost(N, L, mixture(alpha), D)
-            assert hom < one
+            assert homogenized(alpha) < one(alpha)
 
     def test_endpoints_coincide(self):
         for alpha in (0.0, 1.0):
-            assert fec_loss_homogenized_cost(N, L, mixture(alpha), D) == pytest.approx(
-                fec_one_keytree_cost(N, L, mixture(alpha), D)
-            )
+            assert homogenized(alpha) == pytest.approx(one(alpha))
 
     def test_paper_headline_gain_at_alpha_01(self):
         """Paper: up to 25.7% under proactive FEC at alpha = 0.1.  Our
         block parameters differ from (unreported) [YLZL01] settings, so we
         assert the gain lands in the same band and exceeds the WKA gain."""
-        one = fec_one_keytree_cost(N, L, mixture(0.1), D)
-        hom = fec_loss_homogenized_cost(N, L, mixture(0.1), D)
-        gain = (one - hom) / one
+        gain = (one(0.1) - homogenized(0.1)) / one(0.1)
         assert 0.15 < gain < 0.45
-
-        from repro.analysis.losshomog import (
-            loss_homogenized_cost,
-            one_keytree_cost,
-        )
-
-        wka_gain = 1 - loss_homogenized_cost(N, L, mixture(0.1), D) / one_keytree_cost(
-            N, L, mixture(0.1), D
-        )
+        wka_gain = 1 - homogenized(0.1, WKA_BKR) / one(0.1, WKA_BKR)
         assert gain > wka_gain
 
     def test_multi_tree_splits_departures(self):
-        trees = [TreeSpec.homogeneous(N // 2, PH), TreeSpec.homogeneous(N // 2, PL)]
-        total = fec_multi_tree_cost(trees, L, D)
-        manual = fec_tree_cost(trees[0], L / 2, D) + fec_tree_cost(trees[1], L / 2, D)
-        assert total == pytest.approx(manual)
+        trees = loss_homogenized_trees(N, L, ((PH, 0.5), (PL, 0.5)))
+        manual = fec_tree_cost(N / 2, L / 2, ((PH, 1.0),), D) + fec_tree_cost(
+            N / 2, L / 2, ((PL, 1.0),), D
+        )
+        assert scheme_cost(trees, FEC, D) == pytest.approx(manual)
 
     def test_empty_forest_free(self):
-        assert fec_multi_tree_cost([], L, D) == 0.0
+        assert scheme_cost([], FEC, D) == 0.0
+
+    def test_stitch_is_not_charged(self):
+        """The FEC model prices the DEK stitch at 0 (docs/models.md §5)."""
+        parts = [Partition(N / 2, L / 2, ((PH, 1.0),)), Partition(N / 2, L / 2, ((PL, 1.0),))]
+        assert scheme_cost(parts, FEC, D) == fec_tree_cost(
+            N / 2, L / 2, ((PH, 1.0),), D
+        ) + fec_tree_cost(N / 2, L / 2, ((PL, 1.0),), D)

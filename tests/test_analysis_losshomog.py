@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.analysis.losshomog import (
-    TreeSpec,
-    loss_homogenized_cost,
-    multi_tree_cost,
-    one_keytree_cost,
-    random_partition_cost,
+from repro.analysis import (
+    WKA_BKR,
+    Partition,
+    loss_homogenized_trees,
+    misplaced_trees,
+    one_tree,
+    random_trees,
+    scheme_cost,
 )
-from repro.analysis.misplacement import misplaced_partition_specs
+from repro.analysis.wka import expected_transmissions, wka_rekey_cost
 
 N, L, D = 65_536, 256, 4
 PH, PL = 0.20, 0.02
@@ -24,14 +26,20 @@ def mixture(alpha):
     return tuple(pairs)
 
 
-class TestTreeSpec:
-    def test_rejects_negative_size(self):
-        with pytest.raises(ValueError):
-            TreeSpec(size=-1, mixture=((0.1, 1.0),))
+def wka(partitions):
+    return scheme_cost(partitions, WKA_BKR, D)
 
-    def test_homogeneous_helper(self):
-        spec = TreeSpec.homogeneous(100, 0.2)
-        assert spec.mixture == ((0.2, 1.0),)
+
+def one(alpha):
+    return wka(one_tree(N, L, mixture(alpha)))
+
+
+def homogenized(alpha):
+    return wka(loss_homogenized_trees(N, L, mixture(alpha)))
+
+
+def misplaced(beta, alpha=0.2):
+    return wka(misplaced_trees(N, L, alpha, PH, PL, beta))
 
 
 class TestFig6Shape:
@@ -39,107 +47,89 @@ class TestFig6Shape:
         """At alpha = 0 and 1 the homogenized scheme *is* the one-keytree
         scheme (Section 4.3.1(a))."""
         for alpha in (0.0, 1.0):
-            assert loss_homogenized_cost(N, L, mixture(alpha), D) == pytest.approx(
-                one_keytree_cost(N, L, mixture(alpha), D)
-            )
+            assert homogenized(alpha) == pytest.approx(one(alpha))
 
     def test_homogenized_wins_in_the_middle(self):
         for alpha in (0.1, 0.2, 0.3, 0.5, 0.7):
-            assert loss_homogenized_cost(N, L, mixture(alpha), D) < one_keytree_cost(
-                N, L, mixture(alpha), D
-            )
+            assert homogenized(alpha) < one(alpha)
 
     def test_random_partition_slightly_worse(self):
         """Splitting without homogenizing does not help (Fig. 6)."""
         for alpha in (0.2, 0.5):
-            one = one_keytree_cost(N, L, mixture(alpha), D)
-            rnd = random_partition_cost(N, L, mixture(alpha), D, tree_count=2)
-            assert rnd > one
-            assert rnd < one * 1.05  # only slightly
+            rnd = wka(random_trees(N, L, mixture(alpha), tree_count=2))
+            assert rnd > one(alpha)
+            assert rnd < one(alpha) * 1.05  # only slightly
 
     def test_paper_headline_12_percent(self):
         """Peak gain ~12.1% around alpha = 0.3."""
-        gains = {}
-        for alpha in (0.1, 0.2, 0.3, 0.4, 0.5):
-            one = one_keytree_cost(N, L, mixture(alpha), D)
-            hom = loss_homogenized_cost(N, L, mixture(alpha), D)
-            gains[alpha] = (one - hom) / one
+        gains = {alpha: (one(alpha) - homogenized(alpha)) / one(alpha)
+                 for alpha in (0.1, 0.2, 0.3, 0.4, 0.5)}
         peak = max(gains.values())
         assert peak == pytest.approx(0.121, abs=0.03)
         assert max(gains, key=gains.get) in (0.2, 0.3)
 
     def test_random_partition_validation(self):
         with pytest.raises(ValueError):
-            random_partition_cost(N, L, mixture(0.2), D, tree_count=0)
+            random_trees(N, L, mixture(0.2), tree_count=0)
 
 
 class TestMultiTreeCost:
     def test_empty_trees_cost_nothing(self):
-        assert multi_tree_cost([], L, D) == 0.0
-        assert multi_tree_cost([TreeSpec(0, ((0.1, 1.0),))], L, D) == 0.0
+        assert wka([]) == 0.0
+        assert wka(loss_homogenized_trees(0, L, ((0.1, 1.0),))) == 0.0
 
     def test_single_tree_has_no_joint_root_overhead(self):
-        spec = TreeSpec.homogeneous(N, PL)
-        assert multi_tree_cost([spec], L, D) == pytest.approx(
-            one_keytree_cost(N, L, ((PL, 1.0),), D)
+        assert wka(loss_homogenized_trees(N, L, ((PL, 1.0),))) == wka_rekey_cost(
+            N, L, ((PL, 1.0),), D
         )
 
-    def test_joint_root_toggle(self):
-        trees = [TreeSpec.homogeneous(N // 2, PH), TreeSpec.homogeneous(N // 2, PL)]
-        with_root = multi_tree_cost(trees, L, D, include_joint_root=True)
-        without = multi_tree_cost(trees, L, D, include_joint_root=False)
-        assert with_root > without
+    def test_joint_root_adds_one_stitch_row_per_tree(self):
+        trees = loss_homogenized_trees(N, L, ((PH, 0.5), (PL, 0.5)))
+        tree_prices = sum(
+            wka_rekey_cost(t.size, t.departures, t.mixture, D) for t in trees
+        )
+        stitch = sum(expected_transmissions(t.size, t.mixture) for t in trees)
+        assert stitch > 0
+        assert wka(trees) == pytest.approx(tree_prices + stitch)
 
     def test_departures_split_proportionally(self):
         """A tree twice the size absorbs twice the departures: the split
         keeps total cost consistent with manual accounting."""
-        big = TreeSpec.homogeneous(2000, PL)
-        small = TreeSpec.homogeneous(1000, PL)
-        total = multi_tree_cost([big, small], 30, D, include_joint_root=False)
-        from repro.analysis.wka import wka_rekey_cost
-
-        manual = wka_rekey_cost(2000, 20, ((PL, 1.0),), D) + wka_rekey_cost(
-            1000, 10, ((PL, 1.0),), D
-        )
-        assert total == pytest.approx(manual)
+        trees = loss_homogenized_trees(3000, 30, ((PH, 2 / 3), (PL, 1 / 3)))
+        assert [t.departures for t in trees] == pytest.approx([20, 10])
+        manual = [
+            Partition(2000, 20, ((PH, 1.0),)),
+            Partition(1000, 10, ((PL, 1.0),)),
+        ]
+        assert wka(trees) == pytest.approx(wka(manual))
 
 
 class TestFig7Misplacement:
     def test_beta_zero_is_correct_partition(self):
-        specs = misplaced_partition_specs(N, 0.2, PH, PL, 0.0)
-        assert multi_tree_cost(specs, L, D) == pytest.approx(
-            loss_homogenized_cost(N, L, mixture(0.2), D)
-        )
+        assert misplaced(0.0) == pytest.approx(homogenized(0.2))
 
     def test_gain_decays_with_beta(self):
-        costs = [
-            multi_tree_cost(misplaced_partition_specs(N, 0.2, PH, PL, b), L, D)
-            for b in (0.0, 0.2, 0.4, 0.6, 0.8)
-        ]
+        costs = [misplaced(b) for b in (0.0, 0.2, 0.4, 0.6, 0.8)]
         assert costs == sorted(costs)
 
     def test_small_beta_still_beats_one_keytree(self):
         """Paper: at beta <= 0.1 the scheme still wins."""
-        one = one_keytree_cost(N, L, mixture(0.2), D)
-        cost = multi_tree_cost(misplaced_partition_specs(N, 0.2, PH, PL, 0.1), L, D)
-        assert cost < one
+        assert misplaced(0.1) < one(0.2)
 
     def test_beta_one_improves_over_beta_08(self):
         """The paper's closing observation: at beta = 1.0 the populations
         have fully swapped, so cost drops again."""
-        c08 = multi_tree_cost(misplaced_partition_specs(N, 0.2, PH, PL, 0.8), L, D)
-        c10 = multi_tree_cost(misplaced_partition_specs(N, 0.2, PH, PL, 1.0), L, D)
-        assert c10 < c08
+        assert misplaced(1.0) < misplaced(0.8)
 
     def test_swap_capacity_validation(self):
         with pytest.raises(ValueError):
-            misplaced_partition_specs(N, 0.8, PH, PL, 0.9)  # 0.72 > 0.2
+            misplaced_trees(N, L, 0.8, PH, PL, 0.9)  # 0.72 > 0.2
         with pytest.raises(ValueError):
-            misplaced_partition_specs(N, 1.2, PH, PL, 0.5)
+            misplaced_trees(N, L, 1.2, PH, PL, 0.5)
         with pytest.raises(ValueError):
-            misplaced_partition_specs(N, 0.2, PH, PL, 1.5)
+            misplaced_trees(N, L, 0.2, PH, PL, 1.5)
 
     def test_mixtures_are_normalized(self):
         for beta in (0.0, 0.3, 1.0):
-            for spec in misplaced_partition_specs(N, 0.2, PH, PL, beta):
-                assert sum(f for __, f in spec.mixture) == pytest.approx(1.0)
+            for tree in misplaced_trees(N, L, 0.2, PH, PL, beta):
+                assert sum(f for __, f in tree.mixture) == pytest.approx(1.0)

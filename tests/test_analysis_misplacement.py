@@ -1,27 +1,28 @@
-"""Direct tests for the Fig. 7 misplacement model (analysis.misplacement)."""
-
-import math
+"""Direct tests for the Fig. 7 misplacement model (``misplaced_trees``)."""
 
 import pytest
 
-from repro.analysis.losshomog import (
-    TreeSpec,
-    loss_homogenized_cost,
-    multi_tree_cost,
-)
-from repro.analysis.misplacement import misplaced_partition_specs
+from repro.analysis import WKA_BKR, loss_homogenized_trees, misplaced_trees, scheme_cost
 
 N, PH, PL = 1024.0, 0.20, 0.02
 
 
-def mixture_of(spec):
-    return dict(spec.mixture)
+def trees(alpha, beta, departures=64.0):
+    return misplaced_trees(N, departures, alpha, PH, PL, beta)
+
+
+def cost(alpha, beta, departures=64.0):
+    return scheme_cost(trees(alpha, beta, departures), WKA_BKR)
+
+
+def mixture_of(tree):
+    return dict(tree.mixture)
 
 
 def test_beta_zero_is_perfect_homogenization():
-    specs = misplaced_partition_specs(N, 0.3, PH, PL, 0.0)
-    assert len(specs) == 2
-    high, low = specs
+    parts = trees(0.3, 0.0)
+    assert len(parts) == 2
+    high, low = parts
     assert high.size == pytest.approx(N * 0.3)
     assert low.size == pytest.approx(N * 0.7)
     assert mixture_of(high) == {PH: 1.0}
@@ -30,20 +31,17 @@ def test_beta_zero_is_perfect_homogenization():
 
 def test_beta_zero_cost_matches_loss_homogenized_model():
     alpha = 0.3
-    specs = misplaced_partition_specs(N, alpha, PH, PL, 0.0)
-    direct = multi_tree_cost(specs, total_departures=64.0)
-    via_mixture = loss_homogenized_cost(
-        N, 64.0, mixture=((PH, alpha), (PL, 1.0 - alpha))
+    via_mixture = scheme_cost(
+        loss_homogenized_trees(N, 64.0, ((PH, alpha), (PL, 1.0 - alpha))), WKA_BKR
     )
-    assert direct == pytest.approx(via_mixture)
+    assert cost(alpha, 0.0) == pytest.approx(via_mixture)
 
 
 def test_beta_one_fully_exchanges_populations():
     """At β = 1 the nominally-high tree is all low-loss (the paper's
     observation that the curve recovers near 1)."""
     alpha = 0.3
-    specs = misplaced_partition_specs(N, alpha, PH, PL, 1.0)
-    high, low = specs
+    high, low = trees(alpha, 1.0)
     assert mixture_of(high) == {PL: 1.0}
     # The low tree absorbed all alpha*N genuinely-high-loss members.
     assert mixture_of(low)[PH] == pytest.approx(alpha / (1.0 - alpha))
@@ -51,62 +49,49 @@ def test_beta_one_fully_exchanges_populations():
 
 def test_sizes_are_invariant_in_beta():
     for beta in (0.0, 0.2, 0.5, 0.8, 1.0):
-        specs = misplaced_partition_specs(N, 0.3, PH, PL, beta)
-        assert sum(s.size for s in specs) == pytest.approx(N)
-        assert specs[0].size == pytest.approx(N * 0.3)
+        parts = trees(0.3, beta)
+        assert sum(p.size for p in parts) == pytest.approx(N)
+        assert parts[0].size == pytest.approx(N * 0.3)
 
 
 def test_mixtures_always_normalized():
     for beta in (0.0, 0.1, 0.37, 0.9, 1.0):
-        for spec in misplaced_partition_specs(N, 0.25, PH, PL, beta):
-            assert sum(f for __, f in spec.mixture) == pytest.approx(1.0)
-            assert all(f > 0 for __, f in spec.mixture)
+        for tree in trees(0.25, beta):
+            assert sum(f for __, f in tree.mixture) == pytest.approx(1.0)
+            assert all(f > 0 for __, f in tree.mixture)
 
 
 def test_misplacement_never_beats_perfect_placement():
     """β > 0 costs at least as much as β = 0 — misplacement only hurts."""
-    alpha, departures = 0.3, 64.0
-    baseline = multi_tree_cost(
-        misplaced_partition_specs(N, alpha, PH, PL, 0.0), departures
-    )
+    baseline = cost(0.3, 0.0)
     for beta in (0.1, 0.3, 0.5, 0.7, 0.9):
-        cost = multi_tree_cost(
-            misplaced_partition_specs(N, alpha, PH, PL, beta), departures
-        )
-        assert cost >= baseline - 1e-9
+        assert cost(0.3, beta) >= baseline - 1e-9
 
 
 def test_cost_recovers_near_full_exchange():
     """The Fig. 7 hump: mid-range β is worse than β = 1."""
-    alpha, departures = 0.3, 64.0
-    mid = multi_tree_cost(
-        misplaced_partition_specs(N, alpha, PH, PL, 0.5), departures
-    )
-    full = multi_tree_cost(
-        misplaced_partition_specs(N, alpha, PH, PL, 1.0), departures
-    )
-    assert full < mid
+    assert cost(0.3, 1.0) < cost(0.3, 0.5)
 
 
 def test_degenerate_alpha_endpoints():
-    assert len(misplaced_partition_specs(N, 0.0, PH, PL, 0.0)) == 1
-    specs = misplaced_partition_specs(N, 1.0, PH, PL, 0.0)
-    assert len(specs) == 1 and specs[0].size == pytest.approx(N)
+    assert len(trees(0.0, 0.0)) == 1
+    parts = trees(1.0, 0.0)
+    assert len(parts) == 1 and parts[0].size == pytest.approx(N)
 
 
 def test_capacity_overflow_raises():
     # beta * alpha > 1 - alpha: more swapped-in members than the low tree holds.
     with pytest.raises(ValueError, match="swap count exceeds"):
-        misplaced_partition_specs(N, 0.8, PH, PL, 0.5)
+        trees(0.8, 0.5)
 
 
 @pytest.mark.parametrize("bad_alpha", [-0.1, 1.1])
 def test_alpha_validation(bad_alpha):
     with pytest.raises(ValueError, match="high_fraction"):
-        misplaced_partition_specs(N, bad_alpha, PH, PL, 0.0)
+        trees(bad_alpha, 0.0)
 
 
 @pytest.mark.parametrize("bad_beta", [-0.01, 1.01])
 def test_beta_validation(bad_beta):
     with pytest.raises(ValueError, match="misplaced_fraction"):
-        misplaced_partition_specs(N, 0.3, PH, PL, bad_beta)
+        trees(0.3, bad_beta)

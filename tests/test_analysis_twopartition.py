@@ -4,17 +4,15 @@ import math
 
 import pytest
 
-from repro.analysis.twopartition import (
-    TwoPartitionParameters,
-    one_tree_cost,
-    pt_cost,
-    qt_cost,
-    reduction_over_one_tree,
-    scheme_costs,
-    steady_state,
-    tt_cost,
-)
+from repro.analysis import TwoPartitionParameters, scheme_costs, steady_state
 from repro.members.durations import exponential_departure_probability
+
+
+def reductions(params):
+    """Each scheme's fractional saving over the one-keytree scheme."""
+    costs = scheme_costs(params)
+    base = costs["one-keytree"]
+    return {name: (base - cost) / base for name, cost in costs.items()}
 
 
 @pytest.fixture
@@ -42,6 +40,14 @@ class TestParameters:
             TwoPartitionParameters(k_periods=-1)
         with pytest.raises(ValueError):
             TwoPartitionParameters(degree=1)
+
+    @pytest.mark.parametrize(
+        "field, value", [("k_periods", 2.5), ("degree", 4.5), ("k_periods", 10.0), ("degree", True)]
+    )
+    def test_rejects_non_integer_k_and_degree(self, field, value):
+        """Used to pass here and raise TypeError deep in the steady state."""
+        with pytest.raises(ValueError, match=field):
+            TwoPartitionParameters(**{field: value})
 
     def test_with_helpers_replace_immutably(self, table1):
         assert table1.with_k(3).k_periods == 3
@@ -93,64 +99,52 @@ class TestSteadyState:
 
 class TestSchemeCosts:
     def test_k_zero_collapses_to_one_keytree(self, table1):
-        p = table1.with_k(0)
-        baseline = one_tree_cost(p)
-        assert qt_cost(p) == baseline
-        assert tt_cost(p) == baseline
+        costs = scheme_costs(table1.with_k(0))
+        assert costs["QT-scheme"] == costs["one-keytree"]
+        assert costs["TT-scheme"] == costs["one-keytree"]
 
     def test_paper_fig3_shape(self, table1):
         """TT bottoms out near K=10, ~25% below baseline; PT ~40% below;
         TT beats QT at large K."""
-        baseline = one_tree_cost(table1)
-        tt10 = tt_cost(table1)
-        assert reduction_over_one_tree(table1, tt10) == pytest.approx(0.25, abs=0.05)
-        assert reduction_over_one_tree(table1, pt_cost(table1)) == pytest.approx(
-            0.40, abs=0.05
-        )
-        p20 = table1.with_k(20)
-        assert tt_cost(p20) < qt_cost(p20)
+        saved = reductions(table1)
+        assert saved["TT-scheme"] == pytest.approx(0.25, abs=0.05)
+        assert saved["PT-scheme"] == pytest.approx(0.40, abs=0.05)
+        at20 = scheme_costs(table1.with_k(20))
+        assert at20["TT-scheme"] < at20["QT-scheme"]
 
     def test_paper_fig4_crossover(self, table1):
         """QT/TT beat one-keytree for alpha > 0.6 and lose for
         alpha <= 0.4 (Section 3.3.2(b))."""
         for alpha in (0.7, 0.8, 0.9):
-            p = table1.with_alpha(alpha)
-            base = one_tree_cost(p)
-            assert qt_cost(p) < base
-            assert tt_cost(p) < base
+            saved = reductions(table1.with_alpha(alpha))
+            assert saved["QT-scheme"] > 0
+            assert saved["TT-scheme"] > 0
         for alpha in (0.1, 0.2, 0.3, 0.4):
-            p = table1.with_alpha(alpha)
-            base = one_tree_cost(p)
-            assert qt_cost(p) > base
-            assert tt_cost(p) > base
+            saved = reductions(table1.with_alpha(alpha))
+            assert saved["QT-scheme"] < 0
+            assert saved["TT-scheme"] < 0
 
     def test_paper_headline_31_percent(self, table1):
         """Up to 31.4% reduction at alpha = 0.9 (abstract)."""
-        p = table1.with_alpha(0.9)
-        base = one_tree_cost(p)
-        best = max(
-            reduction_over_one_tree(p, qt_cost(p)),
-            reduction_over_one_tree(p, tt_cost(p)),
-        )
+        saved = reductions(table1.with_alpha(0.9))
+        best = max(saved["QT-scheme"], saved["TT-scheme"])
         assert best == pytest.approx(0.314, abs=0.03)
 
     def test_pt_always_at_least_as_good_as_tt(self, table1):
         """PT pays no migration overhead (Section 3.3.2)."""
         for alpha in (0.2, 0.5, 0.8):
             for k in (2, 10, 18):
-                p = table1.with_alpha(alpha).with_k(k)
-                assert pt_cost(p) <= tt_cost(p) + 1e-9
+                costs = scheme_costs(table1.with_alpha(alpha).with_k(k))
+                assert costs["PT-scheme"] <= costs["TT-scheme"] + 1e-9
 
     def test_fig5_size_insensitivity(self, table1):
         """Relative reduction varies little with N (Section 3.3.2(c))."""
-        reductions = [
-            reduction_over_one_tree(
-                table1.with_group_size(n), tt_cost(table1.with_group_size(n))
-            )
+        saved = [
+            reductions(table1.with_group_size(n))["TT-scheme"]
             for n in (1024, 4096, 16_384, 65_536, 262_144)
         ]
-        assert max(reductions) - min(reductions) < 0.03
-        assert min(reductions) > 0.22
+        assert max(saved) - min(saved) < 0.03
+        assert min(saved) > 0.22
 
     def test_scheme_costs_returns_all_four(self, table1):
         costs = scheme_costs(table1)

@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.batchcost import expected_batch_cost
 from repro.analysis.combinatorics import subtree_hit_probability
-from repro.analysis.twopartition import (
-    TwoPartitionParameters,
-    pt_cost,
-    qt_cost,
-    steady_state,
-    tt_cost,
-)
+from repro.analysis import TwoPartitionParameters, scheme_costs, steady_state
 from repro.analysis.wka import expected_transmissions, wka_rekey_cost
 
 sizes = st.integers(min_value=2, max_value=20_000)
@@ -86,5 +80,4 @@ def test_steady_state_is_always_consistent(alpha, k, n):
     assert s.n_short <= n + 1e-6
     assert s.n_short + s.n_long == pytest.approx(n)
     assert s.l_short + s.l_migrated == pytest.approx(s.joins)
-    for cost_fn in (qt_cost, tt_cost, pt_cost):
-        assert cost_fn(params) >= 0.0
+    assert all(cost >= 0.0 for cost in scheme_costs(params).values())
