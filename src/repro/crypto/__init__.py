@@ -19,6 +19,7 @@ Public API
 :func:`unwrap_key`          recover a wrapped key (authenticated)
 :func:`encrypt` / :func:`decrypt`  generic authenticated payload encryption
 :exc:`AuthenticationError`  raised when decryption fails authentication
+:exc:`SealError`            raised when a payload row's secrets cannot seal
 :class:`WrapBatch`          a rekey payload as columns, one row per wrap
 :class:`WrapIndex`          row index of a rekey payload by wrapping id
 :class:`RekeyMessage`       one rekey operation's payload and its index
@@ -29,6 +30,7 @@ from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.crypto.wrap import (
     EncryptedKey,
     RekeyMessage,
+    SealError,
     WrapBatch,
     WrapIndex,
     unwrap_key,
@@ -41,6 +43,7 @@ __all__ = [
     "KeyGenerator",
     "KeyMaterial",
     "RekeyMessage",
+    "SealError",
     "WrapBatch",
     "WrapIndex",
     "decrypt",

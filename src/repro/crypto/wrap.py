@@ -14,7 +14,9 @@ wrapped-key unit itself:
   look at ciphertext bytes.  :meth:`WrapBatch.add` keeps a row's two
   secrets and seals the row on the first read of its ciphertext (a member
   unwrap, the wire codec, a row view, pickling), so a run that never
-  delivers to real members does no HMAC work at all.
+  delivers to real members does no HMAC work at all.  The wire codec and
+  pickling read the whole column through :meth:`WrapBatch.ciphertexts`,
+  which seals a chunk of rows per C-level column pass.
 * **:class:`WrapBatch`** — a whole payload as columns, one row per wrap,
   from the rekeyer through the wire codec to :meth:`Member.absorb
   <repro.members.member.Member.absorb>`.  No row is an object: an
@@ -34,11 +36,24 @@ from __future__ import annotations
 import operator
 from collections import abc
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.crypto.cipher import decrypt, encrypt
+from repro.crypto.cipher import decrypt, encrypt, encrypt_column
 from repro.crypto.material import KEY_SIZE, KeyMaterial
 from repro.obs import metrics as obs_metrics
+
+#: Rows :meth:`WrapBatch.ciphertexts` seals per :func:`encrypt_column`
+#: call: bounds the transient lists (padded subkeys among them) of one pass.
+_CHUNK = 512
+_PAIR = 2 * KEY_SIZE  # a stored row's wrapping secret + payload secret
+_NONCE = "{}#{}->{}#{}"  # the nonce text of _seal and _open, for a column
+
+
+class SealError(ValueError):
+    """A payload row cannot be sealed: its wrapping and payload secrets
+    are not two ``KEY_SIZE``-byte ``bytes``.  Raised on the row's first
+    read (the row's seal), naming the row."""
 
 
 def _seal(
@@ -53,8 +68,9 @@ def _seal(
     ``wrapping_secret`` for the given handles.
 
     The nonce is the text ``wrapping#version->payload#version``: unique per
-    (wrapping key, payload key) pair.  It is spelled out here and in
-    :func:`_open` rather than in a helper, one frame less per wrap."""
+    (wrapping key, payload key) pair.  It is spelled out here, in
+    :func:`_open` and as ``_NONCE`` (the column seal's) rather than in a
+    helper, one frame less per wrap."""
     nonce = f"{wrapping_id}#{wrapping_version}->{payload_id}#{payload_version}"
     return encrypt(wrapping_secret, nonce.encode(), payload_secret)
 
@@ -273,11 +289,30 @@ class WrapBatch(abc.Sequence):
         """Whether row ``row`` holds its ciphertext yet."""
         return self._ciphertexts[row] is not None
 
+    def _unsealable(self, row: int) -> SealError:
+        pair = self._secrets[row]
+        return SealError(
+            f"row {row} ({self.wrapping_ids[row]}#{self.wrapping_versions[row]}"
+            f"->{self.payload_ids[row]}#{self.payload_versions[row]}): the "
+            f"wrapping and payload secrets must be two {KEY_SIZE}-byte bytes, "
+            f"got {type(pair).__name__} of {len(pair)} bytes"
+        )
+
     def ciphertext(self, row: int) -> bytes:
-        """Row ``row``'s ciphertext, sealing the row first if need be."""
+        """Row ``row``'s ciphertext, sealing the row first if need be.
+
+        Raises
+        ------
+        SealError
+            If the row was added with secrets that are not two
+            ``KEY_SIZE``-byte ``bytes``.
+        """
         blob = self._ciphertexts[row]
         if blob is None:
-            pair, self._secrets[row] = self._secrets[row], None
+            pair = self._secrets[row]
+            if type(pair) is not bytes or len(pair) != _PAIR:
+                raise self._unsealable(row)
+            self._secrets[row] = None
             blob = _seal(
                 self.wrapping_ids[row], self.wrapping_versions[row],
                 self.payload_ids[row], self.payload_versions[row],
@@ -287,12 +322,46 @@ class WrapBatch(abc.Sequence):
         return blob
 
     def ciphertexts(self) -> List[bytes]:
-        """The ciphertext column, every unsealed row sealed first."""
-        if None in self._ciphertexts:
-            for row, blob in enumerate(self._ciphertexts):
-                if blob is None:
-                    self.ciphertext(row)
-        return self._ciphertexts
+        """The ciphertext column, every unsealed row sealed first.
+
+        The unsealed rows of each ``_CHUNK`` rows seal in one
+        :func:`~repro.crypto.cipher.encrypt_column` pass, byte for byte
+        what :meth:`ciphertext` gives each of them.  A malformed row
+        raises the same :class:`SealError`, and the rows before it in its
+        chunk are sealed as :meth:`ciphertext` would have sealed them.
+        """
+        blobs = self._ciphertexts
+        if None not in blobs:
+            return blobs
+        secrets = self._secrets
+        columns = (
+            self.wrapping_ids, self.wrapping_versions,
+            self.payload_ids, self.payload_versions,
+        )
+        for start in range(0, len(blobs), _CHUNK):
+            stop = start + _CHUNK
+            rows = list(compress(
+                range(start, stop), map(operator.is_, blobs[start:stop], repeat(None))
+            ))
+            if not rows:
+                continue
+            pairs = list(map(secrets.__getitem__, rows))
+            if set(map(type, pairs)) != {bytes} or set(map(len, pairs)) != {_PAIR}:
+                for row in rows:
+                    self.ciphertext(row)  # raises at the first malformed row
+            nonces = list(map(str.encode, map(_NONCE.format, *(
+                map(column.__getitem__, rows) for column in columns
+            ))))
+            sealed = encrypt_column(
+                list(map(operator.getitem, pairs, repeat(slice(KEY_SIZE)))),
+                nonces,
+                list(map(operator.getitem, pairs, repeat(slice(KEY_SIZE, None)))),
+            )
+            del pairs
+            for row, blob in zip(rows, sealed):
+                blobs[row] = blob
+                secrets[row] = None
+        return blobs
 
     def unwrap(self, row: int, wrapping: KeyMaterial) -> KeyMaterial:
         """:func:`unwrap_key` of row ``row``, whose wrapping handle the

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.cipher import AuthenticationError, _subkeys, decrypt, encrypt
+from repro.crypto.cipher import (
+    AuthenticationError,
+    _subkeys,
+    decrypt,
+    encrypt,
+    encrypt_column,
+)
 from repro.crypto.material import KeyMaterial
 from repro.crypto.wrap import unwrap_key, wrap_key
 
@@ -78,6 +84,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             encrypt(b"tiny", NONCE, b"x")
 
+    @pytest.mark.parametrize(
+        "keys, plaintexts",
+        [([KEY[:16]], [KEY]), ([KEY + b"x"], [KEY]), ([KEY], [KEY[:31]]), ([KEY], [])],
+        ids=["short-key", "long-key", "short-plaintext", "ragged"],
+    )
+    def test_the_column_seal_takes_only_one_block_rows(self, keys, plaintexts):
+        with pytest.raises(ValueError):
+            encrypt_column(keys, [NONCE], plaintexts)
+
     def test_decrypt_rejects_short_key(self):
         with pytest.raises(ValueError):
             decrypt(b"tiny", NONCE, b"x" * 32)
@@ -133,6 +148,25 @@ class TestReferenceOracle:
         cut = data.draw(st.integers(min_value=1, max_value=len(blob)))
         with pytest.raises(AuthenticationError):
             decrypt(key, nonce, blob[:-cut])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.binary(min_size=32, max_size=32),
+                NONCES,
+                st.binary(min_size=32, max_size=32),
+            ),
+            max_size=20,
+        )
+    )
+    def test_the_column_seal_equals_hmac_reference(self, rows):
+        """The column core is the reference, row by row, over what a
+        payload holds: 32-byte keys and 32-byte plaintexts."""
+        keys, nonces, plaintexts = ([row[i] for row in rows] for i in range(3))
+        assert encrypt_column(keys, nonces, plaintexts) == [
+            reference_encrypt(*row) for row in rows
+        ]
 
     @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 64, 65, 100])
     def test_block_boundaries(self, length):

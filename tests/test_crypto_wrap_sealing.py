@@ -5,28 +5,62 @@ row's two secrets and seals on first read.  Two consequences are pinned
 here: a payload that leaves the process by pickling is sealed first and
 carries ciphertext only, and the cost-only paths, which never read a
 ciphertext, seal nothing at all.
+
+A row read alone seals through ``_seal``; the whole column
+(:meth:`WrapBatch.ciphertexts`: the wire codec, pickling) seals a chunk
+of rows at a time through ``encrypt_column``.  The two paths are pinned
+against each other and against :func:`wrap_key` here, byte for byte, and
+reject the same malformed rows with the same error.
 """
 
+import hashlib
 import pickle
+import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.crypto.wrap as wrap_module
 from repro.cli import SCHEMES
+from repro.crypto.cipher import _subkeys
+from repro.crypto.material import KeyMaterial
+from repro.crypto.wrap import RekeyMessage, SealError, WrapBatch, wrap_key
 from repro.experiments.topology import topology_gain
 from repro.experiments.validation import validate_batch_cost
 from repro.members.population import LossPopulation
 from repro.server import build_server
 from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
 from repro.testing import default_join_attributes
+from repro.transport.codec import encode_rekey_message
+
+CHUNK = wrap_module._CHUNK
+
+
+class SealCounter:
+    """Calls of both seal cores: the row path's ``_seal`` (one a row) and
+    the column path's ``encrypt_column`` (one a chunk)."""
+
+    def __init__(self, row: mock.Mock, column: mock.Mock) -> None:
+        self.row = row
+        self.column = column
+
+    @property
+    def call_count(self) -> int:
+        return self.row.call_count + self.column.call_count
 
 
 @pytest.fixture
 def seals():
-    """Count the calls of the one seal core, ``repro.crypto.wrap._seal``."""
-    with mock.patch.object(wrap_module, "_seal", wraps=wrap_module._seal) as seal:
-        yield seal
+    """Count the calls of the two seal cores ``repro.crypto.wrap`` uses."""
+    with mock.patch.object(
+        wrap_module, "_seal", wraps=wrap_module._seal
+    ) as row, mock.patch.object(
+        wrap_module, "encrypt_column", wraps=wrap_module.encrypt_column
+    ) as column:
+        yield SealCounter(row, column)
 
 
 def fresh_batch(scheme):
@@ -103,3 +137,124 @@ def test_the_counter_sees_a_seal(seals):
     batch.ciphertext(0)
     batch[1]
     assert seals.call_count == 2
+
+
+def test_the_counter_sees_a_column_seal(seals):
+    """Encoding a fresh payload seals it a column at a time."""
+    result = fresh_batch("one")
+    encode_rekey_message(
+        RekeyMessage("g", result.epoch, encrypted_keys=result.encrypted_keys)
+    )
+    assert seals.row.call_count == 0
+    assert seals.column.call_count == -(-len(result.encrypted_keys) // CHUNK)
+
+
+def key(name: str, version: int, seed: int) -> KeyMaterial:
+    secret = hashlib.sha256(f"{seed}:{name}#{version}".encode()).digest()
+    return KeyMaterial(name, version, secret)
+
+
+def pairs(count: int, seed: int) -> list:
+    """``count`` distinct (wrapping, payload) key pairs."""
+    return [
+        (key(f"n{row}", row % 5, seed), key(f"n{row // 4}", row % 3 + 1, seed))
+        for row in range(count)
+    ]
+
+
+KINDS = ("added", "appended", "sealed")
+
+
+def build(rows: list, kinds: list, offset: int) -> WrapBatch:
+    """A batch over ``rows``, each ``added`` (secrets kept), ``appended``
+    (a :func:`wrap_key` record) or ``sealed`` (added, then read), in the
+    cycle ``kinds``; sliced out of a longer batch when ``offset`` > 0."""
+    batch = WrapBatch()
+    padding = pairs(offset, seed=-1)
+    for row, (wrapping, payload) in enumerate(padding + rows + padding):
+        kind = kinds[row % len(kinds)]
+        if kind == "appended":
+            batch.append(wrap_key(wrapping, payload))
+        else:
+            secrets = (wrapping.secret, payload.secret)
+            batch.add(*wrapping.handle, *payload.handle, *secrets)
+            if kind == "sealed":
+                batch.ciphertext(row)
+    return batch[offset : offset + len(rows)] if offset else batch
+
+
+class TestColumnSeal:
+    """``ciphertexts()`` against the row path it replaces."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        count=st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5]),
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+        offset=st.sampled_from([0, 1, 7]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_equals_the_row_path_and_wrap_key(self, count, kinds, offset, seed):
+        rows = pairs(count, seed)
+        column, per_row = build(rows, kinds, offset), build(rows, kinds, offset)
+        secrets = {k.secret for pair in rows for k in pair}
+        sealed = column.ciphertexts()
+        assert sealed == [per_row.ciphertext(row) for row in range(count)]
+        assert sealed == [wrap_key(*pair).ciphertext for pair in rows]
+        assert column._secrets == [None] * count
+        blob = pickle.dumps(column)
+        assert blob == pickle.dumps(per_row)
+        assert not [secret for secret in secrets if secret in blob]
+
+    def test_an_encode_leaves_the_subkey_cache_alone(self):
+        batch = build(pairs(3 * CHUNK, seed=5), ["added"], 0)
+        before = _subkeys.cache_info()
+        encode_rekey_message(RekeyMessage("g", 1, encrypted_keys=batch))
+        assert batch._secrets == [None] * len(batch)
+        assert _subkeys.cache_info() == before
+
+    def test_the_transient_peak_is_one_chunk(self):
+        """Sealing 8,192 rows holds one chunk's lists at a time: about
+        0.8 KB a chunk row; unchunked, the same pass peaks near 6 MB."""
+        batch = build(pairs(8192, seed=9), ["added"], 0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sealed = batch.ciphertexts()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(map(sys.getsizeof, sealed))
+        assert peak - before - output <= CHUNK * 1536
+
+
+BAD_PAIRS = {
+    "bytearray-wrapping-secret": (bytearray(32), bytes(32)),
+    "31-byte-payload-secret": (bytes(32), bytes(31)),
+    "16-byte-wrapping-secret": (bytes(16), bytes(32)),
+}
+
+
+@pytest.mark.parametrize("secrets", BAD_PAIRS.values(), ids=BAD_PAIRS)
+class TestMalformedRows:
+    """A malformed row is accepted by ``add`` and refused by its seal, on
+    both paths, with one error naming the row."""
+
+    def batch(self, secrets) -> WrapBatch:
+        batch = build(pairs(CHUNK + 3, seed=2), ["added"], 0)
+        batch.add("bad", 4, "n0", 9, *secrets)
+        return batch
+
+    def test_the_row_path(self, secrets):
+        batch = self.batch(secrets)
+        with pytest.raises(SealError, match=rf"row {CHUNK + 3} \(bad#4->n0#9\)"):
+            batch.ciphertext(CHUNK + 3)
+        assert not batch.is_sealed(CHUNK + 3)
+
+    def test_the_column_path(self, secrets):
+        batch = self.batch(secrets)
+        with pytest.raises(SealError, match=rf"row {CHUNK + 3} \(bad#4->n0#9\)"):
+            batch.ciphertexts()
+        assert not batch.is_sealed(CHUNK + 3)
+        with pytest.raises(SealError):
+            encode_rekey_message(RekeyMessage("g", 1, encrypted_keys=batch))
