@@ -30,7 +30,7 @@ from typing import List, Optional
 
 FIGURES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fec")
 #: scheme names :func:`repro.server.build_server` takes
-SCHEMES = ("one", "sharded", "qt", "tt", "pt", "losshomog", "random-trees")
+SCHEMES = ("one", "qt", "tt", "pt", "losshomog", "random-trees")
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -188,9 +188,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.quick:
         args.horizon = min(args.horizon, 600.0)
         args.warmup = min(args.warmup, 2)
-    server = build_server(
-        args.scheme, args.degree, args.s_period, shards=args.shards
-    )
+    server = build_server(args.scheme, args.degree, args.s_period)
     transport = _build_transport(args.transport)
     needs_population = transport is not None or args.scheme in (
         "losshomog",
@@ -569,12 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheme",
         choices=SCHEMES,
         default="tt",
-    )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="sharded scheme: number of LKH subtrees (protocol parameter)",
     )
     p.add_argument("--transport", choices=("none", "wka-bkr", "multi-send", "fec"), default="none")
     p.add_argument("--degree", type=int, default=4)

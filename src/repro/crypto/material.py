@@ -157,22 +157,6 @@ class KeyGenerator:
         generator._counter = int(state["counter"])
         return generator
 
-    def derive_stream(self, label: str) -> "KeyGenerator":
-        """An independent child generator bound to this one's root.
-
-        The child's stream is determined by ``(root, label)`` alone — not
-        by this generator's counter — so sharded servers can hand each
-        shard its own stream at construction time and every shard draws
-        the same key sequence no matter which executor backend runs it or
-        how many draws the parent has made in between.  The child starts
-        at counter 0; snapshot its :meth:`state` separately.
-        """
-        child = KeyGenerator()
-        child._root = hashlib.sha256(
-            self._root + b"/stream:" + label.encode("utf-8")
-        ).digest()
-        return child
-
     def fresh_secret(self) -> bytes:
         """Return ``KEY_SIZE`` fresh pseudo-random bytes.
 

@@ -15,7 +15,7 @@ receiver's synchrony explicitly:
 
 ``OUT_OF_SYNC`` receivers are excluded from multicast interest (no point
 retransmitting wraps they cannot open) until
-:meth:`~repro.server.base.GroupKeyServer.catch_up` re-issues their
+:meth:`~repro.server.partitioned.PartitionedServer.catch_up` re-issues their
 entitlement over unicast — the existing resync path, now measured: every
 recovery produces a :class:`RecoveryEvent` carrying the latency from
 desynchronization to recovery, the epochs missed, and the unicast key

@@ -136,7 +136,7 @@ class QueuePartition:
         self.key_of(member_id)
         return []
 
-    def dump(self, shared: Optional[KeyGenerator] = None) -> Dict:
+    def dump(self) -> Dict:
         """Snapshot form (SENSITIVE: every resident's individual key)."""
         keys = [key.to_dict() for key in self._keys.values()]
         return {"label": self.label, "queue": {"name": self.name, "keys": keys}}

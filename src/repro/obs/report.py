@@ -5,9 +5,9 @@ Reads a JSONL trace file produced with ``--trace`` and reports:
 * **Top spans** — wall-time totals per span name (count/total/mean plus
   simulated-time totals where available).
 * **Per-shard imbalance** — the ``shard`` spans' wall time and key counts
-  per partition (``shard3``, ``s-partition``, ``tree-p0.2``, ...: every
+  per partition (``tree``, ``s-partition``, ``tree-p0.2``, ...: every
   server reports the partitions a batch touches), with a max/mean
-  imbalance ratio (the signal a sharded-run operator actually tunes on).
+  imbalance ratio across them.
 * **Per-receiver histograms** — the ``receiver.keys_learned`` (decrypts
   per delivery) and ``receiver.interest_keys`` (bandwidth units per
   delivery) distributions, checked against the analytic ``Ne(N, L)``

@@ -1,47 +1,42 @@
 """Key servers: the schemes the paper compares.
 
-One server, :class:`PartitionedServer` — sub-trees under a group DEK,
-members placed by a :class:`PlacementPolicy` — and four factories over it:
+One server class, :class:`PartitionedServer` — sub-trees under a group
+DEK, members placed by a :class:`PlacementPolicy` — and three factories
+over it:
 
 * :class:`OneTreeServer` — the un-optimized baseline: one balanced LKH tree.
 * :class:`TwoPartitionServer` — Section 3: QT (queue + tree), TT (tree +
   tree) and PT (oracle placement), with batched S-to-L migration.
 * :class:`LossHomogenizedServer` — Section 4: one key tree per loss class
   (or round-robin placement, the control).
-* :class:`ShardedOneTreeServer` — hash-placed subtrees.
 
 :class:`AdaptiveController` (Section 3.4) estimates (Ms, Ml, alpha) from
 the observed membership trace and picks the best scheme and S-period.
-All servers share one lifecycle: ``join`` / ``leave`` enqueue membership
-changes; ``rekey`` processes the batch and returns a :class:`BatchResult`
-whose encrypted keys are handed to a transport (or counted — the paper's
-metric).  :func:`build_server` makes one from its scheme name, the way the
-CLI and the chaos harness name them.
+Every server has the one class's lifecycle: ``join`` / ``leave`` enqueue
+membership changes; ``rekey`` processes the batch and returns a
+:class:`BatchResult` whose encrypted keys are handed to a transport (or
+counted — the paper's metric).  :func:`build_server` makes one from its
+scheme name, the way the CLI and the chaos harness name them.
 """
 
 from repro.server.adaptive import AdaptiveController, TraceEstimate
-from repro.server.base import BatchResult, GroupKeyServer, Registration
+from repro.server.base import BatchResult, Registration
 from repro.server.losshomog import LossHomogenizedServer
 from repro.server.onetree import OneTreeServer
 from repro.server.partitioned import PartitionedServer
 from repro.server.placement import PlacementPolicy
-from repro.server.scheduler import PeriodicScheduler
-from repro.server.sharded import ShardedOneTreeServer
 from repro.server.snapshot import restore_server, snapshot_server
 from repro.server.twopartition import TwoPartitionServer
 
 
 def build_server(
-    scheme: str, degree: int = 4, s_period: float = 600.0, shards: int = 4
+    scheme: str, degree: int = 4, s_period: float = 600.0
 ) -> PartitionedServer:
-    """A fresh server for a scheme name: ``one``, ``sharded`` (``shards``
-    hash-placed subtrees), ``qt`` / ``tt`` / ``pt`` (S-period
-    ``s_period``), ``losshomog`` (loss placement) or ``random-trees``
-    (its round-robin control), every tree of ``degree``."""
+    """A fresh server for a scheme name: ``one``, ``qt`` / ``tt`` / ``pt``
+    (S-period ``s_period``), ``losshomog`` (loss placement) or
+    ``random-trees`` (its round-robin control), every tree of ``degree``."""
     if scheme == "one":
         return OneTreeServer(degree=degree)
-    if scheme == "sharded":
-        return ShardedOneTreeServer(shards=shards, degree=degree)
     if scheme in ("qt", "tt", "pt"):
         return TwoPartitionServer(mode=scheme, s_period=s_period, degree=degree)
     if scheme == "losshomog":
@@ -54,14 +49,11 @@ def build_server(
 __all__ = [
     "AdaptiveController",
     "BatchResult",
-    "GroupKeyServer",
     "LossHomogenizedServer",
     "OneTreeServer",
     "PartitionedServer",
-    "PeriodicScheduler",
     "PlacementPolicy",
     "Registration",
-    "ShardedOneTreeServer",
     "TraceEstimate",
     "build_server",
     "restore_server",

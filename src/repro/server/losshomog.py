@@ -56,7 +56,7 @@ class LossHomogenizedServer(PartitionedServer):
             for label in (f"tree-p{rate:g}" for rate in rates)
         ]
         super().__init__(
-            partitions, _PLACEMENTS[placement](rates), keygen, keygen=keygen, group=group
+            partitions, _PLACEMENTS[placement](rates), True, keygen=keygen, group=group
         )
 
     @property

@@ -7,7 +7,7 @@ from typing import Optional
 from repro.crypto.material import KeyGenerator
 from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.server.partitioned import PartitionedServer, TreePartition
-from repro.server.placement import HashPlacement
+from repro.server.placement import SinglePartitionPlacement
 
 
 class OneTreeServer(PartitionedServer):
@@ -31,8 +31,8 @@ class OneTreeServer(PartitionedServer):
         keygen = keygen if keygen is not None else KeyGenerator()
         super().__init__(
             [TreePartition.build("tree", f"{group}/tree", degree, keygen)],
-            HashPlacement(),
-            None,
+            SinglePartitionPlacement(),
+            False,
             keygen=keygen,
             group=group,
             join_refresh=join_refresh,

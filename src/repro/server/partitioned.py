@@ -5,8 +5,7 @@ only in who is placed where.  :class:`PartitionedServer` is that
 construction, once:
 
 * an ordered list of **partitions** — a :class:`TreePartition` (a
-  :class:`~repro.keytree.flat.FlatKeyTree` and its rekeyer, on the server's
-  key stream or on a private derived one) or the tree-less
+  :class:`~repro.keytree.flat.FlatKeyTree` and its rekeyer) or the tree-less
   :class:`~repro.keytree.queuepartition.QueuePartition` — each answering
   the same three questions: *apply* my slice of the batch, *wrap a DEK* for
   my residents or my joiners, *path keys* of a member;
@@ -21,13 +20,16 @@ the member stays authorised, so a migration alone does not roll the DEK);
 joiners go where the policy places them; each touched partition rekeys its
 slice, in list order; then the DEK is rolled iff the batch had a join or a
 departure.  Key draws happen in that same order, which is what keeps every
-payload byte-identical to the four server classes this one replaced.
+payload byte-identical to the server classes this one replaced.
 
-A server built without a DEK stream has one partition whose root key *is*
-the group key: the un-optimised one-keytree scheme.  The four scheme
-classes (``onetree``, ``sharded``, ``twopartition``, ``losshomog``) are
-thin factories over this one: a constructor that picks the partitions and
-the policy, and the read-only names their callers use.
+A server built without a DEK has one partition whose root key *is* the
+group key: the un-optimised one-keytree scheme.  Every key — individual,
+node and DEK — comes off the server's one generator.  The three scheme
+classes (``onetree``, ``twopartition``, ``losshomog``) are thin factories
+over this one: a constructor that picks the partitions and the policy,
+and the read-only names their callers use.  The membership lifecycle
+(``join`` / ``leave`` / ``rekey``, unicast ``resync`` / ``catch_up``) is
+this class's own; there is no other server class.
 """
 
 from __future__ import annotations
@@ -36,11 +38,13 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.material import KeyGenerator, KeyMaterial
-from repro.crypto.wrap import WrapBatch
+from repro.crypto.wrap import EncryptedKey, WrapBatch, wrap_key
+from repro.faults.recovery import RecoveryEvent, SyncTracker
 from repro.keytree.flat import FlatKeyTree, FlatRekeyer
+from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
-from repro.server.base import BatchResult, GroupKeyServer, Registration
+from repro.server.base import BatchResult, Registration
 from repro.server.placement import PlacementPolicy
 
 
@@ -94,36 +98,33 @@ class TreePartition:
         """Keys above the member's own leaf, root included."""
         return [node.key for node in self.tree.path_of(member_id)[1:]]
 
-    def dump(self, shared: KeyGenerator) -> Dict:
-        """The tree (attachment heaps included), the rekeyer's message
-        epoch and — when the tree draws from a private stream rather than
-        ``shared`` — that stream's state: a restored partition must draw
-        the key material the live one would have."""
-        data = {
+    def dump(self) -> Dict:
+        """The tree (attachment heaps included) and the rekeyer's message
+        epoch; the key stream is the server's, snapshotted once."""
+        return {
             "label": self.label,
             "tree": self.tree.to_dict(),
             "epoch": self.rekeyer._next_epoch,
         }
-        if self.tree.keygen is not shared:
-            data["stream"] = self.tree.keygen.state()
-        return data
 
     @classmethod
     def load(cls, data: Dict, shared: KeyGenerator) -> "TreePartition":
-        """Rebuild from :meth:`dump` output."""
-        stream = data.get("stream")
-        keygen = KeyGenerator.from_state(stream) if stream else shared
-        partition = cls(data["label"], FlatKeyTree.from_dict(data["tree"], keygen=keygen))
-        if stream:
-            # Tree construction consumed a draw that must not count.  (The
-            # shared stream's counter is pinned by restore_server, last.)
-            keygen._counter = int(stream["counter"])
+        """Rebuild from :meth:`dump` output, drawing from ``shared``."""
+        tree = FlatKeyTree.from_dict(data["tree"], keygen=shared)
+        partition = cls(data["label"], tree)
         partition.rekeyer._next_epoch = int(data["epoch"])
         return partition
 
 
-class PartitionedServer(GroupKeyServer):
+class PartitionedServer:
     """Partitions under one group DEK, members placed by ``policy``.
+
+    Every scheme follows the periodic batched-rekeying lifecycle: ``join``
+    and ``leave`` queue membership changes, and ``rekey`` processes them
+    as one batch whose :class:`~repro.server.base.BatchResult` is handed
+    to a transport (or counted — the paper's metric).  A member that joins
+    and leaves within one period never receives any group key and simply
+    vanishes from the pending set.
 
     Parameters
     ----------
@@ -132,11 +133,12 @@ class PartitionedServer(GroupKeyServer):
         appear in a payload.
     policy:
         Who goes where (:mod:`repro.server.placement`).
-    dek_stream:
-        The key stream the group DEK is drawn from (the server's own, or
-        a dedicated one so DEK material never depends on how many draws
-        the partitions made).  ``None``: no DEK above the single
-        partition, whose root key serves as the group key.
+    dek:
+        Whether a group DEK sits above the partitions, drawn from
+        ``keygen``.  ``False``: no DEK above the single partition, whose
+        root key serves as the group key.
+    keygen:
+        The one key stream: individual keys, node keys and the DEK.
     join_refresh:
         ``"random"`` or ``"owf"``, handed to every tree's rekeyer.
     """
@@ -149,35 +151,157 @@ class PartitionedServer(GroupKeyServer):
         self,
         partitions: Sequence,
         policy: PlacementPolicy,
-        dek_stream: Optional[KeyGenerator],
+        dek: bool,
         keygen: KeyGenerator,
         group: str = "group",
         join_refresh: str = "random",
     ) -> None:
         if join_refresh not in ("random", "owf"):
             raise ValueError("join_refresh must be 'random' or 'owf'")
-        if dek_stream is None and len(partitions) != 1:
+        if not dek and len(partitions) != 1:
             raise ValueError("a server without a DEK has exactly one partition")
         if not policy.accepts(len(partitions)):
             raise ValueError(
                 f"{policy.name} placement does not fit {len(partitions)} partitions"
             )
-        super().__init__(keygen=keygen, group=group)
+        self.keygen = keygen
+        self.group = group
         self.partitions = list(partitions)
         self.policy = policy
+        #: Keyword attributes ``join()`` takes besides the member and the time.
         self.join_attributes = policy.attributes
         self.join_refresh = join_refresh
-        self._dek_stream = dek_stream
+        self._next_epoch = 1
+        self._members: Dict[str, Registration] = {}
+        self._pending_joins: Dict[str, Registration] = {}
+        self._pending_leaves: Dict[str, float] = {}
+        self._sync: Optional[SyncTracker] = None
         self._dek: Optional[KeyMaterial] = None
-        if dek_stream is not None:
-            self._dek = dek_stream.generate(f"{group}/dek")
+        if dek:
+            self._dek = keygen.generate(f"{group}/dek")
 
-    def _note_join_attributes(self, member_id: str, attributes: Dict) -> None:
-        # A name admit() does not take is Python's own TypeError.
+    @property
+    def sync(self) -> SyncTracker:
+        """Per-receiver epoch state machine (built on first use).
+
+        Steady-state cost paths never touch it; the simulator and the
+        chaos harness drive its transitions as deliveries succeed, lag,
+        or get abandoned (see :mod:`repro.faults.recovery`).
+        """
+        if self._sync is None:
+            self._sync = SyncTracker()
+        return self._sync
+
+    @property
+    def current_epoch(self) -> int:
+        """The last processed batch epoch (0 before any rekeying)."""
+        return self._next_epoch - 1
+
+    # ------------------------------------------------------------------
+    # membership interface
+    # ------------------------------------------------------------------
+
+    @property
+    def size(self) -> int:
+        """Members already admitted (pending joiners excluded)."""
+        return len(self._members)
+
+    def __contains__(self, member_id: str) -> bool:
+        return member_id in self._members
+
+    def members(self) -> List[str]:
+        """Admitted member ids (unordered)."""
+        return list(self._members)
+
+    def join(self, member_id: str, at_time: float = 0.0, **attributes) -> Registration:
+        """Register a joiner; admitted at the next :meth:`rekey`.
+
+        Returns the :class:`Registration` carrying the individual key the
+        member receives over the simulated secure unicast channel.
+        Placement attributes (``member_class`` for PT, ``loss_rate`` for
+        loss-homogenized servers; :attr:`join_attributes` names the ones
+        this server takes) pass through ``**attributes``.
+        """
+        if member_id in self._members or member_id in self._pending_joins:
+            raise ValueError(f"member {member_id!r} already known to {self.group!r}")
+        # Attributes are outside input: checked before anything is drawn
+        # or recorded, so a rejected join leaves the server as it was.  A
+        # name admit() does not take is Python's own TypeError.
         self.policy.admit(member_id, **attributes)
+        key = self.keygen.generate(f"member:{member_id}")
+        registration = Registration(member_id, key, at_time)
+        self._pending_joins[member_id] = registration
+        obs_events.emit("join", time=at_time, member_id=member_id)
+        return registration
 
-    def _forget_join_attributes(self, member_id: str) -> None:
-        self.policy.cancel(member_id)
+    def leave(self, member_id: str, at_time: float = 0.0) -> None:
+        """Queue a departure for the next :meth:`rekey`.
+
+        A member that joined and left within the same period is silently
+        dropped from the pending joins — it never held any group key.
+        """
+        if member_id in self._pending_joins:
+            del self._pending_joins[member_id]
+            self.policy.cancel(member_id)
+            obs_events.emit("departure", time=at_time, member_id=member_id)
+            return
+        if member_id not in self._members:
+            raise KeyError(f"member {member_id!r} unknown to {self.group!r}")
+        if member_id in self._pending_leaves:
+            raise ValueError(f"member {member_id!r} already departing")
+        self._pending_leaves[member_id] = at_time
+        obs_events.emit("departure", time=at_time, member_id=member_id)
+
+    def rekey(self, now: float = 0.0) -> BatchResult:
+        """Process all pending changes as one batch; returns the payload."""
+        result = BatchResult(epoch=self._next_epoch, time=now)
+        self._next_epoch += 1
+        joins = list(self._pending_joins.values())
+        leaves = list(self._pending_leaves)
+        self._pending_joins.clear()
+        self._pending_leaves.clear()
+        for registration in joins:
+            self._members[registration.member_id] = registration
+        for member_id in leaves:
+            del self._members[member_id]
+        result.joined = [r.member_id for r in joins]
+        result.departed = leaves
+        if self._sync is not None:
+            for registration in joins:
+                self._sync.admit(registration.member_id, self._next_epoch - 1)
+            for member_id in leaves:
+                self._sync.forget(member_id)
+        registry = obs_metrics.active_registry()
+        with obs_tracing.span("rekey", epoch=result.epoch) as rekey_span:
+            started = perf_counter() if registry is not None else 0.0
+            self._process_batch(result, joins, leaves, now)
+            if registry is not None:
+                registry.observe(
+                    "server.rekey.seconds",
+                    perf_counter() - started,
+                    buckets=obs_metrics.LATENCY_BUCKETS_S,
+                )
+            rekey_span.set("cost", result.cost)
+        obs_metrics.inc("server.rekeys")
+        if joins:
+            obs_metrics.inc("server.joins", len(joins))
+        if leaves:
+            obs_metrics.inc("server.departures", len(leaves))
+        if result.encrypted_keys:
+            obs_metrics.inc("server.encrypted_keys", len(result.encrypted_keys))
+        obs_metrics.observe("server.batch_cost", result.cost)
+        obs_metrics.observe("epoch.group_size", self.size)
+        obs_metrics.observe("epoch.departures", len(leaves))
+        obs_events.emit(
+            "epoch",
+            time=now,
+            epoch=result.epoch,
+            joins=len(joins),
+            departures=len(leaves),
+            cost=result.cost,
+            group_size=self.size,
+        )
+        return result
 
     def _partition_index(self, member_id: str) -> int:
         for index, partition in enumerate(self.partitions):
@@ -197,6 +321,7 @@ class PartitionedServer(GroupKeyServer):
         leaves: List[str],
         now: float,
     ) -> None:
+        """Apply the batch to the partitions, then roll the DEK."""
         policy = self.policy
         slices: List[Tuple[list, list]] = [([], []) for _ in self.partitions]
         for member_id in leaves:
@@ -257,7 +382,7 @@ class PartitionedServer(GroupKeyServer):
         joiner: the first ``admitted[i]`` entries of slice ``i``.
         """
         previous = self._dek
-        dek = self._dek = self._dek_stream.rekey(previous)
+        dek = self._dek = self.keygen.rekey(previous)
         wraps = WrapBatch()
         if had_departure:
             for partition in self.partitions:
@@ -272,10 +397,64 @@ class PartitionedServer(GroupKeyServer):
         result.extend("group-key", wraps)
 
     def group_key(self) -> KeyMaterial:
+        """The current group data-encryption key."""
         if self._dek is None:
             return self.partitions[0].tree.root.key
         return self._dek
 
+    @property
+    def group_key_id(self) -> str:
+        """Key id of the group DEK (what the data plane encrypts under)."""
+        return self.group_key().key_id
+
+    # ------------------------------------------------------------------
+    # unicast recovery
+    # ------------------------------------------------------------------
+
+    def resync(self, member_id: str) -> List[EncryptedKey]:
+        """Unicast recovery for a member that fell behind.
+
+        Rekey transport has a soft real-time bound (Section 2.2): a member
+        partitioned away long enough to miss whole rekey intervals cannot
+        catch up from multicast alone, because the wraps it missed chain
+        off key versions it never learned.  The recovery path re-issues
+        every key the member is currently entitled to, wrapped under its
+        individual key (which never rotates), so one unicast delivery
+        restores it.
+
+        Returns the encrypted keys to send; raises ``KeyError`` for
+        non-members (pending joiners included — they have nothing to
+        recover until admitted).
+        """
+        registration = self._members.get(member_id)
+        if registration is None:
+            raise KeyError(f"member {member_id!r} unknown to {self.group!r}")
+        return [
+            wrap_key(registration.individual_key, key)
+            for key in self._current_keys_of(member_id)
+        ]
+
+    def catch_up(self, member_id: str, now: float = 0.0):
+        """Unicast catch-up for an ``OUT_OF_SYNC`` receiver, measured.
+
+        Runs the :meth:`resync` path, transitions the member back to
+        ``IN_SYNC`` in the :attr:`sync` tracker, and returns
+        ``(payload, event)`` where the
+        :class:`~repro.faults.recovery.RecoveryEvent` carries the recovery
+        latency (time since desynchronization), epochs missed, and the
+        unicast key cost.  Raises ``KeyError`` for non-members, exactly
+        like :meth:`resync`.
+        """
+        payload = self.resync(member_id)
+        event: RecoveryEvent = self.sync.mark_recovered(
+            member_id, epoch=self.current_epoch, now=now, keys_sent=len(payload)
+        )
+        obs_metrics.inc("server.catchups")
+        obs_metrics.inc("server.catchup_keys", len(payload))
+        return payload, event
+
     def _current_keys_of(self, member_id: str) -> List[KeyMaterial]:
+        """Every key ``member_id`` is currently entitled to hold, the
+        group DEK included."""
         keys = self.partitions[self._partition_index(member_id)].path_keys(member_id)
         return keys if self._dek is None else keys + [self._dek]

@@ -5,9 +5,9 @@ under one group key — and differs only in where a member is put: by age
 with S -> L migration (:class:`AgePlacement`, Section 3's QT / TT), by a
 class oracle (:class:`ClassPlacement`, PT), by nearest loss class
 (:class:`NearestLossPlacement`, Section 4), round-robin
-(:class:`RoundRobinPlacement`, the Fig. 6 control) or by hash
-(:class:`HashPlacement`: sharding, and with one shard the plain
-one-keytree scheme).  ``docs/architecture.md`` has them side by side.
+(:class:`RoundRobinPlacement`, the Fig. 6 control) or into the one
+partition there is (:class:`SinglePartitionPlacement`, the plain one-keytree
+scheme).  ``docs/architecture.md`` has them side by side.
 
 A policy is all the state a :class:`~repro.server.partitioned.PartitionedServer`
 keeps about placement besides the partitions themselves: it validates the
@@ -20,22 +20,11 @@ JSON-compatible data, and they are the whole of
 
 from __future__ import annotations
 
-import hashlib
 import numbers
 from copy import deepcopy
 from typing import Dict, List, Sequence, Tuple
 
 from repro.members.durations import LONG_CLASS, SHORT_CLASS
-
-
-def shard_of(member_id: str, shards: int) -> int:
-    """Stable member-to-shard placement: ``sha256(member_id) % shards``.
-
-    Independent of ``PYTHONHASHSEED``, process, platform and insertion
-    order — the placement is part of the protocol state.
-    """
-    digest = hashlib.sha256(member_id.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % shards
 
 
 def _check_class(member_class: object) -> None:
@@ -50,8 +39,9 @@ class PlacementPolicy:
     """Base policy: decide at join time, hand the decision over at admission.
 
     ``pending`` maps a joiner not yet admitted to the partition index
-    chosen for it; policies that can only decide at admission (by age, by
-    hash) leave it empty and override :meth:`place`.
+    chosen for it; policies that decide at admission (by age) or have
+    nothing to decide (one partition) leave it empty and override
+    :meth:`place`.
     """
 
     #: Snapshot tag (``state()["name"]``).
@@ -194,14 +184,16 @@ class RoundRobinPlacement(_LossClasses):
         self.next_index += 1
 
 
-class HashPlacement(PlacementPolicy):
-    """Sharding: ``shard_of`` over however many partitions the server has
-    (no count of its own); one shard is the plain one-keytree scheme."""
+class SinglePartitionPlacement(PlacementPolicy):
+    """One-keytree: one partition, so every member lands in it."""
 
-    name = "hash"
+    name = "hash"  # snapshot tag, kept so existing snapshots load
+
+    def accepts(self, partitions: int) -> bool:
+        return partitions == 1
 
     def place(self, member_id: str, now: float, partitions: int) -> int:
-        return shard_of(member_id, partitions) if partitions > 1 else 0
+        return 0
 
 
 POLICIES = {
@@ -211,7 +203,7 @@ POLICIES = {
         ClassPlacement,
         NearestLossPlacement,
         RoundRobinPlacement,
-        HashPlacement,
+        SinglePartitionPlacement,
     )
 }
 

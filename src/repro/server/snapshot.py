@@ -4,7 +4,7 @@ Dumps the complete operational state of a
 :class:`~repro.server.partitioned.PartitionedServer` — its partitions (key
 trees with their attachment heaps, queue partitions), the placement
 policy's state (migration clocks, pending placements), the group DEK,
-member registry, pending batches and every key stream — into one
+member registry, pending batches and the key stream — into one
 JSON-compatible dict, and restores a server that behaves identically from
 the next ``rekey()`` onward (same epochs, same node ids, same future key
 material).
@@ -13,11 +13,14 @@ One layout serves every scheme (``FORMAT_VERSION = 2``)::
 
     {"format": 2, "kind": ..., "base": ..., "keygen": ..., "join_refresh": ...,
      "policy": policy.state(), "partitions": [partition.dump(), ...],
-     "dek": ..., "dek_stream": ...}          # the last two only if present
+     "dek": ...}                             # only if there is a DEK
 
 Format-1 snapshots (one layout per server class, written before the
 classes became one) are still read: :func:`_upgrade_format_1` reshapes the
-dict, nothing else.
+dict, nothing else.  A document this module cannot rebuild a server from
+— not a dict, a missing field, an unknown kind or policy, or a snapshot of
+the retired hash-sharded scheme (kind ``sharded-keytree``, a
+``dek_stream`` or a partition ``stream``) — raises ``ValueError``.
 
 A snapshot contains every secret the server knows.  Encrypt at rest.
 """
@@ -28,12 +31,11 @@ from typing import Dict
 
 from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.keytree.queuepartition import QueuePartition
-from repro.server.base import GroupKeyServer, Registration
+from repro.server.base import Registration
 from repro.server.losshomog import LossHomogenizedServer
 from repro.server.onetree import OneTreeServer
 from repro.server.partitioned import PartitionedServer, TreePartition
 from repro.server.placement import policy_from_state
-from repro.server.sharded import ShardedOneTreeServer
 from repro.server.twopartition import TwoPartitionServer
 
 FORMAT_VERSION = 2
@@ -46,12 +48,14 @@ _KINDS = {
         OneTreeServer,
         TwoPartitionServer,
         LossHomogenizedServer,
-        ShardedOneTreeServer,
     )
 }
+#: Fields a format-2 document and its ``base`` must carry.
+_FIELDS = ("kind", "base", "keygen", "join_refresh", "policy", "partitions")
+_BASE_FIELDS = ("group", "next_epoch", "members", "pending_joins", "pending_leaves")
 
 
-def _base_state(server: GroupKeyServer) -> Dict:
+def _base_state(server: PartitionedServer) -> Dict:
     def registrations(table: Dict[str, Registration]) -> list:
         return [
             {"member": r.member_id, "key": r.individual_key.to_dict(), "join_time": r.join_time}
@@ -67,7 +71,7 @@ def _base_state(server: GroupKeyServer) -> Dict:
     }
 
 
-def _restore_base(server: GroupKeyServer, data: Dict) -> None:
+def _restore_base(server: PartitionedServer, data: Dict) -> None:
     def registrations(entries: list) -> Dict[str, Registration]:
         return {
             e["member"]: Registration(
@@ -84,7 +88,7 @@ def _restore_base(server: GroupKeyServer, data: Dict) -> None:
     }
 
 
-def snapshot_server(server: GroupKeyServer) -> Dict:
+def snapshot_server(server: PartitionedServer) -> Dict:
     """Serialize a partitioned server to a JSON-compatible dict."""
     if getattr(server, "kind", None) not in _KINDS:
         raise TypeError(f"cannot snapshot server type {type(server).__name__}")
@@ -95,22 +99,20 @@ def snapshot_server(server: GroupKeyServer) -> Dict:
         "keygen": server.keygen.state(),
         "join_refresh": server.join_refresh,
         "policy": server.policy.state(),
-        "partitions": [part.dump(server.keygen) for part in server.partitions],
+        "partitions": [part.dump() for part in server.partitions],
     }
     if server._dek is not None:
         state["dek"] = server._dek.to_dict()
-        if server._dek_stream is not server.keygen:
-            state["dek_stream"] = server._dek_stream.state()
     return state
 
 
 def _upgrade_format_1(old: Dict) -> Dict:
     """Reshape a format-1 snapshot into the one layout; reads no server.
 
-    Fields that selected an execution strategy (``tree_kernel``, and the
-    sharded server's ``backend`` / ``workers`` / ``payload``) are dropped:
-    there is one strategy.  Placement maps the partitions themselves imply
-    (``assignment``, admitted members' ``member_class``) are dropped too.
+    Fields that selected an execution strategy (``tree_kernel``) are
+    dropped: there is one strategy.  Placement maps the partitions
+    themselves imply (``assignment``, admitted members' ``member_class``)
+    are dropped too.
     """
     kind = old.get("kind")
     new = {key: old.get(key) for key in ("kind", "base", "keygen")}
@@ -165,15 +167,6 @@ def _upgrade_format_1(old: Dict) -> Dict:
             }
             for rate in rates
         ]
-    elif kind == "sharded-keytree":
-        shards = int(old["shards"])
-        new["policy"] = {"name": "hash", "pending": {}}
-        new["partitions"] = [
-            {"label": f"shard{shard}", **old["shard_dumps"][str(shard)]}
-            for shard in range(shards)
-        ]
-        if shards > 1:
-            new["dek_stream"] = old["dek_stream"]
     else:
         raise ValueError(f"unknown server kind {kind!r}")
     if "dek" in old:
@@ -181,19 +174,36 @@ def _upgrade_format_1(old: Dict) -> Dict:
     return new
 
 
-def restore_server(state: Dict) -> GroupKeyServer:
+def _require(data: object, fields: tuple, where: str) -> None:
+    """``ValueError`` naming what is wrong, where a lookup would raise
+    ``KeyError`` or ``AttributeError``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a dict, not {type(data).__name__}")
+    missing = [field for field in fields if field not in data]
+    if missing:
+        raise ValueError(f"{where} lacks {missing}")
+
+
+def restore_server(state: Dict) -> PartitionedServer:
     """Rebuild a server from :func:`snapshot_server` output."""
+    _require(state, (), "snapshot")
     if state.get("format") == 1:
+        _require(state, ("kind", "base", "keygen"), "snapshot")
+        _require(state["base"], _BASE_FIELDS, "snapshot base")
         state = _upgrade_format_1(state)
     if state.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported snapshot format: {state.get('format')!r}")
     if state.get("kind") not in _KINDS:
         raise ValueError(f"unknown server kind {state.get('kind')!r}")
+    _require(state, _FIELDS, "snapshot")
+    _require(state["base"], _BASE_FIELDS, "snapshot base")
+    if "dek_stream" in state or any("stream" in data for data in state["partitions"]):
+        # Private key streams: only the retired hash-sharded scheme wrote them.
+        raise ValueError(
+            "snapshot carries a private key stream (a dek_stream or a partition "
+            "stream): the hash-sharded scheme that wrote it is retired"
+        )
     keygen = KeyGenerator.from_state(state["keygen"])
-    dek_stream = None
-    if "dek" in state:
-        stream = state.get("dek_stream")
-        dek_stream = KeyGenerator.from_state(stream) if stream else keygen
     # The factory classes' constructors build fresh partitions; a restore
     # has them ready-made, so it initialises the composite underneath.
     server = object.__new__(_KINDS[state["kind"]])
@@ -204,15 +214,13 @@ def restore_server(state: Dict) -> GroupKeyServer:
             for data in state["partitions"]
         ],
         policy_from_state(state["policy"]),
-        dek_stream,
+        "dek" in state,
         keygen=keygen,
         group=state["base"]["group"],
         join_refresh=state["join_refresh"],
     )
-    if dek_stream is not None:
+    if "dek" in state:
         server._dek = KeyMaterial.from_dict(state["dek"])
-        if dek_stream is not keygen:
-            dek_stream._counter = int(state["dek_stream"]["counter"])
     _restore_base(server, state["base"])
     # Pin the generator counter last — rebuilding the trees and the DEK
     # above consumed draws that must not count.

@@ -71,11 +71,7 @@ class TwoPartitionServer(PartitionedServer):
             s_partition = TreePartition.build("s-partition", f"{group}/s-tree", degree, keygen)
         l_partition = TreePartition.build("l-partition", f"{group}/l-tree", degree, keygen)
         super().__init__(
-            [s_partition, l_partition],
-            policy,
-            keygen,
-            keygen=keygen,
-            group=group,
+            [s_partition, l_partition], policy, True, keygen=keygen, group=group
         )
 
     @property

@@ -27,7 +27,8 @@ from repro.members.population import LossPopulation
 from repro.obs.latency import LatencyTracker
 from repro.network.channel import MulticastChannel
 from repro.network.loss import BernoulliLoss
-from repro.server.base import BatchResult, GroupKeyServer
+from repro.server.base import BatchResult
+from repro.server.partitioned import PartitionedServer
 from repro.sim.engine import EventLoop
 from repro.sim.metrics import RekeyRecord, SimulationMetrics
 from repro.transport.session import TransportExhausted, TransportTask
@@ -129,7 +130,7 @@ class GroupRekeyingSimulation:
 
     def __init__(
         self,
-        server: GroupKeyServer,
+        server: PartitionedServer,
         config: Optional[SimulationConfig] = None,
         join_attributes: Optional[Callable[[str, str, float], Dict]] = None,
     ) -> None:
@@ -171,10 +172,7 @@ class GroupRekeyingSimulation:
             # Looked up through self.server at call time: a crash-restore
             # replaces the server, and the label is read off live partitions.
             self.latency = LatencyTracker(
-                scheme=getattr(server, "name", type(server).__name__),
-                shard_fn=self._shard_label
-                if hasattr(server, "shard_label")
-                else None,
+                scheme=server.name, shard_fn=self._shard_label
             )
 
     def _shard_label(self, member_id: str) -> str:
@@ -531,7 +529,7 @@ class GroupRekeyingSimulation:
 
     def _tree_degree(self) -> int:
         """The server's key-tree degree (for the Ne(N, L) trace check)."""
-        for partition in getattr(self.server, "partitions", ()):
+        for partition in self.server.partitions:
             if hasattr(partition, "tree"):
                 return partition.tree.degree
         return 4

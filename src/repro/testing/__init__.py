@@ -2,8 +2,8 @@
 
 This package is the repository's *executable security contract*: a
 scheme-independent harness that drives real member state machines against
-any :class:`~repro.server.base.GroupKeyServer` and audits — at the
-key-material and ciphertext level — the properties the paper's schemes
+any :class:`~repro.server.partitioned.PartitionedServer` and audits — at
+the key-material and ciphertext level — the properties the paper's schemes
 exist to provide (forward/backward secrecy, key consistency, batching
 semantics, structural soundness, unicast recoverability).
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.server.base import GroupKeyServer
+from repro.server.partitioned import PartitionedServer
 from repro.testing.harness import ConformanceHarness
 from repro.testing.scenario import Scenario, standard_scenarios
 
@@ -29,7 +29,8 @@ def _deterministic_class(member_id: str) -> str:
 
 
 def _deterministic_loss(member_id: str) -> float:
-    return 0.20 if sum(member_id.encode()) % 2 else 0.02
+    # Three rates, so a three-class server fills every one of its trees.
+    return (0.02, 0.10, 0.20)[sum(member_id.encode()) % 3]
 
 
 def default_join_attributes(member_id: str) -> Dict[str, object]:
@@ -45,12 +46,14 @@ class SchemeSpec:
     """One scheme the battery knows how to drive."""
 
     name: str
-    factory: Callable[[], GroupKeyServer]
+    factory: Callable[[], PartitionedServer]
     #: Join attributes this scheme's ``join()`` accepts.
     attributes: tuple
 
     @classmethod
-    def of(cls, name: str, factory: Callable[[], GroupKeyServer]) -> "SchemeSpec":
+    def of(
+        cls, name: str, factory: Callable[[], PartitionedServer]
+    ) -> "SchemeSpec":
         """A spec whose ``attributes`` are the ones the server itself names."""
         return cls(name, factory, tuple(factory().join_attributes))
 
@@ -59,12 +62,10 @@ def scheme_specs() -> List[SchemeSpec]:
     """Every key-server scheme in the repository, battery-ready."""
     from repro.server.losshomog import LossHomogenizedServer
     from repro.server.onetree import OneTreeServer
-    from repro.server.sharded import ShardedOneTreeServer
     from repro.server.twopartition import TwoPartitionServer
 
     factories = {
         "one-keytree": lambda: OneTreeServer(degree=4),
-        "sharded": lambda: ShardedOneTreeServer(shards=4, degree=4),
         "one-keytree-owf": lambda: OneTreeServer(degree=4, join_refresh="owf"),
         "qt": lambda: TwoPartitionServer(mode="qt", s_period=S_PERIOD),
         "tt": lambda: TwoPartitionServer(mode="tt", s_period=S_PERIOD),
@@ -72,6 +73,10 @@ def scheme_specs() -> List[SchemeSpec]:
         "loss-homogenized": lambda: LossHomogenizedServer(class_rates=(0.20, 0.02)),
         "loss-random": lambda: LossHomogenizedServer(
             class_rates=(0.20, 0.02), placement="random"
+        ),
+        # The many-partition case: three trees under one DEK.
+        "loss-3-trees": lambda: LossHomogenizedServer(
+            class_rates=(0.20, 0.10, 0.02)
         ),
     }
     return [SchemeSpec.of(name, factory) for name, factory in factories.items()]

@@ -1,8 +1,9 @@
 """End-to-end conformance harness for group key servers.
 
-:class:`ConformanceHarness` wraps any :class:`~repro.server.base.GroupKeyServer`
-and drives *real* :class:`~repro.members.member.Member` state machines
-through its batches, auditing after every rekeying:
+:class:`ConformanceHarness` wraps any
+:class:`~repro.server.partitioned.PartitionedServer` and drives *real*
+:class:`~repro.members.member.Member` state machines through its batches,
+auditing after every rekeying:
 
 * **shadow model** — membership, epochs and batch accounting match an
   independent re-implementation of the batching contract
@@ -31,7 +32,8 @@ from typing import Dict, List, Optional
 
 from repro.crypto.material import KeyMaterial
 from repro.members.member import Member
-from repro.server.base import BatchResult, GroupKeyServer, Registration
+from repro.server.base import BatchResult, Registration
+from repro.server.partitioned import PartitionedServer
 from repro.testing.invariants import (
     InvariantViolation,
     check_backward_secrecy,
@@ -62,7 +64,7 @@ class ConformanceHarness:
 
     def __init__(
         self,
-        server: GroupKeyServer,
+        server: PartitionedServer,
         *,
         max_adversaries: int = 16,
         structural_checks: bool = True,

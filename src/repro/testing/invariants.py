@@ -19,7 +19,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.crypto.cipher import AuthenticationError, encrypt
 from repro.crypto.material import KeyMaterial
 from repro.members.member import Member
-from repro.server.base import BatchResult, GroupKeyServer
+from repro.server.base import BatchResult
+from repro.server.partitioned import PartitionedServer
 
 
 class InvariantViolation(AssertionError):
@@ -130,16 +131,16 @@ def check_batch_accounting(result: BatchResult) -> None:
             )
 
 
-def _tree_structures(server: GroupKeyServer) -> List[Tuple[str, object]]:
+def _tree_structures(server: PartitionedServer) -> List[Tuple[str, object]]:
     """(label, key tree) pairs for every tree partition a server holds."""
     return [
         (part.label, part.tree)
-        for part in getattr(server, "partitions", ())
+        for part in server.partitions
         if hasattr(part, "tree")
     ]
 
 
-def check_structures(server: GroupKeyServer) -> None:
+def check_structures(server: PartitionedServer) -> None:
     """Structural soundness: valid trees, disjoint partitions, full cover.
 
     Every key tree the server maintains must pass its own ``validate()``,
@@ -155,7 +156,7 @@ def check_structures(server: GroupKeyServer) -> None:
                 f"server {server.group!r}: {label} failed validation: {exc}"
             ) from exc
     placed: List[str] = []
-    for part in getattr(server, "partitions", ()):
+    for part in server.partitions:
         placed.extend(part.members())
     if not placed and server.size == 0:
         return
@@ -176,7 +177,7 @@ def check_structures(server: GroupKeyServer) -> None:
 
 
 def check_resync(
-    server: GroupKeyServer,
+    server: PartitionedServer,
     member_id: str,
     individual_key: KeyMaterial,
     *,

@@ -249,8 +249,7 @@ class LkhRekeyer:
         Deduplication preserves the caller's marking order (``set`` would
         iterate in address order), so equal-depth nodes refresh — and
         consume generator draws — in a deterministic sequence: identical
-        batches yield byte-identical messages, which the sharded server's
-        backend-invariance contract depends on.
+        batches yield byte-identical messages.
         """
         marked_list = sorted(
             dict.fromkeys(marked), key=lambda n: n.depth, reverse=True

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from repro.crypto.wrap import EncryptedKey, RekeyMessage, WrapIndex
 from repro.members.member import Member
-from repro.server.base import GroupKeyServer
+from repro.server.partitioned import PartitionedServer
 from repro.testing.lkh import LkhRekeyer
 from repro.testing.serialize import tree_from_dict
 from repro.transport.session import TransportTask
@@ -47,7 +47,7 @@ def _object_twin(tree, rekeyer) -> tuple:
     return twin, twin_rekeyer
 
 
-def with_object_trees(server: GroupKeyServer) -> GroupKeyServer:
+def with_object_trees(server: PartitionedServer) -> PartitionedServer:
     """Swap every key tree ``server`` holds for an object-tree twin.
 
     Meant for a server that has processed nothing yet: a twin is rebuilt
@@ -56,7 +56,7 @@ def with_object_trees(server: GroupKeyServer) -> GroupKeyServer:
     those entries at other moments and its verbatim dumps can differ.
     Returns ``server``.
     """
-    trees = [part for part in getattr(server, "partitions", ()) if hasattr(part, "tree")]
+    trees = [part for part in server.partitions if hasattr(part, "tree")]
     if not trees:
         raise TypeError(f"no key trees known for {type(server).__name__}")
     for part in trees:

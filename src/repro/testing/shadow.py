@@ -1,9 +1,9 @@
 """A model-based oracle for the server-side batching protocol.
 
 :class:`ShadowGroup` re-implements the *observable* contract of
-:class:`~repro.server.base.GroupKeyServer` — membership accounting,
-pending-batch semantics (including the join-then-leave-within-one-period
-corner), epoch numbering — with none of the key-tree machinery, and
+:class:`~repro.server.partitioned.PartitionedServer` — membership
+accounting, pending-batch semantics (including the join-then-leave-within-
+one-period corner), epoch numbering — with none of the key-tree machinery, and
 cross-checks every :class:`~repro.server.base.BatchResult` a real server
 emits against what the model says must have happened.
 
@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
-from repro.server.base import BatchResult, GroupKeyServer
+from repro.server.base import BatchResult
+from repro.server.partitioned import PartitionedServer
 from repro.testing.invariants import InvariantViolation, check_batch_accounting
 
 
@@ -52,7 +53,7 @@ class ShadowGroup:
             )
         self.pending_leaves.add(member_id)
 
-    def audit(self, server: GroupKeyServer, result: BatchResult) -> None:
+    def audit(self, server: PartitionedServer, result: BatchResult) -> None:
         """Check one batch result against the model, then advance it."""
         if result.epoch != self.next_epoch:
             raise InvariantViolation(

@@ -1,6 +1,6 @@
 """Generate the golden *wire* fixture ``tests/golden/wire_payloads.json``.
 
-For every batch of the eight-scheme churn trace of
+For every batch of the seven-scheme churn trace of
 ``generate_server_golden.py`` this pins the sha256 of the encoded rekey
 broadcast, ``encode_rekey_message`` of the batch's group, epoch, wraps,
 one-way advances and rosters.  The fixture keeps the digest list as it
@@ -12,9 +12,10 @@ first read, must reproduce both.
 Recorded at commit 1284af7, before the payload became one columnar
 object from wrap to absorb; ``tests/test_golden_wire.py`` replays it,
 checks that decoding and re-encoding gives the same bytes and that the
-decoded records are the wraps ``server_payloads.json`` pins.  Do not
-regenerate it to make a change pass; regenerate only when a wire change
-is intended and reviewed:
+decoded records are the wraps ``server_payloads.json`` pins.  The
+retired hash-sharded scheme's entry was deleted from it; every other
+entry is as recorded.  Do not regenerate it to make a change pass;
+regenerate only when a wire change is intended and reviewed:
 
     PYTHONPATH=src python tests/golden/generate_wire_golden.py
 """

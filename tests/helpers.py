@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 from repro.keytree.flat import FlatKeyTree, FlatRekeyer
+from repro.members.population import LossClass, LossPopulation
+from repro.server.losshomog import LossHomogenizedServer
 from repro.testing import ConformanceHarness
 from repro.testing.lkh import LkhRekeyer
 from repro.testing.tree import KeyTree
@@ -25,6 +27,25 @@ KERNELS = {
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+#: The suite's many-partition server: one key tree per loss class.
+THREE_CLASS_RATES = (0.20, 0.10, 0.02)
+
+
+def three_tree_server(**kwargs):
+    """A loss-homogenized server with three trees under one DEK."""
+    return LossHomogenizedServer(class_rates=THREE_CLASS_RATES, **kwargs)
+
+
+def three_class_population():
+    """Receivers over all three of :data:`THREE_CLASS_RATES`."""
+    return LossPopulation(
+        (
+            LossClass("high", 0.20, 0.2),
+            LossClass("mid", 0.10, 0.3),
+            LossClass("low", 0.02, 0.5),
+        )
+    )
 
 
 def load_golden_generator(name):

@@ -127,16 +127,19 @@ class TestTrace:
 
 class TestRemovedExecutionOptions:
     """The bulk / threads / arena wrap engine, the ``bench`` subcommand,
-    the choice of tree kernel and the shard executors are gone; their
-    flags are argparse errors, not silently accepted."""
+    the choice of tree kernel, the shard executors and the hash-sharded
+    scheme itself are gone; their flags are argparse errors, not silently
+    accepted."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["simulate", "--quick", "--threads", "2"],
             ["simulate", "--quick", "--tree-kernel", "flat"],
-            ["simulate", "--quick", "--scheme", "sharded", "--workers", "2"],
-            ["simulate", "--quick", "--scheme", "sharded", "--backend", "process"],
+            ["simulate", "--quick", "--scheme", "one", "--workers", "2"],
+            ["simulate", "--quick", "--scheme", "one", "--backend", "process"],
+            ["simulate", "--quick", "--shards", "4"],
+            ["simulate", "--quick", "--scheme", "sharded"],
             ["chaos", "--quick", "--arena"],
             ["bench"],
         ],
@@ -145,6 +148,8 @@ class TestRemovedExecutionOptions:
             "simulate-tree-kernel",
             "simulate-workers",
             "simulate-backend",
+            "simulate-shards",
+            "simulate-scheme-sharded",
             "chaos-arena",
             "bench",
         ],

@@ -36,6 +36,8 @@ PREFIX = Scenario.parse(
 SUFFIX = Scenario.parse("+g -a . t+60 -c +h . !*", name="suffix")
 
 SNAPSHOT_SCHEMES = sorted(SCHEME_FACTORIES)
+#: Format-1 snapshots of the retired hash-sharded scheme: refused.
+RETIRED_SNAPSHOTS = ("sharded", "sharded-process")
 
 
 def run_prefix(spec, build=lambda server: server):
@@ -156,22 +158,32 @@ def test_object_tree_snapshot_restores_into_the_shipped_server(name):
     assert twin.group_key().secret == live.server.group_key().secret
 
 
-@pytest.mark.parametrize("name", sorted(_format_1["snapshots"]))
+@pytest.mark.parametrize(
+    "name", sorted(set(_format_1["snapshots"]) - set(RETIRED_SNAPSHOTS))
+)
 def test_format_1_snapshot_continues_the_golden_trace(name):
     """Snapshots written before the servers became one class (format 1,
-    taken mid-trace with a batch queued; one of them by a sharded server
-    on the since-deleted process backend) still restore, and the restored
+    taken mid-trace with a batch queued) still restore, and the restored
     server emits the rest of the golden trace byte for byte."""
-    scheme = "sharded" if name == "sharded-process" else name
     state = _format_1["snapshots"][name]
     assert state["format"] == 1
-    assert (state.get("backend") == "process") == (name == "sharded-process")
     first = _format_1["batch"]
     server = restore_server(state)
-    records = _golden.replay(scheme, server=server, start=first)
-    expected = _golden_payloads[scheme][first - 1:]
+    records = _golden.replay(name, server=server, start=first)
+    expected = _golden_payloads[name][first - 1:]
     assert len(records) == len(expected) >= 4
     assert records == expected
+
+
+@pytest.mark.parametrize("name", RETIRED_SNAPSHOTS)
+def test_format_1_sharded_snapshot_is_refused(name):
+    """The hash-sharded scheme is retired: its snapshots (one of them
+    written on the since-deleted process backend) are refused, typed."""
+    state = _format_1["snapshots"][name]
+    assert (state["format"], state["kind"]) == (1, "sharded-keytree")
+    assert (state.get("backend") == "process") == (name == "sharded-process")
+    with pytest.raises(ValueError, match="sharded-keytree"):
+        restore_server(state)
 
 
 @pytest.mark.parametrize("name", SNAPSHOT_SCHEMES)
@@ -179,12 +191,11 @@ def test_every_scheme_writes_the_one_layout(name):
     live = run_prefix(SCHEME_FACTORIES[name])
     state = json.loads(json.dumps(snapshot_server(live.server)))
     assert state["format"] == 2
-    optional = {"dek", "dek_stream"}
-    assert set(state) - optional == {
+    assert set(state) - {"dek"} == {
         "format", "kind", "base", "keygen", "join_refresh", "policy", "partitions",
     }
     assert ("dek" in state) == (live.server._dek is not None)
-    assert ("dek_stream" in state) == (name == "sharded")
+    assert not any("stream" in part for part in state["partitions"])
     assert [part["label"] for part in state["partitions"]] == [
         part.label for part in live.server.partitions
     ]
@@ -204,11 +215,13 @@ _DAMAGE = [
     {"format": None},
     {"kind": "three-partition"},
     {"kind": None},
+    {"kind": "sharded-keytree"},
 ]
 _POLICY_DAMAGE = [
     {"policy": {"name": "by-mood", "pending": {}}},
     {"policy": {"pending": {}}},
     {"policy": {"name": "by-age"}},
+    {"dek_stream": {"root": "00" * 32, "counter": 0}},
 ]
 
 
@@ -241,8 +254,7 @@ def test_unreadable_snapshots_raise_value_error(fmt, damage):
 )
 def test_a_policy_that_does_not_fit_the_partitions_is_refused(scheme, field, value):
     """A policy sized for other partitions than the snapshot carries would
-    place a joiner outside the list (or never fill part of it).  The hash
-    policy keeps no count of its own: it fits however many there are."""
+    place a joiner outside the list (or never fill part of it)."""
     live = run_prefix(SCHEME_FACTORIES[scheme])
     state = json.loads(json.dumps(snapshot_server(live.server)))
     if field == "partitions":
@@ -252,6 +264,61 @@ def test_a_policy_that_does_not_fit_the_partitions_is_refused(scheme, field, val
         state["policy"][field] = value
     with pytest.raises(ValueError, match="does not fit"):
         restore_server(state)
+
+
+def test_a_partition_key_stream_is_refused():
+    """Only the retired hash-sharded scheme gave a partition its own key
+    stream; a snapshot carrying one describes a server there is not."""
+    live = run_prefix(SCHEME_FACTORIES["loss-3-trees"])
+    state = json.loads(json.dumps(snapshot_server(live.server)))
+    restore_server(json.loads(json.dumps(state)))
+    state["partitions"][1]["stream"] = {"root": "00" * 32, "counter": 3}
+    with pytest.raises(ValueError, match="stream"):
+        restore_server(state)
+
+
+@pytest.mark.parametrize(
+    "field", ["keygen", "base", "policy", "partitions", "join_refresh", "kind"]
+)
+def test_a_snapshot_missing_a_field_is_refused_by_name(field):
+    """A missing field used to surface as ``KeyError`` from deep inside
+    the loader; it is a ``ValueError`` that names the field."""
+    live = run_prefix(SCHEME_FACTORIES["tt"])
+    state = json.loads(json.dumps(snapshot_server(live.server)))
+    del state[field]
+    with pytest.raises(ValueError, match=field):
+        restore_server(state)
+
+
+@pytest.mark.parametrize("field", ["keygen", "base", "kind"])
+def test_a_format_1_snapshot_missing_a_field_is_refused_by_name(field):
+    """The format-1 upgrade copies these across; a missing one must not
+    reach the loader as ``None``."""
+    state = json.loads(json.dumps(_format_1["snapshots"]["tt"]))
+    del state[field]
+    with pytest.raises(ValueError, match=field):
+        restore_server(state)
+
+
+@pytest.mark.parametrize("field", ["members", "next_epoch", "group"])
+def test_a_snapshot_base_missing_a_field_is_refused_by_name(field):
+    live = run_prefix(SCHEME_FACTORIES["tt"])
+    for state in (
+        json.loads(json.dumps(snapshot_server(live.server))),
+        json.loads(json.dumps(_format_1["snapshots"]["tt"])),
+    ):
+        del state["base"][field]
+        with pytest.raises(ValueError, match=field):
+            restore_server(state)
+
+
+@pytest.mark.parametrize(
+    "document", [None, [], "snapshot", 2, [("format", 2)]], ids=repr
+)
+def test_a_snapshot_that_is_no_dict_is_refused(document):
+    """A list or a string used to fail with ``AttributeError``."""
+    with pytest.raises(ValueError, match="dict"):
+        restore_server(document)
 
 
 def test_snapshot_round_trip_preserves_resync():

@@ -7,7 +7,7 @@ them byte for byte — independently, so a behavior drift in *either*
 kernel fails here even if the two still agree with each other.
 
 ``tests/golden/server_payloads.json`` does the same one layer up: for
-each of the eight conformance schemes, one seeded churn trace (joins
+each of seven conformance schemes, one seeded churn trace (joins
 only, departures only, mixed, empty and migration-only batches) with
 every batch's wraps, breakdown, migrations, group key and generator
 counter, recorded before the four server classes became one.

@@ -1,7 +1,7 @@
 """Golden wire anchor: the encoded rekey broadcast of every server batch.
 
 ``tests/golden/wire_payloads.json`` pins the sha256 of
-``encode_rekey_message`` for each batch of the eight-scheme churn trace,
+``encode_rekey_message`` for each batch of the seven-scheme churn trace,
 as recorded in each of the two wrap modes the code once had.  Replaying
 the one wrap path checks three things per batch against each recorded
 list: the bytes hash to the pinned digest, decoding and re-encoding gives those

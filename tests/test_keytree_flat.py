@@ -13,7 +13,7 @@ from repro.crypto.material import KeyGenerator
 from repro.keytree import flat
 from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.server.onetree import OneTreeServer
-from repro.server.sharded import ShardedOneTreeServer
+from repro.server.twopartition import TwoPartitionServer
 from repro.testing import SCHEME_FACTORIES
 from repro.testing.invariants import _tree_structures
 from repro.testing.serialize import tree_from_dict, tree_to_dict
@@ -204,7 +204,7 @@ class TestSingleKernel:
         with pytest.raises(TypeError):
             OneTreeServer(tree_kernel="flat")
         with pytest.raises(TypeError):
-            ShardedOneTreeServer(shards=2, tree_kernel="flat")
+            TwoPartitionServer(mode="tt", tree_kernel="flat")
 
     def test_one_tree_server_serves_group_key(self):
         server = OneTreeServer(degree=3)

@@ -412,7 +412,9 @@ def wire_result(result):
 # every server: shipped (flat) vs its object-tree oracle, in lock step
 # ----------------------------------------------------------------------
 
-LOCK_STEP_SCHEMES = ("qt", "tt", "pt", "loss-homogenized", "loss-random", "sharded")
+LOCK_STEP_SCHEMES = (
+    "qt", "tt", "pt", "loss-homogenized", "loss-random", "loss-3-trees",
+)
 
 
 class ServerPair:

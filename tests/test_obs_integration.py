@@ -22,9 +22,10 @@ from repro.obs import check as obs_check
 from repro.obs import metrics as obs_metrics
 from repro.server.losshomog import LossHomogenizedServer
 from repro.server.onetree import OneTreeServer
-from repro.server.sharded import ShardedOneTreeServer
 from repro.server.twopartition import TwoPartitionServer
 from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
+
+from tests.helpers import THREE_CLASS_RATES, three_class_population, three_tree_server
 
 
 def small_config(**overrides):
@@ -67,22 +68,32 @@ def test_observed_simulation_epoch_counts_agree():
 def churn(server, rounds=4, width=32):
     """Deterministic churn against a server; returns encrypted-key total."""
     total_keys = 0
+    joined = 0
+
+    def join(member_id):
+        nonlocal joined
+        rate = {"loss_rate": THREE_CLASS_RATES[joined % len(THREE_CLASS_RATES)]}
+        server.join(
+            member_id, **{k: v for k, v in rate.items() if k in server.join_attributes}
+        )
+        joined += 1
+
     members = [f"m{i}" for i in range(width)]
     for member_id in members:
-        server.join(member_id)
+        join(member_id)
     total_keys += len(server.rekey().encrypted_keys)
     for round_no in range(rounds):
         for i in range(4):
             server.leave(members[round_no * 4 + i])
         joiners = [f"j{round_no}_{i}" for i in range(4)]
         for member_id in joiners:
-            server.join(member_id)
+            join(member_id)
         members.extend(joiners)
         total_keys += len(server.rekey().encrypted_keys)
     return total_keys
 
 
-def unwrap_totals(server):
+def unwrap_totals(server, population=None):
     """Wrap/unwrap counters of one observed lossy run."""
     from repro.transport.wka_bkr import WkaBkrProtocol
 
@@ -91,7 +102,7 @@ def unwrap_totals(server):
             server,
             small_config(
                 transport=WkaBkrProtocol(keys_per_packet=16),
-                loss_population=LossPopulation.two_point(),
+                loss_population=population or LossPopulation.two_point(),
             ),
         ).run()
     return {
@@ -109,12 +120,12 @@ def test_every_learned_key_is_one_real_or_one_shared_unwrap():
     """Receivers of a payload share its opened-wrap table: each wrap is
     decrypted at most once, and what the cipher ran plus what the table
     served is the protocol's decryption count — under any policy."""
-    for server in (
-        OneTreeServer(degree=4),
-        ShardedOneTreeServer(shards=4, degree=4),
-        TwoPartitionServer(mode="tt", s_period=120.0),
+    for server, population in (
+        (OneTreeServer(degree=4), None),
+        (three_tree_server(degree=4), three_class_population()),
+        (TwoPartitionServer(mode="tt", s_period=120.0), None),
     ):
-        totals = unwrap_totals(server)
+        totals = unwrap_totals(server, population)
         assert totals["member.unwraps_shared"] > totals["crypto.unwraps"] > 0
         assert totals["crypto.unwraps"] <= totals["crypto.wraps"]
         assert totals["member.keys_learned"] == (
@@ -122,12 +133,12 @@ def test_every_learned_key_is_one_real_or_one_shared_unwrap():
         )
 
 
-def test_sharded_shard_spans_and_labeled_metrics():
+def test_three_tree_shard_spans_and_labeled_metrics():
     with obs.observe() as bundle:
-        churn(ShardedOneTreeServer(shards=4, degree=4), rounds=2)
+        churn(three_tree_server(degree=4), rounds=2)
     shard_spans = [s for s in bundle.tracer.spans if s.name == "shard"]
     assert shard_spans
-    labels = {"shard0", "shard1", "shard2", "shard3"}
+    labels = {"tree-p0.2", "tree-p0.1", "tree-p0.02"}
     assert {s.attributes["shard"] for s in shard_spans} == labels
     hist = bundle.registry.histogram("shard.batch_keys", labels=("shard",))
     assert sum(hist.stats(shard=label)["count"] for label in labels) == len(
@@ -180,19 +191,21 @@ def test_no_partition_is_timed_while_nothing_observes():
     with mock.patch.object(
         partitioned, "perf_counter", wraps=partitioned.perf_counter
     ) as clock:
-        churn(ShardedOneTreeServer(shards=4, degree=4), rounds=1)
+        churn(three_tree_server(degree=4), rounds=1)
         assert clock.call_count == 0
         with obs.observe():
-            churn(ShardedOneTreeServer(shards=4, degree=4), rounds=1)
+            churn(three_tree_server(degree=4), rounds=1)
         assert clock.call_count > 0
 
 
 def test_every_rekey_is_timed_only_while_a_registry_listens():
     from unittest import mock
 
-    from repro.server import base
+    from repro.server import partitioned
 
-    with mock.patch.object(base, "perf_counter", wraps=base.perf_counter) as clock:
+    with mock.patch.object(
+        partitioned, "perf_counter", wraps=partitioned.perf_counter
+    ) as clock:
         churn(OneTreeServer(), rounds=2)
         assert clock.call_count == 0
         with obs_metrics.collecting() as registry:
@@ -201,7 +214,12 @@ def test_every_rekey_is_timed_only_while_a_registry_listens():
         "server.rekey.seconds", buckets=obs_metrics.LATENCY_BUCKETS_S
     ).stats()
     assert seconds["count"] == registry.counter_total("server.rekeys") == 3
-    assert clock.call_count == 2 * seconds["count"]
+    # Two reads per rekey, and two per partition it touched (the same
+    # module times both).
+    partitions = registry.histogram(
+        "shard.batch_seconds", buckets=obs_metrics.LATENCY_BUCKETS_S, labels=("shard",)
+    ).stats(shard="tree")
+    assert clock.call_count == 2 * (seconds["count"] + partitions["count"])
 
 
 def test_chaos_trace_has_fault_windows_and_retry_rounds():

@@ -20,10 +20,11 @@ from repro.obs.metrics import (
 )
 from repro.server.losshomog import LossHomogenizedServer
 from repro.server.onetree import OneTreeServer
-from repro.server.sharded import ShardedOneTreeServer
 from repro.server.twopartition import TwoPartitionServer
 from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
 from repro.transport.wka_bkr import WkaBkrProtocol
+
+from tests.helpers import three_class_population, three_tree_server
 
 
 class TestExactPercentile:
@@ -130,7 +131,7 @@ class TestLatencyTracker:
         registry = MetricsRegistry()
         with obs_metrics.collecting(registry):
             tracker = LatencyTracker(
-                scheme="sharded-keytree", shard_fn=lambda m: "2"
+                scheme="loss-homogenized[loss]", shard_fn=lambda m: "2"
             )
             tracker.observe_delivery("a", epoch=1, latency=0.0)
             tracker.observe_delivery("b", epoch=1, latency=1.5)
@@ -139,7 +140,9 @@ class TestLatencyTracker:
         assert entry["labels"] == ["scheme", "shard", "sync_state"]
         states = {key.split("|")[2] for key in entry["series"]}
         assert states == {"delivered", "late", "resync"}
-        assert all(key.startswith("sharded-keytree|2|") for key in entry["series"])
+        assert all(
+            key.startswith("loss-homogenized[loss]|2|") for key in entry["series"]
+        )
 
     def test_events_emitted_only_under_an_active_log(self):
         tracker = LatencyTracker()
@@ -198,9 +201,9 @@ EPOCH_DELIVERIES = st.tuples(
 
 def partition_labels(server):
     """``server.shard_label`` once ``MEMBERS`` are admitted and spread
-    over its partitions (loss rates alternate under loss placement)."""
+    over its partitions (loss rates take turns under loss placement)."""
     for i, member_id in enumerate(MEMBERS):
-        attributes = {"loss_rate": (0.02, 0.2)[i % 2]}
+        attributes = {"loss_rate": (0.02, 0.2, 0.1)[i % 3]}
         server.join(member_id, **{
             name: value for name, value in attributes.items()
             if name in server.join_attributes
@@ -211,7 +214,7 @@ def partition_labels(server):
 
 SHARD_FNS = {
     "modulo": lambda: (lambda m: int(m[1:]) % 3),
-    "sharded": lambda: partition_labels(ShardedOneTreeServer(shards=4)),
+    "three-trees": lambda: partition_labels(three_tree_server()),
     "losshomog": lambda: partition_labels(LossHomogenizedServer(degree=4)),
 }
 
@@ -275,13 +278,13 @@ class TestBatchedDeliveriesAgainstPerMemberLoop:
         ]
 
 
-def _latency_snapshot(server):
+def _latency_snapshot(server, population=None):
     config = SimulationConfig(
         arrival_rate=1.0,
         rekey_period=60.0,
         horizon=480.0,
         duration_model=TwoClassDuration(180.0, 2400.0, 0.7),
-        loss_population=LossPopulation.two_point(),
+        loss_population=population or LossPopulation.two_point(),
         transport=WkaBkrProtocol(keys_per_packet=16),
         verify=False,
         seed=11,
@@ -296,43 +299,51 @@ class TestPartitionLatencyLabels:
     the member — under every placement policy, not only the hash one."""
 
     @pytest.mark.parametrize(
-        "build,labels",
+        "build,labels,population",
         [
             (
-                lambda: ShardedOneTreeServer(shards=4),
-                {"shard0", "shard1", "shard2", "shard3"},
+                three_tree_server,
+                {"tree-p0.2", "tree-p0.1", "tree-p0.02"},
+                three_class_population(),
             ),
             (
                 lambda: TwoPartitionServer(mode="tt", s_period=120.0),
                 {"s-partition", "l-partition"},
+                None,
             ),
-            (lambda: OneTreeServer(), {"tree"}),
+            (lambda: OneTreeServer(), {"tree"}, None),
         ],
-        ids=["sharded", "tt", "one-keytree"],
+        ids=["three-trees", "tt", "one-keytree"],
     )
-    def test_series_are_labelled_by_partition_and_reruns_agree(self, build, labels):
-        first = _latency_snapshot(build())
+    def test_series_are_labelled_by_partition_and_reruns_agree(
+        self, build, labels, population
+    ):
+        first = _latency_snapshot(build(), population)
         assert first is not None and first["series"], "no latency observed"
         assert {key.split("|")[1] for key in first["series"]} == labels
         assert json.dumps(first, sort_keys=True) == json.dumps(
-            _latency_snapshot(build()), sort_keys=True
+            _latency_snapshot(build(), population), sort_keys=True
         )
 
     @pytest.mark.parametrize(
-        "build,labels",
+        "build,labels,population",
         [
             (
-                lambda: ShardedOneTreeServer(shards=4),
-                {"shard0", "shard1", "shard2", "shard3"},
+                three_tree_server,
+                {"tree-p0.2", "tree-p0.1", "tree-p0.02"},
+                three_class_population(),
             ),
             (
                 lambda: TwoPartitionServer(mode="tt", s_period=120.0),
                 {"s-partition", "l-partition"},
+                None,
             ),
         ],
-        ids=["sharded", "tt"],
+        ids=["three-trees", "tt"],
     )
-    def test_labels_follow_the_server_a_crash_restore_swaps_in(self, build, labels):
+    def test_labels_follow_the_server_a_crash_restore_swaps_in(
+        self, build, labels, population
+    ):
         """The tracker reads labels off the *current* server: members who
         join (or migrate) after a restore are unknown to the crashed one."""
         from repro.faults.schedule import FaultSchedule
@@ -343,7 +354,7 @@ class TestPartitionLatencyLabels:
             rekey_period=60.0,
             horizon=horizon,
             duration_model=TwoClassDuration(180.0, 2400.0, 0.7),
-            loss_population=LossPopulation.two_point(),
+            loss_population=population or LossPopulation.two_point(),
             transport=WkaBkrProtocol(keys_per_packet=16),
             verify=False,
             seed=11,

@@ -201,7 +201,9 @@ class TestServerSnapshot:
             restore_server(state)
 
     def test_unsupported_server_rejected(self):
-        from repro.server.base import GroupKeyServer
+        class Unregistered(OneTreeServer):
+            kind = "unregistered"
 
-        with pytest.raises(TypeError):
-            snapshot_server(GroupKeyServer())
+        for server in (Unregistered(), object()):
+            with pytest.raises(TypeError):
+                snapshot_server(server)

@@ -1,9 +1,17 @@
-"""Unit tests for the loss-homogenized multi-keytree server."""
+"""Unit tests for the loss-homogenized multi-keytree server.
+
+Its three-tree form is also the suite's many-partition server: the DEK
+stitch over several populated roots is pinned on it here.
+"""
+
+import pickle
 
 import pytest
 
 from repro.members.member import Member
 from repro.server.losshomog import LossHomogenizedServer
+
+from tests.helpers import THREE_CLASS_RATES, three_tree_server
 
 
 def admit(server, specs, now=0.0):
@@ -136,3 +144,96 @@ class TestRekeying:
             member.absorb(result.encrypted_keys)
             dek = server.group_key()
             assert member.holds(dek.key_id, dek.version)
+
+
+def three_trees(count=18):
+    """A three-tree server with ``count`` members spread over every tree;
+    returns it with the members' registrations."""
+    server = three_tree_server(degree=4)
+    registrations = {
+        f"m{i}": server.join(
+            f"m{i}", 0.0, loss_rate=THREE_CLASS_RATES[i % len(THREE_CLASS_RATES)]
+        )
+        for i in range(count)
+    }
+    server.rekey(now=0.0)
+    assert all(part.size for part in server.partitions)
+    return server, registrations
+
+
+class TestDekStitch:
+    def test_departure_wraps_dek_under_every_populated_root(self):
+        server, __ = three_trees()
+        server.leave("m3", 10.0)
+        result = server.rekey(now=10.0)
+        dek = server.group_key()
+        dek_wraps = [
+            ek for ek in result.encrypted_keys if ek.payload_id == dek.key_id
+        ]
+        roots = [part.tree.root.key for part in server.partitions]
+        # One wrap per root, in partition order, under its current version.
+        assert [(ek.wrapping_id, ek.wrapping_version) for ek in dek_wraps] == [
+            root.handle for root in roots
+        ]
+        assert all(ek.payload_version == dek.version for ek in dek_wraps)
+
+    def test_join_only_batch_wraps_dek_under_previous_dek(self):
+        server, __ = three_trees()
+        previous = server.group_key()
+        server.join("late", 10.0, loss_rate=0.1)
+        result = server.rekey(now=10.0)
+        dek = server.group_key()
+        assert dek.version == previous.version + 1
+        wrappings = {
+            ek.wrapping_id: ek.wrapping_version
+            for ek in result.encrypted_keys
+            if ek.payload_id == dek.key_id
+        }
+        assert wrappings[previous.key_id] == previous.version
+
+    def test_breakdown_attributes_stitch_separately(self):
+        server, __ = three_trees()
+        label = server.shard_label("m1")
+        server.leave("m1", 10.0)
+        result = server.rekey(now=10.0)
+        # Only the tree the member left is rekeyed; the stitch comes last.
+        assert list(result.breakdown) == [label, "group-key"]
+        assert sum(result.breakdown.values()) == result.cost
+
+
+class TestOpenedTableStaysHome:
+    """A batch result is delivered through one shared index; pickling the
+    delivered result ships ciphertext only, never the keys receivers
+    opened."""
+
+    def test_pickled_result_round_trips_without_the_table(self):
+        server = three_tree_server(degree=4)
+        regs = {
+            f"m{i}": server.join(
+                f"m{i}", 0.0, loss_rate=THREE_CLASS_RATES[i % len(THREE_CLASS_RATES)]
+            )
+            for i in range(24)
+        }
+        result = server.rekey(now=0.0)
+        assert all(part.size for part in server.partitions)
+        dek = server.group_key()
+        index = result.index()
+        members = [Member(m, reg.individual_key) for m, reg in regs.items()]
+        for member in members:
+            member.absorb(result.encrypted_keys, index=index)
+        assert all(m.holds(dek.key_id, dek.version) for m in members)
+        assert len(index.opened) >= len(members)
+
+        blob = pickle.dumps(result)
+        assert all(payload.secret not in blob for payload in index.opened.values())
+        assert all(secret not in blob for secret in index.opened_with.values())
+        shipped = pickle.loads(blob)
+        assert shipped.encrypted_keys == result.encrypted_keys
+        assert shipped.index().opened == shipped.index().opened_with == {}
+        rebuilt = shipped.index()
+        assert (rebuilt.heads, rebuilt.chain) == (index.heads, index.chain)
+        assert shipped.index().size == index.size
+        # The far side opens everything itself and reaches the same keys.
+        late = Member("m0", regs["m0"].individual_key)
+        late.absorb(shipped.encrypted_keys, index=shipped.index())
+        assert late.held_versions() == members[0].held_versions()

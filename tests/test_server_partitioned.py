@@ -1,6 +1,6 @@
 """The partitioned server itself: policies, join attributes, one stitch.
 
-The four scheme classes are thin factories over
+The three scheme classes are thin factories over
 :class:`~repro.server.partitioned.PartitionedServer`; their payloads are
 pinned by ``tests/golden/server_payloads.json``.  Here the composite is
 driven directly — any number of partitions under any policy — and the
@@ -23,11 +23,10 @@ from repro.server.partitioned import PartitionedServer, TreePartition
 from repro.server.placement import (
     POLICIES,
     AgePlacement,
-    HashPlacement,
+    SinglePartitionPlacement,
     NearestLossPlacement,
     RoundRobinPlacement,
     policy_from_state,
-    shard_of,
 )
 from repro.server.snapshot import restore_server, snapshot_server
 from repro.server.twopartition import TwoPartitionServer
@@ -48,7 +47,7 @@ def composite(policy_name, k, seed=0, queue_first=False, dek=True):
     if queue_first:
         partitions[0] = QueuePartition(keygen=keygen, name="g/queue")
     policy = {
-        "hash": HashPlacement,
+        "hash": SinglePartitionPlacement,
         "round-robin": lambda: RoundRobinPlacement(tuple(range(k))),
         "by-age": lambda: AgePlacement(60.0),
     }[policy_name]()
@@ -76,15 +75,14 @@ def test_any_composite_keeps_structure_and_secrecy(policy, k, queue_first, progr
     of them at every rekey point)."""
     if policy == "by-age":
         k = max(k, 2)  # S and L; the rest stay empty, which must be fine
+    if policy == "hash":
+        k = 1  # the one-keytree policy has one partition to place into
     server = composite(policy, k, queue_first=queue_first)
     harness = ConformanceHarness(server, structural_checks=True)
     execute_program(harness, program)
     check_structures(server)
     assert sum(part.size for part in server.partitions) == server.size
-    if policy == "hash":
-        for member_id in server.members():
-            assert member_id in server.partitions[shard_of(member_id, k)]
-    # Any composite snapshots and restores, not only the four factories.
+    # Any composite snapshots and restores, not only the three factories.
     twin = restore_server(json.loads(json.dumps(snapshot_server(server))))
     assert type(twin) is PartitionedServer
     assert [part.label for part in twin.partitions] == [
@@ -107,6 +105,16 @@ def test_a_single_partition_needs_no_dek():
     assert server.group_key() == server.partitions[0].tree.root.key
     with pytest.raises(ValueError):
         composite("hash", 2, dek=False)
+
+
+def test_the_one_keytree_policy_takes_one_partition():
+    """Hash placement is the one-keytree scheme's: there is nowhere else
+    to put a member, and more than one partition does not fit it."""
+    assert SinglePartitionPlacement().accepts(1)
+    assert not any(SinglePartitionPlacement().accepts(k) for k in (0, 2, 4))
+    assert {SinglePartitionPlacement().place(f"m{i}", 0.0, 1) for i in range(20)} == {0}
+    with pytest.raises(ValueError, match="does not fit"):
+        composite("hash", 2)
 
 
 def test_round_robin_fills_partitions_in_turn():
@@ -280,3 +288,23 @@ def test_no_server_type_ladder_and_no_shard_executors():
             pools.append(str(path.relative_to(SRC)))
     assert pools == ["experiments/parallel.py"]
     assert not (SRC / "keytree" / "sharded.py").exists()
+
+
+def test_no_hash_sharding_and_no_private_key_streams():
+    """The hash-sharded scheme is retired with everything only it used:
+    its module, member-to-shard hashing and per-shard key streams.  And
+    the periodic scheduler nothing called is gone."""
+    assert not (SRC / "server" / "sharded.py").exists()
+    assert not (SRC / "server" / "scheduler.py").exists()
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        assert not re.search(r"def (derive_stream|shard_of)\b", text), path
+
+
+def test_one_server_class():
+    """Every scheme is the one class; there is no base class left to
+    subclass beside it."""
+    for scheme, spec in SCHEME_FACTORIES.items():
+        server = spec.factory()
+        assert isinstance(server, PartitionedServer), scheme
+        assert type(server).__mro__[-2:] == (PartitionedServer, object), scheme
