@@ -46,7 +46,6 @@ from repro.obs import metrics as obs_metrics
 #: Rows :meth:`WrapBatch.ciphertexts` seals per :func:`encrypt_column`
 #: call: bounds the transient lists (padded subkeys among them) of one pass.
 _CHUNK = 512
-_PAIR = 2 * KEY_SIZE  # a stored row's wrapping secret + payload secret
 _NONCE = "{}#{}->{}#{}"  # the nonce text of _seal and _open, for a column
 
 
@@ -176,8 +175,8 @@ class WrapBatch(abc.Sequence):
     ``payload_versions`` are plain lists, read-only to callers.  A row's
     ciphertext is read through :meth:`ciphertext` (or the whole column
     through :meth:`ciphertexts`): a row made by :meth:`add` holds its two
-    secrets instead, and seals on that first read.  Ids, versions,
-    ciphertexts and secrets are strings, ints and bytes, so no row creates
+    secrets instead, a column each, and seals on that first read.  Ids,
+    versions, ciphertexts and secrets are strings, ints and bytes, so no row creates
     an object the cyclic collector tracks.
 
     The batch is a ``Sequence[EncryptedKey]``: indexing a row seals it and
@@ -195,8 +194,9 @@ class WrapBatch(abc.Sequence):
         self.payload_ids: List[str] = []
         self.payload_versions: List[int] = []
         self._ciphertexts: List[Optional[bytes]] = []  # None: not sealed yet
-        #: Wrapping secret + payload secret of a row not sealed yet, else None.
-        self._secrets: List[Optional[bytes]] = []
+        #: The wrapping / payload secret of a row not sealed yet, else None.
+        self._wrapping_secrets: List[Optional[bytes]] = []
+        self._payload_secrets: List[Optional[bytes]] = []
         self.extend(keys)
 
     @classmethod
@@ -210,7 +210,8 @@ class WrapBatch(abc.Sequence):
     def _columns(self) -> tuple:
         return (
             self.wrapping_ids, self.wrapping_versions, self.payload_ids,
-            self.payload_versions, self._ciphertexts, self._secrets,
+            self.payload_versions, self._ciphertexts,
+            self._wrapping_secrets, self._payload_secrets,
         )
 
     # Sealed on the way out: no secrets column ever leaves the process.
@@ -221,7 +222,8 @@ class WrapBatch(abc.Sequence):
     def __setstate__(self, state: tuple) -> None:
         (self.wrapping_ids, self.wrapping_versions, self.payload_ids,
          self.payload_versions, self._ciphertexts) = state
-        self._secrets = [None] * len(self._ciphertexts)
+        self._wrapping_secrets = [None] * len(self._ciphertexts)
+        self._payload_secrets = [None] * len(self._ciphertexts)
 
     def add(
         self,
@@ -233,21 +235,23 @@ class WrapBatch(abc.Sequence):
         payload_secret: bytes,
     ) -> None:
         """Append the wrap of ``payload_secret`` under ``wrapping_secret``,
-        sealed on its first read.  The secrets must be ``bytes`` (the flat
-        kernel slices them out of its mutable key array), so a late seal
-        uses the keys as added."""
+        sealed on its first read.  The row keeps the two objects, not
+        copies: they must be ``bytes``, which nothing can change, so a late
+        seal uses the keys as added.  (The flat kernel passes its slot
+        objects, which a refresh replaces and never mutates.)"""
         self.wrapping_ids.append(wrapping_id)
         self.wrapping_versions.append(wrapping_version)
         self.payload_ids.append(payload_id)
         self.payload_versions.append(payload_version)
         self._ciphertexts.append(None)
-        self._secrets.append(wrapping_secret + payload_secret)
+        self._wrapping_secrets.append(wrapping_secret)
+        self._payload_secrets.append(payload_secret)
 
     def append(self, key: EncryptedKey) -> None:
         """Append one sealed record as a row."""
         row = (
             key.wrapping_id, key.wrapping_version,
-            key.payload_id, key.payload_version, key.ciphertext, None,
+            key.payload_id, key.payload_version, key.ciphertext, None, None,
         )
         for column, value in zip(self._columns(), row):
             column.append(value)
@@ -290,12 +294,13 @@ class WrapBatch(abc.Sequence):
         return self._ciphertexts[row] is not None
 
     def _unsealable(self, row: int) -> SealError:
-        pair = self._secrets[row]
+        wrapping, payload = self._wrapping_secrets[row], self._payload_secrets[row]
         return SealError(
             f"row {row} ({self.wrapping_ids[row]}#{self.wrapping_versions[row]}"
             f"->{self.payload_ids[row]}#{self.payload_versions[row]}): the "
             f"wrapping and payload secrets must be two {KEY_SIZE}-byte bytes, "
-            f"got {type(pair).__name__} of {len(pair)} bytes"
+            f"got {type(wrapping).__name__} of {len(wrapping)} and "
+            f"{type(payload).__name__} of {len(payload)} bytes"
         )
 
     def ciphertext(self, row: int) -> bytes:
@@ -309,14 +314,18 @@ class WrapBatch(abc.Sequence):
         """
         blob = self._ciphertexts[row]
         if blob is None:
-            pair = self._secrets[row]
-            if type(pair) is not bytes or len(pair) != _PAIR:
+            wrapping = self._wrapping_secrets[row]
+            payload = self._payload_secrets[row]
+            if not (
+                type(wrapping) is type(payload) is bytes
+                and len(wrapping) == len(payload) == KEY_SIZE
+            ):
                 raise self._unsealable(row)
-            self._secrets[row] = None
+            self._wrapping_secrets[row] = self._payload_secrets[row] = None
             blob = _seal(
                 self.wrapping_ids[row], self.wrapping_versions[row],
                 self.payload_ids[row], self.payload_versions[row],
-                pair[:KEY_SIZE], pair[KEY_SIZE:],
+                wrapping, payload,
             )
             self._ciphertexts[row] = blob
         return blob
@@ -333,7 +342,8 @@ class WrapBatch(abc.Sequence):
         blobs = self._ciphertexts
         if None not in blobs:
             return blobs
-        secrets = self._secrets
+        wrapping_secrets = self._wrapping_secrets
+        payload_secrets = self._payload_secrets
         columns = (
             self.wrapping_ids, self.wrapping_versions,
             self.payload_ids, self.payload_versions,
@@ -345,22 +355,20 @@ class WrapBatch(abc.Sequence):
             ))
             if not rows:
                 continue
-            pairs = list(map(secrets.__getitem__, rows))
-            if set(map(type, pairs)) != {bytes} or set(map(len, pairs)) != {_PAIR}:
+            keys = list(map(wrapping_secrets.__getitem__, rows))
+            payloads = list(map(payload_secrets.__getitem__, rows))
+            both = keys + payloads
+            if set(map(type, both)) != {bytes} or set(map(len, both)) != {KEY_SIZE}:
                 for row in rows:
                     self.ciphertext(row)  # raises at the first malformed row
             nonces = list(map(str.encode, map(_NONCE.format, *(
                 map(column.__getitem__, rows) for column in columns
             ))))
-            sealed = encrypt_column(
-                list(map(operator.getitem, pairs, repeat(slice(KEY_SIZE)))),
-                nonces,
-                list(map(operator.getitem, pairs, repeat(slice(KEY_SIZE, None)))),
-            )
-            del pairs
+            sealed = encrypt_column(keys, nonces, payloads)
+            del keys, payloads, both
             for row, blob in zip(rows, sealed):
                 blobs[row] = blob
-                secrets[row] = None
+                wrapping_secrets[row] = payload_secrets[row] = None
         return blobs
 
     def unwrap(self, row: int, wrapping: KeyMaterial) -> KeyMaterial:

@@ -15,15 +15,19 @@ collection generation walks them.  This module stores the same tree as a struct-
     _ids           ["t/root","t/n1","member:a", ...     ] node id (None = freed slot)
     _member        [ None,   None,  "a",    None, ... ]   member id for leaves
     _versions      [  3,      1,     0,      2,   ... ]   key version
-    _secrets       one bytearray, 32 bytes per slot       key material
+    _secrets       [ b"..",  b"..",  b"..",  b"..", ... ]   32-byte secret
     _leafcnt       [  9,      4,     1,      1,   ... ]
     _gen           [  0,      0,     2,      1,   ... ]   slot reuse generation
 
 Batch marking is index arithmetic over ``_parent`` chains, key refresh is
-a straight counter/sha256 loop writing into ``_secrets`` slices, and
-wraps read child slots directly into the rows of the message's
+a straight counter/sha256 loop storing each digest in its slot, and wraps
+hand the child's and the node's slot objects to the rows of the message's
 :class:`~repro.crypto.wrap.WrapBatch` — no per-node or per-wrap objects
-are created.
+are created, and no secret is copied.  A slot's secret is one immutable
+``bytes``: a leaf's is its member's own ``KeyMaterial.secret``, an
+internal node's the digest its last refresh drew.  A refresh replaces the
+object and never mutates it, so a payload row that still references the
+old one seals with the key as it was when the row was added.
 
 Byte-identity contract
 ----------------------
@@ -96,9 +100,10 @@ SLOT_COMPACT_RATIO = 3
 SLOT_COMPACT_FLOOR = 1024
 
 #: The per-slot columns that hold no slot numbers (``_parent`` and
-#: ``_child`` do; ``_secrets`` is one bytearray).
+#: ``_child`` do).
 _PLAIN_COLUMNS = (
-    "_nchild", "_ids", "_member", "_versions", "_leafcnt", "_depthv", "_gen"
+    "_nchild", "_ids", "_member", "_versions", "_secrets", "_leafcnt",
+    "_depthv", "_gen",
 )
 
 
@@ -164,7 +169,7 @@ class FlatNodeView:
         return KeyMaterial._trusted(
             tree._ids[self.index],
             tree._versions[self.index],
-            tree._slot_secret(self.index),
+            tree._secrets[self.index],
         )
 
     @property
@@ -251,7 +256,7 @@ class FlatKeyTree:
         self._ids: List[Optional[str]] = [root_id]
         self._member: List[Optional[str]] = [None]
         self._versions: List[int] = [0]
-        self._secrets = bytearray(self.keygen.fresh_secret())
+        self._secrets: List[Optional[bytes]] = [self.keygen.fresh_secret()]
         self._leafcnt: List[int] = [0]
         # Leaf counts are not on any payload-visible path, so they are
         # maintained lazily: structural edits mark them stale and
@@ -368,8 +373,7 @@ class FlatKeyTree:
             self._versions[idx] = version
             self._leafcnt[idx] = 1 if member_id is not None else 0
             self._depthv[idx] = 0  # caller sets the real depth on attach
-            base = idx * KEY_SIZE
-            self._secrets[base : base + KEY_SIZE] = secret
+            self._secrets[idx] = secret
         else:
             idx = len(self._ids)
             self._parent.append(NIL)
@@ -378,21 +382,18 @@ class FlatKeyTree:
             self._ids.append(node_id)
             self._member.append(member_id)
             self._versions.append(version)
-            self._secrets.extend(secret)
+            self._secrets.append(secret)
             self._leafcnt.append(1 if member_id is not None else 0)
             self._depthv.append(0)
             self._gen.append(0)
         self._index[node_id] = idx
         return idx
 
-    def _slot_secret(self, idx: int) -> bytes:
-        base = idx * KEY_SIZE
-        return bytes(self._secrets[base : base + KEY_SIZE])
-
     def _free_slot(self, idx: int) -> None:
         del self._index[self._ids[idx]]
         self._ids[idx] = None
         self._member[idx] = None
+        self._secrets[idx] = None
         self._gen[idx] += 1  # invalidates every outstanding heap entry
         self._free.append(idx)
 
@@ -466,9 +467,7 @@ class FlatKeyTree:
         for new, old in enumerate(live):
             remap[old] = new
         degree = self.degree
-        parent, child, secrets, gens = (
-            self._parent, self._child, self._secrets, self._gen
-        )
+        parent, child, gens = self._parent, self._child, self._gen
         for heap in (self._open_internal, self._split_candidates):
             heap[:] = [
                 (depth, seq, remap[idx], gen)
@@ -482,9 +481,6 @@ class FlatKeyTree:
             for old in live
             for entry in child[old * degree : (old + 1) * degree]
         ]
-        self._secrets = bytearray().join(
-            secrets[old * KEY_SIZE : (old + 1) * KEY_SIZE] for old in live
-        )
         for name in _PLAIN_COLUMNS:
             column = getattr(self, name)
             setattr(self, name, [column[old] for old in live])
@@ -760,8 +756,9 @@ class FlatKeyTree:
 
         Mirrors :meth:`KeyTree.validate` and additionally checks the
         flat-layout bookkeeping: the free list and the live slots must
-        partition the slot space, and the id index must match the ids
-        array exactly.
+        partition the slot space, the id index must match the ids array
+        exactly, and every live slot must hold a ``KEY_SIZE``-byte
+        ``bytes`` secret, never a mutable buffer.
         """
         self._refresh_leafcnt()
         degree = self.degree
@@ -773,6 +770,10 @@ class FlatKeyTree:
             assert node_id is not None, f"reachable slot {idx} is freed"
             assert node_id not in reachable, f"duplicate node id {node_id}"
             reachable[node_id] = idx
+            secret = self._secrets[idx]
+            assert type(secret) is bytes and len(secret) == KEY_SIZE, (
+                f"node {node_id} secret is not {KEY_SIZE} bytes"
+            )
             count = self._nchild[idx]
             assert count <= degree, f"node {node_id} has {count} > d children"
             base = idx * degree
@@ -831,7 +832,7 @@ class FlatKeyTree:
         data: Dict = {
             "id": self._ids[idx],
             "version": self._versions[idx],
-            "secret": self._slot_secret(idx).hex(),
+            "secret": self._secrets[idx].hex(),
         }
         if self._member[idx] is not None:
             data["member"] = self._member[idx]
@@ -866,12 +867,16 @@ class FlatKeyTree:
 
     def _build_from_dict(self, data: Dict, parent: Optional[int]) -> int:
         member = data.get("member")
-        idx = self._alloc(
-            data["id"],
-            int(data["version"]),
-            bytes.fromhex(data["secret"]),
-            member,
-        )
+        node_id = data["id"]
+        version = int(data["version"])
+        secret = bytes.fromhex(data["secret"])
+        if len(secret) != KEY_SIZE:
+            raise ValueError(
+                f"node {node_id!r}: secret is {len(secret)} bytes, not {KEY_SIZE}"
+            )
+        if version < 0:
+            raise ValueError(f"node {node_id!r}: version {version} is negative")
+        idx = self._alloc(node_id, version, secret, member)
         if member is not None:
             self._member_leaf[member] = idx
         if parent is not None:
@@ -909,7 +914,6 @@ class FlatKeyTree:
         # format; preorder assignment is as good as any).
         for name in _PLAIN_COLUMNS + ("_parent", "_child", "_free"):
             setattr(tree, name, [])
-        tree._secrets = bytearray()
         tree._index = {}
         tree._member_leaf = {}
         root_idx = tree._build_from_dict(data["root"], None)
@@ -979,16 +983,15 @@ class FlatRekeyer:
         add = message.encrypted_keys.add
         leaf_id = ids[leaf]
         leaf_version = versions[leaf]
-        leaf_secret = tree._slot_secret(leaf)
+        leaf_secret = secrets[leaf]
         keygen = self.keygen
         node = parents[leaf]
         while node != NIL:
             node_id = ids[node]
-            base = node * KEY_SIZE
             old_version = versions[node]
-            old_secret = tree._slot_secret(node)
+            old_secret = secrets[node]
             new_secret = keygen.fresh_secret()
-            secrets[base : base + KEY_SIZE] = new_secret
+            secrets[node] = new_secret
             new_version = old_version + 1
             versions[node] = new_version
             message.updated.append((node_id, new_version))
@@ -1128,8 +1131,7 @@ class FlatRekeyer:
                     versions[leaf] = version
                     leafcnt[leaf] = 1
                     depthv[leaf] = 0
-                    base = leaf * KEY_SIZE
-                    secrets[base : base + KEY_SIZE] = secret
+                    secrets[leaf] = secret
                 else:
                     leaf = len(ids)
                     parents.append(NIL)
@@ -1138,7 +1140,7 @@ class FlatRekeyer:
                     ids.append(leaf_id)
                     member.append(member_id)
                     versions.append(version)
-                    secrets.extend(secret)
+                    secrets.append(secret)
                     leafcnt.append(1)
                     depthv.append(0)
                     gens.append(0)
@@ -1240,29 +1242,27 @@ class FlatRekeyer:
         add = message.encrypted_keys.add
         keygen = self.keygen
         for node_id, idx in marked_list:
-            base = idx * KEY_SIZE
             if node_id in before:
                 # One-way advance: holders compute it locally, no wraps.
-                new_secret = hmac.new(
-                    tree._slot_secret(idx), b"repro-advance", hashlib.sha256
+                secrets[idx] = hmac.new(
+                    secrets[idx], b"repro-advance", hashlib.sha256
                 ).digest()
-                secrets[base : base + KEY_SIZE] = new_secret
                 versions[idx] += 1
                 message.advanced.append((node_id, versions[idx]))
             else:
-                secrets[base : base + KEY_SIZE] = keygen.fresh_secret()
+                secrets[idx] = keygen.fresh_secret()
                 versions[idx] += 1
                 message.updated.append((node_id, versions[idx]))
                 self._wrap_joint(add, idx, skip=joining)
         for leaf in new_leaves:
             leaf_id = ids[leaf]
             leaf_version = versions[leaf]
-            leaf_secret = tree._slot_secret(leaf)
+            leaf_secret = secrets[leaf]
             node = parents[leaf]
             while node != NIL:
                 add(
                     leaf_id, leaf_version, ids[node], versions[node],
-                    leaf_secret, tree._slot_secret(node),
+                    leaf_secret, secrets[node],
                 )
                 node = parents[node]
         if message.cost:
@@ -1278,13 +1278,13 @@ class FlatRekeyer:
         in ``skip`` — the displaced children; joiners get it through
         their own bootstrap wraps."""
         tree = self.tree
-        ids, versions, secret_of = tree._ids, tree._versions, tree._slot_secret
+        ids, versions, secrets = tree._ids, tree._versions, tree._secrets
         base = joint * tree.degree
         for child in tree._child[base : base + tree._nchild[joint]]:
             if child not in skip:
                 add(
                     ids[child], versions[child], ids[joint], versions[joint],
-                    secret_of(child), secret_of(joint),
+                    secrets[child], secrets[joint],
                 )
 
     def _refresh_and_wrap(
@@ -1305,21 +1305,15 @@ class FlatRekeyer:
         secrets = tree._secrets
         updated = message.updated
         keygen = self.keygen
-        fresh: Dict[int, bytes] = {}
         with obs_tracing.span("generate", refreshed=len(pairs)):
             # Inlined KeyGenerator.fresh_secret: same root, same counter
-            # draws, hoisted out of the per-node call overhead.  The digest
-            # bytes are kept in ``fresh`` so the wrap loop below never has
-            # to re-slice the bytearray for a refreshed slot.
+            # draws, hoisted out of the per-node call overhead.
             root = keygen._root
             counter = keygen._counter
             sha256 = hashlib.sha256
             for node_id, idx in pairs:
                 counter += 1
-                base = idx * KEY_SIZE
-                secret = sha256(root + counter.to_bytes(8, "big")).digest()
-                secrets[base : base + KEY_SIZE] = secret
-                fresh[idx] = secret
+                secrets[idx] = sha256(root + counter.to_bytes(8, "big")).digest()
                 version = versions[idx] + 1
                 versions[idx] = version
                 updated.append((node_id, version))
@@ -1331,22 +1325,15 @@ class FlatRekeyer:
             nchild = tree._nchild
             degree = tree.degree
             add = message.encrypted_keys.add
-            fresh_get = fresh.get
             for node_id, idx in pairs:
                 payload_version = versions[idx]
-                payload_secret = fresh[idx]
+                payload_secret = secrets[idx]
                 child_base = idx * degree
                 for slot in range(child_base, child_base + nchild[idx]):
                     child = child_slots[slot]
-                    child_secret = fresh_get(child)
-                    if child_secret is None:
-                        child_key_base = child * KEY_SIZE
-                        child_secret = bytes(
-                            secrets[child_key_base : child_key_base + KEY_SIZE]
-                        )
                     add(
                         ids[child], versions[child], node_id, payload_version,
-                        child_secret, payload_secret,
+                        secrets[child], payload_secret,
                     )
             wrap_span.set("wraps", message.cost)
         if message.cost:

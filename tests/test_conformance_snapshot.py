@@ -9,6 +9,7 @@ which is exactly the operational story (server failover mid-session).
 """
 
 import json
+import re
 
 import pytest
 
@@ -241,6 +242,46 @@ def test_unreadable_snapshots_raise_value_error(fmt, damage):
     assert state["format"] == fmt
     with pytest.raises(ValueError):
         restore_server({**state, **damage})
+
+
+#: Damage to one key-tree node: a secret that is not ``KEY_SIZE`` bytes
+#: (which once loaded, shifting every later slot's key) or a negative
+#: version.
+_NODE_DAMAGE = [
+    {"secret": "00" * 31},
+    {"secret": "00" * 33},
+    {"secret": ""},
+    {"version": -3},
+]
+
+
+def _preorder(node):
+    yield node
+    for child in node.get("children", ()):
+        yield from _preorder(child)
+
+
+@pytest.mark.parametrize("position", [0, -1], ids=["root", "last"])
+@pytest.mark.parametrize("damage", _NODE_DAMAGE, ids=json.dumps)
+def test_a_damaged_tree_node_is_refused_by_id(damage, position):
+    """The tree loader refuses a bad node secret or version with a
+    ``ValueError`` naming the node, whether a snapshot reaches it through
+    :func:`restore_server` or a dump goes straight to ``from_dict``."""
+    live = run_prefix(SCHEME_FACTORIES["tt"])
+    state = json.loads(json.dumps(snapshot_server(live.server)))
+    node = list(_preorder(state["partitions"][-1]["tree"]["root"]))[position]
+    node.update(damage)
+    with pytest.raises(ValueError, match=re.escape(repr(node["id"]))):
+        restore_server(state)
+
+    tree = FlatKeyTree(name="t")
+    for index in range(10):
+        tree.add_member(f"m{index}")
+    dump = tree.to_dict()
+    node = list(_preorder(dump["root"]))[position]
+    node.update(damage)
+    with pytest.raises(ValueError, match=re.escape(repr(node["id"]))):
+        FlatKeyTree.from_dict(dump)
 
 
 @pytest.mark.parametrize(

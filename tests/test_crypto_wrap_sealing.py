@@ -26,10 +26,11 @@ from hypothesis import strategies as st
 import repro.crypto.wrap as wrap_module
 from repro.cli import SCHEMES
 from repro.crypto.cipher import _subkeys
-from repro.crypto.material import KeyMaterial
+from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.crypto.wrap import RekeyMessage, SealError, WrapBatch, wrap_key
 from repro.experiments.topology import topology_gain
 from repro.experiments.validation import validate_batch_cost
+from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.members.population import LossPopulation
 from repro.server import build_server
 from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
@@ -92,9 +93,8 @@ def test_a_fresh_batch_pickles_to_ciphertext_only(scheme):
     result = fresh_batch(scheme)
     batch = result.encrypted_keys
     assert batch and not any(batch.is_sealed(row) for row in range(len(batch)))
-    secrets = set()
-    for pair in batch._secrets:
-        secrets.update((pair[: wrap_module.KEY_SIZE], pair[wrap_module.KEY_SIZE :]))
+    secrets = {*batch._wrapping_secrets, *batch._payload_secrets}
+    assert None not in secrets
     result.index()  # the cached index pickles with the result
     blob = pickle.dumps(result)
     assert not [secret for secret in secrets if secret in blob]
@@ -102,6 +102,36 @@ def test_a_fresh_batch_pickles_to_ciphertext_only(scheme):
     assert shipped == result
     assert shipped.encrypted_keys.ciphertexts() == batch.ciphertexts()
     assert shipped.index().batch is shipped.encrypted_keys
+
+
+def churned_tree():
+    """A flat tree after a mixed batch, and that batch's payload."""
+    tree = FlatKeyTree(degree=3, keygen=KeyGenerator(4), name="t")
+    rekeyer = FlatRekeyer(tree)
+    rekeyer.rekey_batch(joins=[(f"m{i}", None) for i in range(30)])
+    joiner = KeyMaterial("member:j", 0, hashlib.sha256(b"j").digest())
+    message = rekeyer.rekey_batch(joins=[("j", joiner)], departures=["m3", "m17"])
+    return tree, rekeyer, joiner, message.encrypted_keys
+
+
+def test_a_fresh_payload_shares_the_tree_secrets_and_seals_late_as_added():
+    """A row keeps the tree's own secret objects, not copies, and a leaf
+    keeps its member's.  A refresh replaces a slot's object and never
+    writes into it, so a payload sealed two rekeys later is byte for byte
+    the payload sealed at once."""
+    tree, rekeyer, joiner, batch = churned_tree()
+    secrets, index = tree._secrets, tree._index
+    assert secrets[tree._member_leaf["j"]] is joiner.secret
+    assert len(batch) and not any(map(batch.is_sealed, range(len(batch))))
+    for row, (wrapping, payload) in enumerate(
+        zip(batch._wrapping_secrets, batch._payload_secrets)
+    ):
+        assert wrapping is secrets[index[batch.wrapping_ids[row]]]
+        assert payload is secrets[index[batch.payload_ids[row]]]
+    rekeyer.rekey_batch(departures=["j", "m4"], force_root=True)
+    rekeyer.rekey_batch(joins=[("k", None)], force_root=True)
+    assert tree.root.key.secret is not batch._payload_secrets[-1]
+    assert batch.ciphertexts() == churned_tree()[3].ciphertexts()
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -200,7 +230,7 @@ class TestColumnSeal:
         sealed = column.ciphertexts()
         assert sealed == [per_row.ciphertext(row) for row in range(count)]
         assert sealed == [wrap_key(*pair).ciphertext for pair in rows]
-        assert column._secrets == [None] * count
+        assert column._wrapping_secrets == column._payload_secrets == [None] * count
         blob = pickle.dumps(column)
         assert blob == pickle.dumps(per_row)
         assert not [secret for secret in secrets if secret in blob]
@@ -209,7 +239,7 @@ class TestColumnSeal:
         batch = build(pairs(3 * CHUNK, seed=5), ["added"], 0)
         before = _subkeys.cache_info()
         encode_rekey_message(RekeyMessage("g", 1, encrypted_keys=batch))
-        assert batch._secrets == [None] * len(batch)
+        assert batch._wrapping_secrets == batch._payload_secrets == [None] * len(batch)
         assert _subkeys.cache_info() == before
 
     def test_the_transient_peak_is_one_chunk(self):

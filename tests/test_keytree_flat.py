@@ -130,11 +130,11 @@ class TestSlotCompaction:
         assert slots_before > 4 * live
         for column in (
             tree._parent, tree._nchild, tree._ids, tree._member,
-            tree._versions, tree._leafcnt, tree._depthv, tree._gen,
+            tree._versions, tree._secrets, tree._leafcnt, tree._depthv,
+            tree._gen,
         ):
             assert len(column) == live
         assert len(tree._child) == live * tree.degree
-        assert len(tree._secrets) == live * flat.KEY_SIZE
         assert sorted(tree._index.values()) == list(range(live))
         assert tree._index[tree.root.node_id] == flat.ROOT
         assert sorted(tree.members()) == sorted(f"m{i}" for i in range(190, 200))

@@ -22,7 +22,7 @@ import pytest
 
 import repro.network.channel as channel_module
 from repro.crypto.cipher import _subkeys
-from repro.crypto.material import KEY_SIZE, KeyGenerator, KeyMaterial
+from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.crypto.wrap import (
     EncryptedKey,
     RekeyMessage,
@@ -132,11 +132,11 @@ def test_cost_only_census_stays_within_budget():
     budget = 4 * live + SLOT_COMPACT_FLOOR
     for column in (
         s_tree._parent, s_tree._nchild, s_tree._ids, s_tree._member,
-        s_tree._versions, s_tree._leafcnt, s_tree._depthv, s_tree._gen,
+        s_tree._versions, s_tree._secrets, s_tree._leafcnt, s_tree._depthv,
+        s_tree._gen,
     ):
         assert len(column) <= budget
     assert len(s_tree._child) <= budget * s_tree.degree
-    assert len(s_tree._secrets) <= budget * KEY_SIZE
     assert len(s_tree._free) + live == len(s_tree._ids)
 
 
