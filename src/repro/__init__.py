@@ -28,7 +28,6 @@ See README.md for a guided tour and DESIGN.md for the system inventory.
 
 from repro.analysis import TwoPartitionParameters, scheme_costs
 from repro.crypto import KeyGenerator, KeyMaterial, RekeyMessage
-from repro.keytree import OneWayFunctionTree
 from repro.members import Member, TwoClassDuration
 from repro.network import BernoulliLoss, MulticastChannel
 from repro.server import (
@@ -59,7 +58,6 @@ __all__ = [
     "MultiSendProtocol",
     "MulticastChannel",
     "OneTreeServer",
-    "OneWayFunctionTree",
     "ProactiveFecProtocol",
     "RekeyMessage",
     "SimulationConfig",

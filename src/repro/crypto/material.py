@@ -101,16 +101,6 @@ class KeyMaterial:
         """Short hex digest of the secret, safe to log or compare in tests."""
         return hashlib.sha256(self.secret).hexdigest()[:16]
 
-    def derive(self, label: str) -> "KeyMaterial":
-        """Derive a new key from this one via a one-way function.
-
-        Used by the OFT (one-way function tree) variant, where a parent key
-        is computed from blinded child keys.  The derivation is HMAC-based,
-        so knowledge of the derived key does not reveal this key.
-        """
-        secret = hmac.new(self.secret, label.encode("utf-8"), hashlib.sha256).digest()
-        return KeyMaterial(key_id=f"{self.key_id}/{label}", version=self.version, secret=secret)
-
     def advance(self) -> "KeyMaterial":
         """One-way version bump: ``K_{v+1} = H(K_v)`` (ELK [PST01] /
         LKH+ style join refresh).

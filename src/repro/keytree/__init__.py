@@ -18,35 +18,17 @@ maintains:
 * :class:`QueuePartition` — the flat linear-queue structure used for the
   S-partition of the QT-scheme (Section 3.2): members hold only their
   individual key and the group key.
-Extensions covering the rest of the paper's Section 1 survey:
-
-* :class:`OneWayFunctionTree` — OFT [BM00] (the paper notes its
-  optimizations also apply to OFT-style trees);
-* :class:`HuffmanKeyTree` — probabilistic organization [SMS00], the
-  general form of the PT-scheme's known-class placement;
-* :class:`MarksKeySequence` / :class:`MarksReceiver` — MARKS [Briscoe99]
-  zero-side-effect key sequences for pre-planned membership;
-* :class:`CompleteSubtreeCenter` / :class:`CompleteSubtreeReceiver` — the
-  Complete-Subtree base scheme of the Subset-Difference family [MNL01],
-  stateless receivers;
 * ``FlatRekeyer.rekey_batch(join_refresh="owf")`` — ELK [PST01] / LKH+
   style one-way key advancement for join-only batches.
+
+Two modules outside the product path stay importable by their own names:
+:mod:`repro.keytree.probabilistic` (``HuffmanKeyTree``, the probabilistic
+organization [SMS00], the general form of the PT-scheme's known-class
+placement) and :mod:`repro.keytree.node`, the node class it and the
+reference kernel in :mod:`repro.testing` build.  The package does not
+import either, so a product run loads neither.
 """
 
-from repro.keytree.marks import MarksKeySequence, MarksReceiver
-from repro.keytree.node import Node
-from repro.keytree.oft import OneWayFunctionTree
-from repro.keytree.probabilistic import HuffmanKeyTree
 from repro.keytree.queuepartition import QueuePartition
-from repro.keytree.subsetcover import CompleteSubtreeCenter, CompleteSubtreeReceiver
 
-__all__ = [
-    "CompleteSubtreeCenter",
-    "CompleteSubtreeReceiver",
-    "HuffmanKeyTree",
-    "MarksKeySequence",
-    "MarksReceiver",
-    "Node",
-    "OneWayFunctionTree",
-    "QueuePartition",
-]
+__all__ = ["QueuePartition"]

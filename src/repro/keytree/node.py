@@ -102,20 +102,6 @@ class Node:
             node.leaf_count += delta
             node = node.parent
 
-    def insert_child(self, index: int, child: "Node") -> None:
-        """Attach ``child`` at a specific position (order matters for OFT,
-        where parent keys are computed from an ordered list of child
-        blinds); propagate leaf counts up the path."""
-        if child.parent is not None:
-            raise ValueError(f"node {child.node_id} already has a parent")
-        child.parent = self
-        self.children.insert(index, child)
-        delta = child.leaf_count
-        node: Optional[Node] = self
-        while node is not None:
-            node.leaf_count += delta
-            node = node.parent
-
     def remove_child(self, child: "Node") -> None:
         """Detach ``child`` and propagate leaf counts up the path."""
         if child.parent is not self:

@@ -8,7 +8,6 @@ bursty alternative as an extension for sensitivity studies.
 
 from repro.network.channel import DeliveryReport, MulticastChannel, PreparedAudience
 from repro.network.loss import BernoulliLoss, GilbertElliottLoss, LossProcess
-from repro.network.topology import MulticastTopology
 
 __all__ = [
     "BernoulliLoss",
@@ -16,6 +15,5 @@ __all__ = [
     "GilbertElliottLoss",
     "LossProcess",
     "MulticastChannel",
-    "MulticastTopology",
     "PreparedAudience",
 ]

@@ -38,15 +38,6 @@ class TestKeyMaterial:
         b = KeyMaterial("k", 0, b"\x02" * KEY_SIZE)
         assert a.fingerprint() != b.fingerprint()
 
-    def test_derive_is_one_way_and_labeled(self):
-        key = KeyMaterial("k", 2, b"\x03" * KEY_SIZE)
-        child = key.derive("blind")
-        assert child.secret != key.secret
-        assert child.key_id == "k/blind"
-        assert child.version == 2
-        assert key.derive("blind").secret == child.secret
-        assert key.derive("other").secret != child.secret
-
     def test_trusted_constructor_matches_validating_constructor(self):
         secret = bytes(range(32))
         fast = KeyMaterial._trusted("node/1", 4, secret)

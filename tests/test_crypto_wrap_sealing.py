@@ -28,7 +28,6 @@ from repro.cli import SCHEMES
 from repro.crypto.cipher import _subkeys
 from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.crypto.wrap import RekeyMessage, SealError, WrapBatch, wrap_key
-from repro.experiments.topology import topology_gain
 from repro.experiments.validation import validate_batch_cost
 from repro.keytree.flat import FlatKeyTree, FlatRekeyer
 from repro.members.population import LossPopulation
@@ -152,12 +151,6 @@ def test_a_cost_only_simulation_seals_nothing(scheme, seals):
 
 def test_the_batch_cost_validation_seals_nothing(seals):
     assert validate_batch_cost(group_size=64, batches=1).measured > 0
-    assert seals.call_count == 0
-
-
-def test_the_topology_experiment_seals_nothing(seals):
-    results = topology_gain(receiver_count=64, departure_count=8, seed=5)
-    assert all(result.total_link_cost > 0 for result in results.values())
     assert seals.call_count == 0
 
 

@@ -19,7 +19,15 @@ EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
 
 
 def test_examples_directory_is_populated():
-    assert len(EXAMPLES) >= 7
+    """The exact set, so adding or deleting an example is a test edit."""
+    assert [script.stem for script in EXAMPLES] == [
+        "adaptive_speriod",
+        "loss_aware_rekeying",
+        "model_vs_simulation",
+        "quickstart",
+        "trace_replay_and_restart",
+        "two_partition_pay_per_view",
+    ]
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.stem)

@@ -57,23 +57,12 @@ class TestStructure:
         assert root.children == []
         assert root.leaf_count == 0
 
-    def test_insert_child_preserves_position(self, gen):
-        root = make_internal(gen, "root")
-        a, b, c = (make_leaf(gen, x) for x in "abc")
-        root.add_child(a)
-        root.add_child(b)
-        root.insert_child(1, c)
-        assert [n.member_id for n in root.children] == ["a", "c", "b"]
-        assert root.leaf_count == 3
-
     def test_add_child_rejects_already_parented(self, gen):
         r1, r2 = make_internal(gen, "r1"), make_internal(gen, "r2")
         leaf = make_leaf(gen, "a")
         r1.add_child(leaf)
         with pytest.raises(ValueError):
             r2.add_child(leaf)
-        with pytest.raises(ValueError):
-            r2.insert_child(0, leaf)
 
     def test_remove_child_rejects_non_child(self, gen):
         r1, r2 = make_internal(gen, "r1"), make_internal(gen, "r2")

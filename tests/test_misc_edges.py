@@ -8,7 +8,6 @@ from repro.experiments.fig3 import fig3_series
 from repro.experiments.fig4 import fig4_series
 from repro.experiments.fig6 import mixture_for
 from repro.experiments.report import Series
-from repro.network.topology import MulticastTopology
 
 
 class TestFigureParameterPaths:
@@ -61,17 +60,6 @@ class TestFecBlockEdges:
 
     def test_zero_block_is_free(self):
         assert expected_block_cost(0, 100, ((0.1, 1.0),)) == 0.0
-
-
-class TestTopologyEdges:
-    def test_cluster_level_beyond_depth_clamps_to_leaf(self):
-        topo = MulticastTopology({"r1": "root"})
-        clusters = topo.cluster_by_router(["r1"], level=99)
-        assert clusters == {"r1": ["r1"]}
-
-    def test_path_to_root_of_root(self):
-        topo = MulticastTopology({"a": "root"})
-        assert topo.path_to_root("root") == ["root"]
 
 
 class TestRekeyMessageInterest:

@@ -1,4 +1,4 @@
-"""Property-based tests for the extension schemes."""
+"""Property-based tests for the Huffman tree, serialization and absorb."""
 
 import random
 
@@ -6,61 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.material import KeyGenerator
-from repro.keytree.marks import MarksKeySequence, MarksReceiver
 from repro.keytree.probabilistic import HuffmanKeyTree
-from repro.keytree.subsetcover import CompleteSubtreeCenter
 from repro.testing.serialize import tree_from_dict, tree_to_dict
 from repro.testing.tree import KeyTree
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    depth=st.integers(min_value=2, max_value=8),
-    interval=st.data(),
-)
-def test_marks_cover_partitions_exactly(depth, interval):
-    sequence = MarksKeySequence(depth=depth, keygen=KeyGenerator(0))
-    slots = sequence.slots
-    start = interval.draw(st.integers(min_value=0, max_value=slots - 1))
-    end = interval.draw(st.integers(min_value=start + 1, max_value=slots))
-    covered = []
-    for d, index in sequence.cover(start, end):
-        span = 1 << (depth - d)
-        covered.extend(range(index * span, index * span + span))
-    assert sorted(covered) == list(range(start, end))
-    assert len(sequence.cover(start, end)) <= 2 * depth
-    # Receiver semantics match the cover.
-    receiver = MarksReceiver(depth, sequence.grant(start, end))
-    assert receiver.covered_slots() == list(range(start, end))
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    depth=st.integers(min_value=2, max_value=8),
-    revocations=st.data(),
-)
-def test_complete_subtree_cover_is_exact_complement(depth, revocations):
-    center = CompleteSubtreeCenter(depth=depth, keygen=KeyGenerator(1))
-    capacity = center.capacity
-    count = revocations.draw(st.integers(min_value=0, max_value=capacity))
-    revoked = set(
-        revocations.draw(
-            st.lists(
-                st.integers(min_value=0, max_value=capacity - 1),
-                min_size=count,
-                max_size=count,
-            )
-        )
-    )
-    for slot in revoked:
-        center.revoke(slot)
-    covered = set()
-    for d, index in center.cover():
-        span = 1 << (depth - d)
-        block = set(range(index * span, index * span + span))
-        assert not block & covered
-        covered |= block
-    assert covered == set(range(capacity)) - revoked
 
 
 @settings(max_examples=30, deadline=None)
