@@ -3,7 +3,7 @@
 The paper evaluates analytically only; this example runs the real system —
 key trees, batched rekeying, two-partition servers, WKA-BKR over a lossy
 channel — at laptop scale and prints predicted vs measured costs for each
-model (Appendix A, Section 3.3, Appendix B).
+model (Appendix A, Section 3.3, Appendix B), each against its tolerance.
 
 Run:  python examples/model_vs_simulation.py
 
@@ -15,34 +15,19 @@ uses this.
 import os
 
 
-def _validations():
+def main() -> None:
     from repro.experiments.validation import (
+        fast_validations,
+        over_tolerance,
         run_all_validations,
-        validate_batch_cost,
-        validate_wka_transport,
+        validation_table,
     )
 
-    if os.environ.get("REPRO_EXAMPLE_FAST", "") not in ("", "0"):
-        return {
-            "batch-cost": validate_batch_cost(
-                group_size=256, departures=16, batches=10
-            ),
-            "wka-transport": validate_wka_transport(
-                group_size=128, departures=8, trials=5
-            ),
-        }
-    return run_all_validations()
-
-
-def main() -> None:
-    print("model-vs-simulation cross validation "
-          "(trees are real, not the model's idealized full trees;\n"
-          " agreement within ~15% is the expectation)\n")
-    worst = 0.0
-    for name, result in _validations().items():
-        print(f"{name:14s} {result}")
-        worst = max(worst, result.relative_error)
-    print(f"\nworst relative error: {worst * 100:.1f}%")
+    fast = os.environ.get("REPRO_EXAMPLE_FAST", "") not in ("", "0")
+    results = fast_validations() if fast else run_all_validations()
+    print("(trees are real, not the model's idealized full trees)\n")
+    print(validation_table(results))
+    print(f"\nover tolerance: {', '.join(over_tolerance(results)) or 'none'}")
 
 
 if __name__ == "__main__":

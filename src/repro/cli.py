@@ -28,35 +28,19 @@ import sys
 from contextlib import contextmanager
 from typing import List, Optional
 
-FIGURES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fec")
+from repro.experiments import FIGURES
+
 #: scheme names :func:`repro.server.build_server` takes
 SCHEMES = ("one", "qt", "tt", "pt", "losshomog", "random-trees")
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        fec_gain_series,
-        fig3_series,
-        fig4_series,
-        fig5_series,
-        fig6_series,
-        fig7_series,
-    )
-
-    workers = args.workers
-    producers = {
-        "fig3": lambda: fig3_series(workers=workers).format_table(),
-        "fig4": lambda: fig4_series(workers=workers).format_table(precision=2),
-        "fig5": lambda: fig5_series(workers=workers).format_table(precision=4),
-        "fig6": lambda: fig6_series(workers=workers).format_table(precision=2),
-        "fig7": lambda: fig7_series(workers=workers).format_table(precision=2),
-        "fec": lambda: fec_gain_series(workers=workers).format_table(precision=2),
-    }
     wanted = FIGURES if args.figure == "all" else (args.figure,)
     for index, name in enumerate(wanted):
         if index:
             print()
-        print(producers[name]())
+        sweep, precision = FIGURES[name]
+        print(sweep().format_table(precision=precision))
     return 0
 
 
@@ -90,34 +74,29 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
 def _cmd_headlines(args: argparse.Namespace) -> int:
     from repro.experiments.headlines import format_headlines
 
-    print(format_headlines(workers=args.workers))
+    print(format_headlines())
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.experiments.validation import (
+        fast_validations,
+        over_tolerance,
         run_all_validations,
-        validate_batch_cost,
-        validate_wka_transport,
+        validation_table,
     )
 
     if args.fast:
-        results = {
-            "batch-cost": validate_batch_cost(
-                group_size=256, departures=16, batches=10
-            ),
-            "wka-transport": validate_wka_transport(
-                group_size=128, departures=8, trials=5
-            ),
-        }
+        results = fast_validations()
     else:
         results = run_all_validations(workers=args.workers)
-    worst = 0.0
-    for result in results.values():
-        print(result)
-        worst = max(worst, result.relative_error)
+    print(validation_table(results))
+    worst = max(result.relative_error for result in results.values())
     print(f"worst relative error: {worst * 100:.1f}%")
-    return 0 if worst < 0.35 else 1
+    failed = over_tolerance(results)
+    if failed:
+        print(f"over tolerance: {', '.join(failed)}")
+    return 1 if failed else 0
 
 
 def _build_transport(name: str):
@@ -525,20 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
             "run is in flight (PORT 0 or omitted = ephemeral)",
         )
 
-    workers_help = (
-        "fan sweep points out over a process pool of N workers "
-        "(results are identical to --workers 1)"
-    )
-
     p = sub.add_parser("figures", help="regenerate the paper's figure tables")
     p.add_argument(
-        "figure", choices=FIGURES + ("all",), nargs="?", default="all"
+        "figure", choices=tuple(FIGURES) + ("all",), nargs="?", default="all"
     )
-    p.add_argument("--workers", type=int, default=1, help=workers_help)
     p.set_defaults(func=_cmd_figures)
 
     p = sub.add_parser("headlines", help="paper-vs-reproduction headline numbers")
-    p.add_argument("--workers", type=int, default=1, help=workers_help)
     p.set_defaults(func=_cmd_headlines)
 
     p = sub.add_parser(
@@ -559,7 +531,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="model-vs-simulation cross validation")
     p.add_argument("--fast", action="store_true", help="small configurations only")
-    p.add_argument("--workers", type=int, default=1, help=workers_help)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="run the checks over a process pool of N workers "
+        "(results are identical to --workers 1)",
+    )
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("simulate", help="run one end-to-end simulated session")

@@ -14,8 +14,8 @@ Each module regenerates one artifact:
   (our addition; the paper is analytic-only).
 
 All return :class:`repro.experiments.report.Series` objects that print as
-aligned text tables, so ``python -m repro.experiments`` and the benchmark
-suite share one code path.
+aligned text tables.  :data:`FIGURES` is the one list of figure tables:
+``repro figures`` prints them and ``tests/test_fidelity.py`` pins them.
 """
 
 from repro.experiments import defaults
@@ -28,7 +28,19 @@ from repro.experiments.fig7 import fig7_series
 from repro.experiments.headlines import headline_numbers
 from repro.experiments.report import Series
 
+#: Figure table name -> (sweep, decimals printed); the precision lives here
+#: only, so the CLI and the pinned tables cannot drift apart.
+FIGURES = {
+    "fig3": (fig3_series, 1),
+    "fig4": (fig4_series, 2),
+    "fig5": (fig5_series, 4),
+    "fig6": (fig6_series, 2),
+    "fig7": (fig7_series, 2),
+    "fec": (fec_gain_series, 2),
+}
+
 __all__ = [
+    "FIGURES",
     "Series",
     "defaults",
     "fec_gain_series",

@@ -8,7 +8,7 @@ parity (proactive and reactive) is sized by its worst receivers.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 from repro.analysis import (
     Fec,
@@ -25,22 +25,11 @@ from repro.experiments.defaults import (
     TREE_DEGREE,
 )
 from repro.experiments.fig6 import mixture_for
-from repro.experiments.parallel import parallel_map
 from repro.experiments.report import Series
 
 
-def default_alpha_grid() -> list:
-    return [round(0.05 * i, 2) for i in range(0, 21)]
-
-
-def _fec_gain_point(item: Tuple) -> Tuple[float, float]:
-    """(one-tree, homogenized) FEC costs at one alpha; picklable."""
-    alpha, group_size, departures, degree, high_loss, low_loss, params = item
-    mixture = mixture_for(alpha, high_loss, low_loss)
-    return tuple(
-        scheme_cost(build(group_size, departures, mixture), Fec(params), degree)
-        for build in (one_tree, loss_homogenized_trees)
-    )
+#: Denser where the gain peaks (alpha = 0.1) than the other figures' grid.
+DEFAULT_ALPHAS = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0)
 
 
 def fec_gain_series(
@@ -51,25 +40,22 @@ def fec_gain_series(
     high_loss: float = SECTION4_HIGH_LOSS,
     low_loss: float = SECTION4_LOW_LOSS,
     params: FecParameters = FecParameters(),
-    workers: int = 1,
 ) -> Series:
     """Proactive-FEC rekeying cost (# keys) and homogenization gain vs alpha."""
-    alphas = list(alpha_values) if alpha_values is not None else default_alpha_grid()
+    alphas = list(alpha_values if alpha_values is not None else DEFAULT_ALPHAS)
     series = Series(
         title="Section 4.4 — proactive-FEC rekeying cost vs fraction of high-loss receivers",
         x_label="alpha",
         x_values=[float(a) for a in alphas],
     )
-    points = parallel_map(
-        _fec_gain_point,
+    mixtures = [mixture_for(a, high_loss, low_loss) for a in alphas]
+    one, homog = (
         [
-            (alpha, group_size, departures, degree, high_loss, low_loss, params)
-            for alpha in alphas
-        ],
-        workers,
+            scheme_cost(build(group_size, departures, m), Fec(params), degree)
+            for m in mixtures
+        ]
+        for build in (one_tree, loss_homogenized_trees)
     )
-    one = [p[0] for p in points]
-    homog = [p[1] for p in points]
     gain = [
         (o - h) / o * 100 if o else 0.0 for o, h in zip(one, homog)
     ]

@@ -8,33 +8,20 @@ one-keytree scheme; TT beats QT for large K; PT is flat at ~40% below.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 from repro.analysis import TwoPartitionParameters, scheme_costs
 from repro.experiments.defaults import TABLE1
-from repro.experiments.parallel import parallel_map
 from repro.experiments.report import Series
 
 SCHEMES = ("one-keytree", "QT-scheme", "TT-scheme", "PT-scheme")
 
 
-def _fig3_point(item: Tuple[TwoPartitionParameters, int]) -> Dict[str, float]:
-    """One sweep point — module-level so process pools can pickle it."""
-    base, k = item
-    return scheme_costs(base.with_k(k))
-
-
 def fig3_series(
     k_values: Iterable[int] = range(0, 21),
     params: Optional[TwoPartitionParameters] = None,
-    workers: int = 1,
 ) -> Series:
-    """Rekeying cost (# keys) per periodic rekeying vs ``K``.
-
-    ``workers > 1`` fans the sweep points out over a process pool; every
-    point is a pure function of its parameters, so the series is identical
-    to the serial one.
-    """
+    """Rekeying cost (# keys) per periodic rekeying vs ``K``."""
     base = params if params is not None else TABLE1
     k_list = list(k_values)
     series = Series(
@@ -42,13 +29,9 @@ def fig3_series(
         x_label="K",
         x_values=[float(k) for k in k_list],
     )
-    points = parallel_map(_fig3_point, [(base, k) for k in k_list], workers)
-    costs = {name: [] for name in SCHEMES}
-    for point in points:
-        for name, value in point.items():
-            costs[name].append(value)
+    points = [scheme_costs(base.with_k(k)) for k in k_list]
     for name in SCHEMES:
-        series.add_column(name, costs[name])
+        series.add_column(name, [point[name] for point in points])
     series.notes.append(
         "paper: TT ~25% below one-keytree at K=10; PT ~40% below; "
         "all equal at K=0"

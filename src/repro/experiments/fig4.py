@@ -8,12 +8,11 @@ alpha = 0.9; PT always wins.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 from repro.analysis import TwoPartitionParameters, scheme_costs
 from repro.experiments.defaults import TABLE1
 from repro.experiments.fig3 import SCHEMES
-from repro.experiments.parallel import parallel_map
 from repro.experiments.report import Series
 
 
@@ -21,16 +20,9 @@ def default_alpha_grid() -> list:
     return [round(0.05 * i, 2) for i in range(0, 21)]
 
 
-def _fig4_point(item: Tuple[TwoPartitionParameters, float]) -> Dict[str, float]:
-    """One sweep point — module-level so process pools can pickle it."""
-    base, alpha = item
-    return scheme_costs(base.with_alpha(alpha))
-
-
 def fig4_series(
     alpha_values: Optional[Iterable[float]] = None,
     params: Optional[TwoPartitionParameters] = None,
-    workers: int = 1,
 ) -> Series:
     """Rekeying cost (# keys) per periodic rekeying vs ``alpha``."""
     base = params if params is not None else TABLE1
@@ -40,13 +32,9 @@ def fig4_series(
         x_label="alpha",
         x_values=[float(a) for a in alphas],
     )
-    points = parallel_map(_fig4_point, [(base, a) for a in alphas], workers)
-    costs = {name: [] for name in SCHEMES}
-    for point in points:
-        for name, value in point.items():
-            costs[name].append(value)
+    points = [scheme_costs(base.with_alpha(a)) for a in alphas]
     for name in SCHEMES:
-        series.add_column(name, costs[name])
+        series.add_column(name, [point[name] for point in points])
     series.notes.append(
         "paper: QT/TT beat one-keytree for alpha>0.6, lose for alpha<=0.4; "
         "peak improvement ~31.4% at alpha=0.9"

@@ -10,7 +10,7 @@ peak near alpha = 0.3; all schemes coincide at alpha = 0 and alpha = 1.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 from repro.analysis import (
     WKA_BKR,
@@ -26,7 +26,6 @@ from repro.experiments.defaults import (
     SECTION4_LOW_LOSS,
     TREE_DEGREE,
 )
-from repro.experiments.parallel import parallel_map
 from repro.experiments.report import Series
 
 
@@ -44,16 +43,6 @@ def mixture_for(alpha: float, high: float = SECTION4_HIGH_LOSS, low: float = SEC
     return tuple(pairs)
 
 
-def _fig6_point(item: Tuple) -> Tuple[float, float, float]:
-    """(one-tree, two-random, homogenized) WKA costs at one alpha; picklable."""
-    alpha, group_size, departures, degree, high_loss, low_loss = item
-    mixture = mixture_for(alpha, high_loss, low_loss)
-    return tuple(
-        scheme_cost(build(group_size, departures, mixture), WKA_BKR, degree)
-        for build in (one_tree, random_trees, loss_homogenized_trees)
-    )
-
-
 def fig6_series(
     alpha_values: Optional[Iterable[float]] = None,
     group_size: int = SECTION4_GROUP_SIZE,
@@ -61,7 +50,6 @@ def fig6_series(
     degree: int = TREE_DEGREE,
     high_loss: float = SECTION4_HIGH_LOSS,
     low_loss: float = SECTION4_LOW_LOSS,
-    workers: int = 1,
 ) -> Series:
     """WKA-BKR rekeying cost (# keys) vs fraction of high-loss receivers."""
     alphas = list(alpha_values) if alpha_values is not None else default_alpha_grid()
@@ -70,17 +58,19 @@ def fig6_series(
         x_label="alpha",
         x_values=[float(a) for a in alphas],
     )
-    points = parallel_map(
-        _fig6_point,
-        [
-            (alpha, group_size, departures, degree, high_loss, low_loss)
-            for alpha in alphas
-        ],
-        workers,
-    )
-    series.add_column("one-keytree", [p[0] for p in points])
-    series.add_column("two-random-keytrees", [p[1] for p in points])
-    series.add_column("two-loss-homogenized", [p[2] for p in points])
+    mixtures = [mixture_for(a, high_loss, low_loss) for a in alphas]
+    for name, build in (
+        ("one-keytree", one_tree),
+        ("two-random-keytrees", random_trees),
+        ("two-loss-homogenized", loss_homogenized_trees),
+    ):
+        series.add_column(
+            name,
+            [
+                scheme_cost(build(group_size, departures, m), WKA_BKR, degree)
+                for m in mixtures
+            ],
+        )
     series.notes.append(
         "paper: random split slightly worse than one tree; homogenized wins "
         "up to ~12.1% (peak near alpha=0.3); all equal at alpha=0 and 1"

@@ -10,7 +10,7 @@ one-keytree cost near beta = 0.8, then *improves* again toward beta = 1
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 from repro.analysis import WKA_BKR, misplaced_trees, one_tree, scheme_cost
 from repro.experiments.defaults import (
@@ -21,21 +21,11 @@ from repro.experiments.defaults import (
     TREE_DEGREE,
 )
 from repro.experiments.fig6 import mixture_for
-from repro.experiments.parallel import parallel_map
 from repro.experiments.report import Series
 
 
 def default_beta_grid() -> list:
     return [round(0.05 * i, 2) for i in range(0, 21)]
-
-
-def _fig7_point(item: Tuple) -> float:
-    """Mis-partitioned cost at one beta; picklable for process pools."""
-    beta, alpha, group_size, departures, degree, high_loss, low_loss = item
-    partitions = misplaced_trees(
-        group_size, departures, alpha, high_loss, low_loss, beta
-    )
-    return scheme_cost(partitions, WKA_BKR, degree)
 
 
 def fig7_series(
@@ -46,32 +36,26 @@ def fig7_series(
     degree: int = TREE_DEGREE,
     high_loss: float = SECTION4_HIGH_LOSS,
     low_loss: float = SECTION4_LOW_LOSS,
-    workers: int = 1,
 ) -> Series:
     """Rekeying cost (# keys) vs misplaced fraction ``beta``."""
     betas = list(beta_values) if beta_values is not None else default_beta_grid()
     mixture = mixture_for(alpha, high_loss, low_loss)
     baseline = scheme_cost(one_tree(group_size, departures, mixture), WKA_BKR, degree)
-    correctly = scheme_cost(
-        misplaced_trees(group_size, departures, alpha, high_loss, low_loss, 0.0),
-        WKA_BKR,
-        degree,
-    )
+
+    def misplaced(beta: float) -> float:
+        partitions = misplaced_trees(
+            group_size, departures, alpha, high_loss, low_loss, beta
+        )
+        return scheme_cost(partitions, WKA_BKR, degree)
+
+    correctly = misplaced(0.0)
     series = Series(
         title="Fig. 7 — rekeying cost (#keys) vs fraction of misplaced receivers",
         x_label="beta",
         x_values=[float(b) for b in betas],
     )
-    mis = parallel_map(
-        _fig7_point,
-        [
-            (beta, alpha, group_size, departures, degree, high_loss, low_loss)
-            for beta in betas
-        ],
-        workers,
-    )
     series.add_column("one-keytree", [baseline] * len(betas))
-    series.add_column("mis-partitioned", mis)
+    series.add_column("mis-partitioned", [misplaced(b) for b in betas])
     series.add_column("correctly-partitioned", [correctly] * len(betas))
     series.notes.append(
         "paper: gain decays with beta, ~parity with one-keytree near "

@@ -32,24 +32,15 @@ from repro.experiments.defaults import (
     TABLE1,
     TREE_DEGREE,
 )
-from repro.experiments.fig5 import DEFAULT_SIZES
+from repro.experiments.fig5 import fig5_series
 from repro.experiments.fig6 import mixture_for
-from repro.experiments.parallel import parallel_map
 
 
-def _two_partition_gain(alpha: float) -> Tuple[float, float]:
-    """(best scheme gain, alpha) at one sweep point; picklable."""
+def _two_partition_gain(alpha: float) -> float:
+    """The better of QT's and TT's reductions at one alpha."""
     costs = scheme_costs(TABLE1.with_alpha(alpha))
     baseline = costs["one-keytree"]
-    gain = max(baseline - costs["QT-scheme"], baseline - costs["TT-scheme"]) / baseline
-    return gain, alpha
-
-
-def _fig5_reductions(n: int) -> Tuple[float, float]:
-    """(QT reduction, TT reduction) at one group size; picklable."""
-    costs = scheme_costs(TABLE1.with_group_size(float(n)))
-    b = costs["one-keytree"]
-    return (b - costs["QT-scheme"]) / b, (b - costs["TT-scheme"]) / b
+    return max(baseline - costs["QT-scheme"], baseline - costs["TT-scheme"]) / baseline
 
 
 def _section4_costs(alpha: float, transport) -> Tuple[float, float]:
@@ -65,35 +56,29 @@ def _section4_costs(alpha: float, transport) -> Tuple[float, float]:
     )
 
 
-def _loss_homog_gain(alpha: float) -> Tuple[float, float]:
-    """(homogenization gain, alpha) at one sweep point; picklable."""
+def _loss_homog_gain(alpha: float) -> float:
+    """Loss homogenization's WKA-BKR reduction at one alpha."""
     one, homog = _section4_costs(alpha, WKA_BKR)
-    return ((one - homog) / one if one else 0.0), alpha
+    return (one - homog) / one if one else 0.0
 
 
-def _first_peak(points) -> Tuple[float, float]:
-    """Earliest strictly-best (gain, alpha); matches the serial scan."""
+def _first_peak(gain, alphas) -> Tuple[float, float]:
+    """Earliest strictly-best ``(gain(alpha), alpha)`` over the sweep."""
     best_gain, best_alpha = 0.0, 0.0
-    for gain, alpha in points:
-        if gain > best_gain:
-            best_gain, best_alpha = gain, alpha
+    for alpha in alphas:
+        value = gain(alpha)
+        if value > best_gain:
+            best_gain, best_alpha = value, alpha
     return best_gain, best_alpha
 
 
-def headline_numbers(alpha_step: float = 0.05, workers: int = 1) -> Dict[str, float]:
-    """Recompute every headline percentage; keys name the paper's claims.
-
-    ``workers > 1`` fans the alpha and group-size sweeps out over a
-    process pool; the peaks are reduced in the parent, so the numbers are
-    identical to a serial run.
-    """
+def headline_numbers(alpha_step: float = 0.05) -> Dict[str, float]:
+    """Recompute every headline percentage; keys name the paper's claims."""
     results: Dict[str, float] = {}
 
     # Two-partition peak over the alpha sweep at K=10 (paper: 31.4% at 0.9).
     alphas = [round(alpha_step * i, 4) for i in range(int(1 / alpha_step) + 1)]
-    best_gain, best_alpha = _first_peak(
-        parallel_map(_two_partition_gain, alphas, workers)
-    )
+    best_gain, best_alpha = _first_peak(_two_partition_gain, alphas)
     results["two_partition_peak_reduction_pct"] = best_gain * 100
     results["two_partition_peak_alpha"] = best_alpha
 
@@ -110,17 +95,16 @@ def headline_numbers(alpha_step: float = 0.05, workers: int = 1) -> Dict[str, fl
     )
 
     # Fig. 5 average reduction across group sizes (paper: >22%).
+    fig5 = fig5_series()
     reductions = [
         value
-        for pair in parallel_map(_fig5_reductions, DEFAULT_SIZES, workers)
+        for pair in zip(fig5.column("QT-scheme"), fig5.column("TT-scheme"))
         for value in pair
     ]
     results["fig5_mean_reduction_pct"] = sum(reductions) / len(reductions) * 100
 
     # Loss homogenization peak under WKA-BKR (paper: 12.1% at alpha=0.3).
-    best_gain, best_alpha = _first_peak(
-        parallel_map(_loss_homog_gain, alphas, workers)
-    )
+    best_gain, best_alpha = _first_peak(_loss_homog_gain, alphas)
     results["loss_homog_peak_reduction_pct"] = best_gain * 100
     results["loss_homog_peak_alpha"] = best_alpha
 
@@ -141,9 +125,9 @@ PAPER_CLAIMS = {
 }
 
 
-def format_headlines(workers: int = 1) -> str:
+def format_headlines() -> str:
     """Side-by-side paper-vs-measured report."""
-    measured = headline_numbers(workers=workers)
+    measured = headline_numbers()
     lines = ["Headline numbers — paper vs this reproduction"]
     lines.append(f"{'claim':45s} {'paper':>8s} {'ours':>8s}")
     for key, claimed in PAPER_CLAIMS.items():

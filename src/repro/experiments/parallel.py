@@ -1,10 +1,11 @@
 """Process-pool fan-out for the experiment sweeps.
 
-:func:`parallel_map` is what ``--workers N`` on ``figures`` / ``headlines``
-/ ``validate`` runs on: every sweep point is an independent simulation
-with its own explicit seed, so the points spread over a pool and come back
-identical to a serial run.  (Rekeying itself runs on one path, the serial
-loop over a batch's touched partitions in
+:func:`parallel_map` is what ``repro validate --workers N`` runs on: each
+model-vs-simulation check is an independent simulation with its own
+explicit seed, so the checks spread over a pool and come back identical to
+a serial run.  The analytic figure and headline sweeps run inline: each
+takes about half a second, less than starting a pool.  (Rekeying itself
+runs on one path, the serial loop over a batch's touched partitions in
 :class:`~repro.server.partitioned.PartitionedServer`; the thread and
 process shard executors are gone, and ``docs/performance.md``
 "Sharding" has their last measurements.)

@@ -11,7 +11,8 @@ class Series:
     """One figure's data: an x axis and named y columns.
 
     ``format_table()`` renders the same rows the paper's figure plots, as
-    aligned text — the reproduction artifact the benchmarks print.
+    aligned text — the reproduction artifact ``repro figures`` prints and
+    ``tests/golden/tables/`` pins.
     """
 
     title: str

@@ -13,15 +13,15 @@ the measured costs track the analytic predictions:
   lossy channel vs Appendix B's ``E[V]``.
 
 The simulated trees are *not* the model's idealized full trees (splits,
-splices and churn roughen them), so agreement is expected within ~15%,
-not exactly.
+splices and churn roughen them), so agreement is expected within each
+check's declared tolerance (:data:`TOLERANCES`), not exactly.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List
 
 from repro.analysis.batchcost import expected_batch_cost
 from repro.analysis import TwoPartitionParameters, scheme_costs, steady_state
@@ -218,13 +218,19 @@ def _run_validation(name: str) -> ValidationResult:
     raise ValueError(f"unknown validation {name!r}")
 
 
-VALIDATION_NAMES = (
-    "batch-cost",
-    "one-keytree",
-    "tt-scheme",
-    "qt-scheme",
-    "wka-transport",
-)
+#: Each check's bound on relative error, declared once: tier-1 and
+#: ``repro validate`` (``--fast`` too) fail a check at or above it.
+#: Appendix A is exact on a full tree; the steady-state and WKA-BKR
+#: checks carry churn-roughened trees and loss draws.  Each bound is the
+#: tightest that an earlier copy of the check enforced.
+TOLERANCES = {
+    "batch-cost": 0.05,
+    "one-keytree": 0.15,
+    "tt-scheme": 0.15,
+    "qt-scheme": 0.15,
+    "wka-transport": 0.20,
+}
+VALIDATION_NAMES = tuple(TOLERANCES)
 
 
 def run_all_validations(workers: int = 1) -> Dict[str, ValidationResult]:
@@ -240,6 +246,32 @@ def run_all_validations(workers: int = 1) -> Dict[str, ValidationResult]:
     return dict(zip(VALIDATION_NAMES, results))
 
 
+def fast_validations() -> Dict[str, ValidationResult]:
+    """Appendix A and B at small configurations (``repro validate --fast``)."""
+    return {
+        "batch-cost": validate_batch_cost(group_size=256, departures=16, batches=10),
+        "wka-transport": validate_wka_transport(
+            group_size=128, departures=8, trials=5
+        ),
+    }
+
+
+def over_tolerance(results: Dict[str, ValidationResult]) -> List[str]:
+    """The checks in ``results`` whose error is not below their tolerance."""
+    return [
+        name
+        for name, result in results.items()
+        if not result.relative_error < TOLERANCES[name]
+    ]
+
+
+def validation_table(results: Dict[str, ValidationResult]) -> str:
+    """One line per check: predicted, measured, error and its tolerance."""
+    lines = ["Model-vs-simulation cross validation"]
+    for name, result in results.items():
+        lines.append(f"  {result} tolerance={TOLERANCES[name] * 100:.0f}%")
+    return "\n".join(lines)
+
+
 if __name__ == "__main__":  # pragma: no cover - manual runner
-    for name, result in run_all_validations().items():
-        print(result)
+    print(validation_table(run_all_validations()))

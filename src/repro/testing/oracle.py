@@ -14,8 +14,8 @@ The simulator takes each receiver's transport interest from the rows its
 one journaled :meth:`~repro.members.member.Member.absorb` learned.
 :func:`useful_subset` and :func:`build_task` derive the same rows without
 absorbing, from :meth:`~repro.crypto.wrap.WrapIndex.closure`: the
-reference that interest is tested against, and the way the ablation
-benchmarks plan a delivery on a bare rekeyer.
+reference that interest is tested against, and the way the fidelity
+tier's simulated ablations plan a delivery on a bare rekeyer.
 
 Importing this module loads the reference kernel, so nothing on the
 product path imports it; :mod:`repro.testing` does not either.

@@ -7,7 +7,8 @@ counted keys at ``K in {0, 1, 10}``, ``alpha in {0, 0.3, 1}`` and
 loss-homogenized, the Fig. 7 misplaced split and hand-built tree lists)
 over WKA-BKR and proactive FEC, with zero departures, the two-class
 mixtures at ``alpha in {0, 0.3, 1}``, ``beta in {0, 0.5, 1}`` and the
-4-point population of ``benchmarks/test_bench_ablation_trees.py``.
+4-point population of the ``ablation_trees`` table in
+``tests/test_fidelity.py``.
 
 ``tests/test_analysis_golden.py`` replays every row through
 :func:`evaluate` (partition builders and ``scheme_cost``) and demands the

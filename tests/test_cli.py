@@ -41,6 +41,18 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "worst relative error" in out
 
+    def test_a_check_over_its_own_tolerance_exits_1(self, monkeypatch, capsys):
+        """Each check meets its own bound: a 6% Appendix A error fails
+        (bound 5%) although it would pass the WKA-BKR check's 20%."""
+        from repro.experiments import validation
+
+        def off_by_six_percent():
+            return {"batch-cost": validation.ValidationResult("Ne", 100.0, 106.0)}
+
+        monkeypatch.setattr(validation, "fast_validations", off_by_six_percent)
+        assert main(["validate", "--fast"]) == 1
+        assert "over tolerance: batch-cost" in capsys.readouterr().out
+
 
 class TestSelfcheck:
     def test_single_scheme_passes(self, capsys):
@@ -127,9 +139,9 @@ class TestTrace:
 
 class TestRemovedExecutionOptions:
     """The bulk / threads / arena wrap engine, the ``bench`` subcommand,
-    the choice of tree kernel, the shard executors and the hash-sharded
-    scheme itself are gone; their flags are argparse errors, not silently
-    accepted."""
+    the choice of tree kernel, the shard executors, the hash-sharded
+    scheme itself and the process pool under the analytic sweeps are gone;
+    their flags are argparse errors, not silently accepted."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -142,6 +154,8 @@ class TestRemovedExecutionOptions:
             ["simulate", "--quick", "--scheme", "sharded"],
             ["chaos", "--quick", "--arena"],
             ["bench"],
+            ["figures", "fig3", "--workers", "2"],
+            ["headlines", "--workers", "2"],
         ],
         ids=[
             "simulate-threads",
@@ -152,6 +166,8 @@ class TestRemovedExecutionOptions:
             "simulate-scheme-sharded",
             "chaos-arena",
             "bench",
+            "figures-workers",
+            "headlines-workers",
         ],
     )
     def test_removed_flags_and_subcommand_exit_2(self, argv, capsys):
