@@ -21,8 +21,9 @@ can be *proven* to degrade gracefully and recover:
   abandonment thresholds for the NACK transports (multi-send, which takes
   no policy, degrades the same way at its own round cap);
 * :mod:`repro.faults.recovery` — the per-receiver epoch state machine
-  (``IN_SYNC -> LAGGING -> OUT_OF_SYNC -> IN_SYNC``) and the measured
-  unicast catch-up events that close the loop;
+  (``IN_SYNC -> OUT_OF_SYNC -> IN_SYNC``: abandoned by the transport,
+  then caught up over unicast) and the measured catch-up events that
+  close the loop;
 * :mod:`repro.faults.chaos` — the randomized chaos-conformance harness
   behind ``python -m repro chaos``, which asserts the security invariants
   of :mod:`repro.testing` under all of the above and emits

@@ -4,29 +4,34 @@ Rekey delivery can now fail *partially*: a retry policy abandons receivers
 that a blackout or loss storm keeps unsatisfied, and a receiver that
 misses a whole rekey epoch cannot decode later multicasts (the wraps chain
 off key versions it never learned).  The server therefore tracks each
-receiver's synchrony explicitly:
+receiver's synchrony explicitly, in two states:
 
 ::
 
-    IN_SYNC ──(delivery incomplete this epoch)──▶ LAGGING
-    LAGGING ──(abandoned / missed a full epoch)──▶ OUT_OF_SYNC
+    IN_SYNC ──(abandoned by the transport)──▶ OUT_OF_SYNC
     OUT_OF_SYNC ──(unicast catch-up delivered)──▶ IN_SYNC
-    LAGGING ──(next delivery lands)──▶ IN_SYNC
 
-``OUT_OF_SYNC`` receivers are excluded from multicast interest (no point
-retransmitting wraps they cannot open) until
+A receiver that needed retry rounds but was satisfied stays ``IN_SYNC``:
+the transport runs to completion inside one rekey, so "late" is a
+latency (:mod:`repro.obs.latency`), never a state.  ``OUT_OF_SYNC``
+receivers are excluded from multicast interest (no point retransmitting
+wraps they cannot open) until
 :meth:`~repro.server.partitioned.PartitionedServer.catch_up` re-issues their
 entitlement over unicast — the existing resync path, now measured: every
 recovery produces a :class:`RecoveryEvent` carrying the latency from
 desynchronization to recovery, the epochs missed, and the unicast key
 cost.
+
+Each transition is booked once, here: going out of sync is one
+``abandonment`` event and one ``sync.out_of_sync`` count, and a recovery is
+one ``resync`` event carrying its :class:`RecoveryEvent`'s fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Dict, List, Mapping, Set, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
@@ -36,15 +41,19 @@ class SyncState(Enum):
     """A receiver's rekey-epoch synchrony, as the server sees it."""
 
     IN_SYNC = "in-sync"
-    LAGGING = "lagging"
     OUT_OF_SYNC = "out-of-sync"
 
 
 @dataclass(frozen=True)
 class RecoveryEvent:
-    """One completed unicast catch-up, with its measured cost."""
+    """One completed unicast catch-up, with its measured cost.
+
+    ``epoch`` is the epoch whose delivery the member missed: the latency
+    story it closes belongs to that epoch.
+    """
 
     member_id: str
+    epoch: int
     desynced_at: float
     recovered_at: float
     epochs_missed: int
@@ -59,19 +68,19 @@ class RecoveryEvent:
 class SyncTracker:
     """Server-side registry of every receiver's :class:`SyncState`.
 
-    Only receivers out of step are stored with their state: a known
-    receiver is ``IN_SYNC`` unless it sits in ``_lagging`` or ``_out``,
-    each mapping it to ``(desynced_at, desynced_epoch)`` — when it fell
-    out of step, for recovery-latency accounting, and the epoch whose
-    delivery it missed.  A delivery that leaves everyone in step therefore
-    touches no per-receiver state.
+    A known receiver is ``IN_SYNC`` unless it sits in ``_out``, which maps
+    it to ``(desynced_at, desynced_epoch)`` — when it fell out of step, for
+    recovery-latency accounting, and the epoch whose delivery it missed.
+    A delivery that leaves everyone in step therefore touches no
+    per-receiver state.  The known set is kept by :meth:`admit` and
+    :meth:`forget`, which the server calls as each batch admits and
+    removes members.
     It is the one record of who is out of step (:attr:`desynced`) and of
     the run's recoveries (:attr:`events`); both survive a crash-restore.
     """
 
     def __init__(self) -> None:
         self._known: Set[str] = set()
-        self._lagging: Dict[str, Tuple[float, int]] = {}
         self._out: Dict[str, Tuple[float, int]] = {}
         self.events: List[RecoveryEvent] = []
 
@@ -81,13 +90,12 @@ class SyncTracker:
 
     def admit(self, member_id: str, epoch: int) -> None:
         """A freshly admitted member starts in sync at its join epoch."""
-        self.forget(member_id)
+        self._out.pop(member_id, None)
         self._known.add(member_id)
 
     def forget(self, member_id: str) -> None:
         """Drop a departed member."""
         self._known.discard(member_id)
-        self._lagging.pop(member_id, None)
         self._out.pop(member_id, None)
 
     def __contains__(self, member_id: str) -> bool:
@@ -96,8 +104,6 @@ class SyncTracker:
     def state_of(self, member_id: str) -> SyncState:
         if member_id in self._out:
             return SyncState.OUT_OF_SYNC
-        if member_id in self._lagging:
-            return SyncState.LAGGING
         if member_id in self._known:
             return SyncState.IN_SYNC
         raise KeyError(f"sync tracker knows no member {member_id!r}")
@@ -116,117 +122,53 @@ class SyncTracker:
 
     def counts(self) -> Dict[str, int]:
         """State -> member count (observability)."""
-        lagging, out = len(self._lagging), len(self._out)
+        out = len(self._out)
         return {
-            SyncState.IN_SYNC.value: len(self._known) - lagging - out,
-            SyncState.LAGGING.value: lagging,
+            SyncState.IN_SYNC.value: len(self._known) - out,
             SyncState.OUT_OF_SYNC.value: out,
         }
 
     # ------------------------------------------------------------------
-    # transitions (an unknown member becomes known, in sync, first)
+    # transitions (an unknown member becomes known first)
     # ------------------------------------------------------------------
 
-    def mark_delivered(self, member_id: str, epoch: int) -> None:
-        """A rekey epoch's payload fully reached this receiver."""
-        self.mark_delivered_all((member_id,), epoch)
-
-    def mark_delivered_all(self, ids: Collection[str], epoch: int) -> None:
-        """A rekey epoch's payload fully reached every receiver in ``ids``.
-
-        Only the lagging ones move, back to ``IN_SYNC``, with their
-        transition events in ``ids`` order.  Multicast cannot repair an
-        ``OUT_OF_SYNC`` receiver (it lacks the wrapping keys); only
-        :meth:`mark_recovered` may transition it back.
-        """
-        self._known.update(ids)
-        lagging = self._lagging
-        for member_id in filter(lagging.__contains__, ids):
-            if lagging.pop(member_id, None) is not None:
-                obs_events.emit(
-                    "sync_transition",
-                    member_id=member_id,
-                    from_state=SyncState.LAGGING.value,
-                    to_state=SyncState.IN_SYNC.value,
-                    epoch=epoch,
-                )
-
-    def mark_lagging(self, member_id: str, epoch: int, now: float) -> None:
-        """Delivery incomplete this epoch, but the transport hasn't given
-        up — the receiver may still complete from retransmissions."""
-        self._known.add(member_id)
-        if member_id in self._out or member_id in self._lagging:
-            return
-        self._lagging[member_id] = (now, epoch)
-        obs_events.emit(
-            "sync_transition",
-            time=now,
-            member_id=member_id,
-            from_state=SyncState.IN_SYNC.value,
-            to_state=SyncState.LAGGING.value,
-            epoch=epoch,
-        )
-
     def mark_out_of_sync(self, member_id: str, epoch: int, now: float) -> None:
-        """The transport abandoned this receiver (or it missed a whole
-        epoch): it can no longer follow the multicast rekey stream."""
+        """The transport abandoned this receiver at ``epoch``: it can no
+        longer follow the multicast rekey stream.  Only
+        :meth:`mark_recovered` brings it back; a second call while it is
+        out keeps the first interval."""
         self._known.add(member_id)
         if member_id in self._out:
             return
-        desynced = self._lagging.pop(member_id, None)
-        from_state = SyncState.IN_SYNC if desynced is None else SyncState.LAGGING
-        self._out[member_id] = desynced or (now, epoch)
-        obs_events.emit(
-            "sync_transition",
-            time=now,
-            member_id=member_id,
-            from_state=from_state.value,
-            to_state=SyncState.OUT_OF_SYNC.value,
-            epoch=epoch,
-        )
+        self._out[member_id] = (now, epoch)
+        obs_events.emit("abandonment", time=now, member_id=member_id, epoch=epoch)
         obs_metrics.inc("sync.out_of_sync")
 
     def mark_recovered(
         self, member_id: str, epoch: int, now: float, keys_sent: int
     ) -> RecoveryEvent:
-        """Unicast catch-up landed: record the event and return to sync."""
+        """Unicast catch-up landed after the server processed ``epoch``:
+        record the event and return to sync.  A member that was not out of
+        sync recovers with zero latency, one epoch missed."""
         self._known.add(member_id)
-        state = self.state_of(member_id)
-        desynced = self._out.pop(member_id, None) or self._lagging.pop(
-            member_id, None
-        )
-        desynced_at, desynced_epoch = desynced or (now, epoch)
+        desynced_at, desynced_epoch = self._out.pop(member_id, None) or (now, epoch)
         event = RecoveryEvent(
             member_id=member_id,
+            epoch=desynced_epoch,
             desynced_at=desynced_at,
             recovered_at=now,
             epochs_missed=max(0, epoch - desynced_epoch + 1),
             keys_sent=keys_sent,
         )
         self.events.append(event)
-        if state is not SyncState.IN_SYNC:
-            obs_events.emit(
-                "sync_transition",
-                time=now,
-                member_id=member_id,
-                from_state=state.value,
-                to_state=SyncState.IN_SYNC.value,
-                epoch=epoch,
-            )
         obs_events.emit(
             "resync",
             time=now,
             member_id=member_id,
+            epoch=event.epoch,
             keys_sent=event.keys_sent,
             epochs_missed=event.epochs_missed,
             latency=event.latency,
-        )
-        obs_metrics.inc("sync.recoveries")
-        obs_metrics.observe("sync.recovery_keys", event.keys_sent)
-        obs_metrics.observe(
-            "sync.recovery_latency",
-            event.latency,
-            buckets=obs_metrics.LATENCY_BUCKETS_S,
         )
         return event
 

@@ -9,7 +9,7 @@ global consulted by cheap probes, installed via context manager):
   simulated + wall time, with fault windows attached as span events.
 * :mod:`repro.obs.events` — schema-versioned JSONL event records
   (joins, departures, epochs, retry rounds, abandonments, resyncs,
-  crashes, sync transitions).
+  late DEK adoptions, crashes).
 
 :func:`observe` activates all three at once and yields an
 :class:`Observation` bundle; :func:`write_trace` serialises a bundle to
@@ -40,13 +40,14 @@ from repro.obs.tracing import Tracer
 
 #: Current trace schema.  v2 added ``wall_start_s`` to span records
 #: (absolute ``perf_counter`` starts for the Chrome exporter) and the
-#: latency event types; it is the only schema read.
-TRACE_SCHEMA_VERSION = 2
+#: latency event types; v3 books each receiver story once.  It is the
+#: only schema read.
+TRACE_SCHEMA_VERSION = 3
 
 #: Schemas :func:`validate_trace_records` accepts, with the span fields
 #: each requires.
 SUPPORTED_TRACE_SCHEMAS = {
-    2: ("span_id", "name", "wall_s", "wall_start_s", "events", "attributes"),
+    3: ("span_id", "name", "wall_s", "wall_start_s", "events", "attributes"),
 }
 
 __all__ = [

@@ -12,14 +12,16 @@
    ``repro_server_rekeys_total`` counter in the exposition, the number
    of ``epoch`` events in the trace, and the ``server.rekeys`` counter
    inside the trace's embedded metrics snapshot;
-4. **latency accounting** (schema-2 traces): every ``abandonment``
-   event's member-epoch story reaches a terminal event — abandonments
-   must equal ``resync_complete`` + ``abandoned_unrecovered``, the sync
-   tracker's ``sync.out_of_sync`` / ``sync.recoveries`` counters must
-   equal the ``abandonment`` / ``resync_complete`` events — and,
-   when the ``rekey.latency`` histogram is in the snapshot, its
-   ``resync``/``abandoned`` sync-state series counts must agree with
-   those terminal events;
+4. **the latency ledger**: every ``abandonment`` event's member-epoch
+   story reaches one terminal event — abandonments must equal ``resync``
+   + ``abandoned_unrecovered`` — and each fact's other record agrees
+   with its event: the ``sync.out_of_sync`` / ``server.catchups``
+   counters with the ``abandonment`` / ``resync`` events and, when the
+   ``rekey.latency`` histogram is in the snapshot, its ``resync`` /
+   ``abandoned`` / ``late`` series counts with the ``resync`` /
+   ``abandoned_unrecovered`` / ``dek_adopted`` events, and its
+   ``delivered`` + ``late`` counts with the members the
+   ``epoch_latency`` events summarise;
 5. with ``--chrome FILE``, that the exported Chrome trace-event JSON is
    Perfetto-loadable (:func:`repro.obs.chrometrace.validate_chrome_trace`)
    and carries exactly one complete (``"X"``) event per span record.
@@ -91,56 +93,67 @@ def _latency_state_counts(metrics_snapshot: Dict[str, object]) -> Optional[Dict[
 
 
 def _check_latency_accounting(records: List[Dict[str, object]]) -> Optional[str]:
-    """The abandonment ledger: every opened interval must close.
+    """The latency ledger: every opened interval closes, and each fact
+    about a receiver reads the same in the events and in the registry.
 
     Returns a summary fragment, or None when the trace has no latency
-    story to audit (no abandonments and no terminal events).
+    story to audit (no receiver was delivered to, late or abandoned).
     """
     counts: Dict[str, int] = {}
+    members = 0
+    snapshot: Dict[str, object] = {}
     for record in records:
         if record.get("record") == "event":
             counts[record["type"]] = counts.get(record["type"], 0) + 1
+            if record["type"] == "epoch_latency":
+                members += int(record["members"])
+        elif record.get("record") == "metrics":
+            snapshot = record.get("snapshot", {})
     abandonments = counts.get("abandonment", 0)
-    resyncs = counts.get("resync_complete", 0)
+    resyncs = counts.get("resync", 0)
     unrecovered = counts.get("abandoned_unrecovered", 0)
-    if not (abandonments or resyncs or unrecovered):
+    adopted = counts.get("dek_adopted", 0)
+    if not (abandonments or resyncs or unrecovered or adopted or members):
         return None
     if abandonments != resyncs + unrecovered:
         raise ValueError(
             "latency accounting broken: "
             f"{abandonments} abandonment events but "
-            f"{resyncs} resync_complete + {unrecovered} abandoned_unrecovered "
+            f"{resyncs} resync + {unrecovered} abandoned_unrecovered "
             "— some member epoch stories ended silently"
         )
 
-    snapshot: Dict[str, object] = {}
-    for record in records:
-        if record.get("record") == "metrics":
-            snapshot = record.get("snapshot", {})
     for counter, event, events in (
         ("sync.out_of_sync", "abandonment", abandonments),
-        ("sync.recoveries", "resync_complete", resyncs),
+        ("server.catchups", "resync", resyncs),
     ):
         entry = snapshot.get(counter)
         total = sum(entry["series"].values()) if isinstance(entry, dict) else 0
         if total != events:
             raise ValueError(
-                f"sync tracker disagrees with the latency ledger: {counter} "
+                f"registry disagrees with the latency ledger: {counter} "
                 f"counted {total:g} but the trace has {events} {event} events"
             )
     state_counts = _latency_state_counts(snapshot)
     if state_counts is not None:
-        observed = (state_counts.get("resync", 0), state_counts.get("abandoned", 0))
-        if observed != (resyncs, unrecovered):
-            raise ValueError(
-                "rekey.latency histogram disagrees with trace events: "
-                f"resync series count {observed[0]} vs {resyncs} "
-                f"resync_complete events, abandoned series count "
-                f"{observed[1]} vs {unrecovered} abandoned_unrecovered events"
-            )
+        delivered, late = state_counts.get("delivered", 0), state_counts.get("late", 0)
+        state_counts["delivered + late"] = delivered + late
+        for state, label, expected in (
+            ("resync", "resync events", resyncs),
+            ("abandoned", "abandoned_unrecovered events", unrecovered),
+            ("late", "dek_adopted events", adopted),
+            ("delivered + late", "members in epoch_latency events", members),
+        ):
+            if state_counts.get(state, 0) != expected:
+                raise ValueError(
+                    "rekey.latency histogram disagrees with trace events: "
+                    f"{state} series count {state_counts.get(state, 0)} vs "
+                    f"{expected} {label}"
+                )
     return (
         f"latency ledger closed ({abandonments} abandoned = "
-        f"{resyncs} resynced + {unrecovered} unrecovered)"
+        f"{resyncs} resynced + {unrecovered} unrecovered; "
+        f"{members} multicast adoptions, {adopted} late)"
     )
 
 

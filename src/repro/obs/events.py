@@ -1,14 +1,14 @@
 """Structured, schema-versioned event log.
 
 Every notable state change in a run — membership churn, rekey epochs,
-transport retry rounds, abandonments, resyncs, server crashes, sync-state
-transitions — is recorded as one flat JSON object.  The log serialises to
+transport retry rounds, abandonments, resyncs, late DEK adoptions, server
+crashes — is recorded as one flat JSON object, from one place.  The log serialises to
 JSONL (one record per line) inside the ``--trace`` file, interleaved with
 span records, so a single file replays the whole run.
 
 Records always carry::
 
-    {"record": "event", "schema": 2, "type": <type>, "time": <sim time>, ...}
+    {"record": "event", "schema": 3, "type": <type>, "time": <sim time>, ...}
 
 ``time`` is simulated seconds when the log has a clock bound (simulations
 bind theirs at start), else whatever the emitter passed, else ``null``.
@@ -22,25 +22,24 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Required payload fields per event type (beyond record/schema/type/time).
-#: Every ``abandonment`` gets exactly one terminal — ``resync_complete``
-#: when unicast catch-up lands, ``abandoned_unrecovered`` when the member
+#: Every ``abandonment`` gets exactly one terminal — ``resync`` when
+#: unicast catch-up lands, ``abandoned_unrecovered`` when the member
 #: departs (or the run ends) still out of sync — so latency intervals can
-#: never leak open.
+#: never leak open.  ``dek_adopted`` is a late delivery: a member the
+#: transport satisfied only after retry rounds.
 EVENT_TYPES: Dict[str, FrozenSet[str]] = {
     "join": frozenset({"member_id"}),
     "departure": frozenset({"member_id"}),
     "epoch": frozenset({"epoch", "joins", "departures", "cost"}),
     "retry_round": frozenset({"round", "packets", "keys_pending"}),
     "abandonment": frozenset({"member_id", "epoch"}),
-    "resync": frozenset({"member_id", "keys_sent", "epochs_missed", "latency"}),
+    "resync": frozenset({"member_id", "epoch", "keys_sent", "epochs_missed", "latency"}),
     "crash": frozenset({"epoch"}),
-    "sync_transition": frozenset({"member_id", "from_state", "to_state"}),
     "dek_adopted": frozenset({"member_id", "epoch", "latency", "sync_state"}),
     "epoch_latency": frozenset({"epoch", "members", "p50", "p99", "max"}),
-    "resync_complete": frozenset({"member_id", "epoch", "latency"}),
     "abandoned_unrecovered": frozenset({"member_id", "epoch", "open_for", "reason"}),
 }
 

@@ -13,23 +13,25 @@ records, in simulated seconds, one closed interval per member per epoch:
   emptied (see ``TransportResult.completed``).
 * **resync** — retries exhausted, the member was abandoned and later
   recovered via unicast catch-up; latency runs from batch close to the
-  catch-up delivery.
+  catch-up delivery.  The sync tracker measures it: this tracker books
+  the :class:`~repro.faults.recovery.RecoveryEvent` that
+  ``catch_up`` returns (:meth:`LatencyTracker.observe_recovery`), and the
+  tracker's ``resync`` event is its one event.
 * **abandoned** — the member departed (or the run ended) while still out
   of sync; the interval closes with the time it sat unrecovered and is
   excluded from adoption percentiles.
 
-Every abandonment therefore gets exactly one terminal event —
-``resync_complete`` or ``abandoned_unrecovered`` — so intervals can never
-leak open (the chaos harness previously ended these stories silently).
-The tracker books closed intervals only.  An open one is the member's
-entry in the server's out-of-sync ledger,
+Every ``abandonment`` therefore gets exactly one terminal event —
+``resync`` or ``abandoned_unrecovered`` — so intervals can never leak
+open.  The tracker books closed intervals only.  An open one is the
+member's entry in the server's out-of-sync ledger,
 :attr:`SyncTracker.desynced <repro.faults.recovery.SyncTracker.desynced>`,
-and the simulation hands that entry to the close.
+and the simulation hands that entry to an abandoned close.
 
-Each closed interval is booked twice.  The tracker keeps exact samples
-per epoch for exact p50/p95/p99 (``summary()``, ``epoch_percentiles()``),
-and, while a :class:`~repro.obs.metrics.MetricsRegistry` is active, the
-interval is observed into the ``rekey.latency`` histogram over
+The tracker keeps exact samples per epoch for exact p50/p95/p99
+(``summary()``, ``epoch_percentiles()``), and, while a
+:class:`~repro.obs.metrics.MetricsRegistry` is active, each interval is
+also observed into the ``rekey.latency`` histogram over
 :data:`LATENCY_LOG_BUCKETS_S`, labeled ``scheme``/``shard``/``sync_state``
 (``shard``: the label of the partition holding the member,
 ``server.shard_label``).  An epoch's deliveries reach the histogram as
@@ -41,11 +43,14 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from typing import Callable, Collection, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Collection, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import LATENCY_LOG_BUCKETS_S
+
+if TYPE_CHECKING:
+    from repro.faults.recovery import RecoveryEvent
 
 #: Histogram metric name for member time-to-new-DEK.
 LATENCY_METRIC = "rekey.latency"
@@ -164,30 +169,12 @@ class LatencyTracker:
                     sync_state="late",
                 )
 
-    def close_resync(
-        self, member_id: str, since: Tuple[float, int], now: float
-    ) -> float:
-        """Unicast catch-up landed: close the member's interval, ``since``
-        its ``(desynced_at, desynced_epoch)`` ledger entry."""
-        opened_at, epoch = since
-        latency = max(0.0, now - opened_at)
-        self._slot(epoch).samples.append((member_id, latency, "resync"))
+    def observe_recovery(self, recovery: "RecoveryEvent") -> None:
+        """Unicast catch-up landed: book the measured ``recovery`` under the
+        epoch whose delivery its member missed."""
+        member_id, latency = recovery.member_id, recovery.latency
+        self._slot(recovery.epoch).samples.append((member_id, latency, "resync"))
         self._observe_histogram(self._shard(member_id), "resync", [latency])
-        if obs_events.active_log() is not None:
-            obs_events.emit(
-                "resync_complete",
-                member_id=member_id,
-                epoch=epoch,
-                latency=round(latency, 6),
-            )
-            obs_events.emit(
-                "dek_adopted",
-                member_id=member_id,
-                epoch=epoch,
-                latency=round(latency, 6),
-                sync_state="resync",
-            )
-        return latency
 
     def close_abandoned(
         self, member_id: str, since: Tuple[float, int], now: float, reason: str

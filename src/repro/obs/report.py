@@ -14,10 +14,11 @@ Reads a JSONL trace file produced with ``--trace`` and reports:
   prediction from :mod:`repro.analysis.batchcost`: the observed mean
   batch cost is compared to ``Ne(mean N, mean L)`` at the traced tree
   degree.
-* **Rekey latency** (schema-2 traces) — per-epoch time-to-new-DEK
-  quantiles from ``epoch_latency`` events, the worst individual member
-  adoptions from ``dek_adopted`` events, and overall p50/p95/p99 from
-  the ``rekey.latency`` histogram in the embedded snapshot.
+* **Rekey latency** — per-epoch time-to-new-DEK quantiles from
+  ``epoch_latency`` events, the worst individual member adoptions from
+  ``dek_adopted`` (late) and ``resync`` (unicast recovery) events, and
+  overall p50/p95/p99 from the ``rekey.latency`` histogram in the
+  embedded snapshot.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def _latency_section(
     metrics: Dict[str, object],
     top: int = 10,
 ) -> Optional[Dict[str, object]]:
-    """The time-to-new-DEK story of a schema-2 trace (None when absent)."""
+    """The time-to-new-DEK story of a trace (None when absent)."""
     epoch_rows = [
         {
             "epoch": event["epoch"],
@@ -170,7 +171,7 @@ def _latency_section(
         for event in events
         if event.get("type") == "epoch_latency"
     ]
-    adoptions = [e for e in events if e.get("type") == "dek_adopted"]
+    adoptions = [e for e in events if e.get("type") in ("dek_adopted", "resync")]
     unrecovered = sum(
         1 for e in events if e.get("type") == "abandoned_unrecovered"
     )
@@ -186,11 +187,9 @@ def _latency_section(
             "member": row["member_id"],
             "epoch": row["epoch"],
             "latency_s": row["latency"],
-            "sync_state": row["sync_state"],
+            "sync_state": row.get("sync_state", "resync"),
         }
-        for row in sorted(
-            adoptions, key=lambda e: e.get("latency", 0.0), reverse=True
-        )[:5]
+        for row in sorted(adoptions, key=lambda e: e["latency"], reverse=True)[:5]
     ]
 
     overall: Dict[str, object] = {"count": 0}

@@ -185,8 +185,8 @@ class PartitionedServer:
         """Per-receiver epoch state machine (built on first use).
 
         Steady-state cost paths never touch it; the simulator and the
-        chaos harness drive its transitions as deliveries succeed, lag,
-        or get abandoned (see :mod:`repro.faults.recovery`).
+        chaos harness mark the receivers a transport abandons, and
+        :meth:`catch_up` brings them back (see :mod:`repro.faults.recovery`).
         """
         if self._sync is None:
             self._sync = SyncTracker()
@@ -285,10 +285,6 @@ class PartitionedServer:
         obs_metrics.inc("server.rekeys")
         if joins:
             obs_metrics.inc("server.joins", len(joins))
-        if leaves:
-            obs_metrics.inc("server.departures", len(leaves))
-        if result.encrypted_keys:
-            obs_metrics.inc("server.encrypted_keys", len(result.encrypted_keys))
         obs_metrics.observe("server.batch_cost", result.cost)
         obs_metrics.observe("epoch.group_size", self.size)
         obs_metrics.observe("epoch.departures", len(leaves))

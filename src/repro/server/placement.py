@@ -208,8 +208,15 @@ POLICIES = {
 }
 
 
+#: The JSON type of every policy field, as a restore checks it.
+_FIELD_TYPES = dict(
+    pending=dict, entered=dict, class_rates=list, s_period=(int, float), next_index=int
+)
+
+
 def policy_from_state(state: Dict) -> PlacementPolicy:
-    """Rebuild whichever policy wrote ``state`` (maybe via JSON); no alias kept."""
+    """Rebuild whichever policy wrote ``state`` (maybe via JSON); no alias
+    kept.  A missing field or one of the wrong type is a ``ValueError``."""
     cls = POLICIES.get(state.get("name"))
     if cls is None:
         raise ValueError(f"unknown placement policy {state.get('name')!r}")
@@ -218,5 +225,10 @@ def policy_from_state(state: Dict) -> PlacementPolicy:
         raise ValueError(f"{cls.name} policy state lacks {missing}")
     policy = cls.__new__(cls)
     for field in cls.fields:
-        setattr(policy, field, deepcopy(state[field]))
+        value = state[field]
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[field]):
+            raise ValueError(
+                f"{cls.name} policy {field} cannot be a {type(value).__name__}"
+            )
+        setattr(policy, field, deepcopy(value))
     return policy

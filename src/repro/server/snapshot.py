@@ -18,9 +18,10 @@ One layout serves every scheme (``FORMAT_VERSION = 2``)::
 Format-1 snapshots (one layout per server class, written before the
 classes became one) are still read: :func:`_upgrade_format_1` reshapes the
 dict, nothing else.  A document this module cannot rebuild a server from
-— not a dict, a missing field, an unknown kind or policy, or a snapshot of
-the retired hash-sharded scheme (kind ``sharded-keytree``, a
-``dek_stream`` or a partition ``stream``) — raises ``ValueError``.
+— not a dict, a missing field, a field of the wrong type, an epoch or key
+counter out of range, an unknown kind or policy, or a snapshot of the
+retired hash-sharded scheme (kind ``sharded-keytree``, a ``dek_stream``
+or a partition ``stream``) — raises a ``ValueError`` naming the field.
 
 A snapshot contains every secret the server knows.  Encrypt at rest.
 """
@@ -53,6 +54,7 @@ _KINDS = {
 #: Fields a format-2 document and its ``base`` must carry.
 _FIELDS = ("kind", "base", "keygen", "join_refresh", "policy", "partitions")
 _BASE_FIELDS = ("group", "next_epoch", "members", "pending_joins", "pending_leaves")
+_KEY_FIELDS = ("id", "version", "secret")
 
 
 def _base_state(server: PartitionedServer) -> Dict:
@@ -80,7 +82,7 @@ def _restore_base(server: PartitionedServer, data: Dict) -> None:
             for e in entries
         }
 
-    server._next_epoch = int(data["next_epoch"])
+    server._next_epoch = data["next_epoch"]
     server._members = registrations(data["members"])
     server._pending_joins = registrations(data["pending_joins"])
     server._pending_leaves = {
@@ -174,14 +176,41 @@ def _upgrade_format_1(old: Dict) -> Dict:
     return new
 
 
-def _require(data: object, fields: tuple, where: str) -> None:
+def _require(data: object, fields: tuple, where: str, kind: type = dict) -> None:
     """``ValueError`` naming what is wrong, where a lookup would raise
-    ``KeyError`` or ``AttributeError``."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{where} must be a dict, not {type(data).__name__}")
+    ``KeyError``, ``TypeError`` or ``AttributeError``."""
+    if not isinstance(data, kind):
+        raise ValueError(f"{where} must be a {kind.__name__}, not {type(data).__name__}")
     missing = [field for field in fields if field not in data]
     if missing:
         raise ValueError(f"{where} lacks {missing}")
+
+
+def _require_count(value: object, minimum: int, where: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{where} must be an integer >= {minimum}, not {value!r}")
+
+
+def _require_time(value: object, where: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, not {value!r}")
+
+
+def _check_base(base: object) -> None:
+    """Every field of the ``base`` section a restore (or a format-1
+    upgrade, which reads the pending joins) goes on to read."""
+    _require(base, _BASE_FIELDS, "snapshot base")
+    _require_count(base["next_epoch"], 1, "snapshot base next_epoch")
+    for table in ("members", "pending_joins"):
+        _require(base[table], (), f"snapshot base {table}", list)
+        for index, entry in enumerate(base[table]):
+            where = f"snapshot base {table}[{index}]"
+            _require(entry, ("member", "key", "join_time"), where)
+            _require(entry["key"], _KEY_FIELDS, f"{where} key")
+            _require_time(entry["join_time"], f"{where} join_time")
+    _require(base["pending_leaves"], (), "snapshot base pending_leaves")
+    for member, at in base["pending_leaves"].items():
+        _require_time(at, f"snapshot base pending_leaves[{member!r}]")
 
 
 def restore_server(state: Dict) -> PartitionedServer:
@@ -189,14 +218,22 @@ def restore_server(state: Dict) -> PartitionedServer:
     _require(state, (), "snapshot")
     if state.get("format") == 1:
         _require(state, ("kind", "base", "keygen"), "snapshot")
-        _require(state["base"], _BASE_FIELDS, "snapshot base")
+        _check_base(state["base"])
         state = _upgrade_format_1(state)
     if state.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported snapshot format: {state.get('format')!r}")
     if state.get("kind") not in _KINDS:
         raise ValueError(f"unknown server kind {state.get('kind')!r}")
     _require(state, _FIELDS, "snapshot")
-    _require(state["base"], _BASE_FIELDS, "snapshot base")
+    _check_base(state["base"])
+    _require(state["keygen"], ("root", "counter"), "snapshot keygen")
+    _require_count(state["keygen"]["counter"], 0, "snapshot keygen counter")
+    _require(state["policy"], (), "snapshot policy")
+    _require(state["partitions"], (), "snapshot partitions", list)
+    for index, data in enumerate(state["partitions"]):
+        _require(data, ("label",), f"snapshot partitions[{index}]")
+    if "dek" in state:
+        _require(state["dek"], _KEY_FIELDS, "snapshot dek")
     if "dek_stream" in state or any("stream" in data for data in state["partitions"]):
         # Private key streams: only the retired hash-sharded scheme wrote them.
         raise ValueError(
@@ -224,5 +261,5 @@ def restore_server(state: Dict) -> PartitionedServer:
     _restore_base(server, state["base"])
     # Pin the generator counter last — rebuilding the trees and the DEK
     # above consumed draws that must not count.
-    keygen._counter = int(state["keygen"]["counter"])
+    keygen._counter = state["keygen"]["counter"]
     return server

@@ -217,10 +217,12 @@ class GroupRekeyingSimulation:
             else Member(member_id, registration.individual_key)
         )
         self.members[member_id] = member
-        loss = self._loss_processes.get(loss_rate)
-        if loss is None:
-            loss = self._loss_processes[loss_rate] = BernoulliLoss(loss_rate)
-        self.channel.subscribe(member_id, loss)
+        if self.config.transport is not None:
+            # Only a transport draws from the channel.
+            loss = self._loss_processes.get(loss_rate)
+            if loss is None:
+                loss = self._loss_processes[loss_rate] = BernoulliLoss(loss_rate)
+            self.channel.subscribe(member_id, loss)
         self.loop.schedule(now + duration, self._depart_event, member_id)
         return member_id
 
@@ -235,7 +237,8 @@ class GroupRekeyingSimulation:
             return
         member = self.members.pop(member_id)
         self.server.leave(member_id, at_time=self.loop.now)
-        self.channel.unsubscribe(member_id)
+        if self.config.transport is not None:
+            self.channel.unsubscribe(member_id)
         since = self._desynced().get(member_id)
         if since is not None and self.latency is not None:
             # Terminal for the latency story: this member leaves without
@@ -424,25 +427,21 @@ class GroupRekeyingSimulation:
                         registry.inc("transport.keys_sent", outcome.keys_sent)
                         registry.inc("transport.packets_sent", outcome.packets_sent)
                     # Receivers walk in roster order, so the events below do
-                    # not depend on set iteration (the hash seed).
+                    # not depend on set iteration (the hash seed).  One the
+                    # transport gave up on gets its pre-epoch keys back, goes
+                    # OUT_OF_SYNC and waits out the recovery delay for its
+                    # unicast catch-up.
                     if gave_up:
+                        tracker, delay = self.sync_tracker, self.config.recovery_delay
                         abandoned = [rid for rid in journals if rid in gave_up]
                         for member_id in abandoned:
                             self.members[member_id].revert(journals.pop(member_id))
-                    if outcome.late:
-                        late = outcome.late
-                        for member_id in journals:
-                            if member_id in late:
-                                self.sync_tracker.mark_lagging(
-                                    member_id, result.epoch, now
-                                )
-                    self._register_abandoned(abandoned, result.epoch, now)
+                            tracker.mark_out_of_sync(member_id, result.epoch, now)
+                            self.loop.schedule(now + delay, self._catch_up, member_id)
                 if registry is not None:
                     registry.observe_many(
                         "receiver.keys_learned", [len(j) for j in journals.values()]
                     )
-                if self.sync_tracker is not None:
-                    self.sync_tracker.mark_delivered_all(journals, result.epoch)
                 if self.latency is not None:
                     self.latency.observe_deliveries(
                         journals, result.epoch, completed
@@ -468,31 +467,14 @@ class GroupRekeyingSimulation:
             )
         )
 
-    def _register_abandoned(
-        self, abandoned: List[str], epoch: int, now: float
-    ) -> None:
-        """Transition abandoned receivers, in the order given, to
-        OUT_OF_SYNC and schedule their unicast catch-up after the configured
-        recovery delay."""
-        for member_id in abandoned:
-            obs_events.emit(
-                "abandonment", time=now, member_id=member_id, epoch=epoch
-            )
-            obs_metrics.inc("transport.abandonments")
-            self.sync_tracker.mark_out_of_sync(member_id, epoch, now)
-            self.loop.schedule(
-                now + self.config.recovery_delay, self._catch_up, member_id
-            )
-
     def _catch_up(self, member_id: str) -> None:
         """Unicast recovery: re-issue the member's current entitlement."""
-        since = self._desynced().get(member_id)
-        if since is None or member_id not in self.members:
+        if member_id not in self._desynced() or member_id not in self.members:
             return  # departed (or already recovered) in the meantime
-        payload, __ = self.server.catch_up(member_id, now=self.loop.now)
+        payload, recovery = self.server.catch_up(member_id, now=self.loop.now)
         self.members[member_id].absorb(payload)
         if self.latency is not None:
-            self.latency.close_resync(member_id, since, self.loop.now)
+            self.latency.observe_recovery(recovery)
 
     # ------------------------------------------------------------------
     # verification

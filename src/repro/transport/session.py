@@ -109,8 +109,8 @@ class TransportResult:
     satisfied: bool = False
     per_round_packets: List[int] = field(default_factory=list)
     abandoned: Set[str] = field(default_factory=set)
-    #: receivers that needed at least one retransmission round (they were
-    #: transiently LAGGING in the recovery state machine's terms)
+    #: receivers that needed at least one retransmission round (still
+    #: IN_SYNC: their lateness is a latency, :mod:`repro.obs.latency`)
     late: Set[str] = field(default_factory=set)
     elapsed: float = 0.0
     #: receiver_id -> virtual elapsed seconds when its interest was met

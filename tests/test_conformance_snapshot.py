@@ -362,6 +362,45 @@ def test_a_snapshot_that_is_no_dict_is_refused(document):
         restore_server(document)
 
 
+_DELETE = object()
+#: One damaged field per row: its path in the document, the value it gets
+#: (or ``_DELETE``) and what the refusal says.  Each once escaped the
+#: loader as a TypeError, KeyError or AttributeError, or was accepted.
+_TYPED_DAMAGE = {
+    "partitions-not-dicts": (("partitions",), [1], r"partitions\[0\] must be a dict"),
+    "partitions-not-a-list": (("partitions",), "tree", "partitions must be a list"),
+    "partition-without-label": (("partitions", 0, "label"), _DELETE, r"\['label'\]"),
+    "member-without-key": (("base", "members", 0, "key"), _DELETE, r"\['key'\]"),
+    "members-not-a-list": (("base", "members"), 5, "members must be a list"),
+    "pending-leaves-a-list": (("base", "pending_leaves"), ["a"], "leaves must be a"),
+    "join-time-null": (("base", "members", 0, "join_time"), None, "time must be a"),
+    "negative-next-epoch": (("base", "next_epoch"), -1, "epoch must be an integer"),
+    "keygen-not-a-dict": (("keygen",), "00", "keygen must be a dict"),
+    "keygen-without-counter": (("keygen", "counter"), _DELETE, r"\['counter'\]"),
+    "policy-not-a-dict": (("policy",), "by-age", "policy must be a dict"),
+    "dek-not-a-dict": (("dek",), "00" * 32, "dek must be a dict"),
+    "s-period-a-string": (("policy", "s_period"), "300", "s_period cannot be a str"),
+    "entered-a-list": (("policy", "entered"), [], "entered cannot be a list"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TYPED_DAMAGE))
+def test_a_field_of_the_wrong_type_is_refused_by_name(name):
+    """A field present with the wrong thing in it is a ``ValueError``
+    naming it, like a missing one."""
+    (*parents, last), value, message = _TYPED_DAMAGE[name]
+    live = run_prefix(SCHEME_FACTORIES["tt"])
+    state = holder = json.loads(json.dumps(snapshot_server(live.server)))
+    for key in parents:
+        holder = holder[key]
+    if value is _DELETE:
+        del holder[last]
+    else:
+        holder[last] = value
+    with pytest.raises(ValueError, match=message):
+        restore_server(state)
+
+
 def test_snapshot_round_trip_preserves_resync():
     spec = SCHEME_FACTORIES["tt"]
     live = run_prefix(spec)

@@ -30,32 +30,27 @@ class TestSyncTracker:
         with pytest.raises(KeyError):
             tracker.state_of("m")
 
-    def test_lagging_then_delivered_returns_to_sync(self):
-        tracker = SyncTracker()
-        tracker.admit("m", epoch=1)
-        tracker.mark_lagging("m", epoch=2, now=60.0)
-        assert tracker.state_of("m") is SyncState.LAGGING
-        tracker.mark_delivered("m", epoch=2)
-        assert tracker.state_of("m") is SyncState.IN_SYNC
-
     def test_multicast_cannot_repair_out_of_sync(self):
         tracker = SyncTracker()
         tracker.admit("m", epoch=1)
         tracker.mark_out_of_sync("m", epoch=2, now=60.0)
-        tracker.mark_delivered("m", epoch=3)
+        # The tracker has no multicast transition: a later abandonment
+        # keeps the receiver out, and only a unicast recovery brings it back.
+        tracker.mark_out_of_sync("m", epoch=3, now=120.0)
         assert tracker.state_of("m") is SyncState.OUT_OF_SYNC
-        tracker.mark_lagging("m", epoch=3, now=70.0)
-        assert tracker.state_of("m") is SyncState.OUT_OF_SYNC
+        tracker.mark_recovered("m", epoch=3, now=130.0, keys_sent=1)
+        assert tracker.state_of("m") is SyncState.IN_SYNC
 
     def test_recovery_event_measures_from_first_desync(self):
         tracker = SyncTracker()
         tracker.admit("m", epoch=1)
-        # Went lagging at t=60 on epoch 2, abandoned at t=65, recovered at
-        # t=120 after the server processed epoch 4.
-        tracker.mark_lagging("m", epoch=2, now=60.0)
+        # Abandoned at t=65 on epoch 2 (and again, already out, at t=90),
+        # recovered at t=120 after the server processed epoch 4.
         tracker.mark_out_of_sync("m", epoch=2, now=65.0)
+        tracker.mark_out_of_sync("m", epoch=3, now=90.0)
         event = tracker.mark_recovered("m", epoch=4, now=120.0, keys_sent=5)
-        assert event.latency == pytest.approx(60.0)  # 120 - 60 (lagging)
+        assert event.latency == pytest.approx(55.0)  # 120 - 65
+        assert event.epoch == 2
         assert event.epochs_missed == 3  # epochs 2, 3, 4
         assert event.keys_sent == 5
         assert tracker.state_of("m") is SyncState.IN_SYNC
@@ -66,21 +61,19 @@ class TestSyncTracker:
         for member in ("a", "b", "c"):
             tracker.admit(member, epoch=1)
         tracker.mark_out_of_sync("b", epoch=2, now=1.0)
-        tracker.mark_lagging("c", epoch=2, now=1.0)
         assert tracker.out_of_sync() == ["b"]
-        assert tracker.counts() == {
-            "in-sync": 1, "lagging": 1, "out-of-sync": 1
-        }
+        assert tracker.counts() == {"in-sync": 2, "out-of-sync": 1}
 
     def test_unknown_member_gets_an_in_sync_slot(self):
         tracker = SyncTracker()
-        tracker.mark_delivered("new", epoch=4)
+        event = tracker.mark_recovered("new", epoch=4, now=200.0, keys_sent=3)
         assert "new" in tracker
         assert tracker.state_of("new") is SyncState.IN_SYNC
-        assert tracker.counts() == {"in-sync": 1, "lagging": 0, "out-of-sync": 0}
+        assert (event.latency, event.epoch, event.epochs_missed) == (0.0, 4, 1)
+        assert tracker.counts() == {"in-sync": 1, "out-of-sync": 0}
         # A transition from that slot starts where a fresh one does.
-        tracker.mark_lagging("late", epoch=5, now=300.0)
-        assert tracker.state_of("late") is SyncState.LAGGING
+        tracker.mark_out_of_sync("late", epoch=5, now=300.0)
+        assert tracker.state_of("late") is SyncState.OUT_OF_SYNC
         event = tracker.mark_recovered("late", epoch=5, now=310.0, keys_sent=2)
         assert event.latency == pytest.approx(10.0)
         assert tracker.state_of("late") is SyncState.IN_SYNC
@@ -92,11 +85,11 @@ class TestLatencySummary:
 
     def test_distribution(self):
         events = [
-            RecoveryEvent("m0", desynced_at=0.0, recovered_at=30.0,
+            RecoveryEvent("m0", epoch=1, desynced_at=0.0, recovered_at=30.0,
                           epochs_missed=1, keys_sent=3),
-            RecoveryEvent("m1", desynced_at=0.0, recovered_at=60.0,
+            RecoveryEvent("m1", epoch=1, desynced_at=0.0, recovered_at=60.0,
                           epochs_missed=2, keys_sent=5),
-            RecoveryEvent("m2", desynced_at=10.0, recovered_at=100.0,
+            RecoveryEvent("m2", epoch=1, desynced_at=10.0, recovered_at=100.0,
                           epochs_missed=4, keys_sent=4),
         ]
         summary = latency_summary(events)
@@ -125,7 +118,8 @@ class ReceiverSync:
 
 class PerSlotSyncTracker:
     """Oracle: ``SyncTracker`` as it was before it stored only receivers
-    out of step — one :class:`ReceiverSync` slot per known receiver."""
+    out of step — one :class:`ReceiverSync` slot per known receiver — in
+    the two states the tracker has."""
 
     def __init__(self) -> None:
         self._receivers: Dict[str, ReceiverSync] = {}
@@ -174,71 +168,22 @@ class PerSlotSyncTracker:
     # ------------------------------------------------------------------
 
     def _slot(self, member_id: str) -> ReceiverSync:
-        """``member_id``'s slot; an unknown member gets a fresh in-sync one.
-        Built only on a miss: ``mark_delivered`` runs once per receiver
-        per epoch."""
+        """``member_id``'s slot; an unknown member gets a fresh in-sync one."""
         slot = self._receivers.get(member_id)
         if slot is None:
             slot = self._receivers[member_id] = ReceiverSync()
         return slot
 
-    def mark_delivered(self, member_id: str, epoch: int) -> None:
-        """A rekey epoch's payload fully reached this receiver."""
-        slot = self._slot(member_id)
-        if slot.state is SyncState.OUT_OF_SYNC:
-            # Multicast cannot repair an OUT_OF_SYNC receiver (it lacks the
-            # wrapping keys); only catch_up() may transition it back.
-            return
-        if slot.state is not SyncState.IN_SYNC:
-            obs_events.emit(
-                "sync_transition",
-                member_id=member_id,
-                from_state=slot.state.value,
-                to_state=SyncState.IN_SYNC.value,
-                epoch=epoch,
-            )
-        slot.state = SyncState.IN_SYNC
-        slot.synced_epoch = max(slot.synced_epoch, epoch)
-        slot.desynced_at = None
-        slot.desynced_epoch = None
-
-    def mark_lagging(self, member_id: str, epoch: int, now: float) -> None:
-        """Delivery incomplete this epoch, but the transport hasn't given
-        up — the receiver may still complete from retransmissions."""
-        slot = self._slot(member_id)
-        if slot.state is SyncState.OUT_OF_SYNC:
-            return
-        if slot.state is SyncState.IN_SYNC:
-            slot.state = SyncState.LAGGING
-            slot.desynced_at = now
-            slot.desynced_epoch = epoch
-            obs_events.emit(
-                "sync_transition",
-                time=now,
-                member_id=member_id,
-                from_state=SyncState.IN_SYNC.value,
-                to_state=SyncState.LAGGING.value,
-                epoch=epoch,
-            )
-
     def mark_out_of_sync(self, member_id: str, epoch: int, now: float) -> None:
-        """The transport abandoned this receiver (or it missed a whole
-        epoch): it can no longer follow the multicast rekey stream."""
+        """The transport abandoned this receiver: it can no longer follow
+        the multicast rekey stream."""
         slot = self._slot(member_id)
         if slot.state is SyncState.OUT_OF_SYNC:
             return
-        if slot.desynced_at is None:
-            slot.desynced_at = now
-            slot.desynced_epoch = epoch
-        obs_events.emit(
-            "sync_transition",
-            time=now,
-            member_id=member_id,
-            from_state=slot.state.value,
-            to_state=SyncState.OUT_OF_SYNC.value,
-            epoch=epoch,
-        )
         slot.state = SyncState.OUT_OF_SYNC
+        slot.desynced_at = now
+        slot.desynced_epoch = epoch
+        obs_events.emit("abandonment", time=now, member_id=member_id, epoch=epoch)
         obs_metrics.inc("sync.out_of_sync")
 
     def mark_recovered(
@@ -252,35 +197,21 @@ class PerSlotSyncTracker:
         )
         event = RecoveryEvent(
             member_id=member_id,
+            epoch=desynced_epoch,
             desynced_at=desynced_at,
             recovered_at=now,
             epochs_missed=max(0, epoch - desynced_epoch + 1),
             keys_sent=keys_sent,
         )
         self.events.append(event)
-        if slot.state is not SyncState.IN_SYNC:
-            obs_events.emit(
-                "sync_transition",
-                time=now,
-                member_id=member_id,
-                from_state=slot.state.value,
-                to_state=SyncState.IN_SYNC.value,
-                epoch=epoch,
-            )
         obs_events.emit(
             "resync",
             time=now,
             member_id=member_id,
+            epoch=desynced_epoch,
             keys_sent=event.keys_sent,
             epochs_missed=event.epochs_missed,
             latency=event.latency,
-        )
-        obs_metrics.inc("sync.recoveries")
-        obs_metrics.observe("sync.recovery_keys", event.keys_sent)
-        obs_metrics.observe(
-            "sync.recovery_latency",
-            event.latency,
-            buckets=obs_metrics.LATENCY_BUCKETS_S,
         )
         slot.state = SyncState.IN_SYNC
         slot.synced_epoch = epoch
@@ -289,34 +220,21 @@ class PerSlotSyncTracker:
         return event
 
 
-    def mark_delivered_all(self, ids, epoch: int) -> None:
-        """The batched call, as the loop it replaces."""
-        for member_id in ids:
-            self.mark_delivered(member_id, epoch)
-
-
 MEMBERS = ["a", "b", "c"]
 MEMBER = st.sampled_from(MEMBERS)
 EPOCH = st.integers(0, 6)
 NOW = st.integers(0, 400).map(float)
 TRANSITIONS = [
-    st.tuples(st.just("mark_lagging"), MEMBER, EPOCH, NOW),
     st.tuples(st.just("mark_out_of_sync"), MEMBER, EPOCH, NOW),
     st.tuples(st.just("mark_recovered"), MEMBER, EPOCH, NOW, st.integers(0, 9)),
 ]
-# Transitions twice as likely as the rest, so that lagging -> out of sync
-# -> recovered stories form often.
+# Transitions twice as likely as the rest, so that out of sync ->
+# recovered stories form often.
 STEP = st.one_of(
     *TRANSITIONS,
     *TRANSITIONS,
     st.tuples(st.just("admit"), MEMBER, EPOCH),
     st.tuples(st.just("forget"), MEMBER),
-    st.tuples(st.just("mark_delivered"), MEMBER, EPOCH),
-    st.tuples(
-        st.just("mark_delivered_all"),
-        st.lists(MEMBER, max_size=4).map(tuple),
-        EPOCH,
-    ),
 )
 
 
@@ -365,17 +283,16 @@ class TestAgainstPerSlotTracker:
     @pytest.mark.parametrize(
         "story",
         [
-            # lagging, then out of sync later: recovery measures from the dip
-            [("mark_lagging", "a", 2, 60.0), ("mark_out_of_sync", "a", 3, 65.0),
+            # out of sync twice before recovery: measured from the first
+            [("mark_out_of_sync", "a", 2, 60.0), ("mark_out_of_sync", "a", 3, 65.0),
              ("mark_recovered", "a", 4, 120.0, 5)],
-            # lagging, delivered, lagging again, recovered
-            [("admit", "a", 1), ("mark_lagging", "a", 2, 60.0),
-             ("mark_delivered_all", ("b", "a", "a"), 2),
-             ("mark_lagging", "a", 3, 90.0), ("mark_recovered", "a", 3, 95.0, 1)],
-            # out of sync twice, delivered in between, re-admitted
-            [("mark_out_of_sync", "b", 1, 10.0), ("mark_delivered", "b", 2),
-             ("mark_out_of_sync", "b", 2, 20.0), ("admit", "b", 3),
-             ("mark_lagging", "b", 3, 30.0), ("forget", "b"),
+            # recovered, out again, recovered again
+            [("admit", "a", 1), ("mark_out_of_sync", "a", 2, 60.0),
+             ("mark_recovered", "a", 2, 90.0, 3),
+             ("mark_out_of_sync", "a", 3, 90.0), ("mark_recovered", "a", 3, 95.0, 1)],
+            # out of sync, re-admitted, out again, forgotten, recovered
+            [("mark_out_of_sync", "b", 1, 10.0), ("admit", "b", 3),
+             ("mark_out_of_sync", "b", 3, 30.0), ("forget", "b"),
              ("mark_recovered", "b", 4, 40.0, 2)],
         ],
     )
@@ -389,19 +306,3 @@ class TestAgainstPerSlotTracker:
         tracker.mark_out_of_sync("c", epoch=2, now=1.0)
         tracker.mark_out_of_sync("a", epoch=2, now=2.0)
         assert tracker.out_of_sync() == ["c", "a"]
-
-    def test_batch_moves_lagging_back_in_ids_order(self):
-        with obs_events.logging() as log:
-            tracker = SyncTracker()
-            tracker.mark_lagging("b", epoch=2, now=1.0)
-            tracker.mark_lagging("a", epoch=2, now=1.0)
-            tracker.mark_out_of_sync("c", epoch=2, now=1.0)
-            tracker.mark_delivered_all(["c", "a", "new", "b"], epoch=2)
-        back = [
-            (t["member_id"], t["from_state"])
-            for t in log.of_type("sync_transition")
-            if t["to_state"] == "in-sync"
-        ]
-        assert back == [("a", "lagging"), ("b", "lagging")]
-        assert tracker.state_of("c") is SyncState.OUT_OF_SYNC
-        assert tracker.counts() == {"in-sync": 3, "lagging": 0, "out-of-sync": 1}

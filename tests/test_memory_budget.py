@@ -361,8 +361,26 @@ def test_member_events_share_one_bound_method():
     ]
     assert len(departures) == 50
     assert len({id(event[2]) for event in departures}) == 1
-    # ... and one loss process per loss rate, not per member.
-    assert len({id(sim.channel.loss_of(rid)) for rid in sim.members}) == 1
+    # A cost-only run has no transport to draw from the channel, so it
+    # subscribes no receiver ...
+    assert sim.channel.subscribers() == []
+    # ... and one with a transport keeps one loss process per loss rate,
+    # not per member.
+    from repro.members.population import LossPopulation
+    from repro.transport.wka_bkr import WkaBkrProtocol
+
+    lossy = GroupRekeyingSimulation(
+        OneTreeServer(degree=4),
+        SimulationConfig(
+            horizon=0.0,
+            fault_schedule=FaultSchedule.of([ChurnStorm(at_time=0.0, joins=50)]),
+            loss_population=LossPopulation.two_point(),
+            transport=WkaBkrProtocol(keys_per_packet=16),
+        ),
+    )
+    lossy.run()
+    assert sorted(lossy.channel.subscribers()) == sorted(lossy.members)
+    assert len({id(lossy.channel.loss_of(rid)) for rid in lossy.members}) == 2
 
 
 # ----------------------------------------------------------------------

@@ -73,7 +73,7 @@ class TestExport:
 class TestSanitization:
     def test_nan_duration_becomes_finite(self, tmp_path):
         records = [
-            {"record": "header", "schema": 2, "kind": "repro-trace"},
+            {"record": "header", "schema": 3, "kind": "repro-trace"},
             {"record": "span", "span_id": 1, "parent_id": None, "name": "bad",
              "wall_s": float("nan"), "wall_start_s": float("nan"),
              "events": [], "attributes": {}},

@@ -72,14 +72,14 @@ def test_every_event_type_has_a_schema():
     # The set the docs and the trace validator promise.
     assert set(events.EVENT_TYPES) == {
         "join", "departure", "epoch", "retry_round", "abandonment",
-        "resync", "crash", "sync_transition", "dek_adopted",
-        "epoch_latency", "resync_complete", "abandoned_unrecovered",
+        "resync", "crash", "dek_adopted", "epoch_latency",
+        "abandoned_unrecovered",
     }
 
 
 def test_schema_1_records_are_unsupported():
     join = {"record": "event", "type": "join", "time": 0.0, "member_id": "a"}
-    events.validate_record({**join, "schema": 2})
-    for schema in (1, 3, None):
+    events.validate_record({**join, "schema": 3})
+    for schema in (1, 2, 4, None):
         with pytest.raises(ValueError, match="unsupported event schema"):
             events.validate_record({**join, "schema": schema})

@@ -273,6 +273,9 @@ def test_artifact_chain_closes(tmp_path):
 
 
 def test_ledger_check_ties_the_sync_counters_to_the_latency_events(tmp_path):
+    """Each copy of a receiver story must agree with its events: one copy
+    drifting (a registry counter, a late adoption, an epoch's member
+    count) fails the check."""
     import json
 
     from repro.faults.chaos import run_chaos_case
@@ -287,14 +290,25 @@ def test_ledger_check_ties_the_sync_counters_to_the_latency_events(tmp_path):
     assert "latency ledger closed" in obs_check.check(trace, prom)
 
     records = obs.read_trace(trace)
-    for counter in ("sync.out_of_sync", "sync.recoveries"):
-        tampered = json.loads(json.dumps(records))
+
+    def bump(counter):
         series = tampered[-1]["snapshot"][counter]["series"]
-        key = next(iter(series))
-        series[key] += 1
-        bad = tmp_path / f"{counter}.jsonl"
+        series[next(iter(series))] += 1
+
+    def first(kind):
+        return next(r for r in tampered if r.get("type") == kind)
+
+    for tamper, message in (
+        (lambda: bump("sync.out_of_sync"), "registry disagrees.*sync.out_of_sync"),
+        (lambda: bump("server.catchups"), "registry disagrees.*server.catchups"),
+        (lambda: tampered.remove(first("dek_adopted")), "late series count"),
+        (lambda: first("epoch_latency").update(members=0), r"delivered \+ late"),
+    ):
+        tampered = json.loads(json.dumps(records))
+        tamper()
+        bad = tmp_path / "tampered.jsonl"
         bad.write_text("".join(json.dumps(r) + "\n" for r in tampered))
-        with pytest.raises(ValueError, match=f"sync tracker disagrees.*{counter}"):
+        with pytest.raises(ValueError, match=message):
             obs_check.check(bad, prom)
 
 

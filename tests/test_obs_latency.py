@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
+from repro.faults.recovery import RecoveryEvent
 from repro.members.durations import TwoClassDuration
 from repro.members.population import LossPopulation
 from repro.obs import events as obs_events
@@ -69,6 +70,14 @@ class TestBucketQuantile:
         assert merged == {"buckets": [1, 4, 3], "sum": 14.0, "count": 8}
 
 
+def recovery(member_id, epoch, desynced_at, recovered_at):
+    """The :class:`RecoveryEvent` a catch-up returns for that interval."""
+    return RecoveryEvent(
+        member_id, epoch=epoch, desynced_at=desynced_at,
+        recovered_at=recovered_at, epochs_missed=1, keys_sent=1,
+    )
+
+
 class TestLatencyTracker:
     def test_round0_deliveries_are_zero_latency(self):
         tracker = LatencyTracker(scheme="one")
@@ -83,9 +92,8 @@ class TestLatencyTracker:
 
     def test_resync_closes_the_open_interval(self):
         tracker = LatencyTracker(scheme="one")
-        # The ledger entry: out of sync since t=100 s, epoch 2.
-        latency = tracker.close_resync("m", (100.0, 2), now=160.0)
-        assert latency == pytest.approx(60.0)
+        # Out of sync since t=100 s, epoch 2; recovered at t=160 s.
+        tracker.observe_recovery(recovery("m", 2, 100.0, 160.0))
         assert tracker.summary()["resyncs"] == 1
         # The interval landed in its opening epoch's distribution.
         assert tracker.epoch_percentiles(2)["max"] == 60.0
@@ -115,7 +123,7 @@ class TestLatencyTracker:
         for i in range(98):
             tracker.observe_delivery(f"m{i}", epoch=1, latency=0.0)
         tracker.observe_delivery("late", epoch=1, latency=5.0)
-        tracker.close_resync("worst", (0.0, 1), now=90.0)
+        tracker.observe_recovery(recovery("worst", 1, 0.0, 90.0))
         summary = tracker.summary()
         assert summary["count"] == 100
         assert summary["p50_s"] == 0.0
@@ -135,7 +143,7 @@ class TestLatencyTracker:
             )
             tracker.observe_delivery("a", epoch=1, latency=0.0)
             tracker.observe_delivery("b", epoch=1, latency=1.5)
-            tracker.close_resync("c", (0.0, 1), now=30.0)
+            tracker.observe_recovery(recovery("c", 1, 0.0, 30.0))
         entry = registry.to_json()[LATENCY_METRIC]
         assert entry["labels"] == ["scheme", "shard", "sync_state"]
         states = {key.split("|")[2] for key in entry["series"]}
@@ -150,14 +158,13 @@ class TestLatencyTracker:
         tracker.observe_delivery("a", epoch=1, latency=2.0)
         with obs.observe(clock=lambda: 0.0) as bundle:
             tracker.observe_delivery("b", epoch=1, latency=2.0)
-            tracker.close_resync("c", (0.0, 1), now=9.0)
+            tracker.observe_recovery(recovery("c", 1, 0.0, 9.0))
             tracker.close_abandoned("d", (0.0, 1), now=5.0, reason="departed")
             tracker.epoch_complete(1)
         types = [r["type"] for r in bundle.events.records]
-        assert types.count("dek_adopted") == 2  # late + resync, never zero
-        assert types.count("resync_complete") == 1
-        assert types.count("abandoned_unrecovered") == 1
-        assert types.count("epoch_latency") == 1
+        # One late adoption (never a zero one); the recovery's one event,
+        # ``resync``, is the sync tracker's.
+        assert types == ["dek_adopted", "abandoned_unrecovered", "epoch_latency"]
 
 
 def per_member_observe_delivery(tracker, member_id, epoch, latency):
@@ -235,7 +242,7 @@ class TestBatchedDeliveriesAgainstPerMemberLoop:
                     per_member_observe_delivery(
                         tracker, member_id, epoch, completed.get(member_id, 0.0)
                     )
-            tracker.close_resync(MEMBERS[epoch], (1.0, epoch), now=2.0 + epoch)
+            tracker.observe_recovery(recovery(MEMBERS[epoch], epoch, 1.0, 2.0 + epoch))
         return tracker
 
     @settings(max_examples=150, deadline=None)
@@ -388,15 +395,14 @@ class TestChaosLatencyBattery:
         abandonments = counts.get("abandonment", 0)
         assert abandonments > 0, "schedule produced no abandonments"
         assert abandonments == (
-            counts.get("resync_complete", 0)
-            + counts.get("abandoned_unrecovered", 0)
+            counts.get("resync", 0) + counts.get("abandoned_unrecovered", 0)
         )
         ttd = entry["time_to_new_dek"]
         assert ttd["open"] == 0
         assert ttd["count"] > 0
         assert ttd["resyncs"] + ttd["abandoned_unrecovered"] == abandonments
         assert ttd["p99_s"] >= ttd["p50_s"] >= 0.0
-        # The registry double-books the same stories.
+        # The histogram holds each closed story once.
         hist = bundle.registry.to_json()[LATENCY_METRIC]
         by_state = {}
         for key, slot in hist["series"].items():
@@ -471,7 +477,7 @@ class TestLedgerDepartureBeforeTheNextBatch:
         closes = [
             record
             for record in bundle.events.records
-            if record["type"] in ("resync_complete", "abandoned_unrecovered")
+            if record["type"] in ("resync", "abandoned_unrecovered")
         ]
         assert [(r["member_id"], r["reason"]) for r in closes] == [
             (victim, "departed")

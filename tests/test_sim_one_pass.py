@@ -291,6 +291,6 @@ def test_event_records_do_not_depend_on_the_hash_seed(tmp_path):
                 )
         records.append(events)
     first, second = records
-    assert any(event["type"] == "sync_transition" for event in first)
-    assert any(event["type"] == "abandonment" for event in first)
+    for kind in ("dek_adopted", "abandonment", "resync"):
+        assert any(event["type"] == kind for event in first)
     assert first == second
