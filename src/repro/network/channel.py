@@ -247,13 +247,15 @@ class MulticastChannel(Generic[PacketT]):
             streams = [
                 stream or self.stream_of(rid) for rid, stream in zip(drawn, streams)
             ]
-        members = set(drawn)
-        return (
-            drawn,
-            streams,
-            list(map(rates.__getitem__, drawn)),
-            members if len(members) == len(drawn) else None,
-        )
+        if type(ids) is set and len(drawn) == len(ids):
+            # Every id is drawn: a set audience is its own membership set
+            # (read only — the outcome sets are new).
+            members: Optional[Set[str]] = ids
+        else:
+            members = set(drawn)
+            if len(members) < len(drawn):
+                members = None
+        return drawn, streams, list(map(rates.__getitem__, drawn)), members
 
     def _draw(
         self, packet: PacketT, audience: Optional[Collection[str]]

@@ -53,6 +53,7 @@ SUPPORTED_TRACE_SCHEMAS = {
 __all__ = [
     "Observation",
     "observe",
+    "unobserved",
     "bind_clock",
     "write_trace",
     "write_metrics",
@@ -98,6 +99,19 @@ def observe(
         stack.enter_context(tracing_mod.tracing(bundle.tracer))
         stack.enter_context(events_mod.logging(bundle.events))
         yield bundle
+
+
+@contextmanager
+def unobserved() -> Iterator[None]:
+    """Deactivate the metrics registry, tracer and event log for the
+    ``with`` body: work that must leave no record (a batch computed and
+    then lost in a server crash) runs with every probe a no-op."""
+    saved = (metrics_mod._ACTIVE, tracing_mod._ACTIVE, events_mod._ACTIVE)
+    metrics_mod._ACTIVE = tracing_mod._ACTIVE = events_mod._ACTIVE = None
+    try:
+        yield
+    finally:
+        metrics_mod._ACTIVE, tracing_mod._ACTIVE, events_mod._ACTIVE = saved
 
 
 def bind_clock(clock: Callable[[], float]) -> None:

@@ -8,7 +8,10 @@
    and ``le="+Inf"`` equals ``_count`` (:func:`check_histograms`, which
    the CI ``obs-latency`` job also runs on a live mid-run scrape);
 2. every JSONL record in the trace validates against the schema;
-3. the epoch count agrees across all three planes: the
+3. each epoch is booked once — no ``epoch`` event repeats the epoch and
+   sim time of the one before it (a batch lost in a server crash leaves
+   no record; a trace of several runs restarts at epoch 1) — and the
+   epoch count agrees across all three planes: the
    ``repro_server_rekeys_total`` counter in the exposition, the number
    of ``epoch`` events in the trace, and the ``server.rekeys`` counter
    inside the trace's embedded metrics snapshot;
@@ -189,11 +192,18 @@ def check(
     if prom_epochs is None:
         raise ValueError("exposition has no repro_server_rekeys_total sample")
 
-    epoch_events = sum(
-        1
+    booked = [
+        (record["epoch"], record.get("time"))
         for record in records
         if record.get("record") == "event" and record.get("type") == "epoch"
-    )
+    ]
+    twice = [now for before, now in zip(booked, booked[1:]) if now == before]
+    if twice:
+        raise ValueError(
+            f"epoch {twice[0][0]} at t={twice[0][1]} booked twice "
+            f"({len(twice)} epoch events repeat the one before them)"
+        )
+    epoch_events = len(booked)
 
     snapshot_epochs: Optional[float] = None
     for record in records:

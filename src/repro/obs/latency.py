@@ -8,9 +8,10 @@ records, in simulated seconds, one closed interval per member per epoch:
 
 * **delivered** — the transport satisfied the member in retry round 0;
   latency is 0 (the DEK is usable the instant the batch ships).
-* **late** — the member needed retry rounds; latency is the virtual
-  elapsed time the transport accumulated before the member's wanted set
-  emptied (see ``TransportResult.completed``).
+* **late** — the member needed retry rounds (``TransportResult.late``);
+  latency is the virtual elapsed time the transport accumulated before
+  the member's wanted set emptied (see ``TransportResult.completed``):
+  the retry policy's backoff, so 0.0 for a transport run without one.
 * **resync** — retries exhausted, the member was abandoned and later
   recovered via unicast catch-up; latency runs from batch close to the
   catch-up delivery.  The sync tracker measures it: this tracker books
@@ -42,7 +43,6 @@ close is a batch of one.
 from __future__ import annotations
 
 import math
-from itertools import compress
 from typing import TYPE_CHECKING, Callable, Collection, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import events as obs_events
@@ -75,10 +75,14 @@ def exact_percentile(
 class _EpochSlot:
     """Per-epoch accumulator: zero-latency count plus exact tails."""
 
-    __slots__ = ("zero", "samples", "abandoned")
+    __slots__ = ("zero", "late_zero", "samples", "abandoned")
 
     def __init__(self) -> None:
+        #: adoptions at latency 0.0, late or not
         self.zero = 0
+        #: of those, the late ones (a transport run without a retry policy
+        #: accrues no elapsed time): counted, not kept one record each
+        self.late_zero = 0
         #: (member_id, latency, sync_state) for every nonzero adoption.
         self.samples: List[Tuple[str, float, str]] = []
         #: (member_id, open_for) for intervals that never closed in sync.
@@ -130,37 +134,49 @@ class LatencyTracker:
         self, member_id: str, epoch: int, latency: float
     ) -> None:
         """One member absorbed the epoch's keys: :meth:`observe_deliveries`
-        of one, satisfied at ``latency`` (0.0 for round-0 delivery)."""
-        self.observe_deliveries((member_id,), epoch, {member_id: latency})
+        of one, late when ``latency`` is positive, else adopted in round 0."""
+        late = (member_id,) if latency > 0.0 else ()
+        self.observe_deliveries((member_id,), epoch, {member_id: latency}, late)
 
     def observe_deliveries(
-        self, ids: Collection[str], epoch: int, completed: Dict[str, float]
+        self,
+        ids: Collection[str],
+        epoch: int,
+        completed: Dict[str, float],
+        late: Collection[str],
     ) -> None:
         """Members ``ids`` absorbed the epoch's keys off the multicast channel.
 
-        ``completed`` is the transport's virtual elapsed time at the round
-        that satisfied each member (``TransportResult.completed``); a member
-        it lacks, or holds at 0.0, adopted the DEK in round 0.  The epoch
-        gets one zero count and the late samples; histogram batches and
-        ``dek_adopted`` events only while a registry or a log listens.
+        ``late`` holds the members that needed a retry round
+        (``TransportResult.late``); every other member adopted the DEK in
+        round 0.  A late member's latency is the transport's virtual
+        elapsed time at the round that satisfied it
+        (``TransportResult.completed``), 0.0 when the transport accrued
+        none.  The epoch gets zero counts and the late samples at a
+        positive latency; histogram batches and ``dek_adopted`` events only
+        while a registry or a log listens.
         """
-        late_ids = set(compress(completed, map((0.0).__lt__, completed.values())))
-        late = [(rid, completed[rid]) for rid in filter(late_ids.__contains__, ids)]
+        late_of = {
+            rid: completed.get(rid, 0.0) for rid in filter(late.__contains__, ids)
+        }
+        slow = [(rid, latency, "late") for rid, latency in late_of.items() if latency]
         slot = self._slot(epoch)
-        slot.zero += len(ids) - len(late)
-        slot.samples.extend((rid, latency, "late") for rid, latency in late)
+        slot.zero += len(ids) - len(slow)
+        slot.late_zero += len(late_of) - len(slow)
+        slot.samples.extend(slow)
         if obs_metrics.active_registry() is not None:
             # One batch per series, each in ``ids`` order.
-            late_of = dict(late)
             batches: Dict[Tuple[str, str], List[float]] = {}
             for rid in ids:
-                latency = late_of.get(rid, 0.0)
-                state = "late" if latency else "delivered"
-                batches.setdefault((self._shard(rid), state), []).append(latency)
+                latency = late_of.get(rid)
+                state = "delivered" if latency is None else "late"
+                batches.setdefault((self._shard(rid), state), []).append(
+                    latency or 0.0
+                )
             for (shard, state), latencies in batches.items():
                 self._observe_histogram(shard, state, latencies)
-        if late and obs_events.active_log() is not None:
-            for rid, latency in late:
+        if late_of and obs_events.active_log() is not None:
+            for rid, latency in late_of.items():
                 obs_events.emit(
                     "dek_adopted",
                     member_id=rid,
@@ -276,6 +292,7 @@ class LatencyTracker:
         values: List[float] = []
         late = resyncs = abandoned = 0
         for slot in self._epochs.values():
+            late += slot.late_zero
             for _, latency, state in slot.samples:
                 values.append(latency)
                 if state == "resync":

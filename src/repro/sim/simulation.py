@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 import repro.obs as obs
 from repro.faults.channel import FaultyChannel
@@ -273,6 +273,8 @@ class GroupRekeyingSimulation:
         the pre-batch snapshot (taken synchronously, modeling durable
         state) and the restored server re-derives an identical batch —
         which the equality check below proves — then delivers it normally.
+        The doomed batch runs unobserved: the epoch is booked once, by the
+        replay (one ``epoch`` event, ``server.rekeys`` and ``rekey`` span).
         Returns True when this rekey point was handled through the
         crash path.
         """
@@ -293,7 +295,8 @@ class GroupRekeyingSimulation:
         ):
             self._crash_cursor += 1
         state = snapshot_server(self.server)
-        doomed = self.server.rekey(now=now)  # computed, then lost in the crash
+        with obs.unobserved():
+            doomed = self.server.rekey(now=now)  # computed, then lost in the crash
         tracker = self.server._sync
         restored = restore_server(state)
         restored._sync = tracker  # sync registry survives (durable)
@@ -361,6 +364,7 @@ class GroupRekeyingSimulation:
         transport_elapsed = 0.0
         abandoned: List[str] = []
         completed: Dict[str, float] = {}
+        late: Set[str] = set()
         obs_tracing.set_attr("epoch", result.epoch)
         registry = obs_metrics.active_registry()
         if not self.config.cost_only:
@@ -422,7 +426,7 @@ class GroupRekeyingSimulation:
                     transport_packets = outcome.packets_sent
                     transport_rounds = outcome.rounds
                     transport_elapsed = outcome.elapsed
-                    completed = outcome.completed
+                    completed, late = outcome.completed, outcome.late
                     if registry is not None:
                         registry.inc("transport.keys_sent", outcome.keys_sent)
                         registry.inc("transport.packets_sent", outcome.packets_sent)
@@ -444,7 +448,7 @@ class GroupRekeyingSimulation:
                     )
                 if self.latency is not None:
                     self.latency.observe_deliveries(
-                        journals, result.epoch, completed
+                        journals, result.epoch, completed, late
                     )
                     self.latency.epoch_complete(result.epoch)
         if self.config.verify:

@@ -22,7 +22,6 @@ units) in ``keys_sent``, matching the analytic model's accounting.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
@@ -132,7 +131,6 @@ class _FecState(RoundState):
         payload = pack_indices(range(len(task.keys)), protocol.keys_per_packet)
         self.seqno = len(payload)
         self.blocks: List[_Block] = []
-        tracking: Counter = Counter()
         for offset in range(0, len(payload), protocol.block_size):
             block = _Block(
                 [
@@ -153,10 +151,9 @@ class _FecState(RoundState):
                     block.ends_at[packet.seqno] = need - trackers
                     trackers |= need
             block.by_misses = [set(trackers)]
-            tracking.update(trackers)
-        #: receiver -> how many of its blocks it is still pending on
-        self.pending: Dict[str, int] = dict(tracking)
-        self.tracked = set(tracking)
+        self.tracked: Set[str] = set().union(*[b.trackers for b in self.blocks])
+        #: trackers still pending on a block: in one of its miss buckets
+        self.pending: Set[str] = set(self.tracked)
 
     def addressed(self):
         # A block's audience is everyone tracking it, satisfied or not.
@@ -164,7 +161,7 @@ class _FecState(RoundState):
 
     def drop(self, receiver_id):
         self.tracked.discard(receiver_id)
-        self.pending.pop(receiver_id, None)
+        self.pending.discard(receiver_id)
         for block in self.blocks:
             if receiver_id in block.trackers:
                 block.trackers.discard(receiver_id)
@@ -218,10 +215,9 @@ class _FecState(RoundState):
                     bucket -= lost
                     by_misses[misses + 1] |= lost
         # Whoever has now received k packets rebuilds the block.
-        done: Set[str] = set()
         full = block.sent - block.k
         if 0 <= full < len(by_misses):
-            done, by_misses[full] = by_misses[full], done
+            by_misses[full].clear()
         # A payload packet satisfies directly the trackers it ends that got
         # every payload packet they want; parity seqnos have no ``need``.
         need = block.need.get(packet.seqno)
@@ -229,23 +225,17 @@ class _FecState(RoundState):
             spoiled = block.spoiled
             spoiled |= need - receivers
             direct = (block.ends_at[packet.seqno] & receivers) - spoiled
-            direct -= done
             if direct:
                 for bucket in by_misses:
                     bucket -= direct
-                done |= direct
-        if not done:
-            return ()
-        open_blocks = self.pending
-        satisfied = []
-        for rid in done:
-            left = open_blocks[rid] - 1
-            if left:
-                open_blocks[rid] = left
-            else:
-                del open_blocks[rid]
-                satisfied.append(rid)
-        return satisfied
+
+    def settle(self):
+        pending = self.pending
+        settled = pending.difference(
+            *[bucket for block in self.blocks for bucket in block.by_misses]
+        )
+        pending -= settled
+        return settled
 
     def keys_pending(self):
         return sum(len(bucket) for block in self.blocks for bucket in block.by_misses)

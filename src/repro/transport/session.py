@@ -2,15 +2,17 @@
 transport protocol runs on.
 
 A protocol describes a delivery as a :class:`RoundState` — which packets
-with which audiences go out in round *r*, and what a delivery does to its
-pending state; :func:`run_rounds` owns everything else about a delivery:
-the round cap, receivers departing mid-delivery, retry backoff and
-abandonment, latency stamps, exhaustion and the observability records.
+with which audiences go out in round *r*, what a delivery does to its own
+sets, and whom a round satisfied; :func:`run_rounds` owns everything else
+about a delivery: the round cap, receivers departing mid-delivery, retry
+backoff and abandonment, latency stamps (one per receiver, at the round
+that settled it), exhaustion and the observability records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import (
     Collection,
     Dict,
@@ -144,14 +146,19 @@ class TransportExhausted(RuntimeError):
 class RoundState:
     """One delivery as its protocol sees it: the hooks :func:`run_rounds` drives.
 
-    A protocol answers two questions — which packets with which audiences
-    go out in round *r* (:meth:`packets`), and what a delivery does to its
-    pending state (:meth:`deliver`).  Everything else is the engine's.
+    A protocol answers three questions — which packets with which
+    audiences go out in round *r* (:meth:`packets`), what a delivery does
+    to its own sets (:meth:`deliver`), and whom the round satisfied once
+    its last packet is out (:meth:`settle`).  Everything else is the
+    engine's.  Receivers are settled once per round, not once per packet:
+    the engine stamps a round's settled receivers with the round's
+    elapsed time, which no packet of the round moves.
     """
 
-    #: Receivers not yet satisfied, by id: a dict or set the state keeps
-    #: live.  The engine only reads it (size, truth, iteration).
-    pending: Collection[str]
+    #: Receivers not yet satisfied: a set the state keeps live (only
+    #: :meth:`settle` and :meth:`drop` shrink it).  The engine only reads
+    #: it (size, truth, iteration).
+    pending: Set[str]
     #: Key units a parity packet is priced at in ``keys_sent``.
     parity_keys = 0
     #: Whether round 0 goes on the wire with nobody pending: a protocol
@@ -181,9 +188,14 @@ class RoundState:
         """
         raise NotImplementedError
 
-    def deliver(self, packet: KeyPacket, receivers: Set[str]) -> Iterable[str]:
-        """Apply one multicast's deliveries; returns the receivers it
-        satisfied (they leave ``pending``)."""
+    def deliver(self, packet: KeyPacket, receivers: Set[str]) -> None:
+        """Apply one multicast's deliveries to the protocol's own sets;
+        ``pending`` stays as it is until :meth:`settle`."""
+        raise NotImplementedError
+
+    def settle(self) -> Set[str]:
+        """The receivers this round satisfied, each returned once, in the
+        round that met its interest: they leave ``pending``."""
         raise NotImplementedError
 
     def keys_pending(self) -> int:
@@ -198,20 +210,19 @@ class KeyInterestState(RoundState):
     multi-send): a packet's audience is whoever still needs one of its
     keys.  The map is inverted from the task's interest once per delivery
     and kept in step by :meth:`deliver` and :meth:`drop`; a key leaves it
-    when its audience empties.  ``pending`` counts, per receiver, the keys
-    it still lacks.  The task's interest sets are read, never copied or
-    written.  Subclasses say which packets a round sends (:meth:`plan`).
+    when its audience empties.  A pending receiver is satisfied once no
+    open audience holds it.  The task's interest sets are read, never
+    copied or written.  Subclasses say which packets a round sends
+    (:meth:`plan`).
     """
 
     def __init__(self, task: TransportTask) -> None:
         self.interest = task.interest
         self.audiences: Dict[int, Set[str]] = task.audiences()
-        self.pending: Dict[str, int] = {
-            rid: len(wanted) for rid, wanted in task.interest.items() if wanted
-        }
+        self.pending: Set[str] = set(compress(task.interest, task.interest.values()))
 
     def drop(self, receiver_id):
-        del self.pending[receiver_id]
+        self.pending.remove(receiver_id)
         audiences = self.audiences
         for index in self.interest[receiver_id]:
             audience = audiences.get(index)
@@ -239,29 +250,24 @@ class KeyInterestState(RoundState):
             yield packet, audience or None
 
     def deliver(self, packet, receivers):
-        pending, audiences = self.pending, self.audiences
-        satisfied = []
+        audiences = self.audiences
         # A key a packet carries twice finds its second audience without
-        # the receivers the first copy reached: each counts it once.
+        # the receivers the first copy reached.
         for index in packet.key_indices:
             audience = audiences.get(index)
-            if audience is None:
-                continue
-            got = audience & receivers
-            audience -= got
-            if not audience:
-                del audiences[index]
-            for rid in got:
-                lacking = pending[rid] - 1
-                if lacking:
-                    pending[rid] = lacking
-                else:
-                    del pending[rid]
-                    satisfied.append(rid)
-        return satisfied
+            if audience is not None:
+                audience -= audience & receivers
+                if not audience:
+                    del audiences[index]
+
+    def settle(self):
+        pending = self.pending
+        settled = pending.difference(*self.audiences.values())
+        pending -= settled
+        return settled
 
     def keys_pending(self):
-        return sum(self.pending.values())
+        return sum(map(len, self.audiences.values()))
 
 
 def run_rounds(
@@ -307,10 +313,12 @@ def run_rounds(
                 if audience is None:
                     continue
                 report = channel.multicast(packet, audience=audience)
-                # A receiver's new DEK is usable from the round that met
-                # its whole interest.
-                for rid in state.deliver(packet, report.delivered_to):
-                    result.completed[rid] = result.elapsed
+                state.deliver(packet, report.delivered_to)
+            # A receiver's new DEK is usable from the round that met its
+            # whole interest; no packet of a round moves ``elapsed``.
+            settled = state.settle()
+            if settled:
+                result.completed.update(dict.fromkeys(settled, result.elapsed))
             round_span.set("packets", packets)
             if parity:
                 round_span.set("parity", parity)

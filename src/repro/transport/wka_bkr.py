@@ -15,7 +15,6 @@ packets wholesale — exploiting the payload's sparseness.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import repeat
 from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
@@ -44,6 +43,63 @@ def _profile_weight(profile: Tuple[Tuple[float, int], ...]) -> int:
     total = sum(count for __, count in profile)
     mixture = [(rate, count / total) for rate, count in profile]
     return max(1, round(expected_transmissions(float(total), mixture)))
+
+
+class _LossClasses:
+    """One delivery's receivers as loss-class codes, for WKA weighing.
+
+    The receiver weighed at the ``i``-th lowest (clamped) rate has code
+    ``1 << (bits * i)``, with ``bits`` wide enough to count every
+    receiver, so the sum of an audience's codes holds, field by field, how
+    many of it sit in each class: its rate profile, in one C-level pass.
+    Each distinct sum is decoded once into the sorted ``(rate, count)``
+    profile and weighed.
+
+    Nearest-integer replication tracks the [SZJ02] expected-bandwidth
+    model closely (validated in :mod:`repro.experiments.validation`);
+    rounding up instead over-replicates by ~25% since BKR's reactive
+    rounds already mop up the residual misses near-optimally.
+
+    The eq. 14 sum walks the profile in ascending rate order.  A rate-0
+    class adds nothing after the first term, so with at most two distinct
+    non-zero rates each term adds at most two non-zero logs, and IEEE
+    addition is commutative: the weight is bit for bit what any other
+    mixture order gives.  With three or more non-zero rates ``E[M]`` can
+    differ from another order's in its last bit, which moves the weight
+    only if ``E[M]`` lies within an ulp of ``k + 0.5``.
+    """
+
+    __slots__ = ("rates", "bits", "code", "weights")
+
+    def __init__(self, rates: Dict[str, float]) -> None:
+        #: the distinct rates, ascending: class ``i`` is ``rates[i]``
+        self.rates = sorted(set(rates.values()))
+        self.bits = len(rates).bit_length()
+        code_of = {rate: 1 << (self.bits * i) for i, rate in enumerate(self.rates)}
+        self.code = dict(zip(rates, map(code_of.__getitem__, rates.values())))
+        #: code sum -> weight, memoized per delivery
+        self.weights: Dict[int, int] = {0: 0}
+
+    def profile(self, codes: int) -> Tuple[Tuple[float, int], ...]:
+        """The sorted ``(rate, receivers)`` profile a code sum holds."""
+        bits = self.bits
+        mask = (1 << bits) - 1
+        profile = []
+        for rate in self.rates:
+            count = codes & mask
+            if count:
+                profile.append((rate, count))
+            codes >>= bits
+        return tuple(profile)
+
+    def weight(self, audience: Collection[str]) -> int:
+        """WKA weight: the expected transmissions for a key wanted by
+        ``audience``, rounded (0 for nobody)."""
+        codes = sum(map(self.code.__getitem__, audience))
+        weight = self.weights.get(codes)
+        if weight is None:
+            weight = self.weights[codes] = _profile_weight(self.profile(codes))
+        return weight
 
 
 class WkaBkrProtocol:
@@ -107,54 +163,27 @@ class WkaBkrProtocol:
             zip(rates, map(min, rates.values(), repeat(self.MAX_WEIGHT_RATE)))
         )
 
-    def _weight(self, audience: Collection[str], rates: Dict[str, float]) -> int:
-        """WKA weight: the expected transmissions for this key, rounded.
-
-        Nearest-integer replication tracks the [SZJ02] expected-bandwidth
-        model closely (validated in
-        :mod:`repro.experiments.validation`); rounding up instead
-        over-replicates by ~25% since BKR's reactive rounds already mop up
-        the residual misses near-optimally.
-
-        The weight is a function of the audience's rate profile (its
-        multiset of rates), memoized on it.  The eq. 14 sum walks the
-        mixture in ascending rate order.  A rate-0 class adds nothing
-        after the first term, so with at most two distinct non-zero rates
-        each term adds at most two non-zero logs, and IEEE addition is
-        commutative: the weight is bit for bit what any other mixture
-        order gives.  With three or more non-zero rates ``E[M]`` can
-        differ from another order's in its last bit, which moves the
-        weight only if ``E[M]`` lies within an ulp of ``k + 0.5``.
-        """
-        if not audience:
-            return 0
-        return _profile_weight(
-            tuple(sorted(Counter(map(rates.__getitem__, audience)).items()))
-        )
-
     def _build_round_packets(
         self,
         audiences: Dict[int, Set[str]],
         channel: MulticastChannel,
         start_seqno: int,
-        rates: Optional[Dict[str, float]] = None,
+        classes: Optional[_LossClasses] = None,
     ) -> List[KeyPacket]:
         """Weight, replicate, order and pack the still-needed keys.
 
         ``audiences`` is the delivery's ``key index -> receivers still
         needing it`` map
-        (:class:`~repro.transport.session.KeyInterestState`); ``rates``
-        the run's :meth:`_weight_rates`, looked up here instead of asking
-        the channel per (key, receiver).
+        (:class:`~repro.transport.session.KeyInterestState`); ``classes``
+        the run's receivers over their :meth:`_weight_rates`, built once
+        instead of asking the channel every round.
         """
         if not audiences:
             return []
-        if rates is None:
-            rates = self._weight_rates(set().union(*audiences.values()), channel)
-        weights = {
-            index: self._weight(audience, rates)
-            for index, audience in audiences.items()
-        }
+        if classes is None:
+            receivers = set().union(*audiences.values())
+            classes = _LossClasses(self._weight_rates(receivers, channel))
+        weights = dict(zip(audiences, map(classes.weight, audiences.values())))
         if self.packing == "bfs":
             ordered = order_breadth_first(list(audiences), audiences)
         else:
@@ -194,13 +223,13 @@ class _WkaBkrState(KeyInterestState):
         self.protocol = protocol
         self.channel = channel
         self.seqno = 0
-        # A receiver already gone from the channel has no rate: it is
+        # A receiver already gone from the channel has no class: it is
         # dropped before the first round weighs anything.
-        self.rates = protocol._weight_rates(self.pending, channel)
+        self.classes = _LossClasses(protocol._weight_rates(self.pending, channel))
 
     def plan(self, round_index, audiences):
         packets = self.protocol._build_round_packets(
-            audiences, self.channel, self.seqno, self.rates
+            audiences, self.channel, self.seqno, self.classes
         )
         self.seqno += len(packets)
         return packets

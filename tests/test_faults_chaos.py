@@ -65,9 +65,43 @@ def test_chaos_counts_into_an_outer_registry():
         observed = run_chaos(**cell)["runs"][0]
     assert observed["counters"] == plain["counters"]
     rekeys = bundle.registry.counter_total("server.rekeys")
-    # A crash computes its batch, loses it, and the restored server reruns it.
-    assert rekeys == observed["rekeyings"] + observed["server_crashes"] == 32
+    # A crash computes its batch unobserved, loses it, and the restored
+    # server reruns it: each epoch is counted once.
+    assert observed["server_crashes"] == 2
+    assert rekeys == observed["rekeyings"] == 30
     assert rekeys == observed["counters"]["server.rekeys"]
+
+
+def test_a_crashed_epoch_is_booked_once(tmp_path, capsys):
+    """The batch a crash loses leaves no record: one ``epoch`` event, one
+    ``rekey`` span and one ``server.rekeys`` increment per epoch, and
+    ``repro.obs.check`` refuses the trace once an epoch event is doubled."""
+    from repro.obs.check import main as check_main
+
+    cell = dict(seed=7, schemes=("one",), schedules=("crash-restore",), out_path=None)
+    with obs.observe() as bundle:
+        report = run_chaos(**cell)["runs"][0]
+    assert report["server_crashes"] == 2
+    epochs = [record["epoch"] for record in bundle.events.of_type("epoch")]
+    assert epochs == list(range(1, report["rekeyings"] + 1))
+    rekey_spans = [r for r in bundle.tracer.to_records() if r["name"] == "rekey"]
+    assert len(rekey_spans) == report["rekeyings"]
+    trace, prom = tmp_path / "trace.jsonl", tmp_path / "metrics.prom"
+    obs.write_trace(bundle, trace)
+    obs.write_metrics(bundle.registry, prom)
+    assert check_main([str(trace), str(prom)]) == 0
+    # The parent's double booking: the doomed batch's epoch event ahead
+    # of the replay's.
+    crashed = bundle.events.of_type("crash")[0]["epoch"]
+    records = obs.read_trace(trace)
+    at = next(
+        i for i, r in enumerate(records)
+        if r.get("type") == "epoch" and r["epoch"] == crashed
+    )
+    records.insert(at, dict(records[at]))
+    trace.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    assert check_main([str(trace), str(prom)]) == 1
+    assert f"epoch {crashed} at t=" in capsys.readouterr().err.split("booked twice")[0]
 
 
 def test_full_sweep_reproduces_committed_report(tmp_path):

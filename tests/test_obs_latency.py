@@ -236,7 +236,8 @@ class TestBatchedDeliveriesAgainstPerMemberLoop:
         tracker = LatencyTracker(scheme="s", shard_fn=shard_fn)
         for epoch, ids, completed in epochs:
             if batched:
-                tracker.observe_deliveries(ids, epoch, completed)
+                late = {rid for rid, latency in completed.items() if latency > 0.0}
+                tracker.observe_deliveries(ids, epoch, completed, late)
             else:
                 for member_id in ids:
                     per_member_observe_delivery(
@@ -276,7 +277,7 @@ class TestBatchedDeliveriesAgainstPerMemberLoop:
     def test_one_record_per_epoch(self):
         tracker = LatencyTracker()
         tracker.observe_deliveries(
-            ["a", "b", "c", "d"], 1, {"b": 2.5, "c": 0.0, "x": 9.0}
+            ["a", "b", "c", "d"], 1, {"b": 2.5, "c": 0.0, "x": 9.0}, {"b", "x"}
         )
         assert tracker.summary()["count"] == 4
         assert tracker.epoch_percentiles(1)["max"] == 2.5
@@ -299,6 +300,59 @@ def _latency_snapshot(server, population=None):
     with obs.observe() as bundle:
         GroupRekeyingSimulation(server, config).run()
     return bundle.registry.to_json().get(LATENCY_METRIC)
+
+
+class RecordingTransport:
+    """Runs a protocol and keeps, per delivery, the late receivers among
+    those that absorbed the payload."""
+
+    def __init__(self, protocol):
+        self.protocol = protocol
+        self.name = protocol.name
+        self.late = []
+
+    def run(self, task, channel):
+        result = self.protocol.run(task, channel)
+        self.late.append(result.late & set(task.interest))
+        return result
+
+
+class TestLateWithoutRetryPolicy:
+    """WKA-BKR without a retry policy accrues no elapsed time, yet a
+    receiver that needed a retry round adopted the DEK late: the ledger
+    books it ``late`` at latency 0.0, never ``delivered``."""
+
+    def test_retry_rounds_book_late_adoptions(self):
+        transport = RecordingTransport(WkaBkrProtocol(keys_per_packet=16))
+        config = SimulationConfig(
+            arrival_rate=1.0,
+            rekey_period=60.0,
+            horizon=480.0,
+            duration_model=TwoClassDuration(180.0, 2400.0, 0.7),
+            loss_population=LossPopulation.two_point(),
+            transport=transport,
+            verify=False,
+            seed=11,
+        )
+        with obs.observe() as bundle:
+            sim = GroupRekeyingSimulation(OneTreeServer(degree=4), config)
+            sim.run()
+        late = sum(map(len, transport.late))
+        assert late > 0
+        assert sim.latency.summary()["late"] == late
+        # Counted, not kept one record each.
+        assert not any(slot.samples for slot in sim.latency._epochs.values())
+        series = bundle.registry.to_json()[LATENCY_METRIC]["series"]
+        by_state = {}
+        for key, slot in series.items():
+            state = key.split("|")[-1]
+            by_state[state] = by_state.get(state, 0) + slot["count"]
+            if state == "late":
+                assert slot["sum"] == 0.0
+        assert by_state["late"] == late
+        adopted = bundle.events.of_type("dek_adopted")
+        assert len(adopted) == late
+        assert {record["latency"] for record in adopted} == {0.0}
 
 
 class TestPartitionLatencyLabels:

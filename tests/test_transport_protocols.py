@@ -23,7 +23,7 @@ from repro.transport.session import (
     TransportResult,
     TransportTask,
 )
-from repro.transport.wka_bkr import WkaBkrProtocol
+from repro.transport.wka_bkr import WkaBkrProtocol, _LossClasses
 
 
 def make_task(key_count, interest):
@@ -395,8 +395,9 @@ WEIGHED_RATE = st.floats(0.0, WkaBkrProtocol.MAX_WEIGHT_RATE)
 
 
 class TestWkaWeightMemo:
-    """The weight memoized on the audience's sorted rate profile against
-    the pre-change weight, whose mixture order was set iteration order."""
+    """The class-code weight, memoized on the audience's code sum,
+    against the pre-change weight, whose mixture order was set iteration
+    order."""
 
     @staticmethod
     def population(data, pool, size):
@@ -417,7 +418,7 @@ class TestWkaWeightMemo:
         assert first_seen_expectation(order, rates) == first_seen_expectation(
             by_rate, rates
         )
-        weight = WkaBkrProtocol()._weight(set(order), rates)
+        weight = _LossClasses(rates).weight(set(order))
         assert weight == pre_change_weight(order, rates)
         assert weight == pre_change_weight(order[::-1], rates)
 
@@ -429,14 +430,72 @@ class TestWkaWeightMemo:
     )
     def test_more_rates_are_order_independent(self, data, distinct, size):
         rates, order = self.population(data, distinct, size)
-        weigh = WkaBkrProtocol()._weight
-        weight = weigh(order, rates)
-        assert weigh(order[::-1], rates) == weigh(set(order), rates) == weight
+        weigh = _LossClasses(rates).weight
+        weight = weigh(order)
+        assert weigh(order[::-1]) == weigh(set(order)) == weight
         # The profile's mixture is in ascending rate order.
         assert weight == pre_change_weight(sorted(order, key=rates.__getitem__), rates)
 
     def test_empty_audience_weighs_nothing(self):
-        assert WkaBkrProtocol()._weight(set(), {}) == 0
+        assert _LossClasses({}).weight(set()) == 0
+        assert _LossClasses({"a": 0.2}).weight(()) == 0
+
+
+#: Channel rates for the class-code battery: four below the clamp, three
+#: above it (all clamped into one class), and the non-Bernoulli processes
+#: the channel reports by ``mean_loss`` (one of them above the clamp).
+CHANNEL_RATES = [0.0, 0.02, 0.2, 0.45, 0.92, 0.95, 0.999]
+OTHER_PROCESSES = {
+    "bursty": lambda: GilbertElliottLoss(p_good_to_bad=0.3, p_bad_to_good=0.4),
+    "reported": lambda: ReportedMeanBernoulli(0.2),
+}
+
+
+class TestClassCodeWeighing:
+    """The weight a delivery's class codes give every audience equals the
+    pre-change weight over the receivers' clamped ``mean_loss``: 1 to 4
+    distinct rates, rates above ``MAX_WEIGHT_RATE`` merging into one
+    class, and receivers whose process is not Bernoulli."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        pool=st.lists(
+            st.sampled_from(CHANNEL_RATES), min_size=1, max_size=4, unique=True
+        ),
+        size=st.integers(1, 40),
+        others=st.lists(st.sampled_from(sorted(OTHER_PROCESSES)), max_size=3),
+    )
+    def test_weights_equal_the_pre_change_weight(self, data, pool, size, others):
+        channel = MulticastChannel(seed=5)
+        for i in range(size):
+            channel.subscribe(f"r{i}", BernoulliLoss(data.draw(st.sampled_from(pool))))
+        for i, name in enumerate(others):
+            channel.subscribe(f"{name}{i}", OTHER_PROCESSES[name]())
+        ids = channel.subscribers()
+        protocol = WkaBkrProtocol()
+        classes = _LossClasses(protocol._weight_rates(ids, channel))
+        clamped = {
+            rid: min(channel.loss_of(rid).mean_loss, protocol.MAX_WEIGHT_RATE)
+            for rid in ids
+        }
+        assert len(classes.rates) == len(set(clamped.values())) <= len(pool) + 2
+        for __ in range(5):
+            audience = data.draw(st.sets(st.sampled_from(ids), min_size=1))
+            by_rate = sorted(audience, key=clamped.__getitem__)
+            assert classes.profile(sum(map(classes.code.__getitem__, audience))) == (
+                tuple(sorted(Counter(map(clamped.__getitem__, audience)).items()))
+            )
+            assert classes.weight(audience) == pre_change_weight(by_rate, clamped)
+
+    def test_clamped_classes_merge(self):
+        channel = MulticastChannel(seed=5)
+        for rid, rate in {"a": 0.95, "b": 0.999, "c": 0.92, "d": 0.2}.items():
+            channel.subscribe(rid, BernoulliLoss(rate))
+        channel.subscribe("e", ReportedMeanBernoulli(0.2))  # reports 0.95
+        classes = _LossClasses(WkaBkrProtocol()._weight_rates("abcde", channel))
+        assert classes.rates == [0.2, 0.9]
+        assert classes.profile(sum(classes.code.values())) == ((0.2, 1), (0.9, 4))
 
 
 class ReportedMeanBernoulli(BernoulliLoss):
