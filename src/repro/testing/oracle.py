@@ -10,12 +10,15 @@ payloads, breakdowns and dumps.  It is the only way to get such a server:
 no constructor argument, flag, environment variable or snapshot field
 selects the reference implementation.
 
-The simulator takes each receiver's transport interest from the rows its
-one journaled :meth:`~repro.members.member.Member.absorb` learned.
-:func:`useful_subset` and :func:`build_task` derive the same rows without
-absorbing, from :meth:`~repro.crypto.wrap.WrapIndex.closure`: the
-reference that interest is tested against, and the way the fidelity
-tier's simulated ablations plan a delivery on a bare rekeyer.
+The simulator takes each row's audience from the server, which names
+who needs it off its trees
+(:meth:`~repro.server.partitioned.PartitionedServer.audiences`).
+:func:`useful_subset` and :func:`build_task` derive interest the
+receiver's way instead, from
+:meth:`~repro.crypto.wrap.WrapIndex.closure` over the keys it holds —
+the reference that naming is tested against.  :func:`audiences_of` turns
+the per-receiver view a test writes into the audiences a
+:class:`~repro.transport.session.TransportTask` takes.
 
 Importing this module loads the reference kernel, so nothing on the
 product path imports it; :mod:`repro.testing` does not either.
@@ -23,7 +26,7 @@ product path imports it; :mod:`repro.testing` does not either.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Set
 
 from repro.crypto.wrap import EncryptedKey, RekeyMessage, WrapIndex
 from repro.members.member import Member
@@ -81,11 +84,25 @@ def useful_subset(
     return [index.batch[row] for row in index.closure(member.held_versions())]
 
 
+def audiences_of(interest: Mapping[str, Iterable[int]]) -> Dict[int, Set[str]]:
+    """Invert ``receiver -> rows it needs`` into ``row -> receivers``.
+
+    A receiver needing nothing leaves no trace, and a row nobody needs
+    has no entry.
+    """
+    audiences: Dict[int, Set[str]] = {}
+    for receiver_id, rows in interest.items():
+        for row in rows:
+            audiences.setdefault(row, set()).add(receiver_id)
+    return audiences
+
+
 def build_task(
     message: RekeyMessage,
     held_versions: Dict[str, Dict[str, int]],
 ) -> TransportTask:
-    """Derive per-receiver interest for a rekey message.
+    """A delivery task for a rekey message, each receiver named in the rows
+    it can open.
 
     Parameters
     ----------
@@ -93,9 +110,8 @@ def build_task(
         The rekey broadcast produced by the server.
     held_versions:
         ``receiver_id -> {key_id: version}`` — what each receiver holds
-        *before* this message (the server knows this; real receivers
-        equivalently derive their own interest from key ids in packet
-        headers).
+        *before* this message (real receivers equivalently derive their
+        own interest from key ids in packet headers).
 
     Interest is the fixed-point closure: a key is interesting if its wrap
     can be opened with a held key or with another interesting key from the
@@ -104,7 +120,9 @@ def build_task(
     receiver is O(its tree depth) rather than O(message size).
     """
     index = message.index()
-    interest: Dict[str, Set[int]] = {}
-    for receiver_id, versions in held_versions.items():
-        interest[receiver_id] = set(index.closure(versions))
-    return TransportTask(keys=message.encrypted_keys, interest=interest)
+    return TransportTask(
+        keys=message.encrypted_keys,
+        audiences=audiences_of(
+            {rid: index.closure(versions) for rid, versions in held_versions.items()}
+        ),
+    )

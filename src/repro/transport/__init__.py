@@ -18,8 +18,8 @@ against the simulated lossy :class:`~repro.network.channel.MulticastChannel`:
   from any ``k`` of its packets; NACK rounds send the maximum remaining
   deficit.
 
-All protocols consume a :class:`TransportTask` (keys plus per-receiver
-interest) and report a :class:`TransportResult` whose ``keys_sent`` is the
+All protocols consume a :class:`TransportTask` (keys plus the receivers
+the server named for each key) and report a :class:`TransportResult` whose ``keys_sent`` is the
 bandwidth metric of Section 4.
 """
 

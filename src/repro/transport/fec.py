@@ -127,7 +127,7 @@ class _FecState(RoundState):
         self.channel = channel
         self.parity_keys = protocol.keys_per_packet
         self.proactivity = protocol.proactivity
-        audiences = task.audiences()
+        audiences = task.audiences
         payload = pack_indices(range(len(task.keys)), protocol.keys_per_packet)
         self.seqno = len(payload)
         self.blocks: List[_Block] = []

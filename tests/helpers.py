@@ -15,7 +15,9 @@ from repro.members.population import LossClass, LossPopulation
 from repro.server.losshomog import LossHomogenizedServer
 from repro.testing import ConformanceHarness
 from repro.testing.lkh import LkhRekeyer
+from repro.testing.oracle import audiences_of
 from repro.testing.tree import KeyTree
+from repro.transport.session import TransportTask
 
 #: The two key-tree implementations, as (tree class, rekeyer class): the
 #: flat-array kernel every server builds, and the object tree that is its
@@ -82,3 +84,19 @@ def populate_harness(harness, count, prefix="m", **attributes):
         harness.join(member_id, **attributes)
     harness.rekey()
     return members
+
+
+def task_of(keys, interest):
+    """A transport task for receivers wanting the rows ``interest`` maps
+    each one to: the per-receiver view a test writes, inverted."""
+    return TransportTask(keys=keys, audiences=audiences_of(interest))
+
+
+def interest_of(audiences):
+    """``receiver -> rows`` it is named in, read back off ``row ->
+    receivers`` audiences."""
+    interest = {}
+    for row, audience in audiences.items():
+        for rid in audience:
+            interest.setdefault(rid, set()).add(row)
+    return interest

@@ -18,6 +18,7 @@ from repro.transport.wka_bkr import WkaBkrProtocol
 
 # As a module: importing its test classes by name would collect them here too.
 import tests.test_transport_protocols as transport_tests
+from tests.helpers import interest_of
 
 
 class _Clock:
@@ -295,7 +296,8 @@ class TestPerMulticastWindowEquivalence:
                 channel.unsubscribe(rid)
             for rid, rate in rates.items():
                 channel.subscribe(rid, BernoulliLoss(rate))
-            leaver = max(task.interest, key=lambda r: (len(task.interest[r]), r))
+            interest = interest_of(task.audiences)
+            leaver = max(interest, key=lambda r: (len(interest[r]), r))
             channel.start_log(unsubscribe_at={3: [leaver]})
             clock.now = start
             real_multicast = channel.multicast

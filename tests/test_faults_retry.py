@@ -14,8 +14,10 @@ from repro.server.onetree import OneTreeServer
 from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
 from repro.transport.fec import ProactiveFecProtocol
 from repro.transport.multisend import MultiSendProtocol
-from repro.transport.session import TransportExhausted, TransportTask
+from repro.transport.session import TransportExhausted
 from repro.transport.wka_bkr import WkaBkrProtocol
+
+from tests.helpers import task_of
 
 
 def _task(keys=6, receivers=("r0", "r1", "r2")):
@@ -23,7 +25,7 @@ def _task(keys=6, receivers=("r0", "r1", "r2")):
     wrapping = gen.generate("kek")
     encrypted = [wrap_key(wrapping, gen.generate(f"k{i}")) for i in range(keys)]
     interest = {rid: set(range(keys)) for rid in receivers}
-    return TransportTask(keys=encrypted, interest=interest)
+    return task_of(encrypted, interest)
 
 
 def _channel(loss_by_receiver):

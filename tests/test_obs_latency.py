@@ -313,7 +313,7 @@ class RecordingTransport:
 
     def run(self, task, channel):
         result = self.protocol.run(task, channel)
-        self.late.append(result.late & set(task.interest))
+        self.late.append(result.late & set().union(*task.audiences.values()))
         return result
 
 
@@ -469,7 +469,7 @@ class TestChaosLatencyBattery:
 
 class AbandonAtEpoch:
     """A transport that delivers everything in round 0, except that at
-    epoch ``at`` it abandons the first receiver in roster order and has
+    epoch ``at`` it abandons the first receiver by id and has
     ``on_abandon`` told who."""
 
     name = "abandon-at-epoch"
@@ -484,7 +484,7 @@ class AbandonAtEpoch:
 
         self.epoch += 1
         outcome = TransportResult(rounds=1, satisfied=True)
-        receivers = list(task.interest)
+        receivers = sorted(set().union(*task.audiences.values()))
         if self.epoch == self.at and receivers:
             victim = receivers.pop(0)
             outcome.abandoned.add(victim)

@@ -14,8 +14,9 @@ from repro.network.channel import MulticastChannel
 from repro.network.loss import BernoulliLoss
 from repro.transport.fec import ProactiveFecProtocol
 from repro.transport.multisend import MultiSendProtocol
-from repro.transport.session import TransportTask
 from repro.transport.wka_bkr import WkaBkrProtocol
+
+from tests.helpers import task_of
 
 
 class _VanishingLoss:
@@ -43,10 +44,7 @@ def make_task(count=12):
     gen = KeyGenerator(71)
     wrapping = gen.generate("w")
     keys = [wrap_key(wrapping, gen.generate(f"k{i}")) for i in range(count)]
-    return TransportTask(
-        keys=keys,
-        interest={"healthy": set(range(count)), "ghost": set(range(count))},
-    )
+    return task_of(keys, {"healthy": set(range(count)), "ghost": set(range(count))})
 
 
 PROTOCOLS = [
@@ -74,6 +72,6 @@ def test_all_receivers_departed_terminates(protocol):
     ghost_loss = _VanishingLoss(channel, "ghost", after=2)
     channel.subscribe("ghost", ghost_loss)
     task = make_task()
-    task.interest = {"ghost": set(range(len(task.keys)))}
+    task = task_of(task.keys, {"ghost": set(range(len(task.keys)))})
     result = protocol.run(task, channel)
     assert result.satisfied

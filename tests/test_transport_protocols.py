@@ -18,12 +18,10 @@ from repro.network.loss import BernoulliLoss, GilbertElliottLoss
 from repro.transport.fec import ProactiveFecProtocol
 from repro.transport.multisend import MultiSendProtocol
 from repro.transport.packets import KeyPacket, pack_indices
-from repro.transport.session import (
-    TransportExhausted,
-    TransportResult,
-    TransportTask,
-)
+from repro.transport.session import TransportExhausted, TransportResult
 from repro.transport.wka_bkr import WkaBkrProtocol, _LossClasses
+
+from tests.helpers import interest_of, task_of
 
 
 def make_task(key_count, interest):
@@ -31,7 +29,7 @@ def make_task(key_count, interest):
     gen = KeyGenerator(31)
     wrapping = gen.generate("w")
     keys = [wrap_key(wrapping, gen.generate(f"k{i}")) for i in range(key_count)]
-    return TransportTask(keys=keys, interest={r: set(w) for r, w in interest.items()})
+    return task_of(keys, interest)
 
 
 def make_channel(losses):
@@ -177,9 +175,7 @@ class PerPacketScanWkaBkr(WkaBkrProtocol):
 
     def run(self, task, channel):
         result = TransportResult()
-        outstanding = {
-            rid: set(wanted) for rid, wanted in task.interest.items() if wanted
-        }
+        outstanding = interest_of(task.audiences)
         round_cap = self.retry.max_rounds if self.retry is not None else self.max_rounds
         seqno = 0
         for round_index in range(round_cap):
@@ -326,7 +322,8 @@ class TestWkaBkrAudienceIndexEquivalence:
         task, __ = self.lossy_task(seed)
         # The two receivers needing the most keys: still outstanding, and
         # already drawn for, when they leave after one and three packets.
-        leavers = sorted(task.interest, key=lambda r: (-len(task.interest[r]), r))[:2]
+        interest = interest_of(task.audiences)
+        leavers = sorted(interest, key=lambda r: (-len(interest[r]), r))[:2]
         outcomes = self.run_both(
             seed, unsubscribe_at={1: leavers[0], 3: leavers[1]}
         )
@@ -339,7 +336,7 @@ class TestWkaBkrAudienceIndexEquivalence:
     @pytest.mark.parametrize("seed", [6, 7])
     def test_retry_policy_with_abandonment(self, seed):
         task, __ = self.lossy_task(seed)
-        hopeless = sorted(task.interest)[:3]
+        hopeless = sorted(interest_of(task.audiences))[:3]
         policy = RetryPolicy(max_rounds=6, base_delay=0.5, abandon_after=3)
         outcomes = self.run_both(
             seed, rates_override={rid: 0.999 for rid in hopeless}, retry=policy
@@ -581,9 +578,7 @@ class PerBlockScanFec(ProactiveFecProtocol):
             ]
             blocks.append(_ScannedBlock(payload_packets=block_packets))
 
-        for rid, wanted in task.interest.items():
-            if not wanted:
-                continue
+        for rid, wanted in interest_of(task.audiences).items():
             for block in blocks:
                 in_block = {
                     i
@@ -691,9 +686,7 @@ class PerPacketScanMultiSend(MultiSendProtocol):
     def run(self, task, channel):
         result = TransportResult()
         packets = pack_indices(range(len(task.keys)), self.keys_per_packet)
-        outstanding = {
-            rid: set(wanted) for rid, wanted in task.interest.items() if wanted
-        }
+        outstanding = interest_of(task.audiences)
         packet_of_key = {}
         for packet in packets:
             for index in packet.key_indices:
@@ -865,8 +858,9 @@ class TestRoundEngineEquivalence:
         # still pending (and drawn for) when they leave, one inside the
         # first round and one inside the third.  In between a score of
         # others leave, most of them satisfied by then but still tracked.
-        leavers = sorted(task.interest, key=lambda r: (-len(task.interest[r]), r))[:2]
-        bystanders = [rid for rid in sorted(task.interest) if rid not in leavers][:20]
+        interest = interest_of(task.audiences)
+        leavers = sorted(interest, key=lambda r: (-len(interest[r]), r))[:2]
+        bystanders = [rid for rid in sorted(interest) if rid not in leavers][:20]
         hopeless = {rid: 0.999 for rid in leavers}
         dry_run = self.run_both(
             oracle, production, settings, seed, rates_override=hopeless, max_rounds=2
@@ -892,7 +886,7 @@ class TestRoundEngineEquivalence:
         """FEC hands them to its retry policy's abandonment; multi-send
         has no policy and must exhaust its round cap, typed."""
         task, __ = self.lossy_task(seed)
-        hopeless = sorted(task.interest)[:3]
+        hopeless = sorted(interest_of(task.audiences))[:3]
         if production is ProactiveFecProtocol:
             policy = RetryPolicy(max_rounds=6, base_delay=0.5, abandon_after=3)
             bound = dict(retry=policy)
@@ -972,7 +966,7 @@ class TestFecShapesAgainstTheScan:
             for i in range(30):
                 interest[f"r{i}"] = set(rng.sample(range(96), rng.randint(1, 6)))
             rates = {rid: rng.choice([0.05, 0.2, 0.4]) for rid in interest}
-            return TransportTask(keys=[None] * 96, interest=interest), rates
+            return task_of([None] * 96, interest), rates
 
         settings = dict(keys_per_packet=8, block_size=4, proactivity=1.25)
         result, pending, __ = self.run_both(make, settings, seed=seed)
@@ -985,7 +979,8 @@ class TestFecShapesAgainstTheScan:
         task, __ = self.lossy_task(seed)
         # Needs the most keys and loses nearly everything: spoiled at its
         # first wanted payload packet, still pending when it leaves.
-        leaver = min(task.interest, key=lambda r: (-len(task.interest[r]), r))
+        interest = interest_of(task.audiences)
+        leaver = min(interest, key=lambda r: (-len(interest[r]), r))
 
         def make():
             task, rates = self.lossy_task(seed)
@@ -1027,10 +1022,7 @@ class TestFecShapesAgainstTheScan:
         )
 
         def make():
-            task = TransportTask(
-                keys=[None] * keys,
-                interest={rid: set(wanted) for rid, wanted in interest.items()},
-            )
+            task = task_of([None] * keys, interest)
             return task, dict(rates)
 
         self.run_both(
@@ -1063,10 +1055,9 @@ class TestMalformedInterest:
     def test_rejected_naming_receiver_and_index(
         self, protocol, interest, receiver, index
     ):
-        task = TransportTask(keys=[None] * 4, interest=interest)
         channel = make_channel({rid: 0.0 for rid in interest})
         with pytest.raises(ValueError, match=f"'{receiver}'.* {index},"):
-            protocol.run(task, channel)
+            protocol.run(task_of([None] * 4, interest), channel)
         assert channel.packets_sent == 0
 
 
@@ -1169,7 +1160,8 @@ class TestFecPreparesEachBlockOnce:
         task, __ = TestWkaBkrAudienceIndexEquivalence().lossy_task(seed)
         # Needs the most keys and loses nearly everything: still pending on
         # every block it tracks when it leaves inside the first round.
-        leaver = min(task.interest, key=lambda r: (-len(task.interest[r]), r))
+        interest = interest_of(task.audiences)
+        leaver = min(interest, key=lambda r: (-len(interest[r]), r))
         __, result, channel, audiences = self.deliver(
             seed, unsubscribe_at={2: [leaver]}, hopeless=[leaver]
         )
@@ -1189,9 +1181,9 @@ class TestFecPreparesEachBlockOnce:
 
 
 class TestTransportsLeaveTheirTaskAlone:
-    """A transport reads its task's interest and never copies into or
-    writes it: the same set objects, with the same contents, after ``run``,
-    through departures, abandonment and exhaustion."""
+    """A transport reads its task's audiences and never writes them: the
+    same set objects, with the same contents, after ``run``, through
+    departures, abandonment and exhaustion."""
 
     @staticmethod
     def protocol(name, scenario):
@@ -1211,7 +1203,7 @@ class TestTransportsLeaveTheirTaskAlone:
     @pytest.mark.parametrize("name", ["wka-bkr", "multi-send", "proactive-fec"])
     def test_interest_untouched(self, name, scenario):
         task, rates = TestWkaBkrAudienceIndexEquivalence().lossy_task(11)
-        hopeless = sorted(task.interest)[:3]
+        hopeless = sorted(interest_of(task.audiences))[:3]
         if scenario != "plain":
             rates.update({rid: 0.999 for rid in hopeless})
         channel = PacketLogChannel(111).start_log(
@@ -1219,12 +1211,12 @@ class TestTransportsLeaveTheirTaskAlone:
         )
         for rid, rate in rates.items():
             channel.subscribe(rid, BernoulliLoss(rate))
-        interest = task.interest
-        before = {rid: (wanted, frozenset(wanted)) for rid, wanted in interest.items()}
+        audiences = task.audiences
+        before = {row: (named, frozenset(named)) for row, named in audiences.items()}
         result, pending = run_or_exhaust(self.protocol(name, scenario), task, channel)
-        assert task.interest is interest and interest.keys() == before.keys()
-        for rid, (wanted, contents) in before.items():
-            assert interest[rid] is wanted and wanted == contents, rid
+        assert task.audiences is audiences and audiences.keys() == before.keys()
+        for row, (named, contents) in before.items():
+            assert audiences[row] is named and named == contents, row
         if scenario == "departure":
             assert result.satisfied and not set(hopeless) & set(result.completed)
             assert not set(hopeless) & set(channel.subscribers())
@@ -1232,5 +1224,5 @@ class TestTransportsLeaveTheirTaskAlone:
             assert set(hopeless) <= result.abandoned | pending
         else:
             assert result.satisfied and len(result.completed) == len(
-                [wanted for wanted in interest.values() if wanted]
+                set().union(*audiences.values())
             )

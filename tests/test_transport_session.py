@@ -9,7 +9,7 @@ import pytest
 from repro.network.channel import MulticastChannel
 from repro.network.loss import BernoulliLoss
 from repro.testing.lkh import LkhRekeyer
-from repro.testing.oracle import build_task
+from repro.testing.oracle import audiences_of, build_task
 from repro.testing.tree import KeyTree
 from repro.transport.fec import ProactiveFecProtocol, _FecState
 from repro.transport.multisend import MultiSendProtocol, _MultiSendState
@@ -23,22 +23,34 @@ from repro.transport.session import (
 )
 from repro.transport.wka_bkr import WkaBkrProtocol, _WkaBkrState
 
-from tests.helpers import populate
+from tests.helpers import interest_of, populate, task_of
 
 
 class TestTransportTask:
     def test_audiences_inverts_interest(self):
-        # Transports read only the payload's length.
-        keys = [None, None]
-        task = TransportTask(keys=keys, interest={"a": {0, 1}, "b": {1}})
-        audiences = task.audiences()
+        audiences = audiences_of({"a": {0, 1}, "b": {1}})
         assert audiences == {0: {"a"}, 1: {"a", "b"}}
-        task = TransportTask(keys=keys, interest={"a": {0}, "b": {0, 1}, "c": set()})
-        audiences = task.audiences()
+        audiences = audiences_of({"a": {0}, "b": {0, 1}, "c": set()})
         assert audiences[0] == {"a", "b"}
         assert audiences[1] == {"b"}
         # A key nobody wants has no entry, not an empty audience.
         assert 9 not in audiences and set(audiences) == {0, 1}
+        # Transports read only the payload's length.
+        task = TransportTask(keys=[None, None], audiences=audiences)
+        assert task.audiences is audiences
+
+    @pytest.mark.parametrize(
+        "audiences, receiver, index",
+        [
+            ({1: {"a"}, 7: {"a"}, 2: {"b"}}, "a", 7),
+            ({1: {"a"}, -1: {"b"}}, "b", -1),
+            # the lowest out-of-range index, then the first receiver by id
+            ({1: {"b"}, 7: {"b"}, -1: {"c", "a"}, 9: {"a"}}, "a", -1),
+        ],
+    )
+    def test_refuses_a_row_outside_the_payload(self, audiences, receiver, index):
+        with pytest.raises(ValueError, match=f"'{receiver}'.* {index},"):
+            TransportTask(keys=[None] * 4, audiences=audiences)
 
 
 class TestTransportResult:
@@ -65,11 +77,11 @@ class TestBuildTask:
         message = rekeyer.rekey_batch(departures=["m3"])
         task = build_task(message, {m: held[m] for m in tree.members()})
         # Every survivor needs at least the fresh root key.
-        for member_id, wanted in task.interest.items():
-            assert wanted, member_id
+        interest = interest_of(task.audiences)
+        assert interest.keys() == set(tree.members())
         # A member co-located with the departure needs more keys than a
         # member in an untouched subtree needs (path overlap).
-        sizes = {m: len(w) for m, w in task.interest.items()}
+        sizes = {m: len(w) for m, w in interest.items()}
         assert max(sizes.values()) > min(sizes.values())
 
     def test_interest_empty_for_unrelated_holder(self, keygen):
@@ -78,7 +90,7 @@ class TestBuildTask:
         populate(rekeyer, 8)
         message = rekeyer.rekey_batch(departures=["m0"])
         task = build_task(message, {"stranger": {"member:stranger": 0}})
-        assert task.interest["stranger"] == set()
+        assert task.audiences == {}
 
     def test_sparseness_property(self, keygen):
         """No member is interested in every key of a batch touching two
@@ -93,7 +105,7 @@ class TestBuildTask:
         message = rekeyer.rekey_batch(departures=["m0", "m31"])
         task = build_task(message, held)
         total = len(message.encrypted_keys)
-        assert all(len(w) < total for w in task.interest.values())
+        assert all(len(w) < total for w in interest_of(task.audiences).values())
 
 
 class RoundLogChannel(MulticastChannel):
@@ -132,7 +144,7 @@ def recording_settle(state, settled):
 def met_rounds_by_keys(task, log):
     """Oracle for the key-interest transports: the round in which each
     receiver has received every key it wants."""
-    missing = {rid: set(wanted) for rid, wanted in task.interest.items() if wanted}
+    missing = interest_of(task.audiences)
     met = {}
     for round_index, packet, delivered in log:
         for rid in delivered:
@@ -151,8 +163,9 @@ def met_rounds_by_blocks(task, log, keys_per_packet, block_size):
     block_of = {p.seqno: position // block_size for position, p in enumerate(payload)}
     k = Counter(block_of.values())
     wants = defaultdict(dict)  # rid -> block -> wanted payload seqnos
+    interest = interest_of(task.audiences)
     for packet in payload:
-        for rid, wanted in task.interest.items():
+        for rid, wanted in interest.items():
             if set(packet.key_indices) & set(wanted):
                 wants[rid].setdefault(block_of[packet.seqno], set()).add(packet.seqno)
     received = Counter()
@@ -182,7 +195,7 @@ def random_task(seed, receivers=60, keys=40):
     }
     interest["idle"] = set()
     rates = {rid: rng.choice([0.02, 0.2, 0.5]) for rid in interest}
-    return TransportTask(keys=[None] * keys, interest=interest), rates
+    return task_of([None] * keys, interest), rates
 
 
 WKA = WkaBkrProtocol(keys_per_packet=4)
@@ -236,7 +249,7 @@ class TestSettlementContract:
         task, result, settled, met = self.deliver(name, seed)
         assert result.rounds >= 2 and result.late
         assert "idle" not in met and set(met) == {
-            rid for rid, wanted in task.interest.items() if wanted
+            rid for rid, wanted in interest_of(task.audiences).items() if wanted
         }
         self.assert_settled_once_when_met(result, settled, met)
 
@@ -268,7 +281,7 @@ class TestSettlementContract:
     def test_round_with_nobody_to_draw_for(self):
         """Multi-send's round 0 goes out with nobody pending: priced, no
         multicast, and one empty settlement."""
-        task = TransportTask(keys=[None] * 5, interest={"a": set()})
+        task = task_of([None] * 5, {"a": set()})
         settled = []
         channel = RoundLogChannel(7, settled)
         channel.subscribe("a", BernoulliLoss(0.2))
@@ -278,9 +291,7 @@ class TestSettlementContract:
         assert result.rounds == 1 and result.packets_sent == 2
 
     def test_key_interest_state_by_hand(self):
-        task = TransportTask(
-            keys=[None] * 3, interest={"a": {0, 1}, "b": {1}, "c": {2}, "d": set()}
-        )
+        task = task_of([None] * 3, {"a": {0, 1}, "b": {1}, "c": {2}, "d": set()})
         state = KeyInterestState(task)
         assert state.pending == {"a", "b", "c"} and state.keys_pending() == 4
         assert state.settle() == set()
