@@ -452,10 +452,10 @@ class WrapIndex:
         total work is proportional to the wraps actually examined —
         O(tree depth) per receiver — not to the message size.
 
-        The simulator takes each member's interest from a journaled
-        :meth:`~repro.members.member.Member.absorb`, which reports the rows
-        the member learned; this is the reference that interest is tested
-        against.
+        The server names each row's audience off its trees
+        (:meth:`~repro.server.partitioned.PartitionedServer.audiences`);
+        this is the receiver's side of that fact, the reference the naming
+        is tested against.
         """
         heads, chain = self.heads, self.chain
         batch = self.batch

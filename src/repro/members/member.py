@@ -23,26 +23,6 @@ from repro.crypto.wrap import EncryptedKey, RekeyMessage, WrapIndex
 from repro.obs import metrics as obs_metrics
 
 
-class AbsorbJournal(dict):
-    """What one journaled :meth:`Member.absorb` did, kept so it can be undone.
-
-    Maps each payload row the member learned a key from to what that key
-    displaced: the member's previous key under the same id, or the bare
-    key id where it held none.  Nothing else of the key map is copied.
-    Entries are in learning order, and the rows are the member's interest
-    in the payload: the rows :meth:`WrapIndex.closure
-    <repro.crypto.wrap.WrapIndex.closure>` derives from the versions it
-    held before.  ``shared`` and ``examined`` are the absorb's opened-table
-    hits and wraps examined, so :meth:`Member.revert` can take its counts
-    back out.
-    """
-
-    __slots__ = ("shared", "examined")
-
-    shared: int
-    examined: int
-
-
 class Member:
     """One group member's key state.
 
@@ -85,8 +65,8 @@ class Member:
         With :meth:`WrapIndex.closure
         <repro.crypto.wrap.WrapIndex.closure>` it derives which packets this
         receiver is interested in (the rekey payload's *sparseness
-        property*, Section 2.2 of the paper): the reference for the rows a
-        journaled :meth:`absorb` reports.
+        property*, Section 2.2 of the paper): the reference for the rows
+        the server names it in.
         """
         return {key_id: key.version for key_id, key in self._keys.items()}
 
@@ -112,7 +92,6 @@ class Member:
         self,
         encrypted_keys: Iterable[EncryptedKey],
         index: Optional[WrapIndex] = None,
-        journal: Optional[AbsorbJournal] = None,
     ) -> List[KeyMaterial]:
         """Unwrap everything reachable from the currently held keys.
 
@@ -141,10 +120,6 @@ class Member:
             builds a private one and opens everything itself, as a
             deployed receiver does; what is learned, and in which order,
             is the same either way.
-        journal:
-            An empty :class:`AbsorbJournal` to fill with the rows learned
-            and the keys they displaced, so the absorb can be reported as
-            the member's interest and undone with :meth:`revert`.
 
         Returns the keys newly learned, in the order learned.
         """
@@ -192,8 +167,6 @@ class Member:
                     opened[row] = payload
                     opened_with[row] = secret
                 payload_id = payload.key_id
-                if journal is not None:
-                    journal[row] = payload_id if current is None else current
                 keys[payload_id] = payload
                 learned.append(payload)
                 # The learned key may itself wrap further keys — and may
@@ -206,34 +179,7 @@ class Member:
             obs_metrics.inc("member.keys_learned", len(learned))
         if shared:
             obs_metrics.inc("member.unwraps_shared", shared)
-        if journal is not None:
-            journal.shared, journal.examined = shared, examined
         return learned
-
-    def revert(self, journal: AbsorbJournal) -> None:
-        """Undo the absorb that filled ``journal``.
-
-        The displaced keys go back newest first, so the member ends up
-        holding the very :class:`KeyMaterial` objects it held before, and
-        the absorb's counts are taken back out (an open that failed ran,
-        and stays counted).  Call it before anything else changes the
-        member's keys.
-        """
-        keys = self._keys
-        for old in reversed(journal.values()):
-            if isinstance(old, str):
-                del keys[old]
-            else:
-                keys[old.key_id] = old
-        learned, shared = len(journal), journal.shared
-        if journal.examined:
-            obs_metrics.inc("member.wraps_examined", -journal.examined)
-        if learned:
-            obs_metrics.inc("member.keys_learned", -learned)
-        if shared:
-            obs_metrics.inc("member.unwraps_shared", -shared)
-        if learned > shared:
-            obs_metrics.inc("crypto.unwraps", shared - learned)
 
     def apply_advances(self, advanced) -> List[KeyMaterial]:
         """Apply ELK/LKH+ one-way advances: ``(key_id, new_version)`` pairs.
