@@ -67,7 +67,9 @@ class ChaosSimulation(GroupRekeyingSimulation):
     :attr:`violations` so a fault schedule's full horizon always runs.
     Departed members double as eavesdropping adversaries: they absorb
     every post-eviction multicast payload before the forward-secrecy
-    check.
+    check.  The checks cover the tracked receivers; the sweep's groups
+    never reach :data:`~repro.sim.simulation.TRACKED_RECEIVERS` joins, so
+    that is every receiver.
     """
 
     def __init__(self, server, config=None, join_attributes=None) -> None:
@@ -94,7 +96,7 @@ class ChaosSimulation(GroupRekeyingSimulation):
         epoch = result.epoch
         self._collect(lambda: check_batch_accounting(result))
         desynced = self._desynced()
-        for member_id, member in self.members.items():
+        for member_id, member in self.tracked.items():
             if member_id in desynced:
                 continue  # legitimately behind until unicast catch-up
             self._collect(

@@ -7,13 +7,11 @@
 * :mod:`repro.members.durations` — membership-duration models: exponential,
   the paper's two-class exponential mixture (Section 3.3.1), and a Zipf
   option (both fits reported by Almeroth–Ammar [AA97]).
-* :mod:`repro.members.arrivals` — join (arrival) processes.
 * :mod:`repro.members.trace` — synthetic MBone-style session traces
   (substitute for the proprietary MBone measurement data, see DESIGN.md §5).
 * :mod:`repro.members.population` — loss-class populations for Section 4.
 """
 
-from repro.members.arrivals import DeterministicArrivals, PoissonArrivals
 from repro.members.durations import (
     ExponentialDuration,
     TwoClassDuration,
@@ -24,14 +22,12 @@ from repro.members.population import LossClass, LossPopulation
 from repro.members.trace import MBoneTraceGenerator, MembershipRecord, trace_statistics
 
 __all__ = [
-    "DeterministicArrivals",
     "ExponentialDuration",
     "LossClass",
     "LossPopulation",
     "MBoneTraceGenerator",
     "Member",
     "MembershipRecord",
-    "PoissonArrivals",
     "TwoClassDuration",
     "ZipfDuration",
     "trace_statistics",

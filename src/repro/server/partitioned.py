@@ -216,6 +216,14 @@ class PartitionedServer:
         """Admitted member ids (unordered)."""
         return list(self._members)
 
+    def registration(self, member_id: str) -> Registration:
+        """What admitted member ``member_id`` received at join; raises
+        ``KeyError`` for non-members (pending joiners included)."""
+        registration = self._members.get(member_id)
+        if registration is None:
+            raise KeyError(f"member {member_id!r} unknown to {self.group!r}")
+        return registration
+
     def join(self, member_id: str, at_time: float = 0.0, **attributes) -> Registration:
         """Register a joiner; admitted at the next :meth:`rekey`.
 
@@ -480,11 +488,9 @@ class PartitionedServer:
         non-members (pending joiners included — they have nothing to
         recover until admitted).
         """
-        registration = self._members.get(member_id)
-        if registration is None:
-            raise KeyError(f"member {member_id!r} unknown to {self.group!r}")
+        individual_key = self.registration(member_id).individual_key
         return [
-            wrap_key(registration.individual_key, key)
+            wrap_key(individual_key, key)
             for key in self._current_keys_of(member_id)
         ]
 

@@ -1,9 +1,18 @@
 """The end-to-end group-rekeying simulation.
 
 Wires together: an arrival process and duration model (the workload), a
-key server (any scheme from :mod:`repro.server`), real :class:`Member`
-state machines, an optional reliable rekey transport over a lossy
-multicast channel, and per-rekey verification of the security invariants.
+key server (any scheme from :mod:`repro.server`), an optional reliable
+rekey transport over a lossy multicast channel, real :class:`Member`
+state machines for a tracked sample of the receivers, and per-rekey
+verification of the security invariants.
+
+The server names who needs each payload row (the sparseness property,
+Section 2.2), so a receiver needs no key state to be delivered to: only
+the tracked receivers hold a :class:`Member` and absorb.  They are the
+first :data:`TRACKED_RECEIVERS` joiners (a later joiner takes the slot a
+tracked member left), every receiver the transport abandons (rebuilt
+from its registration; its unicast catch-up restores it), and the
+``departed_sample`` most recent tracked departures.
 
 Time is seconds; rekeying is periodic (``Tp``); joins/leaves between rekey
 points accumulate into the next batch exactly as in Section 2.1.1.
@@ -35,6 +44,12 @@ from repro.sim.engine import EventLoop
 from repro.sim.metrics import RekeyRecord, SimulationMetrics
 from repro.transport.session import TransportExhausted, TransportTask
 
+#: Live receivers that hold a :class:`Member`, at most, not counting
+#: those the transport abandoned: the size of ``server_full_64k``'s
+#: sample.  The others are ids only — delivered to, booked by the latency
+#: tracker, and named by the audience derivation the sample checks.
+TRACKED_RECEIVERS = 256
+
 
 @dataclass
 class SimulationConfig:
@@ -58,18 +73,23 @@ class SimulationConfig:
         A transport protocol instance (``run(task, channel)``), or None to
         count server cost only.
     verify:
-        Check security invariants after every rekeying (slows large runs).
+        Check security invariants after every rekeying, on the tracked
+        receivers (see :data:`TRACKED_RECEIVERS`): each one absorbing
+        learns exactly as many keys as the payload rows that name it,
+        each one in sync holds the group key, and no recently departed
+        one does.  What that proves for the untracked receivers is in
+        ``docs/security.md``.
     departed_sample:
-        How many recently departed members to retain for forward-secrecy
-        checks.
+        How many recently departed tracked members to retain for
+        forward-secrecy checks.
     seed:
         Workload RNG seed (the channel RNG derives from it).
     cost_only:
-        Skip receiver state machines entirely: no :class:`Member` objects,
-        no absorbing, only server-side costs are collected.  The regime of
-        the paper's analytic results (cost = number of encrypted keys),
-        and the fast path for very large groups.  Incompatible with
-        ``transport`` and ``verify`` (both need real receivers).
+        Track no receiver: no :class:`Member` objects, no absorbing, no
+        latency records; only server-side costs are collected.  The regime
+        of the paper's analytic results (cost = number of encrypted keys).
+        Incompatible with ``transport`` and ``verify`` (both need
+        receivers).
     deferred_wrap:
         Inert; kept so existing callers still construct.  Every payload
         row seals on the first read of its ciphertext (see
@@ -153,8 +173,11 @@ class GroupRekeyingSimulation:
             )
         else:
             self.channel = MulticastChannel(seed=self.config.seed + 1)
-        #: member_id -> state machine (None per member in cost-only runs).
+        #: member_id -> state machine, None for a receiver not tracked.
         self.members: Dict[str, Optional[Member]] = {}
+        #: The receivers that hold a state machine, in the order they got
+        #: one: only these absorb and are verified.
+        self.tracked: Dict[str, Member] = {}
         #: loss rate -> the one (stateless) process its members share
         self._loss_processes: Dict[float, BernoulliLoss] = {}
         # Bound once: every member's departure event holds this one method.
@@ -213,11 +236,10 @@ class GroupRekeyingSimulation:
             attributes = self._default_join_attributes(member_class, loss_rate)
 
         registration = self.server.join(member_id, at_time=now, **attributes)
-        member = (
-            None
-            if self.config.cost_only
-            else Member(member_id, registration.individual_key)
-        )
+        member = None
+        if self._tracks_joiner():
+            member = Member(member_id, registration.individual_key)
+            self.tracked[member_id] = member
         self.members[member_id] = member
         if self.config.transport is not None:
             # Only a transport draws from the channel.
@@ -227,6 +249,13 @@ class GroupRekeyingSimulation:
             self.channel.subscribe(member_id, loss)
         self.loop.schedule(now + duration, self._depart_event, member_id)
         return member_id
+
+    def _tracks_joiner(self) -> bool:
+        """Whether the next joiner gets a :class:`Member`: while the tracked
+        receivers hold fewer than :data:`TRACKED_RECEIVERS`, never in a
+        cost-only run.  Nothing is drawn, so the join order alone fixes
+        who is tracked."""
+        return not self.config.cost_only and len(self.tracked) < TRACKED_RECEIVERS
 
     def _arrive(self) -> None:
         self._admit_new_member()
@@ -250,6 +279,7 @@ class GroupRekeyingSimulation:
                 member_id, since, self.loop.now, reason="departed"
             )
         if member is not None:
+            del self.tracked[member_id]
             self.departed.append(member)
             if len(self.departed) > self.config.departed_sample:
                 self.departed.pop(0)
@@ -352,15 +382,17 @@ class GroupRekeyingSimulation:
                     )
 
     def _deliver_batch(self, result: BatchResult, now: float) -> None:
-        """Transport the batch payload, let its receivers absorb it, handle
-        degradation, verify, record.
+        """Transport the batch payload, let the tracked receivers absorb it,
+        handle degradation, verify, record.
 
         One receiver pass per epoch, after delivery: the server names who
         needs each row (the sparseness property, Section 2.2), the
-        transport delivers, and every in-sync member it did not abandon
-        absorbs once; with ``verify``, learning exactly as many keys as the
-        rows that name it.  An abandoned receiver keeps its pre-epoch keys
-        and goes OUT_OF_SYNC, outside the ``receiver.*`` records.
+        transport delivers, and every in-sync receiver it did not abandon
+        is delivered; the tracked ones among them absorb once, with
+        ``verify`` learning exactly as many keys as the rows that name
+        them.  An abandoned receiver keeps its pre-epoch keys and goes
+        OUT_OF_SYNC, outside the delivered; one not tracked gets a
+        :class:`Member` for its unicast catch-up to restore.
         """
         transport_keys = transport_packets = transport_rounds = 0
         transport_elapsed = 0.0
@@ -371,18 +403,27 @@ class GroupRekeyingSimulation:
         registry = obs_metrics.active_registry()
         config, transport = self.config, self.config.transport
         if not config.cost_only:
+            members, tracked = self.members, self.tracked
             if result.advanced:
-                # ELK/LKH+ one-way advances: every member computes locally.
-                for member in self.members.values():
+                # ELK/LKH+ one-way advances: each member computes locally.
+                for member in tracked.values():
                     member.apply_advances(result.advanced)
             if result.encrypted_keys:
                 gave_up: Set[str] = set()
                 named: Optional[Counter] = None
                 if transport is not None or config.verify:
                     audiences = self.server.audiences(result)
-                    if config.verify or registry is not None:
-                        # Rows per receiver, counted before any delivery.
+                    # Rows per receiver, counted before any delivery: every
+                    # receiver's for the registry, else the tracked ones'.
+                    if registry is not None:
                         named = Counter(chain.from_iterable(audiences.values()))
+                    elif config.verify:
+                        sample = set(tracked)
+                        named = Counter(
+                            chain.from_iterable(
+                                audience & sample for audience in audiences.values()
+                            )
+                        )
                 if transport is not None:
                     if registry is not None:
                         registry.observe_many(
@@ -419,32 +460,42 @@ class GroupRekeyingSimulation:
                     if registry is not None:
                         registry.inc("transport.keys_sent", outcome.keys_sent)
                         registry.inc("transport.packets_sent", outcome.packets_sent)
-                # Receivers walk in roster order, so the events below do not
-                # depend on set iteration (the hash seed).  OUT_OF_SYNC
-                # receivers lack wraps they would need, and one the transport
-                # gave up on joins them: the unicast catch-up path owns them.
+                # Receivers go out of sync in roster order, so the events
+                # below do not depend on set iteration (the hash seed).
+                # OUT_OF_SYNC receivers lack wraps they would need, and one
+                # the transport gave up on joins them: the unicast catch-up
+                # path owns them.
                 with obs_tracing.span("deliver") as deliver_span:
-                    index, desynced = result.index(), self._desynced()
-                    tracker, delay = self.sync_tracker, config.recovery_delay
-                    learned: Dict[str, int] = {}
-                    for member_id, member in self.members.items():
-                        if member_id in gave_up:
-                            abandoned.append(member_id)
+                    desynced = self._desynced()
+                    if gave_up:
+                        abandoned = [rid for rid in members if rid in gave_up]
+                        tracker, delay = self.sync_tracker, config.recovery_delay
+                        for member_id in abandoned:
                             tracker.mark_out_of_sync(member_id, result.epoch, now)
                             self.loop.schedule(now + delay, self._catch_up, member_id)
-                        elif member_id not in desynced:
-                            keys = member.absorb(result.encrypted_keys, index=index)
-                            learned[member_id] = len(keys)
-                            if config.verify and len(keys) != named[member_id]:
-                                raise AssertionError(
-                                    f"member {member_id} learned {len(keys)} keys "
-                                    f"in epoch {result.epoch} from "
-                                    f"{named[member_id]} rows naming it"
+                            if members[member_id] is None:
+                                registration = self.server.registration(member_id)
+                                members[member_id] = tracked[member_id] = Member(
+                                    member_id, registration.individual_key
                                 )
-                    deliver_span.set("receivers", len(learned))
-                if registry is not None:
-                    registry.observe_many("receiver.keys_learned", [*learned.values()])
-                self.latency.observe_deliveries(learned, result.epoch, completed, late)
+                    delivered = (
+                        [rid for rid in members if rid not in desynced]
+                        if desynced
+                        else list(members)
+                    )
+                    index = result.index()
+                    for member_id, member in tracked.items():
+                        if member_id in desynced:
+                            continue
+                        keys = member.absorb(result.encrypted_keys, index=index)
+                        if config.verify and len(keys) != named[member_id]:
+                            raise AssertionError(
+                                f"member {member_id} learned {len(keys)} keys "
+                                f"in epoch {result.epoch} from "
+                                f"{named[member_id]} rows naming it"
+                            )
+                    deliver_span.set("receivers", len(delivered))
+                self.latency.observe_deliveries(delivered, result.epoch, completed, late)
                 self.latency.epoch_complete(result.epoch)
         if self.config.verify:
             self._verify(result)
@@ -482,13 +533,13 @@ class GroupRekeyingSimulation:
     def _verify(self, result: BatchResult) -> None:
         """Security invariants after a rekeying.
 
-        * every admitted member holds the current group key (exact id and
-          version);
-        * no recently departed member holds it.
+        * every tracked member in sync holds the current group key (exact
+          id and version);
+        * no recently departed tracked member holds it.
         """
         dek = self.server.group_key()
         desynced = self._desynced()
-        for member_id, member in self.members.items():
+        for member_id, member in self.tracked.items():
             if member_id in desynced:
                 # Legitimately behind until its unicast catch-up lands.
                 continue

@@ -20,6 +20,12 @@ the reference that naming is tested against.  :func:`audiences_of` turns
 the per-receiver view a test writes into the audiences a
 :class:`~repro.transport.session.TransportTask` takes.
 
+The simulator keeps a :class:`~repro.members.member.Member` for a
+tracked sample of its receivers only;
+:class:`EveryReceiverSimulation` tracks every one, so each absorbs every
+payload it is delivered and is verified — the reference a sampled run's
+records are tested against.
+
 Importing this module loads the reference kernel, so nothing on the
 product path imports it; :mod:`repro.testing` does not either.
 """
@@ -31,6 +37,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set
 from repro.crypto.wrap import EncryptedKey, RekeyMessage, WrapIndex
 from repro.members.member import Member
 from repro.server.partitioned import PartitionedServer
+from repro.sim.simulation import GroupRekeyingSimulation
 from repro.testing.lkh import LkhRekeyer
 from repro.testing.serialize import tree_from_dict
 from repro.transport.session import TransportTask
@@ -126,3 +133,18 @@ def build_task(
             {rid: index.closure(versions) for rid, versions in held_versions.items()}
         ),
     )
+
+
+class EveryReceiverSimulation(GroupRekeyingSimulation):
+    """The simulator with every receiver tracked (none in a cost-only run).
+
+    Each joiner gets a :class:`~repro.members.member.Member` whatever the
+    size of the group, so every in-sync receiver absorbs each payload,
+    ``verify`` count-checks and holds each one to the group key, and the
+    departed sample keeps the most recent departures of all.  Its
+    records, transport outcomes and latency records are the sampled
+    simulator's, receiver for receiver.
+    """
+
+    def _tracks_joiner(self) -> bool:
+        return not self.config.cost_only

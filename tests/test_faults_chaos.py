@@ -12,7 +12,7 @@ from repro.faults.schedule import FaultSchedule
 from repro.members.durations import TwoClassDuration
 from repro.members.population import LossPopulation
 from repro.server.onetree import OneTreeServer
-from repro.sim.simulation import SimulationConfig
+from repro.sim.simulation import TRACKED_RECEIVERS, SimulationConfig
 from repro.transport.wka_bkr import WkaBkrProtocol
 
 
@@ -122,6 +122,34 @@ def test_full_sweep_reproduces_committed_report(tmp_path):
         for host_field in ("platform", "python"):
             del report[host_field]
     assert fresh == committed
+
+
+def test_the_sweep_checks_every_receiver():
+    """The chaos checks run on the tracked receivers, and no run of the
+    pinned sweep admits as many joiners as the tracked sample holds: each
+    of its receivers holds a ``Member`` from its join on, so every one is
+    checked (the sweep reproduces the pin, above)."""
+    committed = json.loads(
+        (Path(__file__).resolve().parent.parent / "BENCH_chaos.json").read_text()
+    )
+    assert max(run["joins"] for run in committed["runs"]) < TRACKED_RECEIVERS
+    config = SimulationConfig(
+        arrival_rate=0.05,
+        rekey_period=60.0,
+        horizon=900.0,
+        duration_model=TwoClassDuration(),
+        loss_population=LossPopulation.two_point(),
+        transport=WkaBkrProtocol(
+            keys_per_packet=16, retry=RetryPolicy(max_rounds=8, abandon_after=4)
+        ),
+        verify=True,
+        seed=7,
+        fault_schedule=FaultSchedule.named("blackout-resync", 900.0),
+    )
+    sim = ChaosSimulation(OneTreeServer(), config)
+    sim.run()
+    assert sim.metrics.abandoned_total > 0
+    assert sim.members and sim.tracked == sim.members
 
 
 def test_chaos_simulation_detects_planted_violation():

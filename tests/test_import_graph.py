@@ -88,8 +88,6 @@ UNREACHED = {
     # Section 3.4's estimator: only examples/adaptive_speriod.py and its
     # tests drive it.
     "repro.server.adaptive": "items 3(d), 5(b)",
-    # The simulator draws its own exponential gaps; only its tests use it.
-    "repro.members.arrivals": "item 16(c), the deletion deadline",
 }
 
 ROOTS = [

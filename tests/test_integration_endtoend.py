@@ -68,15 +68,18 @@ def test_every_scheme_with_every_transport(make_server, make_transport):
 
 @pytest.mark.slow
 def test_data_plane_end_to_end_after_simulation():
-    """After the simulated session, present members decrypt fresh traffic;
-    the most recently departed member cannot."""
+    """After the simulated session, present tracked members decrypt fresh
+    traffic; the most recently departed member cannot."""
     server = TwoPartitionServer(mode="tt", s_period=180.0)
     sim = GroupRekeyingSimulation(server, config())
     sim.run()
     assert sim.members, "simulation should end with live members"
+    assert sim.tracked, "simulation should end with tracked members"
     dek = server.group_key()
     blob = encrypt(dek.secret, b"final", b"stream payload")
     for member in sim.members.values():
+        if member is None:  # untracked: holds no keys of its own
+            continue
         assert member.decrypt_data(dek.key_id, b"final", blob) == b"stream payload"
     for departed in sim.departed:
         with pytest.raises((AuthenticationError, KeyError)):

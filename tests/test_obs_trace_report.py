@@ -22,7 +22,6 @@ def observed_run():
         bundle.registry.observe("server.batch_cost", 12)
         bundle.registry.observe("epoch.group_size", 100)
         bundle.registry.observe("epoch.departures", 1)
-        bundle.registry.observe("receiver.keys_learned", 3)
         bundle.registry.observe("receiver.interest_keys", 3)
         bundle.registry.inc("member.keys_learned", 3)
         bundle.registry.inc("member.unwraps_shared", 2)
@@ -89,7 +88,8 @@ def test_summary_reports_spans_shards_and_analytic(tmp_path):
     assert summary["shard_imbalance"] == pytest.approx(1.6, abs=0.01)
 
     assert summary["receiver"]["deliveries"] == 1
-    assert summary["receiver"]["mean_decrypts_per_delivery"] == 3
+    assert summary["receiver"]["mean_interest_keys_per_delivery"] == 3
+    assert "mean_decrypts_per_delivery" not in summary["receiver"]
     assert summary["receiver"]["shared_unwrap_share"] == 0.667
 
     analytic = summary["analytic"]

@@ -16,6 +16,12 @@ A receiver the transport abandons ends the epoch holding exactly the key
 objects it held before, OUT_OF_SYNC, with the counters reading as if it
 never absorbed, and recovers over unicast as before; and the events a
 seeded faulty run writes do not depend on the hash seed.
+
+Only the tracked receivers hold keys (``TRACKED_RECEIVERS``).  In a group
+above the sample the oracle holds every tracked receiver to its rows and
+every other named receiver to the in-sync roster, and an untracked
+receiver the transport abandons holds its individual key alone until its
+catch-up.
 """
 
 import json
@@ -33,7 +39,11 @@ from repro.faults.schedule import Blackout, ChurnStorm, FaultSchedule, ServerCra
 from repro.members.member import Member
 from repro.members.population import LossPopulation
 from repro.obs import metrics as obs_metrics
-from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
+from repro.sim.simulation import (
+    TRACKED_RECEIVERS,
+    GroupRekeyingSimulation,
+    SimulationConfig,
+)
 from repro.testing import scheme_specs
 from repro.transport.fec import ProactiveFecProtocol
 from repro.transport.multisend import MultiSendProtocol
@@ -69,8 +79,8 @@ HORIZON = 300.0
 ABSORB = Member.absorb
 
 
-def _schedule(name):
-    storm = ChurnStorm(at_time=0.0, joins=40)
+def _schedule(name, joins=40):
+    storm = ChurnStorm(at_time=0.0, joins=joins)
     if name == "crash-restore":
         faults = [storm, ServerCrash(at_time=110.0), ServerCrash(at_time=230.0)]
     else:  # a blackout over two rekey points: receivers are abandoned
@@ -82,7 +92,7 @@ def _schedule(name):
     return FaultSchedule.of(faults, name=name)
 
 
-def _simulation(server, transport, schedule):
+def _simulation(server, transport, schedule, joins=40):
     config = SimulationConfig(
         arrival_rate=0.1,
         rekey_period=60.0,
@@ -91,7 +101,7 @@ def _simulation(server, transport, schedule):
         transport=transport,
         verify=True,
         seed=11,
-        fault_schedule=_schedule(schedule),
+        fault_schedule=_schedule(schedule, joins),
         recovery_delay=30.0,
     )
     return GroupRekeyingSimulation(server, config)
@@ -107,12 +117,14 @@ def learn(member_id, held, payload, index=None):
     return learned, {k: (key.version, key.secret) for k, key in member._keys.items()}
 
 
-def check_named(batch, audiences, held_by_receiver):
-    """The order-free audience oracle: every receiver named in exactly the
-    rows it needs.  Returns how many named rows wrap under a key their
-    receiver learns in the same pass."""
+def check_named(batch, audiences, held_by_receiver, roster=None):
+    """The order-free audience oracle: every receiver of ``held_by_receiver``
+    named in exactly the rows it needs, and no row naming one outside
+    ``roster`` (default: those receivers).  Returns how many named rows
+    wrap under a key their receiver learns in the same pass."""
     named = interest_of(audiences)
-    assert set(named) <= set(held_by_receiver), "a row names an absent receiver"
+    roster = held_by_receiver if roster is None else roster
+    assert set(named) <= set(roster), "a row names an absent receiver"
     full_index = WrapIndex(batch)
     chained = 0
     for rid, held in held_by_receiver.items():
@@ -135,14 +147,18 @@ class PassSpy:
     catch-up of one run.
 
     When the transport runs, before any receiver of the epoch absorbs, it
-    records every in-sync member's key map and holds the task's audiences
-    to the oracle; after the epoch it checks every abandoned receiver
-    against its recorded key map.
+    records every in-sync tracked member's key map and holds the task's
+    audiences to the oracle; after the epoch it checks every abandoned
+    receiver against its recorded key map (an untracked one against its
+    individual key).
     """
 
     def __init__(self, monkeypatch, sim):
         self.sim = sim
-        self.before = {}  # member id -> key map before this epoch's pass
+        self.in_sync = []  # receiver ids in sync before this epoch's pass
+        self.before = {}  # tracked id -> key map before this epoch's pass
+        self.checked = []  # receivers held to their rows, per epoch
+        self.untracked_abandoned = 0
         self.tasks = []  # (payload, audiences, key maps) per delivery
         self.epochs = 0
         self.chained = 0  # named rows wrapped under a key learned in-pass
@@ -172,7 +188,7 @@ class PassSpy:
         deliver = sim._deliver_batch
 
         def spy_deliver(result, now):
-            self.before = {}
+            self.in_sync, self.before = [], {}
             deliver(result, now)
             self.check_epoch(sim.metrics.records[-1])
 
@@ -198,21 +214,29 @@ class PassSpy:
     def check_audiences(self, task):
         self.epochs += 1
         desynced = self.sim.sync_tracker.desynced
+        members = self.sim.members
+        self.in_sync = [rid for rid in members if rid not in desynced]
         self.before = {
-            rid: dict(member._keys)
-            for rid, member in self.sim.members.items()
-            if rid not in desynced
+            rid: dict(members[rid]._keys)
+            for rid in self.in_sync
+            if members[rid] is not None
         }
         self.tasks.append((task.keys, task.audiences, self.before))
-        self.chained += check_named(task.keys, task.audiences, self.before)
+        self.chained += check_named(
+            task.keys, task.audiences, self.before, roster=self.in_sync
+        )
+        self.checked.append(len(self.before))
 
     def check_epoch(self, record):
         desynced = self.sim.sync_tracker.desynced
-        out = [rid for rid in self.before if rid in desynced]
+        out = [rid for rid in self.in_sync if rid in desynced]
         assert len(out) == record.abandoned
         for rid in out:
             member = self.sim.members[rid]
-            before = self.before[rid]
+            before = self.before.get(rid)
+            if before is None:  # untracked: built from its registration
+                before = {f"member:{rid}": member.key(f"member:{rid}")}
+                self.untracked_abandoned += 1
             assert member._keys.keys() == before.keys()
             assert all(member._keys[k] is before[k] for k in before)
             assert self.sim.sync_tracker.state_of(rid) is SyncState.OUT_OF_SYNC
@@ -239,6 +263,28 @@ def test_interest_is_the_closure_before_the_pass(
         assert metrics.server_crashes == 2
     else:
         assert metrics.abandoned_total == spy.abandoned > 0
+
+
+def test_interest_above_the_sample(monkeypatch):
+    """In a group above the tracked sample the oracle holds every tracked
+    receiver to its rows each epoch, names no receiver outside the in-sync
+    roster, and an untracked receiver the transport abandons recovers
+    over unicast what the receiver it was would have."""
+    sim = _simulation(
+        SPECS[0].factory(), TRANSPORTS["wka-bkr"](), "abandoning", joins=600
+    )
+    spy = PassSpy(monkeypatch, sim)
+    spy.spy_catch_ups(monkeypatch)
+    metrics = sim.run()
+    abandoning = [r for r in metrics.records if r.abandoned]
+    assert abandoning and all(r.group_size > TRACKED_RECEIVERS for r in abandoning)
+    assert spy.epochs == len(metrics.records)
+    assert min(spy.checked) > 0 and max(spy.checked) <= TRACKED_RECEIVERS + spy.abandoned
+    assert metrics.abandoned_total == spy.abandoned
+    assert spy.untracked_abandoned > 0
+    for (rid, learned), (ref_rid, reference) in zip(spy.catch_ups, spy.references):
+        assert rid == ref_rid
+        assert [key.handle for key in learned] == [key.handle for key in reference]
 
 
 def test_the_oracle_is_not_vacuous(monkeypatch):
