@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterator
 
 KEY_SIZE = 32
 """Secret length in bytes (SHA-256 output size)."""
@@ -110,8 +112,28 @@ class KeyMaterial:
         invert the hash to read pre-join traffic.  Never use for
         *departures*: the departed member could advance right along.
         """
-        secret = hmac.new(self.secret, b"repro-advance", hashlib.sha256).digest()
-        return KeyMaterial(key_id=self.key_id, version=self.version + 1, secret=secret)
+        return KeyMaterial(
+            key_id=self.key_id,
+            version=self.version + 1,
+            secret=advance_secret(self.secret),
+        )
+
+
+def advance_secret(secret: bytes) -> bytes:
+    """The one-way step ``H(K_v)`` behind :meth:`KeyMaterial.advance`."""
+    return hmac.new(secret, b"repro-advance", hashlib.sha256).digest()
+
+
+_sha256 = hashlib.sha256  # bound once: every fresh key comes through _derive
+
+
+def _derive(root: bytes, counter: int) -> bytes:
+    """The :class:`KeyGenerator` secret at ``counter``: one SHA-256 over
+    ``root || counter`` — the root is secret and fixed-length, so the
+    keyed-hash construction is sound here and roughly halves per-key
+    derivation cost versus HMAC (every marked tree node of a batch needs
+    a fresh key)."""
+    return _sha256(root + counter.to_bytes(8, "big")).digest()
 
 
 # The slots' own setters: the frozen ``__setattr__`` refuses writes, and
@@ -125,7 +147,7 @@ class KeyGenerator:
     """Deterministic factory for fresh :class:`KeyMaterial`.
 
     A real key server would draw from a CSPRNG; for reproducible simulations
-    we derive each fresh key from a seed and a counter with HMAC-SHA256.
+    we derive each fresh key from a seed and a counter with SHA-256.
     Two generators with the same seed emit the same key sequence, which
     makes simulation runs replayable.
     """
@@ -148,18 +170,26 @@ class KeyGenerator:
         return generator
 
     def fresh_secret(self) -> bytes:
-        """Return ``KEY_SIZE`` fresh pseudo-random bytes.
-
-        One SHA-256 over ``root || counter`` — the root is secret and
-        fixed-length, so the keyed-hash construction is sound here and
-        roughly halves per-key derivation cost versus HMAC (key generation
-        is on the batch-rekeying hot path: every marked tree node needs a
-        fresh key).
-        """
+        """Return ``KEY_SIZE`` fresh pseudo-random bytes (the next counter
+        draw)."""
         self._counter += 1
-        return hashlib.sha256(
-            self._root + self._counter.to_bytes(8, "big")
-        ).digest()
+        return _derive(self._root, self._counter)
+
+    def fresh_secrets(self, count: int) -> Iterator[bytes]:
+        """The next ``count`` secrets, equal to ``count`` calls of
+        :meth:`fresh_secret` in a row.
+
+        The draws are taken at the call; each secret is derived as it is
+        read, so a caller storing them one by one over the keys they
+        replace never holds both sets (a bulk build of N members at degree
+        d refreshes about N / (d - 1) keys).
+        """
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        start = self._counter
+        self._counter = start + count
+        counters = range(start + 1, start + count + 1)
+        return map(_derive, repeat(self._root, count), counters)
 
     def generate(self, key_id: str, version: int = 0) -> KeyMaterial:
         """Create fresh key material for ``key_id`` at ``version``."""

@@ -193,14 +193,6 @@ class FaultSchedule:
         return any(w.active(now) for w in self.jitters)
 
     # ------------------------------------------------------------------
-    # sim-side queries
-    # ------------------------------------------------------------------
-
-    def crashes_in(self, t0: float, t1: float) -> List[ServerCrash]:
-        """Crash points in ``(t0, t1]`` (consumed once per rekey window)."""
-        return [c for c in self.crashes if t0 < c.at_time <= t1]
-
-    # ------------------------------------------------------------------
     # canned and randomized schedules
     # ------------------------------------------------------------------
 

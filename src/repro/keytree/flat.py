@@ -19,15 +19,18 @@ collection generation walks them.  This module stores the same tree as a struct-
     _leafcnt       [  9,      4,     1,      1,   ... ]
     _gen           [  0,      0,     2,      1,   ... ]   slot reuse generation
 
-Batch marking is index arithmetic over ``_parent`` chains, key refresh is
-a straight counter/sha256 loop storing each digest in its slot, and wraps
-hand the child's and the node's slot objects to the rows of the message's
-:class:`~repro.crypto.wrap.WrapBatch` — no per-node or per-wrap objects
-are created, and no secret is copied.  A slot's secret is one immutable
-``bytes``: a leaf's is its member's own ``KeyMaterial.secret``, an
-internal node's the digest its last refresh drew.  A refresh replaces the
-object and never mutates it, so a payload row that still references the
-old one seals with the key as it was when the row was added.
+Every join, single or batched, is placed by one loop
+(:meth:`FlatKeyTree._attach_members`).  Batch marking is index arithmetic
+over ``_parent`` chains, key refresh stores each secret one
+:meth:`~repro.crypto.material.KeyGenerator.fresh_secrets` call drew in
+its slot, and wraps hand the child's and the node's slot objects to the
+rows of the message's :class:`~repro.crypto.wrap.WrapBatch` — no
+per-node or per-wrap objects are created, and no secret is copied.  A
+slot's secret is one immutable ``bytes``: a leaf's is its member's own
+``KeyMaterial.secret``, an internal node's the digest its last refresh
+drew.  A refresh replaces the object and never mutates it, so a payload
+row that still references the old one seals with the key as it was when
+the row was added.
 
 Byte-identity contract
 ----------------------
@@ -60,12 +63,15 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import hashlib
 import heapq
-import hmac
 from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.crypto.material import KEY_SIZE, KeyGenerator, KeyMaterial
+from repro.crypto.material import (
+    KEY_SIZE,
+    KeyGenerator,
+    KeyMaterial,
+    advance_secret,
+)
 from repro.crypto.wrap import RekeyMessage
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
@@ -523,13 +529,7 @@ class FlatKeyTree:
 
     def _fresh_internal(self) -> int:
         node_id = f"{self.name}/n{self._next_seq()}"
-        # Inlined KeyGenerator.fresh_secret (same counter draw).
-        keygen = self.keygen
-        keygen._counter = counter = keygen._counter + 1
-        secret = hashlib.sha256(
-            keygen._root + counter.to_bytes(8, "big")
-        ).digest()
-        return self._alloc(node_id, 0, secret, None)
+        return self._alloc(node_id, 0, self.keygen.fresh_secret(), None)
 
     def add_member(
         self, member_id: str, key: Optional[KeyMaterial] = None
@@ -537,79 +537,128 @@ class FlatKeyTree:
         return FlatNodeView(self, self._add_member_slot(member_id, key))
 
     def _add_member_slot(
-        self, member_id: str, key: Optional[KeyMaterial] = None, count: bool = True
+        self, member_id: str, key: Optional[KeyMaterial] = None
     ) -> int:
-        """Insert a leaf for ``member_id``; returns its slot.
+        """Insert a leaf for ``member_id``, a batch of one; returns its slot."""
+        # Unpacking runs the generator to its end, write-backs included.
+        ((__, leaf),) = self._attach_members(((member_id, key),))
+        return leaf
 
-        ``count=False`` skips the per-add ``keytree.add_member`` bump so
-        batch callers can count once with ``n=len(joins)`` — totals stay
-        equal to the object kernel's per-call counting.
+    def _attach_members(
+        self, joins: Sequence[Tuple[str, Optional[KeyMaterial]]]
+    ) -> Iterator[Tuple[str, int]]:
+        """Give each ``(member_id, key)`` join a leaf, in order; yields
+        ``(member_id, slot)`` after each attach.
+
+        The tree's one placement rule: a new leaf goes under the shallowest
+        open internal node (earliest noted first on a tie), else it splits
+        the shallowest leaf.  ``key`` is the member's individual key, id
+        ``"member:<member_id>"``; None draws a fresh secret at version 0.
+        The batch rekeyer marks each new leaf's path between yields, so
+        marking order is join order.  The sequence counter is held in a
+        local: it is written back around a split and when the generator
+        ends, on an error too, so nothing may draw from it between yields.
         """
-        if member_id in self._member_leaf:
-            raise ValueError(f"member {member_id!r} already in tree {self.name!r}")
-        leaf_id = f"member:{member_id}"
-        if key is None:
-            version = 0
-            # Inlined KeyGenerator.fresh_secret (same counter draw).
-            keygen = self.keygen
-            keygen._counter = counter = keygen._counter + 1
-            secret = hashlib.sha256(
-                keygen._root + counter.to_bytes(8, "big")
-            ).digest()
-        else:
-            if key.key_id != leaf_id:
-                raise ValueError(
-                    f"flat kernel requires individual key id {leaf_id!r}, "
-                    f"got {key.key_id!r}"
-                )
-            leaf_id = key.key_id  # shared with the key, as in the batch path
-            version = key.version
-            secret = key.secret
-        idx = self._alloc(leaf_id, version, secret, member_id)
-        self._attach_leaf(idx)
-        self._member_leaf[member_id] = idx
-        self._trim_heaps()
-        if count:
-            obs_metrics.inc("keytree.add_member")
-        return idx
-
-    def _attach_leaf(self, leaf: int) -> None:
-        target = self._pop_open_internal()
-        if target is not None:
-            target_idx, target_depth = target
-            self._add_child(target_idx, leaf)
-            self._depthv[leaf] = target_depth + 1
-            # Adding a child changes neither the target's depth nor the
-            # leaf's (= target + 1): both notes reuse the depth the pop
-            # just validated instead of re-walking the parent chain.
-            # _note_candidates is inlined here — the target is internal
-            # (open-heap note iff a slot remains), the new leaf always
-            # notes into the split heap — drawing the same seq values.
-            seq = self._seq_value
-            gens = self._gen
-            if self._nchild[target_idx] < self.degree:
-                heapq.heappush(
-                    self._open_internal,
-                    (target_depth, seq, target_idx, gens[target_idx]),
-                )
-                seq += 1
-            heapq.heappush(
-                self._split_candidates,
-                (target_depth + 1, seq, leaf, gens[leaf]),
-            )
-            self._seq_value = seq + 1
+        if not joins:
             return
-        victim = self._pop_split_candidate()
-        if victim is None:
-            raise RuntimeError("key tree has no attachment point")
-        victim_idx, victim_depth = victim
-        self._split_leaf(victim_idx, leaf, victim_depth)
+        ids, parents, member = self._ids, self._parent, self._member
+        child, nchild, versions = self._child, self._nchild, self._versions
+        leafcnt, depthv, gens = self._leafcnt, self._depthv, self._gen
+        secrets, index, free = self._secrets, self._index, self._free
+        member_leaf, nil_row, degree = self._member_leaf, self._nil_row, self.degree
+        open_heap, split_heap = self._open_internal, self._split_candidates
+        heappush, heappop = heapq.heappush, heapq.heappop
+        heapreplace = heapq.heapreplace
+        self._leafcnt_fresh = False
+        seq = self._seq_value
+        try:
+            for member_id, key in joins:
+                if member_id in member_leaf:
+                    raise ValueError(
+                        f"member {member_id!r} already in tree {self.name!r}"
+                    )
+                leaf_id = f"member:{member_id}"
+                if key is None:
+                    version, secret = 0, self.keygen.fresh_secret()
+                elif key.key_id != leaf_id:
+                    raise ValueError(
+                        f"flat kernel requires individual key id {leaf_id!r}, "
+                        f"got {key.key_id!r}"
+                    )
+                else:
+                    # The key's own id string, not an equal copy: the
+                    # registration already holds it for the member's life.
+                    leaf_id, version, secret = key.key_id, key.version, key.secret
+                if free:
+                    # _alloc's reuse branch: the slot's generation was bumped
+                    # when it was freed, so its old heap entries are dead.
+                    leaf = free.pop()
+                    parents[leaf] = NIL
+                    nchild[leaf] = 0
+                    ids[leaf] = leaf_id
+                    member[leaf] = member_id
+                    versions[leaf] = version
+                    leafcnt[leaf] = 1
+                    depthv[leaf] = 0
+                    secrets[leaf] = secret
+                else:
+                    leaf = len(ids)
+                    parents.append(NIL)
+                    child.extend(nil_row)
+                    nchild.append(0)
+                    ids.append(leaf_id)
+                    member.append(member_id)
+                    versions.append(version)
+                    secrets.append(secret)
+                    leafcnt.append(1)
+                    depthv.append(0)
+                    gens.append(0)
+                index[leaf_id] = leaf
+                while open_heap:
+                    depth, __, target, gen = open_heap[0]
+                    if (
+                        gens[target] != gen
+                        or member[target] is not None
+                        or nchild[target] >= degree
+                    ):
+                        heappop(open_heap)
+                        continue
+                    actual = depthv[target]
+                    if actual != depth:
+                        # Stale depth: re-key the entry, one sequence draw.
+                        heapreplace(open_heap, (actual, seq, target, gen))
+                        seq += 1
+                        continue
+                    heappop(open_heap)
+                    count = nchild[target]
+                    child[target * degree + count] = leaf
+                    nchild[target] = count + 1
+                    parents[leaf] = target
+                    depthv[leaf] = depth + 1
+                    # The target stays open while a child slot remains; the
+                    # new leaf is a split candidate.
+                    if count + 1 < degree:
+                        heappush(open_heap, (depth, seq, target, gen))
+                        seq += 1
+                    heappush(split_heap, (depth + 1, seq, leaf, gens[leaf]))
+                    seq += 1
+                    break
+                else:  # no open internal node: split the shallowest leaf
+                    self._seq_value = seq
+                    victim = self._pop_split_candidate()
+                    seq = self._seq_value
+                    if victim is None:
+                        raise RuntimeError("key tree has no attachment point")
+                    self._split_leaf(victim[0], leaf, victim[1])
+                    seq = self._seq_value
+                member_leaf[member_id] = leaf
+                self._trim_heaps()
+                yield member_id, leaf
+        finally:
+            self._seq_value = seq
+        obs_metrics.inc("keytree.add_member", len(joins))
 
-    def _split_leaf(
-        self, victim: int, leaf: int, victim_depth: Optional[int] = None
-    ) -> None:
-        if victim_depth is None:
-            victim_depth = self._depthv[victim]
+    def _split_leaf(self, victim: int, leaf: int, victim_depth: int) -> None:
         parent = self._parent[victim]
         assert parent != NIL, "split candidate cannot be the root"
         self._remove_child(parent, victim)
@@ -669,32 +718,11 @@ class FlatKeyTree:
         mismatch."""
         gens = self._gen
         for heap in (self._open_internal, self._split_candidates):
-            # In place: the fused bulk-join loop holds the lists in locals.
+            # In place: _attach_members holds the lists in locals.
             heap[:] = [entry for entry in heap if gens[entry[2]] == entry[3]]
             heapq.heapify(heap)
         survived = len(self._open_internal) + len(self._split_candidates)
         self._heap_slack = max(HEAP_SHED_FLOOR, survived - len(self._index))
-
-    def _pop_open_internal(self) -> Optional[Tuple[int, int]]:
-        """Shallowest live open internal slot as ``(slot, depth)``."""
-        heap = self._open_internal
-        gens = self._gen
-        member = self._member
-        nchild = self._nchild
-        degree = self.degree
-        depthv = self._depthv
-        while heap:
-            depth, __, idx, gen = heap[0]
-            if gens[idx] != gen or member[idx] is not None or nchild[idx] >= degree:
-                heapq.heappop(heap)
-                continue
-            actual = depthv[idx]
-            if actual != depth:
-                heapq.heapreplace(heap, (actual, self._next_seq(), idx, gen))
-                continue
-            heapq.heappop(heap)
-            return idx, depth
-        return None
 
     def _pop_split_candidate(self) -> Optional[Tuple[int, int]]:
         """Shallowest live leaf slot as ``(slot, depth)``."""
@@ -1074,7 +1102,6 @@ class FlatRekeyer:
         tree = self.tree
         message = RekeyMessage(group=tree.name, epoch=self._take_epoch())
         ids = tree._ids
-        parents = tree._parent
         index = tree._index
         # node_id -> slot at marking time; insertion order is the marking
         # order the refresh sort must preserve.  Liveness is re-checked
@@ -1091,139 +1118,7 @@ class FlatRekeyer:
             if departures:
                 obs_metrics.inc("keytree.remove_member", len(departures))
 
-            joined = message.joined
-            # Fused bulk-join fast path: _add_member_slot + _alloc +
-            # _attach_leaf inlined — fresh slots, caller-provided keys
-            # (servers pass every joiner's individual key, so this is the
-            # hot case) and freelist reuse are all handled in-loop; only
-            # leaf splits fall back to the generic methods with the
-            # seq/keygen counters synced around the call, so every draw
-            # lands in the same order as the object kernel's.
-            free = tree._free
-            member = tree._member
-            member_leaf = tree._member_leaf
-            child = tree._child
-            nchild = tree._nchild
-            versions = tree._versions
-            leafcnt = tree._leafcnt
-            depthv = tree._depthv
-            gens = tree._gen
-            secrets = tree._secrets
-            nil_row = tree._nil_row
-            degree = tree.degree
-            open_heap = tree._open_internal
-            split_heap = tree._split_candidates
-            keygen = tree.keygen
-            kg_root = keygen._root
-            kg_counter = keygen._counter
-            seq = tree._seq_value
-            sha256 = hashlib.sha256
-            heappush = heapq.heappush
-            heappop = heapq.heappop
-            heapreplace = heapq.heapreplace
-            if joins:
-                tree._leafcnt_fresh = False
-            for member_id, key in joins:
-                if member_id in member_leaf:
-                    raise ValueError(
-                        f"member {member_id!r} already in tree {tree.name!r}"
-                    )
-                leaf_id = f"member:{member_id}"
-                if key is None:
-                    version = 0
-                    kg_counter += 1
-                    secret = sha256(
-                        kg_root + kg_counter.to_bytes(8, "big")
-                    ).digest()
-                else:
-                    if key.key_id != leaf_id:
-                        raise ValueError(
-                            f"flat kernel requires individual key id "
-                            f"{leaf_id!r}, got {key.key_id!r}"
-                        )
-                    # The key's own id string, not an equal copy: the
-                    # registration already holds it for the member's life.
-                    leaf_id = key.key_id
-                    version = key.version
-                    secret = key.secret
-                if free:
-                    # Inlined _alloc freelist branch: the slot's generation
-                    # was bumped at _free_slot time, so stale heap entries
-                    # for it are already dead; reuse makes no draws.
-                    leaf = free.pop()
-                    parents[leaf] = NIL
-                    nchild[leaf] = 0
-                    ids[leaf] = leaf_id
-                    member[leaf] = member_id
-                    versions[leaf] = version
-                    leafcnt[leaf] = 1
-                    depthv[leaf] = 0
-                    secrets[leaf] = secret
-                else:
-                    leaf = len(ids)
-                    parents.append(NIL)
-                    child.extend(nil_row)
-                    nchild.append(0)
-                    ids.append(leaf_id)
-                    member.append(member_id)
-                    versions.append(version)
-                    secrets.append(secret)
-                    leafcnt.append(1)
-                    depthv.append(0)
-                    gens.append(0)
-                index[leaf_id] = leaf
-                attached = False
-                while open_heap:
-                    depth, __, tidx, gen = open_heap[0]
-                    if (
-                        gens[tidx] != gen
-                        or member[tidx] is not None
-                        or nchild[tidx] >= degree
-                    ):
-                        heappop(open_heap)
-                        continue
-                    actual = depthv[tidx]
-                    if actual != depth:
-                        heapreplace(open_heap, (actual, seq, tidx, gen))
-                        seq += 1
-                        continue
-                    heappop(open_heap)
-                    nc = nchild[tidx]
-                    child[tidx * degree + nc] = leaf
-                    nchild[tidx] = nc + 1
-                    parents[leaf] = tidx
-                    depthv[leaf] = depth + 1
-                    if nc + 1 < degree:
-                        heappush(open_heap, (depth, seq, tidx, gens[tidx]))
-                        seq += 1
-                    heappush(split_heap, (depth + 1, seq, leaf, gens[leaf]))
-                    seq += 1
-                    attached = True
-                    break
-                if not attached:
-                    tree._seq_value = seq
-                    keygen._counter = kg_counter
-                    victim = tree._pop_split_candidate()
-                    if victim is None:
-                        raise RuntimeError("key tree has no attachment point")
-                    tree._split_leaf(victim[0], leaf, victim[1])
-                    seq = tree._seq_value
-                    kg_counter = keygen._counter
-                member_leaf[member_id] = leaf
-                tree._trim_heaps()
-                node = parents[leaf]
-                while node != NIL:
-                    node_id = ids[node]
-                    if node_id in marked:
-                        # Earlier markings covered the rest of the path.
-                        break
-                    marked[node_id] = node
-                    node = parents[node]
-                joined.append(member_id)
-            tree._seq_value = seq
-            keygen._counter = kg_counter
-            if joins:
-                obs_metrics.inc("keytree.add_member", len(joins))
+            self._join_and_mark(joins, marked, message)
 
             # Removals may have spliced out previously marked nodes.
             live_marked = [
@@ -1249,18 +1144,9 @@ class FlatRekeyer:
         secrets = tree._secrets
         parents = tree._parent
         marked: Dict[str, int] = {}  # join-only: no splices, slots stay live
-        new_leaves: List[int] = []
-        for member_id, key in joins:
-            leaf = tree._add_member_slot(member_id, key, count=False)
-            new_leaves.append(leaf)
-            node = parents[leaf]
-            while node != NIL:
-                marked[ids[node]] = node
-                node = parents[node]
-            message.joined.append(member_id)
-        if joins:
-            obs_metrics.inc("keytree.add_member", len(joins))
-
+        self._join_and_mark(joins, marked, message)
+        member_leaf = tree._member_leaf
+        new_leaves = [member_leaf[member_id] for member_id in message.joined]
         joining = set(new_leaves)
         depths = tree._depthv
         marked_list = sorted(
@@ -1271,9 +1157,7 @@ class FlatRekeyer:
         for node_id, idx in marked_list:
             if node_id in before:
                 # One-way advance: holders compute it locally, no wraps.
-                secrets[idx] = hmac.new(
-                    secrets[idx], b"repro-advance", hashlib.sha256
-                ).digest()
+                secrets[idx] = advance_secret(secrets[idx])
                 versions[idx] += 1
                 message.advanced.append((node_id, versions[idx]))
             else:
@@ -1299,6 +1183,29 @@ class FlatRekeyer:
     # ------------------------------------------------------------------
     # shared machinery
     # ------------------------------------------------------------------
+
+    def _join_and_mark(
+        self,
+        joins: Sequence[Tuple[str, Optional[KeyMaterial]]],
+        marked: Dict[str, int],
+        message: RekeyMessage,
+    ) -> None:
+        """Attach ``joins`` and mark each new leaf's path into ``marked``,
+        in join order.  A walk stops at the first marked node: a marked
+        node's ancestors are marked already (a split only ever inserts a
+        node above a leaf)."""
+        tree = self.tree
+        ids, parents = tree._ids, tree._parent
+        joined = message.joined
+        for member_id, leaf in tree._attach_members(joins):
+            node = parents[leaf]
+            while node != NIL:
+                node_id = ids[node]
+                if node_id in marked:
+                    break
+                marked[node_id] = node
+                node = parents[node]
+            joined.append(member_id)
 
     def _wrap_joint(self, add, joint: int, skip: Collection[int]) -> None:
         """Wrap a split-created joint's fresh key under each child slot not
@@ -1331,20 +1238,13 @@ class FlatRekeyer:
         versions = tree._versions
         secrets = tree._secrets
         updated = message.updated
-        keygen = self.keygen
         with obs_tracing.span("generate", refreshed=len(pairs)):
-            # Inlined KeyGenerator.fresh_secret: same root, same counter
-            # draws, hoisted out of the per-node call overhead.
-            root = keygen._root
-            counter = keygen._counter
-            sha256 = hashlib.sha256
-            for node_id, idx in pairs:
-                counter += 1
-                secrets[idx] = sha256(root + counter.to_bytes(8, "big")).digest()
+            fresh = self.keygen.fresh_secrets(len(pairs))
+            for (node_id, idx), secret in zip(pairs, fresh):
+                secrets[idx] = secret
                 version = versions[idx] + 1
                 versions[idx] = version
                 updated.append((node_id, version))
-            keygen._counter = counter
 
         with obs_tracing.span("wrap") as wrap_span:
             ids = tree._ids

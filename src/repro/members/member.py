@@ -212,11 +212,6 @@ class Member:
         learned.extend(self.absorb(message.encrypted_keys, index=message.index()))
         return learned
 
-    def drop_keys(self, key_ids: Iterable[str]) -> None:
-        """Forget keys (e.g. partition-local keys after a migration)."""
-        for key_id in key_ids:
-            self._keys.pop(key_id, None)
-
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------

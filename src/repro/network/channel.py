@@ -68,10 +68,6 @@ class DeliveryReport(Generic[PacketT]):
     delivered_to: Set[str] = field(default_factory=set)
     lost_at: Set[str] = field(default_factory=set)
 
-    @property
-    def fully_delivered(self) -> bool:
-        return not self.lost_at
-
 
 class PreparedAudience:
     """An audience :meth:`MulticastChannel.prepare` resolved once, for every
@@ -158,10 +154,6 @@ class MulticastChannel(Generic[PacketT]):
     def unsubscribed(self, ids: Iterable[str]) -> List[str]:
         """The ids among ``ids`` not subscribed now, in their order."""
         return list(filterfalse(self._receivers.__contains__, ids))
-
-    @property
-    def receiver_count(self) -> int:
-        return len(self._receivers)
 
     def loss_of(self, receiver_id: str) -> LossProcess:
         """The loss process attached to a receiver."""

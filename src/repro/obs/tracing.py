@@ -86,12 +86,6 @@ class Span:
         end = self.wall_end_s if self.wall_end_s is not None else _time.perf_counter()
         return end - self.wall_start_s
 
-    @property
-    def sim_duration(self) -> Optional[float]:
-        if self.sim_start is None or self.sim_end is None:
-            return None
-        return self.sim_end - self.sim_start
-
     def set(self, key: str, value: object) -> None:
         """Attach/overwrite one attribute."""
         self.attributes[key] = value

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 Action = Callable[..., None]
 
@@ -39,10 +39,6 @@ class EventLoop:
     @property
     def pending(self) -> int:
         return len(self._heap)
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next event, or None when the queue is empty."""
-        return self._heap[0][0] if self._heap else None
 
     def run_until(self, horizon: float) -> int:
         """Process events up to and including ``horizon``; returns the count."""

@@ -12,7 +12,7 @@ the tracked receivers hold a :class:`Member` and absorb.  They are the
 first :data:`TRACKED_RECEIVERS` joiners (a later joiner takes the slot a
 tracked member left), every receiver the transport abandons (rebuilt
 from its registration; its unicast catch-up restores it), and the
-``departed_sample`` most recent tracked departures.
+:data:`DEPARTED_SAMPLE` most recent tracked departures.
 
 Time is seconds; rekeying is periodic (``Tp``); joins/leaves between rekey
 points accumulate into the next batch exactly as in Section 2.1.1.
@@ -50,6 +50,10 @@ from repro.transport.session import TransportExhausted, TransportTask
 #: tracker, and named by the audience derivation the sample checks.
 TRACKED_RECEIVERS = 256
 
+#: Recently departed tracked members kept for the forward-secrecy check:
+#: none of them may hold the group key after the next rekeying.
+DEPARTED_SAMPLE = 32
+
 
 @dataclass
 class SimulationConfig:
@@ -77,11 +81,8 @@ class SimulationConfig:
         receivers (see :data:`TRACKED_RECEIVERS`): each one absorbing
         learns exactly as many keys as the payload rows that name it,
         each one in sync holds the group key, and no recently departed
-        one does.  What that proves for the untracked receivers is in
-        ``docs/security.md``.
-    departed_sample:
-        How many recently departed tracked members to retain for
-        forward-secrecy checks.
+        one (see :data:`DEPARTED_SAMPLE`) does.  What that proves for
+        the untracked receivers is in ``docs/security.md``.
     seed:
         Workload RNG seed (the channel RNG derives from it).
     cost_only:
@@ -114,7 +115,6 @@ class SimulationConfig:
     loss_population: Optional[LossPopulation] = None
     transport: Optional[object] = None
     verify: bool = True
-    departed_sample: int = 32
     seed: int = 0
     cost_only: bool = False
     deferred_wrap: bool = False
@@ -281,7 +281,7 @@ class GroupRekeyingSimulation:
         if member is not None:
             del self.tracked[member_id]
             self.departed.append(member)
-            if len(self.departed) > self.config.departed_sample:
+            if len(self.departed) > DEPARTED_SAMPLE:
                 self.departed.pop(0)
 
     def _churn_storm(self, joins: int, leaves: int) -> None:

@@ -2,11 +2,13 @@
 
 import copy
 import dataclasses
+import hashlib
+import hmac
 import pickle
 
 import pytest
 
-from repro.crypto.material import KEY_SIZE, KeyGenerator, KeyMaterial
+from repro.crypto.material import KEY_SIZE, KeyGenerator, KeyMaterial, advance_secret
 from repro.crypto.wrap import unwrap_key, wrap_key
 from repro.server.base import Registration
 
@@ -148,3 +150,44 @@ class TestKeyGenerator:
         assert new.key_id == old.key_id
         assert new.version == old.version + 1
         assert new.secret != old.secret
+
+    def test_secrets_follow_the_counter_formula(self):
+        # The one derivation: SHA-256 over the root and the 8-byte counter.
+        gen = KeyGenerator(5)
+        root = hashlib.sha256(b"repro-keygen:5").digest()
+        expected = [
+            hashlib.sha256(root + counter.to_bytes(8, "big")).digest()
+            for counter in range(1, 4)
+        ]
+        assert [gen.fresh_secret() for _ in range(3)] == expected
+        assert gen.state() == {"root": root.hex(), "counter": 3}
+
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_fresh_secrets_is_that_many_fresh_secret_calls(self, count):
+        one, many = KeyGenerator(11), KeyGenerator(11)
+        for gen in (one, many):
+            gen.fresh_secret()  # start mid-stream
+        drawn = many.fresh_secrets(count)
+        assert many.state() == one.state() | {"counter": 1 + count}
+        assert list(drawn) == [one.fresh_secret() for _ in range(count)]
+        assert many.state() == one.state()
+        assert many.fresh_secret() == one.fresh_secret()
+
+    def test_fresh_secrets_refuses_a_negative_count(self):
+        gen = KeyGenerator(0)
+        with pytest.raises(ValueError):
+            gen.fresh_secrets(-1)
+        assert gen.state()["counter"] == 0
+
+
+class TestOneWayAdvance:
+    def test_advance_secret_is_the_hmac_step(self):
+        secret = bytes(range(KEY_SIZE))
+        step = hmac.new(secret, b"repro-advance", hashlib.sha256).digest()
+        assert advance_secret(secret) == step
+
+    def test_key_advance_bumps_the_version_over_that_step(self):
+        key = KeyGenerator(4).generate("node/2", version=5)
+        advanced = key.advance()
+        assert advanced.handle == ("node/2", 6)
+        assert advanced.secret == advance_secret(key.secret) != key.secret

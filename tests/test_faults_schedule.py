@@ -83,13 +83,6 @@ class TestFaultSchedule:
         assert schedule.jitter_active(55.0)
         assert not schedule.jitter_active(45.0)
 
-    def test_crashes_in_window(self):
-        schedule = FaultSchedule.of(
-            [ServerCrash(at_time=100.0), ServerCrash(at_time=200.0)]
-        )
-        assert [c.at_time for c in schedule.crashes_in(0.0, 150.0)] == [100.0]
-        assert [c.at_time for c in schedule.crashes_in(100.0, 250.0)] == [200.0]
-
     def test_randomized_is_seed_deterministic(self):
         a = FaultSchedule.randomized(42, 1800.0)
         b = FaultSchedule.randomized(42, 1800.0)

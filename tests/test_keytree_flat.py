@@ -16,6 +16,7 @@ from repro.server.onetree import OneTreeServer
 from repro.server.twopartition import TwoPartitionServer
 from repro.testing import SCHEME_FACTORIES
 from repro.testing.invariants import _tree_structures
+from repro.testing.lkh import LkhRekeyer
 from repro.testing.serialize import tree_from_dict, tree_to_dict
 from repro.testing.tree import KeyTree
 
@@ -53,6 +54,22 @@ class TestFlatTreeStructure:
             tree.remove_member("nope")
         with pytest.raises(ValueError):
             rekeyer.rekey_batch(joins=[("m0", None)])  # duplicate member
+
+    @pytest.mark.parametrize("join_refresh", ["random", "owf"])
+    def test_a_refused_join_keeps_the_draws_before_it(self, join_refresh):
+        """A batch that refuses a join part-way leaves the tree and both
+        counters where the object kernel leaves them: every join before
+        the refused one was placed and drew."""
+        flat_tree = FlatKeyTree(degree=3, keygen=KeyGenerator(5), name="t")
+        obj_tree = KeyTree(degree=3, keygen=KeyGenerator(5), name="t")
+        joins = [(f"n{i}", None) for i in range(6)] + [("n3", None)]
+        for rekeyer in (FlatRekeyer(flat_tree), LkhRekeyer(obj_tree)):
+            rekeyer.rekey_batch(joins=[(f"m{i}", None) for i in range(5)])
+            with pytest.raises(ValueError, match="n3"):
+                rekeyer.rekey_batch(joins=joins, join_refresh=join_refresh)
+        assert flat_tree.size == 11
+        assert flat_tree.to_dict() == tree_to_dict(obj_tree)
+        assert flat_tree.keygen.state() == obj_tree.keygen.state()
 
     def test_departure_recycles_slots(self):
         tree, rekeyer = build_flat(count=16, degree=2)

@@ -45,11 +45,6 @@ class TestKeyState:
         member.install(older)
         assert member.key("aux").version == 3
 
-    def test_drop_keys(self, member, gen):
-        member.install(gen.generate("aux"))
-        member.drop_keys(["aux", "never-held"])
-        assert not member.holds("aux")
-
 
 class TestAbsorb:
     def test_absorbs_reachable_chain_regardless_of_order(self, member, gen):
@@ -196,7 +191,6 @@ class TestOpenedWrapTable:
         alice, bob = members[:2]
         assert all(m.key("root") is alice.key("root") for m in members)
         assert all(m.key("n1") is alice.key("n1") for m in members)
-        alice.drop_keys(["root"])
         alice.install(gen.generate("n1", version=9))
         assert bob.holds("root", 4) and bob.key("n1").version == 2
         assert index.opened[0].handle == ("root", 4)

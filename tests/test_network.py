@@ -109,9 +109,9 @@ class TestMulticastChannel:
     def test_subscribe_and_unsubscribe(self):
         channel = MulticastChannel(seed=0)
         channel.subscribe("a", BernoulliLoss(0.0))
-        assert channel.receiver_count == 1
+        assert channel.subscribers() == ["a"]
         channel.unsubscribe("a")
-        assert channel.receiver_count == 0
+        assert channel.subscribers() == []
         channel.unsubscribe("a")  # idempotent
 
     def test_duplicate_subscribe_rejected(self):
@@ -129,7 +129,6 @@ class TestMulticastChannel:
         for i in range(10):
             channel.subscribe(f"r{i}", BernoulliLoss(0.0))
         report = channel.multicast("pkt")
-        assert report.fully_delivered
         assert len(report.delivered_to) == 10
 
     def test_certain_loss_reaches_no_one(self):

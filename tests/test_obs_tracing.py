@@ -41,7 +41,6 @@ def test_sim_clock_rebinding():
         now["t"] = 60.0
     assert span.sim_start == 0.0
     assert span.sim_end == 60.0
-    assert span.sim_duration == 60.0
 
 
 def test_add_span_records_external_duration():

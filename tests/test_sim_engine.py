@@ -53,9 +53,3 @@ class TestEventLoop:
         loop.run_until(5.0)
         with pytest.raises(ValueError):
             loop.schedule(1.0, lambda: None)
-
-    def test_peek_time(self):
-        loop = EventLoop()
-        assert loop.peek_time() is None
-        loop.schedule(4.0, lambda: None)
-        assert loop.peek_time() == 4.0

@@ -149,13 +149,11 @@ class TestMetrics:
         assert metrics.departures_total == 3
         assert metrics.mean_cost() == 8.0
         assert metrics.mean_cost(skip=1) == 6.0
-        assert metrics.mean_cost_per_departure() == pytest.approx(16 / 3)
         assert metrics.breakdown_totals() == {"tree": 14, "group-key": 2}
 
     def test_empty_metrics_are_zero(self):
         metrics = SimulationMetrics()
         assert metrics.mean_cost() == 0.0
-        assert metrics.mean_cost_per_departure() == 0.0
         assert metrics.mean_group_size() == 0.0
 
     def test_group_size_tracks_population(self):
